@@ -3,7 +3,9 @@
 Hybrid high-order space discretization (cell + face polynomial unknowns with
 local gradient reconstruction and boundary stabilization) with explicit and
 singly diagonal implicit Runge-Kutta time integration, both statically
-condensed: faces are eliminated per explicit stage, cells per implicit stage.
+condensed: faces are eliminated once at set-up into a fixed cell operator
+for the explicit schemes (one sparse product per stage), cells per implicit
+stage.
 """
 
 from .mesh import (FLUID, SOLID, MeshError, MeshGenSpec, PolyMesh, classify_faces,
@@ -13,8 +15,7 @@ from .hho import (BlockSystem, ConfigError, DofLayout, StabilizationConfig,
                   assemble, face_dof_fraction)
 from .timestep import (ButcherTableau, CondensedFactorization, ExplicitStepper,
                        ImplicitStepper, InstabilityError, SolverConfig, SolverError,
-                       build_condensed, erk_step, run_time_loop, sdirk_step,
-                       solve_linear, tableau)
+                       run_time_loop, tableau)
 from .scenarios import (CflBracketConfig, CflEstimate, ManufacturedCase, RickerConfig,
                         SensorSpec, builtin_materials, cfl_bracket, coupling_errors,
                         energy, l2_error_dual, sensor_error)

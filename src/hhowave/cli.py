@@ -23,8 +23,8 @@ import time
 
 import numpy as np
 
-from . import hho, mesh as msh, scenarios, timestep
-from .materials import FluidMaterial, MaterialMap, SolidMaterial
+from . import basis, hho, mesh as msh, scenarios, timestep
+from .materials import FluidMaterial, MaterialError, MaterialMap, SolidMaterial
 
 log = logging.getLogger("hhowave")
 
@@ -34,7 +34,7 @@ EXIT_INSTABILITY = 3
 EXIT_SOLVER = 4
 
 EXPLICIT_SCHEMES = ("ERK2", "ERK3", "ERK4")
-IMPLICIT_SCHEMES = ("SDIRK22", "SDIRK23", "SDIRK34")
+IMPLICIT_SCHEMES = ("SDIRK23", "SDIRK34")
 
 
 class CliConfigError(Exception):
@@ -235,6 +235,23 @@ def resolve_dt(cfg, mesh, materials) -> float:
     return dt
 
 
+def step_count(final_time: float, dt: float):
+    """Steps of constant size that end exactly at `final_time`: (n_steps, dt).
+
+    A whole number of steps (within 1e-9 relative) keeps dt as given;
+    otherwise the step count is rounded up, so dt only shrinks, with a warning.
+    """
+    ratio = final_time / dt
+    n_steps = max(1, round(ratio))
+    if abs(ratio - n_steps) <= 1e-9 * ratio:
+        return n_steps, dt
+    n_steps = math.ceil(ratio)
+    new_dt = final_time / n_steps
+    log.warning("final_time %g is not a whole number of steps of dt=%g; "
+                "using %d steps of dt=%g", final_time, dt, n_steps, new_dt)
+    return n_steps, new_dt
+
+
 def build_stepper(cfg, system, dt):
     scheme = cfg["scheme"]
     tab = timestep.tableau(scheme)
@@ -342,9 +359,7 @@ def cmd_simulate(cfg, out_dir) -> int:
     mesh = build_mesh(cfg["mesh"])
     materials = build_materials(cfg)
     stab = build_stabilization(cfg)
-    dt = resolve_dt(cfg, mesh, materials)
-    final_time = float(cfg["final_time"])
-    n_steps = max(1, round(final_time / dt))
+    n_steps, dt = step_count(float(cfg["final_time"]), resolve_dt(cfg, mesh, materials))
     log.info("simulate: %d cells, %d steps of dt=%g", mesh.n_cells, n_steps, dt)
 
     t_start = time.perf_counter()
@@ -444,8 +459,7 @@ def cmd_converge(cfg, out_dir, levels) -> int:
                                           materials)
         u0 = scenarios.manufactured_initial_state(system, case)
         forcing = scenarios.manufactured_forcing(system, case)
-        dt = resolve_dt(cfg, mesh, materials)
-        n_steps = max(1, round(float(cfg["final_time"]) / dt))
+        n_steps, dt = step_count(float(cfg["final_time"]), resolve_dt(cfg, mesh, materials))
         stepper, _ = build_stepper(cfg, system, dt)
         u = timestep.run_time_loop(stepper, u0, dt, n_steps, forcing=forcing)
         err = scenarios.l2_error_dual(u, system, case, n_steps * dt)
@@ -542,8 +556,7 @@ def cmd_efficiency(cfg, out_dir) -> int:
                     kind=eff.get("solver", "direct-lu"),
                     tol=tol0 * 2.0 ** (-level * (k + 1)),
                     maxiter=int(eff.get("maxiter", 5000)))
-            n_steps = max(1, round(final_time / dt))
-            dt = final_time / n_steps
+            n_steps, dt = step_count(final_time, dt)
             t0 = time.perf_counter()
             system = hho.assemble(mesh, materials, stab, k=k)
             case = scenarios.ManufacturedCase(omega, theta, materials)
@@ -579,8 +592,6 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hhowave",
         description="Coupled elasto-acoustic wave simulator on polygonal meshes")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for the linear algebra backend")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (("simulate", "run one simulation"),
                             ("converge", "spatial convergence study"),
@@ -601,8 +612,6 @@ def main(argv=None) -> int:
         level=os.environ.get("HHOWAVE_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s")
     args = make_parser().parse_args(argv)
-    if args.threads is not None:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     overrides = {}
     if args.mesh:
         overrides["mesh"] = {"file": args.mesh}
@@ -611,15 +620,19 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out)
         if args.command == "converge":
-            levels = [int(v) for v in args.levels.split(",")]
+            try:
+                levels = [int(v) for v in args.levels.split(",")]
+            except ValueError:
+                raise CliConfigError(f"--levels must be comma-separated integers, "
+                                     f"got {args.levels!r}") from None
             return cmd_converge(cfg, args.out, levels)
         if args.command == "cfl":
             return cmd_cfl(cfg, args.out)
         if args.command == "efficiency":
             return cmd_efficiency(cfg, args.out)
         raise CliConfigError(f"unknown command {args.command}")
-    except (CliConfigError, hho.ConfigError, msh.MeshError,
-            scenarios.ScenarioError) as exc:
+    except (CliConfigError, hho.ConfigError, msh.MeshError, MaterialError,
+            basis.QuadratureError, scenarios.ScenarioError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

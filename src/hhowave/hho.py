@@ -79,10 +79,6 @@ class StabilizationConfig:
         """Mixed-order Lehrenfeld-Schoberl setting for implicit time stepping."""
         return cls("mixed", "lehrenfeld-schoberl", 1, eta_fluid, eta_solid)
 
-    @property
-    def k_prime_offset(self) -> int:
-        return 0 if self.order_mode == "equal" else 1
-
 
 # ---------------------------------------------------------------------------
 # dof layout

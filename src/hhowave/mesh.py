@@ -202,11 +202,6 @@ class PolyMesh:
     def face_vertices(self, fi):
         return self.vertices[self.faces[fi, 0]], self.vertices[self.faces[fi, 1]]
 
-    def outward_normal(self, ci, local_j):
-        """Outward unit normal of cell `ci` on its local face `local_j`."""
-        fi = self.cell_faces[ci][local_j]
-        return self.face_normal[fi] * self.cell_face_orient[ci][local_j]
-
     def faces_of_class(self, fclass):
         return np.nonzero(self.face_class == fclass)[0]
 

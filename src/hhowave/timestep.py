@@ -1,8 +1,9 @@
 """Runge-Kutta time integration of the semi-discrete block system.
 
-Explicit schemes eliminate the face unknowns per stage: the face-face
-stiffness is block-diagonal per face, so each stage performs one facewise
-solve followed by one cellwise mass solve. Implicit (singly diagonal) schemes
+Explicit schemes eliminate the face unknowns once, at set-up: the face-face
+stiffness is block-diagonal per face and the mass is block-diagonal per cell,
+so L = M^-1 (K_TT - K_TF K_FF^-1 K_FT) is a fixed sparse cell operator and
+each stage is one sparse product with it. Implicit (singly diagonal) schemes
 condense the cell unknowns instead: the per-cell matrices M + a* dt K_TT are
 factored once, a face-coupled Schur complement is assembled and factored
 once, and both factorizations are reused across stages and steps while
@@ -94,9 +95,6 @@ _TABLEAUX = {
     # two-stage, third-order, A-stable singly diagonal scheme
     "SDIRK23": _full("SDIRK23", 2, [[_A23], [1.0 - 2.0 * _A23, _A23]],
                      [0.5, 0.5], [_A23, 1.0 - _A23], 3, a_star=_A23),
-    # two-stage, second-order variant (diagonal 1/4)
-    "SDIRK22": _full("SDIRK22", 2, [[0.25], [0.5, 0.25]],
-                     [0.5, 0.5], [0.25, 0.75], 2, a_star=0.25),
     # three-stage, fourth-order scheme with nu = cos(pi/18)/sqrt(3) + 1/2
     "SDIRK34": _full("SDIRK34", 3,
                      [[_NU34], [0.5 - _NU34, _NU34], [2.0 * _NU34, 1.0 - 4.0 * _NU34, _NU34]],
@@ -106,7 +104,7 @@ _TABLEAUX = {
 
 
 def tableau(kind: str) -> ButcherTableau:
-    """Coefficients of a named scheme: ERK2/ERK3/ERK4, SDIRK23/SDIRK34 (SDIRK22)."""
+    """Coefficients of a named scheme: ERK2/ERK3/ERK4, SDIRK23/SDIRK34."""
     try:
         return _TABLEAUX[kind.upper()]
     except KeyError:
@@ -172,14 +170,6 @@ class FactorizedOperator:
         return x
 
 
-def solve_linear(config: SolverConfig, operator, rhs: np.ndarray) -> np.ndarray:
-    """One-off linear solve honoring the solver configuration."""
-    matrix = sp.csc_matrix(operator)
-    if matrix.shape[0] != matrix.shape[1]:
-        raise SolverError("operator must be square")
-    return FactorizedOperator(matrix, config).solve(np.asarray(rhs, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # block-diagonal helpers
 
@@ -229,15 +219,30 @@ def _forcing_at(forcing, t):
     return None if forcing is None else forcing(t)
 
 
+class _Stepper:
+    """What both steppers share: face unknowns for the interface sensors."""
+
+    _kff_inv = None
+
+    def face_values(self, u_t: np.ndarray) -> np.ndarray:
+        """Face unknowns -K_FF^-1 K_FT u_t induced by the cell unknowns."""
+        sysm = self.system
+        if sysm.n_face_dofs == 0:
+            return np.zeros(0)
+        if self._kff_inv is None:
+            self._kff_inv = _face_inverse(sysm)
+        return -(self._kff_inv @ (sysm.k_ft @ u_t))
+
+
 # ---------------------------------------------------------------------------
 # explicit stepper (face elimination)
 
-class ExplicitStepper:
+class ExplicitStepper(_Stepper):
     """Face-eliminated explicit Runge-Kutta integrator.
 
-    Each stage solves the block-diagonal face system for the face unknowns
-    induced by the current cell state, evaluates the cell stage derivative,
-    and cellwise mass-solves the next stage state.
+    The face unknowns are eliminated once, at construction, into the cell
+    operator L = M^-1 (K_TT - K_TF K_FF^-1 K_FT); each stage then evaluates
+    k_i = L u_i - M^-1 f_i with one sparse product, and u_i = u_t - dt sum_j a_ij k_j.
     """
 
     def __init__(self, system, tab: ButcherTableau):
@@ -246,39 +251,31 @@ class ExplicitStepper:
         self.system = system
         self.tableau = tab
         self.minv = _mass_inverse(system)
-        self.kff_inv = _face_inverse(system)  # raises if a face block is singular
-
-    def face_values(self, u_t: np.ndarray) -> np.ndarray:
-        """Face unknowns induced by cell unknowns (facewise elimination)."""
-        if self.system.n_face_dofs == 0:
-            return np.zeros(0)
-        return -(self.kff_inv @ (self.system.k_ft @ u_t))
+        self._kff_inv = _face_inverse(system)  # raises if a face block is singular
+        k_cond = system.k_tt - system.k_tf @ (self._kff_inv @ system.k_ft)
+        self.op = (self.minv @ k_cond).tocsr()
 
     def step(self, u_t: np.ndarray, t: float, dt: float, forcing=None,
              step_index: int = 0) -> np.ndarray:
-        sysm = self.system
         tab = self.tableau
-        stage_r = []
+        stage_k = []
         u_i = u_t
         for i in range(tab.s + 1):
             if i > 0:
                 acc = None
                 for j in range(i):
-                    aij = tab.a[i, j] if i <= tab.s else tab.b[j]
+                    aij = tab.a[i, j]
                     if aij == 0.0:
                         continue
-                    acc = aij * stage_r[j] if acc is None else acc + aij * stage_r[j]
-                u_i = u_t if acc is None else u_t + dt * (self.minv @ acc)
+                    acc = aij * stage_k[j] if acc is None else acc + aij * stage_k[j]
+                u_i = u_t if acc is None else u_t - dt * acc
             if i == tab.s:
                 break
-            u_f = self.face_values(u_i)
-            r = -(sysm.k_tt @ u_i)
-            if sysm.n_face_dofs:
-                r -= sysm.k_tf @ u_f
+            k = self.op @ u_i
             f = _forcing_at(forcing, t + tab.c[i] * dt)
             if f is not None:
-                r = r + f
-            stage_r.append(r)
+                k -= self.minv @ f
+            stage_k.append(k)
         _check_finite(u_i, step_index)
         return u_i
 
@@ -332,12 +329,7 @@ class CondensedFactorization:
         return u_t, u_f
 
 
-def build_condensed(system, a_star: float, dt: float,
-                    solver: SolverConfig | None = None) -> CondensedFactorization:
-    return CondensedFactorization(system, a_star, dt, solver or SolverConfig())
-
-
-class ImplicitStepper:
+class ImplicitStepper(_Stepper):
     """Cell-condensed singly diagonal implicit Runge-Kutta integrator."""
 
     def __init__(self, system, tab: ButcherTableau, dt: float,
@@ -350,21 +342,11 @@ class ImplicitStepper:
         self.solver = solver or SolverConfig()
         self.dt = float(dt)
         if factorization is None:
-            factorization = build_condensed(system, tab.a_star, dt, self.solver)
+            factorization = CondensedFactorization(system, tab.a_star, dt, self.solver)
         if not factorization.matches(tab.a_star, dt):
             raise TimestepError("stale condensed factorization: (a*, dt) mismatch")
         self.fact = factorization
         self.minv = _mass_inverse(system)
-        self._kff_inv = None
-
-    def face_values(self, u_t: np.ndarray) -> np.ndarray:
-        """Face unknowns consistent with the semi-discrete face equations."""
-        sysm = self.system
-        if sysm.n_face_dofs == 0:
-            return np.zeros(0)
-        if self._kff_inv is None:
-            self._kff_inv = _face_inverse(sysm)
-        return -(self._kff_inv @ (sysm.k_ft @ u_t))
 
     def step(self, u_t: np.ndarray, t: float, dt: float, forcing=None,
              step_index: int = 0) -> np.ndarray:
@@ -412,22 +394,7 @@ class ImplicitStepper:
 
 
 # ---------------------------------------------------------------------------
-# functional entry points
-
-def erk_step(u_t, system, dt, tab: ButcherTableau, t=0.0, forcing=None,
-             stepper: ExplicitStepper | None = None):
-    """One explicit step; builds a throwaway stepper unless one is supplied."""
-    stepper = stepper or ExplicitStepper(system, tab)
-    return stepper.step(np.asarray(u_t, dtype=float), t, dt, forcing)
-
-
-def sdirk_step(u_t, system, dt, tab: ButcherTableau,
-               fact: CondensedFactorization, solver: SolverConfig | None = None,
-               t=0.0, forcing=None):
-    """One implicit step using a prebuilt condensed factorization."""
-    stepper = ImplicitStepper(system, tab, dt, solver, factorization=fact)
-    return stepper.step(np.asarray(u_t, dtype=float), t, dt, forcing)
-
+# time loop
 
 def run_time_loop(stepper, u0, dt, n_steps, t0=0.0, forcing=None, observer=None):
     """Advance `n_steps` with constant dt; calls observer(step, t, u) after each."""

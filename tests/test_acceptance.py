@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import hhowave.mesh as msh
-from hhowave import (DofLayout, ExplicitStepper, ImplicitStepper, MeshGenSpec,
-                     StabilizationConfig, assemble, build_condensed,
-                     builtin_materials, face_dof_fraction, generate, tableau)
+from hhowave import (CondensedFactorization, DofLayout, ExplicitStepper,
+                     ImplicitStepper, MeshGenSpec, SolverConfig, StabilizationConfig,
+                     assemble, builtin_materials, face_dof_fraction, generate, tableau)
 from hhowave.basis import CellBasis, polygon_quadrature
 from hhowave.hho import build_cell_blocks
 from hhowave.scenarios import (BoundSensor, CflBracketConfig, ManufacturedCase,
@@ -55,7 +55,7 @@ def test_criterion_1_condensation_oracles():
         forcing = manufactured_forcing(system, case)
         tab = tableau("SDIRK23")
         dt = 0.02
-        fact = build_condensed(system, tab.a_star, dt)
+        fact = CondensedFactorization(system, tab.a_star, dt, SolverConfig())
         rng = np.random.default_rng(k)
         b_t = system.mass @ u0 + dt * rng.standard_normal(system.n_cell_dofs)
         b_f = rng.standard_normal(system.n_face_dofs)

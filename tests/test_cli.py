@@ -1,6 +1,7 @@
 """CLI configuration, outputs and exit-code tests."""
 
 import json
+import logging
 import math
 import os
 
@@ -86,6 +87,32 @@ def test_cfl_target_resolves_dt():
     assert abs(dt - 0.1 * h / math.sqrt(3.0)) < 1e-15
 
 
+def test_step_count_lands_on_final_time(caplog):
+    assert cli.step_count(1.0, 0.0015625) == (640, 0.0015625)
+    dt = 1.0 / 640.0
+    assert cli.step_count(20 * dt, dt) == (20, dt)      # whole within rounding
+    assert not caplog.records
+    with caplog.at_level(logging.WARNING, logger="hhowave"):
+        n_steps, dt = cli.step_count(0.05, 0.03)
+    assert n_steps == 2 and abs(n_steps * dt - 0.05) < 1e-15 and dt < 0.03
+    assert "0.03" in caplog.text and "0.025" in caplog.text
+
+
+def test_simulate_does_not_overshoot_final_time(tmp_path):
+    cfg = json.loads(json.dumps(RICKER_CFG))
+    cfg["dt"] = 0.03
+    cfg["final_time"] = 0.05
+    cfg["output"] = {}
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["steps"] == 2
+    assert abs(summary["dt"] - 0.025) < 1e-15
+    last = (out / "energy.csv").read_text().strip().splitlines()[-1]
+    assert abs(float(last.split(",")[0]) - 0.05) < 1e-15
+
+
 def test_custom_materials():
     cfg = {"materials": {"fluid": {"rho": 1025.0, "c_p": 1500.0},
                          "solid": {"rho": 2690.0, "c_p": 6000.0, "c_s": 3000.0}}}
@@ -160,6 +187,24 @@ def test_config_error_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+
+
+def test_material_error_exit_code(tmp_path):
+    cfg = json.loads(json.dumps(RICKER_CFG))
+    cfg["materials"] = {"fluid": {"rho": -1, "c_p": 1.0},
+                        "solid": {"rho": 1.0, "c_p": 1.732, "c_s": 1.0}}
+    code = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+
+
+def test_malformed_levels_exit_code(tmp_path):
+    cfg = {"mesh": {"family": "cartesian", "fluid_rect": [0, 0, 1, 1]},
+           "degree": 1, "scheme": "SDIRK34", "dt": 0.05, "final_time": 0.1,
+           "scenario": {"type": "manufactured"}}
+    code = cli.main(["converge", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path), "--levels", "2,x"])
     assert code == cli.EXIT_CONFIG
 
 

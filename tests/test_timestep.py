@@ -6,20 +6,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hhowave import (ExplicitStepper, ImplicitStepper, InstabilityError,
-                     MeshGenSpec, SolverConfig, StabilizationConfig, assemble,
-                     build_condensed, builtin_materials, generate, solve_linear,
-                     tableau)
-from hhowave.scenarios import (ManufacturedCase, manufactured_forcing,
+from hhowave import (CondensedFactorization, ExplicitStepper, ImplicitStepper,
+                     InstabilityError, MeshGenSpec, SolverConfig, StabilizationConfig,
+                     assemble, builtin_materials, generate, tableau)
+from hhowave.scenarios import (ManufacturedCase, cfl_bracket, manufactured_forcing,
                                manufactured_initial_state)
-from hhowave.timestep import SolverError, TimestepError, _block_diag_inverse
+from hhowave.timestep import (FactorizedOperator, SolverError, TimestepError,
+                              _block_diag_inverse)
 
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
 ACADEMIC = builtin_materials("academic")
 
 
-def make_system(k=1, level=1, mode="explicit"):
-    mesh = generate(MeshGenSpec("cartesian", level, **BILAYER))
+def make_system(k=1, level=1, mode="explicit", family="cartesian"):
+    mesh = generate(MeshGenSpec(family, level, **BILAYER))
     config = (StabilizationConfig.explicit() if mode == "explicit"
               else StabilizationConfig.implicit())
     return assemble(mesh, ACADEMIC, config, k=k)
@@ -105,7 +105,7 @@ ORDER_CONDITIONS = {
 
 
 @pytest.mark.parametrize("kind,order", [("ERK2", 2), ("ERK3", 3), ("ERK4", 4),
-                                        ("SDIRK22", 2), ("SDIRK23", 3), ("SDIRK34", 4)])
+                                        ("SDIRK23", 3), ("SDIRK34", 4)])
 def test_order_conditions(kind, order):
     tab = tableau(kind)
     assert tab.order == order
@@ -132,15 +132,6 @@ def test_sdirk34_coefficients():
     assert np.allclose(tab.a[:3, :].sum(axis=1), tab.c)
 
 
-def test_sdirk22_is_quarter_diagonal_variant():
-    tab = tableau("SDIRK22")
-    assert tab.a_star == 0.25
-    assert tab.a[1, 0] == 0.5
-    assert np.allclose(tab.b, [0.5, 0.5])
-    # this variant fails the third-order conditions
-    assert abs(tab.b @ tab.c**2 - 1 / 3) > 1e-3
-
-
 def test_unknown_tableau():
     with pytest.raises(TimestepError):
         tableau("RK45")
@@ -149,9 +140,13 @@ def test_unknown_tableau():
 # ---------------------------------------------------------------------------
 # linear solvers
 
+def solve(config, matrix, rhs):
+    return FactorizedOperator(sp.csc_matrix(matrix), config).solve(rhs)
+
+
 def test_solver_identity():
     rhs = np.arange(5.0)
-    out = solve_linear(SolverConfig("direct-lu"), sp.eye(5).tocsc(), rhs)
+    out = solve(SolverConfig("direct-lu"), sp.eye(5), rhs)
     assert np.allclose(out, rhs)
 
 
@@ -160,8 +155,8 @@ def test_solvers_agree_on_random_spd():
     a = rng.standard_normal((50, 50))
     spd = a @ a.T + 50 * np.eye(50)
     rhs = rng.standard_normal(50)
-    x_direct = solve_linear(SolverConfig("direct-lu"), spd, rhs)
-    x_iter = solve_linear(SolverConfig("bicgstab-ilu0", tol=1e-12), spd, rhs)
+    x_direct = solve(SolverConfig("direct-lu"), spd, rhs)
+    x_iter = solve(SolverConfig("bicgstab-ilu0", tol=1e-12), spd, rhs)
     assert np.linalg.norm(x_direct - x_iter) < 1e-8 * np.linalg.norm(x_direct)
 
 
@@ -169,12 +164,7 @@ def test_singular_operator_rejected():
     singular = np.zeros((4, 4))
     singular[0, 0] = 1.0
     with pytest.raises(SolverError):
-        solve_linear(SolverConfig("direct-lu"), singular, np.ones(4))
-
-
-def test_nonsquare_rejected():
-    with pytest.raises(SolverError):
-        solve_linear(SolverConfig("direct-lu"), np.ones((3, 4)), np.ones(3))
+        solve(SolverConfig("direct-lu"), singular, np.ones(4))
 
 
 def test_block_diag_inverse_singular_block():
@@ -196,15 +186,43 @@ def test_zero_state_stays_zero():
 
 @pytest.mark.parametrize("kind", ["ERK2", "ERK3", "ERK4"])
 def test_erk_matches_dense_oracle(kind):
-    system = make_system(k=1, level=0)
     tab = tableau(kind)
-    case, u0, forcing = make_case_state(system)
-    stepper = ExplicitStepper(system, tab)
-    dt = 0.01
-    u_block = stepper.step(u0.copy(), 0.0, dt, forcing)
-    u_dense = dense_erk_step(system, tab, u0.copy(), 0.0, dt, forcing)
-    scale = np.linalg.norm(u_dense)
-    assert np.linalg.norm(u_block - u_dense) < 1e-12 * scale
+    for family, level in (("cartesian", 0), ("polygonal-hexagonal", 1)):
+        system = make_system(k=1, level=level, family=family)
+        case, u0, forcing = make_case_state(system)
+        stepper = ExplicitStepper(system, tab)
+        dt = 0.01
+        u_block = stepper.step(u0.copy(), 0.0, dt, forcing)
+        u_dense = dense_erk_step(system, tab, u0.copy(), 0.0, dt, forcing)
+        scale = np.linalg.norm(u_dense)
+        assert np.linalg.norm(u_block - u_dense) < 1e-12 * scale, family
+
+
+@pytest.mark.parametrize("family", ["cartesian", "polygonal-hexagonal", "simplicial"])
+def test_face_eliminated_operator_is_dissipative(family):
+    # M L = K_TT - K_TF K_FF^-1 K_FT, whose symmetric part must be PSD: the
+    # energy u.M u / 2 of the unforced explicit system never grows in time
+    system = make_system(k=1, level=3, family=family)
+    stepper = ExplicitStepper(system, tableau("ERK2"))
+    k_cond = (system.mass @ stepper.op).toarray()
+    ref = system.k_tt.toarray() - system.k_tf.toarray() @ np.linalg.solve(
+        system.k_ff.toarray(), system.k_ft.toarray())
+    assert np.linalg.norm(k_cond - ref) < 1e-12 * np.linalg.norm(ref)
+    eig = np.linalg.eigvalsh(0.5 * (k_cond + k_cond.T))
+    assert eig.min() >= -1e-12 * np.abs(eig).max()
+
+
+def test_erk_cfl_brackets_golden():
+    # (n_stable, n_unstable) at level 3, k=1, from the per-stage face-solve stepper
+    golden = {("cartesian", "ERK2"): (45, 44), ("cartesian", "ERK4"): (33, 32),
+              ("polygonal-hexagonal", "ERK2"): (48, 47),
+              ("polygonal-hexagonal", "ERK4"): (35, 34)}
+    for family in ("cartesian", "polygonal-hexagonal"):
+        system = make_system(k=1, level=3, family=family)
+        h = float(np.mean(system.mesh.cell_diameter))
+        for kind in ("ERK2", "ERK4"):
+            est = cfl_bracket(system, tableau(kind), h, final_time=1.0)
+            assert (est.n_stable, est.n_unstable) == golden[(family, kind)], (family, kind)
 
 
 def test_erk_face_values_satisfy_face_equations():
@@ -257,7 +275,7 @@ def test_condensed_stage_equals_monolithic():
     system = make_system(k=1, level=1, mode="implicit")
     tab = tableau("SDIRK23")
     dt = 0.05
-    fact = build_condensed(system, tab.a_star, dt)
+    fact = CondensedFactorization(system, tab.a_star, dt, SolverConfig())
     rng = np.random.default_rng(8)
     n_t, n_f = system.n_cell_dofs, system.n_face_dofs
     ad = tab.a_star * dt
@@ -276,7 +294,7 @@ def test_condensed_stage_equals_monolithic():
 def test_schur_matvec_matches_triple_product():
     system = make_system(k=2, level=1, mode="implicit")
     a_star, dt = 0.25, 0.03
-    fact = build_condensed(system, a_star, dt)
+    fact = CondensedFactorization(system, a_star, dt, SolverConfig())
     rng = np.random.default_rng(4)
     ad = a_star * dt
     a_dense = system.mass.toarray() + ad * system.k_tt.toarray()
@@ -308,7 +326,7 @@ def test_sdirk_dt_halving_first_order_change():
 def test_stale_factorization_rejected():
     system = make_system(mode="implicit")
     tab = tableau("SDIRK23")
-    fact = build_condensed(system, tab.a_star, 0.01)
+    fact = CondensedFactorization(system, tab.a_star, 0.01, SolverConfig())
     with pytest.raises(TimestepError, match="stale"):
         ImplicitStepper(system, tab, dt=0.02, factorization=fact)
     stepper = ImplicitStepper(system, tab, dt=0.01, factorization=fact)
