@@ -7,10 +7,17 @@ Cell quadrature triangulates the polygon as a fan around the barycenter
 (valid for cells star-shaped with respect to it) and applies a collapsed
 Gauss-Legendre product rule on each triangle; face quadrature is plain
 Gauss-Legendre.
+
+This is the one module that integrates over cells and faces. The rules and
+the monomial evaluators work on stacked arrays with leading cell or face
+axes: `cell_groups` yields the fan rule of all mesh cells grouped by vertex
+count, `face_rule` the Gauss rule of any array of mesh faces, and
+`CellBasis`/`FaceBasis`/`polygon_quadrature` are their one-cell cases.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -63,7 +70,40 @@ def monomial_exponents(k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bases
+# monomial evaluation
+
+def cell_monomials(points, center, half, degree: int, grad: bool = False):
+    """Scaled cell monomials at `points` (..., n, 2) of cells with leading axes `...`.
+
+    `center` is (..., 2) and `half` (...) the half diameters. Returns values
+    (..., n, dim) or, with `grad`, gradients (..., n, dim, 2).
+    """
+    half = np.asarray(half, dtype=float)[..., None, None]
+    local = np.asarray(points, dtype=float) - np.asarray(center, dtype=float)[..., None, :]
+    xi = local[..., 0, None] / half
+    eta = local[..., 1, None] / half
+    a, b = monomial_exponents(degree).T
+    if not grad:
+        return xi ** a * eta ** b
+    # d/dx xi^a eta^b = (a/r) xi^(a-1) eta^b, with the a=0 term vanishing
+    pow_xa = np.where(a >= 1, xi ** np.maximum(a - 1, 0), 0.0)
+    pow_yb = np.where(b >= 1, eta ** np.maximum(b - 1, 0), 0.0)
+    gx = a * pow_xa * eta ** b / half
+    gy = b * xi ** a * pow_yb / half
+    return np.stack([gx, gy], axis=-1)
+
+
+def face_monomials(points, midpoint, tangent, half, degree: int) -> np.ndarray:
+    """Scaled face monomials at `points` (..., n, 2) of faces with leading axes `...`.
+
+    `midpoint`, `tangent` are (..., 2) and `half` (...) the half lengths;
+    returns (..., n, degree + 1).
+    """
+    d = np.asarray(points, dtype=float) - np.asarray(midpoint, dtype=float)[..., None, :]
+    t = np.asarray(tangent, dtype=float)[..., None, :]
+    s = (d[..., 0] * t[..., 0] + d[..., 1] * t[..., 1]) / np.asarray(half)[..., None]
+    return s[..., None] ** np.arange(degree + 1)
+
 
 class CellBasis:
     """Scaled monomial basis of P^k on a 2D cell.
@@ -81,26 +121,12 @@ class CellBasis:
 
     def eval(self, points) -> np.ndarray:
         """Values at `points` (n, 2); returns (n, dim)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        xi = (pts[:, 0] - self.center[0]) / self.half
-        eta = (pts[:, 1] - self.center[1]) / self.half
-        a = self.exponents[:, 0]
-        b = self.exponents[:, 1]
-        return xi[:, None] ** a[None, :] * eta[:, None] ** b[None, :]
+        return cell_monomials(np.atleast_2d(points), self.center, self.half, self.degree)
 
     def grad(self, points) -> np.ndarray:
         """Gradients at `points`; returns (n, dim, 2)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        xi = (pts[:, 0] - self.center[0]) / self.half
-        eta = (pts[:, 1] - self.center[1]) / self.half
-        a = self.exponents[:, 0]
-        b = self.exponents[:, 1]
-        # d/dx xi^a eta^b = (a/r) xi^(a-1) eta^b, with the a=0 term vanishing
-        pow_xa = np.where(a[None, :] >= 1, xi[:, None] ** np.maximum(a - 1, 0)[None, :], 0.0)
-        pow_yb = np.where(b[None, :] >= 1, eta[:, None] ** np.maximum(b - 1, 0)[None, :], 0.0)
-        gx = a[None, :] * pow_xa * eta[:, None] ** b[None, :] / self.half
-        gy = b[None, :] * xi[:, None] ** a[None, :] * pow_yb / self.half
-        return np.stack([gx, gy], axis=-1)
+        return cell_monomials(np.atleast_2d(points), self.center, self.half, self.degree,
+                              grad=True)
 
 
 class FaceBasis:
@@ -124,9 +150,8 @@ class FaceBasis:
         self.dim = degree + 1
 
     def eval(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        s = (pts - self.midpoint) @ self.tangent / self.half
-        return s[:, None] ** np.arange(self.dim)[None, :]
+        return face_monomials(np.atleast_2d(points), self.midpoint, self.tangent,
+                              self.half, self.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +188,33 @@ def _reference_triangle_rule(degree: int):
     return pts, w
 
 
-def triangle_quadrature(p0, p1, p2, degree: int):
-    """Quadrature on the triangle (p0, p1, p2), exact for degree `degree`."""
+def fan_quadrature(polygons, centers, areas, degree: int):
+    """Fan rule on stacked polygons with the same vertex count.
+
+    `polygons` is (g, n_v, 2) with counterclockwise vertices, `centers`
+    (g, 2) the fan apexes and `areas` (g,) the polygon areas. Each polygon
+    is split into the triangles (center, v_i, v_i+1), each carrying the
+    collapsed Gauss rule exact to `degree`. Returns points (g, n_q, 2) and
+    weights (g, n_q), triangle by triangle. Raises QuadratureError unless
+    every polygon is star-shaped with respect to its center.
+    """
     ref_pts, ref_w = _reference_triangle_rule(degree)
-    p0 = np.asarray(p0, dtype=float)
-    e1 = np.asarray(p1, dtype=float) - p0
-    e2 = np.asarray(p2, dtype=float) - p0
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    pts = p0[None, :] + ref_pts[:, 0:1] * e1[None, :] + ref_pts[:, 1:2] * e2[None, :]
-    return pts, ref_w * abs(det)
+    p1 = np.asarray(polygons, dtype=float)
+    c = np.asarray(centers, dtype=float)[:, None, :]
+    e1 = p1 - c
+    e2 = np.roll(p1, -1, axis=1) - c
+    det = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
+    if np.any(0.5 * det <= 1e-14 * np.abs(np.asarray(areas, dtype=float))[:, None]):
+        raise QuadratureError("polygon not star-shaped with respect to its barycenter")
+    pts = (c[:, :, None, :] + ref_pts[:, 0:1] * e1[:, :, None, :]
+           + ref_pts[:, 1:2] * e2[:, :, None, :])
+    w = ref_w * np.abs(det)[..., None]
+    g = len(p1)
+    return pts.reshape(g, -1, 2), w.reshape(g, -1)
 
 
 def polygon_quadrature(vertices, degree: int, center=None):
-    """Quadrature on a polygon via barycentric fan triangulation.
+    """Quadrature on one polygon via barycentric fan triangulation.
 
     The polygon must be star-shaped with respect to `center` (defaults to the
     area centroid); raises QuadratureError otherwise.
@@ -183,26 +222,92 @@ def polygon_quadrature(vertices, degree: int, center=None):
     verts = np.asarray(vertices, dtype=float)
     if center is None:
         center = polygon_centroid(verts)
-    center = np.asarray(center, dtype=float)
-    all_pts = []
-    all_w = []
-    n = len(verts)
-    area = polygon_area(verts)
-    for i in range(n):
-        p1 = verts[i]
-        p2 = verts[(i + 1) % n]
-        tri_signed = 0.5 * ((p1[0] - center[0]) * (p2[1] - center[1])
-                            - (p1[1] - center[1]) * (p2[0] - center[0]))
-        if tri_signed <= 1e-14 * abs(area):
-            raise QuadratureError("polygon not star-shaped with respect to its barycenter")
-        pts, w = triangle_quadrature(center, p1, p2, degree)
-        all_pts.append(pts)
-        all_w.append(w)
-    return np.concatenate(all_pts), np.concatenate(all_w)
+    pts, w = fan_quadrature(verts[None], np.asarray(center, dtype=float)[None],
+                            [polygon_area(verts)], degree)
+    return pts[0], w[0]
 
 
-def segment_quadrature(v0, v1, degree: int):
-    """Gauss-Legendre quadrature on the segment [v0, v1], exact for `degree`."""
+@dataclass
+class _Rule:
+    """Stacked quadrature points and weights with leading axes `...`."""
+
+    points: np.ndarray       # (..., n_q, 2)
+    weights: np.ndarray      # (..., n_q)
+
+    def sample(self, fn) -> np.ndarray:
+        """`fn` evaluated once on all points: (..., n_q, n_components)."""
+        vals = np.asarray(fn(self.points.reshape(-1, 2)), dtype=float)
+        return vals.reshape(*self.points.shape[:-1], -1)
+
+    def gram(self, left, right) -> np.ndarray:
+        """Weighted products sum_q w_q left[q, i] right[q, j]: (..., n_i, n_j)."""
+        return np.matmul(np.swapaxes(left, -1, -2), self.weights[..., None] * right)
+
+
+@dataclass
+class CellGroup(_Rule):
+    """Stacked fan rule and basis data of cells with the same vertex count."""
+
+    cells: np.ndarray        # (g,) cell ids, ascending
+    centers: np.ndarray      # (g, 2) basis centers (cell barycenters)
+    halves: np.ndarray       # (g,) basis scales (half cell diameters)
+
+    def basis(self, degree: int, points=None, grad: bool = False) -> np.ndarray:
+        """Cell monomials of `degree` at the quadrature points, or at `points` (g, n, 2)."""
+        pts = self.points if points is None else points
+        return cell_monomials(pts, self.centers, self.halves, degree, grad=grad)
+
+    def integrate(self, values) -> np.ndarray:
+        """Cellwise integrals of `values` (g, n_q, ...) sampled at the quadrature points."""
+        return np.einsum("gq,gq...->g...", self.weights, values)
+
+
+GROUP_CHUNK = 1024   # cells per stacked group: bounds the temporaries' memory
+
+
+def cell_group(mesh, cells, degree: int) -> CellGroup:
+    """Fan rule exact to `degree` on `cells` of `mesh`, all with the same vertex count."""
+    cells = np.asarray(cells)
+    loops = np.array([mesh.cell_vertices[ci] for ci in cells])
+    pts, w = fan_quadrature(mesh.vertices[loops], mesh.cell_centroid[cells],
+                            mesh.cell_area[cells], degree)
+    return CellGroup(pts, w, cells, mesh.cell_centroid[cells], 0.5 * mesh.cell_diameter[cells])
+
+
+def cell_groups(mesh, degree: int, split=None):
+    """Fan rule exact to `degree` on every cell of `mesh`, grouped for stacking.
+
+    Cells are grouped by vertex count and, when given, by the per-cell key
+    `split`; groups are cut into chunks of at most GROUP_CHUNK cells. Yields
+    CellGroup records built on the mesh barycenters and diameters. Raises
+    QuadratureError on a cell that is not star-shaped about its barycenter.
+    """
+    n_verts = np.array([len(loop) for loop in mesh.cell_vertices])
+    key = n_verts if split is None else np.stack([n_verts, np.asarray(split)])
+    _, group_of = np.unique(key, axis=-1, return_inverse=True)
+    group_of = group_of.reshape(-1)    # its shape varies across numpy versions
+    for gid in range(int(group_of.max(initial=-1)) + 1):
+        members = np.nonzero(group_of == gid)[0]
+        for lo in range(0, len(members), GROUP_CHUNK):
+            yield cell_group(mesh, members[lo:lo + GROUP_CHUNK], degree)
+
+
+@dataclass
+class FaceRule(_Rule):
+    """Stacked Gauss rule and basis data of segments with leading axes `...`."""
+
+    midpoints: np.ndarray    # (..., 2)
+    tangents: np.ndarray     # (..., 2)
+    halves: np.ndarray       # (...) half lengths
+
+    def basis(self, degree: int) -> np.ndarray:
+        """Face monomials of `degree` at the quadrature points: (..., n_q, degree + 1)."""
+        return face_monomials(self.points, self.midpoints, self.tangents, self.halves,
+                              degree)
+
+
+def face_quadrature(v0, v1, degree: int) -> FaceRule:
+    """Gauss-Legendre rule exact to `degree` on the segments [v0, v1] (..., 2)."""
     if degree > 2 * MAX_EXACTNESS:
         raise QuadratureError(f"exactness degree {degree} beyond implemented table")
     n = max(1, (degree + 1 + 1) // 2)
@@ -210,9 +315,23 @@ def segment_quadrature(v0, v1, degree: int):
     v0 = np.asarray(v0, dtype=float)
     v1 = np.asarray(v1, dtype=float)
     mid = 0.5 * (v0 + v1)
-    half = 0.5 * (v1 - v0)
-    pts = mid[None, :] + xg[:, None] * half[None, :]
-    return pts, wg * 0.5 * float(np.hypot(*(v1 - v0)))
+    delta = v1 - v0
+    length = np.hypot(delta[..., 0], delta[..., 1])
+    pts = mid[..., None, :] + xg[:, None] * (0.5 * delta)[..., None, :]
+    return FaceRule(pts, wg * 0.5 * length[..., None], mid, delta / length[..., None],
+                    0.5 * length)
+
+
+def face_rule(mesh, faces, degree: int) -> FaceRule:
+    """Gauss rule exact to `degree` on mesh faces of any index shape, in owner direction."""
+    ends = mesh.vertices[mesh.faces[faces]]
+    return face_quadrature(ends[..., 0, :], ends[..., 1, :], degree)
+
+
+def segment_quadrature(v0, v1, degree: int):
+    """Gauss-Legendre quadrature on the segment [v0, v1], exact for `degree`."""
+    rule = face_quadrature(v0, v1, degree)
+    return rule.points, rule.weights
 
 
 # ---------------------------------------------------------------------------

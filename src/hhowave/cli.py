@@ -294,19 +294,14 @@ def _fmt(val):
     return str(val)
 
 
-def cell_average_rows(system):
-    """Mean-value functionals of the primal/dual polynomials per cell."""
-    from .basis import CellBasis, polygon_quadrature
-
+def cell_average_rows(system) -> np.ndarray:
+    """Mean-value functionals of the primal polynomials: one row per cell."""
     mesh = system.mesh
-    layout = system.layout
-    rows = []
-    for ci in range(mesh.n_cells):
-        verts = mesh.vertices[mesh.cell_vertices[ci]]
-        center = mesh.cell_centroid[ci]
-        pts, w = polygon_quadrature(verts, layout.k_prime + 1, center=center)
-        primal = CellBasis(center, mesh.cell_diameter[ci], layout.k_prime)
-        rows.append((primal.eval(pts).T @ w) / mesh.cell_area[ci])
+    k_prime = system.layout.k_prime
+    rows = np.empty((mesh.n_cells, basis.scalar_cell_dim(k_prime)))
+    for grp in basis.cell_groups(mesh, k_prime + 1):
+        rows[grp.cells] = (grp.integrate(grp.basis(k_prime))
+                           / mesh.cell_area[grp.cells][:, None])
     return rows
 
 
@@ -316,14 +311,13 @@ def write_vtu(path, system, u_t, mean_rows):
     layout = system.layout
     pressure = np.zeros(mesh.n_cells)
     vnorm = np.zeros(mesh.n_cells)
-    for ci in range(mesh.n_cells):
-        sl = layout.cell_primal_slice(ci)
-        coeff = u_t[sl]
-        row = mean_rows[ci]
-        if mesh.subdomain[ci] == msh.FLUID:
-            pressure[ci] = row @ coeff
-        else:
-            vnorm[ci] = math.hypot(row @ coeff[0::2], row @ coeff[1::2])
+    fluid = mesh.cells_of_subdomain(msh.FLUID)
+    solid = mesh.cells_of_subdomain(msh.SOLID)
+    p = u_t[layout.cell_dofs(fluid, "primal")].reshape(mean_rows[fluid].shape)
+    pressure[fluid] = np.einsum("ci,ci->c", mean_rows[fluid], p)
+    v = u_t[layout.cell_dofs(solid, "primal")].reshape(mean_rows[solid].shape + (2,))
+    v = np.einsum("ci,cia->ca", mean_rows[solid], v)
+    vnorm[solid] = np.hypot(v[:, 0], v[:, 1])
     n_pts = mesh.n_vertices
     conn = np.concatenate([loop for loop in mesh.cell_vertices])
     offsets = np.cumsum([len(loop) for loop in mesh.cell_vertices])
@@ -437,32 +431,34 @@ def cmd_simulate(cfg, out_dir) -> int:
     return EXIT_OK
 
 
+def _manufactured_run(cfg, mesh, materials, n_steps, dt):
+    """One run of a study: assemble, march the manufactured case, measure the error.
+
+    Returns the dual-variable L2 error at the final time and the seconds
+    spent from assembly through the time loop.
+    """
+    t0 = time.perf_counter()
+    system = hho.assemble(mesh, materials, build_stabilization(cfg), k=cfg["degree"])
+    u0, forcing, case = build_scenario(cfg, system, materials)
+    stepper, _ = build_stepper(cfg, system, dt)
+    u = timestep.run_time_loop(stepper, u0, dt, n_steps, forcing=forcing)
+    wall = time.perf_counter() - t0
+    return scenarios.l2_error_dual(u, system, case, n_steps * dt), wall
+
+
 def cmd_converge(cfg, out_dir, levels) -> int:
     if len(levels) < 2:
         raise CliConfigError("convergence study needs at least 2 levels")
     os.makedirs(out_dir, exist_ok=True)
     materials = build_materials(cfg)
-    sc = cfg.get("scenario", {})
-    if sc.get("type") != "manufactured":
+    if cfg.get("scenario", {}).get("type") != "manufactured":
         raise CliConfigError("convergence study requires the manufactured scenario")
-    case_proto = dict(omega=float(sc.get("omega", 5.0)),
-                      theta=float(sc.get("theta", math.sqrt(2.0))))
     rows = []
     prev_err = None
     for level in levels:
-        mesh_cfg = dict(cfg["mesh"])
-        mesh_cfg["level"] = level
-        mesh = build_mesh(mesh_cfg)
-        stab = build_stabilization(cfg)
-        system = hho.assemble(mesh, materials, stab, k=cfg["degree"])
-        case = scenarios.ManufacturedCase(case_proto["omega"], case_proto["theta"],
-                                          materials)
-        u0 = scenarios.manufactured_initial_state(system, case)
-        forcing = scenarios.manufactured_forcing(system, case)
+        mesh = build_mesh(dict(cfg["mesh"], level=level))
         n_steps, dt = step_count(float(cfg["final_time"]), resolve_dt(cfg, mesh, materials))
-        stepper, _ = build_stepper(cfg, system, dt)
-        u = timestep.run_time_loop(stepper, u0, dt, n_steps, forcing=forcing)
-        err = scenarios.l2_error_dual(u, system, case, n_steps * dt)
+        err, _ = _manufactured_run(cfg, mesh, materials, n_steps, dt)
         rate = math.log2(prev_err / err) if prev_err else float("nan")
         h = float(np.mean(mesh.cell_diameter))
         rows.append([level, h, err, rate])
@@ -481,22 +477,16 @@ def cmd_cfl(cfg, out_dir) -> int:
     schemes = [s.upper() for s in sweep.get("schemes", ["ERK2"])]
     level = int(sweep.get("level", 4))
     materials = build_materials(cfg)
-    stab_cfg = cfg.get("stabilization", {})
+    stab = build_stabilization(dict(cfg, order_mode="equal"))
     bracket_cfg = scenarios.CflBracketConfig(
         eps=float(sweep.get("eps", 0.05)), delta=float(sweep.get("delta", 0.01)))
     final_time = float(cfg.get("final_time", 1.0))
     results = {}
     rows = []
     for family in families:
-        mesh_cfg = dict(cfg["mesh"])
-        mesh_cfg["family"] = family
-        mesh_cfg["level"] = level
-        mesh = build_mesh(mesh_cfg)
+        mesh = build_mesh(dict(cfg["mesh"], family=family, level=level))
         h = float(np.mean(mesh.cell_diameter))
         for k in degrees:
-            stab = hho.StabilizationConfig.explicit(
-                eta_fluid=float(stab_cfg.get("eta_fluid", 0.8)),
-                eta_solid=float(stab_cfg.get("eta_solid", 1.5)))
             system = hho.assemble(mesh, materials, stab, k=k)
             for scheme in schemes:
                 tab = timestep.tableau(scheme)
@@ -526,49 +516,29 @@ def cmd_efficiency(cfg, out_dir) -> int:
     dt0 = float(eff.get("dt0", 0.01))
     tol0 = float(eff.get("tol0", 1e-6))
     materials = build_materials(cfg)
-    sc = cfg.get("scenario", {})
-    if sc.get("type") != "manufactured":
+    if cfg.get("scenario", {}).get("type") != "manufactured":
         raise CliConfigError("efficiency study requires the manufactured scenario")
-    omega = float(sc.get("omega", 5.0))
-    theta = float(sc.get("theta", math.sqrt(2.0)))
     k = cfg["degree"]
     final_time = float(cfg["final_time"])
     rows = []
     for scheme in schemes:
         tab = timestep.tableau(scheme)
+        run_cfg = dict(cfg, scheme=scheme, order_mode="equal" if tab.explicit else "mixed")
         for level in levels:
-            mesh_cfg = dict(cfg["mesh"])
-            mesh_cfg["level"] = level
-            mesh = build_mesh(mesh_cfg)
-            factor = 2.0 ** (-level * (k + 1) / (tab.s + 1))
-            dt = dt0 * factor
+            mesh = build_mesh(dict(cfg["mesh"], level=level))
+            dt = dt0 * 2.0 ** (-level * (k + 1) / (tab.s + 1))
             if tab.explicit:
-                stab = hho.StabilizationConfig.explicit()
-                solver = None
                 # explicit steps are bounded by the stability limit
                 c_sharp = materials.c_sharp(mesh)
                 h = float(np.mean(mesh.cell_diameter))
                 cfl_cap = float(eff.get("cfl_cap", 0.9)) * _cfl_guess(scheme, k)
                 dt = min(dt, cfl_cap * h / c_sharp)
             else:
-                stab = hho.StabilizationConfig.implicit()
-                solver = timestep.SolverConfig(
-                    kind=eff.get("solver", "direct-lu"),
-                    tol=tol0 * 2.0 ** (-level * (k + 1)),
-                    maxiter=int(eff.get("maxiter", 5000)))
+                run_cfg["solver"] = {"kind": eff.get("solver", "direct-lu"),
+                                     "tol": tol0 * 2.0 ** (-level * (k + 1)),
+                                     "maxiter": int(eff.get("maxiter", 5000))}
             n_steps, dt = step_count(final_time, dt)
-            t0 = time.perf_counter()
-            system = hho.assemble(mesh, materials, stab, k=k)
-            case = scenarios.ManufacturedCase(omega, theta, materials)
-            u0 = scenarios.manufactured_initial_state(system, case)
-            forcing = scenarios.manufactured_forcing(system, case)
-            if tab.explicit:
-                stepper = timestep.ExplicitStepper(system, tab)
-            else:
-                stepper = timestep.ImplicitStepper(system, tab, dt, solver)
-            u = timestep.run_time_loop(stepper, u0, dt, n_steps, forcing=forcing)
-            wall = time.perf_counter() - t0
-            err = scenarios.l2_error_dual(u, system, case, final_time)
+            err, wall = _manufactured_run(run_cfg, mesh, materials, n_steps, dt)
             rows.append([scheme, level, dt, n_steps, err, wall])
             log.info("%s level %d: err %.3e cpu %.2fs", scheme, level, err, wall)
     write_csv(os.path.join(out_dir, "efficiency.csv"),

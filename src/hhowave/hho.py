@@ -16,19 +16,25 @@ face (interface faces forming one merged block), and the cell-face couplings
 only link a cell to its own faces. Homogeneous Dirichlet boundary faces carry
 no unknowns; nonhomogeneous data enters through a separate lifting matrix
 applied to known face values.
+
+All cell integrals run on `basis.cell_groups`: the local blocks of cells that
+share a vertex count and a material are formed together on stacked arrays,
+and each group is scattered into the global matrices with one index
+computation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import mesh as msh
-from .basis import (CellBasis, FaceBasis, polygon_quadrature, scalar_cell_dim,
-                    scalar_face_dim, segment_quadrature)
-from .materials import FluidMaterial, MaterialMap, SolidMaterial
+from .basis import (CellGroup, cell_group, cell_groups, face_rule, scalar_cell_dim,
+                    scalar_face_dim)
+from .materials import FluidMaterial, MaterialMap
 
 _I2 = np.eye(2)
 
@@ -144,6 +150,15 @@ class DofLayout:
         off = int(self.cell_offset[ci]) + int(self.cell_dual_size[ci])
         return slice(off, int(self.cell_offset[ci + 1]))
 
+    def cell_dofs(self, cells, part):
+        """Dof indices (len(cells), size) of the 'dual' or 'primal' part of `cells`.
+
+        All `cells` must lie in one subdomain, so the parts share one size.
+        """
+        sizes = self.cell_dual_size if part == "dual" else self.cell_primal_size
+        start = self.cell_offset[cells] + (0 if part == "dual" else self.cell_dual_size[cells])
+        return start[:, None] + np.arange(int(sizes[cells].max(initial=0)))
+
     # face accessors --------------------------------------------------------
     def face_slice(self, fi):
         return slice(int(self.face_offset[fi]), int(self.face_offset[fi + 1]))
@@ -217,193 +232,155 @@ def face_dof_fraction(d: int, case: str, mode: str, k: int) -> float:
 
 @dataclass
 class LocalBlocks:
-    """All local matrices of one cell, in local (dual | primal) ordering."""
+    """Local matrices of one cell, or stacked over a cell group (leading axis g).
 
-    ci: int
+    Rows and columns use the local (dual | primal) ordering; face blocks
+    carry a local face axis j and `n_side` face dofs (the cell's side of an
+    interface face).
+    """
+
     is_fluid: bool
-    mass: np.ndarray                 # (n, n) weighted block mass
+    mass: np.ndarray                 # (g, n, n) weighted block mass
     mass_dual: np.ndarray            # dual-variable weighted mass
     mass_primal: np.ndarray          # primal-variable weighted mass
-    grad_cell: np.ndarray            # dual x primal moments of the reconstruction
-    grad_face: list                  # per local face: dual x face-dofs (or None)
-    stab_cell: np.ndarray            # primal x primal
-    stab_face: list                  # per local face: primal x face-dofs (or None)
-    stab_face_face: list             # per local face: face x face (or None)
-    tau: float
-    face_ids: np.ndarray
-    k_tt: np.ndarray = field(init=False)
+    grad_cell: np.ndarray            # (g, n_dual, n_primal) moments of the reconstruction
+    stab_cell: np.ndarray            # (g, n_primal, n_primal)
+    k_tt: np.ndarray                 # (g, n, n) cell-cell stiffness
+    grad_face: np.ndarray            # (g, n_v, n_dual, n_side)
+    stab_face: np.ndarray            # (g, n_v, n_primal, n_side)
+    stab_face_face: np.ndarray       # (g, n_v, n_side, n_side)
+    tau: np.ndarray                  # (g,) stabilization weights
+    face_ids: np.ndarray             # (g, n_v)
 
-    def __post_init__(self):
-        n_dual = self.mass_dual.shape[0]
-        n_primal = self.mass_primal.shape[0]
-        n = n_dual + n_primal
-        k = np.zeros((n, n))
-        k[:n_dual, n_dual:] = -self.grad_cell
-        k[n_dual:, :n_dual] = self.grad_cell.T
-        k[n_dual:, n_dual:] = self.stab_cell
-        self.k_tt = k
+    def k_tf(self, j=slice(None)):
+        """Cell-to-face stiffness blocklets of local face(s) j (rows dual|primal)."""
+        return np.concatenate([-self.grad_face[..., j, :, :], self.stab_face[..., j, :, :]],
+                              axis=-2)
 
-    def k_tf(self, j):
-        """Cell-to-face stiffness blocklet for local face j (rows dual|primal)."""
-        g = self.grad_face[j]
-        s = self.stab_face[j]
-        if g is None:
-            return None
-        return np.vstack([-g, s])
-
-    def k_ft(self, j):
-        """Face-to-cell stiffness blocklet for local face j."""
-        g = self.grad_face[j]
-        s = self.stab_face[j]
-        if g is None:
-            return None
-        return np.hstack([g.T, s.T])
+    def k_ft(self, j=slice(None)):
+        """Face-to-cell stiffness blocklets of local face(s) j."""
+        return np.swapaxes(np.concatenate([self.grad_face[..., j, :, :],
+                                           self.stab_face[..., j, :, :]], axis=-2), -1, -2)
 
 
-def _interleave_vector(mat_x, mat_y=None):
-    """Expand scalar-mode matrices into interleaved 2-component rows."""
-    n, m = mat_x.shape
-    out = np.zeros((2 * n, m))
-    out[0::2] = mat_x
-    out[1::2] = mat_x if mat_y is None else mat_y
+def _interleave_vector(mat_x, mat_y):
+    """Stack x/y matrices (..., n, m) into interleaved 2-component rows (..., 2n, m)."""
+    out = np.zeros(mat_x.shape[:-2] + (2 * mat_x.shape[-2], mat_x.shape[-1]))
+    out[..., 0::2, :] = mat_x
+    out[..., 1::2, :] = mat_y
     return out
 
 
-def _kron_i2(mat):
-    return np.kron(mat, _I2)
+def _symmetric_gradient(mat_x, mat_y):
+    """(xx, yy, xy) stress rows against (x, y) velocity columns: (..., 3n, 2m).
+
+    The xy row carries both derivatives (multiplicity 2 folded in).
+    """
+    n, m = mat_x.shape[-2:]
+    out = np.zeros(mat_x.shape[:-2] + (3 * n, 2 * m))
+    out[..., 0::3, 0::2] = mat_x
+    out[..., 1::3, 1::2] = mat_y
+    out[..., 2::3, 0::2] = mat_y
+    out[..., 2::3, 1::2] = mat_x
+    return out
+
+
+def _kron(mat, small):
+    """Kronecker product of each matrix of the stack `mat` with `small`."""
+    (n, m), (p, q) = mat.shape[-2:], small.shape
+    return np.einsum("...ij,ab->...iajb", mat, small).reshape(mat.shape[:-2] + (n * p, m * q))
+
+
+def _group_blocks(mesh: msh.PolyMesh, grp: CellGroup, layout: DofLayout,
+                  material, config: StabilizationConfig) -> LocalBlocks:
+    """Local blocks of a group of cells sharing vertex count and material.
+
+    `grp` carries the fan rule of degree 2(k'+1); faces use Gauss rules of
+    the same degree.
+    """
+    k, kp = layout.k, layout.k_prime
+    phi_p = grp.basis(kp)
+    gphi_p = grp.basis(kp, grad=True)
+    phi_d = grp.basis(k)
+    mass_p = grp.gram(phi_p, phi_p)
+    mass_d = grp.gram(phi_d, phi_d)
+    vol_x = grp.gram(phi_d, gphi_p[..., 0])              # (g, dual, primal)
+    vol_y = grp.gram(phi_d, gphi_p[..., 1])
+
+    face_ids = np.array([mesh.cell_faces[ci] for ci in grp.cells])      # (g, n_v)
+    orient = np.array([mesh.cell_face_orient[ci] for ci in grp.cells])
+    rule = face_rule(mesh, face_ids, 2 * (kp + 1))                      # (g, n_v, n_qf)
+    g, n_v, n_qf = rule.weights.shape
+    psi = rule.basis(k)
+    face_pts = rule.points.reshape(g, n_v * n_qf, 2)
+    tphi_p = grp.basis(kp, face_pts).reshape(g, n_v, n_qf, -1)
+    tphi_d = grp.basis(k, face_pts).reshape(g, n_v, n_qf, -1)
+    nrm = (mesh.face_normal[face_ids] * orient[..., None])[..., None, None, :]
+    cross_pd = rule.gram(tphi_d, tphi_p)                 # (g, n_v, dual, primal)
+    tr_x = (cross_pd * nrm[..., 0]).sum(axis=1)
+    tr_y = (cross_pd * nrm[..., 1]).sum(axis=1)
+    mass_f = rule.gram(psi, psi)                         # (g, n_v, face, face)
+    b_f = rule.gram(psi, tphi_p)                         # (g, n_v, face, primal)
+    dual_face = rule.gram(tphi_d, psi)                   # (g, n_v, dual, face)
+    if config.operator == "lehrenfeld-schoberl":
+        s_tt = np.swapaxes(b_f, -1, -2) @ np.linalg.solve(mass_f, b_f)
+    else:
+        s_tt = rule.gram(tphi_p, tphi_p)
+
+    h_tilde = mesh.cell_diameter[grp.cells] / mesh.length_scale
+    is_fluid = isinstance(material, FluidMaterial)
+    if is_fluid:
+        tau = config.eta_fluid / (material.rho * material.c_p) * h_tilde ** (-config.alpha)
+        mass_dual = material.rho * _kron(mass_d, _I2)
+        mass_primal = mass_p / material.kappa
+        gradient, components = _interleave_vector, np.eye(1)
+    else:
+        tau = config.eta_solid * (material.rho * material.c_s) * h_tilde ** (-config.alpha)
+        mass_dual = _kron(mass_d, material.compliance_weight())
+        mass_primal = material.rho * _kron(mass_p, _I2)
+        gradient, components = _symmetric_gradient, _I2
+    tau_f = tau[:, None, None, None]
+    grad_cell = gradient(vol_x - tr_x, vol_y - tr_y)
+    stab_cell = _kron((tau_f * s_tt).sum(axis=1), components)
+    grad_face = gradient(dual_face * nrm[..., 0], dual_face * nrm[..., 1])
+    stab_face = -tau_f * _kron(np.swapaxes(b_f, -1, -2), components)
+    stab_face_face = tau_f * _kron(mass_f, components)
+
+    zeros = np.zeros_like(grad_cell)
+    mass = np.block([[mass_dual, zeros], [np.swapaxes(zeros, -1, -2), mass_primal]])
+    k_tt = np.block([[np.zeros_like(mass_dual), -grad_cell],
+                     [np.swapaxes(grad_cell, -1, -2), stab_cell]])
+    return LocalBlocks(is_fluid, mass, mass_dual, mass_primal, grad_cell, stab_cell, k_tt,
+                       grad_face, stab_face, stab_face_face, tau, face_ids)
 
 
 def build_cell_blocks(mesh: msh.PolyMesh, ci: int, layout: DofLayout,
-                      material, config: StabilizationConfig,
-                      quad_degree: int | None = None) -> LocalBlocks:
+                      material, config: StabilizationConfig) -> LocalBlocks:
     """Assemble the local mass, gradient and stabilization blocks of one cell."""
-    k, kp = layout.k, layout.k_prime
-    is_fluid = mesh.subdomain[ci] == msh.FLUID
-    deg = quad_degree if quad_degree is not None else 2 * (kp + 1)
-
-    verts = mesh.vertices[mesh.cell_vertices[ci]]
-    center = mesh.cell_centroid[ci]
-    diam = mesh.cell_diameter[ci]
-    primal = CellBasis(center, diam, kp)
-    dual = CellBasis(center, diam, k)
-
-    pts, w = polygon_quadrature(verts, deg, center=center)
-    phi_p = primal.eval(pts)
-    gphi_p = primal.grad(pts)
-    phi_d = dual.eval(pts)
-
-    mass_p = phi_p.T @ (w[:, None] * phi_p)
-    mass_d = phi_d.T @ (w[:, None] * phi_d)
-    vol_x = phi_d.T @ (w[:, None] * gphi_p[:, :, 0])   # (dual, primal)
-    vol_y = phi_d.T @ (w[:, None] * gphi_p[:, :, 1])
-
-    face_ids = mesh.cell_faces[ci]
-    orient = mesh.cell_face_orient[ci]
-    n_faces = len(face_ids)
-    tr_x = np.zeros_like(vol_x)
-    tr_y = np.zeros_like(vol_y)
-    face_data = []
-    for j in range(n_faces):
-        fi = int(face_ids[j])
-        v0, v1 = mesh.face_vertices(fi)
-        fb = FaceBasis(v0, v1, k)
-        fpts, fw = segment_quadrature(v0, v1, deg)
-        psi = fb.eval(fpts)
-        tphi_p = primal.eval(fpts)
-        tphi_d = dual.eval(fpts)
-        nrm = mesh.face_normal[fi] * orient[j]
-        cross_pd = tphi_d.T @ (fw[:, None] * tphi_p)    # (dual, primal) on face
-        tr_x += cross_pd * nrm[0]
-        tr_y += cross_pd * nrm[1]
-        mass_f = psi.T @ (fw[:, None] * psi)
-        b_f = psi.T @ (fw[:, None] * tphi_p)            # (face, primal)
-        n_f = tphi_p.T @ (fw[:, None] * tphi_p)         # (primal, primal)
-        x_f = tphi_d.T @ (fw[:, None] * psi) * nrm[0]   # (dual, face)
-        y_f = tphi_d.T @ (fw[:, None] * psi) * nrm[1]
-        face_data.append((fi, mass_f, b_f, n_f, x_f, y_f))
-
-    h_tilde = diam / mesh.length_scale
-    if is_fluid:
-        mat: FluidMaterial = material
-        tau = config.eta_fluid / (mat.rho * mat.c_p) * h_tilde ** (-config.alpha)
-        mass_dual = mat.rho * _kron_i2(mass_d)
-        mass_primal = mass_p / mat.kappa
-        grad_cell = _interleave_vector(vol_x - tr_x, vol_y - tr_y)
-    else:
-        mat: SolidMaterial = material
-        tau = config.eta_solid * (mat.rho * mat.c_s) * h_tilde ** (-config.alpha)
-        weight = mat.compliance_weight()
-        mass_dual = np.kron(mass_d, weight)
-        mass_primal = mat.rho * _kron_i2(mass_p)
-        gx, gy = vol_x - tr_x, vol_y - tr_y
-        nd, npr = mass_d.shape[0], mass_p.shape[0]
-        grad_cell = np.zeros((3 * nd, 2 * npr))
-        grad_cell[0::3, 0::2] = gx      # xx row, x component
-        grad_cell[1::3, 1::2] = gy      # yy row, y component
-        grad_cell[2::3, 0::2] = gy      # xy row (with multiplicity 2 folded in)
-        grad_cell[2::3, 1::2] = gx
-
-    stab_cell = np.zeros((mass_primal.shape[0],) * 2)
-    grad_face = []
-    stab_face = []
-    stab_face_face = []
-    ls_projected = config.operator == "lehrenfeld-schoberl"
-    for j, (fi, mass_f, b_f, n_f, x_f, y_f) in enumerate(face_data):
-        if ls_projected:
-            s_tt = b_f.T @ np.linalg.solve(mass_f, b_f)
-        else:
-            s_tt = n_f
-        if is_fluid:
-            stab_cell += tau * s_tt
-            g_face = _interleave_vector(x_f, y_f)
-            s_tf = -tau * b_f.T
-            s_ff = tau * mass_f
-        else:
-            stab_cell += tau * _kron_i2(s_tt)
-            nd = x_f.shape[0]
-            fd = x_f.shape[1]
-            g_face = np.zeros((3 * nd, 2 * fd))
-            g_face[0::3, 0::2] = x_f
-            g_face[1::3, 1::2] = y_f
-            g_face[2::3, 0::2] = y_f
-            g_face[2::3, 1::2] = x_f
-            s_tf = -tau * _kron_i2(b_f.T)
-            s_ff = tau * _kron_i2(mass_f)
-        grad_face.append(g_face)
-        stab_face.append(s_tf)
-        stab_face_face.append(s_ff)
-
-    n_dual = mass_dual.shape[0]
-    n_primal = mass_primal.shape[0]
-    mass = np.zeros((n_dual + n_primal,) * 2)
-    mass[:n_dual, :n_dual] = mass_dual
-    mass[n_dual:, n_dual:] = mass_primal
-    return LocalBlocks(ci=ci, is_fluid=is_fluid, mass=mass, mass_dual=mass_dual,
-                       mass_primal=mass_primal, grad_cell=grad_cell,
-                       grad_face=grad_face, stab_cell=stab_cell, stab_face=stab_face,
-                       stab_face_face=stab_face_face, tau=tau, face_ids=face_ids)
+    grp = cell_group(mesh, [ci], 2 * (layout.k_prime + 1))
+    blocks = _group_blocks(mesh, grp, layout, material, config)
+    return LocalBlocks(blocks.is_fluid, *(getattr(blocks, f.name)[0]
+                                          for f in dataclasses.fields(LocalBlocks)[1:]))
 
 
-def coupling_block(mesh: msh.PolyMesh, fi: int, k: int) -> np.ndarray:
+def coupling_block(mesh: msh.PolyMesh, fi, k: int) -> np.ndarray:
     """Interface flux block: fluid trace rows vs solid trace columns.
 
     Entry (i, 2j+a) is the face mass of modes (i, j) times component a of the
     interface normal, realizing the pairing of the solid normal velocity with
-    the fluid pressure test trace.
+    the fluid pressure test trace. A face id gives one (fd, 2 fd) block, an
+    array of face ids the stacked blocks.
     """
-    if mesh.face_class[fi] != msh.F_INTERFACE:
-        raise ConfigError(f"face {fi} is not an interface face")
-    v0, v1 = mesh.face_vertices(fi)
-    fb = FaceBasis(v0, v1, k)
-    fpts, fw = segment_quadrature(v0, v1, 2 * k)
-    psi = fb.eval(fpts)
-    mass_f = psi.T @ (fw[:, None] * psi)
-    nrm = mesh.face_normal[fi]
-    fd = mass_f.shape[0]
-    out = np.zeros((fd, 2 * fd))
-    out[:, 0::2] = mass_f * nrm[0]
-    out[:, 1::2] = mass_f * nrm[1]
-    return out
+    ids = np.atleast_1d(fi)
+    wrong = ids[mesh.face_class[ids] != msh.F_INTERFACE]
+    if len(wrong):
+        raise ConfigError(f"face {wrong[0]} is not an interface face")
+    rule = face_rule(mesh, ids, 2 * k)
+    psi = rule.basis(k)
+    mass_f = rule.gram(psi, psi)
+    out = (mass_f[..., None] * mesh.face_normal[ids][:, None, None, :]).reshape(
+        len(ids), mass_f.shape[1], -1)
+    return out if np.ndim(fi) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -452,30 +429,15 @@ class BlockSystem:
         layout = self.layout
         mesh = self.mesh
         out = np.zeros(layout.n_dirichlet_dofs)
-        if fluid_trace is None and solid_trace is None:
-            return out
-        k = layout.k
-        for fi in layout.boundary_faces:
-            off = int(layout.dirichlet_offset[fi])
-            size = int(layout.dirichlet_size[fi])
-            v0, v1 = mesh.face_vertices(fi)
-            fb = FaceBasis(v0, v1, k)
-            fpts, fw = segment_quadrature(v0, v1, 2 * (k + 2))
-            psi = fb.eval(fpts)
-            mass_f = psi.T @ (fw[:, None] * psi)
-            if mesh.face_class[fi] == msh.F_BND_FLUID:
-                if fluid_trace is None:
-                    continue
-                vals = np.asarray(fluid_trace(fpts), dtype=float)
-                out[off:off + size] = np.linalg.solve(mass_f, psi.T @ (fw * vals))
-            else:
-                if solid_trace is None:
-                    continue
-                vals = np.asarray(solid_trace(fpts), dtype=float)
-                coeff_x = np.linalg.solve(mass_f, psi.T @ (fw * vals[:, 0]))
-                coeff_y = np.linalg.solve(mass_f, psi.T @ (fw * vals[:, 1]))
-                out[off:off + size:2] = coeff_x
-                out[off + 1:off + size:2] = coeff_y
+        for fclass, trace in ((msh.F_BND_FLUID, fluid_trace), (msh.F_BND_SOLID, solid_trace)):
+            faces = mesh.faces_of_class(fclass)
+            if trace is None or not len(faces):
+                continue
+            rule = face_rule(mesh, faces, 2 * (layout.k + 2))
+            psi = rule.basis(layout.k)
+            coeff = np.linalg.solve(rule.gram(psi, psi), rule.gram(psi, rule.sample(trace)))
+            coeff = coeff.reshape(len(faces), -1)       # component-interleaved
+            out[layout.dirichlet_offset[faces][:, None] + np.arange(coeff.shape[1])] = coeff
         return out
 
     def dirichlet_lift(self, dirichlet_values: np.ndarray) -> np.ndarray:
@@ -485,189 +447,141 @@ class BlockSystem:
         return -(self.k_td @ dirichlet_values)
 
 
-class _Coo:
-    def __init__(self):
-        self.rows = []
-        self.cols = []
-        self.vals = []
+def _block_entries(blocks, row0, col0):
+    """COO triplets of dense blocks (m, r, c) placed at offsets row0, col0 (m,)."""
+    m, r, c = blocks.shape
+    rows = np.broadcast_to(row0[:, None, None] + np.arange(r)[:, None], blocks.shape)
+    cols = np.broadcast_to(col0[:, None, None] + np.arange(c), blocks.shape)
+    return rows.ravel(), cols.ravel(), blocks.ravel()
 
-    def add(self, block, r0, c0):
-        r, c = np.nonzero(np.ones(block.shape, dtype=bool))
-        self.rows.append(r + r0)
-        self.cols.append(c + c0)
-        self.vals.append(block.ravel())
 
-    def build(self, shape):
-        if not self.vals:
-            return sp.csr_matrix(shape)
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        vals = np.concatenate(self.vals)
-        return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+def _csr(entries, shape):
+    if not entries:
+        return sp.csr_matrix(shape)
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 def assemble(mesh: msh.PolyMesh, materials: MaterialMap,
              config: StabilizationConfig, k: int) -> BlockSystem:
-    """Assemble the global block system for degree k under `config`."""
+    """Assemble the global block system for degree k under `config`.
+
+    Local blocks are formed on stacked groups of cells sharing vertex count
+    and material, and scattered group by group.
+    """
     layout = DofLayout(mesh, k, config.order_mode)
     n_t, n_f, n_d = layout.n_cell_dofs, layout.n_face_dofs, layout.n_dirichlet_dofs
-
-    mass_coo, ktt_coo, ktf_coo, kft_coo, kff_coo, ktd_coo = (_Coo() for _ in range(6))
-    cell_mass_blocks = []
-    cell_ktt_blocks = []
-    face_kff_blocks: dict[int, np.ndarray] = {
-        int(fi): np.zeros((int(layout.face_size[fi]),) * 2)
-        for fi in np.nonzero(layout.face_size)[0]
-    }
-
     fd = layout.n_face_scalar
-    for ci in range(mesh.n_cells):
-        material = materials.material(mesh, ci)
-        blocks = build_cell_blocks(mesh, ci, layout, material, config)
-        off_t = int(layout.cell_offset[ci])
-        mass_coo.add(blocks.mass, off_t, off_t)
-        ktt_coo.add(blocks.k_tt, off_t, off_t)
-        cell_mass_blocks.append(blocks.mass)
-        cell_ktt_blocks.append(blocks.k_tt)
-        is_fluid = blocks.is_fluid
-        for j, fi in enumerate(blocks.face_ids):
-            fi = int(fi)
-            cls = mesh.face_class[fi]
-            if cls in (msh.F_BND_FLUID, msh.F_BND_SOLID):
-                ktd_coo.add(np.vstack([-blocks.grad_face[j], blocks.stab_face[j]]),
-                            off_t, int(layout.dirichlet_offset[fi]))
-                continue
-            off_f = int(layout.face_offset[fi])
-            if cls == msh.F_INTERFACE:
-                off_f += 0 if is_fluid else fd
-            ktf_coo.add(blocks.k_tf(j), off_t, off_f)
-            kft_coo.add(blocks.k_ft(j), off_f, off_t)
-            s_ff = blocks.stab_face_face[j]
-            loc = face_kff_blocks[fi]
-            if cls == msh.F_INTERFACE:
-                if is_fluid:
-                    loc[:fd, :fd] += s_ff
-                else:
-                    loc[fd:, fd:] += s_ff
-            else:
-                loc += s_ff
+    entries = {name: [] for name in ("mass", "k_tt", "k_tf", "k_ft", "k_td")}
+    group_cells, mass_stacks, ktt_stacks = [], [], []
 
-    for fi in mesh.interface_faces:
-        c = coupling_block(mesh, int(fi), k)
-        loc = face_kff_blocks[int(fi)]
-        loc[:fd, fd:] += c
-        loc[fd:, :fd] -= c.T
+    # face-face blocks, each stored row-major in one flat buffer; interface
+    # blocks hold the fluid trace (fd) before the solid trace (2 fd)
+    sizes = layout.face_size
+    kff_start = np.concatenate([[0], np.cumsum(sizes ** 2)])
+    kff = np.zeros(kff_start[-1])
 
-    for fi, block in face_kff_blocks.items():
-        kff_coo.add(block, int(layout.face_offset[fi]), int(layout.face_offset[fi]))
+    def add_face_blocks(faces, blocks, r0, c0):
+        _, r, c = blocks.shape
+        size = sizes[faces][:, None, None]
+        np.add.at(kff, kff_start[faces][:, None, None] + (r0 + np.arange(r)[:, None]) * size
+                  + c0 + np.arange(c), blocks)
 
-    system = BlockSystem(
+    for grp in cell_groups(mesh, 2 * (layout.k_prime + 1),
+                           split=2 * mesh.region + mesh.subdomain):
+        cells = grp.cells
+        b = _group_blocks(mesh, grp, layout, materials.material(mesh, cells[0]), config)
+        off_t = layout.cell_offset[cells]
+        entries["mass"].append(_block_entries(b.mass, off_t, off_t))
+        entries["k_tt"].append(_block_entries(b.k_tt, off_t, off_t))
+        group_cells.append(cells)
+        mass_stacks.append(b.mass)
+        ktt_stacks.append(b.k_tt)
+
+        face_ids = b.face_ids
+        cls = mesh.face_class[face_ids]
+        rows = np.broadcast_to(off_t[:, None], face_ids.shape)
+        k_tf = b.k_tf()
+        bnd = (cls == msh.F_BND_FLUID) | (cls == msh.F_BND_SOLID)
+        entries["k_td"].append(_block_entries(k_tf[bnd], rows[bnd],
+                                              layout.dirichlet_offset[face_ids[bnd]]))
+        inner = ~bnd
+        # the solid side of an interface block starts after the fluid trace
+        shift = np.where(cls == msh.F_INTERFACE, 0 if b.is_fluid else fd, 0)[inner]
+        cols = layout.face_offset[face_ids[inner]] + shift
+        entries["k_tf"].append(_block_entries(k_tf[inner], rows[inner], cols))
+        entries["k_ft"].append(_block_entries(b.k_ft()[inner], cols, rows[inner]))
+        shift = shift[:, None, None]
+        add_face_blocks(face_ids[inner], b.stab_face_face[inner], shift, shift)
+
+    gamma = mesh.interface_faces
+    if len(gamma):
+        c = coupling_block(mesh, gamma, k)
+        add_face_blocks(gamma, c, 0, fd)
+        add_face_blocks(gamma, -np.swapaxes(c, -1, -2), fd, 0)
+    face_kff_blocks = {int(fi): kff[kff_start[fi]:kff_start[fi + 1]].reshape(sizes[fi], -1)
+                       for fi in np.nonzero(sizes)[0]}
+    owner = np.repeat(np.arange(mesh.n_faces), sizes ** 2)
+    local = np.arange(len(kff)) - kff_start[owner]
+    kff_rows = layout.face_offset[owner] + local // sizes[owner]
+    kff_cols = layout.face_offset[owner] + local % sizes[owner]
+
+    order = np.argsort(np.concatenate(group_cells)) if group_cells else []
+    mass_views = [blk for stack in mass_stacks for blk in stack]
+    ktt_views = [blk for stack in ktt_stacks for blk in stack]
+    return BlockSystem(
         layout=layout,
-        mass=mass_coo.build((n_t, n_t)),
-        k_tt=ktt_coo.build((n_t, n_t)),
-        k_tf=ktf_coo.build((n_t, n_f)),
-        k_ft=kft_coo.build((n_f, n_t)),
-        k_ff=kff_coo.build((n_f, n_f)),
-        k_td=ktd_coo.build((n_t, n_d)) if n_d else None,
-        cell_mass_blocks=cell_mass_blocks,
-        cell_ktt_blocks=cell_ktt_blocks,
+        mass=_csr(entries.pop("mass"), (n_t, n_t)),
+        k_tt=_csr(entries.pop("k_tt"), (n_t, n_t)),
+        k_tf=_csr(entries.pop("k_tf"), (n_t, n_f)),
+        k_ft=_csr(entries.pop("k_ft"), (n_f, n_t)),
+        k_ff=_csr([(kff_rows, kff_cols, kff)], (n_f, n_f)),
+        k_td=_csr(entries.pop("k_td"), (n_t, n_d)) if n_d else None,
+        cell_mass_blocks=[mass_views[i] for i in order],
+        cell_ktt_blocks=[ktt_views[i] for i in order],
         face_kff_blocks=face_kff_blocks,
         materials=materials,
         config=config,
     )
-    return system
 
 
 # ---------------------------------------------------------------------------
 # load vectors
 
-def load_moments(mesh: msh.PolyMesh, layout: DofLayout, fluid_fn=None, solid_fn=None,
-                 quad_degree: int | None = None) -> np.ndarray:
+def load_moments(mesh: msh.PolyMesh, layout: DofLayout, fluid_fn=None,
+                 solid_fn=None) -> np.ndarray:
     """Cell right-hand-side moments of source densities against primal test bases.
 
     fluid_fn(points) -> scalar values; solid_fn(points) -> (n, 2) values.
     Face entries are identically zero by construction and not represented.
     """
-    deg = quad_degree if quad_degree is not None else 2 * (layout.k_prime + 1)
     out = np.zeros(layout.n_cell_dofs)
-    for ci in range(mesh.n_cells):
-        is_fluid = mesh.subdomain[ci] == msh.FLUID
-        fn = fluid_fn if is_fluid else solid_fn
+    for grp in cell_groups(mesh, 2 * (layout.k_prime + 1), split=mesh.subdomain):
+        fn = fluid_fn if mesh.subdomain[grp.cells[0]] == msh.FLUID else solid_fn
         if fn is None:
             continue
-        verts = mesh.vertices[mesh.cell_vertices[ci]]
-        center = mesh.cell_centroid[ci]
-        primal = CellBasis(center, mesh.cell_diameter[ci], layout.k_prime)
-        pts, w = polygon_quadrature(verts, deg, center=center)
-        phi = primal.eval(pts)
-        sl = layout.cell_primal_slice(ci)
-        if is_fluid:
-            vals = np.asarray(fn(pts), dtype=float)
-            out[sl] = phi.T @ (w * vals)
-        else:
-            vals = np.asarray(fn(pts), dtype=float)
-            mom_x = phi.T @ (w * vals[:, 0])
-            mom_y = phi.T @ (w * vals[:, 1])
-            block = np.empty(2 * phi.shape[1])
-            block[0::2] = mom_x
-            block[1::2] = mom_y
-            out[sl] = block
+        moments = grp.gram(grp.basis(layout.k_prime), grp.sample(fn))
+        out[layout.cell_dofs(grp.cells, "primal")] = moments.reshape(len(grp.cells), -1)
     return out
 
 
-def project_state(mesh: msh.PolyMesh, layout: DofLayout, fields,
-                  quad_degree: int | None = None) -> np.ndarray:
+def project_state(mesh: msh.PolyMesh, layout: DofLayout, fields) -> np.ndarray:
     """L2-project initial fields onto the cell unknowns.
 
     `fields` provides callables over (n, 2) point arrays: pressure(pts),
     fluid_velocity(pts) -> (n, 2), solid_velocity(pts) -> (n, 2),
     stress(pts) -> (n, 3); any may be None for a zero field.
     """
-    deg = quad_degree if quad_degree is not None else 2 * (layout.k_prime + 1)
-    pressure = fields.get("pressure")
-    m_fluid = fields.get("fluid_velocity")
-    v_solid = fields.get("solid_velocity")
-    stress = fields.get("stress")
     out = np.zeros(layout.n_cell_dofs)
-    for ci in range(mesh.n_cells):
-        is_fluid = mesh.subdomain[ci] == msh.FLUID
-        verts = mesh.vertices[mesh.cell_vertices[ci]]
-        center = mesh.cell_centroid[ci]
-        diam = mesh.cell_diameter[ci]
-        primal = CellBasis(center, diam, layout.k_prime)
-        dual = CellBasis(center, diam, layout.k)
-        pts, w = polygon_quadrature(verts, deg, center=center)
-        phi_p = primal.eval(pts)
-        phi_d = dual.eval(pts)
-        gram_p = phi_p.T @ (w[:, None] * phi_p)
-        gram_d = phi_d.T @ (w[:, None] * phi_d)
-        dsl = layout.cell_dual_slice(ci)
-        psl = layout.cell_primal_slice(ci)
-        if is_fluid:
-            if pressure is not None:
-                out[psl] = np.linalg.solve(gram_p, phi_p.T @ (w * np.asarray(pressure(pts))))
-            if m_fluid is not None:
-                vals = np.asarray(m_fluid(pts), dtype=float)
-                cx = np.linalg.solve(gram_d, phi_d.T @ (w * vals[:, 0]))
-                cy = np.linalg.solve(gram_d, phi_d.T @ (w * vals[:, 1]))
-                block = np.empty(2 * len(cx))
-                block[0::2] = cx
-                block[1::2] = cy
-                out[dsl] = block
+    for grp in cell_groups(mesh, 2 * (layout.k_prime + 1), split=mesh.subdomain):
+        if mesh.subdomain[grp.cells[0]] == msh.FLUID:
+            primal, dual = fields.get("pressure"), fields.get("fluid_velocity")
         else:
-            if v_solid is not None:
-                vals = np.asarray(v_solid(pts), dtype=float)
-                cx = np.linalg.solve(gram_p, phi_p.T @ (w * vals[:, 0]))
-                cy = np.linalg.solve(gram_p, phi_p.T @ (w * vals[:, 1]))
-                block = np.empty(2 * len(cx))
-                block[0::2] = cx
-                block[1::2] = cy
-                out[psl] = block
-            if stress is not None:
-                vals = np.asarray(stress(pts), dtype=float)
-                coeffs = [np.linalg.solve(gram_d, phi_d.T @ (w * vals[:, c])) for c in range(3)]
-                block = np.empty(3 * len(coeffs[0]))
-                for c in range(3):
-                    block[c::3] = coeffs[c]
-                out[dsl] = block
+            primal, dual = fields.get("solid_velocity"), fields.get("stress")
+        for fn, part, degree in ((primal, "primal", layout.k_prime), (dual, "dual", layout.k)):
+            if fn is None:
+                continue
+            phi = grp.basis(degree)
+            coeff = np.linalg.solve(grp.gram(phi, phi), grp.gram(phi, grp.sample(fn)))
+            out[layout.cell_dofs(grp.cells, part)] = coeff.reshape(len(grp.cells), -1)
     return out

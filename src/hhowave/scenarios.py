@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hho, mesh as msh, timestep
-from .basis import CellBasis, FaceBasis
+from .basis import CellBasis, FaceBasis, cell_groups
 from .materials import FluidMaterial, MaterialMap, SolidMaterial
 
 
@@ -277,29 +277,20 @@ def l2_error_dual(u_t: np.ndarray, system: hho.BlockSystem, case: ManufacturedCa
     Returns the fluid-velocity error norm plus the stress error norm (the
     off-diagonal stress component counting twice in the Frobenius norm).
     """
-    from .basis import polygon_quadrature
-
     mesh = system.mesh
     layout = system.layout
-    deg = 2 * (layout.k_prime + 1)
-    err_m = 0.0
-    err_s = 0.0
-    for ci in range(mesh.n_cells):
-        verts = mesh.vertices[mesh.cell_vertices[ci]]
-        center = mesh.cell_centroid[ci]
-        dual = CellBasis(center, mesh.cell_diameter[ci], layout.k)
-        pts, w = polygon_quadrature(verts, deg, center=center)
-        phi = dual.eval(pts)
-        coeff = u_t[layout.cell_dual_slice(ci)]
-        if mesh.subdomain[ci] == msh.FLUID:
-            mh = np.column_stack([phi @ coeff[0::2], phi @ coeff[1::2]])
-            diff = mh - case.exact_fluid_velocity(t, pts)
-            err_m += float(w @ (diff[:, 0] ** 2 + diff[:, 1] ** 2))
+    squares = {msh.FLUID: 0.0, msh.SOLID: 0.0}
+    for grp in cell_groups(mesh, 2 * (layout.k_prime + 1), split=mesh.subdomain):
+        sub = mesh.subdomain[grp.cells[0]]
+        if sub == msh.FLUID:
+            exact, weight = case.exact_fluid_velocity, np.ones(2)
         else:
-            sh = np.column_stack([phi @ coeff[0::3], phi @ coeff[1::3], phi @ coeff[2::3]])
-            diff = sh - case.exact_stress(t, pts)
-            err_s += float(w @ (diff[:, 0] ** 2 + diff[:, 1] ** 2 + 2.0 * diff[:, 2] ** 2))
-    return math.sqrt(err_m) + math.sqrt(err_s)
+            exact, weight = case.exact_stress, np.array([1.0, 1.0, 2.0])
+        coeff = u_t[layout.cell_dofs(grp.cells, "dual")]
+        coeff = coeff.reshape(len(grp.cells), -1, len(weight))
+        diff = grp.basis(layout.k) @ coeff - grp.sample(lambda pts: exact(t, pts))
+        squares[sub] += float(grp.integrate(diff ** 2 @ weight).sum())
+    return math.sqrt(squares[msh.FLUID]) + math.sqrt(squares[msh.SOLID])
 
 
 def sensor_error(traces: np.ndarray, reference: np.ndarray, times=None,

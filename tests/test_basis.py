@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hhowave.basis import (CellBasis, FaceBasis, QuadratureError, basis_dim,
+from hhowave import MeshGenSpec, generate, merge_nonconforming
+from hhowave.basis import (CellBasis, FaceBasis, QuadratureError, basis_dim, cell_groups,
                            monomial_exponents, polygon_area, polygon_centroid,
                            polygon_quadrature, project_cell, project_face,
                            scalar_cell_dim, segment_quadrature)
@@ -136,6 +137,28 @@ def test_quadrature_exactness_random_polygons():
         ref = greens_monomial_integral(poly, a, b)
         scale = max(abs(ref), abs(polygon_area(poly)))
         assert abs(got - ref) < 1e-13 * scale
+    # the grouped rule on hybrid meshes: 4-, 5- and 6-vertex hexagonal-family
+    # cells, and a nonconforming fluid/solid merge with split solid cells
+    hexagonal = generate(MeshGenSpec("polygonal-hexagonal", 2, fluid_rect=(0, 0, 1, 1),
+                                     solid_rect=(-1, 0, 0, 1)))
+    assert {len(loop) for loop in hexagonal.cell_vertices} == {4, 5, 6}
+    nonconforming = merge_nonconforming(
+        generate(MeshGenSpec("cartesian", 2, fluid_rect=(0, 0, 1, 1))),
+        generate(MeshGenSpec("cartesian", 1, solid_rect=(0, -1, 1, 0))))
+    for mesh in (hexagonal, nonconforming):
+        for deg in range(7):
+            seen = []
+            for grp in cell_groups(mesh, deg):
+                seen.extend(grp.cells)
+                x, y = grp.points[..., 0], grp.points[..., 1]
+                for a in range(deg + 1):
+                    got = grp.integrate(x ** a * y ** (deg - a))
+                    for ci, val in zip(grp.cells, got):
+                        poly = mesh.vertices[mesh.cell_vertices[ci]]
+                        ref = greens_monomial_integral(poly, a, deg - a)
+                        scale = max(abs(ref), abs(polygon_area(poly)))
+                        assert abs(val - ref) < 1e-13 * scale
+            assert sorted(seen) == list(range(mesh.n_cells))
 
 
 def test_non_star_shaped_rejected():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hhowave import cli
+from hhowave import mesh as msh
 
 RICKER_CFG = {
     "mesh": {"family": "cartesian", "level": 3,
@@ -199,6 +200,27 @@ def test_material_error_exit_code(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+def test_non_star_shaped_fixture_exit_code(tmp_path, monkeypatch, capsys):
+    """A fixture cell that is not star-shaped about its barycenter exits 2.
+
+    Mesh validation rejects it first (MeshError); with validation bypassed,
+    the grouped fan rule of the assembly raises QuadratureError itself.
+    """
+    hook = [(0, 0), (4, 0), (4, 3), (3, 3), (3, 1), (0, 1)]
+    monkeypatch.setattr(msh.PolyMesh, "validate", lambda self: None)
+    fixture = tmp_path / "hook.txt"
+    msh.dump_text(msh.PolyMesh(hook, [np.arange(6)], [msh.FLUID]), fixture)
+    monkeypatch.undo()
+    cfg = {"mesh": {"fixture": str(fixture)}, "degree": 1, "scheme": "SDIRK34",
+           "dt": 0.05, "final_time": 0.1}
+    argv = ["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "is not star-shaped" in capsys.readouterr().err
+    monkeypatch.setattr(msh.PolyMesh, "validate", lambda self: None)
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "polygon not star-shaped" in capsys.readouterr().err
+
+
 def test_malformed_levels_exit_code(tmp_path):
     cfg = {"mesh": {"family": "cartesian", "fluid_rect": [0, 0, 1, 1]},
            "degree": 1, "scheme": "SDIRK34", "dt": 0.05, "final_time": 0.1,
@@ -340,3 +362,25 @@ def test_efficiency_report(tmp_path):
         pts = [d for d in data if d[0] == scheme]
         assert len(pts) == 2
         assert float(pts[1][4]) < float(pts[0][4])  # error drops with refinement
+
+
+def test_efficiency_honours_stabilization_weights(tmp_path):
+    cfg = {
+        "mesh": {"family": "cartesian",
+                 "fluid_rect": [0, 0, 1, 1], "solid_rect": [-1, 0, 0, 1]},
+        "degree": 1, "scheme": "ERK2", "dt": 0.01, "final_time": 0.1,
+        "materials": "academic",
+        "scenario": {"type": "manufactured", "omega": 1.0, "theta": 1.0},
+        "efficiency": {"schemes": ["ERK2", "SDIRK34"], "levels": [1], "dt0": 0.02},
+    }
+    errors = []
+    for stab in ({}, {"eta_fluid": 2.0}):
+        cfg["stabilization"] = stab
+        out = tmp_path / f"out{len(errors)}"
+        code = cli.main(["efficiency", "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(out)])
+        assert code == cli.EXIT_OK
+        rows = (out / "efficiency.csv").read_text().strip().splitlines()[1:]
+        errors.append({r.split(",")[0]: float(r.split(",")[4]) for r in rows})
+    for scheme in ("ERK2", "SDIRK34"):
+        assert errors[0][scheme] != errors[1][scheme], scheme

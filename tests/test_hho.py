@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hhowave.hho as hho
 import hhowave.mesh as msh
 from hhowave import (DofLayout, FluidMaterial, MaterialMap, MeshGenSpec,
                      SolidMaterial, StabilizationConfig, assemble,
@@ -435,6 +436,47 @@ def test_gamma_block_cancellation():
     for _ in range(10):
         u = rng.standard_normal(kff.shape[0])
         assert abs(u @ (anti @ u)) < 1e-12 * max(1.0, float(u @ u))
+
+
+def test_grouped_projections_match_per_cell_reference():
+    """project_state and project_dirichlet against per-cell/per-face project_cell/_face."""
+    mesh = generate(MeshGenSpec("polygonal-hexagonal", 2, **BILAYER))
+    system = assemble(mesh, ACADEMIC, StabilizationConfig.implicit(), k=1)
+    layout = system.layout
+    k, kp = layout.k, layout.k_prime
+    wave = lambda p: np.sin(2.0 * p[:, 0] + 1.0) * np.cos(3.0 * p[:, 1])
+    vector = lambda p: np.column_stack([wave(p), p[:, 0] * p[:, 1] ** 2])
+    tensor = lambda p: np.column_stack([wave(p), p[:, 1] ** 3, np.exp(p[:, 0])])
+    fields = {"pressure": wave, "fluid_velocity": vector,
+              "solid_velocity": vector, "stress": tensor}
+    got = hho.project_state(mesh, layout, fields)
+    want = np.zeros_like(got)
+    for ci in range(mesh.n_cells):
+        verts = mesh.vertices[mesh.cell_vertices[ci]]
+        fluid = mesh.subdomain[ci] == msh.FLUID
+        for fn, sl, degree in (
+                (wave if fluid else vector, layout.cell_primal_slice(ci), kp),
+                (vector if fluid else tensor, layout.cell_dual_slice(ci), k)):
+            basis = CellBasis(mesh.cell_centroid[ci], mesh.cell_diameter[ci], degree)
+            n_comp = np.atleast_2d(fn(verts[:1]).T).shape[0]
+            for c in range(n_comp):
+                comp = (lambda p, c=c, fn=fn: np.atleast_2d(fn(p).T)[c])
+                want[sl][c::n_comp] = project_cell(comp, basis, verts,
+                                                   center=mesh.cell_centroid[ci],
+                                                   degree_hint=2 * kp + 2 - degree)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    got = system.project_dirichlet(fluid_trace=wave, solid_trace=vector)
+    want = np.zeros_like(got)
+    for fi in layout.boundary_faces:
+        fb = FaceBasis(*mesh.face_vertices(int(fi)), k)
+        off, size = int(layout.dirichlet_offset[fi]), int(layout.dirichlet_size[fi])
+        fn = wave if mesh.face_class[fi] == msh.F_BND_FLUID else vector
+        n_comp = size // fb.dim
+        for c in range(n_comp):
+            comp = (lambda p, c=c, fn=fn: np.atleast_2d(fn(p).T)[c])
+            want[off + c:off + size:n_comp] = project_face(comp, fb, degree_hint=k + 4)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_dof_counts_cartesian_l2_k1():
