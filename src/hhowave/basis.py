@@ -337,27 +337,30 @@ def segment_quadrature(v0, v1, degree: int):
 # ---------------------------------------------------------------------------
 # polygon geometry helpers
 
-def polygon_area(vertices) -> float:
+def polygon_area(vertices):
+    """Signed area of polygons with vertices (..., n, 2): positive if counterclockwise."""
     v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    x, y = v[..., 0], v[..., 1]
+    return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
 
 
 def polygon_centroid(vertices) -> np.ndarray:
+    """Area centroids (..., 2) of polygons with vertices (..., n, 2)."""
     v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    x, y = v[..., 0], v[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
     cross = x * yn - xn * y
-    area = 0.5 * float(np.sum(cross))
-    cx = float(np.sum((x + xn) * cross)) / (6.0 * area)
-    cy = float(np.sum((y + yn) * cross)) / (6.0 * area)
-    return np.array([cx, cy])
+    area = 0.5 * np.sum(cross, axis=-1)
+    cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * area)
+    cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * area)
+    return np.stack([cx, cy], axis=-1)
 
 
-def polygon_diameter(vertices) -> float:
+def polygon_diameter(vertices):
+    """Largest vertex distance of polygons with vertices (..., n, 2)."""
     v = np.asarray(vertices, dtype=float)
-    diff = v[:, None, :] - v[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(-1)).max())
+    diff = v[..., :, None, :] - v[..., None, :, :]
+    return np.sqrt((diff ** 2).sum(-1)).max(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------

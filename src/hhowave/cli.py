@@ -83,10 +83,6 @@ def _deep_update(base, extra):
             base[key] = val
 
 
-def serialize_config(cfg: dict) -> str:
-    return json.dumps(cfg, indent=2, sort_keys=True)
-
-
 def validate_config(cfg: dict):
     if "mesh" not in cfg or not isinstance(cfg["mesh"], dict):
         raise CliConfigError("config requires a 'mesh' section")

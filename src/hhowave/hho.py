@@ -17,6 +17,11 @@ only link a cell to its own faces. Homogeneous Dirichlet boundary faces carry
 no unknowns; nonhomogeneous data enters through a separate lifting matrix
 applied to known face values.
 
+The three block-diagonal matrices are held once each, as `BlockDiagonal`
+stacks of dense blocks grouped by block size; their CSR forms and the block
+inverses that both static condensations need are derived from these stacks,
+one batched inversion per block size.
+
 All cell integrals run on `basis.cell_groups`: the local blocks of cells that
 share a vertex count and a material are formed together on stacked arrays,
 and each group is scattered into the global matrices with one index
@@ -35,6 +40,7 @@ from . import mesh as msh
 from .basis import (CellGroup, cell_group, cell_groups, face_rule, scalar_cell_dim,
                     scalar_face_dim)
 from .materials import FluidMaterial, MaterialMap
+from .timestep import SolverError
 
 _I2 = np.eye(2)
 
@@ -139,9 +145,6 @@ class DofLayout:
         self.boundary_faces = np.nonzero(bnd)[0]
 
     # cell accessors ------------------------------------------------------
-    def cell_slice(self, ci):
-        return slice(int(self.cell_offset[ci]), int(self.cell_offset[ci + 1]))
-
     def cell_dual_slice(self, ci):
         off = int(self.cell_offset[ci])
         return slice(off, off + int(self.cell_dual_size[ci]))
@@ -160,9 +163,6 @@ class DofLayout:
         return start[:, None] + np.arange(int(sizes[cells].max(initial=0)))
 
     # face accessors --------------------------------------------------------
-    def face_slice(self, fi):
-        return slice(int(self.face_offset[fi]), int(self.face_offset[fi + 1]))
-
     def face_side_slice(self, fi, side):
         """Dof slice of one side of a face: 'fluid' or 'solid'.
 
@@ -174,7 +174,7 @@ class DofLayout:
         cls = self.mesh.face_class[fi]
         if cls == msh.F_INTERFACE:
             return slice(off, off + fd) if side == "fluid" else slice(off + fd, off + 3 * fd)
-        return self.face_slice(fi)
+        return slice(off, int(self.face_offset[fi + 1]))
 
     def summary(self) -> dict:
         """Dof statistics: per-variable dimensions and condensation counts."""
@@ -386,29 +386,81 @@ def coupling_block(mesh: msh.PolyMesh, fi, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # global assembly
 
+class BlockDiagonal:
+    """Square block-diagonal matrix of order n with its dense blocks stacked by size.
+
+    `stacks` maps a block size s to (starts, blocks): the first row of each
+    block of that size (m,) and the blocks themselves (m, s, s). Sums and
+    scalings act on stacks of the same block structure.
+    """
+
+    def __init__(self, n: int, stacks: dict):
+        self.n = n
+        self.stacks = stacks
+
+    @classmethod
+    def gather(cls, n, starts, blocks):
+        """Collect the stacks `blocks[i]` (m_i, s_i, s_i) with first rows `starts[i]` (m_i,)."""
+        stacks = {}
+        for size in sorted({b.shape[-1] for b in blocks}):
+            parts = [(st, b) for st, b in zip(starts, blocks) if b.shape[-1] == size]
+            stacks[size] = tuple(np.concatenate(part) for part in zip(*parts))
+        return cls(n, stacks)
+
+    def __add__(self, other):
+        return BlockDiagonal(self.n, {s: (st, b + other.stacks[s][1])
+                                      for s, (st, b) in self.stacks.items()})
+
+    def __rmul__(self, scalar):
+        return BlockDiagonal(self.n, {s: (st, scalar * b) for s, (st, b) in self.stacks.items()})
+
+    def tocsr(self) -> sp.csr_matrix:
+        return _csr([_block_entries(b, st, st) for st, b in self.stacks.values()],
+                    (self.n, self.n))
+
+    def inverse(self, what: str) -> BlockDiagonal:
+        """Block-by-block inverse, one batched inversion per block size.
+
+        Raises SolverError naming the offset of a singular `what` block.
+        """
+        stacks = {}
+        for size, (starts, blocks) in self.stacks.items():
+            try:
+                stacks[size] = (starts, np.linalg.inv(blocks))
+            except np.linalg.LinAlgError:
+                for off, block in zip(starts, blocks):
+                    try:
+                        np.linalg.inv(block)
+                    except np.linalg.LinAlgError as exc:
+                        raise SolverError(f"singular {what} block at offset {off}") from exc
+                raise
+        return BlockDiagonal(self.n, stacks)
+
+
 class BlockSystem:
     """Assembled semi-discrete system M dU/dt + K U = F in block form.
 
     Cell rows/columns use the DofLayout cell numbering, face rows/columns the
-    face numbering. `mass`, `k_tt` are block-diagonal per cell; `k_ff` is
-    block-diagonal per dof-carrying face; `k_td` maps known Dirichlet face
-    values to cell equations (lifting of nonhomogeneous boundary data).
+    face numbering. The mass and K_TT are block-diagonal per cell and K_FF
+    per dof-carrying face: `mass_blocks`, `ktt_blocks` and `kff_blocks` hold
+    them as BlockDiagonal stacks, `mass`, `k_tt` and `k_ff` as CSR. `k_td`
+    maps known Dirichlet face values to cell equations (lifting of
+    nonhomogeneous boundary data).
     """
 
-    def __init__(self, layout, mass, k_tt, k_tf, k_ft, k_ff, k_td,
-                 cell_mass_blocks, cell_ktt_blocks, face_kff_blocks,
+    def __init__(self, layout, mass_blocks, ktt_blocks, k_tf, k_ft, kff_blocks, k_td,
                  materials, config):
         self.layout = layout
         self.mesh = layout.mesh
-        self.mass = mass
-        self.k_tt = k_tt
+        self.mass_blocks = mass_blocks
+        self.ktt_blocks = ktt_blocks
+        self.kff_blocks = kff_blocks
+        self.mass = mass_blocks.tocsr()
+        self.k_tt = ktt_blocks.tocsr()
         self.k_tf = k_tf
         self.k_ft = k_ft
-        self.k_ff = k_ff
+        self.k_ff = kff_blocks.tocsr()
         self.k_td = k_td
-        self.cell_mass_blocks = cell_mass_blocks
-        self.cell_ktt_blocks = cell_ktt_blocks
-        self.face_kff_blocks = face_kff_blocks
         self.materials = materials
         self.config = config
 
@@ -472,8 +524,8 @@ def assemble(mesh: msh.PolyMesh, materials: MaterialMap,
     layout = DofLayout(mesh, k, config.order_mode)
     n_t, n_f, n_d = layout.n_cell_dofs, layout.n_face_dofs, layout.n_dirichlet_dofs
     fd = layout.n_face_scalar
-    entries = {name: [] for name in ("mass", "k_tt", "k_tf", "k_ft", "k_td")}
-    group_cells, mass_stacks, ktt_stacks = [], [], []
+    entries = {name: [] for name in ("k_tf", "k_ft", "k_td")}
+    cell_starts, mass_stacks, ktt_stacks = [], [], []
 
     # face-face blocks, each stored row-major in one flat buffer; interface
     # blocks hold the fluid trace (fd) before the solid trace (2 fd)
@@ -492,9 +544,7 @@ def assemble(mesh: msh.PolyMesh, materials: MaterialMap,
         cells = grp.cells
         b = _group_blocks(mesh, grp, layout, materials.material(mesh, cells[0]), config)
         off_t = layout.cell_offset[cells]
-        entries["mass"].append(_block_entries(b.mass, off_t, off_t))
-        entries["k_tt"].append(_block_entries(b.k_tt, off_t, off_t))
-        group_cells.append(cells)
+        cell_starts.append(off_t)
         mass_stacks.append(b.mass)
         ktt_stacks.append(b.k_tt)
 
@@ -519,27 +569,18 @@ def assemble(mesh: msh.PolyMesh, materials: MaterialMap,
         c = coupling_block(mesh, gamma, k)
         add_face_blocks(gamma, c, 0, fd)
         add_face_blocks(gamma, -np.swapaxes(c, -1, -2), fd, 0)
-    face_kff_blocks = {int(fi): kff[kff_start[fi]:kff_start[fi + 1]].reshape(sizes[fi], -1)
-                       for fi in np.nonzero(sizes)[0]}
-    owner = np.repeat(np.arange(mesh.n_faces), sizes ** 2)
-    local = np.arange(len(kff)) - kff_start[owner]
-    kff_rows = layout.face_offset[owner] + local // sizes[owner]
-    kff_cols = layout.face_offset[owner] + local % sizes[owner]
-
-    order = np.argsort(np.concatenate(group_cells)) if group_cells else []
-    mass_views = [blk for stack in mass_stacks for blk in stack]
-    ktt_views = [blk for stack in ktt_stacks for blk in stack]
+    face_sets = {s: np.nonzero(sizes == s)[0] for s in np.unique(sizes[sizes > 0])}
+    kff_stacks = [kff[kff_start[f][:, None] + np.arange(s * s)].reshape(-1, s, s)
+                  for s, f in face_sets.items()]
     return BlockSystem(
         layout=layout,
-        mass=_csr(entries.pop("mass"), (n_t, n_t)),
-        k_tt=_csr(entries.pop("k_tt"), (n_t, n_t)),
+        mass_blocks=BlockDiagonal.gather(n_t, cell_starts, mass_stacks),
+        ktt_blocks=BlockDiagonal.gather(n_t, cell_starts, ktt_stacks),
         k_tf=_csr(entries.pop("k_tf"), (n_t, n_f)),
         k_ft=_csr(entries.pop("k_ft"), (n_f, n_t)),
-        k_ff=_csr([(kff_rows, kff_cols, kff)], (n_f, n_f)),
+        kff_blocks=BlockDiagonal.gather(
+            n_f, [layout.face_offset[f] for f in face_sets.values()], kff_stacks),
         k_td=_csr(entries.pop("k_td"), (n_t, n_d)) if n_d else None,
-        cell_mass_blocks=[mass_views[i] for i in order],
-        cell_ktt_blocks=[ktt_views[i] for i in order],
-        face_kff_blocks=face_kff_blocks,
         materials=materials,
         config=config,
     )

@@ -183,11 +183,14 @@ class PolyMesh:
         self.cell_area = np.empty(self.n_cells)
         self.cell_centroid = np.empty((self.n_cells, 2))
         self.cell_diameter = np.empty(self.n_cells)
-        for ci, loop in enumerate(self.cell_vertices):
-            pts = self.vertices[loop]
-            self.cell_area[ci] = polygon_area(pts)
-            self.cell_centroid[ci] = polygon_centroid(pts)
-            self.cell_diameter[ci] = polygon_diameter(pts)
+        n_verts = np.array([len(loop) for loop in self.cell_vertices])
+        for n in np.unique(n_verts):
+            cells = np.nonzero(n_verts == n)[0]
+            pts = self.vertices[np.array([self.cell_vertices[ci] for ci in cells])]
+            self.cell_area[cells] = polygon_area(pts)
+            with np.errstate(invalid="ignore", divide="ignore"):  # validate rejects area 0
+                self.cell_centroid[cells] = polygon_centroid(pts)
+            self.cell_diameter[cells] = polygon_diameter(pts)
 
         d = self.vertices[self.faces[:, 1]] - self.vertices[self.faces[:, 0]]
         self.face_measure = np.hypot(d[:, 0], d[:, 1])
@@ -212,14 +215,19 @@ class PolyMesh:
     def cells_of_subdomain(self, sub):
         return np.nonzero(self.subdomain == sub)[0]
 
-    def locate_cell(self, point, tol_rel=1e-12):
-        """Id of the lowest-numbered cell containing `point` (boundary inclusive)."""
+    def locate_cell(self, point, tol_rel=1e-12, subdomain=None):
+        """Id of the lowest-numbered cell containing `point` (boundary inclusive).
+
+        With `subdomain` (FLUID or SOLID) only the cells of that subdomain count.
+        """
         p = np.asarray(point, dtype=float)
         tol = tol_rel * self.length_scale
-        for ci in range(self.n_cells):
+        cells = range(self.n_cells) if subdomain is None else self.cells_of_subdomain(subdomain)
+        for ci in cells:
             if _point_in_polygon(p, self.vertices[self.cell_vertices[ci]], tol):
-                return ci
-        raise MeshError(f"point {point} lies outside the mesh")
+                return int(ci)
+        where = "the mesh" if subdomain is None else ("the fluid", "the solid")[subdomain]
+        raise MeshError(f"point {point} lies outside {where}")
 
     def validate(self):
         tol = COINCIDENCE_TOL * self.length_scale

@@ -367,12 +367,9 @@ class BoundSensor:
             }
             self.channels = ["pF", "mx", "my", "vFx", "vFy", "sxx", "syy", "sxy"]
             return
-        ci = mesh.locate_cell(point)
+        # a point on the interface binds to a cell of the sensor's own side
         want = msh.FLUID if spec.kind == "fluid" else msh.SOLID
-        if mesh.subdomain[ci] != want:
-            # ties on shared edges: prefer the matching subdomain
-            ci = _locate_in_subdomain(mesh, point, want)
-        self.cell = ci
+        self.cell = ci = mesh.locate_cell(point, subdomain=want)
         self.rows = {
             "primal": _primal_row(mesh, layout, ci, point),
             "dual": _dual_row(mesh, layout, ci, point),
@@ -426,18 +423,6 @@ def _primal_row(mesh, layout, ci, point):
 def _dual_row(mesh, layout, ci, point):
     basis = CellBasis(mesh.cell_centroid[ci], mesh.cell_diameter[ci], layout.k)
     return basis.eval(point[None, :])[0]
-
-
-def _locate_in_subdomain(mesh, point, want):
-    from .mesh import _point_in_polygon
-
-    tol = 1e-12 * mesh.length_scale
-    for ci in range(mesh.n_cells):
-        if mesh.subdomain[ci] != want:
-            continue
-        if _point_in_polygon(point, mesh.vertices[mesh.cell_vertices[ci]], tol):
-            return ci
-    raise ScenarioError(f"sensor at {tuple(point)} lies outside the {want} subdomain")
 
 
 def _point_segment_distance(p, a, b):

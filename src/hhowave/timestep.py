@@ -4,10 +4,12 @@ Explicit schemes eliminate the face unknowns once, at set-up: the face-face
 stiffness is block-diagonal per face and the mass is block-diagonal per cell,
 so L = M^-1 (K_TT - K_TF K_FF^-1 K_FT) is a fixed sparse cell operator and
 each stage is one sparse product with it. Implicit (singly diagonal) schemes
-condense the cell unknowns instead: the per-cell matrices M + a* dt K_TT are
-factored once, a face-coupled Schur complement is assembled and factored
-once, and both factorizations are reused across stages and steps while
-(a*, dt) is unchanged.
+condense the cell unknowns instead: the block-diagonal M + a* dt K_TT is
+inverted once, a face-coupled Schur complement is assembled and factored
+once, and both are reused across stages and steps while (a*, dt) is
+unchanged. Every block-diagonal inverse (M^-1, K_FF^-1, (M + a* dt K_TT)^-1)
+comes from `hho.BlockDiagonal.inverse`, one batched inversion per block
+size.
 """
 
 from __future__ import annotations
@@ -171,44 +173,7 @@ class FactorizedOperator:
 
 
 # ---------------------------------------------------------------------------
-# block-diagonal helpers
-
-def _block_diag_inverse(blocks, offsets, shape, what):
-    """Sparse block-diagonal matrix holding the inverse of each block."""
-    rows, cols, vals = [], [], []
-    for block, off in zip(blocks, offsets):
-        n = block.shape[0]
-        if n == 0:
-            continue
-        try:
-            inv = np.linalg.inv(block)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular {what} block at offset {off}") from exc
-        r, c = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        rows.append((r + off).ravel())
-        cols.append((c + off).ravel())
-        vals.append(inv.ravel())
-    if not vals:
-        return sp.csr_matrix(shape)
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=shape).tocsr()
-
-
-def _mass_inverse(system):
-    offs = [int(system.layout.cell_offset[ci]) for ci in range(system.mesh.n_cells)]
-    n = system.n_cell_dofs
-    return _block_diag_inverse(system.cell_mass_blocks, offs, (n, n), "cell mass")
-
-
-def _face_inverse(system):
-    layout = system.layout
-    faces = sorted(system.face_kff_blocks)
-    blocks = [system.face_kff_blocks[fi] for fi in faces]
-    offs = [int(layout.face_offset[fi]) for fi in faces]
-    n = system.n_face_dofs
-    return _block_diag_inverse(blocks, offs, (n, n), "face stiffness")
-
+# shared stepper helpers
 
 def _check_finite(u, step_index):
     if not np.all(np.isfinite(u)):
@@ -230,7 +195,7 @@ class _Stepper:
         if sysm.n_face_dofs == 0:
             return np.zeros(0)
         if self._kff_inv is None:
-            self._kff_inv = _face_inverse(sysm)
+            self._kff_inv = sysm.kff_blocks.inverse("face stiffness").tocsr()
         return -(self._kff_inv @ (sysm.k_ft @ u_t))
 
 
@@ -250,8 +215,9 @@ class ExplicitStepper(_Stepper):
             raise TimestepError(f"{tab.kind} is not an explicit tableau")
         self.system = system
         self.tableau = tab
-        self.minv = _mass_inverse(system)
-        self._kff_inv = _face_inverse(system)  # raises if a face block is singular
+        self.minv = system.mass_blocks.inverse("cell mass").tocsr()
+        # raises if a face block is singular
+        self._kff_inv = system.kff_blocks.inverse("face stiffness").tocsr()
         k_cond = system.k_tt - system.k_tf @ (self._kff_inv @ system.k_ft)
         self.op = (self.minv @ k_cond).tocsr()
 
@@ -284,7 +250,7 @@ class ExplicitStepper(_Stepper):
 # implicit stepper (cell condensation)
 
 class CondensedFactorization:
-    """Per-cell factorizations of M + a* dt K_TT plus the face Schur complement.
+    """Block inverse of M + a* dt K_TT plus the factored face Schur complement.
 
     Valid for one (a*, dt) pair; reused across stages and steps.
     """
@@ -297,12 +263,8 @@ class CondensedFactorization:
         self.dt = float(dt)
         self.solver = solver
         ad = self.a_star * self.dt
-        layout = system.layout
-        blocks = [m + ad * k for m, k in zip(system.cell_mass_blocks,
-                                             system.cell_ktt_blocks)]
-        offs = [int(layout.cell_offset[ci]) for ci in range(system.mesh.n_cells)]
-        n_t = system.n_cell_dofs
-        self.a_inv = _block_diag_inverse(blocks, offs, (n_t, n_t), "condensed cell")
+        blocks = system.mass_blocks + ad * system.ktt_blocks
+        self.a_inv = blocks.inverse("condensed cell").tocsr()
         if system.n_face_dofs:
             schur = ad * (system.k_ff - ad * (system.k_ft @ (self.a_inv @ system.k_tf)))
             self.schur = schur.tocsr()
@@ -346,7 +308,7 @@ class ImplicitStepper(_Stepper):
         if not factorization.matches(tab.a_star, dt):
             raise TimestepError("stale condensed factorization: (a*, dt) mismatch")
         self.fact = factorization
-        self.minv = _mass_inverse(system)
+        self.minv = system.mass_blocks.inverse("cell mass").tocsr()
 
     def step(self, u_t: np.ndarray, t: float, dt: float, forcing=None,
              step_index: int = 0) -> np.ndarray:

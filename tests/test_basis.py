@@ -6,7 +6,7 @@ import pytest
 from hhowave import MeshGenSpec, generate, merge_nonconforming
 from hhowave.basis import (CellBasis, FaceBasis, QuadratureError, basis_dim, cell_groups,
                            monomial_exponents, polygon_area, polygon_centroid,
-                           polygon_quadrature, project_cell, project_face,
+                           polygon_diameter, polygon_quadrature, project_cell, project_face,
                            scalar_cell_dim, segment_quadrature)
 
 
@@ -112,6 +112,14 @@ def test_unit_square_measures():
     assert abs(np.sum(w) - 1.0) < 1e-14
 
 
+def test_stacked_polygon_geometry_matches_single_calls():
+    rng = np.random.default_rng(7)
+    stack = np.array([random_star_polygon(rng, 5, 5) for _ in range(6)])
+    for fn in (polygon_area, polygon_centroid, polygon_diameter):
+        assert np.array_equal(fn(stack), [fn(poly) for poly in stack])
+    assert isinstance(polygon_area(stack[0]), float)
+
+
 def test_square_x2y2():
     square = [(0, 0), (1, 0), (1, 1), (0, 1)]
     pts, w = polygon_quadrature(square, 4)
@@ -208,7 +216,6 @@ def test_cell_projection_roundtrip():
     rng = np.random.default_rng(11)
     poly = random_star_polygon(rng)
     centroid = polygon_centroid(poly)
-    from hhowave.basis import polygon_diameter
 
     cb = CellBasis(centroid, polygon_diameter(poly), 2)
     coeff = rng.standard_normal(cb.dim)
@@ -222,7 +229,6 @@ def test_cell_mass_spd_on_random_polygons():
         for _ in range(10):
             poly = random_star_polygon(rng)
             centroid = polygon_centroid(poly)
-            from hhowave.basis import polygon_diameter
 
             cb = CellBasis(centroid, polygon_diameter(poly), k)
             pts, w = polygon_quadrature(poly, 2 * k, center=centroid)

@@ -44,7 +44,7 @@ def test_config_roundtrip(tmp_path):
     path = write_cfg(tmp_path, RICKER_CFG)
     cfg = cli.load_config(path)
     dumped = tmp_path / "echo.json"
-    dumped.write_text(cli.serialize_config(cfg))
+    dumped.write_text(json.dumps(cfg, indent=2, sort_keys=True))
     cfg2 = cli.load_config(str(dumped))
     assert cfg == cfg2
 

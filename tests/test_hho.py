@@ -340,7 +340,7 @@ def dense_from_blocks(mesh, layout, materials, config):
     fd = layout.n_face_scalar
     for ci in range(mesh.n_cells):
         blocks = build_cell_blocks(mesh, ci, layout, materials.material(mesh, ci), config)
-        sl = layout.cell_slice(ci)
+        sl = slice(layout.cell_offset[ci], layout.cell_offset[ci + 1])
         M[sl, sl] += blocks.mass
         K[sl, sl] += blocks.k_tt
         for j, fi in enumerate(blocks.face_ids):

@@ -128,6 +128,12 @@ def test_classification_partitions_faces():
     assert len(np.unique(ids)) == m.n_faces
 
 
+def test_zero_area_cell_rejected():
+    collinear = np.array([(0, 0), (1, 0), (2, 0)], dtype=float)
+    with pytest.raises(MeshError, match="non-positive area"):
+        PolyMesh(collinear, [np.arange(3)], [FLUID])
+
+
 def test_star_shape_violation_rejected():
     hook = np.array([(0, 0), (4, 0), (4, 3), (3, 3), (3, 1), (0, 1)], dtype=float)
     with pytest.raises(MeshError):

@@ -8,6 +8,7 @@ import pytest
 from hhowave import (ExplicitStepper, ImplicitStepper, MeshGenSpec,
                      StabilizationConfig, assemble, builtin_materials, generate,
                      tableau)
+from hhowave import mesh as msh
 from hhowave.materials import FluidMaterial, SolidMaterial
 from hhowave.scenarios import (BoundSensor, CflBracketConfig, CflEstimate,
                                ManufacturedCase, RickerConfig, ScenarioError,
@@ -251,6 +252,29 @@ def test_sensor_binding_and_channels():
     assert s_s.channels == ["vx", "vy", "sxx", "syy", "sxy"]
     assert len(s_i.channels) == 8
     assert np.allclose(s_i.normal, (0.0, 1.0))
+
+
+def test_sensors_on_interface_bind_to_their_own_side():
+    system = make_ricker_system()
+    mesh = system.mesh
+    point = (-0.3, 0.0)
+    s_f = BoundSensor(SensorSpec(point, "fluid", "Sf"), system)
+    s_s = BoundSensor(SensorSpec(point, "solid", "Ss"), system)
+    assert mesh.subdomain[s_f.cell] == msh.FLUID and mesh.subdomain[s_s.cell] == msh.SOLID
+    # the lowest-numbered cell of the wanted subdomain that holds the point
+    for sensor in (s_f, s_s):
+        sub = mesh.subdomain[sensor.cell]
+        holders = [ci for ci in mesh.cells_of_subdomain(sub)
+                   if msh._point_in_polygon(np.array(point), mesh.vertices[mesh.cell_vertices[ci]],
+                                            1e-12 * mesh.length_scale)]
+        assert sensor.cell == holders[0]
+
+
+def test_sensor_outside_mesh_rejected():
+    system = make_ricker_system()
+    for kind in ("fluid", "solid"):
+        with pytest.raises(msh.MeshError, match="outside"):
+            BoundSensor(SensorSpec((2.0, 0.2), kind, "far"), system)
 
 
 def test_sensor_off_interface_rejected():

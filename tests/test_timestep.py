@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from hhowave import (CondensedFactorization, ExplicitStepper, ImplicitStepper,
@@ -11,8 +12,8 @@ from hhowave import (CondensedFactorization, ExplicitStepper, ImplicitStepper,
                      assemble, builtin_materials, generate, tableau)
 from hhowave.scenarios import (ManufacturedCase, cfl_bracket, manufactured_forcing,
                                manufactured_initial_state)
-from hhowave.timestep import (FactorizedOperator, SolverError, TimestepError,
-                              _block_diag_inverse)
+from hhowave.hho import BlockDiagonal
+from hhowave.timestep import FactorizedOperator, SolverError, TimestepError
 
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
 ACADEMIC = builtin_materials("academic")
@@ -167,9 +168,51 @@ def test_singular_operator_rejected():
         solve(SolverConfig("direct-lu"), singular, np.ones(4))
 
 
-def test_block_diag_inverse_singular_block():
-    with pytest.raises(SolverError):
-        _block_diag_inverse([np.zeros((2, 2))], [0], (2, 2), "test")
+def _blocks_by_start(store):
+    """(first row, dense block) pairs of a BlockDiagonal, in row order."""
+    pairs = [(int(st), blk) for starts, blocks in store.stacks.values()
+             for st, blk in zip(starts, blocks)]
+    return sorted(pairs, key=lambda pair: pair[0])
+
+
+@pytest.mark.parametrize("mode,k", [("implicit", 1), ("explicit", 2)])
+def test_block_diagonal_stores(mode, k):
+    system = make_system(k=k, level=2, mode=mode, family="polygonal-hexagonal")
+    fd = system.layout.n_face_scalar
+    assert len(system.mass_blocks.stacks) == 2 == len(system.ktt_blocks.stacks)
+    assert sorted(system.kff_blocks.stacks) == [fd, 2 * fd, 3 * fd]
+    for store, csr in ((system.mass_blocks, system.mass), (system.ktt_blocks, system.k_tt),
+                       (system.kff_blocks, system.k_ff)):
+        pairs = _blocks_by_start(store)
+        # the blocks tile the diagonal and are all the matrix holds
+        ends = [st + len(blk) for st, blk in pairs]
+        assert [st for st, _ in pairs] == [0] + ends[:-1] and ends[-1] == csr.shape[0]
+        assert np.array_equal(csr.toarray(), sla.block_diag(*[blk for _, blk in pairs]))
+        out = store.tocsr()
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(out, attr), getattr(csr, attr))
+
+    ad = 0.3
+    condensed = system.mass_blocks + ad * system.ktt_blocks
+    assert np.array_equal(condensed.tocsr().toarray(),
+                          system.mass.toarray() + ad * system.k_tt.toarray())
+    for store in (system.mass_blocks, system.kff_blocks, condensed):
+        pairs = _blocks_by_start(store)
+        inv = store.inverse("test")
+        inv_pairs = _blocks_by_start(inv)
+        assert [st for st, _ in inv_pairs] == [st for st, _ in pairs]
+        for (st, blk), (_, blk_inv) in zip(pairs, inv_pairs):
+            assert np.array_equal(blk_inv, np.linalg.inv(blk)), st
+        assert np.array_equal(inv.tocsr().toarray(),
+                              sla.block_diag(*[blk for _, blk in inv_pairs]))
+        # a singular block in the middle of each stack is named by its offset
+        for size, (starts, blocks) in store.stacks.items():
+            bad = blocks.copy()
+            mid = len(bad) // 2
+            bad[mid] = 0.0
+            broken = BlockDiagonal(store.n, {**store.stacks, size: (starts, bad)})
+            with pytest.raises(SolverError, match=f"singular test block at offset {starts[mid]}$"):
+                broken.inverse("test")
 
 
 # ---------------------------------------------------------------------------
