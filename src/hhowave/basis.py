@@ -72,24 +72,32 @@ def monomial_exponents(k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # monomial evaluation
 
+def _powers(x, degree: int) -> np.ndarray:
+    """[1, x, x^2, ..., x^degree] along a new last axis, by repeated multiplication."""
+    out = np.empty(x.shape + (degree + 1,))
+    out[..., 0] = 1.0
+    for p in range(1, degree + 1):
+        np.multiply(out[..., p - 1], x, out=out[..., p])
+    return out
+
+
 def cell_monomials(points, center, half, degree: int, grad: bool = False):
     """Scaled cell monomials at `points` (..., n, 2) of cells with leading axes `...`.
 
     `center` is (..., 2) and `half` (...) the half diameters. Returns values
     (..., n, dim) or, with `grad`, gradients (..., n, dim, 2).
     """
-    half = np.asarray(half, dtype=float)[..., None, None]
+    half = np.asarray(half, dtype=float)[..., None]
     local = np.asarray(points, dtype=float) - np.asarray(center, dtype=float)[..., None, :]
-    xi = local[..., 0, None] / half
-    eta = local[..., 1, None] / half
+    pow_x = _powers(local[..., 0] / half, degree)
+    pow_y = _powers(local[..., 1] / half, degree)
     a, b = monomial_exponents(degree).T
     if not grad:
-        return xi ** a * eta ** b
-    # d/dx xi^a eta^b = (a/r) xi^(a-1) eta^b, with the a=0 term vanishing
-    pow_xa = np.where(a >= 1, xi ** np.maximum(a - 1, 0), 0.0)
-    pow_yb = np.where(b >= 1, eta ** np.maximum(b - 1, 0), 0.0)
-    gx = a * pow_xa * eta ** b / half
-    gy = b * xi ** a * pow_yb / half
+        return pow_x[..., a] * pow_y[..., b]
+    # d/dx xi^a eta^b = (a/r) xi^(a-1) eta^b; the factor a zeroes the a=0 term
+    half = half[..., None]
+    gx = a * pow_x[..., np.maximum(a - 1, 0)] * pow_y[..., b] / half
+    gy = b * pow_x[..., a] * pow_y[..., np.maximum(b - 1, 0)] / half
     return np.stack([gx, gy], axis=-1)
 
 
@@ -102,7 +110,7 @@ def face_monomials(points, midpoint, tangent, half, degree: int) -> np.ndarray:
     d = np.asarray(points, dtype=float) - np.asarray(midpoint, dtype=float)[..., None, :]
     t = np.asarray(tangent, dtype=float)[..., None, :]
     s = (d[..., 0] * t[..., 0] + d[..., 1] * t[..., 1]) / np.asarray(half)[..., None]
-    return s[..., None] ** np.arange(degree + 1)
+    return _powers(s, degree)
 
 
 class CellBasis:

@@ -356,6 +356,11 @@ def cmd_simulate(cfg, out_dir) -> int:
     system = hho.assemble(mesh, materials, stab, k=cfg["degree"])
     u0, forcing, _ = build_scenario(cfg, system, materials)
     stepper, tab = build_stepper(cfg, system, dt)
+    schur = None if tab.explicit else stepper.fact.schur_solver
+    if schur is not None:
+        log.info("Schur %s: %d face dofs, %d nnz, %d nnz in the factors (fill %.1fx), "
+                 "factored in %.2f s", schur.config.kind, schur.n, schur.matrix_nnz,
+                 schur.lu_nnz, schur.lu_nnz / schur.matrix_nnz, schur.factor_s)
 
     sensors = [scenarios.BoundSensor(
         scenarios.SensorSpec(tuple(s["position"]), s["kind"], s.get("name", f"S{i}")),
@@ -418,6 +423,8 @@ def cmd_simulate(cfg, out_dir) -> int:
         "energy_final": energies[-1],
         "dofs": dof_summary(system, tab.explicit),
     }
+    if schur is not None:
+        summary["solver"] = schur.stats()
     with open(os.path.join(out_dir, out_cfg.get("summary", "summary.json")),
               "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=float)

@@ -10,11 +10,19 @@ once, and both are reused across stages and steps while (a*, dt) is
 unchanged. Every block-diagonal inverse (M^-1, K_FF^-1, (M + a* dt K_TT)^-1)
 comes from `hho.BlockDiagonal.inverse`, one batched inversion per block
 size.
+
+The Schur complement is structurally symmetric, so its direct LU orders the
+columns by minimum degree on the pattern of A^T + A (SuperLU's
+MMD_AT_PLUS_A), which leaves less fill than SuperLU's default COLAMD
+ordering (about half from 10^4 face unknowns on). Each implicit stage
+recovers its residual from the stage equation it has just solved instead of
+applying the stiffness blocks again (see `ImplicitStepper`).
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,28 +138,53 @@ class SolverConfig:
 
 
 class FactorizedOperator:
-    """Reusable factorization (direct LU or ILU-preconditioned BiCGStab)."""
+    """Reusable factorization (direct LU or ILU-preconditioned BiCGStab).
+
+    The direct LU uses a minimum-degree column ordering on A^T + A, and every
+    direct solve is checked by its relative residual, which must stay below
+    1e-8. The operator counts what it did: `factor_s` (seconds spent
+    factoring), `lu_nnz` (entries SuperLU stores for the L and U factors,
+    read without building their CSC copies, which would double the memory
+    of the factors), `matrix_nnz`, `solves` and `max_residual` (largest
+    residual the direct-solve check saw); `stats()` returns them as a dict.
+    """
 
     def __init__(self, matrix: sp.spmatrix, config: SolverConfig):
         self.config = config
         self.n = matrix.shape[0]
         matrix = matrix.tocsc()
         self._matrix = matrix
+        self.matrix_nnz = int(matrix.nnz)
+        self.solves = 0
+        self.max_residual = 0.0
+        self.factor_s = 0.0
+        self.lu_nnz = 0
         if self.n == 0:
             self._lu = None
             return
+        start = time.perf_counter()
         try:
             if config.kind == "direct-lu":
-                self._lu = spla.splu(matrix)
+                self._lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+                factors = self._lu
             else:
                 self._ilu = spla.spilu(matrix, drop_tol=1e-12, fill_factor=1.0)
                 self._lu = None
+                factors = self._ilu
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}") from exc
+        self.factor_s = time.perf_counter() - start
+        self.lu_nnz = int(factors.nnz)
+
+    def stats(self) -> dict:
+        return {"kind": self.config.kind, "n": self.n, "matrix_nnz": self.matrix_nnz,
+                "lu_nnz": self.lu_nnz, "factor_s": self.factor_s, "solves": self.solves,
+                "max_residual": self.max_residual}
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.n == 0:
             return np.zeros(0)
+        self.solves += 1
         if self.config.kind == "direct-lu":
             x = self._lu.solve(rhs)
             nrm = np.linalg.norm(rhs)
@@ -160,6 +193,7 @@ class FactorizedOperator:
                 if not np.isfinite(res) or res > 1e-8:
                     raise SolverError(f"direct solve residual {res:.2e}; "
                                       "operator singular or severely ill-conditioned")
+                self.max_residual = max(self.max_residual, float(res))
             return x
         precond = spla.LinearOperator((self.n, self.n), matvec=self._ilu.solve)
         x, info = spla.bicgstab(self._matrix, rhs, rtol=self.config.tol, atol=0.0,
@@ -292,7 +326,15 @@ class CondensedFactorization:
 
 
 class ImplicitStepper(_Stepper):
-    """Cell-condensed singly diagonal implicit Runge-Kutta integrator."""
+    """Cell-condensed singly diagonal implicit Runge-Kutta integrator.
+
+    Stage i solves (M + a* dt K_TT) u_i + a* dt K_TF u_f = b_t with
+    b_t = c_i + a* dt F_i, c_i = M u_t + dt sum_{j<i} a_ij r_j, together with
+    K_FT u_i + K_FF u_f = 0 (a zero face right-hand side). Its residual
+    r_i = F_i - K_TT u_i - K_TF u_f therefore equals (M u_i - c_i) / (a* dt),
+    and its face residual K_FT u_i + K_FF u_f is zero, so neither needs the
+    stiffness blocks. The step is u_t + dt M^-1 sum_j b_j r_j.
+    """
 
     def __init__(self, system, tab: ButcherTableau, dt: float,
                  solver: SolverConfig | None = None,
@@ -314,36 +356,22 @@ class ImplicitStepper(_Stepper):
              step_index: int = 0) -> np.ndarray:
         if abs(dt - self.dt) > 1e-15 * max(1.0, self.dt):
             raise TimestepError("stale condensed factorization: dt changed; rebuild")
-        sysm = self.system
+        mass = self.system.mass
         tab = self.tableau
         ad = tab.a_star * dt
-        m_u = sysm.mass @ u_t
+        m_u = mass @ u_t
+        zero_f = np.zeros(self.system.n_face_dofs)
         stage_r = []     # cell residuals F - K_TT u - K_TF u_f, per stage
-        stage_w = []     # face residuals K_FT u + K_FF u_f, per stage
-        forcings = []
         for i in range(tab.s):
-            f_i = _forcing_at(forcing, t + tab.c[i] * dt)
-            forcings.append(f_i)
-            b_t = m_u.copy()
-            if f_i is not None:
-                b_t += ad * f_i
-            b_f = np.zeros(sysm.n_face_dofs)
+            c_i = m_u
             for j in range(i):
                 aij = tab.a[i, j]
-                if aij == 0.0:
-                    continue
-                b_t += dt * aij * stage_r[j]
-                b_f -= dt * aij * stage_w[j]
-            u_i, u_fi = self.fact.stage_solve(b_t, b_f)
-            r = -(sysm.k_tt @ u_i)
-            w = sysm.k_ft @ u_i
-            if sysm.n_face_dofs:
-                r -= sysm.k_tf @ u_fi
-                w = w + sysm.k_ff @ u_fi
-            if f_i is not None:
-                r = r + f_i
-            stage_r.append(r)
-            stage_w.append(w)
+                if aij != 0.0:
+                    c_i = c_i + dt * aij * stage_r[j]
+            f_i = _forcing_at(forcing, t + tab.c[i] * dt)
+            b_t = c_i if f_i is None else c_i + ad * f_i
+            u_i, _ = self.fact.stage_solve(b_t, zero_f)
+            stage_r.append((mass @ u_i - c_i) / ad)
         acc = None
         for j in range(tab.s):
             bj = tab.b[j]

@@ -161,6 +161,24 @@ def test_simulate_ricker_outputs(tmp_path):
     assert "VTKFile" in text and "pressure" in text and "velocity_norm" in text
 
 
+def test_simulate_reports_schur_solver(tmp_path, caplog):
+    cfg = json.loads(json.dumps(RICKER_CFG))
+    cfg["mesh"]["level"] = 2
+    cfg["output"] = {}
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="hhowave"):
+        assert cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(out)]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    solver = summary["solver"]
+    assert solver["kind"] == "direct-lu"
+    assert solver["n"] == summary["dofs"]["dofs_after_condensation"]
+    assert solver["lu_nnz"] > 0 and solver["matrix_nnz"] > 0 and solver["factor_s"] > 0
+    assert solver["solves"] == 3 * summary["steps"]      # one per SDIRK34 stage
+    assert 0.0 < solver["max_residual"] <= 1e-8
+    assert "factored in" in caplog.text
+
+
 def test_simulate_deterministic_traces(tmp_path):
     path = write_cfg(tmp_path, RICKER_CFG)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -182,6 +200,8 @@ def test_simulate_instability_exit_code(tmp_path):
     path = write_cfg(tmp_path, cfg)
     code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_INSTABILITY
+    # an explicit run factors nothing
+    assert "solver" not in json.loads((tmp_path / "out" / "summary.json").read_text())
 
 
 def test_config_error_exit_code(tmp_path):

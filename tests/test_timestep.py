@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hhowave import (CondensedFactorization, ExplicitStepper, ImplicitStepper,
                      InstabilityError, MeshGenSpec, SolverConfig, StabilizationConfig,
-                     assemble, builtin_materials, generate, tableau)
+                     assemble, builtin_materials, generate, merge_nonconforming, tableau)
 from hhowave.scenarios import (ManufacturedCase, cfl_bracket, manufactured_forcing,
                                manufactured_initial_state)
 from hhowave.hho import BlockDiagonal
@@ -305,13 +306,36 @@ def test_erk_taylor_first_order_shrinkage():
 
 @pytest.mark.parametrize("kind", ["SDIRK23", "SDIRK34"])
 def test_sdirk_matches_dense_oracle(kind):
-    system = make_system(k=1, level=1, mode="implicit")
     tab = tableau(kind)
-    case, u0, forcing = make_case_state(system)
-    stepper = ImplicitStepper(system, tab, dt=0.02)
-    u_cond = stepper.step(u0.copy(), 0.0, 0.02, forcing)
-    u_dense = dense_sdirk_step(system, tab, u0.copy(), 0.0, 0.02, forcing)
-    assert np.linalg.norm(u_cond - u_dense) < 1e-10 * np.linalg.norm(u_dense)
+    dt = 0.02
+    for family, n_steps in (("cartesian", 1), ("polygonal-hexagonal", 20)):
+        system = make_system(k=1, level=1, mode="implicit", family=family)
+        case, u0, forcing = make_case_state(system)
+        stepper = ImplicitStepper(system, tab, dt=dt)
+        u_cond, u_dense = u0.copy(), u0.copy()
+        for n in range(n_steps):
+            u_cond = stepper.step(u_cond, n * dt, dt, forcing)
+            u_dense = dense_sdirk_step(system, tab, u_dense, n * dt, dt, forcing)
+        assert np.linalg.norm(u_cond - u_dense) < 1e-10 * np.linalg.norm(u_dense), family
+
+
+def test_stage_solve_with_zero_face_rhs():
+    # the identities ImplicitStepper relies on: with b_f = 0 the stage's face
+    # residual vanishes and its cell residual is (M u - b_t) / (a* dt)
+    system = make_system(k=1, level=1, mode="implicit", family="polygonal-hexagonal")
+    tab = tableau("SDIRK34")
+    dt = 0.02
+    ad = tab.a_star * dt
+    fact = CondensedFactorization(system, tab.a_star, dt, SolverConfig())
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        b_t = rng.standard_normal(system.n_cell_dofs)
+        u, u_f = fact.stage_solve(b_t, np.zeros(system.n_face_dofs))
+        k_ft_u = system.k_ft @ u
+        assert np.linalg.norm(k_ft_u + system.k_ff @ u_f) < 1e-12 * np.linalg.norm(k_ft_u)
+        r = -(system.k_tt @ u) - system.k_tf @ u_f
+        recovered = (system.mass @ u - b_t) / ad
+        assert np.linalg.norm(recovered - r) < 1e-12 * np.linalg.norm(b_t) / ad
 
 
 def test_condensed_stage_equals_monolithic():
@@ -332,6 +356,36 @@ def test_condensed_stage_equals_monolithic():
         ref = np.linalg.solve(big, np.concatenate([b_t, b_f]))
         got = np.concatenate([u_t, u_f])
         assert np.linalg.norm(got - ref) < 1e-9 * np.linalg.norm(ref)
+
+
+def _fill_mesh(family):
+    if family == "nonconforming":
+        fluid = generate(MeshGenSpec("cartesian", 3, fluid_rect=(0.0, 0.0, 1.0, 1.0)))
+        solid = generate(MeshGenSpec("cartesian", 2, solid_rect=(0.0, -1.0, 1.0, 0.0)))
+        return merge_nonconforming(fluid, solid)
+    return generate(MeshGenSpec(family, 3, **BILAYER))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("family", ["cartesian", "simplicial", "polygonal-hexagonal",
+                                    "nonconforming"])
+def test_schur_lu_fill_below_colamd(family, k, monkeypatch):
+    # fill is L.nnz + U.nnz of the shipped factorization, captured from its splu call
+    system = assemble(_fill_mesh(family), ACADEMIC, StabilizationConfig.implicit(), k=k)
+    splu = spla.splu
+    shipped = []
+
+    def capture(*args, **kwargs):
+        shipped.append(splu(*args, **kwargs))
+        return shipped[-1]
+
+    monkeypatch.setattr(spla, "splu", capture)
+    tab = tableau("SDIRK34")
+    fact = CondensedFactorization(system, tab.a_star, 0.01, SolverConfig())
+    (lu,) = shipped
+    assert fact.schur_solver.lu_nnz == lu.nnz > 0
+    colamd = splu(fact.schur.tocsc(), permc_spec="COLAMD")
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
 def test_schur_matvec_matches_triple_product():
