@@ -1,25 +1,37 @@
-"""Golden lock of assembled operators, projections and diagnostics.
+"""Golden lock of assembled operators, projections, diagnostics and marches.
 
-Each case assembles an L2 mesh under one stabilization setting and reduces
-every operator and vector to two numbers: its Frobenius norm and a seeded
-bilinear form `y @ A @ x` (a seeded dot product `y @ v` for vectors). The
-reference values in `golden_operators.json` were computed once with the
+Each operator case assembles an L2 mesh under one stabilization setting and
+reduces every operator and vector to two numbers: its Frobenius norm and a
+seeded bilinear form `y @ A @ x` (a seeded dot product `y @ v` for vectors).
+The reference values in `golden_operators.json` were computed once with the
 per-cell reference implementation; refactors of the integration path must
 reproduce them to 1e-12 relative.
+
+The march cases lock time-marching outputs in `golden_march.json`: the traces
+and energy of a short `academic_ricker` run, a two-level convergence table and
+the error of a 20-step manufactured SDIRK34 march on hexagonal L3. Each column
+must match to 1e-12 relative to the largest magnitude in that column, so that
+trace samples near zero are held to the accuracy of the signal they belong to.
 """
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from hhowave import (MeshGenSpec, StabilizationConfig, assemble, builtin_materials,
-                     cli, generate, merge_nonconforming)
+from hhowave import (MeshGenSpec, SolverConfig, StabilizationConfig, assemble,
+                     builtin_materials, cli, generate, merge_nonconforming, run_time_loop)
 from hhowave.hho import load_moments, project_state
-from hhowave.scenarios import ManufacturedCase, l2_error_dual
+from hhowave.scenarios import (ManufacturedCase, l2_error_dual, manufactured_forcing,
+                               manufactured_initial_state)
+from hhowave.timestep import ImplicitStepper, tableau
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_operators.json")
+HERE = os.path.dirname(__file__)
+GOLDEN_PATH = os.path.join(HERE, "golden_operators.json")
+MARCH_GOLDEN_PATH = os.path.join(HERE, "golden_march.json")
+RICKER_CONFIG = os.path.join(HERE, os.pardir, "configs", "academic_ricker.json")
 RTOL = 1e-12
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
 MESHES = ("cartesian", "simplicial", "polygonal-hexagonal", "nonconforming")
@@ -96,3 +108,80 @@ def test_golden_operators(mesh_name, config_name):
     assert set(got) == set(want)
     for name, values in want.items():
         assert got[name] == pytest.approx(values, rel=RTOL, abs=0.0), name
+
+
+# ---------------------------------------------------------------------------
+# time-marching outputs
+
+def _read_csv(path):
+    lines = path.read_text().strip().splitlines()
+    return {"header": lines[0].split(","),
+            "rows": [[float(v) for v in line.split(",")] for line in lines[1:]]}
+
+
+def ricker_outputs(out_dir):
+    """traces.csv and energy.csv of 100 SDIRK34 steps of academic_ricker on L3."""
+    cfg = cli.load_config(RICKER_CONFIG, {"mesh": {"level": 3}, "dt": 0.0025,
+                                          "final_time": 0.25,
+                                          "output": {"trace_every": 4, "snapshot_every": 0}})
+    assert cli.cmd_simulate(cfg, str(out_dir)) == cli.EXIT_OK
+    return {"traces": _read_csv(out_dir / "traces.csv"),
+            "energy": _read_csv(out_dir / "energy.csv")}
+
+
+def converge_table(out_dir):
+    """convergence.csv of `hhowave converge` at levels 2 and 3 (cartesian, SDIRK34)."""
+    cfg = {"mesh": {"family": "cartesian", "fluid_rect": [0, 0, 1, 1],
+                    "solid_rect": [-1, 0, 0, 1]},
+           "degree": 1, "scheme": "SDIRK34", "dt": 0.02, "final_time": 0.1,
+           "materials": "academic",
+           "scenario": {"type": "manufactured", "omega": 1.0, "theta": 1.0}}
+    path = out_dir / "converge.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["converge", "--config", str(path), "--out", str(out_dir),
+                     "--levels", "2,3"]) == cli.EXIT_OK
+    return {"convergence": _read_csv(out_dir / "convergence.csv")}
+
+
+def manufactured_hex_l3():
+    """l2_error_dual after 20 SDIRK34 steps of the manufactured case on hexagonal L3."""
+    mesh = generate(MeshGenSpec("polygonal-hexagonal", 3, **BILAYER))
+    materials = builtin_materials("academic")
+    system = assemble(mesh, materials, StabilizationConfig.implicit(), 1)
+    case = ManufacturedCase(1.3, math.sqrt(2.0), materials)
+    dt, n_steps = 0.01, 20
+    stepper = ImplicitStepper(system, tableau("SDIRK34"), dt, SolverConfig())
+    u = run_time_loop(stepper, manufactured_initial_state(system, case), dt, n_steps,
+                      forcing=manufactured_forcing(system, case))
+    return {"l2_error_dual": {"header": ["error"],
+                              "rows": [[l2_error_dual(u, system, case, n_steps * dt)]]}}
+
+
+with open(MARCH_GOLDEN_PATH, encoding="utf-8") as _fh:
+    MARCH_GOLDEN = json.load(_fh)
+
+
+def assert_tables_match(got, want):
+    assert set(got) == set(want)
+    for name, table in want.items():
+        assert got[name]["header"] == table["header"], name
+        assert len(got[name]["rows"]) == len(table["rows"]), name
+        cols_got = np.array(got[name]["rows"]).T
+        for col, (g, w) in enumerate(zip(cols_got, np.array(table["rows"]).T)):
+            label = f"{name}.{table['header'][col]}"
+            assert np.array_equal(np.isnan(g), np.isnan(w)), label
+            scale = np.max(np.abs(np.nan_to_num(w)))
+            err = np.max(np.abs(np.nan_to_num(g - w)))
+            assert err <= RTOL * scale, f"{label}: {err:.3e} > {RTOL:.0e} * {scale:.3e}"
+
+
+def test_ricker_outputs_golden(tmp_path):
+    assert_tables_match(ricker_outputs(tmp_path), MARCH_GOLDEN["ricker"])
+
+
+def test_converge_table_golden(tmp_path):
+    assert_tables_match(converge_table(tmp_path), MARCH_GOLDEN["converge"])
+
+
+def test_manufactured_sdirk34_hex_l3_golden():
+    assert_tables_match(manufactured_hex_l3(), MARCH_GOLDEN["manufactured"])

@@ -1,5 +1,9 @@
 """Mesh generation, file IO, nonconforming merge and classification tests."""
 
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -236,12 +240,45 @@ def test_read_msh_unknown_tag(tmp_path):
 # ---------------------------------------------------------------------------
 # nonconforming merge
 
+def merge_offset_quads():
+    """Solid unit squares under fluid cells of width 1/2 offset by 1/4."""
+    solid = quad_strip(0, 2, -1, 0, 1.0, sub=SOLID)
+    fluid = quad_strip(0, 2, 0, 0.5, 0.5, offset=0.25, sub=FLUID)
+    return merge_nonconforming(fluid, solid)
+
+
+def merge_triangles_over_squares():
+    """Solid unit squares under fluid triangles of base 1/2 offset by 1/4."""
+    solid = quad_strip(0, 2, -1, 0, 1.0, sub=SOLID)
+    verts = [(0.0, 0.0), (0.25, 0.0), (0.75, 0.0), (1.25, 0.0), (1.75, 0.0), (2.0, 0.0),
+             (0.0, 0.25), (0.5, 0.25), (1.0, 0.25), (1.5, 0.25), (2.0, 0.25)]
+    cells = [
+        [0, 1, 7, 6],            # left closing quad
+        [1, 2, 7], [7, 2, 8],    # up triangle on [0.25,0.75], down from (0.5,0.25)
+        [2, 3, 8], [8, 3, 9],    # base [0.75,1.25] contains x=1 -> gains a node
+        [3, 4, 9], [9, 4, 10],
+        [4, 5, 10],              # right closing triangle
+    ]
+    fluid = PolyMesh(np.array(verts), cells, [FLUID] * len(cells))
+    return merge_nonconforming(fluid, solid)
+
+
+def merge_conforming():
+    solid = quad_strip(0, 2, -1, 0, 1.0, sub=SOLID)
+    fluid = quad_strip(0, 2, 0, 1, 1.0, sub=FLUID)
+    return merge_nonconforming(fluid, solid)
+
+
+def merge_thirds():
+    solid = quad_strip(0, 3, -1, 0, 1.0, sub=SOLID)
+    fluid = quad_strip(0, 3, 0, 0.5, 1.0 / 3.0, sub=FLUID)
+    return merge_nonconforming(fluid, solid)
+
+
 def test_merge_offset_quads_makes_hexagons():
     # solid unit squares; fluid cells of width 1/2 offset by 1/4: each solid
     # top edge gains two hanging nodes (6 faces), split fluid cells gain one
-    solid = quad_strip(0, 2, -1, 0, 1.0, sub=SOLID)
-    fluid = quad_strip(0, 2, 0, 0.5, 0.5, offset=0.25, sub=FLUID)
-    merged = merge_nonconforming(fluid, solid)
+    merged = merge_offset_quads()
     solid_sizes = sorted(len(merged.cell_vertices[ci])
                          for ci in merged.cells_of_subdomain(SOLID))
     assert solid_sizes == [6, 6]
@@ -259,18 +296,7 @@ def test_merge_triangles_over_squares_fig2_pattern():
     # solid squares of edge 1 under fluid triangles of base 1/2 offset by 1/4:
     # squares become hexagons; triangles whose base contains a square corner
     # become quadrilaterals, the others stay triangles
-    solid = quad_strip(0, 2, -1, 0, 1.0, sub=SOLID)
-    verts = [(0.0, 0.0), (0.25, 0.0), (0.75, 0.0), (1.25, 0.0), (1.75, 0.0), (2.0, 0.0),
-             (0.0, 0.25), (0.5, 0.25), (1.0, 0.25), (1.5, 0.25), (2.0, 0.25)]
-    cells = [
-        [0, 1, 7, 6],            # left closing quad
-        [1, 2, 7], [7, 2, 8],    # up triangle on [0.25,0.75], down from (0.5,0.25)
-        [2, 3, 8], [8, 3, 9],    # base [0.75,1.25] contains x=1 -> gains a node
-        [3, 4, 9], [9, 4, 10],
-        [4, 5, 10],              # right closing triangle
-    ]
-    fluid = PolyMesh(np.array(verts), cells, [FLUID] * len(cells))
-    merged = merge_nonconforming(fluid, solid)
+    merged = merge_triangles_over_squares()
     solid_sizes = sorted(len(merged.cell_vertices[ci])
                          for ci in merged.cells_of_subdomain(SOLID))
     assert solid_sizes == [6, 6]
@@ -281,9 +307,7 @@ def test_merge_triangles_over_squares_fig2_pattern():
 
 
 def test_merge_conforming_is_identity_like():
-    solid = quad_strip(0, 2, -1, 0, 1.0, sub=SOLID)
-    fluid = quad_strip(0, 2, 0, 1, 1.0, sub=FLUID)
-    merged = merge_nonconforming(fluid, solid)
+    merged = merge_conforming()
     assert merged.n_cells == 4
     assert all(len(loop) == 4 for loop in merged.cell_vertices)
     assert len(merged.interface_faces) == 2
@@ -295,9 +319,7 @@ def test_merge_conforming_is_identity_like():
 
 
 def test_merge_thirds_adds_two_nodes():
-    solid = quad_strip(0, 3, -1, 0, 1.0, sub=SOLID)
-    fluid = quad_strip(0, 3, 0, 0.5, 1.0 / 3.0, sub=FLUID)
-    merged = merge_nonconforming(fluid, solid)
+    merged = merge_thirds()
     for ci in merged.cells_of_subdomain(SOLID):
         assert len(merged.cell_vertices[ci]) == 6  # 4 + 2 hanging nodes
     for fi in merged.interface_faces:
@@ -316,6 +338,79 @@ def test_merge_rejects_wrong_subdomains():
     fluid = quad_strip(0, 2, 0, 1, 1.0, sub=FLUID)
     with pytest.raises(MeshError):
         merge_nonconforming(fluid, fluid)
+
+
+# ---------------------------------------------------------------------------
+# construction: topology lock and rejected inputs
+
+TOPOLOGY_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_mesh.json")
+TOPOLOGY_MESHES = {
+    "cartesian": lambda: generate(MeshGenSpec("cartesian", 2, **BILAYER)),
+    "simplicial": lambda: generate(MeshGenSpec("simplicial", 2, **BILAYER)),
+    "polygonal-hexagonal": lambda: generate(MeshGenSpec("polygonal-hexagonal", 2, **BILAYER)),
+    "merge_offset_quads": merge_offset_quads,
+    "merge_triangles_over_squares": merge_triangles_over_squares,
+    "merge_conforming": merge_conforming,
+    "merge_thirds": merge_thirds,
+}
+
+
+def topology_hashes(m):
+    """SHA-256 of dtype, shape and bytes of every topology and area array."""
+    arrays = {
+        "vertices": m.vertices,
+        "faces": m.faces,
+        "face_owner": m.face_owner,
+        "face_neighbor": m.face_neighbor,
+        "face_class": m.face_class,
+        "cell_sizes": np.array([len(loop) for loop in m.cell_vertices]),
+        "cell_vertices": np.concatenate(m.cell_vertices),
+        "cell_faces": np.concatenate(m.cell_faces),
+        "cell_face_orient": np.concatenate(m.cell_face_orient),
+        "cell_area": m.cell_area,
+    }
+    out = {}
+    for name, a in arrays.items():
+        a = np.ascontiguousarray(a)
+        digest = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(a.tobytes())
+        out[name] = digest.hexdigest()
+    return out
+
+
+with open(TOPOLOGY_GOLDEN_PATH, encoding="utf-8") as _fh:
+    TOPOLOGY_GOLDEN = json.load(_fh)
+
+
+@pytest.mark.parametrize("name", list(TOPOLOGY_MESHES))
+def test_topology_golden(name):
+    """Vertices, faces, cell loops and areas are bit-identical to the locked mesh."""
+    assert topology_hashes(TOPOLOGY_MESHES[name]()) == TOPOLOGY_GOLDEN[name]
+
+
+def test_face_shared_by_three_cells_rejected():
+    verts = np.array([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 2)], dtype=float)
+    with pytest.raises(MeshError, match="shared by more than two cells"):
+        PolyMesh(verts, [[0, 1, 2], [1, 0, 3], [0, 1, 4]], [FLUID] * 3)
+
+
+def test_cell_collapsing_in_deduplication_rejected():
+    # vertex 3 lies within the coincidence tolerance of vertex 1
+    verts = np.array([(0, 0), (1, 0), (1, 1), (1, 1e-14), (0, 1)], dtype=float)
+    with pytest.raises(MeshError, match="degenerated during vertex deduplication"):
+        PolyMesh(verts, [[0, 1, 2, 4], [1, 3, 2]], [FLUID] * 2)
+
+
+def test_close_vertices_merge_into_lower_index():
+    # vertex 1 and vertex 6 are 1e-13 apart (tolerance 1e-12 * sqrt(5)); the
+    # merged vertex keeps the position and place of vertex 1
+    verts = np.array([(0, 0), (1 + 1e-13, 0), (1, 1), (0, 1), (2, 0), (2, 1), (1, 0)],
+                     dtype=float)
+    m = PolyMesh(verts, [[0, 1, 2, 3], [6, 4, 5, 2]], [FLUID, SOLID])
+    assert np.array_equal(m.vertices, verts[:6])
+    assert m.cell_vertices[1].tolist() == [1, 4, 5, 2]
+    assert m.n_faces == 7
+    assert len(m.interface_faces) == 1
 
 
 # ---------------------------------------------------------------------------
