@@ -173,6 +173,12 @@ class FactorizedOperator:
                 factors = self._ilu
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}") from exc
+        except (SystemError, MemoryError) as exc:
+            # SuperLU reports a work array it cannot grow as a SystemError
+            # ("gstrf was called with invalid arguments"); numpy a failed
+            # allocation as a MemoryError
+            raise SolverError(f"factorization of {self.n} face dofs ran out of memory "
+                              f"({type(exc).__name__}: {exc})") from exc
         self.factor_s = time.perf_counter() - start
         self.lu_nnz = int(factors.nnz)
 

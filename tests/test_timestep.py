@@ -14,6 +14,7 @@ from hhowave import (CondensedFactorization, ExplicitStepper, ImplicitStepper,
 from hhowave.scenarios import (ManufacturedCase, cfl_bracket, manufactured_forcing,
                                manufactured_initial_state)
 from hhowave.hho import BlockDiagonal
+from hhowave import timestep
 from hhowave.timestep import FactorizedOperator, SolverError, TimestepError
 
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
@@ -167,6 +168,17 @@ def test_singular_operator_rejected():
     singular[0, 0] = 1.0
     with pytest.raises(SolverError):
         solve(SolverConfig("direct-lu"), singular, np.ones(4))
+
+
+@pytest.mark.parametrize("error", [SystemError("gstrf was called with invalid arguments"),
+                                   MemoryError("Unable to allocate 4.00 GiB")])
+def test_lu_memory_failure_is_solver_error(error, monkeypatch):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(timestep.spla, "splu", fail)
+    with pytest.raises(SolverError, match="factorization of 6 face dofs ran out of memory"):
+        FactorizedOperator(sp.eye(6, format="csc"), SolverConfig("direct-lu"))
 
 
 def _blocks_by_start(store):
