@@ -280,8 +280,8 @@ def test_criterion_7_coupling_decay():
     seq = [max_errors(level, 1) for level in (4, 5, 6)]
     kin_ok = seq[0][0] > seq[1][0] > seq[2][0]
     dyn_ok = seq[0][1] > seq[1][1] > seq[2][1]
-    # polynomial degree at fixed level
-    k1 = max_errors(5, 1)
+    # polynomial degree at fixed level (seq[1] is the deterministic L5 k=1 run)
+    k1 = seq[1]
     k3 = max_errors(5, 3)
     degree_ok = k3[0] < k1[0] and k3[1] < k1[1]
     detail = (f"kin {seq[0][0]:.2e}>{seq[1][0]:.2e}>{seq[2][0]:.2e}; "
