@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from hhowave import cli
+from hhowave import cli, timestep
 from hhowave import mesh as msh
 
 RICKER_CFG = {
@@ -185,6 +185,20 @@ def test_simulate_deterministic_traces(tmp_path):
     assert cli.main(["simulate", "--config", path, "--out", str(out1)]) == 0
     assert cli.main(["simulate", "--config", path, "--out", str(out2)]) == 0
     assert (out1 / "traces.csv").read_text() == (out2 / "traces.csv").read_text()
+
+
+def test_lu_memory_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise SystemError("gstrf was called with invalid arguments")
+
+    monkeypatch.setattr(timestep.spla, "splu", fail)
+    cfg = json.loads(json.dumps(RICKER_CFG))
+    cfg["mesh"]["level"] = 1
+    cfg["output"] = {}
+    code = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_SOLVER
+    assert "face dofs ran out of memory" in capsys.readouterr().err
 
 
 def test_simulate_instability_exit_code(tmp_path):
