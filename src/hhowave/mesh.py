@@ -7,6 +7,21 @@ as a polygon with extra (collinear) vertices: construction detects unpaired
 edges that pass through other mesh vertices and splits them, so nonconforming
 inputs (merged submeshes, locally refined MSH files) need no special casing.
 
+Construction works on one flat table of directed edges, built once from the
+cell loops: edge i belongs to cell `_edge_cell[i]` and runs from vertex
+`_edge_start[i]` to `_edge_end[i]`, with the edges of each cell contiguous and
+in traversal order. Every step is an array operation on that table:
+- vertex deduplication: vertices closer than COINCIDENCE_TOL times the
+  bounding-box diagonal in the Chebyshev (max-coordinate) distance form
+  clusters, taken transitively; each cluster becomes its lowest-index vertex,
+  merged vertices keep the order of those indices, and edges that collapse
+  to one vertex leave the table;
+- orientation: one stacked signed area per vertex count, clockwise loops
+  reversed;
+- hanging nodes: unpaired edges (undirected key seen once) are searched for
+  vertices lying on them;
+- faces: one id per undirected key, numbered by first occurrence in the table.
+
 Face conventions: the stored vertex pair follows the owner cell's
 counterclockwise traversal, so the stored unit normal (tangent rotated by
 -90 degrees) points out of the owner. Owners are chosen as the lower cell id,
@@ -18,9 +33,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .basis import polygon_area, polygon_centroid, polygon_diameter
@@ -73,26 +90,33 @@ class MeshGenSpec:
 class PolyMesh:
     """Immutable 2D polygonal mesh with fluid/solid cell tags."""
 
-    def __init__(self, vertices, cell_vertices, subdomain, region=None,
-                 region_names=None, resolve_hanging=True, check=True):
+    def __init__(self, vertices, cell_vertices, subdomain, region=None, region_names=None):
         vertices = np.asarray(vertices, dtype=float)
         cells = [np.asarray(c, dtype=np.int64) for c in cell_vertices]
         subdomain = np.asarray(subdomain, dtype=np.int8)
         if len(cells) != len(subdomain):
             raise MeshError("one subdomain tag per cell required")
+        if not np.all(np.isfinite(vertices)):
+            raise MeshError("non-finite vertex coordinates")
         if region is None:
             region = subdomain.astype(np.int64)
             region_names = {FLUID: "fluid", SOLID: "solid"}
         region = np.asarray(region, dtype=np.int64)
         self.region_names = dict(region_names or {})
 
-        vertices, cells = _dedup_vertices(vertices, cells)
-        cells = [_orient_ccw(vertices, c) for c in cells]
-        if resolve_hanging:
-            cells = _resolve_hanging_nodes(vertices, cells)
+        cell = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
+        start = np.concatenate(cells) if cells else np.empty(0, dtype=np.int64)
+        vertices, cell, start = _dedup_vertices(vertices, cell, start, len(cells))
+        start = _orient_ccw(vertices, cell, start)
+        cell, start = _resolve_hanging_nodes(vertices, cell, start)
+        self._edge_cell = cell
+        self._edge_start = start
+        self._edge_end = start[_next_edge(cell)]
+        self._cell_size = np.bincount(cell, minlength=len(cells))
+        self._cell_bounds = np.cumsum(self._cell_size)[:-1]
 
         self.vertices = vertices
-        self.cell_vertices = cells
+        self.cell_vertices = np.split(start, self._cell_bounds)
         self.subdomain = subdomain
         self.region = region
         self.n_cells = len(cells)
@@ -103,90 +127,52 @@ class PolyMesh:
 
         self._build_faces()
         self._build_geometry()
-        if check:
-            self.validate()
+        self.validate()
 
     # -- construction -----------------------------------------------------
 
     def _build_faces(self):
-        edge_map: dict[tuple[int, int], int] = {}
-        face_cells: list[list[int]] = []
-        face_pairs: list[tuple[int, int]] = []
-        cell_faces = []
-        cell_dirs = []
-        for ci, loop in enumerate(self.cell_vertices):
-            ids = []
-            dirs = []
-            n = len(loop)
-            for i in range(n):
-                a, b = int(loop[i]), int(loop[(i + 1) % n])
-                key = (a, b) if a < b else (b, a)
-                fi = edge_map.get(key)
-                if fi is None:
-                    fi = len(face_pairs)
-                    edge_map[key] = fi
-                    face_pairs.append((a, b))
-                    face_cells.append([ci])
-                else:
-                    face_cells[fi].append(ci)
-                    if len(face_cells[fi]) > 2:
-                        raise MeshError(f"face {key} shared by more than two cells")
-                ids.append(fi)
-                dirs.append((a, b))
-            cell_faces.append(np.array(ids, dtype=np.int64))
-            cell_dirs.append(dirs)
-
-        n_faces = len(face_pairs)
-        owner = np.full(n_faces, -1, dtype=np.int64)
-        neighbor = np.full(n_faces, -1, dtype=np.int64)
-        stored = np.zeros((n_faces, 2), dtype=np.int64)
-        fclass = np.zeros(n_faces, dtype=np.int8)
-
-        for fi, adj in enumerate(face_cells):
-            if len(adj) == 1:
-                own, nb = adj[0], -1
-                fclass[fi] = F_BND_FLUID if self.subdomain[own] == FLUID else F_BND_SOLID
-            else:
-                c0, c1 = adj
-                s0, s1 = self.subdomain[c0], self.subdomain[c1]
-                if s0 != s1:
-                    own, nb = (c0, c1) if s0 == SOLID else (c1, c0)
-                    fclass[fi] = F_INTERFACE
-                else:
-                    own, nb = (c0, c1) if c0 < c1 else (c1, c0)
-                    fclass[fi] = F_INT_FLUID if s0 == FLUID else F_INT_SOLID
-            owner[fi] = own
-            neighbor[fi] = nb
+        cell, start, end = self._edge_cell, self._edge_start, self._edge_end
+        face, first, count = _first_occurrence_ids(_edge_key(start, end, self.n_vertices))
+        if np.any(count > 2):
+            e = first[np.argmax(count > 2)]
+            key = (int(min(start[e], end[e])), int(max(start[e], end[e])))
+            raise MeshError(f"face {key} shared by more than two cells")
+        last = np.argsort(face, kind="stable")[np.cumsum(count) - 1]
+        c0, c1 = cell[first], cell[last]
+        s0, s1 = self.subdomain[c0], self.subdomain[c1]
+        boundary = count == 1
+        interface = s0 != s1
+        # the solid cell owns an interface face, the lower cell id any other
+        owner = np.where(interface, np.where(s0 == SOLID, c0, c1), np.minimum(c0, c1))
+        neighbor = np.where(boundary, -1, c0 + c1 - owner)
+        fluid = self.subdomain[owner] == FLUID
+        fclass = np.where(boundary, np.where(fluid, F_BND_FLUID, F_BND_SOLID),
+                          np.where(interface, F_INTERFACE,
+                                   np.where(fluid, F_INT_FLUID, F_INT_SOLID)))
 
         # store the vertex pair in the owner's traversal direction
-        orient = []
-        for ci, dirs in enumerate(cell_dirs):
-            signs = np.empty(len(dirs), dtype=np.int8)
-            for j, (a, b) in enumerate(dirs):
-                fi = cell_faces[ci][j]
-                if owner[fi] == ci:
-                    stored[fi] = (a, b)
-                    signs[j] = 1
-                else:
-                    signs[j] = -1
-            orient.append(signs)
+        owned = cell == owner[face]
+        stored = np.empty((len(count), 2), dtype=np.int64)
+        stored[face[owned]] = np.column_stack([start, end])[owned]
 
         self.faces = stored
         self.face_owner = owner
         self.face_neighbor = neighbor
-        self.face_class = fclass
-        self.cell_faces = cell_faces
-        self.cell_face_orient = orient
-        self.n_faces = n_faces
+        self.face_class = fclass.astype(np.int8)
+        self.cell_faces = np.split(face, self._cell_bounds)
+        self.cell_face_orient = np.split(np.where(owned, 1, -1).astype(np.int8),
+                                         self._cell_bounds)
+        self.n_faces = len(count)
 
     def _build_geometry(self):
         self.cell_area = np.empty(self.n_cells)
         self.cell_centroid = np.empty((self.n_cells, 2))
         self.cell_diameter = np.empty(self.n_cells)
-        n_verts = np.array([len(loop) for loop in self.cell_vertices])
-        for n in np.unique(n_verts):
-            cells = np.nonzero(n_verts == n)[0]
-            pts = self.vertices[np.array([self.cell_vertices[ci] for ci in cells])]
+        size = self._cell_size
+        for n in np.unique(size):
+            cells = np.nonzero(size == n)[0]
+            pts = self.vertices[self._edge_start[size[self._edge_cell] == n].reshape(-1, n)]
             self.cell_area[cells] = polygon_area(pts)
             with np.errstate(invalid="ignore", divide="ignore"):  # validate rejects area 0
                 self.cell_centroid[cells] = polygon_centroid(pts)
@@ -235,27 +221,32 @@ class PolyMesh:
             raise MeshError("non-finite vertex coordinates")
         if np.any(self.face_measure <= tol):
             raise MeshError("degenerate face (zero length)")
-        for ci, loop in enumerate(self.cell_vertices):
-            if len(loop) < 3:
+        # every edge must see the cell barycenter strictly on its left
+        cell = self._edge_cell
+        c = self.cell_centroid[cell]
+        p1 = self.vertices[self._edge_start] - c
+        p2 = self.vertices[self._edge_end] - c
+        tri2 = p1[:, 0] * p2[:, 1] - p1[:, 1] * p2[:, 0]
+        few = self._cell_size < 3
+        flat = self.cell_area <= 0
+        star = np.bincount(cell[tri2 <= 1e-13 * self.cell_area[cell]],
+                           minlength=self.n_cells) > 0
+        bad = few | flat | star
+        if np.any(bad):
+            ci = int(np.argmax(bad))
+            if few[ci]:
                 raise MeshError(f"cell {ci} has fewer than 3 faces")
-            if self.cell_area[ci] <= 0:
+            if flat[ci]:
                 raise MeshError(f"cell {ci} has non-positive area")
-            pts = self.vertices[loop]
-            c = self.cell_centroid[ci]
-            n = len(pts)
-            for i in range(n):
-                p1, p2 = pts[i], pts[(i + 1) % n]
-                tri2 = (p1[0] - c[0]) * (p2[1] - c[1]) - (p1[1] - c[1]) * (p2[0] - c[0])
-                if tri2 <= 1e-13 * self.cell_area[ci]:
-                    raise MeshError(f"cell {ci} is not star-shaped w.r.t. its barycenter")
+            raise MeshError(f"cell {ci} is not star-shaped w.r.t. its barycenter")
         # interface normals must point from solid into fluid
-        for fi in self.interface_faces:
-            own, nb = self.face_owner[fi], self.face_neighbor[fi]
-            if self.subdomain[own] != SOLID or self.subdomain[nb] != FLUID:
-                raise MeshError("interface face owner/neighbor tags inconsistent")
-            d = self.cell_centroid[nb] - self.cell_centroid[own]
-            if float(d @ self.face_normal[fi]) <= 0:
-                raise MeshError("interface normal does not point from solid to fluid")
+        iface = self.interface_faces
+        own, nb = self.face_owner[iface], self.face_neighbor[iface]
+        if np.any((self.subdomain[own] != SOLID) | (self.subdomain[nb] != FLUID)):
+            raise MeshError("interface face owner/neighbor tags inconsistent")
+        d = self.cell_centroid[nb] - self.cell_centroid[own]
+        if np.any(np.sum(d * self.face_normal[iface], axis=1) <= 0):
+            raise MeshError("interface normal does not point from solid to fluid")
 
 
 def classify_faces(mesh: PolyMesh) -> dict[str, np.ndarray]:
@@ -270,120 +261,117 @@ def classify_faces(mesh: PolyMesh) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 # helpers
 
-def _orient_ccw(vertices, loop):
-    if polygon_area(vertices[loop]) < 0:
-        return loop[::-1].copy()
-    return loop
+def _next_edge(cell):
+    """Index of the edge that follows each edge in its cell loop.
+
+    `cell` is the cell id of every edge of the table, sorted by cell.
+    """
+    i = np.arange(len(cell))
+    head = np.ones(len(cell), dtype=bool)
+    head[1:] = cell[1:] != cell[:-1]
+    tail = np.roll(head, -1)
+    return np.where(tail, np.maximum.accumulate(np.where(head, i, 0)), i + 1)
 
 
-def _dedup_vertices(vertices, cells, tol=None):
-    """Merge geometrically coincident vertices (within tol) and drop unused ones."""
-    if len(vertices) == 0:
-        return vertices, cells
-    bbox = vertices.max(axis=0) - vertices.min(axis=0)
-    scale = float(np.hypot(*bbox)) or 1.0
-    if tol is None:
-        tol = COINCIDENCE_TOL * scale
-    buckets: dict[tuple[int, int], int] = {}
-    remap = np.full(len(vertices), -1, dtype=np.int64)
-    kept: list[np.ndarray] = []
-    inv = 1.0 / tol if tol > 0 else 0.0
-    for i, p in enumerate(vertices):
-        kx, ky = int(math.floor(p[0] * inv)), int(math.floor(p[1] * inv))
-        hit = -1
-        for dx in (0, -1, 1):
-            for dy in (0, -1, 1):
-                j = buckets.get((kx + dx, ky + dy), -1)
-                if j >= 0 and abs(kept[j][0] - p[0]) <= tol and abs(kept[j][1] - p[1]) <= tol:
-                    hit = j
-                    break
-            if hit >= 0:
-                break
-        if hit < 0:
-            hit = len(kept)
-            kept.append(p)
-            buckets[(kx, ky)] = hit
-        remap[i] = hit
-    new_cells = []
-    for loop in cells:
-        mapped = remap[loop]
-        # collapse consecutive duplicates created by the merge
-        keep = np.ones(len(mapped), dtype=bool)
-        for i in range(len(mapped)):
-            if mapped[i] == mapped[(i + 1) % len(mapped)]:
-                keep[(i + 1) % len(mapped)] = False
-        cleaned = mapped[keep]
-        if len(cleaned) < 3:
-            raise MeshError("cell degenerated during vertex deduplication "
-                            "(mesh too fine for the coincidence tolerance)")
-        new_cells.append(cleaned)
-    merged = np.array(kept)
-    used = np.zeros(len(merged), dtype=bool)
-    for loop in new_cells:
-        used[loop] = True
-    if not used.all():
-        compact = np.cumsum(used) - 1
-        merged = merged[used]
-        new_cells = [compact[loop] for loop in new_cells]
-    return merged, new_cells
+def _edge_key(start, end, n_vertices):
+    """One integer per undirected edge: lower vertex * n_vertices + higher vertex."""
+    return np.minimum(start, end) * n_vertices + np.maximum(start, end)
 
 
-def _resolve_hanging_nodes(vertices, cells):
+def _first_occurrence_ids(keys):
+    """Ids of the distinct keys numbered in order of first occurrence.
+
+    Returns the id of every entry, the first entry of every id and the
+    number of entries of every id.
+    """
+    _, first, inverse, count = np.unique(keys, return_index=True, return_inverse=True,
+                                         return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.reshape(-1)], first[order], count[order]
+
+
+def _orient_ccw(vertices, cell, start):
+    """Edge table with the loops of clockwise cells reversed."""
+    size = np.bincount(cell)[cell]
+    start = start.copy()
+    for n in np.unique(size):
+        rows = size == n
+        loops = start[rows].reshape(-1, n)
+        cw = polygon_area(vertices[loops]) < 0
+        loops[cw] = loops[cw, ::-1]
+        start[rows] = loops.ravel()
+    return start
+
+
+def _dedup_vertices(vertices, cell, start, n_cells):
+    """Merge coincident vertices, drop the edges that collapse and unused vertices.
+
+    Vertices closer than COINCIDENCE_TOL times the bounding-box diagonal in
+    the Chebyshev distance join one cluster (transitively); a cluster becomes
+    its lowest-index vertex, and the merged vertices keep the order of those
+    lowest indices. Returns the merged vertices and the edge table.
+    """
+    scale = float(np.hypot(*np.ptp(vertices, axis=0))) or 1.0
+    pairs = cKDTree(vertices).query_pairs(COINCIDENCE_TOL * scale, p=np.inf,
+                                          output_type="ndarray")
+    n = len(vertices)
+    links = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    _, cluster = connected_components(links, directed=False)
+    remap, lowest, _ = _first_occurrence_ids(cluster)
+    mapped = remap[start]
+    # an edge whose two ends merge is dropped with its end, the start of the next edge
+    nxt = _next_edge(cell)
+    keep = np.empty(len(start), dtype=bool)
+    keep[nxt] = mapped[nxt] != mapped
+    cell, start = cell[keep], mapped[keep]
+    if np.any(np.bincount(cell, minlength=n_cells) < 3):
+        raise MeshError("cell degenerated during vertex deduplication "
+                        "(mesh too fine for the coincidence tolerance)")
+    used = np.zeros(len(lowest), dtype=bool)
+    used[start] = True
+    return vertices[lowest[used]], cell, (np.cumsum(used) - 1)[start]
+
+
+def _resolve_hanging_nodes(vertices, cell, start):
     """Split unpaired cell edges that pass through other mesh vertices.
 
     A vertex strictly interior to another cell's edge (a hanging node) is
     inserted into that cell's loop, turning the cell into a polygon with an
-    extra face so that edge pairing becomes exact.
+    extra face so that edge pairing becomes exact. Returns the edge table.
     """
-    if len(vertices) == 0:
-        return cells
-    scale = float(np.hypot(*(vertices.max(axis=0) - vertices.min(axis=0)))) or 1.0
+    end = start[_next_edge(cell)]
+    face, _, count = _first_occurrence_ids(_edge_key(start, end, len(vertices)))
+    unpaired = np.nonzero(count[face] == 1)[0]
+    if len(unpaired) == 0:
+        return cell, start
+    scale = float(np.hypot(*np.ptp(vertices, axis=0))) or 1.0
     tol = 1e-9 * scale
-    counts: dict[tuple[int, int], int] = {}
-    for loop in cells:
-        n = len(loop)
-        for i in range(n):
-            a, b = int(loop[i]), int(loop[(i + 1) % n])
-            key = (a, b) if a < b else (b, a)
-            counts[key] = counts.get(key, 0) + 1
-    unpaired = [k for k, c in counts.items() if c == 1]
-    if not unpaired:
-        return cells
-    tree = cKDTree(vertices)
-    inserts: dict[tuple[int, int], list[int]] = {}
-    for a, b in unpaired:
-        pa, pb = vertices[a], vertices[b]
-        mid = 0.5 * (pa + pb)
-        length = float(np.hypot(*(pb - pa)))
-        cand = tree.query_ball_point(mid, 0.5 * length + tol)
-        t_dir = (pb - pa) / length
-        found = []
-        for j in cand:
-            if j == a or j == b:
-                continue
-            rel = vertices[j] - pa
-            s = float(rel @ t_dir)
-            off = abs(rel[0] * t_dir[1] - rel[1] * t_dir[0])
-            if off <= tol and tol < s < length - tol:
-                found.append((s, j))
-        if found:
-            found.sort()
-            inserts[(a, b)] = [j for _, j in found]
-    if not inserts:
-        return cells
-    new_cells = []
-    for loop in cells:
-        n = len(loop)
-        out = []
-        for i in range(n):
-            a, b = int(loop[i]), int(loop[(i + 1) % n])
-            out.append(a)
-            key = (a, b) if a < b else (b, a)
-            extra = inserts.get(key)
-            if extra:
-                out.extend(extra if a < b else extra[::-1])
-        new_cells.append(np.array(out, dtype=np.int64))
-    return new_cells
+    lo = np.minimum(start, end)[unpaired]
+    hi = np.maximum(start, end)[unpaired]
+    pa, pb = vertices[lo], vertices[hi]
+    length = np.hypot(*(pb - pa).T)
+    tangent = (pb - pa) / length[:, None]
+    near = cKDTree(vertices).query_ball_point(0.5 * (pa + pb), 0.5 * length + tol)
+    at, extra = [], []
+    for i, cand in enumerate(near):
+        cand = np.asarray(cand, dtype=np.int64)
+        cand = cand[(cand != lo[i]) & (cand != hi[i])]
+        rel = vertices[cand] - pa[i]
+        t = tangent[i]
+        s = rel[:, 0] * t[0] + rel[:, 1] * t[1]
+        off = np.abs(rel[:, 0] * t[1] - rel[:, 1] * t[0])
+        hit = (off <= tol) & (tol < s) & (s < length[i] - tol)
+        # ordered from the lower vertex id, then turned to the edge's direction
+        found = cand[hit][np.lexsort((cand[hit], s[hit]))]
+        e = unpaired[i]
+        at += [e + 1] * len(found)
+        extra += (found if start[e] == lo[i] else found[::-1]).tolist()
+    if not extra:
+        return cell, start
+    at = np.array(at, dtype=np.int64)
+    return np.insert(cell, at, cell[at - 1]), np.insert(start, at, extra)
 
 
 def _point_in_polygon(p, poly, tol):
@@ -755,11 +743,8 @@ def merge_nonconforming(fluid: PolyMesh, solid: PolyMesh) -> PolyMesh:
 
 
 def _boundary_segments(mesh):
-    segs = []
-    for fi in range(mesh.n_faces):
-        if mesh.face_neighbor[fi] == -1:
-            segs.append((mesh.vertices[mesh.faces[fi, 0]], mesh.vertices[mesh.faces[fi, 1]]))
-    return segs
+    """End points (n, 2, 2) of the boundary faces."""
+    return mesh.vertices[mesh.faces[mesh.face_neighbor < 0]]
 
 def _check_trace_consistency(fluid, solid):
     """The parts of both boundaries that face each other must span equal length."""

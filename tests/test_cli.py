@@ -281,6 +281,19 @@ def test_simulate_msh_override(tmp_path):
     assert summary["n_cells"] == 2
 
 
+def test_non_finite_msh_node_exit_code(tmp_path, capsys):
+    from test_mesh import MSH_TWO_TRIANGLES
+
+    msh_path = tmp_path / "nan.msh"
+    msh_path.write_text(MSH_TWO_TRIANGLES.replace("\n3 1 1 0\n", "\n3 nan 1 0\n"))
+    cfg = {"mesh": {}, "degree": 1, "scheme": "SDIRK23", "dt": 0.05,
+           "final_time": 0.1, "scenario": {"type": "zero"}}
+    code = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg), "--mesh",
+                     str(msh_path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert "non-finite vertex coordinates" in capsys.readouterr().err
+
+
 def test_simulate_nonconforming_mesh(tmp_path):
     cfg = json.loads(json.dumps(RICKER_CFG))
     cfg["mesh"] = {"nonconforming": {

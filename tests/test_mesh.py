@@ -401,6 +401,14 @@ def test_cell_collapsing_in_deduplication_rejected():
         PolyMesh(verts, [[0, 1, 2, 4], [1, 3, 2]], [FLUID] * 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_rejected(bad):
+    verts = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+    verts[2, 0] = bad
+    with pytest.raises(MeshError, match="non-finite"):
+        PolyMesh(verts, [np.arange(4)], [FLUID])
+
+
 def test_close_vertices_merge_into_lower_index():
     # vertex 1 and vertex 6 are 1e-13 apart (tolerance 1e-12 * sqrt(5)); the
     # merged vertex keeps the position and place of vertex 1
