@@ -105,7 +105,7 @@ def validate_config(cfg: dict):
         raise CliConfigError("implicit schemes use the mixed-order path")
     if "dt" not in cfg and "cfl" not in cfg:
         raise CliConfigError("either 'dt' or a target 'cfl' is required")
-    if cfg.get("final_time", 0) <= 0:
+    if _float(cfg.get("final_time"), "final_time") <= 0:
         raise CliConfigError("final_time must be positive")
     stype = cfg.get("scenario", {}).get("type")
     if stype not in ("zero", "manufactured", "ricker"):
@@ -113,8 +113,29 @@ def validate_config(cfg: dict):
     for sensor in cfg.get("sensors", []):
         if sensor.get("kind") not in ("fluid", "solid", "interface"):
             raise CliConfigError(f"unknown sensor kind in {sensor}")
-        if len(sensor.get("position", ())) != 2:
-            raise CliConfigError(f"sensor position must be [x, y] in {sensor}")
+        _floats(sensor.get("position"), 2, f"sensor position [x, y] in {sensor}")
+
+
+def _float(val, what):
+    """A config value as a float; CliConfigError naming `what` if it is not a number."""
+    try:
+        return float(val)
+    except (TypeError, ValueError):
+        raise CliConfigError(f"{what} must be a number, got {val!r}") from None
+
+
+def _int(val, what):
+    try:
+        return int(val)
+    except (TypeError, ValueError):
+        raise CliConfigError(f"{what} must be an integer, got {val!r}") from None
+
+
+def _floats(val, n, what):
+    """A config list of `n` numbers as a tuple of floats."""
+    if not isinstance(val, (list, tuple)) or len(val) != n:
+        raise CliConfigError(f"{what} must be a list of {n} numbers, got {val!r}")
+    return tuple(_float(v, what) for v in val)
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +154,11 @@ def build_mesh(mesh_cfg: dict) -> msh.PolyMesh:
     try:
         spec = msh.MeshGenSpec(
             family=mesh_cfg.get("family", "cartesian"),
-            level=int(mesh_cfg.get("level", 0)),
+            level=_int(mesh_cfg.get("level", 0), "mesh level"),
             fluid_rect=_rect(mesh_cfg.get("fluid_rect")),
             solid_rect=_rect(mesh_cfg.get("solid_rect")),
-            n_fluid=_pair(mesh_cfg.get("n_fluid")),
-            n_solid=_pair(mesh_cfg.get("n_solid")),
+            n_fluid=_pair(mesh_cfg.get("n_fluid"), "n_fluid"),
+            n_solid=_pair(mesh_cfg.get("n_solid"), "n_solid"),
         )
         return msh.generate(spec)
     except msh.MeshError as exc:
@@ -145,17 +166,15 @@ def build_mesh(mesh_cfg: dict) -> msh.PolyMesh:
 
 
 def _rect(val):
-    if val is None:
-        return None
-    if len(val) != 4:
-        raise CliConfigError(f"rectangle must be [x0, y0, x1, y1], got {val}")
-    return tuple(float(v) for v in val)
+    return None if val is None else _floats(val, 4, "rectangle [x0, y0, x1, y1]")
 
 
-def _pair(val):
+def _pair(val, what):
     if val is None:
         return None
-    return int(val[0]), int(val[1])
+    if not isinstance(val, (list, tuple)) or len(val) != 2:
+        raise CliConfigError(f"{what} must be a list of 2 integers, got {val!r}")
+    return _int(val[0], what), _int(val[1], what)
 
 
 def build_materials(cfg) -> MaterialMap:
@@ -213,7 +232,7 @@ def build_scenario(cfg, system, materials):
         cfg_r = scenarios.RickerConfig(
             amplitude=float(sc.get("amplitude", 1.0)),
             central_frequency=float(sc.get("central_frequency", 10.0)),
-            center=tuple(sc.get("center", (0.0, 0.0))),
+            center=_floats(sc.get("center", (0.0, 0.0)), 2, "Ricker center"),
             sound_speed=fluid.c_p)
         return scenarios.ricker_initial_state(system, cfg_r), None, cfg_r
     raise CliConfigError(f"unknown scenario type {stype!r}")
@@ -221,11 +240,11 @@ def build_scenario(cfg, system, materials):
 
 def resolve_dt(cfg, mesh, materials) -> float:
     if "dt" in cfg:
-        dt = float(cfg["dt"])
+        dt = _float(cfg["dt"], "dt")
     else:
         c_sharp = materials.c_sharp(mesh)
         h = float(np.mean(mesh.cell_diameter))
-        dt = float(cfg["cfl"]) * h / c_sharp
+        dt = _float(cfg["cfl"], "cfl") * h / c_sharp
     if dt <= 0:
         raise CliConfigError("time step must be positive")
     return dt
@@ -253,8 +272,9 @@ def build_stepper(cfg, system, dt):
     tab = timestep.tableau(scheme)
     solver_cfg = cfg.get("solver", {})
     solver = timestep.SolverConfig(kind=solver_cfg.get("kind", "direct-lu"),
-                                   tol=float(solver_cfg.get("tol", 1e-8)),
-                                   maxiter=int(solver_cfg.get("maxiter", 2000)))
+                                   tol=_float(solver_cfg.get("tol", 1e-8), "solver tol"),
+                                   maxiter=_int(solver_cfg.get("maxiter", 2000),
+                                                "solver maxiter"))
     if tab.explicit:
         return timestep.ExplicitStepper(system, tab), tab
     return timestep.ImplicitStepper(system, tab, dt, solver), tab
@@ -345,6 +365,12 @@ def write_vtu(path, system, u_t, mean_rows):
 # subcommands
 
 def cmd_simulate(cfg, out_dir) -> int:
+    out_cfg = cfg.get("output", {})
+    trace_every = _int(out_cfg.get("trace_every", 1), "output.trace_every")
+    snap_every = _int(out_cfg.get("snapshot_every", 0), "output.snapshot_every")
+    if trace_every < 1 or snap_every < 0:
+        raise CliConfigError("output.trace_every must be positive and "
+                             "output.snapshot_every non-negative")
     os.makedirs(out_dir, exist_ok=True)
     mesh = build_mesh(cfg["mesh"])
     materials = build_materials(cfg)
@@ -356,7 +382,7 @@ def cmd_simulate(cfg, out_dir) -> int:
     system = hho.assemble(mesh, materials, stab, k=cfg["degree"])
     u0, forcing, _ = build_scenario(cfg, system, materials)
     stepper, tab = build_stepper(cfg, system, dt)
-    schur = None if tab.explicit else stepper.fact.schur_solver
+    schur = None if tab.explicit or not system.n_face_dofs else stepper.fact.schur_solver
     if schur is not None:
         log.info("Schur %s: %d face dofs, %d nnz, %d nnz in the factors (fill %.1fx), "
                  "factored in %.2f s", schur.config.kind, schur.n, schur.matrix_nnz,
@@ -365,37 +391,27 @@ def cmd_simulate(cfg, out_dir) -> int:
     sensors = [scenarios.BoundSensor(
         scenarios.SensorSpec(tuple(s["position"]), s["kind"], s.get("name", f"S{i}")),
         system) for i, s in enumerate(cfg.get("sensors", []))]
-    out_cfg = cfg.get("output", {})
-    trace_every = int(out_cfg.get("trace_every", 1))
-    snap_every = int(out_cfg.get("snapshot_every", 0))
     mean_rows = cell_average_rows(system) if snap_every else None
+    has_interface = any(s.spec.kind == "interface" for s in sensors)
+    times, records, energies = [], [], []
 
-    times = [0.0]
-    records = [[s.record(u0, stepper.face_values(u0) if s.spec.kind == "interface"
-                         else None, system.layout) for s in sensors]]
-    energies = [scenarios.energy(u0, system)]
-    if snap_every:
-        write_vtu(os.path.join(out_dir, "snapshot_0000.vtu"), system, u0, mean_rows)
+    def observe(n, t, u):
+        if n % trace_every == 0:
+            u_f = stepper.face_values(u) if has_interface else None
+            times.append(t)
+            records.append([s.record(u, u_f, system.layout) for s in sensors])
+            with np.errstate(over="raise"):
+                try:
+                    energies.append(scenarios.energy(u, system))
+                except FloatingPointError:
+                    raise timestep.InstabilityError(n) from None
+        if snap_every and n % snap_every == 0:
+            write_vtu(os.path.join(out_dir, f"snapshot_{n:04d}.vtu"), system, u, mean_rows)
 
-    u = u0
     status = "completed"
     failed_step = None
     try:
-        for n in range(1, n_steps + 1):
-            u = stepper.step(u, (n - 1) * dt, dt, forcing, step_index=n)
-            if n % trace_every == 0:
-                u_f = (stepper.face_values(u)
-                       if any(s.spec.kind == "interface" for s in sensors) else None)
-                times.append(n * dt)
-                records.append([s.record(u, u_f, system.layout) for s in sensors])
-                with np.errstate(over="raise"):
-                    try:
-                        energies.append(scenarios.energy(u, system))
-                    except FloatingPointError:
-                        raise timestep.InstabilityError(n) from None
-            if snap_every and n % snap_every == 0:
-                write_vtu(os.path.join(out_dir, f"snapshot_{n:04d}.vtu"),
-                          system, u, mean_rows)
+        timestep.run_time_loop(stepper, u0, dt, n_steps, forcing, observer=observe)
     except timestep.InstabilityError as exc:
         status = "instability"
         failed_step = exc.step_index
@@ -419,8 +435,8 @@ def cmd_simulate(cfg, out_dir) -> int:
         "wall_time_seconds": wall,
         "status": status,
         "failed_step": failed_step,
-        "energy_initial": energies[0],
-        "energy_final": energies[-1],
+        "energy_initial": energies[0] if energies else None,
+        "energy_final": energies[-1] if energies else None,
         "dofs": dof_summary(system, tab.explicit),
     }
     if schur is not None:

@@ -197,8 +197,7 @@ class Forcing:
         return out
 
 
-def manufactured_forcing(system: hho.BlockSystem, case: ManufacturedCase,
-                         include_boundary: bool = True) -> Forcing:
+def manufactured_forcing(system: hho.BlockSystem, case: ManufacturedCase) -> Forcing:
     """Precompute the separable forcing terms of the manufactured case."""
     layout = system.layout
     mesh = system.mesh
@@ -209,7 +208,7 @@ def manufactured_forcing(system: hho.BlockSystem, case: ManufacturedCase,
         (factors["solid_source"],
          hho.load_moments(mesh, layout, solid_fn=case.solid_source_profile)),
     ]
-    if include_boundary and layout.n_dirichlet_dofs:
+    if layout.n_dirichlet_dofs:
         b_fluid = system.project_dirichlet(fluid_trace=case.pressure_profile)
         b_solid = system.project_dirichlet(solid_trace=case.solid_velocity_profile)
         terms.append((factors["fluid_boundary"], system.dirichlet_lift(b_fluid)))
@@ -451,15 +450,18 @@ def coupling_errors(record: np.ndarray, normal) -> tuple[np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 # CFL bracketing
 
+# loop guards of the bracket search: step-count decrements, and doublings of
+# an initial step count that is already unstable
+_MAX_OUTER = 2000
+_MAX_DOUBLINGS = 14
+
+
 @dataclass(frozen=True)
 class CflBracketConfig:
-    """Energy-increase threshold, step-count decrement and loop guards."""
+    """Energy-increase threshold and step-count decrement fraction."""
 
     eps: float = 0.05
     delta: float = 0.01
-    initial_steps: int | None = None
-    max_outer: int = 2000
-    max_doublings: int = 14
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
@@ -490,24 +492,25 @@ class CflEstimate:
 
 
 def _energy_stable_run(system, stepper, u0, dt, n_steps, eps):
-    """Run n_steps monitoring energy; returns (stable, first bad step)."""
-    e0 = energy(u0, system)
-    if not (np.isfinite(e0) and e0 > 0):
-        raise ScenarioError("initial energy must be positive for the bracketing run")
-    e_prev = e0
-    u = u0
-    for n in range(1, n_steps + 1):
-        try:
-            u = stepper.step(u, (n - 1) * dt, dt, None, step_index=n)
-        except timestep.InstabilityError:
-            return False, n
+    """Run n_steps monitoring energy; True if the run stays stable."""
+    e0 = e_prev = None
+
+    def observe(n, t, u):
+        nonlocal e0, e_prev
         e_n = energy(u, system)
-        if not np.isfinite(e_n):
-            return False, n
-        if (e_n - e0) > eps * e0 or (e_n - e_prev) > eps * e_prev:
-            return False, n
+        if n == 0:
+            if not (np.isfinite(e_n) and e_n > 0):
+                raise ScenarioError("initial energy must be positive for the bracketing run")
+            e0 = e_n
+        elif not np.isfinite(e_n) or (e_n - e0) > eps * e0 or (e_n - e_prev) > eps * e_prev:
+            raise timestep.InstabilityError(n)
         e_prev = e_n
-    return True, n_steps
+
+    try:
+        timestep.run_time_loop(stepper, u0, dt, n_steps, observer=observe)
+    except timestep.InstabilityError:
+        return False
+    return True
 
 
 def cfl_bracket(system: hho.BlockSystem, tab: timestep.ButcherTableau, h: float,
@@ -530,29 +533,26 @@ def cfl_bracket(system: hho.BlockSystem, tab: timestep.ButcherTableau, h: float,
     c_sharp = system.materials.c_sharp(system.mesh)
     stepper = timestep.ExplicitStepper(system, tab)
 
-    if config.initial_steps is not None:
-        n = int(config.initial_steps)
-    else:
-        cfl_guess = 0.5 / (system.layout.k + 1)
-        n = max(2, math.ceil(final_time * c_sharp / (cfl_guess * h)))
+    cfl_guess = 0.5 / (system.layout.k + 1)
+    n = max(2, math.ceil(final_time * c_sharp / (cfl_guess * h)))
 
-    stable, _ = _energy_stable_run(system, stepper, u0, final_time / n, n, config.eps)
+    stable = _energy_stable_run(system, stepper, u0, final_time / n, n, config.eps)
     doublings = 0
     while not stable:
         doublings += 1
-        if doublings > config.max_doublings:
+        if doublings > _MAX_DOUBLINGS:
             raise ScenarioError("initial run already unstable; increase the step count")
         n *= 2
-        stable, _ = _energy_stable_run(system, stepper, u0, final_time / n, n, config.eps)
+        stable = _energy_stable_run(system, stepper, u0, final_time / n, n, config.eps)
 
     n_stable = n
     n_unstable = None
-    for _ in range(config.max_outer):
+    for _ in range(_MAX_OUTER):
         n_next = n - max(1, int(config.delta * n))
         if n_next < 1:
             raise ScenarioError("step count exhausted without finding instability")
-        stable, _ = _energy_stable_run(system, stepper, u0, final_time / n_next,
-                                       n_next, config.eps)
+        stable = _energy_stable_run(system, stepper, u0, final_time / n_next, n_next,
+                                    config.eps)
         n = n_next
         if stable:
             n_stable = n_next

@@ -1,22 +1,24 @@
 """Runge-Kutta time integration of the semi-discrete block system.
 
+Both steppers work in stage slopes k_i (du/dt at stage i): every stage state
+and the update is u_t + dt sum_j w_j k_j over one tableau row.
+
 Explicit schemes eliminate the face unknowns once, at set-up: the face-face
 stiffness is block-diagonal per face and the mass is block-diagonal per cell,
 so L = M^-1 (K_TT - K_TF K_FF^-1 K_FT) is a fixed sparse cell operator and
 each stage is one sparse product with it. Implicit (singly diagonal) schemes
 condense the cell unknowns instead: the block-diagonal M + a* dt K_TT is
-inverted once, a face-coupled Schur complement is assembled and factored
-once, and both are reused across stages and steps while (a*, dt) is
-unchanged. Every block-diagonal inverse (M^-1, K_FF^-1, (M + a* dt K_TT)^-1)
-comes from `hho.BlockDiagonal.inverse`, one batched inversion per block
-size.
+the only matrix they invert, once, together with its product with K_TF; a
+face-coupled Schur complement is assembled and factored once, and all of
+them are reused across stages and steps while (a*, dt) is unchanged. Every
+block-diagonal inverse (M^-1 and K_FF^-1 on the explicit path,
+(M + a* dt K_TT)^-1 on the implicit one) comes from
+`hho.BlockDiagonal.inverse`, one batched inversion per block size.
 
 The Schur complement is structurally symmetric, so its direct LU orders the
 columns by minimum degree on the pattern of A^T + A (SuperLU's
 MMD_AT_PLUS_A), which leaves less fill than SuperLU's default COLAMD
-ordering (about half from 10^4 face unknowns on). Each implicit stage
-recovers its residual from the stage equation it has just solved instead of
-applying the stiffness blocks again (see `ImplicitStepper`).
+ordering (about half from 10^4 face unknowns on).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -224,19 +227,32 @@ def _forcing_at(forcing, t):
     return None if forcing is None else forcing(t)
 
 
-class _Stepper:
-    """What both steppers share: face unknowns for the interface sensors."""
+def _advance(u_t, dt, weights, slopes):
+    """u_t + dt sum_j w_j k_j over the nonzero weights (u_t itself if none)."""
+    acc = None
+    for w, k in zip(weights, slopes):
+        if w != 0.0:
+            acc = w * k if acc is None else acc + w * k
+    return u_t if acc is None else u_t + dt * acc
 
-    _kff_inv = None
+
+class _Stepper:
+    """What both steppers share: the face unknowns for the interface sensors.
+
+    Both steppers evaluate stage slopes k_i (du/dt at stage i) and form every
+    stage state and the update from a tableau row with `_advance`.
+    """
+
+    @cached_property
+    def face_op(self) -> sp.csr_matrix:
+        """P = -K_FF^-1 K_FT, mapping cell unknowns to the face unknowns they induce."""
+        sysm = self.system
+        # raises if a face block is singular
+        return -(sysm.kff_blocks.inverse("face stiffness").tocsr() @ sysm.k_ft)
 
     def face_values(self, u_t: np.ndarray) -> np.ndarray:
         """Face unknowns -K_FF^-1 K_FT u_t induced by the cell unknowns."""
-        sysm = self.system
-        if sysm.n_face_dofs == 0:
-            return np.zeros(0)
-        if self._kff_inv is None:
-            self._kff_inv = sysm.kff_blocks.inverse("face stiffness").tocsr()
-        return -(self._kff_inv @ (sysm.k_ft @ u_t))
+        return self.face_op @ u_t
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +262,9 @@ class ExplicitStepper(_Stepper):
     """Face-eliminated explicit Runge-Kutta integrator.
 
     The face unknowns are eliminated once, at construction, into the cell
-    operator L = M^-1 (K_TT - K_TF K_FF^-1 K_FT); each stage then evaluates
-    k_i = L u_i - M^-1 f_i with one sparse product, and u_i = u_t - dt sum_j a_ij k_j.
+    operator L = M^-1 (K_TT + K_TF P) with P = -K_FF^-1 K_FT; each stage then
+    evaluates L u_i - M^-1 f_i, which is minus its slope, with one sparse
+    product, so stage states and the update advance by -dt.
     """
 
     def __init__(self, system, tab: ButcherTableau):
@@ -256,43 +273,33 @@ class ExplicitStepper(_Stepper):
         self.system = system
         self.tableau = tab
         self.minv = system.mass_blocks.inverse("cell mass").tocsr()
-        # raises if a face block is singular
-        self._kff_inv = system.kff_blocks.inverse("face stiffness").tocsr()
-        k_cond = system.k_tt - system.k_tf @ (self._kff_inv @ system.k_ft)
-        self.op = (self.minv @ k_cond).tocsr()
+        self.op = (self.minv @ (system.k_tt + system.k_tf @ self.face_op)).tocsr()
 
     def step(self, u_t: np.ndarray, t: float, dt: float, forcing=None,
              step_index: int = 0) -> np.ndarray:
         tab = self.tableau
-        stage_k = []
-        u_i = u_t
-        for i in range(tab.s + 1):
-            if i > 0:
-                acc = None
-                for j in range(i):
-                    aij = tab.a[i, j]
-                    if aij == 0.0:
-                        continue
-                    acc = aij * stage_k[j] if acc is None else acc + aij * stage_k[j]
-                u_i = u_t if acc is None else u_t - dt * acc
-            if i == tab.s:
-                break
+        neg_slopes = []
+        for i in range(tab.s):
+            u_i = _advance(u_t, -dt, tab.a[i, :i], neg_slopes)
             k = self.op @ u_i
             f = _forcing_at(forcing, t + tab.c[i] * dt)
             if f is not None:
                 k -= self.minv @ f
-            stage_k.append(k)
-        _check_finite(u_i, step_index)
-        return u_i
+            neg_slopes.append(k)
+        u_new = _advance(u_t, -dt, tab.b, neg_slopes)
+        _check_finite(u_new, step_index)
+        return u_new
 
 
 # ---------------------------------------------------------------------------
 # implicit stepper (cell condensation)
 
 class CondensedFactorization:
-    """Block inverse of M + a* dt K_TT plus the factored face Schur complement.
+    """Block inverse A^-1 of A = M + a* dt K_TT, G = A^-1 K_TF and the factored
+    face Schur complement a* dt (K_FF - a* dt K_FT G).
 
-    Valid for one (a*, dt) pair; reused across stages and steps.
+    Valid for one (a*, dt) pair; reused across stages and steps. The Schur
+    matrix is held once, in the CSC form its factorization reads.
     """
 
     def __init__(self, system, a_star: float, dt: float, solver: SolverConfig):
@@ -305,13 +312,9 @@ class CondensedFactorization:
         ad = self.a_star * self.dt
         blocks = system.mass_blocks + ad * system.ktt_blocks
         self.a_inv = blocks.inverse("condensed cell").tocsr()
-        if system.n_face_dofs:
-            schur = ad * (system.k_ff - ad * (system.k_ft @ (self.a_inv @ system.k_tf)))
-            self.schur = schur.tocsr()
-            self.schur_solver = FactorizedOperator(self.schur, solver)
-        else:
-            self.schur = sp.csr_matrix((0, 0))
-            self.schur_solver = None
+        self.g = (self.a_inv @ system.k_tf).tocsr()
+        self.schur = (ad * (system.k_ff - ad * (system.k_ft @ self.g))).tocsc()
+        self.schur_solver = FactorizedOperator(self.schur, solver)
 
     def matches(self, a_star: float, dt: float) -> bool:
         return (abs(self.a_star - a_star) <= 1e-15 * max(1.0, abs(a_star))
@@ -321,25 +324,18 @@ class CondensedFactorization:
         """Solve one implicit stage: returns (cell unknowns, face unknowns)."""
         ad = self.a_star * self.dt
         z = self.a_inv @ b_t
-        if self.system.n_face_dofs:
-            rhs_f = b_f - ad * (self.system.k_ft @ z)
-            u_f = self.schur_solver.solve(rhs_f)
-            u_t = self.a_inv @ (b_t - ad * (self.system.k_tf @ u_f))
-        else:
-            u_f = np.zeros(0)
-            u_t = z
-        return u_t, u_f
+        u_f = self.schur_solver.solve(b_f - ad * (self.system.k_ft @ z))
+        return z - ad * (self.g @ u_f), u_f
 
 
 class ImplicitStepper(_Stepper):
     """Cell-condensed singly diagonal implicit Runge-Kutta integrator.
 
-    Stage i solves (M + a* dt K_TT) u_i + a* dt K_TF u_f = b_t with
-    b_t = c_i + a* dt F_i, c_i = M u_t + dt sum_{j<i} a_ij r_j, together with
-    K_FT u_i + K_FF u_f = 0 (a zero face right-hand side). Its residual
-    r_i = F_i - K_TT u_i - K_TF u_f therefore equals (M u_i - c_i) / (a* dt),
-    and its face residual K_FT u_i + K_FF u_f is zero, so neither needs the
-    stiffness blocks. The step is u_t + dt M^-1 sum_j b_j r_j.
+    Stage i starts from u~_i = u_t + dt sum_{j<i} a_ij k_j and solves
+    (M + a* dt K_TT) u_i + a* dt K_TF u_f = M u~_i + a* dt f_i together with
+    K_FT u_i + K_FF u_f = 0; its slope is k_i = (u_i - u~_i) / (a* dt), and
+    the step is u_t + dt sum_j b_j k_j. The only block-diagonal matrix
+    inverted is M + a* dt K_TT.
     """
 
     def __init__(self, system, tab: ButcherTableau, dt: float,
@@ -356,35 +352,24 @@ class ImplicitStepper(_Stepper):
         if not factorization.matches(tab.a_star, dt):
             raise TimestepError("stale condensed factorization: (a*, dt) mismatch")
         self.fact = factorization
-        self.minv = system.mass_blocks.inverse("cell mass").tocsr()
 
     def step(self, u_t: np.ndarray, t: float, dt: float, forcing=None,
              step_index: int = 0) -> np.ndarray:
         if abs(dt - self.dt) > 1e-15 * max(1.0, self.dt):
             raise TimestepError("stale condensed factorization: dt changed; rebuild")
-        mass = self.system.mass
         tab = self.tableau
         ad = tab.a_star * dt
-        m_u = mass @ u_t
         zero_f = np.zeros(self.system.n_face_dofs)
-        stage_r = []     # cell residuals F - K_TT u - K_TF u_f, per stage
+        slopes = []
         for i in range(tab.s):
-            c_i = m_u
-            for j in range(i):
-                aij = tab.a[i, j]
-                if aij != 0.0:
-                    c_i = c_i + dt * aij * stage_r[j]
+            u_start = _advance(u_t, dt, tab.a[i, :i], slopes)
+            b_t = self.system.mass @ u_start
             f_i = _forcing_at(forcing, t + tab.c[i] * dt)
-            b_t = c_i if f_i is None else c_i + ad * f_i
+            if f_i is not None:
+                b_t += ad * f_i
             u_i, _ = self.fact.stage_solve(b_t, zero_f)
-            stage_r.append((mass @ u_i - c_i) / ad)
-        acc = None
-        for j in range(tab.s):
-            bj = tab.b[j]
-            if bj == 0.0:
-                continue
-            acc = bj * stage_r[j] if acc is None else acc + bj * stage_r[j]
-        u_new = u_t if acc is None else u_t + dt * (self.minv @ acc)
+            slopes.append((u_i - u_start) / ad)
+        u_new = _advance(u_t, dt, tab.b, slopes)
         _check_finite(u_new, step_index)
         return u_new
 
@@ -392,15 +377,17 @@ class ImplicitStepper(_Stepper):
 # ---------------------------------------------------------------------------
 # time loop
 
-def run_time_loop(stepper, u0, dt, n_steps, t0=0.0, forcing=None, observer=None):
-    """Advance `n_steps` with constant dt; calls observer(step, t, u) after each."""
+def run_time_loop(stepper, u0, dt, n_steps, forcing=None, observer=None):
+    """Advance `n_steps` of constant dt from t = 0; returns the final state.
+
+    `observer(n, t, u)` sees the initial state (n = 0) and the state after
+    every step; it stops the run by raising `InstabilityError(n)`.
+    """
     u = np.asarray(u0, dtype=float)
-    t = t0
     if observer is not None:
-        observer(0, t, u)
+        observer(0, 0.0, u)
     for n in range(1, n_steps + 1):
-        u = stepper.step(u, t, dt, forcing, step_index=n)
-        t = t0 + n * dt
+        u = stepper.step(u, (n - 1) * dt, dt, forcing, step_index=n)
         if observer is not None:
-            observer(n, t, u)
+            observer(n, n * dt, u)
     return u

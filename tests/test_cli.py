@@ -218,6 +218,20 @@ def test_simulate_instability_exit_code(tmp_path):
     assert "solver" not in json.loads((tmp_path / "out" / "summary.json").read_text())
 
 
+def test_simulate_initial_energy_overflow_exit_code(tmp_path):
+    # the energy of the initial state is checked for overflow like every other step
+    cfg = json.loads(json.dumps(RICKER_CFG))
+    cfg["mesh"]["level"] = 1
+    cfg["scenario"]["amplitude"] = 1e300
+    cfg["final_time"] = 0.02
+    cfg["output"] = {}
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert code == cli.EXIT_INSTABILITY
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed_step"] == 0 and summary["energy_initial"] is None
+
+
 def test_config_error_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -253,6 +267,31 @@ def test_non_star_shaped_fixture_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(msh.PolyMesh, "validate", lambda self: None)
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert "polygon not star-shaped" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("dt", "fast", "dt must be a number"),
+    ("final_time", "soon", "final_time must be a number"),
+    ("output.trace_every", 0, "trace_every must be positive"),
+    ("solver.tol", "x", "solver tol must be a number"),
+    ("mesh.level", "two", "mesh level must be an integer"),
+    ("sensors.0.position", ["a", 0.1], "sensor position"),
+    ("mesh.n_fluid", [4], "n_fluid must be a list of 2 integers"),
+    ("scenario.center", [0.0], "Ricker center must be a list of 2 numbers"),
+])
+def test_malformed_value_exit_code(tmp_path, capsys, key, value, message):
+    cfg = json.loads(json.dumps(RICKER_CFG))
+    cfg["mesh"]["level"] = 1
+    cfg["solver"] = {}
+    *parents, last = key.split(".")
+    entry = cfg
+    for part in parents:
+        entry = entry[int(part)] if isinstance(entry, list) else entry[part]
+    entry[last] = value
+    code = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_malformed_levels_exit_code(tmp_path):

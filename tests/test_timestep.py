@@ -282,13 +282,16 @@ def test_erk_cfl_brackets_golden():
 
 
 def test_erk_face_values_satisfy_face_equations():
-    system = make_system(k=2, level=1)
-    stepper = ExplicitStepper(system, tableau("ERK2"))
-    rng = np.random.default_rng(3)
-    u = rng.standard_normal(system.n_cell_dofs)
-    u_f = stepper.face_values(u)
-    res = system.k_ft @ u + system.k_ff @ u_f
-    assert np.linalg.norm(res) < 1e-11 * max(1.0, np.linalg.norm(system.k_ft @ u))
+    # both steppers: the explicit path and the implicit one (interface sensors)
+    for mode, make in (("explicit", lambda sysm: ExplicitStepper(sysm, tableau("ERK2"))),
+                       ("implicit", lambda sysm: ImplicitStepper(sysm, tableau("SDIRK34"), 0.01))):
+        system = make_system(k=2, level=1, mode=mode)
+        stepper = make(system)
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal(system.n_cell_dofs)
+        u_f = stepper.face_values(u)
+        res = system.k_ft @ u + system.k_ff @ u_f
+        assert np.linalg.norm(res) < 1e-11 * max(1.0, np.linalg.norm(system.k_ft @ u)), mode
 
 
 def test_erk_instability_detection():
@@ -469,3 +472,4 @@ def test_single_cell_mesh_reduces_to_cell_solve():
     u1 = stepper.step(u0, 0.0, 0.01)
     ref = dense_sdirk_step(system, tab, u0, 0.0, 0.01)
     assert np.linalg.norm(u1 - ref) < 1e-11 * np.linalg.norm(ref)
+    assert stepper.face_values(u1).shape == (0,)
