@@ -183,15 +183,16 @@ def build_materials(cfg) -> MaterialMap:
         return scenarios.builtin_materials(spec)
     table = {}
     for region, entry in spec.items():
+        def value(key):
+            return _float(entry.get(key), f"material {region!r} {key}")
+
         if "kappa" in entry:
-            table[region] = FluidMaterial(rho=float(entry["rho"]),
-                                          kappa=float(entry["kappa"]))
+            table[region] = FluidMaterial(rho=value("rho"), kappa=value("kappa"))
         elif "c_s" in entry:
-            table[region] = SolidMaterial.from_speeds(
-                float(entry["rho"]), float(entry["c_p"]), float(entry["c_s"]))
+            table[region] = SolidMaterial.from_speeds(value("rho"), value("c_p"),
+                                                      value("c_s"))
         elif "c_p" in entry:
-            table[region] = FluidMaterial.from_speeds(
-                float(entry["rho"]), float(entry["c_p"]))
+            table[region] = FluidMaterial.from_speeds(value("rho"), value("c_p"))
         else:
             raise CliConfigError(f"material entry for {region!r} needs kappa or c_p/c_s")
     return MaterialMap(by_region=table)
@@ -199,13 +200,11 @@ def build_materials(cfg) -> MaterialMap:
 
 def build_stabilization(cfg) -> hho.StabilizationConfig:
     stab = cfg.get("stabilization", {})
-    if cfg["order_mode"] == "equal":
-        return hho.StabilizationConfig.explicit(
-            eta_fluid=float(stab.get("eta_fluid", 0.8)),
-            eta_solid=float(stab.get("eta_solid", 1.5)))
-    return hho.StabilizationConfig.implicit(
-        eta_fluid=float(stab.get("eta_fluid", 1.0)),
-        eta_solid=float(stab.get("eta_solid", 1.0)))
+    equal = cfg["order_mode"] == "equal"
+    make = hho.StabilizationConfig.explicit if equal else hho.StabilizationConfig.implicit
+    return make(
+        eta_fluid=_float(stab.get("eta_fluid", 0.8 if equal else 1.0), "eta_fluid"),
+        eta_solid=_float(stab.get("eta_solid", 1.5 if equal else 1.0), "eta_solid"))
 
 
 def build_scenario(cfg, system, materials):
@@ -215,8 +214,8 @@ def build_scenario(cfg, system, materials):
     if stype == "zero":
         return np.zeros(system.n_cell_dofs), None, None
     if stype == "manufactured":
-        case = scenarios.ManufacturedCase(float(sc.get("omega", 5.0)),
-                                          float(sc.get("theta", math.sqrt(2.0))),
+        case = scenarios.ManufacturedCase(_float(sc.get("omega", 5.0), "omega"),
+                                          _float(sc.get("theta", math.sqrt(2.0)), "theta"),
                                           materials)
         u0 = scenarios.manufactured_initial_state(system, case)
         forcing = scenarios.manufactured_forcing(system, case)
@@ -230,8 +229,9 @@ def build_scenario(cfg, system, materials):
         if fluid is None:
             raise CliConfigError("ricker scenario needs a fluid material")
         cfg_r = scenarios.RickerConfig(
-            amplitude=float(sc.get("amplitude", 1.0)),
-            central_frequency=float(sc.get("central_frequency", 10.0)),
+            amplitude=_float(sc.get("amplitude", 1.0), "Ricker amplitude"),
+            central_frequency=_float(sc.get("central_frequency", 10.0),
+                                     "Ricker central_frequency"),
             center=_floats(sc.get("center", (0.0, 0.0)), 2, "Ricker center"),
             sound_speed=fluid.c_p)
         return scenarios.ricker_initial_state(system, cfg_r), None, cfg_r
@@ -375,7 +375,8 @@ def cmd_simulate(cfg, out_dir) -> int:
     mesh = build_mesh(cfg["mesh"])
     materials = build_materials(cfg)
     stab = build_stabilization(cfg)
-    n_steps, dt = step_count(float(cfg["final_time"]), resolve_dt(cfg, mesh, materials))
+    n_steps, dt = step_count(_float(cfg["final_time"], "final_time"),
+                             resolve_dt(cfg, mesh, materials))
     log.info("simulate: %d cells, %d steps of dt=%g", mesh.n_cells, n_steps, dt)
 
     t_start = time.perf_counter()
@@ -476,7 +477,8 @@ def cmd_converge(cfg, out_dir, levels) -> int:
     prev_err = None
     for level in levels:
         mesh = build_mesh(dict(cfg["mesh"], level=level))
-        n_steps, dt = step_count(float(cfg["final_time"]), resolve_dt(cfg, mesh, materials))
+        n_steps, dt = step_count(_float(cfg["final_time"], "final_time"),
+                                 resolve_dt(cfg, mesh, materials))
         err, _ = _manufactured_run(cfg, mesh, materials, n_steps, dt)
         rate = math.log2(prev_err / err) if prev_err else float("nan")
         h = float(np.mean(mesh.cell_diameter))
@@ -494,12 +496,13 @@ def cmd_cfl(cfg, out_dir) -> int:
     families = sweep.get("families", ["cartesian"])
     degrees = sweep.get("degrees", [cfg.get("degree", 1)])
     schemes = [s.upper() for s in sweep.get("schemes", ["ERK2"])]
-    level = int(sweep.get("level", 4))
+    level = _int(sweep.get("level", 4), "cfl_sweep level")
+    bracket_cfg = scenarios.CflBracketConfig(
+        eps=_float(sweep.get("eps", 0.05), "cfl_sweep eps"),
+        delta=_float(sweep.get("delta", 0.01), "cfl_sweep delta"))
+    final_time = _float(cfg.get("final_time", 1.0), "final_time")
     materials = build_materials(cfg)
     stab = build_stabilization(dict(cfg, order_mode="equal"))
-    bracket_cfg = scenarios.CflBracketConfig(
-        eps=float(sweep.get("eps", 0.05)), delta=float(sweep.get("delta", 0.01)))
-    final_time = float(cfg.get("final_time", 1.0))
     results = {}
     rows = []
     for family in families:
@@ -512,18 +515,21 @@ def cmd_cfl(cfg, out_dir) -> int:
                 est = scenarios.cfl_bracket(system, tab, h, final_time=final_time,
                                             config=bracket_cfg)
                 results[(family, k, scheme)] = est
-                log.info("cfl %s k=%d %s: [%.4f, %.4f]", family, k, scheme,
-                         est.cfl_stable, est.cfl_unstable)
+                log.info("cfl %s k=%d %s: [%.4f, %.4f], spectral seed %.4f, %d energy runs",
+                         family, k, scheme, est.cfl_stable, est.cfl_unstable,
+                         est.cfl_spectral, est.runs)
     for (family, k, scheme), est in results.items():
         base_s = results.get((family, k, schemes[0]))
         base_k = results.get((family, degrees[0], scheme))
         rows.append([family, k, scheme, level, est.h, est.cfl_stable,
                      est.cfl_unstable, est.n_stable, est.n_unstable,
                      est.cfl_stable / base_s.cfl_stable if base_s else float("nan"),
-                     est.cfl_stable / base_k.cfl_stable if base_k else float("nan")])
+                     est.cfl_stable / base_k.cfl_stable if base_k else float("nan"),
+                     est.cfl_spectral, est.runs])
     write_csv(os.path.join(out_dir, "cfl.csv"),
               ["family", "k", "scheme", "level", "h", "cfl_stable", "cfl_unstable",
-               "n_stable", "n_unstable", "ratio_s", "ratio_k"], rows)
+               "n_stable", "n_unstable", "ratio_s", "ratio_k", "cfl_spectral", "runs"],
+              rows)
     return EXIT_OK
 
 
@@ -532,13 +538,15 @@ def cmd_efficiency(cfg, out_dir) -> int:
     eff = cfg.get("efficiency", {})
     schemes = [s.upper() for s in eff.get("schemes", ["ERK2", "SDIRK34"])]
     levels = eff.get("levels", [0, 1, 2])
-    dt0 = float(eff.get("dt0", 0.01))
-    tol0 = float(eff.get("tol0", 1e-6))
+    dt0 = _float(eff.get("dt0", 0.01), "efficiency dt0")
+    tol0 = _float(eff.get("tol0", 1e-6), "efficiency tol0")
+    cfl_cap = _float(eff.get("cfl_cap", 0.9), "efficiency cfl_cap")
+    maxiter = _int(eff.get("maxiter", 5000), "efficiency maxiter")
     materials = build_materials(cfg)
     if cfg.get("scenario", {}).get("type") != "manufactured":
         raise CliConfigError("efficiency study requires the manufactured scenario")
     k = cfg["degree"]
-    final_time = float(cfg["final_time"])
+    final_time = _float(cfg["final_time"], "final_time")
     rows = []
     for scheme in schemes:
         tab = timestep.tableau(scheme)
@@ -550,12 +558,11 @@ def cmd_efficiency(cfg, out_dir) -> int:
                 # explicit steps are bounded by the stability limit
                 c_sharp = materials.c_sharp(mesh)
                 h = float(np.mean(mesh.cell_diameter))
-                cfl_cap = float(eff.get("cfl_cap", 0.9)) * _cfl_guess(scheme, k)
-                dt = min(dt, cfl_cap * h / c_sharp)
+                dt = min(dt, cfl_cap * _cfl_guess(scheme, k) * h / c_sharp)
             else:
                 run_cfg["solver"] = {"kind": eff.get("solver", "direct-lu"),
                                      "tol": tol0 * 2.0 ** (-level * (k + 1)),
-                                     "maxiter": int(eff.get("maxiter", 5000))}
+                                     "maxiter": maxiter}
             n_steps, dt = step_count(final_time, dt)
             err, wall = _manufactured_run(run_cfg, mesh, materials, n_steps, dt)
             rows.append([scheme, level, dt, n_steps, err, wall])

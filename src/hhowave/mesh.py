@@ -752,47 +752,52 @@ def _check_trace_consistency(fluid, solid):
     tol = 1e-9 * scale
     f_segs = _boundary_segments(fluid)
     s_segs = _boundary_segments(solid)
-
-    def overlap_length(segs_a, segs_b):
-        total = 0.0
-        for pa, pb in segs_a:
-            t = pb - pa
-            length = float(np.hypot(*t))
-            t = t / length
-            n = np.array([t[1], -t[0]])
-            lo, hi = [], []
-            for qa, qb in segs_b:
-                if abs(float((qa - pa) @ n)) > tol or abs(float((qb - pa) @ n)) > tol:
-                    continue
-                s0 = float((qa - pa) @ t)
-                s1 = float((qb - pa) @ t)
-                a, b = min(s0, s1), max(s0, s1)
-                a, b = max(a, 0.0), min(b, length)
-                if b - a > tol:
-                    lo.append(a)
-                    hi.append(b)
-            if lo:
-                order = np.argsort(lo)
-                cur_a, cur_b = None, None
-                for idx in order:
-                    a, b = lo[idx], hi[idx]
-                    if cur_a is None:
-                        cur_a, cur_b = a, b
-                    elif a <= cur_b + tol:
-                        cur_b = max(cur_b, b)
-                    else:
-                        total += cur_b - cur_a
-                        cur_a, cur_b = a, b
-                if cur_a is not None:
-                    total += cur_b - cur_a
-        return total
-
-    len_f = overlap_length(f_segs, s_segs)
-    len_s = overlap_length(s_segs, f_segs)
+    len_f = _covered_length(f_segs, s_segs, tol)
+    len_s = _covered_length(s_segs, f_segs, tol)
     if len_f < tol or len_s < tol:
         raise MeshError("meshes do not share an interface polyline")
     if abs(len_f - len_s) > 1e-6 * max(len_f, len_s):
         raise MeshError("interface traces are geometrically inconsistent")
+
+
+def _covered_length(segs_a, segs_b, tol):
+    """Total length of the segments a covered by segments b lying on their lines.
+
+    A segment b counts for a segment a when both its end points lie within
+    `tol` of a's line; its projection, clipped to a, is one covered interval,
+    and the intervals on each a are merged across gaps of at most `tol`.
+    """
+    pa = segs_a[:, 0]
+    length = np.hypot(*(segs_a[:, 1] - pa).T)
+    tangent = (segs_a[:, 1] - pa) / length[:, None]
+    len_b = np.hypot(*(segs_b[:, 1] - segs_b[:, 0]).T)
+    # only segments whose midpoints are within half their summed lengths overlap
+    near = cKDTree(segs_b.mean(axis=1)).query_ball_point(
+        segs_a.mean(axis=1), 0.5 * (length + len_b.max()) + 2.0 * tol)
+    ia = np.repeat(np.arange(len(segs_a)), [len(ids) for ids in near])
+    ib = np.fromiter((i for ids in near for i in ids), dtype=np.int64, count=len(ia))
+    rel = segs_b[ib] - pa[ia, None, :]                           # (pairs, 2 ends, 2)
+    along = np.einsum("pej,pj->pe", rel, tangent[ia])
+    across = np.einsum("pej,pj->pe", rel, tangent[ia][:, ::-1] * [1.0, -1.0])
+    lo = np.maximum(along.min(axis=1), 0.0)
+    hi = np.minimum(along.max(axis=1), length[ia])
+    keep = np.all(np.abs(across) <= tol, axis=1) & (hi - lo > tol)
+    ia, lo, hi = ia[keep], lo[keep], hi[keep]
+    if len(ia) == 0:
+        return 0.0
+    # per segment a, intervals by start; each adds what reaches past the
+    # intervals before it, bridging gaps of at most tol
+    order = np.lexsort((lo, ia))
+    ia, lo, hi = ia[order], lo[order], hi[order]
+    first = np.r_[True, ia[1:] != ia[:-1]]
+    group = np.cumsum(first) - 1
+    pos = np.arange(len(ia)) - np.flatnonzero(first)[group]
+    reach = np.full((group[-1] + 1, pos.max() + 1), -np.inf)
+    reach[group, pos] = hi
+    reach = np.maximum.accumulate(reach, axis=1)
+    prev = np.where(pos > 0, reach[group, pos - 1], -np.inf)
+    start = np.where(lo <= prev + tol, prev, lo)
+    return float(np.maximum(hi - start, 0.0).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from . import hho, mesh as msh, timestep
 from .basis import CellBasis, FaceBasis, cell_groups
@@ -450,29 +451,31 @@ def coupling_errors(record: np.ndarray, normal) -> tuple[np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 # CFL bracketing
 
-# loop guards of the bracket search: step-count decrements, and doublings of
-# an initial step count that is already unstable
-_MAX_OUTER = 2000
+# widening guard of the bracket search: doublings of the step away from the seed
 _MAX_DOUBLINGS = 14
 
 
 @dataclass(frozen=True)
 class CflBracketConfig:
-    """Energy-increase threshold and step-count decrement fraction."""
+    """Energy-increase threshold and bracket resolution (fraction of the step count)."""
 
     eps: float = 0.05
     delta: float = 0.01
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
-            raise ScenarioError("step-count decrement fraction must be in (0, 1)")
+            raise ScenarioError("bracket resolution delta must be in (0, 1)")
         if self.eps <= 0:
             raise ScenarioError("energy-increase threshold must be positive")
 
 
 @dataclass(frozen=True)
 class CflEstimate:
-    """Bracket of the critical Courant number c# dt / h."""
+    """Bracket of the critical Courant number c# dt / h.
+
+    `cfl_spectral` is the Courant number of the spectral seed (NaN when the
+    degree guess seeded the search) and `runs` the number of energy runs.
+    """
 
     cfl_stable: float
     cfl_unstable: float
@@ -480,6 +483,8 @@ class CflEstimate:
     n_unstable: int
     c_sharp: float
     h: float
+    cfl_spectral: float = math.nan
+    runs: int = 0
 
     def __post_init__(self):
         if self.cfl_stable >= self.cfl_unstable:
@@ -513,16 +518,58 @@ def _energy_stable_run(system, stepper, u0, dt, n_steps, eps):
     return True
 
 
+def _spectral_dt(stepper) -> float | None:
+    """Largest dt with |R(-dt lambda)| <= 1 for the 6 largest-magnitude
+    eigenvalues lambda of the explicit operator L (the stepper marches
+    u' = -L u); R is the stability function of the stepper's tableau.
+
+    ARPACK starts from a fixed vector, so the estimate is deterministic.
+    None if ARPACK does not converge or the operator is too small for it.
+    """
+    op = stepper.op
+    n_eig = 6
+    if op.shape[0] <= n_eig + 1:
+        return None
+    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
+    try:
+        lam = spla.eigs(op, k=n_eig, which="LM", tol=1e-3, v0=v0,
+                        return_eigenvectors=False)
+    except spla.ArpackNoConvergence:
+        return None
+    # march along each ray z = -x lambda/|lambda| in steps of 0.01 to the
+    # first x leaving the stability region, which for an s-stage explicit
+    # scheme lies in the disk |z + s| <= s (Jeltsch & Nevanlinna 1981)
+    tab = stepper.tableau
+    direction = -lam / np.abs(lam)
+    grid = np.linspace(0.0, 2.0 * tab.s, 200 * tab.s + 1)[1:]
+    outside = np.array([np.abs(tab.stability(d * grid)) > 1.0 for d in direction])
+    first = np.argmax(outside, axis=1)
+    hi = np.where(outside.any(axis=1), grid[first], np.inf)
+    lo = np.where(first > 0, grid[first - 1], 0.0)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        out = np.abs(tab.stability(direction * mid)) > 1.0
+        hi = np.where(out, mid, hi)
+        lo = np.where(out, lo, mid)
+    dt = float(np.min(lo / np.abs(lam)))
+    return dt if 0.0 < dt < math.inf else None
+
+
 def cfl_bracket(system: hho.BlockSystem, tab: timestep.ButcherTableau, h: float,
                 u0: np.ndarray | None = None, final_time: float = 1.0,
                 config: CflBracketConfig | None = None) -> CflEstimate:
-    """Bracket the explicit stability limit by shrinking the step count.
+    """Bracket the explicit stability limit by bisection from a spectral seed.
 
     Runs the homogeneous problem (no sources, Dirichlet zero) from the given
-    initial state with N steps over `final_time`; while the run keeps the
-    relative energy increase below eps, N is reduced by the fraction delta
-    (at least 1). The returned bracket pairs the last stable and the first
-    unstable step counts, converted to Courant numbers c# dt / h.
+    initial state with N steps over `final_time`; a run is stable while its
+    relative energy increase stays below eps. The seed N is the step count
+    whose dt keeps the largest-magnitude eigenvalues of the explicit operator
+    inside the tableau's stability region (`_spectral_dt`; the guess
+    0.5/(k+1) for the Courant number if ARPACK does not converge). From the
+    seed the search widens by max(1, int(delta N)) steps, doubling, until one
+    run is stable and one unstable, then bisects until the stable and
+    unstable step counts differ by at most max(1, int(delta n_stable)). Both
+    returned step counts are energy runs, converted to Courant numbers c# dt / h.
     """
     config = config or CflBracketConfig()
     if not tab.explicit:
@@ -532,35 +579,55 @@ def cfl_bracket(system: hho.BlockSystem, tab: timestep.ButcherTableau, h: float,
         u0 = manufactured_initial_state(system, case)
     c_sharp = system.materials.c_sharp(system.mesh)
     stepper = timestep.ExplicitStepper(system, tab)
+    runs = 0
 
-    cfl_guess = 0.5 / (system.layout.k + 1)
-    n = max(2, math.ceil(final_time * c_sharp / (cfl_guess * h)))
+    def stable(n):
+        nonlocal runs
+        runs += 1
+        return _energy_stable_run(system, stepper, u0, final_time / n, n, config.eps)
 
-    stable = _energy_stable_run(system, stepper, u0, final_time / n, n, config.eps)
+    def gap(n):
+        return max(1, int(config.delta * n))
+
+    dt_spec = _spectral_dt(stepper)
+    if dt_spec is None:
+        n = math.ceil(final_time * c_sharp / (0.5 / (system.layout.k + 1) * h))
+    else:
+        n = math.ceil(final_time / dt_spec)
+    n = max(2, n)
+    n_stable = n_unstable = None
+    if stable(n):
+        n_stable = n
+    else:
+        n_unstable = n
+    step = gap(n)
     doublings = 0
-    while not stable:
+    while n_unstable is None:
+        if n_stable == 1:
+            raise ScenarioError("step count exhausted without finding instability")
+        n = max(1, n_stable - step)
+        if stable(n):
+            n_stable = n
+            step *= 2
+        else:
+            n_unstable = n
+    while n_stable is None:
         doublings += 1
         if doublings > _MAX_DOUBLINGS:
-            raise ScenarioError("initial run already unstable; increase the step count")
-        n *= 2
-        stable = _energy_stable_run(system, stepper, u0, final_time / n, n, config.eps)
-
-    n_stable = n
-    n_unstable = None
-    for _ in range(_MAX_OUTER):
-        n_next = n - max(1, int(config.delta * n))
-        if n_next < 1:
-            raise ScenarioError("step count exhausted without finding instability")
-        stable = _energy_stable_run(system, stepper, u0, final_time / n_next, n_next,
-                                    config.eps)
-        n = n_next
-        if stable:
-            n_stable = n_next
+            raise ScenarioError("every run widening from the seed is unstable; "
+                                "increase the step count")
+        n = n_unstable + step
+        if stable(n):
+            n_stable = n
         else:
-            n_unstable = n_next
-            break
-    if n_unstable is None:
-        raise ScenarioError("maximum bracketing iterations exceeded")
+            n_unstable = n
+            step *= 2
+    while n_stable - n_unstable > gap(n_stable):
+        n = (n_stable + n_unstable) // 2
+        if stable(n):
+            n_stable = n
+        else:
+            n_unstable = n
     return CflEstimate(
         cfl_stable=c_sharp * (final_time / n_stable) / h,
         cfl_unstable=c_sharp * (final_time / n_unstable) / h,
@@ -568,4 +635,6 @@ def cfl_bracket(system: hho.BlockSystem, tab: timestep.ButcherTableau, h: float,
         n_unstable=n_unstable,
         c_sharp=c_sharp,
         h=h,
+        cfl_spectral=math.nan if dt_spec is None else c_sharp * dt_spec / h,
+        runs=runs,
     )

@@ -54,11 +54,7 @@ class SolverError(TimestepError):
 
 @dataclass(frozen=True)
 class ButcherTableau:
-    """Runge-Kutta coefficients with the final-combination row appended.
-
-    `a` has shape (s+1, s): rows 1..s are the stage rows, row s+1 holds the
-    weights b (the update is treated as one extra explicit stage).
-    """
+    """Runge-Kutta coefficients: stage matrix `a` (s, s), weights `b`, nodes `c`."""
 
     kind: str
     s: int
@@ -73,15 +69,27 @@ class ButcherTableau:
         return self.a_star is None
 
     def __post_init__(self):
+        if self.a.shape != (self.s, self.s):
+            raise TimestepError("tableau stage matrix must be s x s")
         if abs(self.b.sum() - 1.0) > 1e-13:
             raise TimestepError("tableau weights must sum to 1")
-        rowsum = self.a[:self.s].sum(axis=1)
+        rowsum = self.a.sum(axis=1)
         diag = 0.0 if self.a_star is None else self.a_star
         if np.max(np.abs(rowsum - self.c)) > 1e-13:
             raise TimestepError("tableau row sums must equal the nodes c")
         for i in range(self.s):
             if self.a_star is not None and abs(self.a[i, i] - diag) > 1e-14:
                 raise TimestepError("singly diagonal tableau requires a constant diagonal")
+
+    def stability(self, z):
+        """Stability function R(z) = 1 + z b^T (I - z A)^-1 1, elementwise over z.
+
+        One step of the scheme maps u to R(dt lambda) u on u' = lambda u.
+        """
+        z = np.asarray(z, dtype=complex)
+        stages = np.linalg.solve(np.eye(self.s) - z[..., None, None] * self.a,
+                                 np.ones(z.shape + (self.s, 1)))
+        return 1.0 + z * (stages[..., 0] @ self.b)
 
 
 _SQRT3 = math.sqrt(3.0)
@@ -91,10 +99,9 @@ _A23 = 0.5 + _SQRT3 / 6.0
 
 
 def _full(kind, s, rows, b, c, order, a_star=None):
-    a = np.zeros((s + 1, s))
+    a = np.zeros((s, s))
     for i, row in enumerate(rows):
         a[i, :len(row)] = row
-    a[s, :] = b
     return ButcherTableau(kind=kind, s=s, a=a, b=np.asarray(b, dtype=float),
                           c=np.asarray(c, dtype=float), order=order, a_star=a_star)
 

@@ -278,8 +278,18 @@ def test_non_star_shaped_fixture_exit_code(tmp_path, monkeypatch, capsys):
     ("sensors.0.position", ["a", 0.1], "sensor position"),
     ("mesh.n_fluid", [4], "n_fluid must be a list of 2 integers"),
     ("scenario.center", [0.0], "Ricker center must be a list of 2 numbers"),
+    ("materials", {"fluid": {"rho": "heavy", "c_p": 1.0}},
+     "material 'fluid' rho must be a number"),
+    ("stabilization", {"eta_fluid": "strong"}, "eta_fluid must be a number"),
+    ("scenario", {"type": "manufactured", "omega": "five"}, "omega must be a number"),
+    ("scenario.amplitude", "loud", "Ricker amplitude must be a number"),
+    ("cfl_sweep", {"level": "four"}, "cfl_sweep level must be an integer"),
+    ("efficiency", {"maxiter": "many"}, "efficiency maxiter must be an integer"),
 ])
 def test_malformed_value_exit_code(tmp_path, capsys, key, value, message):
+    # keys of the study sections run their study; all others run simulate
+    command = {"cfl_sweep": "cfl", "efficiency": "efficiency"}.get(key.split(".")[0],
+                                                                   "simulate")
     cfg = json.loads(json.dumps(RICKER_CFG))
     cfg["mesh"]["level"] = 1
     cfg["solver"] = {}
@@ -288,7 +298,7 @@ def test_malformed_value_exit_code(tmp_path, capsys, key, value, message):
     for part in parents:
         entry = entry[int(part)] if isinstance(entry, list) else entry[part]
     entry[last] = value
-    code = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+    code = cli.main([command, "--config", write_cfg(tmp_path, cfg),
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
@@ -417,6 +427,27 @@ def test_cfl_sweep_table(tmp_path):
     # more stages admit larger steps; ratio column is relative to ERK2
     assert float(erk3[5]) > float(erk2[5])
     assert abs(float(erk3[9]) - float(erk3[5]) / float(erk2[5])) < 1e-12
+
+
+def test_cfl_csv_reports_seed_and_runs(tmp_path, caplog):
+    cfg = {
+        "mesh": {"fluid_rect": [0, 0, 1, 1], "solid_rect": [-1, 0, 0, 1]},
+        "degree": 1, "scheme": "ERK2", "cfl": 0.1, "final_time": 1.0,
+        "scenario": {"type": "manufactured"},
+        "cfl_sweep": {"schemes": ["ERK4"], "level": 2},
+    }
+    out = tmp_path / "out"
+    caplog.set_level(logging.INFO, logger="hhowave")
+    code = cli.main(["cfl", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert code == cli.EXIT_OK
+    header, row = (out / "cfl.csv").read_text().strip().splitlines()
+    entry = dict(zip(header.split(","), row.split(",")))
+    assert header.split(",")[-2:] == ["cfl_spectral", "runs"]
+    # the seed predicts the stable bound within 15%, and every run is counted
+    assert abs(float(entry["cfl_spectral"]) / float(entry["cfl_stable"]) - 1.0) < 0.15
+    assert int(entry["runs"]) >= 2
+    assert f"{int(entry['runs'])} energy runs" in caplog.text
+    assert "spectral seed" in caplog.text
 
 
 # ---------------------------------------------------------------------------

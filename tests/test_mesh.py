@@ -334,6 +334,64 @@ def test_merge_rejects_disjoint_traces():
         merge_nonconforming(fluid, solid)
 
 
+def test_merge_rejects_inconsistent_traces():
+    # the solid trace bends up by 3e-9 from x = 0.5: the fluid faces up to
+    # x = 0.7 lie within the 1e-9 tolerance of its line, but its end point
+    # does not lie within it of theirs, so the fluid sees 0.5 of shared
+    # trace and the solid 0.7
+    fluid = quad_strip(0, 1, 0, 0.5, 0.1, sub=FLUID)
+    verts = [(0.0, -1.0), (0.5, -1.0), (1.0, -1.0), (1.0, 3e-9), (0.5, 0.0), (0.0, 0.0)]
+    solid = PolyMesh(np.array(verts), [[0, 1, 4, 5], [1, 2, 3, 4]], [SOLID, SOLID])
+    with pytest.raises(MeshError, match="geometrically inconsistent"):
+        merge_nonconforming(fluid, solid)
+
+
+def covered_length_loop(segs_a, segs_b, tol):
+    """Reference for `mesh._covered_length`: one segment pair at a time."""
+    total = 0.0
+    for pa, pb in segs_a:
+        length = float(np.hypot(*(pb - pa)))
+        t = (pb - pa) / length
+        n = np.array([t[1], -t[0]])
+        spans = []
+        for qa, qb in segs_b:
+            if abs(float((qa - pa) @ n)) > tol or abs(float((qb - pa) @ n)) > tol:
+                continue
+            s0, s1 = float((qa - pa) @ t), float((qb - pa) @ t)
+            a, b = max(min(s0, s1), 0.0), min(max(s0, s1), length)
+            if b - a > tol:
+                spans.append((a, b))
+        cur = None
+        for a, b in sorted(spans):
+            if cur is not None and a <= cur[1] + tol:
+                cur[1] = max(cur[1], b)
+                continue
+            if cur is not None:
+                total += cur[1] - cur[0]
+            cur = [a, b]
+        if cur is not None:
+            total += cur[1] - cur[0]
+    return total
+
+
+@pytest.mark.parametrize("fluid_family,solid_family", [
+    ("cartesian", "simplicial"), ("polygonal-hexagonal", "cartesian"),
+    ("simplicial", "polygonal-hexagonal")])
+def test_covered_length_matches_loop_reference(fluid_family, solid_family):
+    fluid = generate(MeshGenSpec(fluid_family, 3, fluid_rect=(0.0, 0.0, 1.0, 1.0)))
+    solid = generate(MeshGenSpec(solid_family, 2, solid_rect=(-0.25, -1.0, 1.25, 0.0)))
+    tol = 1e-9 * max(fluid.length_scale, solid.length_scale)
+    rng = np.random.default_rng(5)
+    f_segs = msh._boundary_segments(fluid)
+    s_segs = msh._boundary_segments(solid)
+    assert covered_length_loop(f_segs, s_segs, tol) == pytest.approx(1.0)
+    # jitter below and above the tolerance decides which segments count as collinear
+    for jitter in (0.0, 0.3 * tol, 3.0 * tol):
+        f_jit = f_segs + jitter * rng.standard_normal(f_segs.shape)
+        for a, b in ((f_jit, s_segs), (s_segs, f_jit)):
+            assert abs(msh._covered_length(a, b, tol) - covered_length_loop(a, b, tol)) < 1e-12
+
+
 def test_merge_rejects_wrong_subdomains():
     fluid = quad_strip(0, 2, 0, 1, 1.0, sub=FLUID)
     with pytest.raises(MeshError):

@@ -9,6 +9,7 @@ from hhowave import (ExplicitStepper, ImplicitStepper, MeshGenSpec,
                      StabilizationConfig, assemble, builtin_materials, generate,
                      tableau)
 from hhowave import mesh as msh
+from hhowave import scenarios
 from hhowave.materials import FluidMaterial, SolidMaterial
 from hhowave.scenarios import (BoundSensor, CflBracketConfig, CflEstimate,
                                ManufacturedCase, RickerConfig, ScenarioError,
@@ -317,6 +318,70 @@ def test_cfl_bracket_contract():
     est2 = cfl_bracket(system, tableau("ERK2"), h=mesh.cell_diameter.mean(),
                        final_time=1.0)
     assert est2.n_stable == est.n_stable and est2.n_unstable == est.n_unstable
+
+
+def cfl_system(level):
+    mesh = generate(MeshGenSpec("cartesian", level, **BILAYER))
+    system = assemble(mesh, ACADEMIC, StabilizationConfig.explicit(), k=1)
+    return system, float(mesh.cell_diameter.mean())
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("factor", [0.25, 4.0])
+def test_cfl_bracket_survives_a_bad_seed(monkeypatch, level, factor):
+    # the spectral seed only chooses where the search starts
+    system, h = cfl_system(level)
+    want = cfl_bracket(system, tableau("ERK2"), h)
+    spectral_dt = scenarios._spectral_dt
+    monkeypatch.setattr(scenarios, "_spectral_dt", lambda st: factor * spectral_dt(st))
+    got = cfl_bracket(system, tableau("ERK2"), h)
+    assert (got.n_stable, got.n_unstable) == (want.n_stable, want.n_unstable)
+    assert got.cfl_spectral == pytest.approx(factor * want.cfl_spectral, rel=1e-12)
+    assert got.runs > want.runs
+
+
+def test_cfl_bracket_pair_is_verified_and_within_delta():
+    system, h = cfl_system(3)
+    config = CflBracketConfig(eps=0.05, delta=0.1)
+    est = cfl_bracket(system, tableau("ERK4"), h, config=config)
+    stepper = ExplicitStepper(system, tableau("ERK4"))
+    u0 = manufactured_initial_state(system, ManufacturedCase(5.0, math.sqrt(2.0), ACADEMIC))
+    for n, want in ((est.n_stable, True), (est.n_unstable, False)):
+        assert scenarios._energy_stable_run(system, stepper, u0, 1.0 / n, n,
+                                            config.eps) is want
+    assert 1 <= est.n_stable - est.n_unstable <= max(1, int(config.delta * est.n_stable))
+    assert est.runs >= 2
+
+
+def test_cfl_bracket_falls_back_without_arpack(monkeypatch):
+    system, h = cfl_system(2)
+    want = cfl_bracket(system, tableau("ERK2"), h)
+
+    def no_convergence(*args, **kwargs):
+        raise scenarios.spla.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scenarios.spla, "eigs", no_convergence)
+    got = cfl_bracket(system, tableau("ERK2"), h)
+    assert (got.n_stable, got.n_unstable) == (want.n_stable, want.n_unstable)
+    assert math.isnan(got.cfl_spectral) and not math.isnan(want.cfl_spectral)
+
+
+def test_cfl_bracket_raises_when_every_doubling_is_unstable(monkeypatch):
+    system, h = cfl_system(1)
+    steps = []
+    monkeypatch.setattr(scenarios, "_energy_stable_run",
+                        lambda *args: steps.append(args[4]) or False)
+    with pytest.raises(ScenarioError):
+        cfl_bracket(system, tableau("ERK2"), h)
+    assert len(steps) == scenarios._MAX_DOUBLINGS + 1
+    assert steps == sorted(set(steps))
+
+
+def test_cfl_bracket_raises_when_no_step_count_is_unstable(monkeypatch):
+    system, h = cfl_system(1)
+    monkeypatch.setattr(scenarios, "_energy_stable_run", lambda *args: True)
+    with pytest.raises(ScenarioError):
+        cfl_bracket(system, tableau("ERK2"), h)
 
 
 def test_cfl_bracket_rejects_implicit():

@@ -49,7 +49,8 @@ def dense_erk_step(system, tab, u_t, t, dt, forcing=None):
     u = u_t.copy()
     for i in range(tab.s + 1):
         if i > 0:
-            acc = sum(tab.a[i, j] * stage_r[j] for j in range(i))
+            row = tab.b if i == tab.s else tab.a[i]
+            acc = sum(row[j] * stage_r[j] for j in range(i))
             u = u_t + dt * np.linalg.solve(mass, acc)
         if i == tab.s:
             break
@@ -116,6 +117,18 @@ def test_order_conditions(kind, order):
     for p in range(1, order + 1):
         for cond, val in ORDER_CONDITIONS[p]:
             assert abs(cond(a, tab.b, tab.c) - val) < 1e-13, (kind, p)
+
+
+@pytest.mark.parametrize("kind", ["ERK2", "ERK3", "ERK4", "SDIRK23", "SDIRK34"])
+def test_stability_function_matches_exp_to_order(kind):
+    # R(z) - exp(z) = O(z^(p+1)): halving |z| divides the error by 2^(p+1)
+    tab = tableau(kind)
+    assert tab.a.shape == (tab.s, tab.s)
+    for angle in (0.0, 0.7, math.pi / 2, 2.5):
+        z = np.array([0.02, 0.01]) * np.exp(1j * angle)
+        err = np.abs(tab.stability(z) - np.exp(z))
+        assert abs(math.log2(err[0] / err[1]) - (tab.order + 1)) < 0.1, (kind, angle)
+    assert tab.stability(0.0) == 1.0
 
 
 def test_erk4_coefficients():
