@@ -7,9 +7,10 @@ import pytest
 
 from hhowave import (ExplicitStepper, ImplicitStepper, MeshGenSpec,
                      StabilizationConfig, assemble, builtin_materials, generate,
-                     tableau)
+                     merge_nonconforming, tableau)
 from hhowave import mesh as msh
 from hhowave import scenarios
+from hhowave.basis import CellBasis, FaceBasis
 from hhowave.materials import FluidMaterial, SolidMaterial
 from hhowave.scenarios import (BoundSensor, CflBracketConfig, CflEstimate,
                                ManufacturedCase, RickerConfig, ScenarioError,
@@ -293,6 +294,116 @@ def test_sensor_records_projected_fields():
     exact = cfg.initial_velocity(np.array([[-0.1, 0.2]]))[0]
     assert abs(rec[0]) < 1e-10                      # zero initial pressure
     assert np.max(np.abs(rec[1:] - exact)) < 0.05 * max(1e-12, np.linalg.norm(exact))
+
+
+# fluid, solid and interface positions on meshes whose interface is x = 0
+# (side-by-side bilayer) or y = 0 (hanging-node merge of a 4x4 fluid over a
+# 2x2 solid)
+SENSOR_CASES = {
+    "cartesian": (lambda: generate(MeshGenSpec("cartesian", 2, **BILAYER)),
+                  ((0.37, 0.61), (-0.43, 0.29), (0.0, 0.3137))),
+    "polygonal-hexagonal": (
+        lambda: generate(MeshGenSpec("polygonal-hexagonal", 2, **BILAYER)),
+        ((0.37, 0.61), (-0.43, 0.29), (0.0, 0.3137))),
+    "nonconforming": (
+        lambda: merge_nonconforming(
+            generate(MeshGenSpec("cartesian", 2, fluid_rect=(0.0, 0.0, 1.0, 1.0))),
+            generate(MeshGenSpec("cartesian", 1, solid_rect=(0.0, -1.0, 1.0, 0.0)))),
+        ((0.61, 0.37), (0.29, -0.43), (0.3137, 0.0))),
+}
+
+
+def _faces_through(mesh, point, faces):
+    """The faces among `faces` whose segment contains `point`, in id order."""
+    hits = []
+    for fi in faces:
+        a, b = mesh.face_vertices(int(fi))
+        ab, ap = b - a, point - a
+        tol = 1e-12 * mesh.length_scale
+        if (abs(ab[0] * ap[1] - ab[1] * ap[0]) <= tol * np.hypot(*ab)
+                and -tol <= ap @ ab <= ab @ ab + tol):
+            hits.append(int(fi))
+    return hits
+
+
+def pointwise_channels(system, spec, u_t, u_f):
+    """Sensor channels from the cell and face polynomials evaluated at the point.
+
+    Reads the dof layout from its offsets: a cell block is dual (degree k)
+    then primal (degree k'), an interface face block is the fluid trace then
+    the solid one, and the components of every block are interleaved.
+    """
+    mesh, layout = system.mesh, system.layout
+    point = np.asarray(spec.position, dtype=float)
+
+    def split(coeff, row):
+        n_comp = len(coeff) // len(row)
+        return [float(row @ coeff[c::n_comp]) for c in range(n_comp)]
+
+    def cell(ci, part):
+        start, mid, stop = (layout.cell_offset[ci],
+                            layout.cell_offset[ci] + layout.cell_dual_size[ci],
+                            layout.cell_offset[ci + 1])
+        coeff, degree = ((u_t[start:mid], layout.k) if part == "dual"
+                         else (u_t[mid:stop], layout.k_prime))
+        basis = CellBasis(mesh.cell_centroid[ci], mesh.cell_diameter[ci], degree)
+        return split(coeff, basis.eval(point)[0])
+
+    def face(fi, side):
+        off, fd = layout.face_offset[fi], layout.n_face_scalar
+        coeff = u_f[off:off + fd] if side == "fluid" else u_f[off + fd:off + 3 * fd]
+        return split(coeff, FaceBasis(*mesh.face_vertices(fi), layout.k).eval(point)[0])
+
+    if spec.kind == "interface":
+        fi = _faces_through(mesh, point, mesh.interface_faces)[0]
+        pair = (int(mesh.face_owner[fi]), int(mesh.face_neighbor[fi]))
+        fluid = next(c for c in pair if mesh.subdomain[c] == msh.FLUID)
+        solid = next(c for c in pair if mesh.subdomain[c] == msh.SOLID)
+        return (face(fi, "fluid") + cell(fluid, "dual")
+                + face(fi, "solid") + cell(solid, "dual"))
+    sub = msh.FLUID if spec.kind == "fluid" else msh.SOLID
+    ci = mesh.locate_cell(point, subdomain=sub)
+    return cell(ci, "primal") + cell(ci, "dual")
+
+
+@pytest.mark.parametrize("mode", ["equal", "mixed"])
+@pytest.mark.parametrize("mesh_name", sorted(SENSOR_CASES))
+def test_sensor_records_match_pointwise_reference(mesh_name, mode):
+    build, positions = SENSOR_CASES[mesh_name]
+    config = StabilizationConfig.explicit() if mode == "equal" else StabilizationConfig.implicit()
+    system = assemble(build(), ACADEMIC, config, k=2)
+    rng = np.random.default_rng(11)
+    for position, kind in zip(positions, ("fluid", "solid", "interface")):
+        spec = SensorSpec(position, kind, kind)
+        sensor = BoundSensor(spec, system)
+        for _ in range(3):
+            u_t = rng.standard_normal(system.n_cell_dofs)
+            u_f = rng.standard_normal(system.n_face_dofs)
+            want = pointwise_channels(system, spec, u_t, u_f)
+            got = sensor.record(u_t, u_f if kind == "interface" else None, system.layout)
+            assert len(got) == len(want) == len(sensor.channels)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_interface_sensor_on_shared_vertex_binds_to_lower_face():
+    system = assemble(generate(MeshGenSpec("cartesian", 2, **BILAYER)), ACADEMIC,
+                      StabilizationConfig.explicit(), k=1)
+    mesh = system.mesh
+    spec = SensorSpec((0.0, 0.5), "interface", "corner")
+    lower, upper = _faces_through(mesh, np.array(spec.position), mesh.interface_faces)
+    sensor = BoundSensor(spec, system)
+    assert np.array_equal(sensor.normal, mesh.face_normal[lower])
+    rng = np.random.default_rng(5)
+    u_t = rng.standard_normal(system.n_cell_dofs)
+    u_f = rng.standard_normal(system.n_face_dofs)
+    got = sensor.record(u_t, u_f, system.layout)
+    np.testing.assert_allclose(got, pointwise_channels(system, spec, u_t, u_f),
+                               rtol=1e-13, atol=1e-13)
+    # the upper face's trace differs, so the binding is observable
+    fd = system.layout.n_face_scalar
+    trace = FaceBasis(*mesh.face_vertices(upper), 1).eval(np.array(spec.position))[0]
+    off = system.layout.face_offset[upper]
+    assert abs(float(trace @ u_f[off:off + fd]) - got[0]) > 1e-3
 
 
 def test_coupling_errors_zero_for_consistent_record():
