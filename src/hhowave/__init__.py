@@ -8,7 +8,7 @@ for the explicit schemes (one sparse product per stage), cells per implicit
 stage.
 """
 
-from .mesh import (FLUID, SOLID, MeshError, MeshGenSpec, PolyMesh, classify_faces,
+from .mesh import (FLUID, SOLID, MeshError, MeshGenSpec, PolyMesh,
                    generate, load_text, dump_text, merge_nonconforming, read_msh)
 from .materials import FluidMaterial, MaterialMap, SolidMaterial
 from .hho import (BlockSystem, ConfigError, DofLayout, StabilizationConfig,

@@ -40,23 +40,6 @@ def scalar_face_dim(k: int) -> int:
     return k + 1
 
 
-def basis_dim(kind: str, support: str, k: int) -> int:
-    """Dimension of a local polynomial space.
-
-    kind: 'scalar', 'vector2' or 'symtensor2'; support: 'cell' or 'face'.
-    """
-    if support == "cell":
-        base = scalar_cell_dim(k)
-    elif support == "face":
-        base = scalar_face_dim(k)
-    else:
-        raise ValueError(f"unknown support {support!r}")
-    mult = {"scalar": 1, "vector2": 2, "symtensor2": 3}
-    if kind not in mult:
-        raise ValueError(f"unknown basis kind {kind!r}")
-    return mult[kind] * base
-
-
 @lru_cache(maxsize=None)
 def monomial_exponents(k: int) -> np.ndarray:
     """Exponent pairs (a, b) of the 2-variate monomials up to degree k.

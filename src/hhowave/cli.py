@@ -4,7 +4,8 @@ Runs are configured by a JSON file (see README for the schema); a few common
 flags override file values. Outputs are deterministic CSV tables, ASCII VTU
 snapshots of cell-averaged fields, and a machine-readable JSON run summary.
 Wall-clock timing covers assembly, factorization and the time loop; mesh
-generation and file IO are excluded.
+generation, the stability estimate that caps explicit `efficiency` steps and
+file IO are excluded.
 
 Exit codes: 0 success, 2 configuration error, 3 instability detected,
 4 linear solver failure.
@@ -451,15 +452,14 @@ def cmd_simulate(cfg, out_dir) -> int:
     return EXIT_OK
 
 
-def _manufactured_run(cfg, mesh, materials, n_steps, dt):
-    """One run of a study: assemble, march the manufactured case, measure the error.
+def _manufactured_run(cfg, system, n_steps, dt):
+    """One run of a study: march the manufactured case, measure the error.
 
     Returns the dual-variable L2 error at the final time and the seconds
-    spent from assembly through the time loop.
+    spent from the scenario set-up through the time loop.
     """
     t0 = time.perf_counter()
-    system = hho.assemble(mesh, materials, build_stabilization(cfg), k=cfg["degree"])
-    u0, forcing, case = build_scenario(cfg, system, materials)
+    u0, forcing, case = build_scenario(cfg, system, system.materials)
     stepper, _ = build_stepper(cfg, system, dt)
     u = timestep.run_time_loop(stepper, u0, dt, n_steps, forcing=forcing)
     wall = time.perf_counter() - t0
@@ -479,7 +479,8 @@ def cmd_converge(cfg, out_dir, levels) -> int:
         mesh = build_mesh(dict(cfg["mesh"], level=level))
         n_steps, dt = step_count(_float(cfg["final_time"], "final_time"),
                                  resolve_dt(cfg, mesh, materials))
-        err, _ = _manufactured_run(cfg, mesh, materials, n_steps, dt)
+        system = hho.assemble(mesh, materials, build_stabilization(cfg), k=cfg["degree"])
+        err, _ = _manufactured_run(cfg, system, n_steps, dt)
         rate = math.log2(prev_err / err) if prev_err else float("nan")
         h = float(np.mean(mesh.cell_diameter))
         rows.append([level, h, err, rate])
@@ -554,31 +555,26 @@ def cmd_efficiency(cfg, out_dir) -> int:
         for level in levels:
             mesh = build_mesh(dict(cfg["mesh"], level=level))
             dt = dt0 * 2.0 ** (-level * (k + 1) / (tab.s + 1))
+            t0 = time.perf_counter()
+            system = hho.assemble(mesh, materials, build_stabilization(run_cfg), k=k)
+            assemble_s = time.perf_counter() - t0
             if tab.explicit:
-                # explicit steps are bounded by the stability limit
-                c_sharp = materials.c_sharp(mesh)
+                # explicit steps are bounded by this system's own stability limit
                 h = float(np.mean(mesh.cell_diameter))
-                dt = min(dt, cfl_cap * _cfl_guess(scheme, k) * h / c_sharp)
+                dt_stable, _ = scenarios.spectral_dt(timestep.ExplicitStepper(system, tab), h)
+                dt = min(dt, cfl_cap * dt_stable)
             else:
                 run_cfg["solver"] = {"kind": eff.get("solver", "direct-lu"),
                                      "tol": tol0 * 2.0 ** (-level * (k + 1)),
                                      "maxiter": maxiter}
             n_steps, dt = step_count(final_time, dt)
-            err, wall = _manufactured_run(run_cfg, mesh, materials, n_steps, dt)
+            err, march_s = _manufactured_run(run_cfg, system, n_steps, dt)
+            wall = assemble_s + march_s
             rows.append([scheme, level, dt, n_steps, err, wall])
             log.info("%s level %d: err %.3e cpu %.2fs", scheme, level, err, wall)
     write_csv(os.path.join(out_dir, "efficiency.csv"),
               ["scheme", "level", "dt", "steps", "error", "cpu_seconds"], rows)
     return EXIT_OK
-
-
-_CFL_GUESS = {("ERK2", 1): 0.205, ("ERK3", 1): 0.253, ("ERK4", 1): 0.282,
-              ("ERK2", 2): 0.099, ("ERK3", 2): 0.123, ("ERK4", 2): 0.138,
-              ("ERK2", 3): 0.063, ("ERK3", 3): 0.079, ("ERK4", 3): 0.087}
-
-
-def _cfl_guess(scheme, k):
-    return _CFL_GUESS.get((scheme, k), 0.3 / (k + 1))
 
 
 # ---------------------------------------------------------------------------

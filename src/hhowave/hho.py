@@ -51,45 +51,34 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class StabilizationConfig:
-    """Order mode, stabilization operator and weights.
+    """Order mode and stabilization weights; the order mode fixes the operator.
 
-    Two admissible pairings: the equal-order setting (k' = k) with plain
-    least-squares stabilization and an O(1) weight (alpha = 0), used on the
-    explicit path; and the mixed-order setting (k' = k+1) with the projected
-    (Lehrenfeld-Schoberl) stabilization and an O(1/h) weight (alpha = 1),
-    used on the implicit path.
+    The equal-order setting (k' = k) uses plain least-squares stabilization
+    with an O(1) weight (alpha = 0) and serves the explicit path; the
+    mixed-order setting (k' = k+1) uses the projected (Lehrenfeld-Schoberl)
+    stabilization with an O(1/h) weight (alpha = 1) and serves the implicit
+    path.
     """
 
     order_mode: str = "equal"          # 'equal' | 'mixed'
-    operator: str = "least-squares"    # 'least-squares' | 'lehrenfeld-schoberl'
-    alpha: int = 0
     eta_fluid: float = 0.8
     eta_solid: float = 1.5
 
     def __post_init__(self):
         if self.order_mode not in ("equal", "mixed"):
             raise ConfigError(f"unknown order mode {self.order_mode!r}")
-        if self.operator not in ("least-squares", "lehrenfeld-schoberl"):
-            raise ConfigError(f"unknown stabilization operator {self.operator!r}")
-        if self.order_mode == "equal" and (self.operator != "least-squares" or self.alpha != 0):
-            raise ConfigError("equal-order setting requires least-squares stabilization "
-                              "with alpha = 0")
-        if self.order_mode == "mixed" and (self.operator != "lehrenfeld-schoberl"
-                                           or self.alpha != 1):
-            raise ConfigError("mixed-order setting requires Lehrenfeld-Schoberl "
-                              "stabilization with alpha = 1")
         if self.eta_fluid <= 0 or self.eta_solid <= 0:
             raise ConfigError("stabilization weights must be positive")
 
     @classmethod
     def explicit(cls, eta_fluid=0.8, eta_solid=1.5):
         """Equal-order least-squares setting with the tuned explicit-path weights."""
-        return cls("equal", "least-squares", 0, eta_fluid, eta_solid)
+        return cls("equal", eta_fluid, eta_solid)
 
     @classmethod
     def implicit(cls, eta_fluid=1.0, eta_solid=1.0):
         """Mixed-order Lehrenfeld-Schoberl setting for implicit time stepping."""
-        return cls("mixed", "lehrenfeld-schoberl", 1, eta_fluid, eta_solid)
+        return cls("mixed", eta_fluid, eta_solid)
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +134,6 @@ class DofLayout:
         self.boundary_faces = np.nonzero(bnd)[0]
 
     # cell accessors ------------------------------------------------------
-    def cell_dual_slice(self, ci):
-        off = int(self.cell_offset[ci])
-        return slice(off, off + int(self.cell_dual_size[ci]))
-
-    def cell_primal_slice(self, ci):
-        off = int(self.cell_offset[ci]) + int(self.cell_dual_size[ci])
-        return slice(off, int(self.cell_offset[ci + 1]))
-
     def cell_dofs(self, cells, part):
         """Dof indices (len(cells), size) of the 'dual' or 'primal' part of `cells`.
 
@@ -322,20 +303,22 @@ def _group_blocks(mesh: msh.PolyMesh, grp: CellGroup, layout: DofLayout,
     mass_f = rule.gram(psi, psi)                         # (g, n_v, face, face)
     b_f = rule.gram(psi, tphi_p)                         # (g, n_v, face, primal)
     dual_face = rule.gram(tphi_d, psi)                   # (g, n_v, dual, face)
-    if config.operator == "lehrenfeld-schoberl":
+    mixed = config.order_mode == "mixed"
+    if mixed:                                            # Lehrenfeld-Schoberl
         s_tt = np.swapaxes(b_f, -1, -2) @ np.linalg.solve(mass_f, b_f)
     else:
         s_tt = rule.gram(tphi_p, tphi_p)
 
     h_tilde = mesh.cell_diameter[grp.cells] / mesh.length_scale
+    alpha = 1 if mixed else 0                            # weight scale h~^-alpha
     is_fluid = isinstance(material, FluidMaterial)
     if is_fluid:
-        tau = config.eta_fluid / (material.rho * material.c_p) * h_tilde ** (-config.alpha)
+        tau = config.eta_fluid / (material.rho * material.c_p) * h_tilde ** (-alpha)
         mass_dual = material.rho * _kron(mass_d, _I2)
         mass_primal = mass_p / material.kappa
         gradient, components = _interleave_vector, np.eye(1)
     else:
-        tau = config.eta_solid * (material.rho * material.c_s) * h_tilde ** (-config.alpha)
+        tau = config.eta_solid * (material.rho * material.c_s) * h_tilde ** (-alpha)
         mass_dual = _kron(mass_d, material.compliance_weight())
         mass_primal = material.rho * _kron(mass_p, _I2)
         gradient, components = _symmetric_gradient, _I2

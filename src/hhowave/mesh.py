@@ -52,14 +52,6 @@ F_INTERFACE = 2
 F_BND_FLUID = 3
 F_BND_SOLID = 4
 
-FACE_CLASS_NAMES = {
-    F_INT_FLUID: "fluid_interior",
-    F_INT_SOLID: "solid_interior",
-    F_INTERFACE: "interface",
-    F_BND_FLUID: "fluid_boundary",
-    F_BND_SOLID: "solid_boundary",
-}
-
 COINCIDENCE_TOL = 1e-12  # relative to the global length scale
 
 
@@ -247,15 +239,6 @@ class PolyMesh:
         d = self.cell_centroid[nb] - self.cell_centroid[own]
         if np.any(np.sum(d * self.face_normal[iface], axis=1) <= 0):
             raise MeshError("interface normal does not point from solid to fluid")
-
-
-def classify_faces(mesh: PolyMesh) -> dict[str, np.ndarray]:
-    """Partition of the face set into the five named classes."""
-    out = {name: mesh.faces_of_class(code) for code, name in FACE_CLASS_NAMES.items()}
-    total = sum(len(v) for v in out.values())
-    if total != mesh.n_faces:
-        raise MeshError("face classification does not partition the face set")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -315,11 +315,6 @@ def sensor_error(traces: np.ndarray, reference: np.ndarray, times=None,
     return float(np.linalg.norm(traces - reference)) / ref_norm
 
 
-def combined_sensor_error(p_trace, p_ref, v_trace, v_ref) -> float:
-    """Relative pressure error plus relative solid-velocity error."""
-    return sensor_error(p_trace, p_ref) + sensor_error(v_trace, v_ref)
-
-
 # ---------------------------------------------------------------------------
 # sensors
 
@@ -337,99 +332,82 @@ class SensorSpec:
 
 
 class BoundSensor:
-    """Sensor attached to its mesh entities with precomputed evaluation rows."""
+    """Sensor bound to its mesh entities as fixed linear functionals of the state.
+
+    Each kind is a table of terms, one per polynomial read at the point:
+    channel names, 'cell' or 'face', entity id, cell part or face side, and
+    the basis row at the point. A term with n channel names reads n
+    interleaved components, so its channels are row @ u[dofs].reshape(-1, n).
+    """
 
     def __init__(self, spec: SensorSpec, system: hho.BlockSystem):
         self.spec = spec
         mesh = system.mesh
         layout = system.layout
         point = np.asarray(spec.position, dtype=float)
-        self.point = point
+
+        def cell_row(ci, degree):
+            return CellBasis(mesh.cell_centroid[ci], mesh.cell_diameter[ci], degree).eval(point)[0]
+
         if spec.kind == "interface":
-            gamma = mesh.interface_faces
-            if len(gamma) == 0:
-                raise ScenarioError("mesh has no interface faces")
-            dists = [_point_segment_distance(point, *mesh.face_vertices(int(fi)))
-                     for fi in gamma]
-            best = int(np.argmin(dists))
-            if dists[best] > 1e-9 * mesh.length_scale:
-                raise ScenarioError(f"sensor {spec.name or spec.position} not on the interface")
-            fi = int(gamma[best])
-            self.face = fi
+            fi = _interface_face(mesh, point, spec)
             self.normal = mesh.face_normal[fi].copy()
-            fb = FaceBasis(*mesh.face_vertices(fi), layout.k)
-            self.face_row = fb.eval(point[None, :])[0]
-            self.fluid_cell = int(mesh.face_neighbor[fi])   # interface owner is solid
-            self.solid_cell = int(mesh.face_owner[fi])
-            self.rows = {
-                "fluid_dual": _dual_row(mesh, layout, self.fluid_cell, point),
-                "solid_dual": _dual_row(mesh, layout, self.solid_cell, point),
-            }
-            self.channels = ["pF", "mx", "my", "vFx", "vFy", "sxx", "syy", "sxy"]
-            return
-        # a point on the interface binds to a cell of the sensor's own side
-        want = msh.FLUID if spec.kind == "fluid" else msh.SOLID
-        self.cell = ci = mesh.locate_cell(point, subdomain=want)
-        self.rows = {
-            "primal": _primal_row(mesh, layout, ci, point),
-            "dual": _dual_row(mesh, layout, ci, point),
-        }
-        if spec.kind == "fluid":
-            self.channels = ["p", "mx", "my"]
+            face_row = FaceBasis(*mesh.face_vertices(fi), layout.k).eval(point)[0]
+            fluid = int(mesh.face_neighbor[fi])   # interface owner is solid
+            solid = int(mesh.face_owner[fi])
+            table = [
+                (("pF",), "face", fi, "fluid", face_row),
+                (("mx", "my"), "cell", fluid, "dual", cell_row(fluid, layout.k)),
+                (("vFx", "vFy"), "face", fi, "solid", face_row),
+                (("sxx", "syy", "sxy"), "cell", solid, "dual", cell_row(solid, layout.k)),
+            ]
         else:
-            self.channels = ["vx", "vy", "sxx", "syy", "sxy"]
+            # a point on the interface binds to a cell of the sensor's own side
+            fluid = spec.kind == "fluid"
+            self.cell = ci = mesh.locate_cell(point, subdomain=msh.FLUID if fluid else msh.SOLID)
+            table = [
+                (("p",) if fluid else ("vx", "vy"), "cell", ci, "primal",
+                 cell_row(ci, layout.k_prime)),
+                (("mx", "my") if fluid else ("sxx", "syy", "sxy"), "cell", ci, "dual",
+                 cell_row(ci, layout.k)),
+            ]
+        self.channels = [name for names, *_ in table for name in names]
+        # (reads face values, dofs, row, components) per term
+        self.terms = [
+            (source == "face",
+             layout.face_side_slice(entity, part) if source == "face"
+             else layout.cell_dofs([entity], part)[0],
+             row, len(names))
+            for names, source, entity, part, row in table]
 
     def record(self, u_t: np.ndarray, u_f: np.ndarray | None, layout) -> np.ndarray:
-        kind = self.spec.kind
-        if kind == "interface":
-            if u_f is None:
+        """Channel values of the cell state `u_t` and the face state `u_f`.
+
+        `layout` is the dof layout of the system the sensor was bound to; the
+        dofs of every term were resolved through it at binding.
+        """
+        values = []
+        for on_face, dofs, row, n_comp in self.terms:
+            if on_face and u_f is None:
                 raise ScenarioError("interface sensors need face values")
-            fsl_p = layout.face_side_slice(self.face, "fluid")
-            fsl_v = layout.face_side_slice(self.face, "solid")
-            p_f = float(self.face_row @ u_f[fsl_p])
-            vf = u_f[fsl_v]
-            v_fx = float(self.face_row @ vf[0::2])
-            v_fy = float(self.face_row @ vf[1::2])
-            md = u_t[layout.cell_dual_slice(self.fluid_cell)]
-            row_m = self.rows["fluid_dual"]
-            m_x, m_y = float(row_m @ md[0::2]), float(row_m @ md[1::2])
-            sd = u_t[layout.cell_dual_slice(self.solid_cell)]
-            row_s = self.rows["solid_dual"]
-            sxx = float(row_s @ sd[0::3])
-            syy = float(row_s @ sd[1::3])
-            sxy = float(row_s @ sd[2::3])
-            return np.array([p_f, m_x, m_y, v_fx, v_fy, sxx, syy, sxy])
-        psl = layout.cell_primal_slice(self.cell)
-        dsl = layout.cell_dual_slice(self.cell)
-        if kind == "fluid":
-            p = float(self.rows["primal"] @ u_t[psl])
-            row = self.rows["dual"]
-            md = u_t[dsl]
-            return np.array([p, float(row @ md[0::2]), float(row @ md[1::2])])
-        rowp = self.rows["primal"]
-        vp = u_t[psl]
-        rowd = self.rows["dual"]
-        sd = u_t[dsl]
-        return np.array([float(rowp @ vp[0::2]), float(rowp @ vp[1::2]),
-                         float(rowd @ sd[0::3]), float(rowd @ sd[1::3]),
-                         float(rowd @ sd[2::3])])
+            u = u_f if on_face else u_t
+            values.append(row @ u[dofs].reshape(-1, n_comp))
+        return np.concatenate(values)
 
 
-def _primal_row(mesh, layout, ci, point):
-    basis = CellBasis(mesh.cell_centroid[ci], mesh.cell_diameter[ci], layout.k_prime)
-    return basis.eval(point[None, :])[0]
-
-
-def _dual_row(mesh, layout, ci, point):
-    basis = CellBasis(mesh.cell_centroid[ci], mesh.cell_diameter[ci], layout.k)
-    return basis.eval(point[None, :])[0]
-
-
-def _point_segment_distance(p, a, b):
-    ab = b - a
-    t = float(np.clip(((p - a) @ ab) / (ab @ ab), 0.0, 1.0))
-    proj = a + t * ab
-    return float(np.hypot(*(p - proj)))
+def _interface_face(mesh, point, spec) -> int:
+    """Interface face nearest to `point`; the lowest id wins a tie."""
+    gamma = mesh.interface_faces
+    if len(gamma) == 0:
+        raise ScenarioError("mesh has no interface faces")
+    a = mesh.vertices[mesh.faces[gamma, 0]]
+    ab = mesh.vertices[mesh.faces[gamma, 1]] - a
+    t = np.clip(np.sum((point - a) * ab, axis=1) / np.sum(ab * ab, axis=1), 0.0, 1.0)
+    dists = np.hypot(*(point - (a + t[:, None] * ab)).T)
+    best = int(np.argmin(dists))
+    if dists[best] > 1e-9 * mesh.length_scale:
+        raise ScenarioError(f"sensor {spec.name or spec.position} not on the interface")
+    return int(gamma[best])
 
 
 def coupling_errors(record: np.ndarray, normal) -> tuple[np.ndarray, np.ndarray]:
@@ -490,11 +468,6 @@ class CflEstimate:
         if self.cfl_stable >= self.cfl_unstable:
             raise ScenarioError("stable bound must be below the unstable bound")
 
-    @property
-    def value(self) -> float:
-        """The stable bound, used for comparisons."""
-        return self.cfl_stable
-
 
 def _energy_stable_run(system, stepper, u0, dt, n_steps, eps):
     """Run n_steps monitoring energy; True if the run stays stable."""
@@ -518,24 +491,29 @@ def _energy_stable_run(system, stepper, u0, dt, n_steps, eps):
     return True
 
 
-def _spectral_dt(stepper) -> float | None:
-    """Largest dt with |R(-dt lambda)| <= 1 for the 6 largest-magnitude
-    eigenvalues lambda of the explicit operator L (the stepper marches
-    u' = -L u); R is the stability function of the stepper's tableau.
+def spectral_dt(stepper: timestep.ExplicitStepper, h: float) -> tuple[float, bool]:
+    """Predicted stable step of an explicit stepper, and whether the spectrum gave it.
 
-    ARPACK starts from a fixed vector, so the estimate is deterministic.
-    None if ARPACK does not converge or the operator is too small for it.
+    The prediction is the largest dt with |R(-dt lambda)| <= 1 for the 6
+    largest-magnitude eigenvalues lambda of the explicit operator L (the
+    stepper marches u' = -L u); R is the stability function of the
+    stepper's tableau. ARPACK starts from a fixed vector, so the estimate is
+    deterministic. When ARPACK does not converge, or the operator is too
+    small for it, the step of the Courant number 0.5/(k+1) on cells of
+    size `h` stands in and the flag is False.
     """
+    system = stepper.system
+    guess = 0.5 / (system.layout.k + 1) * h / system.materials.c_sharp(system.mesh)
     op = stepper.op
     n_eig = 6
     if op.shape[0] <= n_eig + 1:
-        return None
+        return guess, False
     v0 = np.random.default_rng(0).standard_normal(op.shape[0])
     try:
         lam = spla.eigs(op, k=n_eig, which="LM", tol=1e-3, v0=v0,
                         return_eigenvectors=False)
     except spla.ArpackNoConvergence:
-        return None
+        return guess, False
     # march along each ray z = -x lambda/|lambda| in steps of 0.01 to the
     # first x leaving the stability region, which for an s-stage explicit
     # scheme lies in the disk |z + s| <= s (Jeltsch & Nevanlinna 1981)
@@ -552,7 +530,7 @@ def _spectral_dt(stepper) -> float | None:
         hi = np.where(out, mid, hi)
         lo = np.where(out, lo, mid)
     dt = float(np.min(lo / np.abs(lam)))
-    return dt if 0.0 < dt < math.inf else None
+    return (dt, True) if 0.0 < dt < math.inf else (guess, False)
 
 
 def cfl_bracket(system: hho.BlockSystem, tab: timestep.ButcherTableau, h: float,
@@ -563,8 +541,8 @@ def cfl_bracket(system: hho.BlockSystem, tab: timestep.ButcherTableau, h: float,
     Runs the homogeneous problem (no sources, Dirichlet zero) from the given
     initial state with N steps over `final_time`; a run is stable while its
     relative energy increase stays below eps. The seed N is the step count
-    whose dt keeps the largest-magnitude eigenvalues of the explicit operator
-    inside the tableau's stability region (`_spectral_dt`; the guess
+    of `spectral_dt`, whose dt keeps the largest-magnitude eigenvalues of the
+    explicit operator inside the tableau's stability region (the guess
     0.5/(k+1) for the Courant number if ARPACK does not converge). From the
     seed the search widens by max(1, int(delta N)) steps, doubling, until one
     run is stable and one unstable, then bisects until the stable and
@@ -589,12 +567,8 @@ def cfl_bracket(system: hho.BlockSystem, tab: timestep.ButcherTableau, h: float,
     def gap(n):
         return max(1, int(config.delta * n))
 
-    dt_spec = _spectral_dt(stepper)
-    if dt_spec is None:
-        n = math.ceil(final_time * c_sharp / (0.5 / (system.layout.k + 1) * h))
-    else:
-        n = math.ceil(final_time / dt_spec)
-    n = max(2, n)
+    dt_seed, spectral = spectral_dt(stepper, h)
+    n = max(2, math.ceil(final_time / dt_seed))
     n_stable = n_unstable = None
     if stable(n):
         n_stable = n
@@ -635,6 +609,6 @@ def cfl_bracket(system: hho.BlockSystem, tab: timestep.ButcherTableau, h: float,
         n_unstable=n_unstable,
         c_sharp=c_sharp,
         h=h,
-        cfl_spectral=math.nan if dt_spec is None else c_sharp * dt_spec / h,
+        cfl_spectral=c_sharp * dt_seed / h if spectral else math.nan,
         runs=runs,
     )

@@ -107,7 +107,7 @@ def cartesian_cfl():
         system = assemble(mesh, ACADEMIC, StabilizationConfig.explicit(0.8, 1.5), k=k)
         est = cfl_bracket(system, tableau(scheme), h, final_time=1.0,
                           config=CflBracketConfig(eps=0.05, delta=0.01))
-        values[(k, scheme)] = est.value
+        values[(k, scheme)] = est.cfl_stable
     return values
 
 
@@ -137,7 +137,7 @@ def test_criterion_3_cfl_mesh_geometry(cartesian_cfl):
         h = float(np.mean(mesh.cell_diameter))
         system = assemble(mesh, ACADEMIC, StabilizationConfig.explicit(0.8, 1.5), k=1)
         est = cfl_bracket(system, tableau("ERK2"), h, final_time=1.0)
-        values[family] = est.value
+        values[family] = est.cfl_stable
     ordered = (values["polygonal-hexagonal"] > values["cartesian"] > values["simplicial"])
     within = all(abs(values[f] - TABLE3[f]) / TABLE3[f] <= 0.15 for f in values)
     detail = "; ".join(f"{f}: {values[f]:.4f} vs {TABLE3[f]}" for f in
@@ -377,7 +377,7 @@ def test_criterion_9_operator_properties():
                        [system.k_ft.toarray(), system.k_ff.toarray()]])
     sym = 0.5 * (k_full + k_full.T)
     for ci in range(mesh2.n_cells):
-        if np.max(np.abs(sym[system.layout.cell_dual_slice(ci), :])) > 1e-11:
+        if np.max(np.abs(sym[system.layout.cell_dofs([ci], "dual")[0], :])) > 1e-11:
             failures.append(("assembled", "skew"))
             break
     rng2 = np.random.default_rng(77)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hhowave import MeshGenSpec, generate, merge_nonconforming
-from hhowave.basis import (CellBasis, FaceBasis, QuadratureError, basis_dim, cell_groups,
+from hhowave.basis import (CellBasis, FaceBasis, QuadratureError, cell_groups,
                            monomial_exponents, polygon_area, polygon_centroid,
                            polygon_diameter, polygon_quadrature, project_cell, project_face,
                            scalar_cell_dim, segment_quadrature)
@@ -60,11 +60,6 @@ def random_star_polygon(rng, n_min=3, n_max=8, scale=1.0):
 # dimensions
 
 def test_basis_dims():
-    assert basis_dim("scalar", "cell", 1) == 3
-    assert basis_dim("symtensor2", "cell", 1) == 9
-    assert basis_dim("vector2", "cell", 1) == 6
-    assert basis_dim("scalar", "face", 2) == 3
-    assert basis_dim("vector2", "face", 1) == 4
     for k in range(5):
         assert scalar_cell_dim(k) == (k + 1) * (k + 2) // 2
 

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from hhowave import cli, timestep
+from hhowave import StabilizationConfig, assemble, builtin_materials, cfl_bracket, cli, timestep
 from hhowave import mesh as msh
 
 RICKER_CFG = {
@@ -479,6 +479,29 @@ def test_efficiency_report(tmp_path):
         pts = [d for d in data if d[0] == scheme]
         assert len(pts) == 2
         assert float(pts[1][4]) < float(pts[0][4])  # error drops with refinement
+
+
+def test_efficiency_caps_explicit_steps_below_the_stability_limit(tmp_path):
+    # simplicial cells are less stable than the cartesian ones of Table 2
+    cfg = {
+        "mesh": {"family": "simplicial",
+                 "fluid_rect": [0, 0, 1, 1], "solid_rect": [-1, 0, 0, 1]},
+        "degree": 1, "scheme": "ERK2", "dt": 0.01, "final_time": 1.0,
+        "materials": "academic",
+        "scenario": {"type": "manufactured", "omega": 1.0, "theta": 1.0},
+        "efficiency": {"schemes": ["ERK2", "ERK4"], "levels": [2], "dt0": 1.0},
+    }
+    out = tmp_path / "out"
+    code = cli.main(["efficiency", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert code == cli.EXIT_OK
+    rows = [r.split(",") for r in (out / "efficiency.csv").read_text().strip().splitlines()[1:]]
+    mesh = cli.build_mesh(dict(cfg["mesh"], level=2))
+    system = assemble(mesh, builtin_materials("academic"), StabilizationConfig.explicit(), k=1)
+    h = float(np.mean(mesh.cell_diameter))
+    for scheme, _, dt, *_ in rows:
+        est = cfl_bracket(system, timestep.tableau(scheme), h, final_time=1.0)
+        assert float(dt) < 0.1 * 1.0 * 2.0 ** (-4 / 3)       # the cap binds
+        assert float(dt) <= 1.0 / est.n_stable, (scheme, float(dt) * est.n_stable)
 
 
 def test_efficiency_honours_stabilization_weights(tmp_path):

@@ -288,15 +288,6 @@ def test_tau_values():
     assert abs(sblocks.tau - 1.5) < 1e-14
 
 
-def test_config_pairing_enforced():
-    with pytest.raises(ConfigError):
-        StabilizationConfig("equal", "lehrenfeld-schoberl", 0)
-    with pytest.raises(ConfigError):
-        StabilizationConfig("mixed", "least-squares", 1)
-    with pytest.raises(ConfigError):
-        StabilizationConfig("equal", "least-squares", 1)
-
-
 # ---------------------------------------------------------------------------
 # coupling block
 
@@ -388,8 +379,8 @@ def test_unstabilized_part_is_skew():
     sym = 0.5 * (K + K.T)
     # symmetric part never touches dual dofs: gradient blocks are purely skew
     for ci in range(mesh.n_cells):
-        dsl = layout.cell_dual_slice(ci)
-        assert np.max(np.abs(sym[dsl, :])) < 1e-12
+        dual = layout.cell_dofs([ci], "dual")[0]
+        assert np.max(np.abs(sym[dual, :])) < 1e-12
     # and it is positive semidefinite (pure stabilization)
     eigs = np.linalg.eigvalsh(sym)
     assert eigs.min() > -1e-10 * max(1.0, eigs.max())
@@ -412,7 +403,7 @@ def test_energy_rate_equals_stabilization():
         for ci in range(mesh.n_cells):
             blocks = build_cell_blocks(mesh, ci, layout,
                                        ACADEMIC.material(mesh, ci), config)
-            cc = u_t[layout.cell_primal_slice(ci)]
+            cc = u_t[layout.cell_dofs([ci], "primal")[0]]
             stab += cc @ (blocks.stab_cell @ cc)
             for j, fi in enumerate(blocks.face_ids):
                 fi = int(fi)
@@ -454,14 +445,14 @@ def test_grouped_projections_match_per_cell_reference():
     for ci in range(mesh.n_cells):
         verts = mesh.vertices[mesh.cell_vertices[ci]]
         fluid = mesh.subdomain[ci] == msh.FLUID
-        for fn, sl, degree in (
-                (wave if fluid else vector, layout.cell_primal_slice(ci), kp),
-                (vector if fluid else tensor, layout.cell_dual_slice(ci), k)):
+        for fn, dofs, degree in (
+                (wave if fluid else vector, layout.cell_dofs([ci], "primal")[0], kp),
+                (vector if fluid else tensor, layout.cell_dofs([ci], "dual")[0], k)):
             basis = CellBasis(mesh.cell_centroid[ci], mesh.cell_diameter[ci], degree)
             n_comp = np.atleast_2d(fn(verts[:1]).T).shape[0]
             for c in range(n_comp):
                 comp = (lambda p, c=c, fn=fn: np.atleast_2d(fn(p).T)[c])
-                want[sl][c::n_comp] = project_cell(comp, basis, verts,
+                want[dofs[c::n_comp]] = project_cell(comp, basis, verts,
                                                    center=mesh.cell_centroid[ci],
                                                    degree_hint=2 * kp + 2 - degree)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
@@ -485,10 +476,9 @@ def test_dof_counts_cartesian_l2_k1():
     n_fluid = int(np.sum(mesh.subdomain == msh.FLUID))
     n_solid = mesh.n_cells - n_fluid
     assert layout.n_cell_dofs == n_fluid * 9 + n_solid * 15
-    classes = {c: mesh.faces_of_class(code).size
-               for code, c in msh.FACE_CLASS_NAMES.items()}
-    expected_face = (classes["fluid_interior"] * 2 + classes["solid_interior"] * 4
-                     + classes["interface"] * 6)
+    count = lambda code: mesh.faces_of_class(code).size
+    expected_face = (count(msh.F_INT_FLUID) * 2 + count(msh.F_INT_SOLID) * 4
+                     + count(msh.F_INTERFACE) * 6)
     assert layout.n_face_dofs == expected_face
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from hhowave import mesh as msh
 from hhowave.mesh import (FLUID, SOLID, MeshError, MeshGenSpec, PolyMesh,
-                          classify_faces, dump_text, generate, load_text,
+                          dump_text, generate, load_text,
                           merge_nonconforming, read_msh)
 
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
@@ -39,9 +39,9 @@ def test_cartesian_level0():
     m = generate(MeshGenSpec("cartesian", 0, **BILAYER))
     assert m.n_cells == 2
     assert len(m.interface_faces) == 1
-    classes = classify_faces(m)
-    assert len(classes["fluid_boundary"]) + len(classes["solid_boundary"]) == 6
-    assert len(classes["fluid_interior"]) == 0 and len(classes["solid_interior"]) == 0
+    assert len(m.faces_of_class(msh.F_BND_FLUID)) + len(m.faces_of_class(msh.F_BND_SOLID)) == 6
+    assert (len(m.faces_of_class(msh.F_INT_FLUID)) == 0
+            and len(m.faces_of_class(msh.F_INT_SOLID)) == 0)
 
 
 def test_cartesian_level2_counts():
@@ -126,8 +126,7 @@ def test_geometric_invariants(family):
 
 def test_classification_partitions_faces():
     m = generate(MeshGenSpec("simplicial", 3, **BILAYER))
-    classes = classify_faces(m)
-    ids = np.concatenate([v for v in classes.values()])
+    ids = np.concatenate([m.faces_of_class(code) for code in range(5)])
     assert len(ids) == m.n_faces
     assert len(np.unique(ids)) == m.n_faces
 
@@ -213,8 +212,7 @@ def test_read_msh_mixed_elements(tmp_path):
     assert m.n_cells == 6
     assert int(np.sum(m.subdomain == FLUID)) == 4
     # hanging node at (2, 0) on the wide solid quad is resolved
-    classes = classify_faces(m)
-    assert len(classes["interface"]) == 3
+    assert len(m.faces_of_class(msh.F_INTERFACE)) == 3
     assert abs(np.sum(m.cell_area) - 6.0) < 1e-12
 
 

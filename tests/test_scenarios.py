@@ -14,7 +14,7 @@ from hhowave.basis import CellBasis, FaceBasis
 from hhowave.materials import FluidMaterial, SolidMaterial
 from hhowave.scenarios import (BoundSensor, CflBracketConfig, CflEstimate,
                                ManufacturedCase, RickerConfig, ScenarioError,
-                               SensorSpec, cfl_bracket, combined_sensor_error,
+                               SensorSpec, cfl_bracket,
                                coupling_errors, energy, l2_error_dual,
                                manufactured_forcing, manufactured_initial_state,
                                ricker_initial_state, sensor_error)
@@ -179,11 +179,9 @@ def test_sensor_error_identical_and_scaled():
     rng = np.random.default_rng(3)
     trace = rng.standard_normal((50, 1))
     assert sensor_error(trace, trace) == 0.0
-    # reference scaled by 2 against itself: |x - 2x| / |2x| = 1/2 per channel
-    p = rng.standard_normal((50, 1))
+    # reference scaled by 2 against itself: |x - 2x| / |2x| = 1/2
     v = rng.standard_normal((50, 2))
-    err = combined_sensor_error(p, 2 * p, v, 2 * v)
-    assert abs(err - 1.0) < 1e-12
+    assert abs(sensor_error(v, 2 * v) - 0.5) < 1e-12
 
 
 def test_sensor_error_mismatched_grid():
@@ -443,8 +441,9 @@ def test_cfl_bracket_survives_a_bad_seed(monkeypatch, level, factor):
     # the spectral seed only chooses where the search starts
     system, h = cfl_system(level)
     want = cfl_bracket(system, tableau("ERK2"), h)
-    spectral_dt = scenarios._spectral_dt
-    monkeypatch.setattr(scenarios, "_spectral_dt", lambda st: factor * spectral_dt(st))
+    spectral_dt = scenarios.spectral_dt
+    monkeypatch.setattr(scenarios, "spectral_dt",
+                        lambda st, h: (factor * spectral_dt(st, h)[0], True))
     got = cfl_bracket(system, tableau("ERK2"), h)
     assert (got.n_stable, got.n_unstable) == (want.n_stable, want.n_unstable)
     assert got.cfl_spectral == pytest.approx(factor * want.cfl_spectral, rel=1e-12)
