@@ -499,9 +499,11 @@ def test_efficiency_caps_explicit_steps_below_the_stability_limit(tmp_path):
     system = assemble(mesh, builtin_materials("academic"), StabilizationConfig.explicit(), k=1)
     h = float(np.mean(mesh.cell_diameter))
     for scheme, _, dt, *_ in rows:
-        est = cfl_bracket(system, timestep.tableau(scheme), h, final_time=1.0)
-        assert float(dt) < 0.1 * 1.0 * 2.0 ** (-4 / 3)       # the cap binds
-        assert float(dt) <= 1.0 / est.n_stable, (scheme, float(dt) * est.n_stable)
+        tab = timestep.tableau(scheme)
+        # the cap binds: dt0 2^(-level (k+1)/(s+1)) is ten times larger
+        assert float(dt) < 0.1 * 2.0 ** (-2 * 2 / (tab.s + 1))
+        est = cfl_bracket(system, tab, h, final_time=1.0)
+        assert float(dt) <= 1.0 / est.n_stable, scheme
 
 
 def test_efficiency_honours_stabilization_weights(tmp_path):
