@@ -5,7 +5,9 @@ flags override file values. Outputs are deterministic CSV tables, ASCII VTU
 snapshots of cell-averaged fields, and a machine-readable JSON run summary.
 Wall-clock timing covers assembly, factorization and the time loop; mesh
 generation, the stability estimate that caps explicit `efficiency` steps and
-file IO are excluded.
+file IO are excluded. The `simulate` summary also times each phase on its
+own: mesh, assemble, stepper (block inverses, condensation and factor),
+march (with sensors, energy and snapshots) and output (the CSV files).
 
 Exit codes: 0 success, 2 configuration error, 3 instability detected,
 4 linear solver failure.
@@ -36,6 +38,8 @@ EXIT_SOLVER = 4
 
 EXPLICIT_SCHEMES = ("ERK2", "ERK3", "ERK4")
 IMPLICIT_SCHEMES = ("SDIRK23", "SDIRK34")
+# the assembled operators whose stored entries `simulate` reports
+OPERATORS = ("mass", "k_tt", "k_tf", "k_ft", "k_ff")
 
 
 class CliConfigError(Exception):
@@ -243,12 +247,20 @@ def resolve_dt(cfg, mesh, materials) -> float:
     if "dt" in cfg:
         dt = _float(cfg["dt"], "dt")
     else:
-        c_sharp = materials.c_sharp(mesh)
-        h = float(np.mean(mesh.cell_diameter))
-        dt = _float(cfg["cfl"], "cfl") * h / c_sharp
+        dt = _float(cfg["cfl"], "cfl") * mean_h(mesh) / materials.c_sharp(mesh)
     if dt <= 0:
         raise CliConfigError("time step must be positive")
     return dt
+
+
+def mean_h(mesh) -> float:
+    """The mesh size h of Courant numbers: the mean cell diameter."""
+    return float(np.mean(mesh.cell_diameter))
+
+
+def courant(mesh, materials, dt) -> float:
+    """Courant number c# dt / h, with c# the largest wave speed."""
+    return materials.c_sharp(mesh) * dt / mean_h(mesh)
 
 
 def step_count(final_time: float, dt: float):
@@ -373,17 +385,28 @@ def cmd_simulate(cfg, out_dir) -> int:
         raise CliConfigError("output.trace_every must be positive and "
                              "output.snapshot_every non-negative")
     os.makedirs(out_dir, exist_ok=True)
+    timings = {}            # seconds per phase
+    t0 = time.perf_counter()
     mesh = build_mesh(cfg["mesh"])
+    timings["mesh"] = time.perf_counter() - t0
     materials = build_materials(cfg)
     stab = build_stabilization(cfg)
     n_steps, dt = step_count(_float(cfg["final_time"], "final_time"),
                              resolve_dt(cfg, mesh, materials))
-    log.info("simulate: %d cells, %d steps of dt=%g", mesh.n_cells, n_steps, dt)
+    courant_number = courant(mesh, materials, dt)
+    log.info("simulate: %d cells, %d steps of dt=%g, Courant number %.4g",
+             mesh.n_cells, n_steps, dt, courant_number)
 
     t_start = time.perf_counter()
     system = hho.assemble(mesh, materials, stab, k=cfg["degree"])
+    timings["assemble"] = time.perf_counter() - t_start
+    operator_nnz = {name: int(getattr(system, name).nnz) for name in OPERATORS}
+    log.info("operators store %d entries: %s", sum(operator_nnz.values()),
+             ", ".join(f"{name} {nnz}" for name, nnz in operator_nnz.items()))
     u0, forcing, _ = build_scenario(cfg, system, materials)
+    t0 = time.perf_counter()
     stepper, tab = build_stepper(cfg, system, dt)
+    timings["stepper"] = time.perf_counter() - t0
     schur = None if tab.explicit or not system.n_face_dofs else stepper.fact.schur_solver
     if schur is not None:
         log.info("Schur %s: %d face dofs, %d nnz, %d nnz in the factors (fill %.1fx), "
@@ -412,12 +435,15 @@ def cmd_simulate(cfg, out_dir) -> int:
 
     status = "completed"
     failed_step = None
+    t0 = time.perf_counter()
     try:
         timestep.run_time_loop(stepper, u0, dt, n_steps, forcing, observer=observe)
     except timestep.InstabilityError as exc:
         status = "instability"
         failed_step = exc.step_index
-    wall = time.perf_counter() - t_start
+    end = time.perf_counter()
+    timings["march"] = end - t0
+    wall = end - t_start
 
     if sensors:
         header = ["time"] + [f"{s.spec.name}.{ch}" for s in sensors for ch in s.channels]
@@ -427,14 +453,19 @@ def cmd_simulate(cfg, out_dir) -> int:
                   header, rows)
     write_csv(os.path.join(out_dir, "energy.csv"), ["time", "energy"],
               list(zip(times, energies)))
+    timings["output"] = time.perf_counter() - end
+    log.info("timings: %s", ", ".join(f"{name} {sec:.3f} s" for name, sec in timings.items()))
 
     summary = {
         "config": cfg,
         "n_cells": int(mesh.n_cells),
         "n_faces": int(mesh.n_faces),
         "dt": dt,
+        "courant": courant_number,
         "steps": n_steps,
         "wall_time_seconds": wall,
+        "timings": timings,
+        "operator_nnz": operator_nnz,
         "status": status,
         "failed_step": failed_step,
         "energy_initial": energies[0] if energies else None,
@@ -482,7 +513,7 @@ def cmd_converge(cfg, out_dir, levels) -> int:
         system = hho.assemble(mesh, materials, build_stabilization(cfg), k=cfg["degree"])
         err, _ = _manufactured_run(cfg, system, n_steps, dt)
         rate = math.log2(prev_err / err) if prev_err else float("nan")
-        h = float(np.mean(mesh.cell_diameter))
+        h = mean_h(mesh)
         rows.append([level, h, err, rate])
         prev_err = err
         log.info("level %d: error %.3e rate %.2f", level, err, rate)
@@ -508,7 +539,7 @@ def cmd_cfl(cfg, out_dir) -> int:
     rows = []
     for family in families:
         mesh = build_mesh(dict(cfg["mesh"], family=family, level=level))
-        h = float(np.mean(mesh.cell_diameter))
+        h = mean_h(mesh)
         for k in degrees:
             system = hho.assemble(mesh, materials, stab, k=k)
             for scheme in schemes:
@@ -548,19 +579,23 @@ def cmd_efficiency(cfg, out_dir) -> int:
         raise CliConfigError("efficiency study requires the manufactured scenario")
     k = cfg["degree"]
     final_time = _float(cfg["final_time"], "final_time")
-    rows = []
-    for scheme in schemes:
-        tab = timestep.tableau(scheme)
-        run_cfg = dict(cfg, scheme=scheme, order_mode="equal" if tab.explicit else "mixed")
-        for level in levels:
-            mesh = build_mesh(dict(cfg["mesh"], level=level))
+    rows = [[] for _ in schemes]
+    for level in levels:
+        # one mesh per level, one system per order mode the schemes use
+        mesh = build_mesh(dict(cfg["mesh"], level=level))
+        h = mean_h(mesh)
+        systems = {}
+        for scheme, scheme_rows in zip(schemes, rows):
+            tab = timestep.tableau(scheme)
+            run_cfg = dict(cfg, scheme=scheme, order_mode="equal" if tab.explicit else "mixed")
+            if run_cfg["order_mode"] not in systems:
+                t0 = time.perf_counter()
+                system = hho.assemble(mesh, materials, build_stabilization(run_cfg), k=k)
+                systems[run_cfg["order_mode"]] = system, time.perf_counter() - t0
+            system, assemble_s = systems[run_cfg["order_mode"]]
             dt = dt0 * 2.0 ** (-level * (k + 1) / (tab.s + 1))
-            t0 = time.perf_counter()
-            system = hho.assemble(mesh, materials, build_stabilization(run_cfg), k=k)
-            assemble_s = time.perf_counter() - t0
             if tab.explicit:
                 # explicit steps are bounded by this system's own stability limit
-                h = float(np.mean(mesh.cell_diameter))
                 dt_stable, _ = scenarios.spectral_dt(timestep.ExplicitStepper(system, tab), h)
                 dt = min(dt, cfl_cap * dt_stable)
             else:
@@ -570,10 +605,11 @@ def cmd_efficiency(cfg, out_dir) -> int:
             n_steps, dt = step_count(final_time, dt)
             err, march_s = _manufactured_run(run_cfg, system, n_steps, dt)
             wall = assemble_s + march_s
-            rows.append([scheme, level, dt, n_steps, err, wall])
+            scheme_rows.append([scheme, level, dt, n_steps, err, wall])
             log.info("%s level %d: err %.3e cpu %.2fs", scheme, level, err, wall)
     write_csv(os.path.join(out_dir, "efficiency.csv"),
-              ["scheme", "level", "dt", "steps", "error", "cpu_seconds"], rows)
+              ["scheme", "level", "dt", "steps", "error", "cpu_seconds"],
+              [row for scheme_rows in rows for row in scheme_rows])
     return EXIT_OK
 
 

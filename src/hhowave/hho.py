@@ -20,7 +20,9 @@ applied to known face values.
 The three block-diagonal matrices are held once each, as `BlockDiagonal`
 stacks of dense blocks grouped by block size; their CSR forms and the block
 inverses that both static condensations need are derived from these stacks,
-one batched inversion per block size.
+one batched inversion per block size. The stacks keep whole dense blocks,
+which the batched inversions need; every CSR matrix built from dense blocks
+stores only their nonzero entries, with int32 indices.
 
 All cell integrals run on `basis.cell_groups`: the local blocks of cells that
 share a vertex count and a material are formed together on stacked arrays,
@@ -483,11 +485,19 @@ class BlockSystem:
 
 
 def _block_entries(blocks, row0, col0):
-    """COO triplets of dense blocks (m, r, c) placed at offsets row0, col0 (m,)."""
-    m, r, c = blocks.shape
-    rows = np.broadcast_to(row0[:, None, None] + np.arange(r)[:, None], blocks.shape)
-    cols = np.broadcast_to(col0[:, None, None] + np.arange(c), blocks.shape)
-    return rows.ravel(), cols.ravel(), blocks.ravel()
+    """COO triplets of the nonzero entries of dense blocks (m, r, c) placed at
+    offsets row0, col0 (m,), with int32 row and column indices.
+
+    The blocks' exact zeros (the zero dual-dual and dual-primal blocks, the
+    vector components no entry couples) are not emitted, so no CSR built from
+    them stores one.
+    """
+    _, r, c = blocks.shape
+    nonzero = blocks != 0
+    rows = row0.astype(np.int32)[:, None, None] + np.arange(r, dtype=np.int32)[:, None]
+    cols = col0.astype(np.int32)[:, None, None] + np.arange(c, dtype=np.int32)
+    return (np.broadcast_to(rows, blocks.shape)[nonzero],
+            np.broadcast_to(cols, blocks.shape)[nonzero], blocks[nonzero])
 
 
 def _csr(entries, shape):

@@ -177,6 +177,35 @@ def test_simulate_reports_schur_solver(tmp_path, caplog):
     assert solver["solves"] == 3 * summary["steps"]      # one per SDIRK34 stage
     assert 0.0 < solver["max_residual"] <= 1e-8
     assert "factored in" in caplog.text
+    # what the run stored and where its time went
+    assert set(summary["operator_nnz"]) == {"mass", "k_tt", "k_tf", "k_ft", "k_ff"}
+    assert all(nnz > 0 for nnz in summary["operator_nnz"].values())
+    assert set(summary["timings"]) == {"mesh", "assemble", "stepper", "march", "output"}
+    assert all(sec >= 0.0 for sec in summary["timings"].values())
+    assert "operators store" in caplog.text and "timings: mesh" in caplog.text
+
+
+@pytest.mark.parametrize("given", ["cfl", "dt"])
+def test_simulate_reports_courant_number(tmp_path, caplog, given):
+    cfg = json.loads(json.dumps(RICKER_CFG))
+    cfg["mesh"]["level"] = 2
+    cfg["output"] = {}
+    mesh = cli.build_mesh(cfg["mesh"])
+    c_sharp = cli.build_materials(cfg).c_sharp(mesh)
+    h = float(np.mean(mesh.cell_diameter))
+    if given == "cfl":
+        cfg.pop("dt")
+        cfg["cfl"] = want = 0.3
+        cfg["final_time"] = 4 * 0.3 * h / c_sharp      # a whole number of steps
+    else:
+        want = c_sharp * cfg["dt"] / h
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="hhowave"):
+        assert cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(out)]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert abs(summary["courant"] - want) < 1e-14
+    assert f"Courant number {want:.4g}" in caplog.text
 
 
 def test_simulate_deterministic_traces(tmp_path):

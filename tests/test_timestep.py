@@ -17,6 +17,8 @@ from hhowave.hho import BlockDiagonal
 from hhowave import timestep
 from hhowave.timestep import FactorizedOperator, SolverError, TimestepError
 
+from test_golden import MESHES, golden_mesh
+
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
 ACADEMIC = builtin_materials("academic")
 
@@ -239,6 +241,29 @@ def test_block_diagonal_stores(mode, k):
             broken = BlockDiagonal(store.n, {**store.stacks, size: (starts, bad)})
             with pytest.raises(SolverError, match=f"singular test block at offset {starts[mid]}$"):
                 broken.inverse("test")
+
+
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+@pytest.mark.parametrize("mesh_name", MESHES)
+def test_sparse_operators_store_nonzeros_only(mesh_name, mode):
+    """Every CSR built from dense blocks, and every product of them, holds
+    only nonzero entries, indexed by int32."""
+    mesh = golden_mesh(mesh_name)
+    if mode == "explicit":
+        system = assemble(mesh, ACADEMIC, StabilizationConfig.explicit(), k=1)
+        stepper = ExplicitStepper(system, tableau("ERK2"))
+        derived = {"minv": stepper.minv, "op": stepper.op, "face_op": stepper.face_op}
+    else:
+        system = assemble(mesh, ACADEMIC, StabilizationConfig.implicit(), k=1)
+        fact = CondensedFactorization(system, tableau("SDIRK34").a_star, 0.01,
+                                      SolverConfig())
+        derived = {"a_inv": fact.a_inv, "g": fact.g, "schur": fact.schur}
+    assert system.k_td is not None
+    for name in ("mass", "k_tt", "k_tf", "k_ft", "k_ff", "k_td"):
+        derived[name] = getattr(system, name)
+    for name, mat in derived.items():
+        assert mat.nnz > 0 and np.all(mat.data != 0), name
+        assert mat.indices.dtype == np.int32, name
 
 
 # ---------------------------------------------------------------------------
