@@ -22,7 +22,10 @@ stacks of dense blocks grouped by block size; their CSR forms and the block
 inverses that both static condensations need are derived from these stacks,
 one batched inversion per block size. The stacks keep whole dense blocks,
 which the batched inversions need; every CSR matrix built from dense blocks
-stores only their nonzero entries, with int32 indices.
+stores only their nonzero entries, with int32 indices. What the explicit path
+derives from a system (the face map P, M^-1, the face-eliminated operator L
+and its extreme eigenvalues) belongs to the system too: each is built once,
+on first use, and shared by every stepper and scheme on that system.
 
 All cell integrals run on `basis.cell_groups`: the local blocks of cells that
 share a vertex count and a material are formed together on stacked arrays,
@@ -33,16 +36,22 @@ computation.
 from __future__ import annotations
 
 import dataclasses
+import logging
+import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import mesh as msh
 from .basis import (CellGroup, cell_group, cell_groups, face_rule, scalar_cell_dim,
                     scalar_face_dim)
 from .materials import FluidMaterial, MaterialMap
 from .timestep import SolverError
+
+log = logging.getLogger(__name__)
 
 _I2 = np.eye(2)
 
@@ -431,6 +440,10 @@ class BlockSystem:
     them as BlockDiagonal stacks, `mass`, `k_tt` and `k_ff` as CSR. `k_td`
     maps known Dirichlet face values to cell equations (lifting of
     nonhomogeneous boundary data).
+
+    The face map `face_op`, the CSR `minv`, the explicit operator
+    `explicit_op` and its `explicit_spectrum` are built on first use and
+    kept; only `face_op` is read on the implicit path.
     """
 
     def __init__(self, layout, mass_blocks, ktt_blocks, k_tf, k_ft, kff_blocks, k_td,
@@ -456,6 +469,47 @@ class BlockSystem:
     @property
     def n_face_dofs(self):
         return self.layout.n_face_dofs
+
+    @cached_property
+    def face_op(self) -> sp.csr_matrix:
+        """P = -K_FF^-1 K_FT, mapping cell unknowns to the face unknowns they induce."""
+        # raises if a face block is singular
+        return -(self.kff_blocks.inverse("face stiffness").tocsr() @ self.k_ft)
+
+    @cached_property
+    def minv(self) -> sp.csr_matrix:
+        """M^-1, inverted block by block."""
+        return self.mass_blocks.inverse("cell mass").tocsr()
+
+    @cached_property
+    def explicit_op(self) -> sp.csr_matrix:
+        """L = M^-1 (K_TT + K_TF P): the unforced explicit system is u' = -L u."""
+        return (self.minv @ (self.k_tt + self.k_tf @ self.face_op)).tocsr()
+
+    @cached_property
+    def explicit_spectrum(self) -> np.ndarray | None:
+        """The 6 largest-magnitude eigenvalues of `explicit_op`, or None.
+
+        ARPACK starts from a fixed vector, so the eigenvalues are
+        deterministic. None when ARPACK does not converge or L is too small
+        for it.
+        """
+        op = self.explicit_op
+        n_eig = 6
+        if op.shape[0] <= n_eig + 1:
+            return None
+        v0 = np.random.default_rng(0).standard_normal(op.shape[0])
+        t0 = time.perf_counter()
+        try:
+            lam = spla.eigs(op, k=n_eig, which="LM", tol=1e-3, v0=v0,
+                            return_eigenvectors=False)
+        except spla.ArpackNoConvergence:
+            log.info("ARPACK did not converge on L (%d cell dofs) in %.3f s",
+                     op.shape[0], time.perf_counter() - t0)
+            return None
+        log.info("ARPACK: %d eigenvalues of L (%d cell dofs) in %.3f s, max |lambda| %.6g",
+                 n_eig, op.shape[0], time.perf_counter() - t0, np.abs(lam).max())
+        return lam
 
     def project_dirichlet(self, fluid_trace=None, solid_trace=None) -> np.ndarray:
         """L2-project boundary data onto the Dirichlet face index space.

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import hho, mesh as msh, timestep
 from .basis import CellBasis, FaceBasis, cell_groups
@@ -497,22 +496,16 @@ def spectral_dt(stepper: timestep.ExplicitStepper, h: float) -> tuple[float, boo
     The prediction is the largest dt with |R(-dt lambda)| <= 1 for the 6
     largest-magnitude eigenvalues lambda of the explicit operator L (the
     stepper marches u' = -L u); R is the stability function of the
-    stepper's tableau. ARPACK starts from a fixed vector, so the estimate is
-    deterministic. When ARPACK does not converge, or the operator is too
-    small for it, the step of the Courant number 0.5/(k+1) on cells of
-    size `h` stands in and the flag is False.
+    stepper's tableau. The eigenvalues are the system's
+    `explicit_spectrum`, computed once per system and shared by every
+    scheme. When ARPACK does not converge, or the operator is too small for
+    it, the step of the Courant number 0.5/(k+1) on cells of size `h`
+    stands in and the flag is False.
     """
     system = stepper.system
     guess = 0.5 / (system.layout.k + 1) * h / system.materials.c_sharp(system.mesh)
-    op = stepper.op
-    n_eig = 6
-    if op.shape[0] <= n_eig + 1:
-        return guess, False
-    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
-    try:
-        lam = spla.eigs(op, k=n_eig, which="LM", tol=1e-3, v0=v0,
-                        return_eigenvectors=False)
-    except spla.ArpackNoConvergence:
+    lam = system.explicit_spectrum
+    if lam is None:
         return guess, False
     # march along each ray z = -x lambda/|lambda| in steps of 0.01 to the
     # first x leaving the stability region, which for an s-stage explicit

@@ -3,10 +3,12 @@
 Both steppers work in stage slopes k_i (du/dt at stage i): every stage state
 and the update is u_t + dt sum_j w_j k_j over one tableau row.
 
-Explicit schemes eliminate the face unknowns once, at set-up: the face-face
-stiffness is block-diagonal per face and the mass is block-diagonal per cell,
-so L = M^-1 (K_TT - K_TF K_FF^-1 K_FT) is a fixed sparse cell operator and
-each stage is one sparse product with it. Implicit (singly diagonal) schemes
+Explicit schemes eliminate the face unknowns: the face-face stiffness is
+block-diagonal per face and the mass is block-diagonal per cell, so
+L = M^-1 (K_TT - K_TF K_FF^-1 K_FT) is a fixed sparse cell operator and each
+stage is one sparse product with it. L is built once per system, on first
+use (`hho.BlockSystem.explicit_op`), not once per stepper: every explicit
+stepper on a system shares it. Implicit (singly diagonal) schemes
 condense the cell unknowns instead: the block-diagonal M + a* dt K_TT is
 the only matrix they invert, once, together with its product with K_TF; a
 face-coupled Schur complement is assembled and factored once, and all of
@@ -26,7 +28,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -250,12 +251,10 @@ class _Stepper:
     stage state and the update from a tableau row with `_advance`.
     """
 
-    @cached_property
+    @property
     def face_op(self) -> sp.csr_matrix:
-        """P = -K_FF^-1 K_FT, mapping cell unknowns to the face unknowns they induce."""
-        sysm = self.system
-        # raises if a face block is singular
-        return -(sysm.kff_blocks.inverse("face stiffness").tocsr() @ sysm.k_ft)
+        """The system's P = -K_FF^-1 K_FT (`hho.BlockSystem.face_op`)."""
+        return self.system.face_op
 
     def face_values(self, u_t: np.ndarray) -> np.ndarray:
         """Face unknowns -K_FF^-1 K_FT u_t induced by the cell unknowns."""
@@ -268,10 +267,11 @@ class _Stepper:
 class ExplicitStepper(_Stepper):
     """Face-eliminated explicit Runge-Kutta integrator.
 
-    The face unknowns are eliminated once, at construction, into the cell
-    operator L = M^-1 (K_TT + K_TF P) with P = -K_FF^-1 K_FT; each stage then
-    evaluates L u_i - M^-1 f_i, which is minus its slope, with one sparse
-    product, so stage states and the update advance by -dt.
+    The face unknowns are eliminated into the system's cell operator
+    L = M^-1 (K_TT + K_TF P) with P = -K_FF^-1 K_FT (`op`, built by the first
+    stepper on the system); each stage then evaluates L u_i - M^-1 f_i, which
+    is minus its slope, with one sparse product, so stage states and the
+    update advance by -dt.
     """
 
     def __init__(self, system, tab: ButcherTableau):
@@ -279,8 +279,8 @@ class ExplicitStepper(_Stepper):
             raise TimestepError(f"{tab.kind} is not an explicit tableau")
         self.system = system
         self.tableau = tab
-        self.minv = system.mass_blocks.inverse("cell mass").tocsr()
-        self.op = (self.minv @ (system.k_tt + system.k_tf @ self.face_op)).tocsr()
+        self.minv = system.minv
+        self.op = system.explicit_op
 
     def step(self, u_t: np.ndarray, t: float, dt: float, forcing=None,
              step_index: int = 0) -> np.ndarray:

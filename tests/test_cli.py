@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hhowave import StabilizationConfig, assemble, builtin_materials, cfl_bracket, cli, timestep
-from hhowave import mesh as msh
+from hhowave import hho, mesh as msh
 
 RICKER_CFG = {
     "mesh": {"family": "cartesian", "level": 3,
@@ -183,6 +183,15 @@ def test_simulate_reports_schur_solver(tmp_path, caplog):
     assert set(summary["timings"]) == {"mesh", "assemble", "stepper", "march", "output"}
     assert all(sec >= 0.0 for sec in summary["timings"].values())
     assert "operators store" in caplog.text and "timings: mesh" in caplog.text
+    # how the physics behaved, and progress with an ETA about every 10% of the steps
+    energies = np.loadtxt(out / "energy.csv", delimiter=",", skiprows=1)[:, 1]
+    drift = np.max(np.abs(energies - energies[0])) / energies[0]
+    assert summary["energy_max_drift"] == drift > 0.0
+    assert f"largest relative drift {drift:.3e}" in caplog.text
+    progress = [r.getMessage() for r in caplog.records if "ETA" in r.getMessage()]
+    assert len(progress) == summary["steps"] == 10
+    assert progress[0].startswith("step 1/10 (10%), elapsed ")
+    assert progress[-1].endswith("ETA 0.0 s")
 
 
 @pytest.mark.parametrize("given", ["cfl", "dt"])
@@ -477,6 +486,7 @@ def test_cfl_csv_reports_seed_and_runs(tmp_path, caplog):
     assert int(entry["runs"]) >= 2
     assert f"{int(entry['runs'])} energy runs" in caplog.text
     assert "spectral seed" in caplog.text
+    assert caplog.text.count("ARPACK: 6 eigenvalues of L") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +518,30 @@ def test_efficiency_report(tmp_path):
         pts = [d for d in data if d[0] == scheme]
         assert len(pts) == 2
         assert float(pts[1][4]) < float(pts[0][4])  # error drops with refinement
+
+
+def test_efficiency_computes_one_spectrum_per_level(tmp_path, monkeypatch, caplog):
+    cfg = {
+        "mesh": {"family": "cartesian",
+                 "fluid_rect": [0, 0, 1, 1], "solid_rect": [-1, 0, 0, 1]},
+        "degree": 1, "scheme": "ERK2", "dt": 0.01, "final_time": 0.1,
+        "materials": "academic",
+        "scenario": {"type": "manufactured", "omega": 1.0, "theta": 1.0},
+        "efficiency": {"schemes": ["ERK2", "ERK4"], "levels": [1, 2], "dt0": 0.02},
+    }
+    calls = []
+    eigs = hho.spla.eigs
+    monkeypatch.setattr(hho.spla, "eigs",
+                        lambda op, **kwargs: calls.append(op.shape[0]) or eigs(op, **kwargs))
+    caplog.set_level(logging.INFO, logger="hhowave")
+    out = tmp_path / "out"
+    code = cli.main(["efficiency", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert code == cli.EXIT_OK
+    rows = (out / "efficiency.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 4
+    # one ARPACK call on each level's operator, shared by ERK2 and ERK4
+    assert len(calls) == 2 and calls[0] < calls[1]
+    assert caplog.text.count("ARPACK: 6 eigenvalues of L") == 2
 
 
 def test_efficiency_caps_explicit_steps_below_the_stability_limit(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hhowave import (ExplicitStepper, ImplicitStepper, MeshGenSpec,
                      StabilizationConfig, assemble, builtin_materials, generate,
                      merge_nonconforming, tableau)
-from hhowave import mesh as msh
+from hhowave import hho, mesh as msh
 from hhowave import scenarios
 from hhowave.basis import CellBasis, FaceBasis
 from hhowave.materials import FluidMaterial, SolidMaterial
@@ -468,12 +468,45 @@ def test_cfl_bracket_falls_back_without_arpack(monkeypatch):
     want = cfl_bracket(system, tableau("ERK2"), h)
 
     def no_convergence(*args, **kwargs):
-        raise scenarios.spla.ArpackNoConvergence("no convergence", [], [])
+        raise hho.spla.ArpackNoConvergence("no convergence", [], [])
 
-    monkeypatch.setattr(scenarios.spla, "eigs", no_convergence)
+    monkeypatch.setattr(hho.spla, "eigs", no_convergence)
+    # a fresh system: the first one keeps the spectrum it already computed
+    system, h = cfl_system(2)
     got = cfl_bracket(system, tableau("ERK2"), h)
+    assert system.explicit_spectrum is None
     assert (got.n_stable, got.n_unstable) == (want.n_stable, want.n_unstable)
     assert math.isnan(got.cfl_spectral) and not math.isnan(want.cfl_spectral)
+
+
+def test_schemes_share_one_operator_and_one_spectrum(monkeypatch):
+    fresh = {}
+    for scheme in ("ERK2", "ERK4"):
+        system, h = cfl_system(3)
+        est = cfl_bracket(system, tableau(scheme), h)
+        fresh[scheme] = (est.n_stable, est.n_unstable, est.cfl_spectral)
+    calls = []
+    eigs = hho.spla.eigs
+    monkeypatch.setattr(hho.spla, "eigs",
+                        lambda op, **kwargs: calls.append(op.shape[0]) or eigs(op, **kwargs))
+    system, h = cfl_system(3)
+    for scheme in ("ERK2", "ERK4"):
+        est = cfl_bracket(system, tableau(scheme), h)
+        assert (est.n_stable, est.n_unstable, est.cfl_spectral) == fresh[scheme], scheme
+    assert len(calls) == 1
+    erk2 = ExplicitStepper(system, tableau("ERK2"))
+    assert erk2.op is ExplicitStepper(system, tableau("ERK4")).op
+    assert ImplicitStepper(system, tableau("SDIRK34"), 0.01).face_op is erk2.face_op
+
+
+def test_implicit_run_builds_no_explicit_operator():
+    system = assemble(generate(MeshGenSpec("cartesian", 2, **BILAYER)), ACADEMIC,
+                      StabilizationConfig.implicit(), k=1)
+    stepper = ImplicitStepper(system, tableau("SDIRK34"), 0.01)
+    u = run_time_loop(stepper, np.ones(system.n_cell_dofs), 0.01, 3)
+    stepper.face_values(u)
+    assert "face_op" in vars(system)
+    assert not {"minv", "explicit_op", "explicit_spectrum"} & set(vars(system))
 
 
 def test_cfl_bracket_raises_when_every_doubling_is_unstable(monkeypatch):
