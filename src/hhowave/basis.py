@@ -265,20 +265,22 @@ def cell_group(mesh, cells, degree: int) -> CellGroup:
     return CellGroup(pts, w, cells, mesh.cell_centroid[cells], 0.5 * mesh.cell_diameter[cells])
 
 
-def cell_groups(mesh, degree: int, split=None):
+def cell_groups(mesh, degree: int, split=None, cells=None):
     """Fan rule exact to `degree` on every cell of `mesh`, grouped for stacking.
 
     Cells are grouped by vertex count and, when given, by the per-cell key
     `split`; groups are cut into chunks of at most GROUP_CHUNK cells. Yields
-    CellGroup records built on the mesh barycenters and diameters. Raises
+    CellGroup records built on the mesh barycenters and diameters. With
+    `cells` (ascending ids) only those cells are grouped. Raises
     QuadratureError on a cell that is not star-shaped about its barycenter.
     """
-    n_verts = np.array([len(loop) for loop in mesh.cell_vertices])
-    key = n_verts if split is None else np.stack([n_verts, np.asarray(split)])
+    cells = np.arange(mesh.n_cells) if cells is None else np.asarray(cells)
+    n_verts = np.array([len(mesh.cell_vertices[ci]) for ci in cells], dtype=np.int64)
+    key = n_verts if split is None else np.stack([n_verts, np.asarray(split)[cells]])
     _, group_of = np.unique(key, axis=-1, return_inverse=True)
     group_of = group_of.reshape(-1)    # its shape varies across numpy versions
     for gid in range(int(group_of.max(initial=-1)) + 1):
-        members = np.nonzero(group_of == gid)[0]
+        members = cells[group_of == gid]
         for lo in range(0, len(members), GROUP_CHUNK):
             yield cell_group(mesh, members[lo:lo + GROUP_CHUNK], degree)
 

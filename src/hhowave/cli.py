@@ -407,6 +407,12 @@ def cmd_simulate(cfg, out_dir) -> int:
     t0 = time.perf_counter()
     stepper, tab = build_stepper(cfg, system, dt)
     timings["stepper"] = time.perf_counter() - t0
+    condensation = None if tab.explicit else stepper.fact.summary()
+    if condensation is not None:
+        log.info("condensation: %d cell classes, %d cells in class GEMMs, %d in stacked "
+                 "products, built in %.3f s", condensation["classes"],
+                 condensation["gemm_cells"], condensation["stacked_cells"],
+                 condensation["build_s"])
     schur = None if tab.explicit or not system.n_face_dofs else stepper.fact.schur_solver
     if schur is not None:
         log.info("Schur %s: %d face dofs, %d nnz, %d nnz in the factors (fill %.1fx), "
@@ -481,6 +487,8 @@ def cmd_simulate(cfg, out_dir) -> int:
         "energy_max_drift": drift,
         "dofs": dof_summary(system, tab.explicit),
     }
+    if condensation is not None:
+        summary["condensation"] = condensation
     if schur is not None:
         summary["solver"] = schur.stats()
     with open(os.path.join(out_dir, out_cfg.get("summary", "summary.json")),

@@ -31,6 +31,18 @@ All cell integrals run on `basis.cell_groups`: the local blocks of cells that
 share a vertex count and a material are formed together on stacked arrays,
 and each group is scattered into the global matrices with one index
 computation.
+
+The implicit stage applies its cell operators (M, A^-1, K_FT and
+G = A^-1 K_TF, with A = M + a* dt K_TT) from `CellClasses`, built once per
+system: cells are keyed by congruence class (`congruence_classes`), each
+class keeps one representative's local blocks, and a class-ordered cell
+vector is applied by one GEMM per class of at least GEMM_MIN_MEMBERS cells
+and one stacked `matmul` per block shape for the cells of smaller classes.
+Cartesian meshes have 6 classes (congruent squares differing only in which
+of their faces they own), so their stages run almost entirely on GEMMs;
+hexagonal L6 has 914 classes over 8,280 cells, 65% of the cells in classes
+of at least 32; meshes without congruent cells run on the stacked products
+alone.
 """
 
 from __future__ import annotations
@@ -49,7 +61,7 @@ from . import mesh as msh
 from .basis import (CellGroup, cell_group, cell_groups, face_rule, scalar_cell_dim,
                     scalar_face_dim)
 from .materials import FluidMaterial, MaterialMap
-from .timestep import SolverError
+from .timestep import inverse_stack
 
 log = logging.getLogger(__name__)
 
@@ -417,18 +429,210 @@ class BlockDiagonal:
 
         Raises SolverError naming the offset of a singular `what` block.
         """
-        stacks = {}
-        for size, (starts, blocks) in self.stacks.items():
-            try:
-                stacks[size] = (starts, np.linalg.inv(blocks))
-            except np.linalg.LinAlgError:
-                for off, block in zip(starts, blocks):
-                    try:
-                        np.linalg.inv(block)
-                    except np.linalg.LinAlgError as exc:
-                        raise SolverError(f"singular {what} block at offset {off}") from exc
-                raise
-        return BlockDiagonal(self.n, stacks)
+        return BlockDiagonal(self.n, {size: (starts, inverse_stack(blocks, starts, what))
+                                      for size, (starts, blocks) in self.stacks.items()})
+
+
+# ---------------------------------------------------------------------------
+# congruence classes
+
+GEMM_MIN_MEMBERS = 32
+"""Smallest class whose members one GEMM applies; the cells of smaller
+classes go through one stacked `matmul` per block shape.
+
+Measured with `_apply_blocks` on one BLAS thread (2-vCPU host, numpy 2.4,
+OpenBLAS 0.3.31; median of 5 x 2,000 calls): one GEMM costs about 3.7 us
+plus 0.023 us per member with the 12 x 12 fluid blocks of k=1 mixed order
+and 0.040 us with the 21 x 21 solid ones, while a stacked `matmul` costs
+0.13 and 0.21 us per cell. A class therefore pays for its own GEMM from
+about 36 (fluid) and 21 (solid) members; with the 40 x 40 blocks of k=3
+from about 5.
+"""
+
+
+def congruence_classes(mesh: msh.PolyMesh) -> np.ndarray:
+    """Congruence class of every cell, numbered from 0: (n_cells,) int64.
+
+    Cells of one class have the same local blocks. The key of a cell is its
+    region and subdomain, its vertex count, its diameter over the mesh's
+    `length_scale` (to 12 significant digits), the offsets of its vertices
+    from its centroid over its diameter, in local order (to 1e-12), and the
+    orientation signs of its faces: the basis, the quadrature, the face
+    bases and the stabilization weight of a cell depend on nothing else.
+    """
+    split = 2 * mesh.region + mesh.subdomain
+    class_of = np.empty(mesh.n_cells, dtype=np.int64)
+    n_classes = 0
+    for cells, loops, _, orient in mesh.loops_by_size():
+        diameter = mesh.cell_diameter[cells]
+        offsets = ((mesh.vertices[loops] - mesh.cell_centroid[cells, None])
+                   / diameter[:, None, None]).reshape(len(cells), -1)
+        mantissa, exponent = np.frexp(diameter / mesh.length_scale)
+        key = np.column_stack([split[cells], exponent, np.rint(mantissa * 1e12),
+                               np.rint(offsets * 1e12), orient]).astype(np.int64)
+        _, inverse = np.unique(key, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)      # its shape varies across numpy versions
+        class_of[cells] = n_classes + inverse
+        n_classes += int(inverse.max()) + 1
+    return class_of
+
+
+@dataclass
+class ClassSegment:
+    """A run of cells in class order that one kernel applies an operator to.
+
+    A class segment holds the members of one class, and an operator one
+    block for all of them, applied by one GEMM. A stacked segment holds the
+    cells of the smaller classes of one block shape, and an operator one
+    block per cell, applied by one stacked `matmul`.
+    """
+
+    shape: tuple             # (subdomain, vertex count): the key of the class stacks
+    stacked: bool
+    cells: np.ndarray        # (m,) cell ids, ascending
+    rows: np.ndarray         # rows of the shape's class stacks: (1,), or (m,) if stacked
+    dofs: slice              # the cells' dofs in class order
+    faces: slice             # the cells' entries of `CellClasses.face_index`
+
+
+def _apply_blocks(blocks, x, out):
+    """out[i] = B_i x[i] for the rows of x (m, c): one GEMM if `blocks` holds
+    one block (1, r, c), else one stacked matmul with a block per row."""
+    if len(blocks) == 1:
+        np.matmul(x, blocks[0].T, out=out)
+    else:
+        np.matmul(blocks, x[:, :, None], out=out[:, :, None])
+
+
+class CellClasses:
+    """The cell-local operators of the implicit stage, stored once per
+    congruence class (`congruence_classes`).
+
+    `blocks[shape]` stacks, for the classes of one block shape (subdomain,
+    vertex count), one representative cell's local blocks from
+    `_group_blocks`: its cell ("cells"), M ("mass"), K_TT ("k_tt"), and K_TF
+    ("k_tf", n x n_v n_side) and K_FT ("k_ft") over all its faces. Cell
+    vectors are applied in class order (`sort`, `unsort`), in which the dofs
+    of every segment are one contiguous run, so a segment's cell vector is a
+    reshaped view. `face_index` lists, cell by cell in class order, the face
+    dof of every local face dof; those of a Dirichlet face point to the zero
+    pad slot n_face_dofs.
+    """
+
+    def __init__(self, system):
+        mesh, layout = system.mesh, system.layout
+        self.n_cell_dofs, self.n_face_dofs = layout.n_cell_dofs, layout.n_face_dofs
+        class_of = congruence_classes(mesh)
+        _, reps, members = np.unique(class_of, return_index=True, return_counts=True)
+        self.n_classes = len(reps)
+
+        parts, row = {}, np.empty(self.n_classes, dtype=np.int64)
+        for grp in cell_groups(mesh, 2 * (layout.k_prime + 1),
+                               split=2 * mesh.region + mesh.subdomain, cells=np.sort(reps)):
+            cells = grp.cells
+            b = _group_blocks(mesh, grp, layout, system.materials.material(mesh, cells[0]),
+                              system.config)
+            g, n = b.mass.shape[:2]
+            part = parts.setdefault((mesh.subdomain[cells[0]], b.face_ids.shape[1]), [])
+            row[class_of[cells]] = sum(len(p[0]) for p in part) + np.arange(g)
+            part.append((cells, b.mass, b.k_tt, np.swapaxes(b.k_tf(), 1, 2).reshape(g, n, -1),
+                         b.k_ft().reshape(g, -1, n)))
+        self.blocks = {shape: dict(zip(("cells", "mass", "k_tt", "k_tf", "k_ft"),
+                                       map(np.concatenate, zip(*part))))
+                       for shape, part in parts.items()}
+
+        big = members >= GEMM_MIN_MEMBERS
+        self.segments, order, face_index = [], [], []
+        lo = flo = 0
+        for cells, _, faces, _ in mesh.loops_by_size():
+            for sub in (msh.FLUID, msh.SOLID):
+                mine = mesh.subdomain[cells] == sub
+                if not mine.any():
+                    continue
+                shape = (sub, faces.shape[1])
+                sub_cells, sub_faces, cls = cells[mine], faces[mine], class_of[cells[mine]]
+                runs = [(False, cls == c) for c in np.unique(cls[big[cls]])]
+                runs.append((True, ~big[cls]))
+                for stacked, run in runs:
+                    if not run.any():
+                        continue
+                    seg_cells = sub_cells[run]
+                    dofs = layout.cell_offset[seg_cells][:, None] + np.arange(
+                        self.blocks[shape]["mass"].shape[-1])
+                    fdofs = _local_face_dofs(layout, sub_faces[run], sub)
+                    self.segments.append(ClassSegment(
+                        shape, stacked, seg_cells, row[cls[run]] if stacked else row[cls[run][:1]],
+                        slice(lo, lo + dofs.size), slice(flo, flo + fdofs.size)))
+                    lo, flo = lo + dofs.size, flo + fdofs.size
+                    order.append(dofs.ravel())
+                    face_index.append(fdofs.ravel())
+        self.order = np.concatenate(order)
+        self.inverse_order = np.empty_like(self.order)
+        self.inverse_order[self.order] = np.arange(len(self.order))
+        self.face_index = np.concatenate(face_index)
+        self.mass, self.k_ft = (self.segment_blocks({s: b[name] for s, b in self.blocks.items()})
+                                for name in ("mass", "k_ft"))
+
+    def summary(self) -> dict:
+        """Class count and the cells each kernel applies."""
+        stacked = sum(len(seg.cells) for seg in self.segments if seg.stacked)
+        return {"classes": self.n_classes,
+                "gemm_cells": sum(len(seg.cells) for seg in self.segments) - stacked,
+                "stacked_cells": stacked}
+
+    def sort(self, v: np.ndarray) -> np.ndarray:
+        """A cell vector in class order."""
+        return v[self.order]
+
+    def unsort(self, v: np.ndarray) -> np.ndarray:
+        """A class-ordered cell vector in the layout's order."""
+        return v[self.inverse_order]
+
+    def segment_blocks(self, stacks: dict) -> list:
+        """An operator's blocks for each segment, from its class stacks
+        {shape: (classes, r, c)}."""
+        return [stacks[seg.shape][seg.rows] for seg in self.segments]
+
+    def cells(self, blocks: list, x: np.ndarray) -> np.ndarray:
+        """A cell-to-cell operator (square blocks) on a class-ordered cell vector."""
+        out = np.empty(self.n_cell_dofs)
+        for seg, b in zip(self.segments, blocks):
+            m = len(seg.cells)
+            _apply_blocks(b, x[seg.dofs].reshape(m, -1), out[seg.dofs].reshape(m, -1))
+        return out
+
+    def to_faces(self, blocks: list, x: np.ndarray) -> np.ndarray:
+        """A cell-to-face operator (such as K_FT) on a class-ordered cell vector:
+        the local products, then one scatter-add onto the face dofs."""
+        local = np.empty(len(self.face_index))
+        for seg, b in zip(self.segments, blocks):
+            m = len(seg.cells)
+            _apply_blocks(b, x[seg.dofs].reshape(m, -1), local[seg.faces].reshape(m, -1))
+        return np.bincount(self.face_index, weights=local,
+                           minlength=self.n_face_dofs + 1)[:-1]
+
+    def from_faces(self, blocks: list, u_f: np.ndarray) -> np.ndarray:
+        """A face-to-cell operator (such as G) on face values: one gather of
+        every cell's local face values, then the local products (class order)."""
+        local = np.append(u_f, 0.0)[self.face_index]
+        out = np.empty(self.n_cell_dofs)
+        for seg, b in zip(self.segments, blocks):
+            m = len(seg.cells)
+            _apply_blocks(b, local[seg.faces].reshape(m, -1), out[seg.dofs].reshape(m, -1))
+        return out
+
+
+def _local_face_dofs(layout: DofLayout, faces, sub) -> np.ndarray:
+    """Face dofs of the local face dofs of cells of subdomain `sub` with faces
+    `faces` (m, n_v): (m, n_v n_side), n_face_dofs for a Dirichlet face."""
+    mesh, fd = layout.mesh, layout.n_face_scalar
+    cls = mesh.face_class[faces]
+    # the solid side of an interface face starts after the fluid trace
+    start = layout.face_offset[faces] + np.where(
+        (cls == msh.F_INTERFACE) & (sub == msh.SOLID), fd, 0)
+    dofs = start[..., None] + np.arange(fd if sub == msh.FLUID else 2 * fd)
+    dofs[(cls == msh.F_BND_FLUID) | (cls == msh.F_BND_SOLID)] = layout.n_face_dofs
+    return dofs.reshape(len(faces), -1)
 
 
 class BlockSystem:
@@ -469,6 +673,11 @@ class BlockSystem:
     @property
     def n_face_dofs(self):
         return self.layout.n_face_dofs
+
+    @cached_property
+    def cell_classes(self) -> CellClasses:
+        """The implicit stage's cell operators, one block set per congruence class."""
+        return CellClasses(self)
 
     @cached_property
     def face_op(self) -> sp.csr_matrix:

@@ -152,19 +152,18 @@ class PolyMesh:
         self.face_owner = owner
         self.face_neighbor = neighbor
         self.face_class = fclass.astype(np.int8)
+        self._edge_face = face
+        self._edge_orient = np.where(owned, 1, -1).astype(np.int8)
         self.cell_faces = np.split(face, self._cell_bounds)
-        self.cell_face_orient = np.split(np.where(owned, 1, -1).astype(np.int8),
-                                         self._cell_bounds)
+        self.cell_face_orient = np.split(self._edge_orient, self._cell_bounds)
         self.n_faces = len(count)
 
     def _build_geometry(self):
         self.cell_area = np.empty(self.n_cells)
         self.cell_centroid = np.empty((self.n_cells, 2))
         self.cell_diameter = np.empty(self.n_cells)
-        size = self._cell_size
-        for n in np.unique(size):
-            cells = np.nonzero(size == n)[0]
-            pts = self.vertices[self._edge_start[size[self._edge_cell] == n].reshape(-1, n)]
+        for cells, loops, _, _ in self.loops_by_size():
+            pts = self.vertices[loops]
             self.cell_area[cells] = polygon_area(pts)
             with np.errstate(invalid="ignore", divide="ignore"):  # validate rejects area 0
                 self.cell_centroid[cells] = polygon_centroid(pts)
@@ -179,6 +178,20 @@ class PolyMesh:
                                     + self.vertices[self.faces[:, 1]])
 
     # -- queries -----------------------------------------------------------
+
+    def loops_by_size(self):
+        """The cells grouped by vertex count n: yields (cells, loops, faces, orient).
+
+        `cells` is ascending; the other three are (len(cells), n) arrays in
+        each cell's traversal order: vertex ids, face ids (local face j runs
+        from loops[:, j] to the next vertex) and the signs of
+        `cell_face_orient`.
+        """
+        edge_size = self._cell_size[self._edge_cell]
+        for n in np.unique(self._cell_size):
+            on = edge_size == n
+            yield (np.nonzero(self._cell_size == n)[0], self._edge_start[on].reshape(-1, n),
+                   self._edge_face[on].reshape(-1, n), self._edge_orient[on].reshape(-1, n))
 
     def face_vertices(self, fi):
         return self.vertices[self.faces[fi, 0]], self.vertices[self.faces[fi, 1]]

@@ -10,12 +10,18 @@ stage is one sparse product with it. L is built once per system, on first
 use (`hho.BlockSystem.explicit_op`), not once per stepper: every explicit
 stepper on a system shares it. Implicit (singly diagonal) schemes
 condense the cell unknowns instead: the block-diagonal M + a* dt K_TT is
-the only matrix they invert, once, together with its product with K_TF; a
+the only matrix they invert, and only once per congruence class of cells
+(`hho.CellClasses`), together with its product G = A^-1 K_TF; a
 face-coupled Schur complement is assembled and factored once, and all of
-them are reused across stages and steps while (a*, dt) is unchanged. Every
-block-diagonal inverse (M^-1 and K_FF^-1 on the explicit path,
-(M + a* dt K_TT)^-1 on the implicit one) comes from
-`hho.BlockDiagonal.inverse`, one batched inversion per block size.
+them are reused across stages and steps while (a*, dt) is unchanged. A
+stage applies M, A^-1, K_FT and G through the class store, never through a
+global sparse matrix: cell vectors are sorted by class once per step, so
+each class of many members is one GEMM on a reshaped view of its cells'
+dofs and the cells of the smaller classes of one block shape one stacked
+`matmul`; K_FT adds the local products onto the face dofs with one
+`bincount`, and G gathers every cell's face values with one take. The
+explicit inverses M^-1 and K_FF^-1 come from `hho.BlockDiagonal.inverse`,
+the class inverses from `inverse_stack`: one batched inversion per stack.
 
 The Schur complement is structurally symmetric, so its direct LU orders the
 columns by minimum degree on the pattern of A^T + A (SuperLU's
@@ -148,10 +154,29 @@ class SolverConfig:
             raise SolverError("solver tolerance must be positive")
 
 
+def inverse_stack(blocks, starts, what: str) -> np.ndarray:
+    """Inverses of the stacked blocks (m, s, s), by one batched inversion.
+
+    Raises SolverError naming the offset `starts[i]` of a singular `what`
+    block.
+    """
+    try:
+        return np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        for off, block in zip(starts, blocks):
+            try:
+                np.linalg.inv(block)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"singular {what} block at offset {off}") from exc
+        raise
+
+
 class FactorizedOperator:
     """Reusable factorization (direct LU or ILU-preconditioned BiCGStab).
 
-    The direct LU uses a minimum-degree column ordering on A^T + A, and every
+    The matrix is held in CSR, whose products the residual check and
+    BiCGStab take; the factorizations read a transient CSC copy of it. The
+    direct LU uses a minimum-degree column ordering on A^T + A, and every
     direct solve is checked by its relative residual, which must stay below
     1e-8. The operator counts what it did: `factor_s` (seconds spent
     factoring), `lu_nnz` (entries SuperLU stores for the L and U factors,
@@ -163,7 +188,7 @@ class FactorizedOperator:
     def __init__(self, matrix: sp.spmatrix, config: SolverConfig):
         self.config = config
         self.n = matrix.shape[0]
-        matrix = matrix.tocsc()
+        matrix = matrix.tocsr()
         self._matrix = matrix
         self.matrix_nnz = int(matrix.nnz)
         self.solves = 0
@@ -176,10 +201,10 @@ class FactorizedOperator:
         start = time.perf_counter()
         try:
             if config.kind == "direct-lu":
-                self._lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
+                self._lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
                 factors = self._lu
             else:
-                self._ilu = spla.spilu(matrix, drop_tol=1e-12, fill_factor=1.0)
+                self._ilu = spla.spilu(matrix.tocsc(), drop_tol=1e-12, fill_factor=1.0)
                 self._lu = None
                 factors = self._ilu
         except RuntimeError as exc:
@@ -302,37 +327,69 @@ class ExplicitStepper(_Stepper):
 # implicit stepper (cell condensation)
 
 class CondensedFactorization:
-    """Block inverse A^-1 of A = M + a* dt K_TT, G = A^-1 K_TF and the factored
-    face Schur complement a* dt (K_FF - a* dt K_FT G).
+    """Condensation of the cell unknowns for one (a*, dt) pair: per congruence
+    class, A_c^-1 of A_c = M_c + a* dt K_TT,c and G_c = A_c^-1 K_TF,c, and the
+    factored face Schur complement a* dt (K_FF - a* dt K_FT G).
 
-    Valid for one (a*, dt) pair; reused across stages and steps. The Schur
-    matrix is held once, in the CSC form its factorization reads.
+    Valid for one (a*, dt) pair; reused across stages and steps. The class
+    blocks `inverse_blocks` and `g_blocks` (one entry per segment of the
+    system's `cell_classes` store, which also holds M and K_FT) are applied
+    by that store. The Schur matrix is assembled once, as sparse products of
+    K_FT, the transient CSR form of the per-cell inverses and K_TF, and held
+    in CSR. It is built from the assembled per-cell blocks rather than the
+    class blocks: the two differ by round-off, which is enough to move the
+    exact zeros of the Schur matrix and with them the fill of its LU (by 1%
+    on cartesian L5). `build_s` is the time spent before the factorization
+    (on a system's first condensation, keying its cells too).
     """
 
     def __init__(self, system, a_star: float, dt: float, solver: SolverConfig):
         if dt <= 0:
             raise TimestepError("time step must be positive")
+        start = time.perf_counter()
         self.system = system
         self.a_star = float(a_star)
         self.dt = float(dt)
         self.solver = solver
         ad = self.a_star * self.dt
-        blocks = system.mass_blocks + ad * system.ktt_blocks
-        self.a_inv = blocks.inverse("condensed cell").tocsr()
-        self.g = (self.a_inv @ system.k_tf).tocsr()
-        self.schur = (ad * (system.k_ff - ad * (system.k_ft @ self.g))).tocsc()
+        store = self.store = system.cell_classes
+        inverse = {shape: inverse_stack(blk["mass"] + ad * blk["k_tt"],
+                                        system.layout.cell_offset[blk["cells"]], "condensed cell")
+                   for shape, blk in store.blocks.items()}
+        self.inverse_blocks = store.segment_blocks(inverse)
+        self.g_blocks = store.segment_blocks({shape: inverse[shape] @ blk["k_tf"]
+                                              for shape, blk in store.blocks.items()})
+        # the CSR forms of A^-1 and G live only within this statement
+        self.schur = ad * (system.k_ff - ad * (system.k_ft @ (
+            (system.mass_blocks + ad * system.ktt_blocks).inverse("condensed cell").tocsr()
+            @ system.k_tf)))
+        self.build_s = time.perf_counter() - start
         self.schur_solver = FactorizedOperator(self.schur, solver)
 
     def matches(self, a_star: float, dt: float) -> bool:
         return (abs(self.a_star - a_star) <= 1e-15 * max(1.0, abs(a_star))
                 and abs(self.dt - dt) <= 1e-15 * max(1.0, dt))
 
+    def summary(self) -> dict:
+        """The store's class count and kernel cells, and `build_s`."""
+        return {**self.store.summary(), "build_s": self.build_s}
+
+    def face_solve(self, z: np.ndarray, b_f: np.ndarray | None = None) -> np.ndarray:
+        """Face unknowns S^-1 (b_f - a* dt K_FT z) of a stage, from its
+        class-ordered z = A^-1 b_t; no b_f means b_f = 0."""
+        rhs = self.store.to_faces(self.store.k_ft, z)
+        rhs *= -self.a_star * self.dt
+        if b_f is not None:
+            rhs += b_f
+        return self.schur_solver.solve(rhs)
+
     def stage_solve(self, b_t: np.ndarray, b_f: np.ndarray):
         """Solve one implicit stage: returns (cell unknowns, face unknowns)."""
-        ad = self.a_star * self.dt
-        z = self.a_inv @ b_t
-        u_f = self.schur_solver.solve(b_f - ad * (self.system.k_ft @ z))
-        return z - ad * (self.g @ u_f), u_f
+        store = self.store
+        z = store.cells(self.inverse_blocks, store.sort(b_t))
+        u_f = self.face_solve(z, b_f)
+        z -= self.a_star * self.dt * store.from_faces(self.g_blocks, u_f)
+        return store.unsort(z), u_f
 
 
 class ImplicitStepper(_Stepper):
@@ -340,9 +397,12 @@ class ImplicitStepper(_Stepper):
 
     Stage i starts from u~_i = u_t + dt sum_{j<i} a_ij k_j and solves
     (M + a* dt K_TT) u_i + a* dt K_TF u_f = M u~_i + a* dt f_i together with
-    K_FT u_i + K_FF u_f = 0; its slope is k_i = (u_i - u~_i) / (a* dt), and
-    the step is u_t + dt sum_j b_j k_j. The only block-diagonal matrix
-    inverted is M + a* dt K_TT.
+    K_FT u_i + K_FF u_f = 0; its slope is
+    k_i = (u_i - u~_i) / (a* dt) = (z_i - u~_i) / (a* dt) - G u_f with
+    z_i = A^-1 (M u~_i + a* dt f_i), and the step is u_t + dt sum_j b_j k_j.
+    The only block-diagonal matrix inverted is M + a* dt K_TT. A step runs
+    in the class order of the system's `cell_classes`: the state is sorted
+    once on entry and the update unsorted once on exit.
     """
 
     def __init__(self, system, tab: ButcherTableau, dt: float,
@@ -366,17 +426,23 @@ class ImplicitStepper(_Stepper):
             raise TimestepError("stale condensed factorization: dt changed; rebuild")
         tab = self.tableau
         ad = tab.a_star * dt
-        zero_f = np.zeros(self.system.n_face_dofs)
+        fact = self.fact
+        store = fact.store
+        u_c = store.sort(u_t)
         slopes = []
         for i in range(tab.s):
-            u_start = _advance(u_t, dt, tab.a[i, :i], slopes)
-            b_t = self.system.mass @ u_start
+            u_start = _advance(u_c, dt, tab.a[i, :i], slopes)
+            b_t = store.cells(store.mass, u_start)
             f_i = _forcing_at(forcing, t + tab.c[i] * dt)
             if f_i is not None:
-                b_t += ad * f_i
-            u_i, _ = self.fact.stage_solve(b_t, zero_f)
-            slopes.append((u_i - u_start) / ad)
-        u_new = _advance(u_t, dt, tab.b, slopes)
+                b_t += ad * store.sort(f_i)
+            k = store.cells(fact.inverse_blocks, b_t)
+            u_f = fact.face_solve(k)
+            k -= u_start
+            k /= ad
+            k -= store.from_faces(fact.g_blocks, u_f)
+            slopes.append(k)
+        u_new = store.unsort(_advance(u_c, dt, tab.b, slopes))
         _check_finite(u_new, step_index)
         return u_new
 

@@ -13,8 +13,8 @@ from hhowave import (CondensedFactorization, ExplicitStepper, ImplicitStepper,
                      assemble, builtin_materials, generate, merge_nonconforming, tableau)
 from hhowave.scenarios import (ManufacturedCase, cfl_bracket, manufactured_forcing,
                                manufactured_initial_state)
+from hhowave import hho, mesh as msh, timestep
 from hhowave.hho import BlockDiagonal
-from hhowave import timestep
 from hhowave.timestep import FactorizedOperator, SolverError, TimestepError
 
 from test_golden import MESHES, golden_mesh
@@ -257,7 +257,7 @@ def test_sparse_operators_store_nonzeros_only(mesh_name, mode):
         system = assemble(mesh, ACADEMIC, StabilizationConfig.implicit(), k=1)
         fact = CondensedFactorization(system, tableau("SDIRK34").a_star, 0.01,
                                       SolverConfig())
-        derived = {"a_inv": fact.a_inv, "g": fact.g, "schur": fact.schur}
+        derived = {"schur": fact.schur}
     assert system.k_td is not None
     for name in ("mass", "k_tt", "k_tf", "k_ft", "k_ff", "k_td"):
         derived[name] = getattr(system, name)
@@ -409,6 +409,90 @@ def test_condensed_stage_equals_monolithic():
         ref = np.linalg.solve(big, np.concatenate([b_t, b_f]))
         got = np.concatenate([u_t, u_f])
         assert np.linalg.norm(got - ref) < 1e-9 * np.linalg.norm(ref)
+
+
+def _class_products(fact, x, x_f):
+    """M x, A^-1 x, K_FT x and G x_f applied through the class store."""
+    store = fact.store
+    xs = store.sort(x)
+    return {"mass": store.unsort(store.cells(store.mass, xs)),
+            "a_inv": store.unsort(store.cells(fact.inverse_blocks, xs)),
+            "k_ft": store.to_faces(store.k_ft, xs),
+            "g": store.unsort(store.from_faces(fact.g_blocks, x_f))}
+
+
+def _assert_class_products_match_csr(system, a_star, dt, rtol=1e-13):
+    """The class-applied products against CSR products of the assembled
+    per-cell blocks, and the Schur matrix against the CSR triple product."""
+    ad = a_star * dt
+    fact = CondensedFactorization(system, a_star, dt, SolverConfig())
+    a_inv = (system.mass_blocks + ad * system.ktt_blocks).inverse("reference").tocsr()
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(system.n_cell_dofs)
+    x_f = rng.standard_normal(system.n_face_dofs)
+    want = {"mass": system.mass @ x, "a_inv": a_inv @ x, "k_ft": system.k_ft @ x,
+            "g": a_inv @ (system.k_tf @ x_f)}
+    for name, got in _class_products(fact, x, x_f).items():
+        assert np.linalg.norm(got - want[name]) <= rtol * np.linalg.norm(want[name]), name
+    schur = ad * (system.k_ff - ad * (system.k_ft @ (a_inv @ system.k_tf)))
+    assert spla.norm(fact.schur - schur) <= rtol * spla.norm(schur)
+    return fact
+
+
+@pytest.mark.parametrize("min_members", [1, hho.GEMM_MIN_MEMBERS])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("mesh_name", MESHES)
+def test_class_products_match_csr(mesh_name, k, min_members, monkeypatch):
+    # with one member as the threshold every class is applied by its own GEMM;
+    # at the shipped one the L2 meshes' small classes run on stacked products
+    monkeypatch.setattr(hho, "GEMM_MIN_MEMBERS", min_members)
+    system = assemble(golden_mesh(mesh_name), ACADEMIC, StabilizationConfig.implicit(), k=k)
+    fact = _assert_class_products_match_csr(system, tableau("SDIRK34").a_star, 0.01)
+    summary = fact.store.summary()
+    assert summary["gemm_cells"] + summary["stacked_cells"] == system.mesh.n_cells
+    if min_members == 1:
+        assert summary["gemm_cells"] == system.mesh.n_cells
+
+
+def test_class_members_share_their_representative_blocks():
+    mesh = generate(MeshGenSpec("polygonal-hexagonal", 3, **BILAYER))
+    system = assemble(mesh, ACADEMIC, StabilizationConfig.implicit(), k=1)
+    store = system.cell_classes
+    class_of = hho.congruence_classes(mesh)
+    assert store.n_classes == class_of.max() + 1 < mesh.n_cells
+    for shape, reps in store.blocks.items():
+        for row, rep in enumerate(reps["cells"]):
+            for ci in np.nonzero(class_of == class_of[rep])[0]:
+                b = hho.build_cell_blocks(mesh, ci, system.layout,
+                                          ACADEMIC.material(mesh, ci), system.config)
+                n = b.mass.shape[0]
+                local = {"mass": b.mass, "k_tt": b.k_tt,
+                         "k_tf": np.swapaxes(b.k_tf(), 0, 1).reshape(n, -1),
+                         "k_ft": b.k_ft().reshape(-1, n)}
+                for name, blk in local.items():
+                    ref = reps[name][row]
+                    assert np.abs(blk - ref).max() <= 1e-12 * np.abs(ref).max(), (ci, name)
+
+
+def test_perturbed_mesh_runs_on_the_stacked_kernel():
+    # interior vertices moved at random: no two cells are congruent
+    base = generate(MeshGenSpec("cartesian", 2, **BILAYER))
+    verts = base.vertices.copy()
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    inner = np.all((verts > lo) & (verts < hi), axis=1) & (verts[:, 1] != 0.0)
+    h = np.min(base.cell_diameter)
+    verts[inner] += np.random.default_rng(2).uniform(-0.1, 0.1, (inner.sum(), 2)) * h
+    mesh = msh.PolyMesh(verts, base.cell_vertices, base.subdomain)
+    system = assemble(mesh, ACADEMIC, StabilizationConfig.implicit(), k=1)
+    fact = _assert_class_products_match_csr(system, tableau("SDIRK34").a_star, 0.01)
+    assert fact.store.summary() == {"classes": mesh.n_cells, "gemm_cells": 0,
+                                    "stacked_cells": mesh.n_cells}
+    # and a condensed step still agrees with the dense stage recursion
+    case, u0, forcing = make_case_state(system)
+    stepper = ImplicitStepper(system, tableau("SDIRK34"), 0.01, factorization=fact)
+    u_cond = stepper.step(u0.copy(), 0.0, 0.01, forcing)
+    u_dense = dense_sdirk_step(system, tableau("SDIRK34"), u0.copy(), 0.0, 0.01, forcing)
+    assert np.linalg.norm(u_cond - u_dense) < 1e-10 * np.linalg.norm(u_dense)
 
 
 def _fill_mesh(family):
