@@ -403,16 +403,16 @@ def cmd_simulate(cfg, out_dir) -> int:
     operator_nnz = {name: int(getattr(system, name).nnz) for name in OPERATORS}
     log.info("operators store %d entries: %s", sum(operator_nnz.values()),
              ", ".join(f"{name} {nnz}" for name, nnz in operator_nnz.items()))
+    cell_classes = system.cell_classes.summary()
+    log.info("cell classes: %d classes, %d cells in class GEMMs, %d in stacked products",
+             cell_classes["classes"], cell_classes["gemm_cells"], cell_classes["stacked_cells"])
     u0, forcing, _ = build_scenario(cfg, system, materials)
     t0 = time.perf_counter()
     stepper, tab = build_stepper(cfg, system, dt)
     timings["stepper"] = time.perf_counter() - t0
-    condensation = None if tab.explicit else stepper.fact.summary()
+    condensation = None if tab.explicit else {"build_s": stepper.fact.build_s}
     if condensation is not None:
-        log.info("condensation: %d cell classes, %d cells in class GEMMs, %d in stacked "
-                 "products, built in %.3f s", condensation["classes"],
-                 condensation["gemm_cells"], condensation["stacked_cells"],
-                 condensation["build_s"])
+        log.info("condensation built in %.3f s", condensation["build_s"])
     schur = None if tab.explicit or not system.n_face_dofs else stepper.fact.schur_solver
     if schur is not None:
         log.info("Schur %s: %d face dofs, %d nnz, %d nnz in the factors (fill %.1fx), "
@@ -480,6 +480,7 @@ def cmd_simulate(cfg, out_dir) -> int:
         "wall_time_seconds": wall,
         "timings": timings,
         "operator_nnz": operator_nnz,
+        "cell_classes": cell_classes,
         "status": status,
         "failed_step": failed_step,
         "energy_initial": energies[0] if energies else None,

@@ -17,32 +17,35 @@ only link a cell to its own faces. Homogeneous Dirichlet boundary faces carry
 no unknowns; nonhomogeneous data enters through a separate lifting matrix
 applied to known face values.
 
+Local blocks are formed once per congruence class of cells
+(`congruence_classes`): `assemble` first builds the class store
+`CellClasses`, which keys the cells, forms one representative's blocks per
+class on `basis.cell_groups` (cells sharing a vertex count and a material,
+on stacked arrays) and keeps them; it then scatters those class blocks to
+every member cell through the member's own cell dofs, face dofs and
+Dirichlet dofs, one block shape (subdomain, vertex count) at a time. No
+cell's blocks are formed twice: cartesian meshes have 6 classes (congruent
+squares differing only in which of their faces they own), hexagonal L6 has
+914 over 8,280 cells, and a mesh without congruent cells has one class per
+cell.
+
 The three block-diagonal matrices are held once each, as `BlockDiagonal`
 stacks of dense blocks grouped by block size; their CSR forms and the block
-inverses that both static condensations need are derived from these stacks,
-one batched inversion per block size. The stacks keep whole dense blocks,
-which the batched inversions need; every CSR matrix built from dense blocks
-stores only their nonzero entries, with int32 indices. What the explicit path
+inverses the explicit path needs are derived from these stacks, one batched
+inversion per block size. Every CSR matrix built from dense blocks stores
+only their nonzero entries, with int32 indices. What the explicit path
 derives from a system (the face map P, M^-1, the face-eliminated operator L
 and its extreme eigenvalues) belongs to the system too: each is built once,
 on first use, and shared by every stepper and scheme on that system.
 
-All cell integrals run on `basis.cell_groups`: the local blocks of cells that
-share a vertex count and a material are formed together on stacked arrays,
-and each group is scattered into the global matrices with one index
-computation.
-
 The implicit stage applies its cell operators (M, A^-1, K_FT and
-G = A^-1 K_TF, with A = M + a* dt K_TT) from `CellClasses`, built once per
-system: cells are keyed by congruence class (`congruence_classes`), each
-class keeps one representative's local blocks, and a class-ordered cell
-vector is applied by one GEMM per class of at least GEMM_MIN_MEMBERS cells
-and one stacked `matmul` per block shape for the cells of smaller classes.
-Cartesian meshes have 6 classes (congruent squares differing only in which
-of their faces they own), so their stages run almost entirely on GEMMs;
-hexagonal L6 has 914 classes over 8,280 cells, 65% of the cells in classes
-of at least 32; meshes without congruent cells run on the stacked products
-alone.
+G = A^-1 K_TF, with A = M + a* dt K_TT) from the same class store, and
+assembles its Schur matrix from per-class dense blocks: a class-ordered
+cell vector is applied by one GEMM per class of at least GEMM_MIN_MEMBERS
+cells and one stacked `matmul` per block shape for the cells of smaller
+classes. On cartesian meshes the stages therefore run almost entirely on
+GEMMs; on hexagonal L6 65% of the cells are in classes of at least 32;
+meshes without congruent cells run on the stacked products alone.
 """
 
 from __future__ import annotations
@@ -396,8 +399,7 @@ class BlockDiagonal:
     """Square block-diagonal matrix of order n with its dense blocks stacked by size.
 
     `stacks` maps a block size s to (starts, blocks): the first row of each
-    block of that size (m,) and the blocks themselves (m, s, s). Sums and
-    scalings act on stacks of the same block structure.
+    block of that size (m,) and the blocks themselves (m, s, s).
     """
 
     def __init__(self, n: int, stacks: dict):
@@ -413,16 +415,13 @@ class BlockDiagonal:
             stacks[size] = tuple(np.concatenate(part) for part in zip(*parts))
         return cls(n, stacks)
 
-    def __add__(self, other):
-        return BlockDiagonal(self.n, {s: (st, b + other.stacks[s][1])
-                                      for s, (st, b) in self.stacks.items()})
-
-    def __rmul__(self, scalar):
-        return BlockDiagonal(self.n, {s: (st, scalar * b) for s, (st, b) in self.stacks.items()})
-
     def tocsr(self) -> sp.csr_matrix:
-        return _csr([_block_entries(b, st, st) for st, b in self.stacks.values()],
-                    (self.n, self.n))
+        shape = (self.n, self.n)
+        entries = []
+        for starts, blocks in self.stacks.values():
+            dofs = starts[:, None] + np.arange(blocks.shape[-1])
+            entries.append(_block_entries(blocks, dofs, dofs, shape))
+        return _csr(entries, shape)
 
     def inverse(self, what: str) -> BlockDiagonal:
         """Block-by-block inverse, one batched inversion per block size.
@@ -504,23 +503,38 @@ def _apply_blocks(blocks, x, out):
         np.matmul(blocks, x[:, :, None], out=out[:, :, None])
 
 
+def _shape_groups(mesh: msh.PolyMesh):
+    """The cells of each block shape (subdomain, vertex count): yields
+    (shape, cells, faces), `cells` ascending and `faces` (m, n_v) their face
+    ids in traversal order."""
+    for cells, _, faces, _ in mesh.loops_by_size():
+        for sub in (msh.FLUID, msh.SOLID):
+            mine = mesh.subdomain[cells] == sub
+            if mine.any():
+                yield (sub, faces.shape[1]), cells[mine], faces[mine]
+
+
 class CellClasses:
-    """The cell-local operators of the implicit stage, stored once per
-    congruence class (`congruence_classes`).
+    """The cell-local operators, stored once per congruence class
+    (`congruence_classes`).
 
     `blocks[shape]` stacks, for the classes of one block shape (subdomain,
     vertex count), one representative cell's local blocks from
-    `_group_blocks`: its cell ("cells"), M ("mass"), K_TT ("k_tt"), and K_TF
-    ("k_tf", n x n_v n_side) and K_FT ("k_ft") over all its faces. Cell
-    vectors are applied in class order (`sort`, `unsort`), in which the dofs
-    of every segment are one contiguous run, so a segment's cell vector is a
-    reshaped view. `face_index` lists, cell by cell in class order, the face
-    dof of every local face dof; those of a Dirichlet face point to the zero
-    pad slot n_face_dofs.
+    `_group_blocks`: its cell ("cells"), M ("mass"), K_TT ("k_tt"), K_TF
+    ("k_tf", n x n_v n_side) and K_FT ("k_ft") over all its faces, and the
+    face-face stabilization of each of its faces ("k_ff", n_v x n_side x
+    n_side). `rows[c]` is the row of cell c's class in its shape's stacks.
+    `assemble` scatters these blocks to every member cell, and the implicit
+    stage applies them. Cell vectors are applied in class order (`sort`,
+    `unsort`), in which the dofs of every segment are one contiguous run, so
+    a segment's cell vector is a reshaped view. `face_index` lists, cell by
+    cell in class order, the face dof of every local face dof; those of a
+    Dirichlet face point to the zero pad slot n_face_dofs.
     """
 
-    def __init__(self, system):
-        mesh, layout = system.mesh, system.layout
+    def __init__(self, layout: DofLayout, materials: MaterialMap,
+                 config: StabilizationConfig):
+        mesh = layout.mesh
         self.n_cell_dofs, self.n_face_dofs = layout.n_cell_dofs, layout.n_face_dofs
         class_of = congruence_classes(mesh)
         _, reps, members = np.unique(class_of, return_index=True, return_counts=True)
@@ -530,42 +544,37 @@ class CellClasses:
         for grp in cell_groups(mesh, 2 * (layout.k_prime + 1),
                                split=2 * mesh.region + mesh.subdomain, cells=np.sort(reps)):
             cells = grp.cells
-            b = _group_blocks(mesh, grp, layout, system.materials.material(mesh, cells[0]),
-                              system.config)
+            b = _group_blocks(mesh, grp, layout, materials.material(mesh, cells[0]), config)
             g, n = b.mass.shape[:2]
-            part = parts.setdefault((mesh.subdomain[cells[0]], b.face_ids.shape[1]), [])
+            part = parts.setdefault((int(mesh.subdomain[cells[0]]), b.face_ids.shape[1]), [])
             row[class_of[cells]] = sum(len(p[0]) for p in part) + np.arange(g)
             part.append((cells, b.mass, b.k_tt, np.swapaxes(b.k_tf(), 1, 2).reshape(g, n, -1),
-                         b.k_ft().reshape(g, -1, n)))
-        self.blocks = {shape: dict(zip(("cells", "mass", "k_tt", "k_tf", "k_ft"),
+                         b.k_ft().reshape(g, -1, n), b.stab_face_face))
+        self.blocks = {shape: dict(zip(("cells", "mass", "k_tt", "k_tf", "k_ft", "k_ff"),
                                        map(np.concatenate, zip(*part))))
                        for shape, part in parts.items()}
+        self.rows = row[class_of]
 
         big = members >= GEMM_MIN_MEMBERS
         self.segments, order, face_index = [], [], []
         lo = flo = 0
-        for cells, _, faces, _ in mesh.loops_by_size():
-            for sub in (msh.FLUID, msh.SOLID):
-                mine = mesh.subdomain[cells] == sub
-                if not mine.any():
+        for shape, cells, faces in _shape_groups(mesh):
+            cls = class_of[cells]
+            runs = [(False, cls == c) for c in np.unique(cls[big[cls]])]
+            runs.append((True, ~big[cls]))
+            for stacked, run in runs:
+                if not run.any():
                     continue
-                shape = (sub, faces.shape[1])
-                sub_cells, sub_faces, cls = cells[mine], faces[mine], class_of[cells[mine]]
-                runs = [(False, cls == c) for c in np.unique(cls[big[cls]])]
-                runs.append((True, ~big[cls]))
-                for stacked, run in runs:
-                    if not run.any():
-                        continue
-                    seg_cells = sub_cells[run]
-                    dofs = layout.cell_offset[seg_cells][:, None] + np.arange(
-                        self.blocks[shape]["mass"].shape[-1])
-                    fdofs = _local_face_dofs(layout, sub_faces[run], sub)
-                    self.segments.append(ClassSegment(
-                        shape, stacked, seg_cells, row[cls[run]] if stacked else row[cls[run][:1]],
-                        slice(lo, lo + dofs.size), slice(flo, flo + fdofs.size)))
-                    lo, flo = lo + dofs.size, flo + fdofs.size
-                    order.append(dofs.ravel())
-                    face_index.append(fdofs.ravel())
+                seg_cells = cells[run]
+                dofs = layout.cell_offset[seg_cells][:, None] + np.arange(
+                    self.blocks[shape]["mass"].shape[-1])
+                fdofs, _ = _local_face_dofs(layout, faces[run], shape[0])
+                self.segments.append(ClassSegment(
+                    shape, stacked, seg_cells, self.rows[seg_cells if stacked else seg_cells[:1]],
+                    slice(lo, lo + dofs.size), slice(flo, flo + fdofs.size)))
+                lo, flo = lo + dofs.size, flo + fdofs.size
+                order.append(dofs.ravel())
+                face_index.append(fdofs.ravel())
         self.order = np.concatenate(order)
         self.inverse_order = np.empty_like(self.order)
         self.inverse_order[self.order] = np.arange(len(self.order))
@@ -621,18 +630,51 @@ class CellClasses:
             _apply_blocks(b, local[seg.faces].reshape(m, -1), out[seg.dofs].reshape(m, -1))
         return out
 
+    def block_diagonal(self, name: str) -> BlockDiagonal:
+        """The per-cell blocks of the square cell operator `name` ("mass" or
+        "k_tt"), gathered from the class stacks."""
+        starts, blocks = [], []
+        for seg, b in zip(self.segments, self.segment_blocks(
+                {shape: blk[name] for shape, blk in self.blocks.items()})):
+            starts.append(self.order[seg.dofs][::b.shape[-1]])
+            blocks.append(np.broadcast_to(b, (len(seg.cells),) + b.shape[1:]))
+        return BlockDiagonal.gather(self.n_cell_dofs, starts, blocks)
 
-def _local_face_dofs(layout: DofLayout, faces, sub) -> np.ndarray:
-    """Face dofs of the local face dofs of cells of subdomain `sub` with faces
-    `faces` (m, n_v): (m, n_v n_side), n_face_dofs for a Dirichlet face."""
+    def face_matrix(self, stacks: dict, base: sp.csr_matrix) -> sp.csr_matrix:
+        """`base` plus a face-to-face operator given per class by dense local
+        blocks {shape: (classes, L, L)} over the cell's local face dofs: every
+        cell's block is placed at its face dofs, Dirichlet pad slots and exact
+        zeros dropped, in one COO to CSR conversion."""
+        shape = (self.n_face_dofs, self.n_face_dofs)
+        base = base.tocoo()
+        entries = [(base.row, base.col, base.data)]
+        for seg in self.segments:
+            m = len(seg.cells)
+            dofs = self.face_index[seg.faces].reshape(m, -1)
+            blocks = stacks[seg.shape][seg.rows]
+            entries.append(_block_entries(np.broadcast_to(blocks, (m,) + blocks.shape[1:]),
+                                          dofs, dofs, shape))
+        return _csr(entries, shape)
+
+
+def _local_face_dofs(layout: DofLayout, faces, sub):
+    """Face dofs and Dirichlet dofs of the local face dofs of cells of
+    subdomain `sub` with faces `faces` (m, n_v): two (m, n_v n_side) arrays.
+
+    The face dofs of a Dirichlet face are the pad slot n_face_dofs; the
+    Dirichlet dofs of every other face the pad slot n_dirichlet_dofs.
+    """
     mesh, fd = layout.mesh, layout.n_face_scalar
     cls = mesh.face_class[faces]
+    dirichlet = ((cls == msh.F_BND_FLUID) | (cls == msh.F_BND_SOLID))[..., None]
+    local = np.arange(fd if sub == msh.FLUID else 2 * fd)
     # the solid side of an interface face starts after the fluid trace
     start = layout.face_offset[faces] + np.where(
         (cls == msh.F_INTERFACE) & (sub == msh.SOLID), fd, 0)
-    dofs = start[..., None] + np.arange(fd if sub == msh.FLUID else 2 * fd)
-    dofs[(cls == msh.F_BND_FLUID) | (cls == msh.F_BND_SOLID)] = layout.n_face_dofs
-    return dofs.reshape(len(faces), -1)
+    face_dofs = np.where(dirichlet, layout.n_face_dofs, start[..., None] + local)
+    dirichlet_dofs = np.where(dirichlet, layout.dirichlet_offset[faces][..., None] + local,
+                              layout.n_dirichlet_dofs)
+    return face_dofs.reshape(len(faces), -1), dirichlet_dofs.reshape(len(faces), -1)
 
 
 class BlockSystem:
@@ -640,25 +682,27 @@ class BlockSystem:
 
     Cell rows/columns use the DofLayout cell numbering, face rows/columns the
     face numbering. The mass and K_TT are block-diagonal per cell and K_FF
-    per dof-carrying face: `mass_blocks`, `ktt_blocks` and `kff_blocks` hold
-    them as BlockDiagonal stacks, `mass`, `k_tt` and `k_ff` as CSR. `k_td`
-    maps known Dirichlet face values to cell equations (lifting of
-    nonhomogeneous boundary data).
+    per dof-carrying face: `mass`, `k_tt` and `k_ff` hold them as CSR,
+    `kff_blocks` holds K_FF as a BlockDiagonal stack, and `mass_blocks` and
+    `ktt_blocks` gather the per-cell stacks of M and K_TT from the class
+    store on each use, so no system keeps them. `k_td` maps known Dirichlet
+    face values to cell equations (lifting of nonhomogeneous boundary data).
+    `cell_classes` is the class store every cell operator was scattered
+    from; the implicit stage applies it.
 
     The face map `face_op`, the CSR `minv`, the explicit operator
     `explicit_op` and its `explicit_spectrum` are built on first use and
     kept; only `face_op` is read on the implicit path.
     """
 
-    def __init__(self, layout, mass_blocks, ktt_blocks, k_tf, k_ft, kff_blocks, k_td,
-                 materials, config):
+    def __init__(self, layout, k_tf, k_ft, kff_blocks, k_td, materials, config,
+                 cell_classes):
         self.layout = layout
         self.mesh = layout.mesh
-        self.mass_blocks = mass_blocks
-        self.ktt_blocks = ktt_blocks
+        self.cell_classes = cell_classes
         self.kff_blocks = kff_blocks
-        self.mass = mass_blocks.tocsr()
-        self.k_tt = ktt_blocks.tocsr()
+        self.mass = self.mass_blocks.tocsr()
+        self.k_tt = self.ktt_blocks.tocsr()
         self.k_tf = k_tf
         self.k_ft = k_ft
         self.k_ff = kff_blocks.tocsr()
@@ -667,17 +711,20 @@ class BlockSystem:
         self.config = config
 
     @property
+    def mass_blocks(self) -> BlockDiagonal:
+        return self.cell_classes.block_diagonal("mass")
+
+    @property
+    def ktt_blocks(self) -> BlockDiagonal:
+        return self.cell_classes.block_diagonal("k_tt")
+
+    @property
     def n_cell_dofs(self):
         return self.layout.n_cell_dofs
 
     @property
     def n_face_dofs(self):
         return self.layout.n_face_dofs
-
-    @cached_property
-    def cell_classes(self) -> CellClasses:
-        """The implicit stage's cell operators, one block set per congruence class."""
-        return CellClasses(self)
 
     @cached_property
     def face_op(self) -> sp.csr_matrix:
@@ -747,91 +794,88 @@ class BlockSystem:
         return -(self.k_td @ dirichlet_values)
 
 
-def _block_entries(blocks, row0, col0):
-    """COO triplets of the nonzero entries of dense blocks (m, r, c) placed at
-    offsets row0, col0 (m,), with int32 row and column indices.
+def _block_entries(blocks, rows, cols, shape):
+    """COO triplets of the nonzero entries of dense blocks (m, r, c) whose
+    rows are `rows` (m, r) and columns `cols` (m, c), with int32 indices.
 
-    The blocks' exact zeros (the zero dual-dual and dual-primal blocks, the
-    vector components no entry couples) are not emitted, so no CSR built from
-    them stores one.
+    Rows or columns at or past `shape` (the pad slots of Dirichlet faces)
+    are dropped, and so are the blocks' exact zeros (the zero dual-dual and
+    dual-primal blocks, the vector components no entry couples), so no CSR
+    built from them stores one.
     """
-    _, r, c = blocks.shape
-    nonzero = blocks != 0
-    rows = row0.astype(np.int32)[:, None, None] + np.arange(r, dtype=np.int32)[:, None]
-    cols = col0.astype(np.int32)[:, None, None] + np.arange(c, dtype=np.int32)
-    return (np.broadcast_to(rows, blocks.shape)[nonzero],
-            np.broadcast_to(cols, blocks.shape)[nonzero], blocks[nonzero])
+    rows = np.broadcast_to(rows.astype(np.int32)[:, :, None], blocks.shape)
+    cols = np.broadcast_to(cols.astype(np.int32)[:, None, :], blocks.shape)
+    keep = (blocks != 0) & (rows < shape[0]) & (cols < shape[1])
+    return rows[keep], cols[keep], blocks[keep]
 
 
 def _csr(entries, shape):
+    """CSR of COO triplets, duplicates summed and exact zeros dropped."""
     if not entries:
         return sp.csr_matrix(shape)
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    out = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    out.eliminate_zeros()
+    return out
 
 
 def assemble(mesh: msh.PolyMesh, materials: MaterialMap,
              config: StabilizationConfig, k: int) -> BlockSystem:
     """Assemble the global block system for degree k under `config`.
 
-    Local blocks are formed on stacked groups of cells sharing vertex count
-    and material, and scattered group by group.
+    Local blocks are formed once per congruence class (`CellClasses`) and
+    scattered to every member cell through its own dofs, one block shape
+    (subdomain, vertex count) at a time.
     """
     layout = DofLayout(mesh, k, config.order_mode)
+    store = CellClasses(layout, materials, config)
     n_t, n_f, n_d = layout.n_cell_dofs, layout.n_face_dofs, layout.n_dirichlet_dofs
     fd = layout.n_face_scalar
     entries = {name: [] for name in ("k_tf", "k_ft", "k_td")}
-    cell_starts, mass_stacks, ktt_stacks = [], [], []
 
     # face-face blocks, each stored row-major in one flat buffer; interface
     # blocks hold the fluid trace (fd) before the solid trace (2 fd)
     sizes = layout.face_size
     kff_start = np.concatenate([[0], np.cumsum(sizes ** 2)])
-    kff = np.zeros(kff_start[-1])
+    kff_index, kff_values = [], []
 
-    def add_face_blocks(faces, blocks, r0, c0):
-        _, r, c = blocks.shape
-        size = sizes[faces][:, None, None]
-        np.add.at(kff, kff_start[faces][:, None, None] + (r0 + np.arange(r)[:, None]) * size
-                  + c0 + np.arange(c), blocks)
-
-    for grp in cell_groups(mesh, 2 * (layout.k_prime + 1),
-                           split=2 * mesh.region + mesh.subdomain):
-        cells = grp.cells
-        b = _group_blocks(mesh, grp, layout, materials.material(mesh, cells[0]), config)
-        off_t = layout.cell_offset[cells]
-        cell_starts.append(off_t)
-        mass_stacks.append(b.mass)
-        ktt_stacks.append(b.k_tt)
-
-        face_ids = b.face_ids
-        cls = mesh.face_class[face_ids]
-        rows = np.broadcast_to(off_t[:, None], face_ids.shape)
-        k_tf = b.k_tf()
-        bnd = (cls == msh.F_BND_FLUID) | (cls == msh.F_BND_SOLID)
-        entries["k_td"].append(_block_entries(k_tf[bnd], rows[bnd],
-                                              layout.dirichlet_offset[face_ids[bnd]]))
-        inner = ~bnd
-        # the solid side of an interface block starts after the fluid trace
-        shift = np.where(cls == msh.F_INTERFACE, 0 if b.is_fluid else fd, 0)[inner]
-        cols = layout.face_offset[face_ids[inner]] + shift
-        entries["k_tf"].append(_block_entries(k_tf[inner], rows[inner], cols))
-        entries["k_ft"].append(_block_entries(b.k_ft()[inner], cols, rows[inner]))
-        shift = shift[:, None, None]
-        add_face_blocks(face_ids[inner], b.stab_face_face[inner], shift, shift)
+    for shape, cells, faces in _shape_groups(mesh):
+        blk, rows = store.blocks[shape], store.rows[cells]
+        cell_dofs = layout.cell_offset[cells][:, None] + np.arange(blk["mass"].shape[-1])
+        face_dofs, dirichlet_dofs = _local_face_dofs(layout, faces, shape[0])
+        k_tf = blk["k_tf"][rows]
+        entries["k_tf"].append(_block_entries(k_tf, cell_dofs, face_dofs, (n_t, n_f)))
+        bnd = np.any(dirichlet_dofs < n_d, axis=1)
+        entries["k_td"].append(_block_entries(k_tf[bnd], cell_dofs[bnd], dirichlet_dofs[bnd],
+                                              (n_t, n_d)))
+        entries["k_ft"].append(_block_entries(blk["k_ft"][rows], face_dofs, cell_dofs,
+                                              (n_f, n_t)))
+        # each local face's block sits at that face's rows and columns of the
+        # cell's side within its face block
+        m, n_v = faces.shape
+        side = face_dofs.reshape(m, n_v, -1) - layout.face_offset[faces][..., None]
+        index = (kff_start[faces][..., None, None] + side[..., :, None]
+                 * sizes[faces][..., None, None] + side[..., None, :])
+        inner = face_dofs.reshape(m, n_v, -1)[..., 0] < n_f
+        kff_index.append(index[inner])
+        kff_values.append(blk["k_ff"][rows][inner])
 
     gamma = mesh.interface_faces
     if len(gamma):
         c = coupling_block(mesh, gamma, k)
-        add_face_blocks(gamma, c, 0, fd)
-        add_face_blocks(gamma, -np.swapaxes(c, -1, -2), fd, 0)
+        fluid, solid = np.arange(fd), fd + np.arange(2 * fd)
+        start = kff_start[gamma][:, None, None]
+        kff_index += [start + fluid[:, None] * 3 * fd + solid,
+                      start + solid[:, None] * 3 * fd + fluid]
+        kff_values += [c, -np.swapaxes(c, -1, -2)]
+    kff = np.bincount(np.concatenate([i.ravel() for i in kff_index]),
+                      weights=np.concatenate([v.ravel() for v in kff_values]),
+                      minlength=kff_start[-1])
     face_sets = {s: np.nonzero(sizes == s)[0] for s in np.unique(sizes[sizes > 0])}
     kff_stacks = [kff[kff_start[f][:, None] + np.arange(s * s)].reshape(-1, s, s)
                   for s, f in face_sets.items()]
     return BlockSystem(
         layout=layout,
-        mass_blocks=BlockDiagonal.gather(n_t, cell_starts, mass_stacks),
-        ktt_blocks=BlockDiagonal.gather(n_t, cell_starts, ktt_stacks),
         k_tf=_csr(entries.pop("k_tf"), (n_t, n_f)),
         k_ft=_csr(entries.pop("k_ft"), (n_f, n_t)),
         kff_blocks=BlockDiagonal.gather(
@@ -839,6 +883,7 @@ def assemble(mesh: msh.PolyMesh, materials: MaterialMap,
         k_td=_csr(entries.pop("k_td"), (n_t, n_d)) if n_d else None,
         materials=materials,
         config=config,
+        cell_classes=store,
     )
 
 
@@ -851,12 +896,14 @@ def load_moments(mesh: msh.PolyMesh, layout: DofLayout, fluid_fn=None,
 
     fluid_fn(points) -> scalar values; solid_fn(points) -> (n, 2) values.
     Face entries are identically zero by construction and not represented.
+    Only the cells of a subdomain with a source get quadrature rules.
     """
     out = np.zeros(layout.n_cell_dofs)
-    for grp in cell_groups(mesh, 2 * (layout.k_prime + 1), split=mesh.subdomain):
-        fn = fluid_fn if mesh.subdomain[grp.cells[0]] == msh.FLUID else solid_fn
-        if fn is None:
-            continue
+    fns = {sub: fn for sub, fn in ((msh.FLUID, fluid_fn), (msh.SOLID, solid_fn))
+           if fn is not None}
+    cells = np.nonzero(np.isin(mesh.subdomain, list(fns)))[0]
+    for grp in cell_groups(mesh, 2 * (layout.k_prime + 1), split=mesh.subdomain, cells=cells):
+        fn = fns[mesh.subdomain[grp.cells[0]]]
         moments = grp.gram(grp.basis(layout.k_prime), grp.sample(fn))
         out[layout.cell_dofs(grp.cells, "primal")] = moments.reshape(len(grp.cells), -1)
     return out

@@ -554,31 +554,45 @@ def _generate_hex_rect(rect, d):
         mirrored.append(np.column_stack([2 * xs[0] - corner[:, 0],
                                          2 * ys[0] - corner[:, 1]]))
     vor = Voronoi(np.vstack(mirrored))
-    polys = []
+    regions = [vor.regions[r] for r in vor.point_region[:len(seeds)]]
+    if any(-1 in region or len(region) < 3 for region in regions):
+        raise MeshError("hexagonal tiling failed (unbounded boundary cell)")
+    sizes = np.array([len(region) for region in regions])
+    polys = [None] * len(seeds)
     snap = 1e-9 * pitch
-    for i in range(len(seeds)):
-        region = vor.regions[vor.point_region[i]]
-        if -1 in region or len(region) < 3:
-            raise MeshError("hexagonal tiling failed (unbounded boundary cell)")
-        poly = vor.vertices[region]
-        poly[:, 0] = np.clip(poly[:, 0], x0, x1)
-        poly[:, 1] = np.clip(poly[:, 1], y0, y1)
-        poly[np.abs(poly[:, 0] - x0) < snap, 0] = x0
-        poly[np.abs(poly[:, 0] - x1) < snap, 0] = x1
-        poly[np.abs(poly[:, 1] - y0) < snap, 1] = y0
-        poly[np.abs(poly[:, 1] - y1) < snap, 1] = y1
-        ang = np.arctan2(poly[:, 1] - seeds[i, 1], poly[:, 0] - seeds[i, 0])
-        poly = poly[np.argsort(ang)]
-        # drop duplicates created by snapping
-        keep = np.ones(len(poly), dtype=bool)
-        for j in range(len(poly)):
-            nxt = (j + 1) % len(poly)
-            if keep[j] and np.hypot(*(poly[j] - poly[nxt])) < snap:
-                keep[nxt] = False
-        poly = poly[keep]
-        if len(poly) >= 3:
-            polys.append(poly)
-    return polys
+    # the cells of one vertex count are clipped, snapped and sorted by angle
+    # about their seed together, as stacked (m, n, 2) arrays
+    for n in np.unique(sizes):
+        cells = np.nonzero(sizes == n)[0]
+        poly = vor.vertices[np.array([regions[i] for i in cells])]
+        px, py = poly[..., 0], poly[..., 1]
+        np.clip(px, x0, x1, out=px)
+        np.clip(py, y0, y1, out=py)
+        px[np.abs(px - x0) < snap] = x0
+        px[np.abs(px - x1) < snap] = x1
+        py[np.abs(py - y0) < snap] = y0
+        py[np.abs(py - y1) < snap] = y1
+        ang = np.arctan2(py - seeds[cells, 1, None], px - seeds[cells, 0, None])
+        poly = np.take_along_axis(poly, np.argsort(ang, axis=1)[..., None], axis=1)
+        gap = poly - np.roll(poly, -1, axis=1)
+        close = np.hypot(gap[..., 0], gap[..., 1]) < snap
+        for i, p, dup in zip(cells, poly, close.any(axis=1)):
+            polys[i] = _drop_snapped_duplicates(p, snap) if dup else p
+    return [p for p in polys if len(p) >= 3]
+
+
+def _drop_snapped_duplicates(poly, snap):
+    """`poly` without the vertices that snapping moved onto their predecessor.
+
+    Walks the loop once: a kept vertex closer than `snap` to the next one
+    drops the next one, so which of a close pair survives depends on order.
+    """
+    keep = np.ones(len(poly), dtype=bool)
+    for j in range(len(poly)):
+        nxt = (j + 1) % len(poly)
+        if keep[j] and np.hypot(*(poly[j] - poly[nxt])) < snap:
+            keep[nxt] = False
+    return poly[keep]
 
 
 def _generate_hex(spec, h):

@@ -11,14 +11,16 @@ use (`hho.BlockSystem.explicit_op`), not once per stepper: every explicit
 stepper on a system shares it. Implicit (singly diagonal) schemes
 condense the cell unknowns instead: the block-diagonal M + a* dt K_TT is
 the only matrix they invert, and only once per congruence class of cells
-(`hho.CellClasses`), together with its product G = A^-1 K_TF; a
-face-coupled Schur complement is assembled and factored once, and all of
-them are reused across stages and steps while (a*, dt) is unchanged. A
-stage applies M, A^-1, K_FT and G through the class store, never through a
-global sparse matrix: cell vectors are sorted by class once per step, so
-each class of many members is one GEMM on a reshaped view of its cells'
-dofs and the cells of the smaller classes of one block shape one stacked
-`matmul`; K_FT adds the local products onto the face dofs with one
+(the system's `hho.CellClasses` store, built by assembly), together with
+its product G = A^-1 K_TF. The face-coupled Schur complement is assembled
+from the same class blocks, each class's dense K_FT,c G_c scattered to its
+members' face dofs, and factored once; all of them are reused across
+stages and steps while (a*, dt) is unchanged. No per-cell inverse is
+formed. A stage applies M, A^-1, K_FT and G through the class store, never
+through a global sparse matrix: cell vectors are sorted by class once per
+step, so each class of many members is one GEMM on a reshaped view of its
+cells' dofs and the cells of the smaller classes of one block shape one
+stacked `matmul`; K_FT adds the local products onto the face dofs with one
 `bincount`, and G gathers every cell's face values with one take. The
 explicit inverses M^-1 and K_FF^-1 come from `hho.BlockDiagonal.inverse`,
 the class inverses from `inverse_stack`: one batched inversion per stack.
@@ -261,12 +263,26 @@ def _forcing_at(forcing, t):
 
 
 def _advance(u_t, dt, weights, slopes):
-    """u_t + dt sum_j w_j k_j over the nonzero weights (u_t itself if none)."""
-    acc = None
+    """u_t + dt sum_j w_j k_j over the nonzero weights (u_t itself if none).
+
+    The sum is accumulated in one new array, with one scratch array for the
+    weighted slopes after the first, in the order of the plain expression.
+    """
+    acc = scratch = None
     for w, k in zip(weights, slopes):
-        if w != 0.0:
-            acc = w * k if acc is None else acc + w * k
-    return u_t if acc is None else u_t + dt * acc
+        if w == 0.0:
+            continue
+        if acc is None:
+            acc = np.multiply(w, k)
+        else:
+            if scratch is None:
+                scratch = np.empty_like(acc)
+            acc += np.multiply(w, k, out=scratch)
+    if acc is None:
+        return u_t
+    acc *= dt
+    acc += u_t
+    return acc
 
 
 class _Stepper:
@@ -334,13 +350,11 @@ class CondensedFactorization:
     Valid for one (a*, dt) pair; reused across stages and steps. The class
     blocks `inverse_blocks` and `g_blocks` (one entry per segment of the
     system's `cell_classes` store, which also holds M and K_FT) are applied
-    by that store. The Schur matrix is assembled once, as sparse products of
-    K_FT, the transient CSR form of the per-cell inverses and K_TF, and held
-    in CSR. It is built from the assembled per-cell blocks rather than the
-    class blocks: the two differ by round-off, which is enough to move the
-    exact zeros of the Schur matrix and with them the fill of its LU (by 1%
-    on cartesian L5). `build_s` is the time spent before the factorization
-    (on a system's first condensation, keying its cells too).
+    by that store. The Schur matrix is assembled once from the same class
+    blocks: each class contributes the dense K_FT,c G_c over its local face
+    dofs, scattered to every member's face dofs next to K_FF in one COO to
+    CSR conversion, and is held in CSR. `build_s` is the time spent before
+    the factorization.
     """
 
     def __init__(self, system, a_star: float, dt: float, solver: SolverConfig):
@@ -357,22 +371,18 @@ class CondensedFactorization:
                                         system.layout.cell_offset[blk["cells"]], "condensed cell")
                    for shape, blk in store.blocks.items()}
         self.inverse_blocks = store.segment_blocks(inverse)
-        self.g_blocks = store.segment_blocks({shape: inverse[shape] @ blk["k_tf"]
-                                              for shape, blk in store.blocks.items()})
-        # the CSR forms of A^-1 and G live only within this statement
-        self.schur = ad * (system.k_ff - ad * (system.k_ft @ (
-            (system.mass_blocks + ad * system.ktt_blocks).inverse("condensed cell").tocsr()
-            @ system.k_tf)))
+        g = {shape: inverse[shape] @ blk["k_tf"] for shape, blk in store.blocks.items()}
+        self.g_blocks = store.segment_blocks(g)
+        # S = a* dt (K_FF - a* dt sum_c K_FT,c G_c)
+        self.schur = store.face_matrix({shape: -ad * (blk["k_ft"] @ g[shape])
+                                        for shape, blk in store.blocks.items()}, system.k_ff)
+        self.schur.data *= ad
         self.build_s = time.perf_counter() - start
         self.schur_solver = FactorizedOperator(self.schur, solver)
 
     def matches(self, a_star: float, dt: float) -> bool:
         return (abs(self.a_star - a_star) <= 1e-15 * max(1.0, abs(a_star))
                 and abs(self.dt - dt) <= 1e-15 * max(1.0, dt))
-
-    def summary(self) -> dict:
-        """The store's class count and kernel cells, and `build_s`."""
-        return {**self.store.summary(), "build_s": self.build_s}
 
     def face_solve(self, z: np.ndarray, b_f: np.ndarray | None = None) -> np.ndarray:
         """Face unknowns S^-1 (b_f - a* dt K_FT z) of a stage, from its

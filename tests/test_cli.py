@@ -178,12 +178,15 @@ def test_simulate_reports_schur_solver(tmp_path, caplog):
     assert 0.0 < solver["max_residual"] <= 1e-8
     assert "factored in" in caplog.text
     # how the cells were condensed: classes and the cells each kernel applies
+    classes = summary["cell_classes"]
+    assert set(classes) == {"classes", "gemm_cells", "stacked_cells"}
+    assert 0 < classes["classes"] < summary["n_cells"]
+    assert classes["gemm_cells"] + classes["stacked_cells"] == summary["n_cells"]
+    assert (f"cell classes: {classes['classes']} classes, {classes['gemm_cells']} cells in "
+            f"class GEMMs, {classes['stacked_cells']} in stacked products") in caplog.text
     cond = summary["condensation"]
-    assert set(cond) == {"classes", "gemm_cells", "stacked_cells", "build_s"}
-    assert 0 < cond["classes"] < summary["n_cells"] and cond["build_s"] >= 0.0
-    assert cond["gemm_cells"] + cond["stacked_cells"] == summary["n_cells"]
-    assert (f"condensation: {cond['classes']} cell classes, {cond['gemm_cells']} cells in "
-            f"class GEMMs, {cond['stacked_cells']} in stacked products") in caplog.text
+    assert set(cond) == {"build_s"} and cond["build_s"] >= 0.0
+    assert f"condensation built in {cond['build_s']:.3f} s" in caplog.text
     # what the run stored and where its time went
     assert set(summary["operator_nnz"]) == {"mass", "k_tt", "k_tf", "k_ft", "k_ff"}
     assert all(nnz > 0 for nnz in summary["operator_nnz"].values())
@@ -259,9 +262,14 @@ def test_simulate_instability_exit_code(tmp_path):
     path = write_cfg(tmp_path, cfg)
     code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_INSTABILITY
-    # an explicit run factors and condenses nothing
+    # an explicit run factors and condenses nothing, but reports its cell
+    # classes: assembly formed one block set per class (a cartesian bilayer
+    # has 6, squares differing only in which of their faces they own)
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert "solver" not in summary and "condensation" not in summary
+    classes = summary["cell_classes"]
+    assert classes["classes"] == 6
+    assert classes["gemm_cells"] + classes["stacked_cells"] == summary["n_cells"]
 
 
 def test_simulate_initial_energy_overflow_exit_code(tmp_path):

@@ -12,6 +12,8 @@ from hhowave.basis import (CellBasis, FaceBasis, polygon_quadrature, project_cel
                            project_face, scalar_cell_dim, segment_quadrature)
 from hhowave.hho import ConfigError, build_cell_blocks, coupling_block
 
+from test_golden import MATRICES, MESHES, golden_mesh
+
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
 ACADEMIC = builtin_materials("academic")
 
@@ -323,34 +325,34 @@ def test_coupling_requires_interface_face():
 # global assembly
 
 def dense_from_blocks(mesh, layout, materials, config):
-    """Independent dense assembly straight from the local blocks."""
-    n_t, n_f = layout.n_cell_dofs, layout.n_face_dofs
-    n = n_t + n_f
-    K = np.zeros((n, n))
-    M = np.zeros((n_t, n_t))
+    """Independent dense assembly straight from the one-cell local blocks:
+    {name: array} for M, K_TT, K_TF, K_FT, K_FF and K_TD."""
+    n_t, n_f, n_d = layout.n_cell_dofs, layout.n_face_dofs, layout.n_dirichlet_dofs
+    ops = {"mass": np.zeros((n_t, n_t)), "k_tt": np.zeros((n_t, n_t)),
+           "k_tf": np.zeros((n_t, n_f)), "k_ft": np.zeros((n_f, n_t)),
+           "k_ff": np.zeros((n_f, n_f)), "k_td": np.zeros((n_t, n_d))}
     fd = layout.n_face_scalar
     for ci in range(mesh.n_cells):
         blocks = build_cell_blocks(mesh, ci, layout, materials.material(mesh, ci), config)
         sl = slice(layout.cell_offset[ci], layout.cell_offset[ci + 1])
-        M[sl, sl] += blocks.mass
-        K[sl, sl] += blocks.k_tt
+        ops["mass"][sl, sl] += blocks.mass
+        ops["k_tt"][sl, sl] += blocks.k_tt
         for j, fi in enumerate(blocks.face_ids):
             fi = int(fi)
             if layout.face_size[fi] == 0:
+                dirichlet = slice(layout.dirichlet_offset[fi], layout.dirichlet_offset[fi + 1])
+                ops["k_td"][sl, dirichlet] += blocks.k_tf(j)
                 continue
-            off = n_t + int(layout.face_offset[fi])
-            if mesh.face_class[fi] == msh.F_INTERFACE and not blocks.is_fluid:
-                off += fd
-            width = blocks.k_tf(j).shape[1]
-            K[sl, off:off + width] += blocks.k_tf(j)
-            K[off:off + width, sl] += blocks.k_ft(j)
-            K[off:off + width, off:off + width] += blocks.stab_face_face[j]
+            face = layout.face_side_slice(fi, "fluid" if blocks.is_fluid else "solid")
+            ops["k_tf"][sl, face] += blocks.k_tf(j)
+            ops["k_ft"][face, sl] += blocks.k_ft(j)
+            ops["k_ff"][face, face] += blocks.stab_face_face[j]
     for fi in mesh.interface_faces:
         c = coupling_block(mesh, int(fi), layout.k)
-        off = n_t + int(layout.face_offset[fi])
-        K[off:off + fd, off + fd:off + 3 * fd] += c
-        K[off + fd:off + 3 * fd, off:off + fd] -= c.T
-    return M, K
+        off = int(layout.face_offset[fi])
+        ops["k_ff"][off:off + fd, off + fd:off + 3 * fd] += c
+        ops["k_ff"][off + fd:off + 3 * fd, off:off + fd] -= c.T
+    return ops
 
 
 @pytest.mark.parametrize("mode", ["equal", "mixed"])
@@ -359,14 +361,42 @@ def test_assembly_matches_dense_oracle(mode):
     config = (StabilizationConfig.explicit() if mode == "equal"
               else StabilizationConfig.implicit())
     system = assemble(mesh, ACADEMIC, config, k=1)
-    layout = system.layout
-    M_ref, K_ref = dense_from_blocks(mesh, layout, ACADEMIC, config)
-    n_t = layout.n_cell_dofs
+    ref = dense_from_blocks(mesh, system.layout, ACADEMIC, config)
+    K_ref = np.block([[ref["k_tt"], ref["k_tf"]], [ref["k_ft"], ref["k_ff"]]])
     K = np.block([[system.k_tt.toarray(), system.k_tf.toarray()],
                   [system.k_ft.toarray(), system.k_ff.toarray()]])
     scale = np.max(np.abs(K_ref)) or 1.0
-    assert np.max(np.abs(system.mass.toarray() - M_ref)) < 1e-13 * scale
+    assert np.max(np.abs(system.mass.toarray() - ref["mass"])) < 1e-13 * scale
     assert np.max(np.abs(K - K_ref)) < 1e-13 * scale
+
+
+def perturbed_mesh():
+    """Cartesian L2 bilayer with its interior vertices moved at random: no
+    two cells are congruent."""
+    base = generate(MeshGenSpec("cartesian", 2, **BILAYER))
+    verts = base.vertices.copy()
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    inner = np.all((verts > lo) & (verts < hi), axis=1) & (verts[:, 1] != 0.0)
+    h = np.min(base.cell_diameter)
+    verts[inner] += np.random.default_rng(2).uniform(-0.1, 0.1, (inner.sum(), 2)) * h
+    return msh.PolyMesh(verts, base.cell_vertices, base.subdomain)
+
+
+@pytest.mark.parametrize("mode", ["equal", "mixed"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("mesh_name", MESHES + ("perturbed",))
+def test_class_built_operators_match_per_cell_assembly(mesh_name, k, mode):
+    # assembly forms blocks once per congruence class and scatters them to
+    # the members; the reference forms every cell's own blocks
+    mesh = perturbed_mesh() if mesh_name == "perturbed" else golden_mesh(mesh_name)
+    config = (StabilizationConfig.explicit() if mode == "equal"
+              else StabilizationConfig.implicit())
+    system = assemble(mesh, ACADEMIC, config, k=k)
+    ref = dense_from_blocks(mesh, system.layout, ACADEMIC, config)
+    assert set(ref) == set(MATRICES)
+    for name in MATRICES:
+        got = getattr(system, name).toarray()
+        assert np.max(np.abs(got - ref[name])) <= 1e-13 * np.max(np.abs(ref[name])), name
 
 
 def test_unstabilized_part_is_skew():

@@ -81,6 +81,15 @@ def test_hexagonal_family():
     assert abs(area - 2.0) < 1e-9
 
 
+def test_snapped_duplicates_drop_in_loop_order():
+    snap = 1e-3
+    poly = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 4e-4), (1.0, 8e-4), (0.0, 1.0), (0.0, 2e-4)])
+    # (1, 4e-4) follows a kept vertex closer than snap and goes; (1, 8e-4)
+    # follows a dropped one and stays, though (1, 0) is as close; the last
+    # vertex, kept, drops the first
+    assert np.array_equal(msh._drop_snapped_duplicates(poly, snap), poly[[1, 3, 4, 5]])
+
+
 def test_single_subdomain_has_no_interface():
     m = generate(MeshGenSpec("cartesian", 1, fluid_rect=(0, 0, 1, 1)))
     assert len(m.interface_faces) == 0

@@ -13,11 +13,12 @@ from hhowave import (CondensedFactorization, ExplicitStepper, ImplicitStepper,
                      assemble, builtin_materials, generate, merge_nonconforming, tableau)
 from hhowave.scenarios import (ManufacturedCase, cfl_bracket, manufactured_forcing,
                                manufactured_initial_state)
-from hhowave import hho, mesh as msh, timestep
+from hhowave import hho, timestep
 from hhowave.hho import BlockDiagonal
 from hhowave.timestep import FactorizedOperator, SolverError, TimestepError
 
 from test_golden import MESHES, golden_mesh
+from test_hho import dense_from_blocks, perturbed_mesh
 
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
 ACADEMIC = builtin_materials("academic")
@@ -155,6 +156,25 @@ def test_unknown_tableau():
         tableau("RK45")
 
 
+@pytest.mark.parametrize("kind", ["ERK4", "SDIRK34"])
+def test_advance_matches_plain_expression_bitwise(kind):
+    # the stage states and updates of both steppers come from _advance, so
+    # its buffer reuse must leave every bit of u_t + dt sum_j w_j k_j as is
+    tab = tableau(kind)
+    rng = np.random.default_rng(6)
+    u_t = rng.standard_normal(50)
+    slopes = [rng.standard_normal(50) for _ in range(tab.s)]
+    for dt in (0.013, -0.013):
+        for row in [*tab.a, tab.b]:
+            acc = None
+            for w, k in zip(row, slopes):
+                if w != 0.0:
+                    acc = w * k if acc is None else acc + w * k
+            want = u_t if acc is None else u_t + dt * acc
+            assert np.array_equal(timestep._advance(u_t, dt, row, slopes), want)
+    assert timestep._advance(u_t, 0.01, tab.a[0, :0], []) is u_t
+
+
 # ---------------------------------------------------------------------------
 # linear solvers
 
@@ -221,7 +241,9 @@ def test_block_diagonal_stores(mode, k):
             assert np.array_equal(getattr(out, attr), getattr(csr, attr))
 
     ad = 0.3
-    condensed = system.mass_blocks + ad * system.ktt_blocks
+    condensed = BlockDiagonal(system.n_cell_dofs, {
+        size: (starts, blocks + ad * system.ktt_blocks.stacks[size][1])
+        for size, (starts, blocks) in system.mass_blocks.stacks.items()})
     assert np.array_equal(condensed.tocsr().toarray(),
                           system.mass.toarray() + ad * system.k_tt.toarray())
     for store in (system.mass_blocks, system.kff_blocks, condensed):
@@ -422,20 +444,26 @@ def _class_products(fact, x, x_f):
 
 
 def _assert_class_products_match_csr(system, a_star, dt, rtol=1e-13):
-    """The class-applied products against CSR products of the assembled
-    per-cell blocks, and the Schur matrix against the CSR triple product."""
+    """The class-applied products and the class-built Schur matrix against
+    dense products of operators assembled from every cell's own blocks
+    (`build_cell_blocks`), with A^-1 inverted cell by cell."""
     ad = a_star * dt
     fact = CondensedFactorization(system, a_star, dt, SolverConfig())
-    a_inv = (system.mass_blocks + ad * system.ktt_blocks).inverse("reference").tocsr()
+    layout = system.layout
+    ref = dense_from_blocks(system.mesh, layout, ACADEMIC, system.config)
+    a_inv = np.zeros_like(ref["mass"])
+    for lo, hi in zip(layout.cell_offset[:-1], layout.cell_offset[1:]):
+        a_inv[lo:hi, lo:hi] = np.linalg.inv(ref["mass"][lo:hi, lo:hi]
+                                            + ad * ref["k_tt"][lo:hi, lo:hi])
     rng = np.random.default_rng(11)
     x = rng.standard_normal(system.n_cell_dofs)
     x_f = rng.standard_normal(system.n_face_dofs)
-    want = {"mass": system.mass @ x, "a_inv": a_inv @ x, "k_ft": system.k_ft @ x,
-            "g": a_inv @ (system.k_tf @ x_f)}
+    want = {"mass": ref["mass"] @ x, "a_inv": a_inv @ x, "k_ft": ref["k_ft"] @ x,
+            "g": a_inv @ (ref["k_tf"] @ x_f)}
     for name, got in _class_products(fact, x, x_f).items():
         assert np.linalg.norm(got - want[name]) <= rtol * np.linalg.norm(want[name]), name
-    schur = ad * (system.k_ff - ad * (system.k_ft @ (a_inv @ system.k_tf)))
-    assert spla.norm(fact.schur - schur) <= rtol * spla.norm(schur)
+    schur = ad * (ref["k_ff"] - ad * (ref["k_ft"] @ (a_inv @ ref["k_tf"])))
+    assert np.linalg.norm(fact.schur.toarray() - schur) <= rtol * np.linalg.norm(schur)
     return fact
 
 
@@ -475,14 +503,7 @@ def test_class_members_share_their_representative_blocks():
 
 
 def test_perturbed_mesh_runs_on_the_stacked_kernel():
-    # interior vertices moved at random: no two cells are congruent
-    base = generate(MeshGenSpec("cartesian", 2, **BILAYER))
-    verts = base.vertices.copy()
-    lo, hi = verts.min(axis=0), verts.max(axis=0)
-    inner = np.all((verts > lo) & (verts < hi), axis=1) & (verts[:, 1] != 0.0)
-    h = np.min(base.cell_diameter)
-    verts[inner] += np.random.default_rng(2).uniform(-0.1, 0.1, (inner.sum(), 2)) * h
-    mesh = msh.PolyMesh(verts, base.cell_vertices, base.subdomain)
+    mesh = perturbed_mesh()
     system = assemble(mesh, ACADEMIC, StabilizationConfig.implicit(), k=1)
     fact = _assert_class_products_match_csr(system, tableau("SDIRK34").a_star, 0.01)
     assert fact.store.summary() == {"classes": mesh.n_cells, "gemm_cells": 0,
