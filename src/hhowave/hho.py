@@ -30,28 +30,39 @@ squares differing only in which of their faces they own), hexagonal L6 has
 cell.
 
 The three block-diagonal matrices are held once each, as `BlockDiagonal`
-stacks of dense blocks grouped by block size; their CSR forms and the block
-inverses the explicit path needs are derived from these stacks, one batched
-inversion per block size. Every CSR matrix built from dense blocks stores
-only their nonzero entries, with int32 indices. What the explicit path
-derives from a system (the face map P, M^-1, the face-eliminated operator L
-and its extreme eigenvalues) belongs to the system too: each is built once,
-on first use, and shared by every stepper and scheme on that system.
+stacks of dense blocks grouped by block size (M and K_TT in the class
+store, K_FF per face); the block inverses the explicit path needs are
+derived from these stacks, one batched inversion per block size. Every CSR
+matrix built from dense blocks (M, K_TT, K_TF, K_FT, K_TD, K_FF, M^-1 and
+K_FF^-1) stores, with int32 indices, only the entries above a round-off
+floor: |x| > ROUNDOFF_FLOOR max|block|, 16 machine epsilons of the largest
+entry of the entry's own block (`_block_entries`). Which entries pass is
+decided once per class block, or once per block of a `BlockDiagonal`, and
+gathered to the members. Moments that vanish exactly on symmetric cells
+come out of the quadrature as round-off, so the floor halves what the
+cartesian operators store; the face map P and the explicit operator L
+inherit it through their sparse products. What the explicit path derives
+from a system (P, M^-1, L and its extreme eigenvalues) belongs to the
+system too: each is built once, on first use, and shared by every stepper
+and scheme on that system.
 
 The implicit stage applies its cell operators (M, A^-1, K_FT and
 G = A^-1 K_TF, with A = M + a* dt K_TT) from the same class store, and
-assembles its Schur matrix from per-class dense blocks: a class-ordered
-cell vector is applied by one GEMM per class of at least GEMM_MIN_MEMBERS
-cells and one stacked `matmul` per block shape for the cells of smaller
-classes. On cartesian meshes the stages therefore run almost entirely on
-GEMMs; on hexagonal L6 65% of the cells are in classes of at least 32;
-meshes without congruent cells run on the stacked products alone.
+assembles its Schur matrix from per-class dense blocks, keeping every
+nonzero entry of those (`CellClasses.face_matrix`): a class-ordered cell
+vector is applied by one GEMM per class of at least `gemm_min_members(n)`
+cells, a break-even that falls with the cell block size n (36 members for
+12 x 12 blocks, 21 for 21 x 21, 5 from 40 x 40 on), and one stacked
+`matmul` per block shape for the cells of smaller classes. On cartesian
+meshes the stages therefore run almost entirely on GEMMs; meshes without
+congruent cells run on the stacked products alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -395,6 +406,20 @@ def coupling_block(mesh: msh.PolyMesh, fi, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # global assembly
 
+ROUNDOFF_FLOOR = 16 * np.finfo(float).eps
+"""Relative floor below which `_block_entries` drops an entry of a dense
+block: about 3.6e-15 of the block's largest magnitude.
+
+Moments that vanish exactly on a symmetric cell (odd monomials against even
+ones, a normal component along a face parallel to an axis) come out of the
+quadrature as round-off of a few ulps of the block's scale, and every member
+of a congruence class inherits them from its representative. Stored, they
+are work without effect: on cartesian L4 they are 92,608 of the 177,696
+entries of the explicit operator L, each at most 2.7e-16 of its row's
+largest entry.
+"""
+
+
 class BlockDiagonal:
     """Square block-diagonal matrix of order n with its dense blocks stacked by size.
 
@@ -416,6 +441,8 @@ class BlockDiagonal:
         return cls(n, stacks)
 
     def tocsr(self) -> sp.csr_matrix:
+        """CSR of the blocks, each block's entries floored against its own
+        largest one (`_block_entries`)."""
         shape = (self.n, self.n)
         entries = []
         for starts, blocks in self.stacks.values():
@@ -435,18 +462,27 @@ class BlockDiagonal:
 # ---------------------------------------------------------------------------
 # congruence classes
 
-GEMM_MIN_MEMBERS = 32
-"""Smallest class whose members one GEMM applies; the cells of smaller
-classes go through one stacked `matmul` per block shape.
+GEMM_BREAK_EVEN = ((12, 36), (21, 21), (40, 5))
+"""(cell block size n, members) pairs: the smallest class whose members one
+GEMM applies, at the measured block sizes; the cells of smaller classes go
+through one stacked `matmul` per block shape.
 
 Measured with `_apply_blocks` on one BLAS thread (2-vCPU host, numpy 2.4,
 OpenBLAS 0.3.31; median of 5 x 2,000 calls): one GEMM costs about 3.7 us
 plus 0.023 us per member with the 12 x 12 fluid blocks of k=1 mixed order
 and 0.040 us with the 21 x 21 solid ones, while a stacked `matmul` costs
 0.13 and 0.21 us per cell. A class therefore pays for its own GEMM from
-about 36 (fluid) and 21 (solid) members; with the 40 x 40 blocks of k=3
-from about 5.
+about 36 (fluid) and 21 (solid) members; with 40 x 40 blocks (GEMM 3 us +
+0.07 us per member, stacked 0.74 us per cell) from about 5.
 """
+
+
+def gemm_min_members(n: int) -> int:
+    """The smallest class of n x n cell blocks that one GEMM applies: the
+    break-even of `GEMM_BREAK_EVEN`, interpolated linearly in n and held at
+    its end values outside the measured sizes."""
+    sizes, members = zip(*GEMM_BREAK_EVEN)
+    return math.ceil(np.interp(n, sizes, members))
 
 
 def congruence_classes(mesh: msh.PolyMesh) -> np.ndarray:
@@ -555,19 +591,19 @@ class CellClasses:
                        for shape, part in parts.items()}
         self.rows = row[class_of]
 
-        big = members >= GEMM_MIN_MEMBERS
         self.segments, order, face_index = [], [], []
         lo = flo = 0
         for shape, cells, faces in _shape_groups(mesh):
+            n = self.blocks[shape]["mass"].shape[-1]
             cls = class_of[cells]
-            runs = [(False, cls == c) for c in np.unique(cls[big[cls]])]
-            runs.append((True, ~big[cls]))
+            big = members[cls] >= gemm_min_members(n)
+            runs = [(False, cls == c) for c in np.unique(cls[big])]
+            runs.append((True, ~big))
             for stacked, run in runs:
                 if not run.any():
                     continue
                 seg_cells = cells[run]
-                dofs = layout.cell_offset[seg_cells][:, None] + np.arange(
-                    self.blocks[shape]["mass"].shape[-1])
+                dofs = layout.cell_offset[seg_cells][:, None] + np.arange(n)
                 fdofs, _ = _local_face_dofs(layout, faces[run], shape[0])
                 self.segments.append(ClassSegment(
                     shape, stacked, seg_cells, self.rows[seg_cells if stacked else seg_cells[:1]],
@@ -640,21 +676,46 @@ class CellClasses:
             blocks.append(np.broadcast_to(b, (len(seg.cells),) + b.shape[1:]))
         return BlockDiagonal.gather(self.n_cell_dofs, starts, blocks)
 
+    def _entries(self, stacks: dict, dofs, shape, floored=True) -> list:
+        """COO triplets of a square operator given per class by dense local
+        blocks {shape: (classes, L, L)}: each segment's classes decide their
+        kept entries once (`_block_entries`), placed at every member's
+        `dofs(seg)` (m, L)."""
+        entries = []
+        for seg in self.segments:
+            used, member_class = np.unique(seg.rows, return_inverse=True)
+            idx = dofs(seg)
+            entries.append(_block_entries(
+                stacks[seg.shape][used], idx, idx, shape,
+                np.broadcast_to(member_class.reshape(-1), len(seg.cells)), floored))
+        return entries
+
+    def cell_matrix(self, name: str) -> sp.csr_matrix:
+        """The square cell operator `name` ("mass" or "k_tt") as CSR."""
+        shape = (self.n_cell_dofs, self.n_cell_dofs)
+        return _csr(self._entries({s: b[name] for s, b in self.blocks.items()},
+                                  lambda seg: self.order[seg.dofs].reshape(len(seg.cells), -1),
+                                  shape), shape)
+
     def face_matrix(self, stacks: dict, base: sp.csr_matrix) -> sp.csr_matrix:
         """`base` plus a face-to-face operator given per class by dense local
         blocks {shape: (classes, L, L)} over the cell's local face dofs: every
         cell's block is placed at its face dofs, Dirichlet pad slots and exact
-        zeros dropped, in one COO to CSR conversion."""
+        zeros dropped, in one COO to CSR conversion.
+
+        These blocks keep every nonzero entry (not `floored`), round-off ones
+        included, because the floor costs the factorization more than it
+        saves: applied here as well, it takes 27% of the entries of the
+        ricker run's Schur complement (cartesian L5, k=1) and 4.4% of
+        hexagonal L6's, and minimum-degree ordering of the thinner patterns
+        leaves 39% and 35% more LU entries (619,024 -> 860,811 and
+        22,937,226 -> 31,063,927).
+        """
         shape = (self.n_face_dofs, self.n_face_dofs)
         base = base.tocoo()
-        entries = [(base.row, base.col, base.data)]
-        for seg in self.segments:
-            m = len(seg.cells)
-            dofs = self.face_index[seg.faces].reshape(m, -1)
-            blocks = stacks[seg.shape][seg.rows]
-            entries.append(_block_entries(np.broadcast_to(blocks, (m,) + blocks.shape[1:]),
-                                          dofs, dofs, shape))
-        return _csr(entries, shape)
+        return _csr([(base.row, base.col, base.data)] + self._entries(
+            stacks, lambda seg: self.face_index[seg.faces].reshape(len(seg.cells), -1),
+            shape, floored=False), shape)
 
 
 def _local_face_dofs(layout: DofLayout, faces, sub):
@@ -682,13 +743,13 @@ class BlockSystem:
 
     Cell rows/columns use the DofLayout cell numbering, face rows/columns the
     face numbering. The mass and K_TT are block-diagonal per cell and K_FF
-    per dof-carrying face: `mass`, `k_tt` and `k_ff` hold them as CSR,
-    `kff_blocks` holds K_FF as a BlockDiagonal stack, and `mass_blocks` and
-    `ktt_blocks` gather the per-cell stacks of M and K_TT from the class
-    store on each use, so no system keeps them. `k_td` maps known Dirichlet
-    face values to cell equations (lifting of nonhomogeneous boundary data).
-    `cell_classes` is the class store every cell operator was scattered
-    from; the implicit stage applies it.
+    per dof-carrying face: `mass`, `k_tt` and `k_ff` hold them as CSR (M
+    and K_TT gathered from the class store), `kff_blocks` holds K_FF as a
+    BlockDiagonal stack, and `mass_blocks` gathers the per-cell stack of M
+    from the class store on each use, so no system keeps it. `k_td` maps
+    known Dirichlet face values to cell equations (lifting of
+    nonhomogeneous boundary data). `cell_classes` is the class store every
+    cell operator was scattered from; the implicit stage applies it.
 
     The face map `face_op`, the CSR `minv`, the explicit operator
     `explicit_op` and its `explicit_spectrum` are built on first use and
@@ -701,8 +762,8 @@ class BlockSystem:
         self.mesh = layout.mesh
         self.cell_classes = cell_classes
         self.kff_blocks = kff_blocks
-        self.mass = self.mass_blocks.tocsr()
-        self.k_tt = self.ktt_blocks.tocsr()
+        self.mass = cell_classes.cell_matrix("mass")
+        self.k_tt = cell_classes.cell_matrix("k_tt")
         self.k_tf = k_tf
         self.k_ft = k_ft
         self.k_ff = kff_blocks.tocsr()
@@ -713,10 +774,6 @@ class BlockSystem:
     @property
     def mass_blocks(self) -> BlockDiagonal:
         return self.cell_classes.block_diagonal("mass")
-
-    @property
-    def ktt_blocks(self) -> BlockDiagonal:
-        return self.cell_classes.block_diagonal("k_tt")
 
     @property
     def n_cell_dofs(self):
@@ -794,19 +851,38 @@ class BlockSystem:
         return -(self.k_td @ dirichlet_values)
 
 
-def _block_entries(blocks, rows, cols, shape):
-    """COO triplets of the nonzero entries of dense blocks (m, r, c) whose
-    rows are `rows` (m, r) and columns `cols` (m, c), with int32 indices.
+def _block_entries(blocks, rows, cols, shape, classes=None, floored=True):
+    """COO triplets, with int32 indices, of the entries of dense blocks that
+    rise above a relative round-off floor.
 
-    Rows or columns at or past `shape` (the pad slots of Dirichlet faces)
-    are dropped, and so are the blocks' exact zeros (the zero dual-dual and
-    dual-primal blocks, the vector components no entry couples), so no CSR
-    built from them stores one.
+    `blocks` (b, r, c) holds one block per class and `classes` (m,) the
+    block of each member, `rows` (m, r) and `cols` (m, c) the members' row
+    and column indices; without `classes` every block is its own member's.
+    An entry is stored only if |x| > ROUNDOFF_FLOOR * max|block|, or, not
+    `floored`, only if it is nonzero: the kept positions are decided once
+    per block and gathered to its members. The floor drops the blocks'
+    exact zeros (the zero dual-dual and dual-primal blocks, the vector
+    components no entry couples) and their round-off entries. Rows or
+    columns at or past `shape` (the pad slots of Dirichlet faces) are
+    dropped too, so no CSR built from the triplets stores any of these.
     """
-    rows = np.broadcast_to(rows.astype(np.int32)[:, :, None], blocks.shape)
-    cols = np.broadcast_to(cols.astype(np.int32)[:, None, :], blocks.shape)
-    keep = (blocks != 0) & (rows < shape[0]) & (cols < shape[1])
-    return rows[keep], cols[keep], blocks[keep]
+    mag = np.abs(blocks)
+    floor = ROUNDOFF_FLOOR * mag.max(axis=(1, 2), keepdims=True) if floored else 0.0
+    block, i, j = np.nonzero(mag > floor)
+    values = blocks[block, i, j]
+    if classes is None:
+        classes = np.arange(len(blocks))
+    count = np.bincount(block, minlength=len(blocks))
+    first = np.cumsum(count) - count
+    # member e takes its block's kept entries first[b] .. first[b] + count[b]
+    per_member = count[classes]
+    start = np.cumsum(per_member) - per_member
+    pick = np.arange(per_member.sum()) + np.repeat(first[classes] - start, per_member)
+    member = np.repeat(np.arange(len(classes)), per_member)
+    r = np.take(rows.astype(np.int32), member * rows.shape[1] + i[pick])
+    c = np.take(cols.astype(np.int32), member * cols.shape[1] + j[pick])
+    inside = (r < shape[0]) & (c < shape[1])
+    return r[inside], c[inside], values[pick[inside]]
 
 
 def _csr(entries, shape):
@@ -843,13 +919,13 @@ def assemble(mesh: msh.PolyMesh, materials: MaterialMap,
         blk, rows = store.blocks[shape], store.rows[cells]
         cell_dofs = layout.cell_offset[cells][:, None] + np.arange(blk["mass"].shape[-1])
         face_dofs, dirichlet_dofs = _local_face_dofs(layout, faces, shape[0])
-        k_tf = blk["k_tf"][rows]
-        entries["k_tf"].append(_block_entries(k_tf, cell_dofs, face_dofs, (n_t, n_f)))
+        entries["k_tf"].append(_block_entries(blk["k_tf"], cell_dofs, face_dofs, (n_t, n_f),
+                                              rows))
         bnd = np.any(dirichlet_dofs < n_d, axis=1)
-        entries["k_td"].append(_block_entries(k_tf[bnd], cell_dofs[bnd], dirichlet_dofs[bnd],
-                                              (n_t, n_d)))
-        entries["k_ft"].append(_block_entries(blk["k_ft"][rows], face_dofs, cell_dofs,
-                                              (n_f, n_t)))
+        entries["k_td"].append(_block_entries(blk["k_tf"], cell_dofs[bnd], dirichlet_dofs[bnd],
+                                              (n_t, n_d), rows[bnd]))
+        entries["k_ft"].append(_block_entries(blk["k_ft"], face_dofs, cell_dofs, (n_f, n_t),
+                                              rows))
         # each local face's block sits at that face's rows and columns of the
         # cell's side within its face block
         m, n_v = faces.shape

@@ -249,6 +249,24 @@ def test_lu_memory_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "face dofs ran out of memory" in capsys.readouterr().err
 
 
+def test_granite_water_solves_at_1024_cells(tmp_path):
+    # the shipped geophysical config scaled down to 1,024 cells, 10 steps: the
+    # diagonal of its Schur complement spans 4.9e-12 to 390, and only the
+    # equilibrated factor without pivoting meets the residual guard
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "granite_water.json")
+    with open(path) as fh:
+        cfg = json.load(fh)
+    cfg["mesh"].update(n_fluid=[32, 9], n_solid=[32, 23])
+    cfg["final_time"] = 10 * cfg["dt"]
+    cfg["output"] = {}
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_cells"] == 1024 and summary["steps"] == 10
+    assert summary["solver"]["max_residual"] <= 1e-8
+
+
 def test_simulate_instability_exit_code(tmp_path):
     cfg = json.loads(json.dumps(RICKER_CFG))
     cfg["scheme"] = "ERK2"

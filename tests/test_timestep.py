@@ -223,29 +223,41 @@ def _blocks_by_start(store):
     return sorted(pairs, key=lambda pair: pair[0])
 
 
+def _assert_stores_floored_blocks(csr, pairs):
+    """`csr` holds exactly the blocks' entries above the round-off floor of
+    their own block: every stored entry is exact, every dropped one is
+    within the floor, and none above it is dropped."""
+    exact = sla.block_diag(*[blk for _, blk in pairs])
+    floor = hho.ROUNDOFF_FLOOR * sla.block_diag(*[np.full_like(blk, np.abs(blk).max())
+                                                  for _, blk in pairs])
+    assert np.array_equal(csr.toarray(), np.where(np.abs(exact) > floor, exact, 0.0))
+
+
 @pytest.mark.parametrize("mode,k", [("implicit", 1), ("explicit", 2)])
 def test_block_diagonal_stores(mode, k):
     system = make_system(k=k, level=2, mode=mode, family="polygonal-hexagonal")
     fd = system.layout.n_face_scalar
-    assert len(system.mass_blocks.stacks) == 2 == len(system.ktt_blocks.stacks)
+    ktt_blocks = system.cell_classes.block_diagonal("k_tt")
+    assert len(system.mass_blocks.stacks) == 2 == len(ktt_blocks.stacks)
     assert sorted(system.kff_blocks.stacks) == [fd, 2 * fd, 3 * fd]
-    for store, csr in ((system.mass_blocks, system.mass), (system.ktt_blocks, system.k_tt),
+    for store, csr in ((system.mass_blocks, system.mass), (ktt_blocks, system.k_tt),
                        (system.kff_blocks, system.k_ff)):
         pairs = _blocks_by_start(store)
         # the blocks tile the diagonal and are all the matrix holds
         ends = [st + len(blk) for st, blk in pairs]
         assert [st for st, _ in pairs] == [0] + ends[:-1] and ends[-1] == csr.shape[0]
-        assert np.array_equal(csr.toarray(), sla.block_diag(*[blk for _, blk in pairs]))
+        _assert_stores_floored_blocks(csr, pairs)
         out = store.tocsr()
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(out, attr), getattr(csr, attr))
 
     ad = 0.3
     condensed = BlockDiagonal(system.n_cell_dofs, {
-        size: (starts, blocks + ad * system.ktt_blocks.stacks[size][1])
+        size: (starts, blocks + ad * ktt_blocks.stacks[size][1])
         for size, (starts, blocks) in system.mass_blocks.stacks.items()})
-    assert np.array_equal(condensed.tocsr().toarray(),
-                          system.mass.toarray() + ad * system.k_tt.toarray())
+    _assert_stores_floored_blocks(condensed.tocsr(), _blocks_by_start(condensed))
+    summed = system.mass + ad * system.k_tt
+    assert abs(condensed.tocsr() - summed).max() <= 1e-14 * abs(summed).max()
     for store in (system.mass_blocks, system.kff_blocks, condensed):
         pairs = _blocks_by_start(store)
         inv = store.inverse("test")
@@ -253,8 +265,7 @@ def test_block_diagonal_stores(mode, k):
         assert [st for st, _ in inv_pairs] == [st for st, _ in pairs]
         for (st, blk), (_, blk_inv) in zip(pairs, inv_pairs):
             assert np.array_equal(blk_inv, np.linalg.inv(blk)), st
-        assert np.array_equal(inv.tocsr().toarray(),
-                              sla.block_diag(*[blk for _, blk in inv_pairs]))
+        _assert_stores_floored_blocks(inv.tocsr(), inv_pairs)
         # a singular block in the middle of each stack is named by its offset
         for size, (starts, blocks) in store.stacks.items():
             bad = blocks.copy()
@@ -286,6 +297,74 @@ def test_sparse_operators_store_nonzeros_only(mesh_name, mode):
     for name, mat in derived.items():
         assert mat.nnz > 0 and np.all(mat.data != 0), name
         assert mat.indices.dtype == np.int32, name
+
+
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+@pytest.mark.parametrize("mesh_name", MESHES)
+def test_floor_drops_only_roundoff_coupling_entries(mesh_name, mode, monkeypatch):
+    """Against the exact-zero rule, K_TF and K_TD drop only entries within
+    the round-off floor of their cell's block, and K_FT drops the same ones."""
+    mesh = golden_mesh(mesh_name)
+    config = (StabilizationConfig.explicit() if mode == "explicit"
+              else StabilizationConfig.implicit())
+    floored = assemble(mesh, ACADEMIC, config, k=1)
+    tau = hho.ROUNDOFF_FLOOR
+    monkeypatch.setattr(hho, "ROUNDOFF_FLOOR", 0.0)
+    exact = assemble(mesh, ACADEMIC, config, k=1)
+    # a cell's K_TF block spans its K_TF and K_TD rows (Dirichlet faces' columns)
+    cell = np.repeat(np.arange(mesh.n_cells), np.diff(floored.layout.cell_offset))
+    want = {name: getattr(exact, name).toarray() for name in ("k_tf", "k_td")}
+    block_max = np.zeros(mesh.n_cells)
+    np.maximum.at(block_max, cell, np.abs(np.hstack(list(want.values()))).max(axis=1))
+    for name, ref in want.items():
+        got = getattr(floored, name).toarray()
+        kept = got != 0
+        assert np.array_equal(got[kept], ref[kept]), name
+        dropped = (ref != 0) & ~kept
+        bound = tau * np.broadcast_to(block_max[cell][:, None], ref.shape)
+        assert np.all(np.abs(ref[dropped]) <= bound[dropped]), name
+    assert np.array_equal(abs(floored.k_ft).toarray(), abs(floored.k_tf).toarray().T)
+
+
+def test_floor_keeps_schur_pattern_and_thins_explicit_operator(monkeypatch):
+    # cartesian bilayer: every round-off entry the floor drops from K_FF sits
+    # where the cell blocks of the Schur complement hold a large entry
+    tau = hho.ROUNDOFF_FLOOR
+    facts, ops = [], []
+    for floor in (tau, 0.0):
+        monkeypatch.setattr(hho, "ROUNDOFF_FLOOR", floor)
+        system = make_system(k=1, level=3, mode="implicit")
+        facts.append(CondensedFactorization(system, tableau("SDIRK34").a_star, 0.01,
+                                            SolverConfig()))
+        ops.append(make_system(k=1, level=3).explicit_op)
+    floored, exact = facts
+    for attr in ("indptr", "indices"):
+        assert np.array_equal(getattr(floored.schur, attr), getattr(exact.schur, attr))
+    assert floored.schur_solver.lu_nnz == exact.schur_solver.lu_nnz
+
+    def smallest_relative_entry(op):
+        row_max = np.maximum.reduceat(np.abs(op.data), op.indptr[:-1])
+        return (np.abs(op.data) / np.repeat(row_max, np.diff(op.indptr))).min()
+
+    # L has no empty row; without the floor it stores round-off entries
+    assert smallest_relative_entry(ops[0]) >= 1e-12 > smallest_relative_entry(ops[1])
+    assert ops[0].nnz < ops[1].nnz
+
+
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+@pytest.mark.parametrize("mesh_name", MESHES)
+def test_equilibrated_schur_symmetric_part_is_definite(mesh_name, mode):
+    # what makes the Schur LU without pivoting stable: the symmetric part of
+    # D S D, D = |diag S|^-1/2, is positive definite, at small and large steps
+    config = (StabilizationConfig.explicit() if mode == "explicit"
+              else StabilizationConfig.implicit())
+    system = assemble(golden_mesh(mesh_name), ACADEMIC, config, k=1)
+    for dt in (0.01, 1.0):
+        schur = CondensedFactorization(system, tableau("SDIRK34").a_star, dt,
+                                       SolverConfig()).schur.toarray()
+        scale = 1.0 / np.sqrt(np.abs(np.diag(schur)))
+        dsd = scale[:, None] * schur * scale
+        assert np.linalg.eigvalsh(0.5 * (dsd + dsd.T)).min() > 0.0, dt
 
 
 # ---------------------------------------------------------------------------
@@ -467,19 +546,28 @@ def _assert_class_products_match_csr(system, a_star, dt, rtol=1e-13):
     return fact
 
 
-@pytest.mark.parametrize("min_members", [1, hho.GEMM_MIN_MEMBERS])
+@pytest.mark.parametrize("min_members", [1, 32, pytest.param(None, id="shipped")])
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("mesh_name", MESHES)
 def test_class_products_match_csr(mesh_name, k, min_members, monkeypatch):
     # with one member as the threshold every class is applied by its own GEMM;
-    # at the shipped one the L2 meshes' small classes run on stacked products
-    monkeypatch.setattr(hho, "GEMM_MIN_MEMBERS", min_members)
+    # at one fixed threshold for every block size (32) and at the shipped
+    # break-even by block size the L2 meshes' small classes run on stacked
+    # products
+    if min_members is not None:
+        monkeypatch.setattr(hho, "gemm_min_members", lambda n: min_members)
     system = assemble(golden_mesh(mesh_name), ACADEMIC, StabilizationConfig.implicit(), k=k)
     fact = _assert_class_products_match_csr(system, tableau("SDIRK34").a_star, 0.01)
     summary = fact.store.summary()
     assert summary["gemm_cells"] + summary["stacked_cells"] == system.mesh.n_cells
     if min_members == 1:
         assert summary["gemm_cells"] == system.mesh.n_cells
+
+
+def test_gemm_break_even_falls_with_block_size():
+    # the measured break-evens, linear between them and held beyond them
+    assert [hho.gemm_min_members(n) for n in (9, 12, 15, 21, 30, 40, 60)] == [
+        36, 36, 31, 21, 14, 5, 5]
 
 
 def test_class_members_share_their_representative_blocks():
