@@ -35,13 +35,14 @@ store, K_FF per face); the block inverses the explicit path needs are
 derived from these stacks, one batched inversion per block size. Every CSR
 matrix built from dense blocks (M, K_TT, K_TF, K_FT, K_TD, K_FF, M^-1 and
 K_FF^-1) stores, with int32 indices, only the entries above a round-off
-floor: |x| > ROUNDOFF_FLOOR max|block|, 16 machine epsilons of the largest
-entry of the entry's own block (`_block_entries`). Which entries pass is
-decided once per class block, or once per block of a `BlockDiagonal`, and
-gathered to the members. Moments that vanish exactly on symmetric cells
-come out of the quadrature as round-off, so the floor halves what the
-cartesian operators store; the face map P and the explicit operator L
-inherit it through their sparse products. What the explicit path derives
+floor: |x| > ROUNDOFF_FLOOR max(row max, column max), 16 machine epsilons
+of the largest entry of the entry's own row or column of its block
+(`_block_entries`). Which entries pass is decided once per class block, or
+once per block of a `BlockDiagonal`, and gathered to the members. Moments
+that vanish exactly on symmetric cells come out of the quadrature as
+round-off, so the floor halves what the cartesian operators store; the
+face map P and the explicit operator L inherit it through their sparse
+products. What the explicit path derives
 from a system (P, M^-1, L and its extreme eigenvalues) belongs to the
 system too: each is built once, on first use, and shared by every stepper
 and scheme on that system.
@@ -408,15 +409,30 @@ def coupling_block(mesh: msh.PolyMesh, fi, k: int) -> np.ndarray:
 
 ROUNDOFF_FLOOR = 16 * np.finfo(float).eps
 """Relative floor below which `_block_entries` drops an entry of a dense
-block: about 3.6e-15 of the block's largest magnitude.
+block: about 3.6e-15 of the largest magnitude in the entry's row or column
+of that block, whichever is larger.
 
 Moments that vanish exactly on a symmetric cell (odd monomials against even
 ones, a normal component along a face parallel to an axis) come out of the
-quadrature as round-off of a few ulps of the block's scale, and every member
-of a congruence class inherits them from its representative. Stored, they
-are work without effect: on cartesian L4 they are 92,608 of the 177,696
-entries of the explicit operator L, each at most 2.7e-16 of its row's
-largest entry.
+quadrature as round-off of a few ulps of the scale of the terms summed, and
+every member of a congruence class inherits them from its representative.
+Stored, they are work without effect: on cartesian L4 they are 92,608 of the
+177,696 entries of the explicit operator L, each at most 2.7e-16 of its
+row's largest entry.
+
+The scale is an entry's row and column, not its whole block, because one
+block holds unknowns whose scales differ by orders of magnitude under SI
+materials: a granite cell's mass block pairs the stress mass (compliance
+about 1e-11) with the velocity mass (density 2,690), and an interface face
+block pairs the fluid and solid impedances (6.5e-7 and 8.1e6). Such parts
+meet in a row or column only where a coupling links them: the gradient
+reconstruction beside the stabilization, whose smallest entries measure
+2.6e-12 of the larger scale for granite and water at k=3 on L2 meshes,
+three decades above the floor. A row alone gives no more room, since each
+coupling entry also sits in a primal row beside the stabilization, and it
+keeps too much: the gradient reconstruction cancels cell and face terms of
+its columns' scale, and leaves the rows of K_TT of divergence-free dual
+modes with round-off entries only.
 """
 
 
@@ -441,8 +457,8 @@ class BlockDiagonal:
         return cls(n, stacks)
 
     def tocsr(self) -> sp.csr_matrix:
-        """CSR of the blocks, each block's entries floored against its own
-        largest one (`_block_entries`)."""
+        """CSR of the blocks, each entry floored against the largest one of
+        its row or column in its block (`_block_entries`)."""
         shape = (self.n, self.n)
         entries = []
         for starts, blocks in self.stacks.values():
@@ -858,16 +874,19 @@ def _block_entries(blocks, rows, cols, shape, classes=None, floored=True):
     `blocks` (b, r, c) holds one block per class and `classes` (m,) the
     block of each member, `rows` (m, r) and `cols` (m, c) the members' row
     and column indices; without `classes` every block is its own member's.
-    An entry is stored only if |x| > ROUNDOFF_FLOOR * max|block|, or, not
-    `floored`, only if it is nonzero: the kept positions are decided once
-    per block and gathered to its members. The floor drops the blocks'
-    exact zeros (the zero dual-dual and dual-primal blocks, the vector
-    components no entry couples) and their round-off entries. Rows or
+    An entry x_ij is stored only if |x_ij| > ROUNDOFF_FLOOR * max(max_l
+    |x_il|, max_l |x_lj|) within its block, or, not `floored`, only if it is
+    nonzero: the kept positions are decided once per block and gathered to
+    its members. The floor drops the blocks' exact zeros (the zero
+    dual-dual and dual-primal blocks, the vector components no entry
+    couples) and their round-off entries. Rows or
     columns at or past `shape` (the pad slots of Dirichlet faces) are
     dropped too, so no CSR built from the triplets stores any of these.
     """
     mag = np.abs(blocks)
-    floor = ROUNDOFF_FLOOR * mag.max(axis=(1, 2), keepdims=True) if floored else 0.0
+    floor = (ROUNDOFF_FLOOR * np.maximum(mag.max(axis=2, keepdims=True),
+                                         mag.max(axis=1, keepdims=True))
+             if floored else 0.0)
     block, i, j = np.nonzero(mag > floor)
     values = blocks[block, i, j]
     if classes is None:

@@ -22,6 +22,7 @@ from test_hho import dense_from_blocks, perturbed_mesh
 
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
 ACADEMIC = builtin_materials("academic")
+GRANITE_WATER = builtin_materials("granite-water")
 
 
 def make_system(k=1, level=1, mode="explicit", family="cartesian"):
@@ -223,13 +224,20 @@ def _blocks_by_start(store):
     return sorted(pairs, key=lambda pair: pair[0])
 
 
+def _roundoff_floor(mat, tau=hho.ROUNDOFF_FLOOR):
+    """The floor of every entry of a dense block or block-diagonal matrix:
+    `tau` (the shipped ROUNDOFF_FLOOR) times the largest magnitude in its
+    row or column."""
+    mag = np.abs(mat)
+    return tau * np.maximum(mag.max(axis=1, keepdims=True), mag.max(axis=0, keepdims=True))
+
+
 def _assert_stores_floored_blocks(csr, pairs):
     """`csr` holds exactly the blocks' entries above the round-off floor of
-    their own block: every stored entry is exact, every dropped one is
+    their row and column: every stored entry is exact, every dropped one is
     within the floor, and none above it is dropped."""
     exact = sla.block_diag(*[blk for _, blk in pairs])
-    floor = hho.ROUNDOFF_FLOOR * sla.block_diag(*[np.full_like(blk, np.abs(blk).max())
-                                                  for _, blk in pairs])
+    floor = sla.block_diag(*[_roundoff_floor(blk) for _, blk in pairs])
     assert np.array_equal(csr.toarray(), np.where(np.abs(exact) > floor, exact, 0.0))
 
 
@@ -256,6 +264,8 @@ def test_block_diagonal_stores(mode, k):
         size: (starts, blocks + ad * ktt_blocks.stacks[size][1])
         for size, (starts, blocks) in system.mass_blocks.stacks.items()})
     _assert_stores_floored_blocks(condensed.tocsr(), _blocks_by_start(condensed))
+    # M and K_TT are floored apart, so their sum differs from the floored
+    # condensed blocks by entries within the floor, not exactly
     summed = system.mass + ad * system.k_tt
     assert abs(condensed.tocsr() - summed).max() <= 1e-14 * abs(summed).max()
     for store in (system.mass_blocks, system.kff_blocks, condensed):
@@ -351,14 +361,48 @@ def test_floor_keeps_schur_pattern_and_thins_explicit_operator(monkeypatch):
     assert ops[0].nnz < ops[1].nnz
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["explicit", "implicit"])
 @pytest.mark.parametrize("mesh_name", MESHES)
-def test_equilibrated_schur_symmetric_part_is_definite(mesh_name, mode):
+def test_floor_keeps_si_material_scales(mesh_name, mode, k, monkeypatch):
+    """Under granite and water, whose unknowns' scales differ by up to 1e14
+    within one cell or interface face block, the floor drops from M, M^-1,
+    K_TT and K_FF only entries within the floor of their row and column,
+    each row of M, M^-1 and K_FF keeps its action to 1e-12 of its largest
+    entry, and the explicit operator L to 1e-11."""
+    mesh = golden_mesh(mesh_name)
+    config = (StabilizationConfig.explicit() if mode == "explicit"
+              else StabilizationConfig.implicit())
+    names = ("mass", "minv", "k_tt", "k_ff", "explicit_op")
+    floored = assemble(mesh, GRANITE_WATER, config, k=k)
+    got = {name: getattr(floored, name).toarray() for name in names}
+    monkeypatch.setattr(hho, "ROUNDOFF_FLOOR", 0.0)
+    exact = assemble(mesh, GRANITE_WATER, config, k=k)
+    for name in names:
+        ref = getattr(exact, name).toarray()
+        if name != "explicit_op":
+            # block-diagonal: each entry against the floor of its row and column
+            kept = got[name] != 0
+            assert np.array_equal(got[name][kept], ref[kept]), name
+            dropped = (ref != 0) & ~kept
+            assert np.all(np.abs(ref[dropped]) <= _roundoff_floor(ref)[dropped]), name
+        if name == "k_tt":
+            continue            # some rows of K_TT hold round-off only and go whole
+        # the change of each row relative to its largest entry (for L, through
+        # the floored factors)
+        loss = np.abs(got[name] - ref).max(axis=1) / np.abs(ref).max(axis=1)
+        assert loss.max() <= (1e-11 if name == "explicit_op" else 1e-12), name
+
+
+@pytest.mark.parametrize("materials", [ACADEMIC, GRANITE_WATER], ids=["academic", "granite-water"])
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+@pytest.mark.parametrize("mesh_name", MESHES)
+def test_equilibrated_schur_symmetric_part_is_definite(mesh_name, mode, materials):
     # what makes the Schur LU without pivoting stable: the symmetric part of
     # D S D, D = |diag S|^-1/2, is positive definite, at small and large steps
     config = (StabilizationConfig.explicit() if mode == "explicit"
               else StabilizationConfig.implicit())
-    system = assemble(golden_mesh(mesh_name), ACADEMIC, config, k=1)
+    system = assemble(golden_mesh(mesh_name), materials, config, k=1)
     for dt in (0.01, 1.0):
         schur = CondensedFactorization(system, tableau("SDIRK34").a_star, dt,
                                        SolverConfig()).schur.toarray()
