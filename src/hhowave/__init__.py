@@ -14,7 +14,7 @@ from .materials import FluidMaterial, MaterialMap, SolidMaterial
 from .hho import (BlockSystem, ConfigError, DofLayout, StabilizationConfig,
                   assemble, face_dof_fraction)
 from .timestep import (ButcherTableau, CondensedFactorization, ExplicitStepper,
-                       ImplicitStepper, InstabilityError, SolverConfig, SolverError,
+                       ImplicitStepper, InstabilityError, SolverError,
                        run_time_loop, tableau)
 from .scenarios import (CflBracketConfig, CflEstimate, ManufacturedCase, RickerConfig,
                         SensorSpec, builtin_materials, cfl_bracket, coupling_errors,

@@ -38,6 +38,8 @@ EXIT_SOLVER = 4
 
 EXPLICIT_SCHEMES = ("ERK2", "ERK3", "ERK4")
 IMPLICIT_SCHEMES = ("SDIRK23", "SDIRK34")
+# the keys of the `efficiency` section that `cmd_efficiency` reads
+EFFICIENCY_KEYS = ("schemes", "levels", "dt0", "cfl_cap")
 # the assembled operators whose stored entries `simulate` reports
 OPERATORS = ("mass", "k_tt", "k_tf", "k_ft", "k_ff")
 
@@ -56,7 +58,6 @@ DEFAULTS = {
     "materials": "academic",
     "scenario": {"type": "zero"},
     "stabilization": {},
-    "solver": {"kind": "direct-lu", "tol": 1e-8, "maxiter": 2000},
     "sensors": [],
     "output": {},
 }
@@ -91,6 +92,7 @@ def _deep_update(base, extra):
 def validate_config(cfg: dict):
     if "mesh" not in cfg or not isinstance(cfg["mesh"], dict):
         raise CliConfigError("config requires a 'mesh' section")
+    _reject_solver_settings(cfg)
     scheme = str(cfg.get("scheme", "")).upper()
     if scheme not in EXPLICIT_SCHEMES + IMPLICIT_SCHEMES:
         raise CliConfigError(f"unknown scheme {cfg.get('scheme')!r}")
@@ -119,6 +121,26 @@ def validate_config(cfg: dict):
         if sensor.get("kind") not in ("fluid", "solid", "interface"):
             raise CliConfigError(f"unknown sensor kind in {sensor}")
         _floats(sensor.get("position"), 2, f"sensor position [x, y] in {sensor}")
+
+
+def _reject_solver_settings(cfg: dict):
+    """The Schur solver has no settings: CliConfigError naming any key of a
+    `solver` section (the section itself if it is empty or not an object),
+    or else every `efficiency` key but EFFICIENCY_KEYS, among them the
+    study's former solver settings."""
+    section = cfg.get("solver")
+    keys = [f"solver.{key}" for key in section] if isinstance(section, dict) else []
+    if "solver" in cfg and not keys:
+        keys = ["solver"]
+    study = ""
+    eff = cfg.get("efficiency")
+    if not keys and isinstance(eff, dict):
+        keys = [f"efficiency.{key}" for key in eff if key not in EFFICIENCY_KEYS]
+        study = f"; efficiency takes only {', '.join(EFFICIENCY_KEYS)}"
+    if keys:
+        raise CliConfigError(f"config key {', '.join(keys)} not accepted: the Schur complement "
+                             "is always factored by the direct LU (direct-lu), which has no "
+                             f"settings{study}")
 
 
 def _float(val, what):
@@ -283,14 +305,9 @@ def step_count(final_time: float, dt: float):
 def build_stepper(cfg, system, dt):
     scheme = cfg["scheme"]
     tab = timestep.tableau(scheme)
-    solver_cfg = cfg.get("solver", {})
-    solver = timestep.SolverConfig(kind=solver_cfg.get("kind", "direct-lu"),
-                                   tol=_float(solver_cfg.get("tol", 1e-8), "solver tol"),
-                                   maxiter=_int(solver_cfg.get("maxiter", 2000),
-                                                "solver maxiter"))
     if tab.explicit:
         return timestep.ExplicitStepper(system, tab), tab
-    return timestep.ImplicitStepper(system, tab, dt, solver), tab
+    return timestep.ImplicitStepper(system, tab, dt), tab
 
 
 def dof_summary(system, explicit: bool) -> dict:
@@ -415,8 +432,8 @@ def cmd_simulate(cfg, out_dir) -> int:
         log.info("condensation built in %.3f s", condensation["build_s"])
     schur = None if tab.explicit or not system.n_face_dofs else stepper.fact.schur_solver
     if schur is not None:
-        log.info("Schur %s: %d face dofs, %d nnz, %d nnz in the factors (fill %.1fx), "
-                 "factored in %.2f s", schur.config.kind, schur.n, schur.matrix_nnz,
+        log.info("Schur LU: %d face dofs, %d nnz, %d nnz in the factors (fill %.1fx), "
+                 "factored in %.2f s", schur.n, schur.matrix_nnz,
                  schur.lu_nnz, schur.lu_nnz / schur.matrix_nnz, schur.factor_s)
 
     sensors = [scenarios.BoundSensor(
@@ -598,9 +615,7 @@ def cmd_efficiency(cfg, out_dir) -> int:
     schemes = [s.upper() for s in eff.get("schemes", ["ERK2", "SDIRK34"])]
     levels = eff.get("levels", [0, 1, 2])
     dt0 = _float(eff.get("dt0", 0.01), "efficiency dt0")
-    tol0 = _float(eff.get("tol0", 1e-6), "efficiency tol0")
     cfl_cap = _float(eff.get("cfl_cap", 0.9), "efficiency cfl_cap")
-    maxiter = _int(eff.get("maxiter", 5000), "efficiency maxiter")
     materials = build_materials(cfg)
     if cfg.get("scenario", {}).get("type") != "manufactured":
         raise CliConfigError("efficiency study requires the manufactured scenario")
@@ -629,10 +644,6 @@ def cmd_efficiency(cfg, out_dir) -> int:
                 # (one untimed ARPACK call per level, shared by the schemes)
                 dt_stable, _ = scenarios.spectral_dt(timestep.ExplicitStepper(system, tab), h)
                 dt = min(dt, cfl_cap * dt_stable)
-            else:
-                run_cfg["solver"] = {"kind": eff.get("solver", "direct-lu"),
-                                     "tol": tol0 * 2.0 ** (-level * (k + 1)),
-                                     "maxiter": maxiter}
             n_steps, dt = step_count(final_time, dt)
             err, march_s = _manufactured_run(run_cfg, system, n_steps, dt)
             wall = assemble_s + march_s

@@ -29,10 +29,12 @@ squares differing only in which of their faces they own), hexagonal L6 has
 914 over 8,280 cells, and a mesh without congruent cells has one class per
 cell.
 
-The three block-diagonal matrices are held once each, as `BlockDiagonal`
-stacks of dense blocks grouped by block size (M and K_TT in the class
-store, K_FF per face); the block inverses the explicit path needs are
-derived from these stacks, one batched inversion per block size. Every CSR
+The three block-diagonal matrices are held once each as stacks of dense
+blocks: M and K_TT one block per class in the class store, K_FF one per
+face as a `BlockDiagonal` grouped by block size. The block inverses the
+explicit path needs are derived from these stacks, one batched inversion
+per stack (`inverse_stack`): M^-1 once per class, K_FF^-1 once per face
+block. Every CSR
 matrix built from dense blocks (M, K_TT, K_TF, K_FT, K_TD, K_FF, M^-1 and
 K_FF^-1) stores, with int32 indices, only the entries above a round-off
 floor: |x| > ROUNDOFF_FLOOR max(row max, column max), 16 machine epsilons
@@ -631,8 +633,7 @@ class CellClasses:
         self.inverse_order = np.empty_like(self.order)
         self.inverse_order[self.order] = np.arange(len(self.order))
         self.face_index = np.concatenate(face_index)
-        self.mass, self.k_ft = (self.segment_blocks({s: b[name] for s, b in self.blocks.items()})
-                                for name in ("mass", "k_ft"))
+        self.mass, self.k_ft = (self.segment_blocks(self.stack(name)) for name in ("mass", "k_ft"))
 
     def summary(self) -> dict:
         """Class count and the cells each kernel applies."""
@@ -648,6 +649,10 @@ class CellClasses:
     def unsort(self, v: np.ndarray) -> np.ndarray:
         """A class-ordered cell vector in the layout's order."""
         return v[self.inverse_order]
+
+    def stack(self, name: str) -> dict:
+        """The class stacks {shape: (classes, r, c)} of the local operator `name`."""
+        return {shape: blk[name] for shape, blk in self.blocks.items()}
 
     def segment_blocks(self, stacks: dict) -> list:
         """An operator's blocks for each segment, from its class stacks
@@ -682,16 +687,6 @@ class CellClasses:
             _apply_blocks(b, local[seg.faces].reshape(m, -1), out[seg.dofs].reshape(m, -1))
         return out
 
-    def block_diagonal(self, name: str) -> BlockDiagonal:
-        """The per-cell blocks of the square cell operator `name` ("mass" or
-        "k_tt"), gathered from the class stacks."""
-        starts, blocks = [], []
-        for seg, b in zip(self.segments, self.segment_blocks(
-                {shape: blk[name] for shape, blk in self.blocks.items()})):
-            starts.append(self.order[seg.dofs][::b.shape[-1]])
-            blocks.append(np.broadcast_to(b, (len(seg.cells),) + b.shape[1:]))
-        return BlockDiagonal.gather(self.n_cell_dofs, starts, blocks)
-
     def _entries(self, stacks: dict, dofs, shape, floored=True) -> list:
         """COO triplets of a square operator given per class by dense local
         blocks {shape: (classes, L, L)}: each segment's classes decide their
@@ -706,10 +701,11 @@ class CellClasses:
                 np.broadcast_to(member_class.reshape(-1), len(seg.cells)), floored))
         return entries
 
-    def cell_matrix(self, name: str) -> sp.csr_matrix:
-        """The square cell operator `name` ("mass" or "k_tt") as CSR."""
+    def cell_matrix(self, stacks: dict) -> sp.csr_matrix:
+        """A square cell-to-cell operator given per class by dense local blocks
+        {shape: (classes, n, n)} (such as `stack("mass")`) as CSR."""
         shape = (self.n_cell_dofs, self.n_cell_dofs)
-        return _csr(self._entries({s: b[name] for s, b in self.blocks.items()},
+        return _csr(self._entries(stacks,
                                   lambda seg: self.order[seg.dofs].reshape(len(seg.cells), -1),
                                   shape), shape)
 
@@ -760,9 +756,9 @@ class BlockSystem:
     Cell rows/columns use the DofLayout cell numbering, face rows/columns the
     face numbering. The mass and K_TT are block-diagonal per cell and K_FF
     per dof-carrying face: `mass`, `k_tt` and `k_ff` hold them as CSR (M
-    and K_TT gathered from the class store), `kff_blocks` holds K_FF as a
-    BlockDiagonal stack, and `mass_blocks` gathers the per-cell stack of M
-    from the class store on each use, so no system keeps it. `k_td` maps
+    and K_TT gathered from the class store), and `kff_blocks` holds K_FF as
+    a BlockDiagonal stack; no system keeps a per-cell stack of M or K_TT,
+    only the class store's one block per class. `k_td` maps
     known Dirichlet face values to cell equations (lifting of
     nonhomogeneous boundary data). `cell_classes` is the class store every
     cell operator was scattered from; the implicit stage applies it.
@@ -778,18 +774,14 @@ class BlockSystem:
         self.mesh = layout.mesh
         self.cell_classes = cell_classes
         self.kff_blocks = kff_blocks
-        self.mass = cell_classes.cell_matrix("mass")
-        self.k_tt = cell_classes.cell_matrix("k_tt")
+        self.mass = cell_classes.cell_matrix(cell_classes.stack("mass"))
+        self.k_tt = cell_classes.cell_matrix(cell_classes.stack("k_tt"))
         self.k_tf = k_tf
         self.k_ft = k_ft
         self.k_ff = kff_blocks.tocsr()
         self.k_td = k_td
         self.materials = materials
         self.config = config
-
-    @property
-    def mass_blocks(self) -> BlockDiagonal:
-        return self.cell_classes.block_diagonal("mass")
 
     @property
     def n_cell_dofs(self):
@@ -807,8 +799,12 @@ class BlockSystem:
 
     @cached_property
     def minv(self) -> sp.csr_matrix:
-        """M^-1, inverted block by block."""
-        return self.mass_blocks.inverse("cell mass").tocsr()
+        """M^-1, inverted once per congruence class (`inverse_stack`) and
+        scattered to the members."""
+        store = self.cell_classes
+        return store.cell_matrix({
+            shape: inverse_stack(blk["mass"], self.layout.cell_offset[blk["cells"]], "cell mass")
+            for shape, blk in store.blocks.items()})
 
     @cached_property
     def explicit_op(self) -> sp.csr_matrix:

@@ -25,13 +25,15 @@ through a global sparse matrix: cell vectors are sorted by class once per
 step, so each class of many members is one GEMM on a reshaped view of its
 cells' dofs and the cells of the smaller classes of one block shape one
 stacked `matmul`; K_FT adds the local products onto the face dofs with one
-`bincount`, and G gathers every cell's face values with one take. The
-explicit inverses M^-1 and K_FF^-1 come from `hho.BlockDiagonal.inverse`,
-the class inverses from `inverse_stack`: one batched inversion per stack.
+`bincount`, and G gathers every cell's face values with one take. Every
+block inverse, the explicit path's M^-1 and K_FF^-1 as well as the
+condensed class inverses, comes from `inverse_stack`: one batched
+inversion per stack.
 
-The Schur complement is structurally symmetric, and once equilibrated by
-D = |diag S|^-1/2 the symmetric part of D S D is positive definite. Its
-direct LU therefore factors D S D without pivoting, with a minimum-degree
+The Schur complement has one solver, a direct LU with no settings. S is
+structurally symmetric, and once equilibrated by D = |diag S|^-1/2 the
+symmetric part of D S D is positive definite. The LU therefore factors
+D S D without pivoting, with a minimum-degree
 ordering on the pattern of A^T + A (SuperLU's MMD_AT_PLUS_A) applied to rows
 and columns alike, which leaves less fill than SuperLU's default COLAMD
 ordering (about half from 10^4 face unknowns on); every solve is checked by
@@ -150,19 +152,6 @@ def tableau(kind: str) -> ButcherTableau:
 # ---------------------------------------------------------------------------
 # linear solvers
 
-@dataclass(frozen=True)
-class SolverConfig:
-    kind: str = "direct-lu"      # 'direct-lu' | 'bicgstab-ilu0'
-    tol: float = 1e-10
-    maxiter: int = 2000
-
-    def __post_init__(self):
-        if self.kind not in ("direct-lu", "bicgstab-ilu0"):
-            raise SolverError(f"unknown solver kind {self.kind!r}")
-        if self.tol <= 0:
-            raise SolverError("solver tolerance must be positive")
-
-
 def inverse_stack(blocks, starts, what: str) -> np.ndarray:
     """Inverses of the stacked blocks (m, s, s), by one batched inversion.
 
@@ -181,16 +170,15 @@ def inverse_stack(blocks, starts, what: str) -> np.ndarray:
 
 
 class FactorizedOperator:
-    """Reusable factorization (direct LU or ILU-preconditioned BiCGStab).
+    """Reusable direct LU factorization of a face Schur complement S.
 
-    The matrix S is held in CSR, whose products the residual check and
-    BiCGStab take; the factorizations read a transient CSC copy of it. The
-    direct LU factors the equilibrated D S D, D = |diag S|^-1/2 (1 where the
-    diagonal is zero), scaled in place in that copy, without pivoting and
-    with a minimum-degree ordering on A^T + A applied symmetrically, and
-    solves x = D (D S D)^-1 (D b). Every direct solve is checked by its
-    equilibrated relative residual ||D (S x - b)|| / ||D b||, which must
-    stay below 1e-8.
+    S is held in CSR, whose products the residual check takes; the LU reads
+    a transient CSC copy of it. The LU factors the equilibrated D S D,
+    D = |diag S|^-1/2 (1 where the diagonal is zero), scaled in place in that
+    copy, without pivoting and with a minimum-degree ordering on A^T + A
+    applied symmetrically, and solves x = D (D S D)^-1 (D b). Every solve is
+    checked by its equilibrated relative residual ||D (S x - b)|| / ||D b||,
+    which must stay below 1e-8.
 
     Equilibration and no pivoting are what make geophysical Schur
     complements solvable: their diagonal spans many orders of magnitude
@@ -205,11 +193,10 @@ class FactorizedOperator:
     `lu_nnz` (entries SuperLU stores for the L and U factors, read without
     building their CSC copies, which would double the memory of the
     factors), `matrix_nnz`, `solves` and `max_residual` (largest residual
-    the direct-solve check saw); `stats()` returns them as a dict.
+    the solve check saw); `stats()` returns them as a dict.
     """
 
-    def __init__(self, matrix: sp.spmatrix, config: SolverConfig):
-        self.config = config
+    def __init__(self, matrix: sp.spmatrix):
         self.n = matrix.shape[0]
         matrix = matrix.tocsr()
         self._matrix = matrix
@@ -223,20 +210,14 @@ class FactorizedOperator:
             return
         start = time.perf_counter()
         try:
-            if config.kind == "direct-lu":
-                diag = np.abs(matrix.diagonal())
-                diag[diag == 0] = 1.0
-                self._scale = 1.0 / np.sqrt(diag)
-                scaled = matrix.tocsc()
-                scaled.data *= self._scale[scaled.indices]
-                scaled.data *= np.repeat(self._scale, np.diff(scaled.indptr))
-                self._lu = spla.splu(scaled, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                     options=dict(SymmetricMode=True))
-                factors = self._lu
-            else:
-                self._ilu = spla.spilu(matrix.tocsc(), drop_tol=1e-12, fill_factor=1.0)
-                self._lu = None
-                factors = self._ilu
+            diag = np.abs(matrix.diagonal())
+            diag[diag == 0] = 1.0
+            self._scale = 1.0 / np.sqrt(diag)
+            scaled = matrix.tocsc()
+            scaled.data *= self._scale[scaled.indices]
+            scaled.data *= np.repeat(self._scale, np.diff(scaled.indptr))
+            self._lu = spla.splu(scaled, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                 options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}") from exc
         except (SystemError, MemoryError) as exc:
@@ -246,36 +227,26 @@ class FactorizedOperator:
             raise SolverError(f"factorization of {self.n} face dofs ran out of memory "
                               f"({type(exc).__name__}: {exc})") from exc
         self.factor_s = time.perf_counter() - start
-        self.lu_nnz = int(factors.nnz)
+        self.lu_nnz = int(self._lu.nnz)
 
     def stats(self) -> dict:
-        return {"kind": self.config.kind, "n": self.n, "matrix_nnz": self.matrix_nnz,
-                "lu_nnz": self.lu_nnz, "factor_s": self.factor_s, "solves": self.solves,
+        return {"n": self.n, "matrix_nnz": self.matrix_nnz, "lu_nnz": self.lu_nnz,
+                "factor_s": self.factor_s, "solves": self.solves,
                 "max_residual": self.max_residual}
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.n == 0:
             return np.zeros(0)
         self.solves += 1
-        if self.config.kind == "direct-lu":
-            scaled_rhs = self._scale * rhs
-            x = self._scale * self._lu.solve(scaled_rhs)
-            nrm = np.linalg.norm(scaled_rhs)
-            if nrm > 0:
-                res = np.linalg.norm(self._scale * (self._matrix @ x - rhs)) / nrm
-                if not np.isfinite(res) or res > 1e-8:
-                    raise SolverError(f"direct solve residual {res:.2e}; "
-                                      "operator singular or severely ill-conditioned")
-                self.max_residual = max(self.max_residual, float(res))
-            return x
-        precond = spla.LinearOperator((self.n, self.n), matvec=self._ilu.solve)
-        x, info = spla.bicgstab(self._matrix, rhs, rtol=self.config.tol, atol=0.0,
-                                maxiter=self.config.maxiter, M=precond)
-        if info > 0:
-            raise SolverError(f"BiCGStab did not converge within {self.config.maxiter} "
-                              "iterations")
-        if info < 0:
-            raise SolverError("BiCGStab breakdown")
+        scaled_rhs = self._scale * rhs
+        x = self._scale * self._lu.solve(scaled_rhs)
+        nrm = np.linalg.norm(scaled_rhs)
+        if nrm > 0:
+            res = np.linalg.norm(self._scale * (self._matrix @ x - rhs)) / nrm
+            if not np.isfinite(res) or res > 1e-8:
+                raise SolverError(f"direct solve residual {res:.2e}; "
+                                  "operator singular or severely ill-conditioned")
+            self.max_residual = max(self.max_residual, float(res))
         return x
 
 
@@ -382,18 +353,18 @@ class CondensedFactorization:
     by that store. The Schur matrix is assembled once from the same class
     blocks: each class contributes the dense K_FT,c G_c over its local face
     dofs, scattered to every member's face dofs next to K_FF in one COO to
-    CSR conversion, and is held in CSR. `build_s` is the time spent before
-    the factorization.
+    CSR conversion, and is held in CSR; `schur_solver` is its direct LU
+    (`FactorizedOperator`). `build_s` is the time spent before the
+    factorization.
     """
 
-    def __init__(self, system, a_star: float, dt: float, solver: SolverConfig):
+    def __init__(self, system, a_star: float, dt: float):
         if dt <= 0:
             raise TimestepError("time step must be positive")
         start = time.perf_counter()
         self.system = system
         self.a_star = float(a_star)
         self.dt = float(dt)
-        self.solver = solver
         ad = self.a_star * self.dt
         store = self.store = system.cell_classes
         inverse = {shape: inverse_stack(blk["mass"] + ad * blk["k_tt"],
@@ -407,7 +378,7 @@ class CondensedFactorization:
                                         for shape, blk in store.blocks.items()}, system.k_ff)
         self.schur.data *= ad
         self.build_s = time.perf_counter() - start
-        self.schur_solver = FactorizedOperator(self.schur, solver)
+        self.schur_solver = FactorizedOperator(self.schur)
 
     def matches(self, a_star: float, dt: float) -> bool:
         return (abs(self.a_star - a_star) <= 1e-15 * max(1.0, abs(a_star))
@@ -445,16 +416,14 @@ class ImplicitStepper(_Stepper):
     """
 
     def __init__(self, system, tab: ButcherTableau, dt: float,
-                 solver: SolverConfig | None = None,
                  factorization: CondensedFactorization | None = None):
         if tab.explicit:
             raise TimestepError(f"{tab.kind} is not a singly diagonal implicit tableau")
         self.system = system
         self.tableau = tab
-        self.solver = solver or SolverConfig()
         self.dt = float(dt)
         if factorization is None:
-            factorization = CondensedFactorization(system, tab.a_star, dt, self.solver)
+            factorization = CondensedFactorization(system, tab.a_star, dt)
         if not factorization.matches(tab.a_star, dt):
             raise TimestepError("stale condensed factorization: (a*, dt) mismatch")
         self.fact = factorization

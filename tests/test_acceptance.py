@@ -12,7 +12,7 @@ import pytest
 
 import hhowave.mesh as msh
 from hhowave import (CondensedFactorization, DofLayout, ExplicitStepper,
-                     ImplicitStepper, MeshGenSpec, SolverConfig, StabilizationConfig,
+                     ImplicitStepper, MeshGenSpec, StabilizationConfig,
                      assemble, builtin_materials, face_dof_fraction, generate, tableau)
 from hhowave.basis import CellBasis, polygon_quadrature
 from hhowave.hho import build_cell_blocks
@@ -55,7 +55,7 @@ def test_criterion_1_condensation_oracles():
         forcing = manufactured_forcing(system, case)
         tab = tableau("SDIRK23")
         dt = 0.02
-        fact = CondensedFactorization(system, tab.a_star, dt, SolverConfig())
+        fact = CondensedFactorization(system, tab.a_star, dt)
         rng = np.random.default_rng(k)
         b_t = system.mass @ u0 + dt * rng.standard_normal(system.n_cell_dofs)
         b_f = rng.standard_normal(system.n_face_dofs)

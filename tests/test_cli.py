@@ -31,6 +31,9 @@ RICKER_CFG = {
 }
 
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
 def write_cfg(tmp_path, cfg, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -171,12 +174,12 @@ def test_simulate_reports_schur_solver(tmp_path, caplog):
                          "--out", str(out)]) == cli.EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     solver = summary["solver"]
-    assert solver["kind"] == "direct-lu"
+    assert set(solver) == {"n", "matrix_nnz", "lu_nnz", "factor_s", "solves", "max_residual"}
     assert solver["n"] == summary["dofs"]["dofs_after_condensation"]
     assert solver["lu_nnz"] > 0 and solver["matrix_nnz"] > 0 and solver["factor_s"] > 0
     assert solver["solves"] == 3 * summary["steps"]      # one per SDIRK34 stage
     assert 0.0 < solver["max_residual"] <= 1e-8
-    assert "factored in" in caplog.text
+    assert f"Schur LU: {solver['n']} face dofs" in caplog.text and "factored in" in caplog.text
     # how the cells were condensed: classes and the cells each kernel applies
     classes = summary["cell_classes"]
     assert set(classes) == {"classes", "gemm_cells", "stacked_cells"}
@@ -345,7 +348,7 @@ def test_non_star_shaped_fixture_exit_code(tmp_path, monkeypatch, capsys):
     ("dt", "fast", "dt must be a number"),
     ("final_time", "soon", "final_time must be a number"),
     ("output.trace_every", 0, "trace_every must be positive"),
-    ("solver.tol", "x", "solver tol must be a number"),
+    ("solver.tol", "x", "direct-lu"),
     ("mesh.level", "two", "mesh level must be an integer"),
     ("sensors.0.position", ["a", 0.1], "sensor position"),
     ("mesh.n_fluid", [4], "n_fluid must be a list of 2 integers"),
@@ -356,7 +359,7 @@ def test_non_star_shaped_fixture_exit_code(tmp_path, monkeypatch, capsys):
     ("scenario", {"type": "manufactured", "omega": "five"}, "omega must be a number"),
     ("scenario.amplitude", "loud", "Ricker amplitude must be a number"),
     ("cfl_sweep", {"level": "four"}, "cfl_sweep level must be an integer"),
-    ("efficiency", {"maxiter": "many"}, "efficiency maxiter must be an integer"),
+    ("efficiency", {"maxiter": "many"}, "direct-lu"),
 ])
 def test_malformed_value_exit_code(tmp_path, capsys, key, value, message):
     # keys of the study sections run their study; all others run simulate
@@ -364,16 +367,52 @@ def test_malformed_value_exit_code(tmp_path, capsys, key, value, message):
                                                                    "simulate")
     cfg = json.loads(json.dumps(RICKER_CFG))
     cfg["mesh"]["level"] = 1
-    cfg["solver"] = {}
     *parents, last = key.split(".")
     entry = cfg
     for part in parents:
-        entry = entry[int(part)] if isinstance(entry, list) else entry[part]
+        entry = entry[int(part)] if isinstance(entry, list) else entry.setdefault(part, {})
     entry[last] = value
     code = cli.main([command, "--config", write_cfg(tmp_path, cfg),
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("solver.kind", "bicgstab-ilu0"),
+    ("solver.kind", "cholesky"),
+    ("solver.kind", "direct-lu"),
+    ("solver.tol", 1e-8),
+    ("efficiency.solver", "direct-lu"),
+    ("efficiency.tol0", 1e-6),
+    ("efficiency.maxiter", 5000),
+    ("efficiency.level", [1]),
+])
+def test_solver_setting_exit_code(tmp_path, capsys, key, value):
+    """The Schur solver has no settings: a config that sets one, or any
+    efficiency key the study does not read, exits 2 naming the key and the
+    direct LU, valid values included."""
+    section, name = key.split(".")
+    cfg = json.loads(json.dumps(RICKER_CFG))
+    cfg["mesh"]["level"] = 1
+    cfg[section] = {name: value}
+    command = "efficiency" if section == "efficiency" else "simulate"
+    code = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and "direct LU (direct-lu)" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_shipped_configs_load():
+    configs = sorted(os.listdir(CONFIG_DIR))
+    assert "efficiency.json" in configs and "granite_water.json" in configs
+    for name in configs:
+        cli.load_config(os.path.join(CONFIG_DIR, name))
+    # every key the efficiency study reads is accepted
+    cli.load_config(os.path.join(CONFIG_DIR, "efficiency.json"), {"efficiency": {
+        "schemes": ["ERK2"], "levels": [1], "dt0": 0.02, "cfl_cap": 0.5}})
 
 
 def test_malformed_levels_exit_code(tmp_path):
@@ -537,7 +576,7 @@ def test_efficiency_report(tmp_path):
         "materials": "academic",
         "scenario": {"type": "manufactured", "omega": 1.0, "theta": 1.0},
         "efficiency": {"schemes": ["ERK2", "SDIRK34"], "levels": [1, 2],
-                       "dt0": 0.02, "tol0": 1e-6},
+                       "dt0": 0.02},
     }
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"

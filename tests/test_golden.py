@@ -21,7 +21,7 @@ import os
 import numpy as np
 import pytest
 
-from hhowave import (MeshGenSpec, SolverConfig, StabilizationConfig, assemble,
+from hhowave import (MeshGenSpec, StabilizationConfig, assemble,
                      builtin_materials, cli, generate, merge_nonconforming, run_time_loop)
 from hhowave.hho import load_moments, project_state
 from hhowave.scenarios import (ManufacturedCase, l2_error_dual, manufactured_forcing,
@@ -150,7 +150,7 @@ def manufactured_hex_l3():
     system = assemble(mesh, materials, StabilizationConfig.implicit(), 1)
     case = ManufacturedCase(1.3, math.sqrt(2.0), materials)
     dt, n_steps = 0.01, 20
-    stepper = ImplicitStepper(system, tableau("SDIRK34"), dt, SolverConfig())
+    stepper = ImplicitStepper(system, tableau("SDIRK34"), dt)
     u = run_time_loop(stepper, manufactured_initial_state(system, case), dt, n_steps,
                       forcing=manufactured_forcing(system, case))
     return {"l2_error_dual": {"header": ["error"],

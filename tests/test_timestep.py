@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hhowave import (CondensedFactorization, ExplicitStepper, ImplicitStepper,
-                     InstabilityError, MeshGenSpec, SolverConfig, StabilizationConfig,
+                     InstabilityError, MeshGenSpec, StabilizationConfig,
                      assemble, builtin_materials, generate, merge_nonconforming, tableau)
 from hhowave.scenarios import (ManufacturedCase, cfl_bracket, manufactured_forcing,
                                manufactured_initial_state)
@@ -179,13 +179,13 @@ def test_advance_matches_plain_expression_bitwise(kind):
 # ---------------------------------------------------------------------------
 # linear solvers
 
-def solve(config, matrix, rhs):
-    return FactorizedOperator(sp.csc_matrix(matrix), config).solve(rhs)
+def solve(matrix, rhs):
+    return FactorizedOperator(sp.csc_matrix(matrix)).solve(rhs)
 
 
 def test_solver_identity():
     rhs = np.arange(5.0)
-    out = solve(SolverConfig("direct-lu"), sp.eye(5), rhs)
+    out = solve(sp.eye(5), rhs)
     assert np.allclose(out, rhs)
 
 
@@ -194,16 +194,16 @@ def test_solvers_agree_on_random_spd():
     a = rng.standard_normal((50, 50))
     spd = a @ a.T + 50 * np.eye(50)
     rhs = rng.standard_normal(50)
-    x_direct = solve(SolverConfig("direct-lu"), spd, rhs)
-    x_iter = solve(SolverConfig("bicgstab-ilu0", tol=1e-12), spd, rhs)
-    assert np.linalg.norm(x_direct - x_iter) < 1e-8 * np.linalg.norm(x_direct)
+    x_direct = solve(spd, rhs)
+    x_dense = np.linalg.solve(spd, rhs)
+    assert np.linalg.norm(x_direct - x_dense) < 1e-8 * np.linalg.norm(x_dense)
 
 
 def test_singular_operator_rejected():
     singular = np.zeros((4, 4))
     singular[0, 0] = 1.0
     with pytest.raises(SolverError):
-        solve(SolverConfig("direct-lu"), singular, np.ones(4))
+        solve(singular, np.ones(4))
 
 
 @pytest.mark.parametrize("error", [SystemError("gstrf was called with invalid arguments"),
@@ -214,7 +214,16 @@ def test_lu_memory_failure_is_solver_error(error, monkeypatch):
 
     monkeypatch.setattr(timestep.spla, "splu", fail)
     with pytest.raises(SolverError, match="factorization of 6 face dofs ran out of memory"):
-        FactorizedOperator(sp.eye(6, format="csc"), SolverConfig("direct-lu"))
+        FactorizedOperator(sp.eye(6, format="csc"))
+
+
+def _cell_blocks(system, name):
+    """The per-cell blocks of the square cell operator `name` ("mass" or
+    "k_tt") as a BlockDiagonal: every member's copy of its class block."""
+    store = system.cell_classes
+    return BlockDiagonal.gather(
+        system.n_cell_dofs, [system.layout.cell_offset[seg.cells] for seg in store.segments],
+        [store.blocks[seg.shape][name][store.rows[seg.cells]] for seg in store.segments])
 
 
 def _blocks_by_start(store):
@@ -245,10 +254,10 @@ def _assert_stores_floored_blocks(csr, pairs):
 def test_block_diagonal_stores(mode, k):
     system = make_system(k=k, level=2, mode=mode, family="polygonal-hexagonal")
     fd = system.layout.n_face_scalar
-    ktt_blocks = system.cell_classes.block_diagonal("k_tt")
-    assert len(system.mass_blocks.stacks) == 2 == len(ktt_blocks.stacks)
+    mass_blocks, ktt_blocks = _cell_blocks(system, "mass"), _cell_blocks(system, "k_tt")
+    assert len(mass_blocks.stacks) == 2 == len(ktt_blocks.stacks)
     assert sorted(system.kff_blocks.stacks) == [fd, 2 * fd, 3 * fd]
-    for store, csr in ((system.mass_blocks, system.mass), (ktt_blocks, system.k_tt),
+    for store, csr in ((mass_blocks, system.mass), (ktt_blocks, system.k_tt),
                        (system.kff_blocks, system.k_ff)):
         pairs = _blocks_by_start(store)
         # the blocks tile the diagonal and are all the matrix holds
@@ -262,13 +271,13 @@ def test_block_diagonal_stores(mode, k):
     ad = 0.3
     condensed = BlockDiagonal(system.n_cell_dofs, {
         size: (starts, blocks + ad * ktt_blocks.stacks[size][1])
-        for size, (starts, blocks) in system.mass_blocks.stacks.items()})
+        for size, (starts, blocks) in mass_blocks.stacks.items()})
     _assert_stores_floored_blocks(condensed.tocsr(), _blocks_by_start(condensed))
     # M and K_TT are floored apart, so their sum differs from the floored
     # condensed blocks by entries within the floor, not exactly
     summed = system.mass + ad * system.k_tt
     assert abs(condensed.tocsr() - summed).max() <= 1e-14 * abs(summed).max()
-    for store in (system.mass_blocks, system.kff_blocks, condensed):
+    for store in (mass_blocks, system.kff_blocks, condensed):
         pairs = _blocks_by_start(store)
         inv = store.inverse("test")
         inv_pairs = _blocks_by_start(inv)
@@ -284,6 +293,11 @@ def test_block_diagonal_stores(mode, k):
             broken = BlockDiagonal(store.n, {**store.stacks, size: (starts, bad)})
             with pytest.raises(SolverError, match=f"singular test block at offset {starts[mid]}$"):
                 broken.inverse("test")
+    # M^-1 inverts one block per class: the same CSR, bit for bit, as
+    # inverting every cell's copy of it
+    per_cell = mass_blocks.inverse("cell mass").tocsr()
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(system.minv, attr), getattr(per_cell, attr))
 
 
 @pytest.mark.parametrize("mode", ["explicit", "implicit"])
@@ -298,8 +312,7 @@ def test_sparse_operators_store_nonzeros_only(mesh_name, mode):
         derived = {"minv": stepper.minv, "op": stepper.op, "face_op": stepper.face_op}
     else:
         system = assemble(mesh, ACADEMIC, StabilizationConfig.implicit(), k=1)
-        fact = CondensedFactorization(system, tableau("SDIRK34").a_star, 0.01,
-                                      SolverConfig())
+        fact = CondensedFactorization(system, tableau("SDIRK34").a_star, 0.01)
         derived = {"schur": fact.schur}
     assert system.k_td is not None
     for name in ("mass", "k_tt", "k_tf", "k_ft", "k_ff", "k_td"):
@@ -344,8 +357,7 @@ def test_floor_keeps_schur_pattern_and_thins_explicit_operator(monkeypatch):
     for floor in (tau, 0.0):
         monkeypatch.setattr(hho, "ROUNDOFF_FLOOR", floor)
         system = make_system(k=1, level=3, mode="implicit")
-        facts.append(CondensedFactorization(system, tableau("SDIRK34").a_star, 0.01,
-                                            SolverConfig()))
+        facts.append(CondensedFactorization(system, tableau("SDIRK34").a_star, 0.01))
         ops.append(make_system(k=1, level=3).explicit_op)
     floored, exact = facts
     for attr in ("indptr", "indices"):
@@ -404,8 +416,7 @@ def test_equilibrated_schur_symmetric_part_is_definite(mesh_name, mode, material
               else StabilizationConfig.implicit())
     system = assemble(golden_mesh(mesh_name), materials, config, k=1)
     for dt in (0.01, 1.0):
-        schur = CondensedFactorization(system, tableau("SDIRK34").a_star, dt,
-                                       SolverConfig()).schur.toarray()
+        schur = CondensedFactorization(system, tableau("SDIRK34").a_star, dt).schur.toarray()
         scale = 1.0 / np.sqrt(np.abs(np.diag(schur)))
         dsd = scale[:, None] * schur * scale
         assert np.linalg.eigvalsh(0.5 * (dsd + dsd.T)).min() > 0.0, dt
@@ -524,7 +535,7 @@ def test_stage_solve_with_zero_face_rhs():
     tab = tableau("SDIRK34")
     dt = 0.02
     ad = tab.a_star * dt
-    fact = CondensedFactorization(system, tab.a_star, dt, SolverConfig())
+    fact = CondensedFactorization(system, tab.a_star, dt)
     rng = np.random.default_rng(5)
     for _ in range(3):
         b_t = rng.standard_normal(system.n_cell_dofs)
@@ -540,7 +551,7 @@ def test_condensed_stage_equals_monolithic():
     system = make_system(k=1, level=1, mode="implicit")
     tab = tableau("SDIRK23")
     dt = 0.05
-    fact = CondensedFactorization(system, tab.a_star, dt, SolverConfig())
+    fact = CondensedFactorization(system, tab.a_star, dt)
     rng = np.random.default_rng(8)
     n_t, n_f = system.n_cell_dofs, system.n_face_dofs
     ad = tab.a_star * dt
@@ -571,7 +582,7 @@ def _assert_class_products_match_csr(system, a_star, dt, rtol=1e-13):
     dense products of operators assembled from every cell's own blocks
     (`build_cell_blocks`), with A^-1 inverted cell by cell."""
     ad = a_star * dt
-    fact = CondensedFactorization(system, a_star, dt, SolverConfig())
+    fact = CondensedFactorization(system, a_star, dt)
     layout = system.layout
     ref = dense_from_blocks(system.mesh, layout, ACADEMIC, system.config)
     a_inv = np.zeros_like(ref["mass"])
@@ -671,7 +682,7 @@ def test_schur_lu_fill_below_colamd(family, k, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", capture)
     tab = tableau("SDIRK34")
-    fact = CondensedFactorization(system, tab.a_star, 0.01, SolverConfig())
+    fact = CondensedFactorization(system, tab.a_star, 0.01)
     (lu,) = shipped
     assert fact.schur_solver.lu_nnz == lu.nnz > 0
     colamd = splu(fact.schur.tocsc(), permc_spec="COLAMD")
@@ -681,7 +692,7 @@ def test_schur_lu_fill_below_colamd(family, k, monkeypatch):
 def test_schur_matvec_matches_triple_product():
     system = make_system(k=2, level=1, mode="implicit")
     a_star, dt = 0.25, 0.03
-    fact = CondensedFactorization(system, a_star, dt, SolverConfig())
+    fact = CondensedFactorization(system, a_star, dt)
     rng = np.random.default_rng(4)
     ad = a_star * dt
     a_dense = system.mass.toarray() + ad * system.k_tt.toarray()
@@ -713,24 +724,12 @@ def test_sdirk_dt_halving_first_order_change():
 def test_stale_factorization_rejected():
     system = make_system(mode="implicit")
     tab = tableau("SDIRK23")
-    fact = CondensedFactorization(system, tab.a_star, 0.01, SolverConfig())
+    fact = CondensedFactorization(system, tab.a_star, 0.01)
     with pytest.raises(TimestepError, match="stale"):
         ImplicitStepper(system, tab, dt=0.02, factorization=fact)
     stepper = ImplicitStepper(system, tab, dt=0.01, factorization=fact)
     with pytest.raises(TimestepError, match="stale"):
         stepper.step(np.zeros(system.n_cell_dofs), 0.0, 0.02)
-
-
-def test_iterative_schur_solver_matches_direct():
-    system = make_system(k=1, level=2, mode="implicit")
-    tab = tableau("SDIRK34")
-    case, u0, forcing = make_case_state(system)
-    dt = 0.02
-    direct = ImplicitStepper(system, tab, dt, SolverConfig("direct-lu"))
-    iterative = ImplicitStepper(system, tab, dt, SolverConfig("bicgstab-ilu0", tol=1e-12))
-    u_d = direct.step(u0.copy(), 0.0, dt, forcing)
-    u_i = iterative.step(u0.copy(), 0.0, dt, forcing)
-    assert np.linalg.norm(u_d - u_i) < 1e-8 * np.linalg.norm(u_d)
 
 
 def test_single_cell_mesh_reduces_to_cell_solve():
