@@ -7,7 +7,8 @@ Wall-clock timing covers assembly, factorization and the time loop; mesh
 generation, the stability estimate that caps explicit `efficiency` steps and
 file IO are excluded. The `simulate` summary also times each phase on its
 own: mesh, assemble, stepper (block inverses, condensation and factor),
-march (with sensors, energy and snapshots) and output (the CSV files).
+march (with sensors, energy and snapshots) and output (the CSV files), and
+records the process's peak resident set size after each of the first four.
 
 Exit codes: 0 success, 2 configuration error, 3 instability detected,
 4 linear solver failure.
@@ -21,6 +22,7 @@ import json
 import logging
 import math
 import os
+import resource
 import sys
 import time
 
@@ -42,6 +44,11 @@ IMPLICIT_SCHEMES = ("SDIRK23", "SDIRK34")
 EFFICIENCY_KEYS = ("schemes", "levels", "dt0", "cfl_cap")
 # the assembled operators whose stored entries `simulate` reports
 OPERATORS = ("mass", "k_tt", "k_tf", "k_ft", "k_ff")
+# The largest Courant number c# dt / h at which an implicit `simulate` run
+# passes without a warning: the fastest wave crosses at most one mean cell
+# diameter per step. Implicit schemes stay stable far beyond it, but a
+# larger step no longer resolves that wave in time.
+IMPLICIT_COURANT_MAX = 1.0
 
 
 class CliConfigError(Exception):
@@ -285,6 +292,12 @@ def courant(mesh, materials, dt) -> float:
     return materials.c_sharp(mesh) * dt / mean_h(mesh)
 
 
+def peak_rss_mb() -> float:
+    """The peak resident set size of this process so far, in MB (Linux
+    reports `ru_maxrss` in KB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def step_count(final_time: float, dt: float):
     """Steps of constant size that end exactly at `final_time`: (n_steps, dt).
 
@@ -403,9 +416,12 @@ def cmd_simulate(cfg, out_dir) -> int:
                              "output.snapshot_every non-negative")
     os.makedirs(out_dir, exist_ok=True)
     timings = {}            # seconds per phase
+    peak_rss = {}           # MB, the process's peak RSS after each phase
+    warnings = []
     t0 = time.perf_counter()
     mesh = build_mesh(cfg["mesh"])
     timings["mesh"] = time.perf_counter() - t0
+    peak_rss["mesh"] = peak_rss_mb()
     materials = build_materials(cfg)
     stab = build_stabilization(cfg)
     n_steps, dt = step_count(_float(cfg["final_time"], "final_time"),
@@ -413,10 +429,15 @@ def cmd_simulate(cfg, out_dir) -> int:
     courant_number = courant(mesh, materials, dt)
     log.info("simulate: %d cells, %d steps of dt=%g, Courant number %.4g",
              mesh.n_cells, n_steps, dt, courant_number)
+    if cfg["scheme"] in IMPLICIT_SCHEMES and courant_number > IMPLICIT_COURANT_MAX:
+        warnings.append(f"Courant number {courant_number:.4g} exceeds {IMPLICIT_COURANT_MAX:g}: "
+                        "the implicit steps are stable but do not resolve the fastest wave")
+        log.warning("%s", warnings[-1])
 
     t_start = time.perf_counter()
     system = hho.assemble(mesh, materials, stab, k=cfg["degree"])
     timings["assemble"] = time.perf_counter() - t_start
+    peak_rss["assemble"] = peak_rss_mb()
     operator_nnz = {name: int(getattr(system, name).nnz) for name in OPERATORS}
     log.info("operators store %d entries: %s", sum(operator_nnz.values()),
              ", ".join(f"{name} {nnz}" for name, nnz in operator_nnz.items()))
@@ -427,6 +448,7 @@ def cmd_simulate(cfg, out_dir) -> int:
     t0 = time.perf_counter()
     stepper, tab = build_stepper(cfg, system, dt)
     timings["stepper"] = time.perf_counter() - t0
+    peak_rss["stepper"] = peak_rss_mb()
     condensation = None if tab.explicit else {"build_s": stepper.fact.build_s}
     if condensation is not None:
         log.info("condensation built in %.3f s", condensation["build_s"])
@@ -471,6 +493,7 @@ def cmd_simulate(cfg, out_dir) -> int:
         failed_step = exc.step_index
     end = time.perf_counter()
     timings["march"] = end - march_start
+    peak_rss["march"] = peak_rss_mb()
     wall = end - t_start
 
     if sensors:
@@ -483,6 +506,7 @@ def cmd_simulate(cfg, out_dir) -> int:
               list(zip(times, energies)))
     timings["output"] = time.perf_counter() - end
     log.info("timings: %s", ", ".join(f"{name} {sec:.3f} s" for name, sec in timings.items()))
+    log.info("peak RSS: %s", ", ".join(f"{name} {mb:.1f} MB" for name, mb in peak_rss.items()))
     drift = energy_max_drift(energies)
     if drift is not None:
         log.info("energy: largest relative drift %.3e over %d records", drift, len(energies))
@@ -496,6 +520,8 @@ def cmd_simulate(cfg, out_dir) -> int:
         "steps": n_steps,
         "wall_time_seconds": wall,
         "timings": timings,
+        "peak_rss_mb": peak_rss,
+        "warnings": warnings,
         "operator_nnz": operator_nnz,
         "cell_classes": cell_classes,
         "status": status,
@@ -703,7 +729,6 @@ def main(argv=None) -> int:
         raise CliConfigError(f"unknown command {args.command}")
     except (CliConfigError, hho.ConfigError, msh.MeshError, MaterialError,
             basis.QuadratureError, scenarios.ScenarioError) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except timestep.InstabilityError as exc:

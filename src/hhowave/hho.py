@@ -21,30 +21,32 @@ Local blocks are formed once per congruence class of cells
 (`congruence_classes`): `assemble` first builds the class store
 `CellClasses`, which keys the cells, forms one representative's blocks per
 class on `basis.cell_groups` (cells sharing a vertex count and a material,
-on stacked arrays) and keeps them; it then scatters those class blocks to
-every member cell through the member's own cell dofs, face dofs and
-Dirichlet dofs, one block shape (subdomain, vertex count) at a time. No
+on stacked arrays) and keeps them; it then scatters the face-face blocks
+and the Dirichlet columns of K_TF to every member cell through the
+member's own face dofs and Dirichlet dofs, one block shape (subdomain,
+vertex count) at a time. No
 cell's blocks are formed twice: cartesian meshes have 6 classes (congruent
 squares differing only in which of their faces they own), hexagonal L6 has
 914 over 8,280 cells, and a mesh without congruent cells has one class per
 cell.
 
-The three block-diagonal matrices are held once each as stacks of dense
-blocks: M and K_TT one block per class in the class store, K_FF one per
-face as a `BlockDiagonal` grouped by block size. The block inverses the
-explicit path needs are derived from these stacks, one batched inversion
-per stack (`inverse_stack`): M^-1 once per class, K_FF^-1 once per face
-block. Every CSR
-matrix built from dense blocks (M, K_TT, K_TF, K_FT, K_TD, K_FF, M^-1 and
-K_FF^-1) stores, with int32 indices, only the entries above a round-off
-floor: |x| > ROUNDOFF_FLOOR max(row max, column max), 16 machine epsilons
-of the largest entry of the entry's own row or column of its block
-(`_block_entries`). Which entries pass is decided once per class block, or
-once per block of a `BlockDiagonal`, and gathered to the members. Moments
-that vanish exactly on symmetric cells come out of the quadrature as
-round-off, so the floor halves what the cartesian operators store; the
-face map P and the explicit operator L inherit it through their sparse
-products. What the explicit path derives
+The class store is the only store of the cell operators M, K_TT, K_TF
+and K_FT: the system's `mass`, `k_tt`, `k_tf` and `k_ft` are views over it
+(`ClassOperator`) that apply the class blocks, count the entries their CSR
+would store, and form that CSR only when the explicit path asks for it.
+K_FF, block-diagonal per face, is held as a `BlockDiagonal` grouped by
+block size and as CSR. The block inverses are derived from these stacks,
+one batched inversion per stack (`inverse_stack`): M^-1 once per class,
+K_FF^-1 once per face block. Every CSR matrix built from dense blocks (M,
+K_TT, K_TF, K_FT, K_TD, K_FF, M^-1 and K_FF^-1) stores, with int32 indices,
+only the entries above a round-off floor: |x| > ROUNDOFF_FLOOR max(row max,
+column max), 16 machine epsilons of the largest entry of the entry's own
+row or column of its block (`_kept`). Which entries pass is decided once
+per class block, or once per block of a `BlockDiagonal`, and gathered to
+the members (`_block_entries`). Moments that vanish exactly on symmetric
+cells come out of the quadrature as round-off, so the floor halves what the
+cartesian operators store; the face map P and the explicit operator L
+inherit it through their sparse products. What the explicit path derives
 from a system (P, M^-1, L and its extreme eigenvalues) belongs to the
 system too: each is built once, on first use, and shared by every stepper
 and scheme on that system.
@@ -58,7 +60,10 @@ cells, a break-even that falls with the cell block size n (36 members for
 12 x 12 blocks, 21 for 21 x 21, 5 from 40 x 40 on), and one stacked
 `matmul` per block shape for the cells of smaller classes. On cartesian
 meshes the stages therefore run almost entirely on GEMMs; meshes without
-congruent cells run on the stacked products alone.
+congruent cells run on the stacked products alone. The face unknowns of
+the interface sensors come from the same products and K_FF^-1, inverted
+from its face blocks, and so does an implicit run's energy
+(`scenarios.energy`): an implicit run forms no CSR of a cell operator.
 """
 
 from __future__ import annotations
@@ -578,18 +583,22 @@ class CellClasses:
     ("k_tf", n x n_v n_side) and K_FT ("k_ft") over all its faces, and the
     face-face stabilization of each of its faces ("k_ff", n_v x n_side x
     n_side). `rows[c]` is the row of cell c's class in its shape's stacks.
-    `assemble` scatters these blocks to every member cell, and the implicit
-    stage applies them. Cell vectors are applied in class order (`sort`,
+    These are the only copy of M, K_TT, K_TF and K_FT (the system's
+    `ClassOperator` views apply them, and `matrix` forms a CSR of one for
+    the explicit path); `assemble` scatters the face-face blocks and the
+    Dirichlet columns of K_TF to every member cell. Cell vectors are applied in class order (`sort`,
     `unsort`), in which the dofs of every segment are one contiguous run, so
     a segment's cell vector is a reshaped view. `face_index` lists, cell by
     cell in class order, the face dof of every local face dof; those of a
-    Dirichlet face point to the zero pad slot n_face_dofs.
+    Dirichlet face point to the zero pad slot n_face_dofs. `n_dofs` maps a
+    side of an operator, "cell" or "face", to its order.
     """
 
     def __init__(self, layout: DofLayout, materials: MaterialMap,
                  config: StabilizationConfig):
         mesh = layout.mesh
         self.n_cell_dofs, self.n_face_dofs = layout.n_cell_dofs, layout.n_face_dofs
+        self.n_dofs = {"cell": self.n_cell_dofs, "face": self.n_face_dofs}
         class_of = congruence_classes(mesh)
         _, reps, members = np.unique(class_of, return_index=True, return_counts=True)
         self.n_classes = len(reps)
@@ -633,7 +642,6 @@ class CellClasses:
         self.inverse_order = np.empty_like(self.order)
         self.inverse_order[self.order] = np.arange(len(self.order))
         self.face_index = np.concatenate(face_index)
-        self.mass, self.k_ft = (self.segment_blocks(self.stack(name)) for name in ("mass", "k_ft"))
 
     def summary(self) -> dict:
         """Class count and the cells each kernel applies."""
@@ -687,35 +695,51 @@ class CellClasses:
             _apply_blocks(b, local[seg.faces].reshape(m, -1), out[seg.dofs].reshape(m, -1))
         return out
 
-    def _entries(self, stacks: dict, dofs, shape, floored=True) -> list:
-        """COO triplets of a square operator given per class by dense local
-        blocks {shape: (classes, L, L)}: each segment's classes decide their
-        kept entries once (`_block_entries`), placed at every member's
-        `dofs(seg)` (m, L)."""
+    def dofs(self, seg: ClassSegment, side: str) -> np.ndarray:
+        """A segment's dofs (m, L) on one side of an operator: its cells'
+        "cell" dofs, or their local "face" dofs (n_face_dofs, the pad slot, for
+        those of Dirichlet faces)."""
+        m = len(seg.cells)
+        if side == "cell":
+            return self.order[seg.dofs].reshape(m, -1)
+        return self.face_index[seg.faces].reshape(m, -1)
+
+    def matrix(self, stacks: dict, sides: tuple) -> sp.csr_matrix:
+        """An operator given per class by dense local blocks {shape: (classes,
+        r, c)}, from its `sides[1]` dofs to its `sides[0]` dofs (`dofs`), as
+        CSR: each segment's classes decide their kept entries once
+        (`_block_entries`), placed at every member's dofs; pad slots drop out."""
+        shape = tuple(self.n_dofs[side] for side in sides)
         entries = []
         for seg in self.segments:
             used, member_class = np.unique(seg.rows, return_inverse=True)
-            idx = dofs(seg)
             entries.append(_block_entries(
-                stacks[seg.shape][used], idx, idx, shape,
-                np.broadcast_to(member_class.reshape(-1), len(seg.cells)), floored))
-        return entries
+                stacks[seg.shape][used], self.dofs(seg, sides[0]), self.dofs(seg, sides[1]),
+                shape, np.broadcast_to(member_class.reshape(-1), len(seg.cells))))
+        return _csr(entries, shape)
 
-    def cell_matrix(self, stacks: dict) -> sp.csr_matrix:
-        """A square cell-to-cell operator given per class by dense local blocks
-        {shape: (classes, n, n)} (such as `stack("mass")`) as CSR."""
-        shape = (self.n_cell_dofs, self.n_cell_dofs)
-        return _csr(self._entries(stacks,
-                                  lambda seg: self.order[seg.dofs].reshape(len(seg.cells), -1),
-                                  shape), shape)
+    def count_entries(self, stacks: dict, sides: tuple) -> int:
+        """The entries `matrix(stacks, sides)` stores, counted without forming
+        it: the kept entries (`_kept`) of every member's class block in rows
+        and columns off the pad slots. No two of them share a position, since
+        a cell's local dofs are distinct and no two cells share a cell dof."""
+        kept = {shape: _kept(blocks) for shape, blocks in stacks.items()}
+        count = 0
+        for seg in self.segments:
+            rows, cols = (self.dofs(seg, side) < self.n_dofs[side] for side in sides)
+            count += int(np.count_nonzero(kept[seg.shape][seg.rows]
+                                          & rows[:, :, None] & cols[:, None, :]))
+        return count
 
     def face_matrix(self, stacks: dict, base: sp.csr_matrix) -> sp.csr_matrix:
         """`base` plus a face-to-face operator given per class by dense local
         blocks {shape: (classes, L, L)} over the cell's local face dofs: every
         cell's block is placed at its face dofs, Dirichlet pad slots and exact
-        zeros dropped, in one COO to CSR conversion.
+        zeros dropped, in one COO to CSR conversion. The triplets of a
+        segment are its int32 face dofs broadcast against each other and its
+        blocks, picked by one mask.
 
-        These blocks keep every nonzero entry (not `floored`), round-off ones
+        These blocks keep every nonzero entry (not floored), round-off ones
         included, because the floor costs the factorization more than it
         saves: applied here as well, it takes 27% of the entries of the
         ricker run's Schur complement (cartesian L5, k=1) and 4.4% of
@@ -723,11 +747,17 @@ class CellClasses:
         leaves 39% and 35% more LU entries (619,024 -> 860,811 and
         22,937,226 -> 31,063,927).
         """
-        shape = (self.n_face_dofs, self.n_face_dofs)
+        n = self.n_face_dofs
         base = base.tocoo()
-        return _csr([(base.row, base.col, base.data)] + self._entries(
-            stacks, lambda seg: self.face_index[seg.faces].reshape(len(seg.cells), -1),
-            shape, floored=False), shape)
+        entries = [(base.row, base.col, base.data)]
+        for seg in self.segments:
+            dofs = self.dofs(seg, "face").astype(np.int32)
+            rows, cols = dofs[:, :, None], dofs[:, None, :]
+            blocks = stacks[seg.shape][seg.rows]
+            keep = (blocks != 0) & (rows < n) & (cols < n)
+            entries.append(tuple(np.broadcast_to(a, keep.shape)[keep]
+                                 for a in (rows, cols, blocks)))
+        return _csr(entries, (n, n))
 
 
 def _local_face_dofs(layout: DofLayout, faces, sub):
@@ -750,34 +780,83 @@ def _local_face_dofs(layout: DofLayout, faces, sub):
     return face_dofs.reshape(len(faces), -1), dirichlet_dofs.reshape(len(faces), -1)
 
 
+class ClassOperator:
+    """A cell operator of a system, M, K_TT, K_TF or K_FT, as a view over the
+    class store (`CellClasses`), whose one block per class is the only copy
+    of it.
+
+    `name` picks the operator's class stacks; M and K_TT map cell vectors to
+    cell vectors, K_FT cell vectors to face vectors and K_TF face vectors to
+    cell vectors. `@` applies the class blocks to a vector in the layout's
+    order, each segment's blocks (`blocks`) gathered on first use. `nnz` is
+    the count of entries the operator's CSR stores, taken from the class
+    blocks' kept entries and the members' non-Dirichlet face dofs without
+    forming it. `tocsr()` forms that CSR, floored (`_block_entries`), on its
+    first call and keeps it; only the explicit path (`BlockSystem.minv`,
+    `face_op`, `explicit_op`, and the energy of an equal-order system)
+    calls it.
+    """
+
+    SIDES = {"mass": ("cell", "cell"), "k_tt": ("cell", "cell"),
+             "k_tf": ("cell", "face"), "k_ft": ("face", "cell")}
+
+    def __init__(self, store: CellClasses, name: str):
+        self.store = store
+        self.name = name
+        self.sides = self.SIDES[name]
+        self.shape = tuple(store.n_dofs[side] for side in self.sides)
+        self._csr = None
+
+    @cached_property
+    def blocks(self) -> list:
+        """The operator's blocks for each segment of the store."""
+        return self.store.segment_blocks(self.store.stack(self.name))
+
+    @cached_property
+    def nnz(self) -> int:
+        return self.store.count_entries(self.store.stack(self.name), self.sides)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        store = self.store
+        if self.sides[1] == "face":
+            return store.unsort(store.from_faces(self.blocks, x))
+        x = store.sort(x)
+        if self.sides[0] == "face":
+            return store.to_faces(self.blocks, x)
+        return store.unsort(store.cells(self.blocks, x))
+
+    def tocsr(self) -> sp.csr_matrix:
+        if self._csr is None:
+            self._csr = self.store.matrix(self.store.stack(self.name), self.sides)
+        return self._csr
+
+
 class BlockSystem:
     """Assembled semi-discrete system M dU/dt + K U = F in block form.
 
     Cell rows/columns use the DofLayout cell numbering, face rows/columns the
-    face numbering. The mass and K_TT are block-diagonal per cell and K_FF
-    per dof-carrying face: `mass`, `k_tt` and `k_ff` hold them as CSR (M
-    and K_TT gathered from the class store), and `kff_blocks` holds K_FF as
-    a BlockDiagonal stack; no system keeps a per-cell stack of M or K_TT,
-    only the class store's one block per class. `k_td` maps
-    known Dirichlet face values to cell equations (lifting of
-    nonhomogeneous boundary data). `cell_classes` is the class store every
-    cell operator was scattered from; the implicit stage applies it.
+    face numbering. The cell operators are held once, as the class store
+    `cell_classes` every cell's blocks come from: `mass`, `k_tt`, `k_tf` and
+    `k_ft` are views over it (`ClassOperator`), which apply the class blocks
+    and form no CSR unless asked for one. K_FF is block-diagonal per
+    dof-carrying face: `kff_blocks` holds it as a BlockDiagonal stack and
+    `k_ff` as CSR. `k_td` (CSR) maps known Dirichlet face values to cell
+    equations (lifting of nonhomogeneous boundary data).
 
-    The face map `face_op`, the CSR `minv`, the explicit operator
-    `explicit_op` and its `explicit_spectrum` are built on first use and
-    kept; only `face_op` is read on the implicit path.
+    `kff_inverse` (the CSR of K_FF^-1, a face operator) serves `face_values`,
+    the face unknowns a cell state induces. The CSR face map `face_op`, the
+    CSR `minv`, the explicit operator `explicit_op` and its
+    `explicit_spectrum` serve the explicit path alone. Each of these is
+    built on first use and kept.
     """
 
-    def __init__(self, layout, k_tf, k_ft, kff_blocks, k_td, materials, config,
-                 cell_classes):
+    def __init__(self, layout, kff_blocks, k_td, materials, config, cell_classes):
         self.layout = layout
         self.mesh = layout.mesh
         self.cell_classes = cell_classes
         self.kff_blocks = kff_blocks
-        self.mass = cell_classes.cell_matrix(cell_classes.stack("mass"))
-        self.k_tt = cell_classes.cell_matrix(cell_classes.stack("k_tt"))
-        self.k_tf = k_tf
-        self.k_ft = k_ft
+        self.mass, self.k_tt, self.k_tf, self.k_ft = (
+            ClassOperator(cell_classes, name) for name in ("mass", "k_tt", "k_tf", "k_ft"))
         self.k_ff = kff_blocks.tocsr()
         self.k_td = k_td
         self.materials = materials
@@ -792,24 +871,34 @@ class BlockSystem:
         return self.layout.n_face_dofs
 
     @cached_property
+    def kff_inverse(self) -> sp.csr_matrix:
+        """K_FF^-1 as CSR, from one batched inversion of its face blocks per
+        block size; raises SolverError if a face block is singular."""
+        return self.kff_blocks.inverse("face stiffness").tocsr()
+
+    def face_values(self, u_t: np.ndarray) -> np.ndarray:
+        """Face unknowns -K_FF^-1 K_FT u_t induced by the cell unknowns: the
+        class blocks of K_FT, then K_FF^-1."""
+        return -(self.kff_inverse @ (self.k_ft @ u_t))
+
+    @cached_property
     def face_op(self) -> sp.csr_matrix:
-        """P = -K_FF^-1 K_FT, mapping cell unknowns to the face unknowns they induce."""
-        # raises if a face block is singular
-        return -(self.kff_blocks.inverse("face stiffness").tocsr() @ self.k_ft)
+        """P = -K_FF^-1 K_FT as CSR, mapping cell unknowns to the face unknowns they induce."""
+        return -(self.kff_inverse @ self.k_ft.tocsr())
 
     @cached_property
     def minv(self) -> sp.csr_matrix:
         """M^-1, inverted once per congruence class (`inverse_stack`) and
         scattered to the members."""
         store = self.cell_classes
-        return store.cell_matrix({
+        return store.matrix({
             shape: inverse_stack(blk["mass"], self.layout.cell_offset[blk["cells"]], "cell mass")
-            for shape, blk in store.blocks.items()})
+            for shape, blk in store.blocks.items()}, ("cell", "cell"))
 
     @cached_property
     def explicit_op(self) -> sp.csr_matrix:
         """L = M^-1 (K_TT + K_TF P): the unforced explicit system is u' = -L u."""
-        return (self.minv @ (self.k_tt + self.k_tf @ self.face_op)).tocsr()
+        return (self.minv @ (self.k_tt.tocsr() + self.k_tf.tocsr() @ self.face_op)).tocsr()
 
     @cached_property
     def explicit_spectrum(self) -> np.ndarray | None:
@@ -863,27 +952,30 @@ class BlockSystem:
         return -(self.k_td @ dirichlet_values)
 
 
-def _block_entries(blocks, rows, cols, shape, classes=None, floored=True):
+def _kept(blocks):
+    """Which entries of dense blocks (b, r, c) a CSR stores: x_ij with
+    |x_ij| > ROUNDOFF_FLOOR * max(max_l |x_il|, max_l |x_lj|) within its
+    block. The floor drops the blocks' exact zeros (the zero dual-dual and
+    dual-primal blocks, the vector components no entry couples) and their
+    round-off entries."""
+    mag = np.abs(blocks)
+    return mag > ROUNDOFF_FLOOR * np.maximum(mag.max(axis=2, keepdims=True),
+                                             mag.max(axis=1, keepdims=True))
+
+
+def _block_entries(blocks, rows, cols, shape, classes=None):
     """COO triplets, with int32 indices, of the entries of dense blocks that
-    rise above a relative round-off floor.
+    rise above a relative round-off floor (`_kept`).
 
     `blocks` (b, r, c) holds one block per class and `classes` (m,) the
     block of each member, `rows` (m, r) and `cols` (m, c) the members' row
     and column indices; without `classes` every block is its own member's.
-    An entry x_ij is stored only if |x_ij| > ROUNDOFF_FLOOR * max(max_l
-    |x_il|, max_l |x_lj|) within its block, or, not `floored`, only if it is
-    nonzero: the kept positions are decided once per block and gathered to
-    its members. The floor drops the blocks' exact zeros (the zero
-    dual-dual and dual-primal blocks, the vector components no entry
-    couples) and their round-off entries. Rows or
-    columns at or past `shape` (the pad slots of Dirichlet faces) are
-    dropped too, so no CSR built from the triplets stores any of these.
+    The kept positions are decided once per block and gathered to its
+    members. Rows or columns at or past `shape` (the pad slots of Dirichlet
+    faces) are dropped too, so no CSR built from the triplets stores any of
+    these.
     """
-    mag = np.abs(blocks)
-    floor = (ROUNDOFF_FLOOR * np.maximum(mag.max(axis=2, keepdims=True),
-                                         mag.max(axis=1, keepdims=True))
-             if floored else 0.0)
-    block, i, j = np.nonzero(mag > floor)
+    block, i, j = np.nonzero(_kept(blocks))
     values = blocks[block, i, j]
     if classes is None:
         classes = np.arange(len(blocks))
@@ -914,15 +1006,16 @@ def assemble(mesh: msh.PolyMesh, materials: MaterialMap,
              config: StabilizationConfig, k: int) -> BlockSystem:
     """Assemble the global block system for degree k under `config`.
 
-    Local blocks are formed once per congruence class (`CellClasses`) and
-    scattered to every member cell through its own dofs, one block shape
-    (subdomain, vertex count) at a time.
+    Local blocks are formed once per congruence class (`CellClasses`), which
+    holds the cell operators; the face-face blocks and the Dirichlet columns
+    of K_TF are scattered to every member cell through its own dofs, one
+    block shape (subdomain, vertex count) at a time.
     """
     layout = DofLayout(mesh, k, config.order_mode)
     store = CellClasses(layout, materials, config)
     n_t, n_f, n_d = layout.n_cell_dofs, layout.n_face_dofs, layout.n_dirichlet_dofs
     fd = layout.n_face_scalar
-    entries = {name: [] for name in ("k_tf", "k_ft", "k_td")}
+    k_td = []
 
     # face-face blocks, each stored row-major in one flat buffer; interface
     # blocks hold the fluid trace (fd) before the solid trace (2 fd)
@@ -934,13 +1027,9 @@ def assemble(mesh: msh.PolyMesh, materials: MaterialMap,
         blk, rows = store.blocks[shape], store.rows[cells]
         cell_dofs = layout.cell_offset[cells][:, None] + np.arange(blk["mass"].shape[-1])
         face_dofs, dirichlet_dofs = _local_face_dofs(layout, faces, shape[0])
-        entries["k_tf"].append(_block_entries(blk["k_tf"], cell_dofs, face_dofs, (n_t, n_f),
-                                              rows))
         bnd = np.any(dirichlet_dofs < n_d, axis=1)
-        entries["k_td"].append(_block_entries(blk["k_tf"], cell_dofs[bnd], dirichlet_dofs[bnd],
-                                              (n_t, n_d), rows[bnd]))
-        entries["k_ft"].append(_block_entries(blk["k_ft"], face_dofs, cell_dofs, (n_f, n_t),
-                                              rows))
+        k_td.append(_block_entries(blk["k_tf"], cell_dofs[bnd], dirichlet_dofs[bnd],
+                                   (n_t, n_d), rows[bnd]))
         # each local face's block sits at that face's rows and columns of the
         # cell's side within its face block
         m, n_v = faces.shape
@@ -967,11 +1056,9 @@ def assemble(mesh: msh.PolyMesh, materials: MaterialMap,
                   for s, f in face_sets.items()]
     return BlockSystem(
         layout=layout,
-        k_tf=_csr(entries.pop("k_tf"), (n_t, n_f)),
-        k_ft=_csr(entries.pop("k_ft"), (n_f, n_t)),
         kff_blocks=BlockDiagonal.gather(
             n_f, [layout.face_offset[f] for f in face_sets.values()], kff_stacks),
-        k_td=_csr(entries.pop("k_td"), (n_t, n_d)) if n_d else None,
+        k_td=_csr(k_td, (n_t, n_d)) if n_d else None,
         materials=materials,
         config=config,
         cell_classes=store,

@@ -265,8 +265,19 @@ def ricker_initial_state(system: hho.BlockSystem, config: RickerConfig) -> np.nd
 # energy and error diagnostics
 
 def energy(u_t: np.ndarray, system: hho.BlockSystem) -> float:
-    """Discrete energy: half the weighted mass quadratic form of the cell state."""
-    return 0.5 * float(u_t @ (system.mass @ u_t))
+    """Discrete energy: half the weighted mass quadratic form of the cell state.
+
+    An equal-order system serves the explicit path, which holds its
+    operators as CSR, and applies M as CSR too: the floored CSR skips the
+    zeros of the dense class blocks and takes 0.3-0.8 of their time
+    (cartesian and hexagonal L4, k=1 and 3). Any other system applies M by
+    its class blocks in class order, so an implicit run forms no CSR of M.
+    """
+    if system.config.order_mode == "equal":
+        return 0.5 * float(u_t @ (system.mass.tocsr() @ u_t))
+    store = system.cell_classes
+    u_c = store.sort(u_t)
+    return 0.5 * float(u_c @ store.cells(system.mass.blocks, u_c))
 
 
 def l2_error_dual(u_t: np.ndarray, system: hho.BlockSystem, case: ManufacturedCase,

@@ -30,14 +30,14 @@ block inverse, the explicit path's M^-1 and K_FF^-1 as well as the
 condensed class inverses, comes from `inverse_stack`: one batched
 inversion per stack.
 
-The Schur complement has one solver, a direct LU with no settings. S is
-structurally symmetric, and once equilibrated by D = |diag S|^-1/2 the
-symmetric part of D S D is positive definite. The LU therefore factors
-D S D without pivoting, with a minimum-degree
-ordering on the pattern of A^T + A (SuperLU's MMD_AT_PLUS_A) applied to rows
-and columns alike, which leaves less fill than SuperLU's default COLAMD
-ordering (about half from 10^4 face unknowns on); every solve is checked by
-its equilibrated residual (`FactorizedOperator`).
+The Schur complement has one solver, a direct LU with no settings, and is
+held once, as the CSC matrix that LU reads. S is structurally symmetric,
+and once equilibrated by D = |diag S|^-1/2 the symmetric part of D S D is
+positive definite. The LU therefore factors D S D without pivoting, with a
+minimum-degree ordering on the pattern of A^T + A (SuperLU's MMD_AT_PLUS_A)
+applied to rows and columns alike, which leaves less fill than SuperLU's
+default COLAMD ordering (about half from 10^4 face unknowns on); every
+solve is checked by its equilibrated residual (`FactorizedOperator`).
 """
 
 from __future__ import annotations
@@ -172,17 +172,19 @@ def inverse_stack(blocks, starts, what: str) -> np.ndarray:
 class FactorizedOperator:
     """Reusable direct LU factorization of a face Schur complement S.
 
-    S is held in CSR, whose products the residual check takes; the LU reads
-    a transient CSC copy of it. The LU factors the equilibrated D S D,
-    D = |diag S|^-1/2 (1 where the diagonal is zero), scaled in place in that
-    copy, without pivoting and with a minimum-degree ordering on A^T + A
-    applied symmetrically, and solves x = D (D S D)^-1 (D b). Every solve is
-    checked by its equilibrated relative residual ||D (S x - b)|| / ||D b||,
+    The operator holds one copy of S: `matrix`, the CSC matrix D S D,
+    equilibrated in place by D = |diag S|^-1/2 (`scale`; 1 where the
+    diagonal is zero). A CSC argument becomes that copy itself, any other
+    format is converted first. The LU factors `matrix` without pivoting and
+    with a minimum-degree ordering on A^T + A applied symmetrically, and
+    solves x = D (D S D)^-1 (D b). Every solve is checked by its
+    equilibrated relative residual ||D (S x - b)|| / ||D b|| =
+    ||(D S D) y - D b|| / ||D b|| with y = D^-1 x, a product with `matrix`,
     which must stay below 1e-8.
 
     Equilibration and no pivoting are what make geophysical Schur
     complements solvable: their diagonal spans many orders of magnitude
-    (4.9e-12 to 390 on granite-water at 1,024 cells), and the symmetric part
+    (4.7e-7 to 2.0e7 on granite-water at 1,024 cells), and the symmetric part
     of D S D is positive definite, for which LU without pivoting is stable
     (Golub & Van Loan, LAA 1979; Higham, Accuracy and Stability of Numerical
     Algorithms, 10.4). Without pivoting the fill follows from the pattern
@@ -198,8 +200,7 @@ class FactorizedOperator:
 
     def __init__(self, matrix: sp.spmatrix):
         self.n = matrix.shape[0]
-        matrix = matrix.tocsr()
-        self._matrix = matrix
+        matrix = self.matrix = matrix.tocsc()
         self.matrix_nnz = int(matrix.nnz)
         self.solves = 0
         self.max_residual = 0.0
@@ -212,11 +213,10 @@ class FactorizedOperator:
         try:
             diag = np.abs(matrix.diagonal())
             diag[diag == 0] = 1.0
-            self._scale = 1.0 / np.sqrt(diag)
-            scaled = matrix.tocsc()
-            scaled.data *= self._scale[scaled.indices]
-            scaled.data *= np.repeat(self._scale, np.diff(scaled.indptr))
-            self._lu = spla.splu(scaled, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            self.scale = 1.0 / np.sqrt(diag)
+            matrix.data *= self.scale[matrix.indices]
+            matrix.data *= np.repeat(self.scale, np.diff(matrix.indptr))
+            self._lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                  options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}") from exc
@@ -238,16 +238,16 @@ class FactorizedOperator:
         if self.n == 0:
             return np.zeros(0)
         self.solves += 1
-        scaled_rhs = self._scale * rhs
-        x = self._scale * self._lu.solve(scaled_rhs)
+        scaled_rhs = self.scale * rhs
+        y = self._lu.solve(scaled_rhs)
         nrm = np.linalg.norm(scaled_rhs)
         if nrm > 0:
-            res = np.linalg.norm(self._scale * (self._matrix @ x - rhs)) / nrm
+            res = np.linalg.norm(self.matrix @ y - scaled_rhs) / nrm
             if not np.isfinite(res) or res > 1e-8:
                 raise SolverError(f"direct solve residual {res:.2e}; "
                                   "operator singular or severely ill-conditioned")
             self.max_residual = max(self.max_residual, float(res))
-        return x
+        return self.scale * y
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +292,10 @@ class _Stepper:
     stage state and the update from a tableau row with `_advance`.
     """
 
-    @property
-    def face_op(self) -> sp.csr_matrix:
-        """The system's P = -K_FF^-1 K_FT (`hho.BlockSystem.face_op`)."""
-        return self.system.face_op
-
     def face_values(self, u_t: np.ndarray) -> np.ndarray:
-        """Face unknowns -K_FF^-1 K_FT u_t induced by the cell unknowns."""
-        return self.face_op @ u_t
+        """Face unknowns -K_FF^-1 K_FT u_t induced by the cell unknowns
+        (`hho.BlockSystem.face_values`)."""
+        return self.system.face_values(u_t)
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +345,14 @@ class CondensedFactorization:
 
     Valid for one (a*, dt) pair; reused across stages and steps. The class
     blocks `inverse_blocks` and `g_blocks` (one entry per segment of the
-    system's `cell_classes` store, which also holds M and K_FT) are applied
-    by that store. The Schur matrix is assembled once from the same class
-    blocks: each class contributes the dense K_FT,c G_c over its local face
-    dofs, scattered to every member's face dofs next to K_FF in one COO to
-    CSR conversion, and is held in CSR; `schur_solver` is its direct LU
-    (`FactorizedOperator`). `build_s` is the time spent before the
-    factorization.
+    system's `cell_classes` store, over which the system's M and K_FT are
+    views) are applied by that store. The Schur matrix is assembled once
+    from the same class blocks: each class contributes the dense K_FT,c G_c
+    over its local face dofs, scattered to every member's face dofs next to
+    K_FF in one COO to CSR conversion, and converted to the CSC matrix that
+    `schur_solver`, its direct LU (`FactorizedOperator`), equilibrates,
+    factors and keeps as the one copy of S. `build_s` is the time spent
+    before the factorization.
     """
 
     def __init__(self, system, a_star: float, dt: float):
@@ -374,32 +371,22 @@ class CondensedFactorization:
         g = {shape: inverse[shape] @ blk["k_tf"] for shape, blk in store.blocks.items()}
         self.g_blocks = store.segment_blocks(g)
         # S = a* dt (K_FF - a* dt sum_c K_FT,c G_c)
-        self.schur = store.face_matrix({shape: -ad * (blk["k_ft"] @ g[shape])
-                                        for shape, blk in store.blocks.items()}, system.k_ff)
-        self.schur.data *= ad
+        schur = store.face_matrix({shape: -ad * (blk["k_ft"] @ g[shape])
+                                   for shape, blk in store.blocks.items()}, system.k_ff).tocsc()
+        schur.data *= ad
         self.build_s = time.perf_counter() - start
-        self.schur_solver = FactorizedOperator(self.schur)
+        self.schur_solver = FactorizedOperator(schur)
 
     def matches(self, a_star: float, dt: float) -> bool:
         return (abs(self.a_star - a_star) <= 1e-15 * max(1.0, abs(a_star))
                 and abs(self.dt - dt) <= 1e-15 * max(1.0, dt))
 
-    def face_solve(self, z: np.ndarray, b_f: np.ndarray | None = None) -> np.ndarray:
-        """Face unknowns S^-1 (b_f - a* dt K_FT z) of a stage, from its
-        class-ordered z = A^-1 b_t; no b_f means b_f = 0."""
-        rhs = self.store.to_faces(self.store.k_ft, z)
+    def face_solve(self, z: np.ndarray) -> np.ndarray:
+        """Face unknowns -a* dt S^-1 K_FT z of a stage, from its class-ordered
+        z = A^-1 b_t."""
+        rhs = self.store.to_faces(self.system.k_ft.blocks, z)
         rhs *= -self.a_star * self.dt
-        if b_f is not None:
-            rhs += b_f
         return self.schur_solver.solve(rhs)
-
-    def stage_solve(self, b_t: np.ndarray, b_f: np.ndarray):
-        """Solve one implicit stage: returns (cell unknowns, face unknowns)."""
-        store = self.store
-        z = store.cells(self.inverse_blocks, store.sort(b_t))
-        u_f = self.face_solve(z, b_f)
-        z -= self.a_star * self.dt * store.from_faces(self.g_blocks, u_f)
-        return store.unsort(z), u_f
 
 
 class ImplicitStepper(_Stepper):
@@ -436,11 +423,12 @@ class ImplicitStepper(_Stepper):
         ad = tab.a_star * dt
         fact = self.fact
         store = fact.store
+        mass = self.system.mass.blocks
         u_c = store.sort(u_t)
         slopes = []
         for i in range(tab.s):
             u_start = _advance(u_c, dt, tab.a[i, :i], slopes)
-            b_t = store.cells(store.mass, u_start)
+            b_t = store.cells(mass, u_start)
             f_i = _forcing_at(forcing, t + tab.c[i] * dt)
             if f_i is not None:
                 b_t += ad * store.sort(f_i)

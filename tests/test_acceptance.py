@@ -25,7 +25,7 @@ from hhowave.timestep import run_time_loop
 
 from test_basis import greens_monomial_integral, random_star_polygon
 from test_hho import hho_interpolate, reconstruct_fluid_gradient, stab_quadratic_form
-from test_timestep import dense_erk_step, dense_sdirk_step
+from test_timestep import dense_erk_step, dense_sdirk_step, stage_solve
 
 ACADEMIC = builtin_materials("academic")
 SIDE_BY_SIDE = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
@@ -59,11 +59,11 @@ def test_criterion_1_condensation_oracles():
         rng = np.random.default_rng(k)
         b_t = system.mass @ u0 + dt * rng.standard_normal(system.n_cell_dofs)
         b_f = rng.standard_normal(system.n_face_dofs)
-        u_t, u_f = fact.stage_solve(b_t, b_f)
+        u_t, u_f = stage_solve(fact, b_t, b_f)
         ad = tab.a_star * dt
-        big = np.block([[system.mass.toarray() + ad * system.k_tt.toarray(),
-                         ad * system.k_tf.toarray()],
-                        [ad * system.k_ft.toarray(), ad * system.k_ff.toarray()]])
+        big = np.block([[system.mass.tocsr().toarray() + ad * system.k_tt.tocsr().toarray(),
+                         ad * system.k_tf.tocsr().toarray()],
+                        [ad * system.k_ft.tocsr().toarray(), ad * system.k_ff.toarray()]])
         ref = np.linalg.solve(big, np.concatenate([b_t, b_f]))
         err = (np.linalg.norm(np.concatenate([u_t, u_f]) - ref)
                / np.linalg.norm(ref))
@@ -376,8 +376,8 @@ def test_criterion_9_operator_properties():
     # assembled-system structure on a coupled polygonal mesh
     mesh2 = generate(MeshGenSpec("polygonal-hexagonal", 2, **SIDE_BY_SIDE))
     system = assemble(mesh2, ACADEMIC, StabilizationConfig.explicit(), k=1)
-    k_full = np.block([[system.k_tt.toarray(), system.k_tf.toarray()],
-                       [system.k_ft.toarray(), system.k_ff.toarray()]])
+    k_full = np.block([[system.k_tt.tocsr().toarray(), system.k_tf.tocsr().toarray()],
+                       [system.k_ft.tocsr().toarray(), system.k_ff.toarray()]])
     sym = 0.5 * (k_full + k_full.T)
     for ci in range(mesh2.n_cells):
         if np.max(np.abs(sym[system.layout.cell_dofs([ci], "dual")[0], :])) > 1e-11:

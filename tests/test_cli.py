@@ -196,6 +196,13 @@ def test_simulate_reports_schur_solver(tmp_path, caplog):
     assert set(summary["timings"]) == {"mesh", "assemble", "stepper", "march", "output"}
     assert all(sec >= 0.0 for sec in summary["timings"].values())
     assert "operators store" in caplog.text and "timings: mesh" in caplog.text
+    # and where its memory went: the peak RSS after each phase never falls
+    phases = ("mesh", "assemble", "stepper", "march")
+    assert set(summary["peak_rss_mb"]) == set(phases)
+    peaks = [summary["peak_rss_mb"][phase] for phase in phases]
+    assert 0.0 < peaks[0] and peaks == sorted(peaks)
+    assert f"peak RSS: mesh {peaks[0]:.1f} MB" in caplog.text
+    assert summary["warnings"] == []
     # how the physics behaved, and progress with an ETA about every 10% of the steps
     energies = np.loadtxt(out / "energy.csv", delimiter=",", skiprows=1)[:, 1]
     drift = np.max(np.abs(energies - energies[0])) / energies[0]
@@ -254,7 +261,7 @@ def test_lu_memory_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 def test_granite_water_solves_at_1024_cells(tmp_path):
     # the shipped geophysical config scaled down to 1,024 cells, 10 steps: the
-    # diagonal of its Schur complement spans 4.9e-12 to 390, and only the
+    # diagonal of its Schur complement spans 4.7e-7 to 2.0e7, and the
     # equilibrated factor without pivoting meets the residual guard
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "granite_water.json")
     with open(path) as fh:
@@ -268,6 +275,36 @@ def test_granite_water_solves_at_1024_cells(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_cells"] == 1024 and summary["steps"] == 10
     assert summary["solver"]["max_residual"] <= 1e-8
+    # in metres against the SI materials the step resolves the P wave
+    assert summary["courant"] == pytest.approx(0.0328, rel=1e-3)
+    assert summary["warnings"] == []
+
+
+def test_shipped_implicit_configs_stay_below_the_courant_bound():
+    # granite_water.json is in metres: 0.33 at full scale, not 330 as when
+    # its geometry was in km; the academic Ricker run sits far below too
+    want = {"granite_water.json": 0.3297, "academic_ricker.json": 0.06124}
+    for name, courant in want.items():
+        cfg = cli.load_config(os.path.join(CONFIG_DIR, name))
+        mesh = cli.build_mesh(cfg["mesh"])
+        got = cli.courant(mesh, cli.build_materials(cfg), cfg["dt"])
+        assert got == pytest.approx(courant, rel=1e-3) and got < cli.IMPLICIT_COURANT_MAX, name
+
+
+def test_implicit_courant_warning(tmp_path, caplog):
+    cfg = json.loads(json.dumps(RICKER_CFG))
+    cfg["mesh"]["level"] = 1
+    cfg["dt"], cfg["final_time"] = 0.5, 1.0
+    cfg["output"] = {}
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="hhowave"):
+        assert cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(out)]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["courant"] > cli.IMPLICIT_COURANT_MAX
+    (warning,) = summary["warnings"]
+    assert warning.startswith(f"Courant number {summary['courant']:.4g} exceeds 1")
+    assert warning in caplog.text
 
 
 def test_simulate_instability_exit_code(tmp_path):
@@ -312,6 +349,17 @@ def test_config_error_exit_code(tmp_path):
     path.write_text("{not json")
     code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)])
     assert code == cli.EXIT_CONFIG
+
+
+def test_config_error_printed_once(tmp_path, monkeypatch, capsys):
+    # with the root logger bare, as outside pytest, `main` logs to stderr too
+    monkeypatch.setattr(logging.getLogger(), "handlers", [])
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("cannot read config") == 1 and err.startswith("error: cannot read config")
 
 
 def test_material_error_exit_code(tmp_path):

@@ -56,9 +56,12 @@ def _seeded(n, seed):
 
 
 def _matrix_pair(mat, seed):
+    """Frobenius norm of the operator's CSR and y @ A @ x through the
+    operator's own product (the class blocks for a cell operator)."""
     x = _seeded(mat.shape[1], seed)
     y = _seeded(mat.shape[0], seed + 1)
-    return [float(np.sqrt((mat.multiply(mat)).sum())), float(y @ (mat @ x))]
+    csr = mat.tocsr()
+    return [float(np.sqrt((csr.multiply(csr)).sum())), float(y @ (mat @ x))]
 
 
 def _vector_pair(vec, seed):

@@ -363,10 +363,10 @@ def test_assembly_matches_dense_oracle(mode):
     system = assemble(mesh, ACADEMIC, config, k=1)
     ref = dense_from_blocks(mesh, system.layout, ACADEMIC, config)
     K_ref = np.block([[ref["k_tt"], ref["k_tf"]], [ref["k_ft"], ref["k_ff"]]])
-    K = np.block([[system.k_tt.toarray(), system.k_tf.toarray()],
-                  [system.k_ft.toarray(), system.k_ff.toarray()]])
+    K = np.block([[system.k_tt.tocsr().toarray(), system.k_tf.tocsr().toarray()],
+                  [system.k_ft.tocsr().toarray(), system.k_ff.toarray()]])
     scale = np.max(np.abs(K_ref)) or 1.0
-    assert np.max(np.abs(system.mass.toarray() - ref["mass"])) < 1e-13 * scale
+    assert np.max(np.abs(system.mass.tocsr().toarray() - ref["mass"])) < 1e-13 * scale
     assert np.max(np.abs(K - K_ref)) < 1e-13 * scale
 
 
@@ -395,7 +395,7 @@ def test_class_built_operators_match_per_cell_assembly(mesh_name, k, mode):
     ref = dense_from_blocks(mesh, system.layout, ACADEMIC, config)
     assert set(ref) == set(MATRICES)
     for name in MATRICES:
-        got = getattr(system, name).toarray()
+        got = getattr(system, name).tocsr().toarray()
         assert np.max(np.abs(got - ref[name])) <= 1e-13 * np.max(np.abs(ref[name])), name
 
 
@@ -404,8 +404,8 @@ def test_unstabilized_part_is_skew():
     mesh = generate(MeshGenSpec("cartesian", 1, **BILAYER))
     system = assemble(mesh, ACADEMIC, StabilizationConfig.explicit(), k=1)
     layout = system.layout
-    K = np.block([[system.k_tt.toarray(), system.k_tf.toarray()],
-                  [system.k_ft.toarray(), system.k_ff.toarray()]])
+    K = np.block([[system.k_tt.tocsr().toarray(), system.k_tf.tocsr().toarray()],
+                  [system.k_ft.tocsr().toarray(), system.k_ff.toarray()]])
     sym = 0.5 * (K + K.T)
     # symmetric part never touches dual dofs: gradient blocks are purely skew
     for ci in range(mesh.n_cells):

@@ -496,17 +496,29 @@ def test_schemes_share_one_operator_and_one_spectrum(monkeypatch):
     assert len(calls) == 1
     erk2 = ExplicitStepper(system, tableau("ERK2"))
     assert erk2.op is ExplicitStepper(system, tableau("ERK4")).op
-    assert ImplicitStepper(system, tableau("SDIRK34"), 0.01).face_op is erk2.face_op
+    # and one face elimination per system: both kinds of stepper read the
+    # same face values, which P, built for L, reproduces
+    u = np.random.default_rng(0).standard_normal(system.n_cell_dofs)
+    u_f = ImplicitStepper(system, tableau("SDIRK34"), 0.01).face_values(u)
+    assert np.array_equal(u_f, erk2.face_values(u))
+    assert np.linalg.norm(u_f - system.face_op @ u) <= 1e-13 * np.linalg.norm(u_f)
 
 
-def test_implicit_run_builds_no_explicit_operator():
+def test_implicit_run_builds_no_explicit_operator(monkeypatch):
+    # nor any CSR of a cell operator: energy and face values come from the
+    # class blocks, and no CSR of M, K_TT, K_TF or K_FT is formed
+    def no_csr(*args):
+        raise AssertionError("CSR of a cell operator formed")
+
+    monkeypatch.setattr(hho.CellClasses, "matrix", no_csr)
     system = assemble(generate(MeshGenSpec("cartesian", 2, **BILAYER)), ACADEMIC,
                       StabilizationConfig.implicit(), k=1)
     stepper = ImplicitStepper(system, tableau("SDIRK34"), 0.01)
     u = run_time_loop(stepper, np.ones(system.n_cell_dofs), 0.01, 3)
     stepper.face_values(u)
-    assert "face_op" in vars(system)
-    assert not {"minv", "explicit_op", "explicit_spectrum"} & set(vars(system))
+    energy(u, system)
+    assert "kff_inverse" in vars(system)
+    assert not {"face_op", "minv", "explicit_op", "explicit_spectrum"} & set(vars(system))
 
 
 def test_cfl_bracket_raises_when_every_doubling_is_unstable(monkeypatch):

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from hhowave import (CondensedFactorization, ExplicitStepper, ImplicitStepper,
                      InstabilityError, MeshGenSpec, StabilizationConfig,
                      assemble, builtin_materials, generate, merge_nonconforming, tableau)
-from hhowave.scenarios import (ManufacturedCase, cfl_bracket, manufactured_forcing,
+from hhowave.scenarios import (ManufacturedCase, cfl_bracket, energy, manufactured_forcing,
                                manufactured_initial_state)
 from hhowave import hho, timestep
 from hhowave.hho import BlockDiagonal
@@ -43,10 +43,10 @@ def make_case_state(system, omega=2.0, theta=math.sqrt(2.0)):
 # dense reference steppers (independent of the blockwise elimination paths)
 
 def dense_erk_step(system, tab, u_t, t, dt, forcing=None):
-    mass = system.mass.toarray()
-    k_tt = system.k_tt.toarray()
-    k_tf = system.k_tf.toarray()
-    k_ft = system.k_ft.toarray()
+    mass = system.mass.tocsr().toarray()
+    k_tt = system.k_tt.tocsr().toarray()
+    k_tf = system.k_tf.tocsr().toarray()
+    k_ft = system.k_ft.tocsr().toarray()
     k_ff = system.k_ff.toarray()
     n_f = system.n_face_dofs
     stage_r = []
@@ -68,10 +68,10 @@ def dense_erk_step(system, tab, u_t, t, dt, forcing=None):
 
 
 def dense_sdirk_step(system, tab, u_t, t, dt, forcing=None):
-    mass = system.mass.toarray()
-    k_tt = system.k_tt.toarray()
-    k_tf = system.k_tf.toarray()
-    k_ft = system.k_ft.toarray()
+    mass = system.mass.tocsr().toarray()
+    k_tt = system.k_tt.tocsr().toarray()
+    k_tf = system.k_tf.tocsr().toarray()
+    k_ft = system.k_ft.tocsr().toarray()
     k_ff = system.k_ff.toarray()
     n_t, n_f = system.n_cell_dofs, system.n_face_dofs
     ad = tab.a_star * dt
@@ -183,6 +183,26 @@ def solve(matrix, rhs):
     return FactorizedOperator(sp.csc_matrix(matrix)).solve(rhs)
 
 
+def schur_matrix(fact):
+    """The Schur complement S of a factorization as CSR, unscaled from the
+    one copy its LU holds, the equilibrated D S D."""
+    solver = fact.schur_solver
+    unscale = sp.diags(1.0 / solver.scale)
+    return (unscale @ solver.matrix @ unscale).tocsr()
+
+
+def stage_solve(fact, b_t, b_f):
+    """One implicit stage of the condensed system, (M + a* dt K_TT) u +
+    a* dt K_TF u_f = b_t and a* dt (K_FT u + K_FF u_f) = b_f, solved through
+    the factorization: returns (cell unknowns, face unknowns)."""
+    store = fact.store
+    ad = fact.a_star * fact.dt
+    z = store.cells(fact.inverse_blocks, store.sort(b_t))
+    u_f = fact.schur_solver.solve(b_f - ad * store.to_faces(fact.system.k_ft.blocks, z))
+    z -= ad * store.from_faces(fact.g_blocks, u_f)
+    return store.unsort(z), u_f
+
+
 def test_solver_identity():
     rhs = np.arange(5.0)
     out = solve(sp.eye(5), rhs)
@@ -257,7 +277,7 @@ def test_block_diagonal_stores(mode, k):
     mass_blocks, ktt_blocks = _cell_blocks(system, "mass"), _cell_blocks(system, "k_tt")
     assert len(mass_blocks.stacks) == 2 == len(ktt_blocks.stacks)
     assert sorted(system.kff_blocks.stacks) == [fd, 2 * fd, 3 * fd]
-    for store, csr in ((mass_blocks, system.mass), (ktt_blocks, system.k_tt),
+    for store, csr in ((mass_blocks, system.mass.tocsr()), (ktt_blocks, system.k_tt.tocsr()),
                        (system.kff_blocks, system.k_ff)):
         pairs = _blocks_by_start(store)
         # the blocks tile the diagonal and are all the matrix holds
@@ -275,7 +295,7 @@ def test_block_diagonal_stores(mode, k):
     _assert_stores_floored_blocks(condensed.tocsr(), _blocks_by_start(condensed))
     # M and K_TT are floored apart, so their sum differs from the floored
     # condensed blocks by entries within the floor, not exactly
-    summed = system.mass + ad * system.k_tt
+    summed = system.mass.tocsr() + ad * system.k_tt.tocsr()
     assert abs(condensed.tocsr() - summed).max() <= 1e-14 * abs(summed).max()
     for store in (mass_blocks, system.kff_blocks, condensed):
         pairs = _blocks_by_start(store)
@@ -309,14 +329,14 @@ def test_sparse_operators_store_nonzeros_only(mesh_name, mode):
     if mode == "explicit":
         system = assemble(mesh, ACADEMIC, StabilizationConfig.explicit(), k=1)
         stepper = ExplicitStepper(system, tableau("ERK2"))
-        derived = {"minv": stepper.minv, "op": stepper.op, "face_op": stepper.face_op}
+        derived = {"minv": stepper.minv, "op": stepper.op, "face_op": system.face_op}
     else:
         system = assemble(mesh, ACADEMIC, StabilizationConfig.implicit(), k=1)
         fact = CondensedFactorization(system, tableau("SDIRK34").a_star, 0.01)
-        derived = {"schur": fact.schur}
+        derived = {"schur": fact.schur_solver.matrix}
     assert system.k_td is not None
     for name in ("mass", "k_tt", "k_tf", "k_ft", "k_ff", "k_td"):
-        derived[name] = getattr(system, name)
+        derived[name] = getattr(system, name).tocsr()
     for name, mat in derived.items():
         assert mat.nnz > 0 and np.all(mat.data != 0), name
         assert mat.indices.dtype == np.int32, name
@@ -336,17 +356,18 @@ def test_floor_drops_only_roundoff_coupling_entries(mesh_name, mode, monkeypatch
     exact = assemble(mesh, ACADEMIC, config, k=1)
     # a cell's K_TF block spans its K_TF and K_TD rows (Dirichlet faces' columns)
     cell = np.repeat(np.arange(mesh.n_cells), np.diff(floored.layout.cell_offset))
-    want = {name: getattr(exact, name).toarray() for name in ("k_tf", "k_td")}
+    want = {name: getattr(exact, name).tocsr().toarray() for name in ("k_tf", "k_td")}
     block_max = np.zeros(mesh.n_cells)
     np.maximum.at(block_max, cell, np.abs(np.hstack(list(want.values()))).max(axis=1))
     for name, ref in want.items():
-        got = getattr(floored, name).toarray()
+        got = getattr(floored, name).tocsr().toarray()
         kept = got != 0
         assert np.array_equal(got[kept], ref[kept]), name
         dropped = (ref != 0) & ~kept
         bound = tau * np.broadcast_to(block_max[cell][:, None], ref.shape)
         assert np.all(np.abs(ref[dropped]) <= bound[dropped]), name
-    assert np.array_equal(abs(floored.k_ft).toarray(), abs(floored.k_tf).toarray().T)
+    assert np.array_equal(abs(floored.k_ft.tocsr()).toarray(),
+                          abs(floored.k_tf.tocsr()).toarray().T)
 
 
 def test_floor_keeps_schur_pattern_and_thins_explicit_operator(monkeypatch):
@@ -361,7 +382,8 @@ def test_floor_keeps_schur_pattern_and_thins_explicit_operator(monkeypatch):
         ops.append(make_system(k=1, level=3).explicit_op)
     floored, exact = facts
     for attr in ("indptr", "indices"):
-        assert np.array_equal(getattr(floored.schur, attr), getattr(exact.schur, attr))
+        assert np.array_equal(getattr(floored.schur_solver.matrix, attr),
+                              getattr(exact.schur_solver.matrix, attr))
     assert floored.schur_solver.lu_nnz == exact.schur_solver.lu_nnz
 
     def smallest_relative_entry(op):
@@ -387,11 +409,11 @@ def test_floor_keeps_si_material_scales(mesh_name, mode, k, monkeypatch):
               else StabilizationConfig.implicit())
     names = ("mass", "minv", "k_tt", "k_ff", "explicit_op")
     floored = assemble(mesh, GRANITE_WATER, config, k=k)
-    got = {name: getattr(floored, name).toarray() for name in names}
+    got = {name: getattr(floored, name).tocsr().toarray() for name in names}
     monkeypatch.setattr(hho, "ROUNDOFF_FLOOR", 0.0)
     exact = assemble(mesh, GRANITE_WATER, config, k=k)
     for name in names:
-        ref = getattr(exact, name).toarray()
+        ref = getattr(exact, name).tocsr().toarray()
         if name != "explicit_op":
             # block-diagonal: each entry against the floor of its row and column
             kept = got[name] != 0
@@ -416,7 +438,8 @@ def test_equilibrated_schur_symmetric_part_is_definite(mesh_name, mode, material
               else StabilizationConfig.implicit())
     system = assemble(golden_mesh(mesh_name), materials, config, k=1)
     for dt in (0.01, 1.0):
-        schur = CondensedFactorization(system, tableau("SDIRK34").a_star, dt).schur.toarray()
+        schur = schur_matrix(CondensedFactorization(system, tableau("SDIRK34").a_star,
+                                                    dt)).toarray()
         scale = 1.0 / np.sqrt(np.abs(np.diag(schur)))
         dsd = scale[:, None] * schur * scale
         assert np.linalg.eigvalsh(0.5 * (dsd + dsd.T)).min() > 0.0, dt
@@ -454,9 +477,9 @@ def test_face_eliminated_operator_is_dissipative(family):
     # energy u.M u / 2 of the unforced explicit system never grows in time
     system = make_system(k=1, level=3, family=family)
     stepper = ExplicitStepper(system, tableau("ERK2"))
-    k_cond = (system.mass @ stepper.op).toarray()
-    ref = system.k_tt.toarray() - system.k_tf.toarray() @ np.linalg.solve(
-        system.k_ff.toarray(), system.k_ft.toarray())
+    k_cond = (system.mass.tocsr() @ stepper.op).toarray()
+    ref = system.k_tt.tocsr().toarray() - system.k_tf.tocsr().toarray() @ np.linalg.solve(
+        system.k_ff.toarray(), system.k_ft.tocsr().toarray())
     assert np.linalg.norm(k_cond - ref) < 1e-12 * np.linalg.norm(ref)
     eig = np.linalg.eigvalsh(0.5 * (k_cond + k_cond.T))
     assert eig.min() >= -1e-12 * np.abs(eig).max()
@@ -539,7 +562,7 @@ def test_stage_solve_with_zero_face_rhs():
     rng = np.random.default_rng(5)
     for _ in range(3):
         b_t = rng.standard_normal(system.n_cell_dofs)
-        u, u_f = fact.stage_solve(b_t, np.zeros(system.n_face_dofs))
+        u, u_f = stage_solve(fact, b_t, np.zeros(system.n_face_dofs))
         k_ft_u = system.k_ft @ u
         assert np.linalg.norm(k_ft_u + system.k_ff @ u_f) < 1e-12 * np.linalg.norm(k_ft_u)
         r = -(system.k_tt @ u) - system.k_tf @ u_f
@@ -555,13 +578,13 @@ def test_condensed_stage_equals_monolithic():
     rng = np.random.default_rng(8)
     n_t, n_f = system.n_cell_dofs, system.n_face_dofs
     ad = tab.a_star * dt
-    big = np.block([[system.mass.toarray() + ad * system.k_tt.toarray(),
-                     ad * system.k_tf.toarray()],
-                    [ad * system.k_ft.toarray(), ad * system.k_ff.toarray()]])
+    big = np.block([[system.mass.tocsr().toarray() + ad * system.k_tt.tocsr().toarray(),
+                     ad * system.k_tf.tocsr().toarray()],
+                    [ad * system.k_ft.tocsr().toarray(), ad * system.k_ff.toarray()]])
     for _ in range(3):
         b_t = rng.standard_normal(n_t)
         b_f = rng.standard_normal(n_f)
-        u_t, u_f = fact.stage_solve(b_t, b_f)
+        u_t, u_f = stage_solve(fact, b_t, b_f)
         ref = np.linalg.solve(big, np.concatenate([b_t, b_f]))
         got = np.concatenate([u_t, u_f])
         assert np.linalg.norm(got - ref) < 1e-9 * np.linalg.norm(ref)
@@ -571,9 +594,9 @@ def _class_products(fact, x, x_f):
     """M x, A^-1 x, K_FT x and G x_f applied through the class store."""
     store = fact.store
     xs = store.sort(x)
-    return {"mass": store.unsort(store.cells(store.mass, xs)),
+    return {"mass": store.unsort(store.cells(fact.system.mass.blocks, xs)),
             "a_inv": store.unsort(store.cells(fact.inverse_blocks, xs)),
-            "k_ft": store.to_faces(store.k_ft, xs),
+            "k_ft": store.to_faces(fact.system.k_ft.blocks, xs),
             "g": store.unsort(store.from_faces(fact.g_blocks, x_f))}
 
 
@@ -597,7 +620,7 @@ def _assert_class_products_match_csr(system, a_star, dt, rtol=1e-13):
     for name, got in _class_products(fact, x, x_f).items():
         assert np.linalg.norm(got - want[name]) <= rtol * np.linalg.norm(want[name]), name
     schur = ad * (ref["k_ff"] - ad * (ref["k_ft"] @ (a_inv @ ref["k_tf"])))
-    assert np.linalg.norm(fact.schur.toarray() - schur) <= rtol * np.linalg.norm(schur)
+    assert np.linalg.norm(schur_matrix(fact).toarray() - schur) <= rtol * np.linalg.norm(schur)
     return fact
 
 
@@ -617,6 +640,61 @@ def test_class_products_match_csr(mesh_name, k, min_members, monkeypatch):
     assert summary["gemm_cells"] + summary["stacked_cells"] == system.mesh.n_cells
     if min_members == 1:
         assert summary["gemm_cells"] == system.mesh.n_cells
+
+
+@pytest.mark.parametrize("materials", [ACADEMIC, GRANITE_WATER], ids=["academic", "granite-water"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+@pytest.mark.parametrize("mesh_name", MESHES)
+def test_cell_operator_views_match_their_csr(mesh_name, mode, k, materials, monkeypatch):
+    """M, K_TT, K_TF and K_FT are views over the class store: each counts the
+    entries of its CSR without forming it, and its product, the energy and
+    the interface face values match their CSR forms."""
+    config = (StabilizationConfig.explicit() if mode == "explicit"
+              else StabilizationConfig.implicit())
+    system = assemble(golden_mesh(mesh_name), materials, config, k=k)
+    names = ("mass", "k_tt", "k_tf", "k_ft")
+    with monkeypatch.context() as patch:
+        patch.setattr(hho.CellClasses, "matrix", lambda *args: pytest.fail("CSR formed"))
+        nnz = {name: getattr(system, name).nnz for name in names}
+    rng = np.random.default_rng(12)
+    for name in names:
+        view = getattr(system, name)
+        csr = view.tocsr()
+        assert view.shape == csr.shape and nnz[name] == csr.nnz > 0, name
+        assert view.tocsr() is csr, name
+        x = rng.standard_normal(view.shape[1])
+        want = csr @ x
+        assert np.linalg.norm(view @ x - want) <= 1e-13 * np.linalg.norm(want), name
+    u = rng.standard_normal(system.n_cell_dofs)
+    want = 0.5 * u @ (system.mass.tocsr() @ u)
+    assert abs(energy(u, system) - want) <= 1e-13 * want
+    layout = system.layout
+    u_f, want = system.face_values(u), system.face_op @ u
+    for side in ("fluid", "solid"):
+        dofs = np.concatenate([np.arange(layout.n_face_dofs)[layout.face_side_slice(fi, side)]
+                               for fi in system.mesh.interface_faces])
+        assert (np.linalg.norm(u_f[dofs] - want[dofs])
+                <= 1e-13 * np.linalg.norm(want[dofs])), side
+
+
+@pytest.mark.parametrize("mesh_name", MESHES)
+def test_factorization_holds_one_schur_matrix(mesh_name):
+    # the LU's equilibrated CSC copy is the only Schur matrix kept, and it
+    # is D S D of the assembled S
+    system = assemble(golden_mesh(mesh_name), ACADEMIC, StabilizationConfig.implicit(), k=1)
+    fact = CondensedFactorization(system, tableau("SDIRK34").a_star, 0.01)
+    n = system.n_face_dofs
+    held = [value for obj in (fact, fact.schur_solver) for value in vars(obj).values()
+            if sp.issparse(value) and value.shape == (n, n)]
+    assert len(held) == 1 and held[0] is fact.schur_solver.matrix
+    assert held[0].format == "csc" and held[0].indices.dtype == np.int32
+    scale = fact.schur_solver.scale
+    schur = schur_matrix(fact).toarray()
+    assert np.allclose(np.abs(np.diag(schur)), 1.0 / scale**2, rtol=1e-14, atol=0.0)
+    b = np.random.default_rng(13).standard_normal(n)
+    x = fact.schur_solver.solve(b)
+    assert np.linalg.norm(scale * (schur @ x - b)) <= 1e-8 * np.linalg.norm(scale * b)
 
 
 def test_gemm_break_even_falls_with_block_size():
@@ -685,7 +763,7 @@ def test_schur_lu_fill_below_colamd(family, k, monkeypatch):
     fact = CondensedFactorization(system, tab.a_star, 0.01)
     (lu,) = shipped
     assert fact.schur_solver.lu_nnz == lu.nnz > 0
-    colamd = splu(fact.schur.tocsc(), permc_spec="COLAMD")
+    colamd = splu(schur_matrix(fact).tocsc(), permc_spec="COLAMD")
     assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
@@ -695,11 +773,11 @@ def test_schur_matvec_matches_triple_product():
     fact = CondensedFactorization(system, a_star, dt)
     rng = np.random.default_rng(4)
     ad = a_star * dt
-    a_dense = system.mass.toarray() + ad * system.k_tt.toarray()
+    a_dense = system.mass.tocsr().toarray() + ad * system.k_tt.tocsr().toarray()
     for _ in range(3):
         v = rng.standard_normal(system.n_face_dofs)
-        got = fact.schur @ v
-        inner = np.linalg.solve(a_dense, system.k_tf.toarray() @ v)
+        got = schur_matrix(fact) @ v
+        inner = np.linalg.solve(a_dense, system.k_tf.tocsr().toarray() @ v)
         ref = ad * (system.k_ff @ v - ad * (system.k_ft @ inner))
         assert np.linalg.norm(got - ref) < 1e-11 * max(1.0, np.linalg.norm(ref))
 
