@@ -1,14 +1,12 @@
 """Batch drivers: simulate, converge, cfl and efficiency subcommands.
 
-Runs are configured by a JSON file (see README for the schema); a few common
-flags override file values. Outputs are deterministic CSV tables, ASCII VTU
-snapshots of cell-averaged fields, and a machine-readable JSON run summary.
-Wall-clock timing covers assembly, factorization and the time loop; mesh
-generation, the stability estimate that caps explicit `efficiency` steps and
-file IO are excluded. The `simulate` summary also times each phase on its
-own: mesh, assemble, stepper (block inverses, condensation and factor),
-march (with sensors, energy and snapshots) and output (the CSV files), and
-records the process's peak resident set size after each of the first four.
+Runs are configured by a JSON file that one table, CONFIG, checks key by key
+(see README for the schema); `--mesh` replaces its mesh section. Outputs are
+deterministic CSV tables, ASCII VTU snapshots of cell-averaged fields, and a
+JSON run summary with per-phase timings and peak memory. Wall-clock timing
+covers assembly, factorization and the time loop; mesh generation, the
+stability estimate that caps explicit `efficiency` steps and file IO are
+excluded.
 
 Exit codes: 0 success, 2 configuration error, 3 instability detected,
 4 linear solver failure.
@@ -17,7 +15,6 @@ Exit codes: 0 success, 2 configuration error, 3 instability detected,
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import logging
 import math
@@ -40,8 +37,6 @@ EXIT_SOLVER = 4
 
 EXPLICIT_SCHEMES = ("ERK2", "ERK3", "ERK4")
 IMPLICIT_SCHEMES = ("SDIRK23", "SDIRK34")
-# the keys of the `efficiency` section that `cmd_efficiency` reads
-EFFICIENCY_KEYS = ("schemes", "levels", "dt0", "cfl_cap")
 # the assembled operators whose stored entries `simulate` reports
 OPERATORS = ("mass", "k_tt", "k_tf", "k_ft", "k_ff")
 # The largest Courant number c# dt / h at which an implicit `simulate` run
@@ -56,36 +51,207 @@ class CliConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# configuration schema
+#
+# Each config object is a Section: its allowed keys, each with a rule and a
+# default. A rule takes a value and its label in messages and returns the value
+# the run uses, or raises CliConfigError. A REQUIRED key has no default; an
+# OPTIONAL one stays absent, so the default of what it feeds holds.
 
-DEFAULTS = {
-    "degree": 1,
-    "scheme": "ERK2",
-    "final_time": 1.0,
-    "materials": "academic",
-    "scenario": {"type": "zero"},
-    "stabilization": {},
-    "sensors": [],
-    "output": {},
+REQUIRED, OPTIONAL = object(), object()
+
+
+class Section:
+    """Rule for a config object: `keys` maps each allowed key to (rule, default);
+    `label` renames the object in messages, `note` follows its unknown keys'."""
+
+    def __init__(self, keys, label=None, note=None):
+        self.keys, self.label, self.note = keys, label, note
+
+    def __call__(self, val, what):
+        what = self.label or what
+        _need(isinstance(val, dict), val, what or "config", "an object")
+        out = {}
+        for key, (rule, default) in self.keys.items():
+            if key not in val and default is REQUIRED:
+                raise CliConfigError(f"{what or 'config'} requires {key!r}")
+            if key in val or default is not OPTIONAL:
+                out[key] = rule(val[key] if key in val else default, f"{what} {key}".lstrip())
+        return out
+
+
+def _need(ok, val, what, must):
+    """`val` if `ok`, else CliConfigError: `what` must be `must`."""
+    if not ok:
+        raise CliConfigError(f"{what} must be {must}, got {val!r}")
+    return val
+
+
+def _number(val, what, must="a number"):
+    """A finite JSON number (a bool is none) as a float."""
+    return float(_need(isinstance(val, (int, float)) and not isinstance(val, bool)
+                       and math.isfinite(val), val, what, must))
+
+
+def _positive(val, what):
+    return _need(_number(val, what) > 0, float(val), what, "positive")
+
+
+def _integer(low, high=math.inf):
+    """Rule: an integer in [low, high]; a bool or a fractional number is none."""
+    bound = f"in [{low}, {high}]" if high < math.inf else ("positive" if low else "non-negative")
+
+    def rule(val, what):
+        _need(_number(val, what, "an integer").is_integer(), val, what, "an integer")
+        return int(_need(low <= val <= high, val, what, bound))
+    return rule
+
+
+def _kind(cls, must):
+    return lambda val, what: _need(isinstance(val, cls), val, what, must)
+
+
+def _choice(*names, upper=False):
+    """Rule: one of `names`, in any letter case if `upper`."""
+    def rule(val, what):
+        val = val.upper() if upper and isinstance(val, str) else val
+        return _need(val in names, val, what, f"one of {', '.join(names)}")
+    return rule
+
+
+def _list(item, n=None, kind=""):
+    """Rule: a list whose entries follow `item`; with `n`, a tuple of `n` `kind`."""
+    def rule(val, what):
+        _need(isinstance(val, (list, tuple)) and len(val) == (n or len(val)), val, what,
+              f"a list of {n} {kind}" if n else "a list")
+        return (tuple if n else list)(item(v, what) for v in val)
+    return rule
+
+
+def _form(forms, val):
+    """The first of `forms` whose key config object `val` holds, else the last."""
+    return forms[next((key for key in forms if isinstance(val, dict) and key in val),
+                      list(forms)[-1])]
+
+
+def _mesh(val, what):
+    return _form(MESH_FORMS, val)[1](val, what)
+
+
+def _scenario(val, what):
+    """Rule for `scenario`: its `type` picks the table of its other keys."""
+    kind = val["type"] if isinstance(val, dict) and "type" in val else None
+    return SCENARIOS[_choice(*SCENARIOS)(kind, "scenario type")](val, what)
+
+
+def _materials(val, what):
+    """Rule for `materials`: a built-in set's name, or one entry per region."""
+    if isinstance(val, str):
+        return val
+    _need(isinstance(val, dict), val, what, "a name or an object")
+    return {region: _form(MATERIAL_FORMS, entry)[1](entry, f"material {region!r}")
+            for region, entry in val.items()}
+
+
+def _unknown(raw, out, path=""):
+    """The dotted paths of the keys of config `raw` that resolving it to `out` left out."""
+    if isinstance(raw, (list, tuple)) and isinstance(out, (list, tuple)):
+        raw, out = dict(enumerate(raw)), dict(enumerate(out))
+    if not (isinstance(raw, dict) and isinstance(out, dict)):
+        return []
+    return [found for key, val in raw.items() for found in (
+        _unknown(val, out[key], f"{path}{key}.") if key in out else [f"{path}{key}"])]
+
+
+_TEXT = _kind(str, "a string")
+_POINT = _list(_number, 2, "numbers")
+_RECT = _list(_number, 4, "numbers")
+_COUNTS = _list(_integer(1), 2, "integers")
+_SCHEME = _choice(*EXPLICIT_SCHEMES, *IMPLICIT_SCHEMES, upper=True)
+LU_NOTE = ("the Schur complement is always factored by the direct LU (direct-lu), "
+           "which has no settings")
+
+# per form, picked by _form: (what it builds, its table)
+MESH_FORMS = {
+    "file": (lambda m: msh.read_msh(m["file"], m.get("region_map")), Section({
+        "file": (_TEXT, REQUIRED), "region_map": (_kind(dict, "an object"), OPTIONAL)})),
+    "fixture": (lambda m: msh.load_text(m["fixture"]), Section({"fixture": (_TEXT, REQUIRED)})),
+    "nonconforming": (
+        lambda m: msh.merge_nonconforming(build_mesh(m["nonconforming"]["fluid"]),
+                                          build_mesh(m["nonconforming"]["solid"])),
+        Section({"nonconforming": (Section({"fluid": (_mesh, REQUIRED),
+                                            "solid": (_mesh, REQUIRED)}), REQUIRED)})),
+    "family": (lambda m: msh.generate(msh.MeshGenSpec(**m)), Section({
+        "family": (_choice(*msh.FAMILIES), "cartesian"),
+        "level": (_integer(0), OPTIONAL),
+        "fluid_rect": (_RECT, OPTIONAL), "solid_rect": (_RECT, OPTIONAL),
+        "n_fluid": (_COUNTS, OPTIONAL), "n_solid": (_COUNTS, OPTIONAL)})),
 }
+MATERIAL_FORMS = {    # every key of a material entry is a required number
+    "kappa": (FluidMaterial, Section(dict.fromkeys(("rho", "kappa"), (_number, REQUIRED)))),
+    "c_s": (SolidMaterial.from_speeds, Section(dict.fromkeys(("rho", "c_p", "c_s"),
+                                                             (_number, REQUIRED)))),
+    "c_p": (FluidMaterial.from_speeds, Section(dict.fromkeys(("rho", "c_p"), (_number, REQUIRED)))),
+}
+SCENARIOS = {
+    "zero": Section({"type": (_TEXT, REQUIRED)}),
+    "manufactured": Section({"type": (_TEXT, REQUIRED),
+                             "omega": (_number, scenarios.MANUFACTURED_OMEGA),
+                             "theta": (_number, scenarios.MANUFACTURED_THETA)}),
+    "ricker": Section({"type": (_TEXT, REQUIRED),
+                       "amplitude": (_number, scenarios.RickerConfig().amplitude),
+                       "central_frequency": (_number, scenarios.RickerConfig().central_frequency),
+                       "center": (_POINT, scenarios.RickerConfig().center)}, label="Ricker"),
+}
+SENSOR = Section({"name": (_TEXT, OPTIONAL),         # S<index> by default
+                  "kind": (_choice("fluid", "solid", "interface"), REQUIRED),
+                  "position": (_POINT, REQUIRED)}, label="sensor")
+CONFIG = Section({
+    "mesh": (_mesh, REQUIRED),
+    "degree": (_integer(0, 4), 1),
+    "scheme": (_SCHEME, "ERK2"),
+    "order_mode": (_choice("equal", "mixed"), OPTIONAL),   # the scheme's by default
+    "dt": (_positive, OPTIONAL),                           # dt or cfl is required
+    "cfl": (_positive, OPTIONAL),
+    "final_time": (_positive, 1.0),
+    "materials": (_materials, "academic"),
+    "scenario": (_scenario, {"type": "zero"}),
+    # a weight left out keeps StabilizationConfig.explicit's or .implicit's
+    "stabilization": (Section({"eta_fluid": (_positive, OPTIONAL),
+                               "eta_solid": (_positive, OPTIONAL)}), {}),
+    "sensors": (_list(SENSOR), []),
+    "output": (Section({"traces": (_TEXT, "traces.csv"), "trace_every": (_integer(1), 1),
+                        "snapshot_every": (_integer(0), 0),
+                        "summary": (_TEXT, "summary.json")}), {}),
+    "cfl_sweep": (Section({
+        "families": (_list(_choice(*msh.FAMILIES)), ["cartesian"]),
+        "degrees": (_list(_integer(0, 4)), OPTIONAL),     # [degree] by default
+        "schemes": (_list(_choice(*EXPLICIT_SCHEMES, upper=True)), ["ERK2"]),
+        "level": (_integer(0), 4),
+        "eps": (_number, scenarios.CflBracketConfig().eps),
+        "delta": (_number, scenarios.CflBracketConfig().delta)}), {}),
+    "efficiency": (Section({
+        "schemes": (_list(_SCHEME), ["ERK2", "SDIRK34"]),
+        "levels": (_list(_integer(0)), [0, 1, 2]),
+        "dt0": (_positive, 0.01), "cfl_cap": (_positive, 0.9)}, note=LU_NOTE), {}),
+    "solver": (Section({}, note=LU_NOTE), OPTIONAL),
+})
 
 
 def load_config(path=None, overrides=None) -> dict:
-    """Read, merge and validate a run configuration."""
-    cfg = copy.deepcopy(DEFAULTS)
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                user = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(user, dict):
-            raise CliConfigError("config root must be a JSON object")
-        _deep_update(cfg, user)
-    if overrides:
-        _deep_update(cfg, overrides)
-    validate_config(cfg)
-    return cfg
+    """Read a run configuration, merge `overrides` into it and resolve it."""
+    cfg = {} if path is None else _read_config(path)
+    _deep_update(cfg, overrides or {})
+    return validate_config(cfg)
+
+
+def _read_config(path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliConfigError(f"cannot read config {path}: {exc}") from exc
+    return _need(isinstance(cfg, dict), cfg, "config root", "a JSON object")
 
 
 def _deep_update(base, extra):
@@ -96,190 +262,71 @@ def _deep_update(base, extra):
             base[key] = val
 
 
-def validate_config(cfg: dict):
-    if "mesh" not in cfg or not isinstance(cfg["mesh"], dict):
-        raise CliConfigError("config requires a 'mesh' section")
-    _reject_solver_settings(cfg)
-    scheme = str(cfg.get("scheme", "")).upper()
-    if scheme not in EXPLICIT_SCHEMES + IMPLICIT_SCHEMES:
-        raise CliConfigError(f"unknown scheme {cfg.get('scheme')!r}")
-    cfg["scheme"] = scheme
-    k = cfg.get("degree")
-    if not isinstance(k, int) or k < 0 or k > 4:
-        raise CliConfigError("degree must be an integer in [0, 4]")
-    mode = cfg.get("order_mode")
-    explicit = scheme in EXPLICIT_SCHEMES
-    if mode is None:
-        cfg["order_mode"] = "equal" if explicit else "mixed"
-    elif mode not in ("equal", "mixed"):
-        raise CliConfigError("order_mode must be 'equal' or 'mixed'")
-    elif explicit and mode == "mixed":
-        raise CliConfigError("explicit schemes use the equal-order path")
-    elif not explicit and mode == "equal":
-        raise CliConfigError("implicit schemes use the mixed-order path")
+def validate_config(cfg: dict) -> dict:
+    """`cfg` resolved against CONFIG: every value checked and converted, every
+    absent key with a default at it; `cfg` is left as it is."""
+    raw, cfg = cfg, CONFIG(cfg, "")
+    unknown = _unknown(raw, cfg)
+    if unknown:
+        notes = dict.fromkeys(getattr(CONFIG.keys[path.split(".")[0]][0], "note", None)
+                              for path in unknown if "." in path)
+        raise CliConfigError(f"unknown config key{'s' if len(unknown) > 1 else ''} "
+                             f"{', '.join(unknown)}" + "".join(f"; {n}" for n in notes if n))
+    # the rules and defaults that follow other keys
+    mode = "equal" if cfg["scheme"] in EXPLICIT_SCHEMES else "mixed"
+    if cfg.setdefault("order_mode", mode) != mode:
+        raise CliConfigError(f"scheme {cfg['scheme']} uses the {mode}-order path")
     if "dt" not in cfg and "cfl" not in cfg:
         raise CliConfigError("either 'dt' or a target 'cfl' is required")
-    if _float(cfg.get("final_time"), "final_time") <= 0:
-        raise CliConfigError("final_time must be positive")
-    stype = cfg.get("scenario", {}).get("type")
-    if stype not in ("zero", "manufactured", "ricker"):
-        raise CliConfigError(f"unknown scenario type {stype!r}")
-    for sensor in cfg.get("sensors", []):
-        if sensor.get("kind") not in ("fluid", "solid", "interface"):
-            raise CliConfigError(f"unknown sensor kind in {sensor}")
-        _floats(sensor.get("position"), 2, f"sensor position [x, y] in {sensor}")
-
-
-def _reject_solver_settings(cfg: dict):
-    """The Schur solver has no settings: CliConfigError naming any key of a
-    `solver` section (the section itself if it is empty or not an object),
-    or else every `efficiency` key but EFFICIENCY_KEYS, among them the
-    study's former solver settings."""
-    section = cfg.get("solver")
-    keys = [f"solver.{key}" for key in section] if isinstance(section, dict) else []
-    if "solver" in cfg and not keys:
-        keys = ["solver"]
-    study = ""
-    eff = cfg.get("efficiency")
-    if not keys and isinstance(eff, dict):
-        keys = [f"efficiency.{key}" for key in eff if key not in EFFICIENCY_KEYS]
-        study = f"; efficiency takes only {', '.join(EFFICIENCY_KEYS)}"
-    if keys:
-        raise CliConfigError(f"config key {', '.join(keys)} not accepted: the Schur complement "
-                             "is always factored by the direct LU (direct-lu), which has no "
-                             f"settings{study}")
-
-
-def _float(val, what):
-    """A config value as a float; CliConfigError naming `what` if it is not a number."""
-    try:
-        return float(val)
-    except (TypeError, ValueError):
-        raise CliConfigError(f"{what} must be a number, got {val!r}") from None
-
-
-def _int(val, what):
-    try:
-        return int(val)
-    except (TypeError, ValueError):
-        raise CliConfigError(f"{what} must be an integer, got {val!r}") from None
-
-
-def _floats(val, n, what):
-    """A config list of `n` numbers as a tuple of floats."""
-    if not isinstance(val, (list, tuple)) or len(val) != n:
-        raise CliConfigError(f"{what} must be a list of {n} numbers, got {val!r}")
-    return tuple(_float(v, what) for v in val)
+    cfg["cfl_sweep"].setdefault("degrees", [cfg["degree"]])
+    for i, sensor in enumerate(cfg["sensors"]):
+        sensor.setdefault("name", f"S{i}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
 # construction from config
 
 def build_mesh(mesh_cfg: dict) -> msh.PolyMesh:
-    if "file" in mesh_cfg:
-        return msh.read_msh(mesh_cfg["file"], region_map=mesh_cfg.get("region_map"))
-    if "fixture" in mesh_cfg:
-        return msh.load_text(mesh_cfg["fixture"])
-    if "nonconforming" in mesh_cfg:
-        sub = mesh_cfg["nonconforming"]
-        fluid = build_mesh(sub["fluid"])
-        solid = build_mesh(sub["solid"])
-        return msh.merge_nonconforming(fluid, solid)
-    try:
-        spec = msh.MeshGenSpec(
-            family=mesh_cfg.get("family", "cartesian"),
-            level=_int(mesh_cfg.get("level", 0), "mesh level"),
-            fluid_rect=_rect(mesh_cfg.get("fluid_rect")),
-            solid_rect=_rect(mesh_cfg.get("solid_rect")),
-            n_fluid=_pair(mesh_cfg.get("n_fluid"), "n_fluid"),
-            n_solid=_pair(mesh_cfg.get("n_solid"), "n_solid"),
-        )
-        return msh.generate(spec)
-    except msh.MeshError as exc:
-        raise CliConfigError(f"mesh generation failed: {exc}") from exc
-
-
-def _rect(val):
-    return None if val is None else _floats(val, 4, "rectangle [x0, y0, x1, y1]")
-
-
-def _pair(val, what):
-    if val is None:
-        return None
-    if not isinstance(val, (list, tuple)) or len(val) != 2:
-        raise CliConfigError(f"{what} must be a list of 2 integers, got {val!r}")
-    return _int(val[0], what), _int(val[1], what)
+    return _form(MESH_FORMS, mesh_cfg)[0](mesh_cfg)
 
 
 def build_materials(cfg) -> MaterialMap:
-    spec = cfg.get("materials", "academic")
+    spec = cfg["materials"]
     if isinstance(spec, str):
         return scenarios.builtin_materials(spec)
-    table = {}
-    for region, entry in spec.items():
-        def value(key):
-            return _float(entry.get(key), f"material {region!r} {key}")
-
-        if "kappa" in entry:
-            table[region] = FluidMaterial(rho=value("rho"), kappa=value("kappa"))
-        elif "c_s" in entry:
-            table[region] = SolidMaterial.from_speeds(value("rho"), value("c_p"),
-                                                      value("c_s"))
-        elif "c_p" in entry:
-            table[region] = FluidMaterial.from_speeds(value("rho"), value("c_p"))
-        else:
-            raise CliConfigError(f"material entry for {region!r} needs kappa or c_p/c_s")
-    return MaterialMap(by_region=table)
+    return MaterialMap(by_region={region: _form(MATERIAL_FORMS, entry)[0](**entry)
+                                  for region, entry in spec.items()})
 
 
 def build_stabilization(cfg) -> hho.StabilizationConfig:
-    stab = cfg.get("stabilization", {})
-    equal = cfg["order_mode"] == "equal"
-    make = hho.StabilizationConfig.explicit if equal else hho.StabilizationConfig.implicit
-    return make(
-        eta_fluid=_float(stab.get("eta_fluid", 0.8 if equal else 1.0), "eta_fluid"),
-        eta_solid=_float(stab.get("eta_solid", 1.5 if equal else 1.0), "eta_solid"))
+    make = (hho.StabilizationConfig.explicit if cfg["order_mode"] == "equal"
+            else hho.StabilizationConfig.implicit)
+    return make(**cfg["stabilization"])
 
 
 def build_scenario(cfg, system, materials):
     """Initial state and forcing for the configured scenario."""
-    sc = cfg.get("scenario", {"type": "zero"})
-    stype = sc.get("type", "zero")
-    if stype == "zero":
+    sc = cfg["scenario"]
+    if sc["type"] == "zero":
         return np.zeros(system.n_cell_dofs), None, None
-    if stype == "manufactured":
-        case = scenarios.ManufacturedCase(_float(sc.get("omega", 5.0), "omega"),
-                                          _float(sc.get("theta", math.sqrt(2.0)), "theta"),
-                                          materials)
+    if sc["type"] == "manufactured":
+        case = scenarios.ManufacturedCase(sc["omega"], sc["theta"], materials)
         u0 = scenarios.manufactured_initial_state(system, case)
         forcing = scenarios.manufactured_forcing(system, case)
         return u0, forcing, case
-    if stype == "ricker":
-        fluid = None
-        for mat in materials.by_region.values():
-            if isinstance(mat, FluidMaterial):
-                fluid = mat
-                break
-        if fluid is None:
-            raise CliConfigError("ricker scenario needs a fluid material")
-        cfg_r = scenarios.RickerConfig(
-            amplitude=_float(sc.get("amplitude", 1.0), "Ricker amplitude"),
-            central_frequency=_float(sc.get("central_frequency", 10.0),
-                                     "Ricker central_frequency"),
-            center=_floats(sc.get("center", (0.0, 0.0)), 2, "Ricker center"),
-            sound_speed=fluid.c_p)
-        return scenarios.ricker_initial_state(system, cfg_r), None, cfg_r
-    raise CliConfigError(f"unknown scenario type {stype!r}")
+    fluid = next((mat for mat in materials.by_region.values()
+                  if isinstance(mat, FluidMaterial)), None)
+    if fluid is None:
+        raise CliConfigError("ricker scenario needs a fluid material")
+    cfg_r = scenarios.RickerConfig(sc["amplitude"], sc["central_frequency"], sc["center"],
+                                   sound_speed=fluid.c_p)
+    return scenarios.ricker_initial_state(system, cfg_r), None, cfg_r
 
 
 def resolve_dt(cfg, mesh, materials) -> float:
-    if "dt" in cfg:
-        dt = _float(cfg["dt"], "dt")
-    else:
-        dt = _float(cfg["cfl"], "cfl") * mean_h(mesh) / materials.c_sharp(mesh)
-    if dt <= 0:
-        raise CliConfigError("time step must be positive")
-    return dt
+    """The configured `dt`, else the one of the target Courant number `cfl`."""
+    return cfg["dt"] if "dt" in cfg else cfg["cfl"] * mean_h(mesh) / materials.c_sharp(mesh)
 
 
 def mean_h(mesh) -> float:
@@ -293,8 +340,7 @@ def courant(mesh, materials, dt) -> float:
 
 
 def peak_rss_mb() -> float:
-    """The peak resident set size of this process so far, in MB (Linux
-    reports `ru_maxrss` in KB)."""
+    """The peak resident set size of this process so far, in MB (`ru_maxrss` is in KB)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
@@ -316,8 +362,7 @@ def step_count(final_time: float, dt: float):
 
 
 def build_stepper(cfg, system, dt):
-    scheme = cfg["scheme"]
-    tab = timestep.tableau(scheme)
+    tab = timestep.tableau(cfg["scheme"])
     if tab.explicit:
         return timestep.ExplicitStepper(system, tab), tab
     return timestep.ImplicitStepper(system, tab, dt), tab
@@ -327,14 +372,10 @@ def dof_summary(system, explicit: bool) -> dict:
     layout = system.layout
     total = layout.n_cell_dofs + layout.n_face_dofs
     condensed = layout.n_cell_dofs if explicit else layout.n_face_dofs
-    out = layout.summary()
-    out.update({
-        "dofs_before_condensation": total,
-        "dofs_after_condensation": condensed,
-        "condensation_reduction": 1.0 - condensed / total if total else 0.0,
-        "condensed_unknowns": "cells" if explicit else "faces",
-    })
-    return out
+    return dict(layout.summary(), dofs_before_condensation=total,
+                dofs_after_condensation=condensed,
+                condensation_reduction=1.0 - condensed / total if total else 0.0,
+                condensed_unknowns="cells" if explicit else "faces")
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +385,7 @@ def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(val):
-    if isinstance(val, float):
-        return repr(val)
-    return str(val)
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def cell_average_rows(system) -> np.ndarray:
@@ -377,13 +412,12 @@ def write_vtu(path, system, u_t, mean_rows):
     v = u_t[layout.cell_dofs(solid, "primal")].reshape(mean_rows[solid].shape + (2,))
     v = np.einsum("ci,cia->ca", mean_rows[solid], v)
     vnorm[solid] = np.hypot(v[:, 0], v[:, 1])
-    n_pts = mesh.n_vertices
     conn = np.concatenate([loop for loop in mesh.cell_vertices])
     offsets = np.cumsum([len(loop) for loop in mesh.cell_vertices])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('<?xml version="1.0"?>\n')
         fh.write('<VTKFile type="UnstructuredGrid" version="0.1" byte_order="LittleEndian">\n')
-        fh.write(f'<UnstructuredGrid><Piece NumberOfPoints="{n_pts}" '
+        fh.write(f'<UnstructuredGrid><Piece NumberOfPoints="{mesh.n_vertices}" '
                  f'NumberOfCells="{mesh.n_cells}">\n')
         fh.write('<Points><DataArray type="Float64" NumberOfComponents="3" format="ascii">\n')
         for x, y in mesh.vertices:
@@ -408,12 +442,8 @@ def write_vtu(path, system, u_t, mean_rows):
 # subcommands
 
 def cmd_simulate(cfg, out_dir) -> int:
-    out_cfg = cfg.get("output", {})
-    trace_every = _int(out_cfg.get("trace_every", 1), "output.trace_every")
-    snap_every = _int(out_cfg.get("snapshot_every", 0), "output.snapshot_every")
-    if trace_every < 1 or snap_every < 0:
-        raise CliConfigError("output.trace_every must be positive and "
-                             "output.snapshot_every non-negative")
+    out_cfg = cfg["output"]
+    trace_every, snap_every = out_cfg["trace_every"], out_cfg["snapshot_every"]
     os.makedirs(out_dir, exist_ok=True)
     timings = {}            # seconds per phase
     peak_rss = {}           # MB, the process's peak RSS after each phase
@@ -424,8 +454,7 @@ def cmd_simulate(cfg, out_dir) -> int:
     peak_rss["mesh"] = peak_rss_mb()
     materials = build_materials(cfg)
     stab = build_stabilization(cfg)
-    n_steps, dt = step_count(_float(cfg["final_time"], "final_time"),
-                             resolve_dt(cfg, mesh, materials))
+    n_steps, dt = step_count(cfg["final_time"], resolve_dt(cfg, mesh, materials))
     courant_number = courant(mesh, materials, dt)
     log.info("simulate: %d cells, %d steps of dt=%g, Courant number %.4g",
              mesh.n_cells, n_steps, dt, courant_number)
@@ -458,9 +487,8 @@ def cmd_simulate(cfg, out_dir) -> int:
                  "factored in %.2f s", schur.n, schur.matrix_nnz,
                  schur.lu_nnz, schur.lu_nnz / schur.matrix_nnz, schur.factor_s)
 
-    sensors = [scenarios.BoundSensor(
-        scenarios.SensorSpec(tuple(s["position"]), s["kind"], s.get("name", f"S{i}")),
-        system) for i, s in enumerate(cfg.get("sensors", []))]
+    sensors = [scenarios.BoundSensor(scenarios.SensorSpec(s["position"], s["kind"], s["name"]),
+                                     system) for s in cfg["sensors"]]
     mean_rows = cell_average_rows(system) if snap_every else None
     has_interface = any(s.spec.kind == "interface" for s in sensors)
     times, records, energies = [], [], []
@@ -500,8 +528,7 @@ def cmd_simulate(cfg, out_dir) -> int:
         header = ["time"] + [f"{s.spec.name}.{ch}" for s in sensors for ch in s.channels]
         rows = [[t] + [float(v) for rec in recs for v in rec]
                 for t, recs in zip(times, records)]
-        write_csv(os.path.join(out_dir, out_cfg.get("traces", "traces.csv")),
-                  header, rows)
+        write_csv(os.path.join(out_dir, out_cfg["traces"]), header, rows)
     write_csv(os.path.join(out_dir, "energy.csv"), ["time", "energy"],
               list(zip(times, energies)))
     timings["output"] = time.perf_counter() - end
@@ -535,8 +562,7 @@ def cmd_simulate(cfg, out_dir) -> int:
         summary["condensation"] = condensation
     if schur is not None:
         summary["solver"] = schur.stats()
-    with open(os.path.join(out_dir, out_cfg.get("summary", "summary.json")),
-              "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, out_cfg["summary"]), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=float)
     if status == "instability":
         log.error("instability detected at step %s", failed_step)
@@ -554,11 +580,8 @@ def energy_max_drift(energies):
 
 
 def _manufactured_run(cfg, system, n_steps, dt):
-    """One run of a study: march the manufactured case, measure the error.
-
-    Returns the dual-variable L2 error at the final time and the seconds
-    spent from the scenario set-up through the time loop.
-    """
+    """One run of a study: the dual-variable L2 error of the manufactured case
+    at the final time, and the seconds from its set-up through the time loop."""
     t0 = time.perf_counter()
     u0, forcing, case = build_scenario(cfg, system, system.materials)
     stepper, _ = build_stepper(cfg, system, dt)
@@ -572,19 +595,17 @@ def cmd_converge(cfg, out_dir, levels) -> int:
         raise CliConfigError("convergence study needs at least 2 levels")
     os.makedirs(out_dir, exist_ok=True)
     materials = build_materials(cfg)
-    if cfg.get("scenario", {}).get("type") != "manufactured":
+    if cfg["scenario"]["type"] != "manufactured":
         raise CliConfigError("convergence study requires the manufactured scenario")
     rows = []
     prev_err = None
     for level in levels:
         mesh = build_mesh(dict(cfg["mesh"], level=level))
-        n_steps, dt = step_count(_float(cfg["final_time"], "final_time"),
-                                 resolve_dt(cfg, mesh, materials))
+        n_steps, dt = step_count(cfg["final_time"], resolve_dt(cfg, mesh, materials))
         system = hho.assemble(mesh, materials, build_stabilization(cfg), k=cfg["degree"])
         err, _ = _manufactured_run(cfg, system, n_steps, dt)
         rate = math.log2(prev_err / err) if prev_err else float("nan")
-        h = mean_h(mesh)
-        rows.append([level, h, err, rate])
+        rows.append([level, mean_h(mesh), err, rate])
         prev_err = err
         log.info("level %d: error %.3e rate %.2f", level, err, rate)
     write_csv(os.path.join(out_dir, "convergence.csv"),
@@ -594,40 +615,29 @@ def cmd_converge(cfg, out_dir, levels) -> int:
 
 def cmd_cfl(cfg, out_dir) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    sweep = cfg.get("cfl_sweep", {})
-    families = sweep.get("families", ["cartesian"])
-    degrees = sweep.get("degrees", [cfg.get("degree", 1)])
-    schemes = [s.upper() for s in sweep.get("schemes", ["ERK2"])]
-    level = _int(sweep.get("level", 4), "cfl_sweep level")
-    bracket_cfg = scenarios.CflBracketConfig(
-        eps=_float(sweep.get("eps", 0.05), "cfl_sweep eps"),
-        delta=_float(sweep.get("delta", 0.01), "cfl_sweep delta"))
-    final_time = _float(cfg.get("final_time", 1.0), "final_time")
+    sweep = cfg["cfl_sweep"]
+    degrees, schemes, level = sweep["degrees"], sweep["schemes"], sweep["level"]
+    bracket_cfg = scenarios.CflBracketConfig(eps=sweep["eps"], delta=sweep["delta"])
     materials = build_materials(cfg)
     stab = build_stabilization(dict(cfg, order_mode="equal"))
     results = {}
-    rows = []
-    for family in families:
+    for family in sweep["families"]:
         mesh = build_mesh(dict(cfg["mesh"], family=family, level=level))
         h = mean_h(mesh)
         for k in degrees:
             system = hho.assemble(mesh, materials, stab, k=k)
             for scheme in schemes:
                 tab = timestep.tableau(scheme)
-                est = scenarios.cfl_bracket(system, tab, h, final_time=final_time,
+                est = scenarios.cfl_bracket(system, tab, h, final_time=cfg["final_time"],
                                             config=bracket_cfg)
                 results[(family, k, scheme)] = est
                 log.info("cfl %s k=%d %s: [%.4f, %.4f], spectral seed %.4f, %d energy runs",
                          family, k, scheme, est.cfl_stable, est.cfl_unstable,
                          est.cfl_spectral, est.runs)
-    for (family, k, scheme), est in results.items():
-        base_s = results.get((family, k, schemes[0]))
-        base_k = results.get((family, degrees[0], scheme))
-        rows.append([family, k, scheme, level, est.h, est.cfl_stable,
-                     est.cfl_unstable, est.n_stable, est.n_unstable,
-                     est.cfl_stable / base_s.cfl_stable if base_s else float("nan"),
-                     est.cfl_stable / base_k.cfl_stable if base_k else float("nan"),
-                     est.cfl_spectral, est.runs])
+    rows = [[family, k, scheme, level, est.h, est.cfl_stable, est.cfl_unstable, est.n_stable,
+             est.n_unstable, est.cfl_stable / results[family, k, schemes[0]].cfl_stable,
+             est.cfl_stable / results[family, degrees[0], scheme].cfl_stable,
+             est.cfl_spectral, est.runs] for (family, k, scheme), est in results.items()]
     write_csv(os.path.join(out_dir, "cfl.csv"),
               ["family", "k", "scheme", "level", "h", "cfl_stable", "cfl_unstable",
                "n_stable", "n_unstable", "ratio_s", "ratio_k", "cfl_spectral", "runs"],
@@ -637,18 +647,14 @@ def cmd_cfl(cfg, out_dir) -> int:
 
 def cmd_efficiency(cfg, out_dir) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    eff = cfg.get("efficiency", {})
-    schemes = [s.upper() for s in eff.get("schemes", ["ERK2", "SDIRK34"])]
-    levels = eff.get("levels", [0, 1, 2])
-    dt0 = _float(eff.get("dt0", 0.01), "efficiency dt0")
-    cfl_cap = _float(eff.get("cfl_cap", 0.9), "efficiency cfl_cap")
+    eff = cfg["efficiency"]
+    schemes = eff["schemes"]
     materials = build_materials(cfg)
-    if cfg.get("scenario", {}).get("type") != "manufactured":
+    if cfg["scenario"]["type"] != "manufactured":
         raise CliConfigError("efficiency study requires the manufactured scenario")
     k = cfg["degree"]
-    final_time = _float(cfg["final_time"], "final_time")
     rows = [[] for _ in schemes]
-    for level in levels:
+    for level in eff["levels"]:
         # one mesh per level, one system per order mode the schemes use
         mesh = build_mesh(dict(cfg["mesh"], level=level))
         h = mean_h(mesh)
@@ -664,13 +670,13 @@ def cmd_efficiency(cfg, out_dir) -> int:
                     system.explicit_op
                 systems[run_cfg["order_mode"]] = system, time.perf_counter() - t0
             system, assemble_s = systems[run_cfg["order_mode"]]
-            dt = dt0 * 2.0 ** (-level * (k + 1) / (tab.s + 1))
+            dt = eff["dt0"] * 2.0 ** (-level * (k + 1) / (tab.s + 1))
             if tab.explicit:
                 # explicit steps are bounded by this system's own stability limit
                 # (one untimed ARPACK call per level, shared by the schemes)
                 dt_stable, _ = scenarios.spectral_dt(timestep.ExplicitStepper(system, tab), h)
-                dt = min(dt, cfl_cap * dt_stable)
-            n_steps, dt = step_count(final_time, dt)
+                dt = min(dt, eff["cfl_cap"] * dt_stable)
+            n_steps, dt = step_count(cfg["final_time"], dt)
             err, march_s = _manufactured_run(run_cfg, system, n_steps, dt)
             wall = assemble_s + march_s
             scheme_rows.append([scheme, level, dt, n_steps, err, wall])
@@ -708,11 +714,11 @@ def main(argv=None) -> int:
         level=os.environ.get("HHOWAVE_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s")
     args = make_parser().parse_args(argv)
-    overrides = {}
-    if args.mesh:
-        overrides["mesh"] = {"file": args.mesh}
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = _read_config(args.config)
+        if args.mesh:
+            cfg["mesh"] = {"file": args.mesh}       # the flag replaces the mesh section
+        cfg = validate_config(cfg)
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out)
         if args.command == "converge":
@@ -724,19 +730,12 @@ def main(argv=None) -> int:
             return cmd_converge(cfg, args.out, levels)
         if args.command == "cfl":
             return cmd_cfl(cfg, args.out)
-        if args.command == "efficiency":
-            return cmd_efficiency(cfg, args.out)
-        raise CliConfigError(f"unknown command {args.command}")
-    except (CliConfigError, hho.ConfigError, msh.MeshError, MaterialError,
-            basis.QuadratureError, scenarios.ScenarioError) as exc:
+        return cmd_efficiency(cfg, args.out)
+    except (CliConfigError, hho.ConfigError, msh.MeshError, MaterialError, basis.QuadratureError,
+            scenarios.ScenarioError, timestep.InstabilityError, timestep.SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except timestep.InstabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSTABILITY
-    except timestep.SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return (EXIT_INSTABILITY if isinstance(exc, timestep.InstabilityError) else
+                EXIT_SOLVER if isinstance(exc, timestep.SolverError) else EXIT_CONFIG)
 
 
 if __name__ == "__main__":

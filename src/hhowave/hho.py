@@ -105,9 +105,9 @@ class StabilizationConfig:
     path.
     """
 
-    order_mode: str = "equal"          # 'equal' | 'mixed'
-    eta_fluid: float = 0.8
-    eta_solid: float = 1.5
+    order_mode: str                    # 'equal' | 'mixed'
+    eta_fluid: float
+    eta_solid: float
 
     def __post_init__(self):
         if self.order_mode not in ("equal", "mixed"):

@@ -59,11 +59,14 @@ class MeshError(Exception):
     """Invalid mesh topology, geometry or input file."""
 
 
+FAMILIES = ("cartesian", "simplicial", "polygonal-hexagonal")
+
+
 @dataclass(frozen=True)
 class MeshGenSpec:
     """Built-in mesh generator request.
 
-    family: 'cartesian', 'simplicial' or 'polygonal-hexagonal'.
+    family: one of FAMILIES.
     level: refinement level l with target mesh size h = 2**-l.
     fluid_rect / solid_rect: (x0, y0, x1, y1) per subdomain; one may be None
     for a single-subdomain mesh.

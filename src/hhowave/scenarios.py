@@ -53,6 +53,11 @@ def builtin_materials(name: str) -> MaterialMap:
 # ---------------------------------------------------------------------------
 # manufactured sinusoidal case
 
+# the frequencies of the case when neither a config nor a caller names them
+MANUFACTURED_OMEGA = 5.0
+MANUFACTURED_THETA = math.sqrt(2.0)
+
+
 @dataclass(frozen=True)
 class ManufacturedCase:
     """Separable sinusoidal solution driven by spatial/temporal frequencies.
@@ -557,7 +562,7 @@ def cfl_bracket(system: hho.BlockSystem, tab: timestep.ButcherTableau, h: float,
     if not tab.explicit:
         raise ScenarioError("CFL bracketing applies to explicit schemes")
     if u0 is None:
-        case = ManufacturedCase(5.0, math.sqrt(2.0), system.materials)
+        case = ManufacturedCase(MANUFACTURED_OMEGA, MANUFACTURED_THETA, system.materials)
         u0 = manufactured_initial_state(system, case)
     c_sharp = system.materials.c_sharp(system.mesh)
     stepper = timestep.ExplicitStepper(system, tab)

@@ -1,5 +1,6 @@
 """CLI configuration, outputs and exit-code tests."""
 
+import importlib.util
 import json
 import logging
 import math
@@ -408,6 +409,15 @@ def test_non_star_shaped_fixture_exit_code(tmp_path, monkeypatch, capsys):
     ("scenario.amplitude", "loud", "Ricker amplitude must be a number"),
     ("cfl_sweep", {"level": "four"}, "cfl_sweep level must be an integer"),
     ("efficiency", {"maxiter": "many"}, "direct-lu"),
+    # sweep list entries follow the rule of their top-level key
+    ("cfl_sweep.schemes", ["ERK5"], "cfl_sweep schemes must be one of ERK2, ERK3, ERK4"),
+    ("efficiency.schemes", ["SDIRK99"], "efficiency schemes must be one of"),
+    ("cfl_sweep.degrees", [9], "cfl_sweep degrees must be in [0, 4], got 9"),
+    ("efficiency.levels", "0", "efficiency levels must be a list"),
+    # an integer is neither truncated nor a bool
+    ("output.trace_every", 2.7, "trace_every must be an integer, got 2.7"),
+    ("degree", True, "degree must be an integer, got True"),
+    ("dt", math.inf, "dt must be a number, got inf"),
 ])
 def test_malformed_value_exit_code(tmp_path, capsys, key, value, message):
     # keys of the study sections run their study; all others run simulate
@@ -453,6 +463,91 @@ def test_solver_setting_exit_code(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_unknown_keys_exit_code(tmp_path, capsys):
+    """Misspelled keys in any section exit 2 before any output, all named in one line."""
+    cfg = json.loads(json.dumps(RICKER_CFG))
+    cfg["mesh"]["level"] = 1
+    cfg["scenario"]["amplitud"] = 3.0
+    cfg["output"]["trace_evry"] = 5
+    cfg["solvr"] = {}
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: unknown config keys")
+    for path in ("scenario.amplitud", "output.trace_evry", "solvr"):
+        assert path in line
+    assert "direct-lu" not in line
+    assert not out.exists()
+
+
+def test_nested_unknown_keys_are_named_by_path():
+    cfg = json.loads(json.dumps(RICKER_CFG))
+    cfg["sensors"][1]["nmae"] = "x"
+    cfg["mesh"] = {"file": "two.msh", "level": 2}      # a file mesh has no level
+    cfg["materials"] = {"fluid": {"rho": 1.0, "kappa": 1.0, "c_p": 1.0},
+                        "solid": {"rho": 1.0, "c_p": 1.732, "c_s": 1.0}}
+    with pytest.raises(cli.CliConfigError,
+                       match="^unknown config keys mesh.level, materials.fluid.c_p, "
+                             "sensors.1.nmae$"):
+        cli.validate_config(cfg)
+    cfg = json.loads(json.dumps(RICKER_CFG))
+    cfg["mesh"] = {"nonconforming": {"fluid": RICKER_CFG["mesh"]}}
+    with pytest.raises(cli.CliConfigError, match="mesh nonconforming requires 'solid'"):
+        cli.validate_config(cfg)
+
+
+def test_resolved_config_holds_every_default():
+    cfg = cli.load_config(None, {"mesh": {"fluid_rect": [0, 0, 1, 1]}, "dt": 0.1,
+                                 "scheme": "sdirk34", "scenario": {"type": "ricker"},
+                                 "sensors": [{"kind": "fluid", "position": [0.5, 0.5]}]})
+    assert cfg["scheme"] == "SDIRK34" and cfg["order_mode"] == "mixed"
+    assert cfg["mesh"] == {"family": "cartesian", "fluid_rect": (0.0, 0.0, 1.0, 1.0)}
+    assert cfg["scenario"] == {"type": "ricker", "amplitude": 1.0, "central_frequency": 10.0,
+                               "center": (0.0, 0.0)}
+    assert cfg["sensors"] == [{"kind": "fluid", "position": (0.5, 0.5), "name": "S0"}]
+    assert cfg["output"] == {"traces": "traces.csv", "trace_every": 1, "snapshot_every": 0,
+                             "summary": "summary.json"}
+    assert cfg["cfl_sweep"]["degrees"] == [cfg["degree"]] == [1]
+    assert (cfg["cfl_sweep"]["eps"], cfg["cfl_sweep"]["delta"]) == (0.05, 0.01)
+    # the stabilization weights left out keep the order mode's own defaults
+    assert cfg["stabilization"] == {}
+    assert cli.build_stabilization(cfg) == StabilizationConfig.implicit()
+    assert cli.build_stabilization(dict(cfg, order_mode="equal")) == StabilizationConfig.explicit()
+
+
+def test_benchmark_and_shipped_configs_pass_the_schema():
+    """Every shipped config and every benchmark workload's input passes the strict schema."""
+    for name in sorted(os.listdir(CONFIG_DIR)):
+        cli.load_config(os.path.join(CONFIG_DIR, name))
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert set(workloads.WORKLOADS) == {"ricker", "hex_l6_implicit", "cfl_bracket"}
+    for workload in workloads.WORKLOADS.values():
+        for tiny in (False, True):
+            cfg = workload.config(0, tiny=tiny)
+            assert cli.validate_config(cfg) == cfg, workload.name
+
+
+def test_readme_schema_lists_every_key():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## Configuration schema", 1)[1].split("\n## ", 1)[0]
+    sections = [cli.CONFIG, cli.SENSOR, *cli.SCENARIOS.values(),
+                *(table for _, table in (*cli.MESH_FORMS.values(), *cli.MATERIAL_FORMS.values()))]
+    keys = set()
+    while sections:
+        section = sections.pop()
+        keys.update(section.keys)
+        sections += [rule for rule, _ in section.keys.values() if isinstance(rule, cli.Section)]
+    assert len(keys) > 50
+    assert sorted(key for key in keys if f'"{key}"' not in block) == []
+    for value in (*cli.SCENARIOS, *msh.FAMILIES):
+        assert value in block, value
+
+
 def test_shipped_configs_load():
     configs = sorted(os.listdir(CONFIG_DIR))
     assert "efficiency.json" in configs and "granite_water.json" in configs
@@ -487,6 +582,22 @@ def test_simulate_msh_override(tmp_path):
     assert code == cli.EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_cells"] == 2
+
+
+def test_msh_flag_replaces_the_mesh_section(tmp_path):
+    from test_mesh import MSH_TWO_TRIANGLES
+
+    msh_path = tmp_path / "two.msh"
+    msh_path.write_text(MSH_TWO_TRIANGLES)
+    cfg = {"mesh": {"family": "cartesian", "level": 3, "fluid_rect": [0, 0, 1, 1]},
+           "degree": 1, "scheme": "SDIRK23", "dt": 0.05, "final_time": 0.1}
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg), "--mesh", str(msh_path),
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_cells"] == 2
+    assert summary["config"]["mesh"] == {"file": str(msh_path)}
 
 
 def test_non_finite_msh_node_exit_code(tmp_path, capsys):
