@@ -12,7 +12,7 @@ This is the one module that integrates over cells and faces. The rules and
 the monomial evaluators work on stacked arrays with leading cell or face
 axes: `cell_groups` yields the fan rule of all mesh cells grouped by vertex
 count, `face_rule` the Gauss rule of any array of mesh faces, and
-`CellBasis`/`FaceBasis`/`polygon_quadrature` are their one-cell cases.
+`CellBasis`/`FaceBasis` evaluate the monomials of one cell or face.
 """
 
 from __future__ import annotations
@@ -204,20 +204,6 @@ def fan_quadrature(polygons, centers, areas, degree: int):
     return pts.reshape(g, -1, 2), w.reshape(g, -1)
 
 
-def polygon_quadrature(vertices, degree: int, center=None):
-    """Quadrature on one polygon via barycentric fan triangulation.
-
-    The polygon must be star-shaped with respect to `center` (defaults to the
-    area centroid); raises QuadratureError otherwise.
-    """
-    verts = np.asarray(vertices, dtype=float)
-    if center is None:
-        center = polygon_centroid(verts)
-    pts, w = fan_quadrature(verts[None], np.asarray(center, dtype=float)[None],
-                            [polygon_area(verts)], degree)
-    return pts[0], w[0]
-
-
 @dataclass
 class _Rule:
     """Stacked quadrature points and weights with leading axes `...`."""
@@ -321,12 +307,6 @@ def face_rule(mesh, faces, degree: int) -> FaceRule:
     return face_quadrature(ends[..., 0, :], ends[..., 1, :], degree)
 
 
-def segment_quadrature(v0, v1, degree: int):
-    """Gauss-Legendre quadrature on the segment [v0, v1], exact for `degree`."""
-    rule = face_quadrature(v0, v1, degree)
-    return rule.points, rule.weights
-
-
 # ---------------------------------------------------------------------------
 # polygon geometry helpers
 
@@ -354,33 +334,3 @@ def polygon_diameter(vertices):
     v = np.asarray(vertices, dtype=float)
     diff = v[..., :, None, :] - v[..., None, :, :]
     return np.sqrt((diff ** 2).sum(-1)).max(axis=(-2, -1))
-
-
-# ---------------------------------------------------------------------------
-# L2 projections
-
-def project_face(fn, face_basis: FaceBasis, degree_hint: int | None = None) -> np.ndarray:
-    """Coefficients of the L2(F)-orthogonal projection of `fn` onto the face basis.
-
-    `fn` maps an (n, 2) array of points to (n,) values.
-    """
-    deg = 2 * face_basis.degree if degree_hint is None else face_basis.degree + degree_hint
-    pts, w = segment_quadrature(face_basis.v0, face_basis.v1, deg)
-    phi = face_basis.eval(pts)
-    mass = phi.T @ (w[:, None] * phi)
-    rhs = phi.T @ (w * np.asarray(fn(pts), dtype=float))
-    try:
-        return np.linalg.solve(mass, rhs)
-    except np.linalg.LinAlgError as exc:  # |F| > 0 makes this impossible
-        raise QuadratureError("singular face mass matrix") from exc
-
-
-def project_cell(fn, cell_basis: CellBasis, vertices, center=None,
-                 degree_hint: int | None = None) -> np.ndarray:
-    """Coefficients of the L2(T)-orthogonal projection of `fn` onto the cell basis."""
-    deg = 2 * cell_basis.degree if degree_hint is None else cell_basis.degree + degree_hint
-    pts, w = polygon_quadrature(vertices, deg, center=center)
-    phi = cell_basis.eval(pts)
-    mass = phi.T @ (w[:, None] * phi)
-    rhs = phi.T @ (w * np.asarray(fn(pts), dtype=float))
-    return np.linalg.solve(mass, rhs)

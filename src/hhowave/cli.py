@@ -1,12 +1,12 @@
 """Batch drivers: simulate, converge, cfl and efficiency subcommands.
 
 Runs are configured by a JSON file that one table, CONFIG, checks key by key
-(see README for the schema); `--mesh` replaces its mesh section. Outputs are
-deterministic CSV tables, ASCII VTU snapshots of cell-averaged fields, and a
-JSON run summary with per-phase timings and peak memory. Wall-clock timing
-covers assembly, factorization and the time loop; mesh generation, the
-stability estimate that caps explicit `efficiency` steps and file IO are
-excluded.
+(see README for the schema); `--mesh` replaces its mesh section, and the
+studies refine a generated mesh only. Outputs are deterministic CSV tables,
+ASCII VTU snapshots of cell-averaged fields, and a JSON run summary with
+per-phase timings and peak memory. Wall-clock timing covers assembly,
+factorization and the time loop; mesh generation, the stability estimate
+that caps explicit `efficiency` steps and file IO are excluded.
 
 Exit codes: 0 success, 2 configuration error, 3 instability detected,
 4 linear solver failure.
@@ -211,7 +211,7 @@ CONFIG = Section({
     "degree": (_integer(0, 4), 1),
     "scheme": (_SCHEME, "ERK2"),
     "order_mode": (_choice("equal", "mixed"), OPTIONAL),   # the scheme's by default
-    "dt": (_positive, OPTIONAL),                           # dt or cfl is required
+    "dt": (_positive, OPTIONAL),                           # exactly one of dt or cfl
     "cfl": (_positive, OPTIONAL),
     "final_time": (_positive, 1.0),
     "materials": (_materials, "academic"),
@@ -276,8 +276,8 @@ def validate_config(cfg: dict) -> dict:
     mode = "equal" if cfg["scheme"] in EXPLICIT_SCHEMES else "mixed"
     if cfg.setdefault("order_mode", mode) != mode:
         raise CliConfigError(f"scheme {cfg['scheme']} uses the {mode}-order path")
-    if "dt" not in cfg and "cfl" not in cfg:
-        raise CliConfigError("either 'dt' or a target 'cfl' is required")
+    if ("dt" in cfg) == ("cfl" in cfg):
+        raise CliConfigError("exactly one of 'dt' or a target 'cfl' is required")
     cfg["cfl_sweep"].setdefault("degrees", [cfg["degree"]])
     for i, sensor in enumerate(cfg["sensors"]):
         sensor.setdefault("name", f"S{i}")
@@ -579,58 +579,79 @@ def energy_max_drift(energies):
     return float(np.max(np.abs(e - e[0])) / e[0])
 
 
-def _manufactured_run(cfg, system, n_steps, dt):
-    """One run of a study: the dual-variable L2 error of the manufactured case
-    at the final time, and the seconds from its set-up through the time loop."""
-    t0 = time.perf_counter()
-    u0, forcing, case = build_scenario(cfg, system, system.materials)
-    stepper, _ = build_stepper(cfg, system, dt)
-    u = timestep.run_time_loop(stepper, u0, dt, n_steps, forcing=forcing)
-    wall = time.perf_counter() - t0
-    return scenarios.l2_error_dual(u, system, case, n_steps * dt), wall
+def study_meshes(cfg, levels, families):
+    """Each (family, level, mesh) of a study, the mesh built when it is reached; a
+    mesh without levels (file, fixture, nonconforming) exits 2 before any is built."""
+    if "family" not in cfg["mesh"]:
+        raise CliConfigError(f"a study refines a generated mesh (mesh family), "
+                             f"not a {next(iter(cfg['mesh']))} mesh")
+    return ((family, level, build_mesh(dict(cfg["mesh"], family=family, level=level)))
+            for family in families for level in levels)
+
+
+def manufactured_study(cfg, levels, schemes, step_dt):
+    """Per scheme, one (level, h, dt, steps, error, seconds) row per level of the
+    manufactured case; `step_dt(level, tab, system)` is the step a run asks for.
+    The schemes of one order mode share their level's system, whose assembly
+    (with L when explicit) a row's seconds add to its own run, `step_dt` untimed."""
+    if cfg["scenario"]["type"] != "manufactured":
+        raise CliConfigError("converge and efficiency need the manufactured scenario")
+    materials = build_materials(cfg)
+    rows = [[] for _ in schemes]
+    for _, level, mesh in study_meshes(cfg, levels, [cfg["mesh"].get("family")]):
+        systems = {}
+        for scheme, scheme_rows in zip(schemes, rows):
+            tab = timestep.tableau(scheme)
+            mode = "equal" if tab.explicit else "mixed"
+            run_cfg = dict(cfg, scheme=scheme, order_mode=mode)
+            if mode not in systems:
+                t0 = time.perf_counter()
+                system = hho.assemble(mesh, materials, build_stabilization(run_cfg), cfg["degree"])
+                if tab.explicit:
+                    system.explicit_op      # L, shared by the explicit schemes, charged to each
+                systems[mode] = system, time.perf_counter() - t0
+            system, assemble_s = systems[mode]
+            n_steps, dt = step_count(cfg["final_time"], step_dt(level, tab, system))
+            t0 = time.perf_counter()
+            u0, forcing, case = build_scenario(run_cfg, system, materials)
+            stepper, _ = build_stepper(run_cfg, system, dt)
+            u = timestep.run_time_loop(stepper, u0, dt, n_steps, forcing=forcing)
+            wall = assemble_s + time.perf_counter() - t0
+            err = scenarios.l2_error_dual(u, system, case, n_steps * dt)
+            scheme_rows.append((level, mean_h(mesh), dt, n_steps, err, wall))
+            log.info("%s level %d: %d steps of dt=%g, error %.3e, %.2f s",
+                     scheme, level, n_steps, dt, err, wall)
+    return rows
 
 
 def cmd_converge(cfg, out_dir, levels) -> int:
     if len(levels) < 2:
         raise CliConfigError("convergence study needs at least 2 levels")
+    (runs,) = manufactured_study(cfg, levels, [cfg["scheme"]], lambda level, tab, system:
+                                 resolve_dt(cfg, system.mesh, system.materials))
+    errors = [None] + [run[4] for run in runs]
     os.makedirs(out_dir, exist_ok=True)
-    materials = build_materials(cfg)
-    if cfg["scenario"]["type"] != "manufactured":
-        raise CliConfigError("convergence study requires the manufactured scenario")
-    rows = []
-    prev_err = None
-    for level in levels:
-        mesh = build_mesh(dict(cfg["mesh"], level=level))
-        n_steps, dt = step_count(cfg["final_time"], resolve_dt(cfg, mesh, materials))
-        system = hho.assemble(mesh, materials, build_stabilization(cfg), k=cfg["degree"])
-        err, _ = _manufactured_run(cfg, system, n_steps, dt)
-        rate = math.log2(prev_err / err) if prev_err else float("nan")
-        rows.append([level, mean_h(mesh), err, rate])
-        prev_err = err
-        log.info("level %d: error %.3e rate %.2f", level, err, rate)
-    write_csv(os.path.join(out_dir, "convergence.csv"),
-              ["level", "h", "error", "rate"], rows)
+    write_csv(os.path.join(out_dir, "convergence.csv"), ["level", "h", "error", "rate"],
+              [[level, h, err, math.log2(prev / err) if prev else float("nan")]
+               for (level, h, _, _, err, _), prev in zip(runs, errors)])
     return EXIT_OK
 
 
 def cmd_cfl(cfg, out_dir) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     sweep = cfg["cfl_sweep"]
     degrees, schemes, level = sweep["degrees"], sweep["schemes"], sweep["level"]
     bracket_cfg = scenarios.CflBracketConfig(eps=sweep["eps"], delta=sweep["delta"])
     materials = build_materials(cfg)
     stab = build_stabilization(dict(cfg, order_mode="equal"))
     results = {}
-    for family in sweep["families"]:
-        mesh = build_mesh(dict(cfg["mesh"], family=family, level=level))
-        h = mean_h(mesh)
+    for family, _, mesh in study_meshes(cfg, [level], sweep["families"]):
         for k in degrees:
             system = hho.assemble(mesh, materials, stab, k=k)
+            u0, _, _ = build_scenario(cfg, system, materials)    # the brackets run unforced
             for scheme in schemes:
-                tab = timestep.tableau(scheme)
-                est = scenarios.cfl_bracket(system, tab, h, final_time=cfg["final_time"],
-                                            config=bracket_cfg)
-                results[(family, k, scheme)] = est
+                est = scenarios.cfl_bracket(system, timestep.tableau(scheme), mean_h(mesh), u0,
+                                            final_time=cfg["final_time"], config=bracket_cfg)
+                results[family, k, scheme] = est
                 log.info("cfl %s k=%d %s: [%.4f, %.4f], spectral seed %.4f, %d energy runs",
                          family, k, scheme, est.cfl_stable, est.cfl_unstable,
                          est.cfl_spectral, est.runs)
@@ -638,52 +659,29 @@ def cmd_cfl(cfg, out_dir) -> int:
              est.n_unstable, est.cfl_stable / results[family, k, schemes[0]].cfl_stable,
              est.cfl_stable / results[family, degrees[0], scheme].cfl_stable,
              est.cfl_spectral, est.runs] for (family, k, scheme), est in results.items()]
+    os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "cfl.csv"),
               ["family", "k", "scheme", "level", "h", "cfl_stable", "cfl_unstable",
-               "n_stable", "n_unstable", "ratio_s", "ratio_k", "cfl_spectral", "runs"],
-              rows)
+               "n_stable", "n_unstable", "ratio_s", "ratio_k", "cfl_spectral", "runs"], rows)
     return EXIT_OK
 
 
 def cmd_efficiency(cfg, out_dir) -> int:
+    eff, k = cfg["efficiency"], cfg["degree"]
+
+    def step_dt(level, tab, system):
+        dt = eff["dt0"] * 2.0 ** (-level * (k + 1) / (tab.s + 1))
+        if tab.explicit:    # capped by the system's own stability limit, one ARPACK call a level
+            stepper = timestep.ExplicitStepper(system, tab)
+            dt = min(dt, eff["cfl_cap"] * scenarios.spectral_dt(stepper, mean_h(system.mesh))[0])
+        return dt
+
+    runs = manufactured_study(cfg, eff["levels"], eff["schemes"], step_dt)
     os.makedirs(out_dir, exist_ok=True)
-    eff = cfg["efficiency"]
-    schemes = eff["schemes"]
-    materials = build_materials(cfg)
-    if cfg["scenario"]["type"] != "manufactured":
-        raise CliConfigError("efficiency study requires the manufactured scenario")
-    k = cfg["degree"]
-    rows = [[] for _ in schemes]
-    for level in eff["levels"]:
-        # one mesh per level, one system per order mode the schemes use
-        mesh = build_mesh(dict(cfg["mesh"], level=level))
-        h = mean_h(mesh)
-        systems = {}
-        for scheme, scheme_rows in zip(schemes, rows):
-            tab = timestep.tableau(scheme)
-            run_cfg = dict(cfg, scheme=scheme, order_mode="equal" if tab.explicit else "mixed")
-            if run_cfg["order_mode"] not in systems:
-                t0 = time.perf_counter()
-                system = hho.assemble(mesh, materials, build_stabilization(run_cfg), k=k)
-                if tab.explicit:
-                    # L, shared by the explicit schemes and charged to each of them
-                    system.explicit_op
-                systems[run_cfg["order_mode"]] = system, time.perf_counter() - t0
-            system, assemble_s = systems[run_cfg["order_mode"]]
-            dt = eff["dt0"] * 2.0 ** (-level * (k + 1) / (tab.s + 1))
-            if tab.explicit:
-                # explicit steps are bounded by this system's own stability limit
-                # (one untimed ARPACK call per level, shared by the schemes)
-                dt_stable, _ = scenarios.spectral_dt(timestep.ExplicitStepper(system, tab), h)
-                dt = min(dt, eff["cfl_cap"] * dt_stable)
-            n_steps, dt = step_count(cfg["final_time"], dt)
-            err, march_s = _manufactured_run(run_cfg, system, n_steps, dt)
-            wall = assemble_s + march_s
-            scheme_rows.append([scheme, level, dt, n_steps, err, wall])
-            log.info("%s level %d: err %.3e cpu %.2fs", scheme, level, err, wall)
     write_csv(os.path.join(out_dir, "efficiency.csv"),
               ["scheme", "level", "dt", "steps", "error", "cpu_seconds"],
-              [row for scheme_rows in rows for row in scheme_rows])
+              [[scheme, level, dt, n_steps, err, wall] for scheme, scheme_runs
+               in zip(eff["schemes"], runs) for level, _, dt, n_steps, err, wall in scheme_runs])
     return EXIT_OK
 
 
@@ -701,7 +699,8 @@ def make_parser() -> argparse.ArgumentParser:
                             ("efficiency", "error versus CPU-time comparison")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON configuration file")
-        p.add_argument("--mesh", help="MSH v2.2 mesh file overriding the config")
+        p.add_argument("--mesh", help="MSH v2.2 mesh file replacing the mesh section "
+                       "(simulate only: a study refines a generated mesh)")
         p.add_argument("--out", default=".", help="output directory")
         if name == "converge":
             p.add_argument("--levels", default="2,3,4",

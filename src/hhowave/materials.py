@@ -78,18 +78,6 @@ class SolidMaterial:
         out[..., 2] = 2 * self.mu * e[..., 2]
         return out
 
-    def hooke_inv(self, stress: np.ndarray) -> np.ndarray:
-        """Strain components from stress components (inverse of `hooke`)."""
-        s = np.asarray(stress, dtype=float)
-        beta = 1.0 / (2 * self.mu)
-        gamma = self.lam / (2 * self.mu * (2 * self.lam + 2 * self.mu))
-        tr = s[..., 0] + s[..., 1]
-        out = np.empty_like(s)
-        out[..., 0] = beta * s[..., 0] - gamma * tr
-        out[..., 1] = beta * s[..., 1] - gamma * tr
-        out[..., 2] = beta * s[..., 2]
-        return out
-
     def compliance_weight(self) -> np.ndarray:
         """3x3 matrix W with s : C^-1 b = sum_cc' W[c,c'] s_c b_c'.
 

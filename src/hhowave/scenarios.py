@@ -109,9 +109,6 @@ class ManufacturedCase:
         lap = (2 * sx + 4 * a * x * cx - 2 * a**2 * x**2 * sx) * sy
         return -(b**2 / kappa) * x**2 * sx * sy - lap
 
-    def exact_pressure(self, t, pts):
-        return self.pressure_profile(pts) * math.cos(self.theta * math.pi * t)
-
     def exact_fluid_velocity(self, t, pts):
         return self.fluid_velocity_profile(pts) * math.sin(self.theta * math.pi * t)
 
@@ -157,9 +154,6 @@ class ManufacturedCase:
         fx = -(solid.rho * b**2 * w + solid.mu * lap + (solid.lam + solid.mu) * (wxx + wxy))
         fy = -(solid.rho * b**2 * w + solid.mu * lap + (solid.lam + solid.mu) * (wxy + wyy))
         return np.column_stack([fx, fy])
-
-    def exact_solid_velocity(self, t, pts):
-        return self.solid_velocity_profile(pts) * math.sin(self.theta * math.pi * t)
 
     def exact_stress(self, t, pts):
         return self.stress_profile(pts) * math.cos(self.theta * math.pi * t)

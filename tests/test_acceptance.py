@@ -14,7 +14,7 @@ import hhowave.mesh as msh
 from hhowave import (CondensedFactorization, DofLayout, ExplicitStepper,
                      ImplicitStepper, MeshGenSpec, StabilizationConfig,
                      assemble, builtin_materials, face_dof_fraction, generate, tableau)
-from hhowave.basis import CellBasis, polygon_quadrature
+from hhowave.basis import CellBasis
 from hhowave.hho import build_cell_blocks
 from hhowave.scenarios import (BoundSensor, CflBracketConfig, ManufacturedCase,
                                RickerConfig, SensorSpec, cfl_bracket,
@@ -23,6 +23,7 @@ from hhowave.scenarios import (BoundSensor, CflBracketConfig, ManufacturedCase,
                                ricker_initial_state)
 from hhowave.timestep import run_time_loop
 
+from oracles import polygon_quadrature
 from test_basis import greens_monomial_integral, random_star_polygon
 from test_hho import hho_interpolate, reconstruct_fluid_gradient, stab_quadratic_form
 from test_timestep import dense_erk_step, dense_sdirk_step, stage_solve
@@ -348,7 +349,7 @@ def test_criterion_9_operator_properties():
         q = lambda p: probe.eval(p) @ coeff
         cell_c, face_c = hho_interpolate(mesh, 0, layout, q)
         gx, gy, dual = reconstruct_fluid_gradient(mesh, 0, layout, blocks, cell_c, face_c)
-        from hhowave.basis import project_cell
+        from oracles import project_cell
 
         px = project_cell(lambda p: probe.grad(p)[:, :, 0] @ coeff, dual, poly,
                           center=mesh.cell_centroid[0], degree_hint=k + 2)

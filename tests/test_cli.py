@@ -418,6 +418,8 @@ def test_non_star_shaped_fixture_exit_code(tmp_path, monkeypatch, capsys):
     ("output.trace_every", 2.7, "trace_every must be an integer, got 2.7"),
     ("degree", True, "degree must be an integer, got True"),
     ("dt", math.inf, "dt must be a number, got inf"),
+    # RICKER_CFG gives dt: a target cfl as well would leave one of them unread
+    ("cfl", 0.1, "exactly one of 'dt' or a target 'cfl' is required"),
 ])
 def test_malformed_value_exit_code(tmp_path, capsys, key, value, message):
     # keys of the study sections run their study; all others run simulate
@@ -668,6 +670,80 @@ def test_converge_needs_two_levels(tmp_path):
     code = cli.main(["converge", "--config", path, "--out", str(tmp_path),
                      "--levels", "2"])
     assert code == cli.EXIT_CONFIG
+
+
+# ---------------------------------------------------------------------------
+# the meshes and initial states of the studies
+
+STUDY_CFG = {
+    "mesh": {"family": "cartesian", "fluid_rect": [0, 0, 1, 1], "solid_rect": [-1, 0, 0, 1]},
+    "degree": 1, "scheme": "ERK2", "cfl": 0.1, "final_time": 0.2,
+    "scenario": {"type": "manufactured", "omega": 1.0, "theta": 1.0},
+    "cfl_sweep": {"schemes": ["ERK2"], "level": 1},
+    "efficiency": {"schemes": ["ERK2"], "levels": [0, 1]},
+}
+STUDY_ARGS = {"converge": ["--levels", "0,1"], "cfl": [], "efficiency": []}
+
+
+@pytest.mark.parametrize("mesh_kind", ["fixture", "msh flag", "nonconforming"])
+@pytest.mark.parametrize("command", list(STUDY_ARGS))
+def test_study_refuses_a_mesh_without_levels(tmp_path, capsys, command, mesh_kind):
+    """A study refines a generated mesh level by level; a mesh it cannot
+    refine exits 2 before any output instead of repeating one mesh."""
+    from test_mesh import MSH_TWO_TRIANGLES
+
+    cfg = json.loads(json.dumps(STUDY_CFG))
+    flags = []
+    if mesh_kind == "fixture":
+        fixture = tmp_path / "mesh.txt"
+        msh.dump_text(cli.build_mesh(dict(cfg["mesh"], level=1)), fixture)
+        cfg["mesh"] = {"fixture": str(fixture)}
+    elif mesh_kind == "msh flag":
+        (tmp_path / "two.msh").write_text(MSH_TWO_TRIANGLES)
+        flags = ["--mesh", str(tmp_path / "two.msh")]
+    else:
+        cfg["mesh"] = {"nonconforming": {
+            "fluid": {"family": "cartesian", "level": 2, "fluid_rect": [0, 0, 1, 1]},
+            "solid": {"family": "cartesian", "level": 1, "solid_rect": [-1, 0, 0, 1]}}}
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out),
+                     *flags, *STUDY_ARGS[command]])
+    assert code == cli.EXIT_CONFIG
+    kind = {"msh flag": "file"}.get(mesh_kind, mesh_kind)
+    assert f"a study refines a generated mesh (mesh family), not a {kind} mesh" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cfl_brackets_start_from_the_configured_scenario(tmp_path):
+    tables = []
+    for omega in (5.0, 2.0):
+        cfg = dict(STUDY_CFG, final_time=1.0,
+                   scenario={"type": "manufactured", "omega": omega, "theta": 0.7})
+        out = tmp_path / f"omega{omega}"
+        code = cli.main(["cfl", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == cli.EXIT_OK
+        tables.append((out / "cfl.csv").read_text())
+    assert tables[0] != tables[1]
+    # a Ricker scenario is bracketed from the Ricker state that `simulate` starts from
+    cfg = cli.load_config(None, dict(STUDY_CFG, final_time=1.0, scenario={"type": "ricker"}))
+    mesh = cli.build_mesh(dict(cfg["mesh"], level=1))
+    system = assemble(mesh, builtin_materials("academic"), StabilizationConfig.explicit(), 1)
+    u0, _, _ = cli.build_scenario(cfg, system, system.materials)
+    est = cfl_bracket(system, timestep.tableau("ERK2"), cli.mean_h(mesh), u0)
+    out = tmp_path / "ricker"
+    assert cli.cmd_cfl(cfg, str(out)) == cli.EXIT_OK
+    row = (out / "cfl.csv").read_text().strip().splitlines()[1].split(",")
+    assert (int(row[7]), int(row[8])) == (est.n_stable, est.n_unstable)
+
+
+def test_cfl_with_a_zero_scenario_exit_code(tmp_path, capsys):
+    cfg = dict(STUDY_CFG, scenario={"type": "zero"})
+    out = tmp_path / "out"
+    code = cli.main(["cfl", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "initial energy must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ per-cell reference implementation; refactors of the integration path must
 reproduce them to 1e-12 relative.
 
 The march cases lock time-marching outputs in `golden_march.json`: the traces
-and energy of a short `academic_ricker` run, a two-level convergence table and
-the error of a 20-step manufactured SDIRK34 march on hexagonal L3. Each column
+and energy of a short `academic_ricker` run, a two-level convergence table,
+the error of a 20-step manufactured SDIRK34 march on hexagonal L3, a two-level
+efficiency table (its `cpu_seconds` aside) and a two-scheme CFL bracket table;
+the names in the last two read as their positions in the study's list. Each column
 must match to 1e-12 relative to the largest magnitude in that column, so that
 trace samples near zero are held to the accuracy of the signal they belong to.
 """
@@ -31,7 +33,8 @@ from hhowave.timestep import ImplicitStepper, tableau
 HERE = os.path.dirname(__file__)
 GOLDEN_PATH = os.path.join(HERE, "golden_operators.json")
 MARCH_GOLDEN_PATH = os.path.join(HERE, "golden_march.json")
-RICKER_CONFIG = os.path.join(HERE, os.pardir, "configs", "academic_ricker.json")
+CONFIG_DIR = os.path.join(HERE, os.pardir, "configs")
+RICKER_CONFIG = os.path.join(CONFIG_DIR, "academic_ricker.json")
 RTOL = 1e-12
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
 MESHES = ("cartesian", "simplicial", "polygonal-hexagonal", "nonconforming")
@@ -116,10 +119,12 @@ def test_golden_operators(mesh_name, config_name):
 # ---------------------------------------------------------------------------
 # time-marching outputs
 
-def _read_csv(path):
+def _read_csv(path, names=()):
+    """A CSV table as numbers; a value in `names` reads as its position there."""
     lines = path.read_text().strip().splitlines()
     return {"header": lines[0].split(","),
-            "rows": [[float(v) for v in line.split(",")] for line in lines[1:]]}
+            "rows": [[names.index(v) if v in names else float(v) for v in line.split(",")]
+                     for line in lines[1:]]}
 
 
 def ricker_outputs(out_dir):
@@ -144,6 +149,27 @@ def converge_table(out_dir):
     assert cli.main(["converge", "--config", str(path), "--out", str(out_dir),
                      "--levels", "2,3"]) == cli.EXIT_OK
     return {"convergence": _read_csv(out_dir / "convergence.csv")}
+
+
+def efficiency_table(out_dir):
+    """efficiency.csv of `configs/efficiency.json` at k=1, levels 1-2, ERK2 and
+    SDIRK34, without its `cpu_seconds` column."""
+    schemes = ["ERK2", "SDIRK34"]
+    cfg = cli.load_config(os.path.join(CONFIG_DIR, "efficiency.json"),
+                          {"degree": 1, "efficiency": {"schemes": schemes, "levels": [1, 2]}})
+    assert cli.cmd_efficiency(cfg, str(out_dir)) == cli.EXIT_OK
+    table = _read_csv(out_dir / "efficiency.csv", schemes)
+    assert table["header"][-1] == "cpu_seconds"
+    return {"efficiency": {"header": table["header"][:-1],
+                           "rows": [row[:-1] for row in table["rows"]]}}
+
+
+def cfl_table(out_dir):
+    """cfl.csv of `configs/cfl_sweep.json` on cartesian L2, k=1, ERK2 and ERK4."""
+    sweep = {"families": ["cartesian"], "degrees": [1], "schemes": ["ERK2", "ERK4"], "level": 2}
+    cfg = cli.load_config(os.path.join(CONFIG_DIR, "cfl_sweep.json"), {"cfl_sweep": sweep})
+    assert cli.cmd_cfl(cfg, str(out_dir)) == cli.EXIT_OK
+    return {"cfl": _read_csv(out_dir / "cfl.csv", sweep["families"] + sweep["schemes"])}
 
 
 def manufactured_hex_l3():
@@ -184,6 +210,14 @@ def test_ricker_outputs_golden(tmp_path):
 
 def test_converge_table_golden(tmp_path):
     assert_tables_match(converge_table(tmp_path), MARCH_GOLDEN["converge"])
+
+
+def test_efficiency_table_golden(tmp_path):
+    assert_tables_match(efficiency_table(tmp_path), MARCH_GOLDEN["efficiency"])
+
+
+def test_cfl_table_golden(tmp_path):
+    assert_tables_match(cfl_table(tmp_path), MARCH_GOLDEN["cfl"])
 
 
 def test_manufactured_sdirk34_hex_l3_golden():

@@ -8,10 +8,10 @@ import hhowave.mesh as msh
 from hhowave import (DofLayout, FluidMaterial, MaterialMap, MeshGenSpec,
                      SolidMaterial, StabilizationConfig, assemble,
                      builtin_materials, face_dof_fraction, generate)
-from hhowave.basis import (CellBasis, FaceBasis, polygon_quadrature, project_cell,
-                           project_face, scalar_cell_dim, segment_quadrature)
+from hhowave.basis import CellBasis, FaceBasis, scalar_cell_dim
 from hhowave.hho import ConfigError, build_cell_blocks, coupling_block
 
+from oracles import hooke_inv, polygon_quadrature, project_cell, project_face
 from test_golden import MATRICES, MESHES, golden_mesh
 
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
@@ -50,8 +50,8 @@ def test_material_speeds_and_hooke_inverse():
     assert abs(solid.lam - 1.0) < 1e-14 and abs(solid.mu - 1.0) < 1e-14
     rng = np.random.default_rng(0)
     s = rng.standard_normal((10, 3))
-    assert np.allclose(solid.hooke(solid.hooke_inv(s)), s)
-    assert np.allclose(solid.hooke_inv(solid.hooke(s)), s)
+    assert np.allclose(solid.hooke(hooke_inv(solid, s)), s)
+    assert np.allclose(hooke_inv(solid, solid.hooke(s)), s)
     fluid = FluidMaterial.from_speeds(rho=1025.0, c_p=1500.0)
     assert abs(fluid.c_p - 1500.0) < 1e-9
 

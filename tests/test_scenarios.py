@@ -1,6 +1,7 @@
 """Manufactured-case consistency, diagnostics, sensors and CFL bracketing."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from hhowave.scenarios import (BoundSensor, CflBracketConfig, CflEstimate,
                                manufactured_forcing, manufactured_initial_state,
                                ricker_initial_state, sensor_error)
 from hhowave.timestep import run_time_loop
+
+from oracles import exact_pressure, exact_solid_velocity, hooke_inv
 
 ACADEMIC = builtin_materials("academic")
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
@@ -81,12 +84,12 @@ def test_manufactured_acoustic_residuals():
     t = 0.37
     # momentum: d_t m - grad p = 0 (unit fluid density)
     dm = fd_time(case.exact_fluid_velocity, t, pts)
-    gpx, gpy = fd_grad(case.exact_pressure, t, pts)
+    gpx, gpy = fd_grad(partial(exact_pressure, case), t, pts)
     assert np.max(np.abs(dm[:, 0] - gpx)) < 1e-6
     assert np.max(np.abs(dm[:, 1] - gpy)) < 1e-6
     # continuity: (1/kappa) d_t p - div m = f
     kappa = ACADEMIC.by_region["fluid"].kappa
-    dp = fd_time(case.exact_pressure, t, pts)
+    dp = fd_time(partial(exact_pressure, case), t, pts)
     mx_x, _ = fd_grad(lambda tt, pp: case.exact_fluid_velocity(tt, pp)[:, 0], t, pts)
     _, my_y = fd_grad(lambda tt, pp: case.exact_fluid_velocity(tt, pp)[:, 1], t, pts)
     f_exact = case.fluid_source_profile(pts) * math.sin(case.theta * math.pi * t)
@@ -103,12 +106,12 @@ def test_manufactured_elastic_residuals():
     t = 0.41
     # constitutive: C^-1 d_t s - sym grad v = 0
     ds = fd_time(case.exact_stress, t, pts)
-    vx_x, vx_y = fd_grad(lambda tt, pp: case.exact_solid_velocity(tt, pp)[:, 0], t, pts)
-    vy_x, vy_y = fd_grad(lambda tt, pp: case.exact_solid_velocity(tt, pp)[:, 1], t, pts)
+    vx_x, vx_y = fd_grad(lambda tt, pp: exact_solid_velocity(case, tt, pp)[:, 0], t, pts)
+    vy_x, vy_y = fd_grad(lambda tt, pp: exact_solid_velocity(case, tt, pp)[:, 1], t, pts)
     eps_fd = np.column_stack([vx_x, vy_y, 0.5 * (vx_y + vy_x)])
-    assert np.max(np.abs(solid.hooke_inv(ds) - eps_fd)) < 1e-5
+    assert np.max(np.abs(hooke_inv(solid, ds) - eps_fd)) < 1e-5
     # momentum: rho d_t v - div s = f
-    dv = fd_time(case.exact_solid_velocity, t, pts)
+    dv = fd_time(partial(exact_solid_velocity, case), t, pts)
     sxx_x, _ = fd_grad(lambda tt, pp: case.exact_stress(tt, pp)[:, 0], t, pts)
     _, syy_y = fd_grad(lambda tt, pp: case.exact_stress(tt, pp)[:, 1], t, pts)
     sxy_x, sxy_y = fd_grad(lambda tt, pp: case.exact_stress(tt, pp)[:, 2], t, pts)
@@ -124,9 +127,9 @@ def test_manufactured_interface_compatibility():
     case = ManufacturedCase(5.0, math.sqrt(2.0), ACADEMIC)
     ys = np.linspace(0.05, 0.95, 20)
     pts = np.column_stack([np.zeros_like(ys), ys])
-    assert np.max(np.abs(case.exact_pressure(0.3, pts))) < 1e-13
+    assert np.max(np.abs(exact_pressure(case, 0.3, pts))) < 1e-13
     assert np.max(np.abs(case.exact_fluid_velocity(0.3, pts))) < 1e-13
-    assert np.max(np.abs(case.exact_solid_velocity(0.3, pts))) < 1e-13
+    assert np.max(np.abs(exact_solid_velocity(case, 0.3, pts))) < 1e-13
     assert np.max(np.abs(case.exact_stress(0.3, pts))) < 1e-13
 
 
