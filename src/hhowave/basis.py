@@ -114,11 +114,6 @@ class CellBasis:
         """Values at `points` (n, 2); returns (n, dim)."""
         return cell_monomials(np.atleast_2d(points), self.center, self.half, self.degree)
 
-    def grad(self, points) -> np.ndarray:
-        """Gradients at `points`; returns (n, dim, 2)."""
-        return cell_monomials(np.atleast_2d(points), self.center, self.half, self.degree,
-                              grad=True)
-
 
 class FaceBasis:
     """Scaled monomial basis of P^k on a straight face (segment).

@@ -168,6 +168,7 @@ _POINT = _list(_number, 2, "numbers")
 _RECT = _list(_number, 4, "numbers")
 _COUNTS = _list(_integer(1), 2, "integers")
 _SCHEME = _choice(*EXPLICIT_SCHEMES, *IMPLICIT_SCHEMES, upper=True)
+DT_RULE = "exactly one of 'dt' or a target 'cfl' is required"
 LU_NOTE = ("the Schur complement is always factored by the direct LU (direct-lu), "
            "which has no settings")
 
@@ -210,8 +211,7 @@ CONFIG = Section({
     "mesh": (_mesh, REQUIRED),
     "degree": (_integer(0, 4), 1),
     "scheme": (_SCHEME, "ERK2"),
-    "order_mode": (_choice("equal", "mixed"), OPTIONAL),   # the scheme's by default
-    "dt": (_positive, OPTIONAL),                           # exactly one of dt or cfl
+    "dt": (_positive, OPTIONAL),        # simulate and converge read one of dt or cfl
     "cfl": (_positive, OPTIONAL),
     "final_time": (_positive, 1.0),
     "materials": (_materials, "academic"),
@@ -273,11 +273,8 @@ def validate_config(cfg: dict) -> dict:
         raise CliConfigError(f"unknown config key{'s' if len(unknown) > 1 else ''} "
                              f"{', '.join(unknown)}" + "".join(f"; {n}" for n in notes if n))
     # the rules and defaults that follow other keys
-    mode = "equal" if cfg["scheme"] in EXPLICIT_SCHEMES else "mixed"
-    if cfg.setdefault("order_mode", mode) != mode:
-        raise CliConfigError(f"scheme {cfg['scheme']} uses the {mode}-order path")
-    if ("dt" in cfg) == ("cfl" in cfg):
-        raise CliConfigError("exactly one of 'dt' or a target 'cfl' is required")
+    if "dt" in cfg and "cfl" in cfg:
+        raise CliConfigError(DT_RULE)
     cfg["cfl_sweep"].setdefault("degrees", [cfg["degree"]])
     for i, sensor in enumerate(cfg["sensors"]):
         sensor.setdefault("name", f"S{i}")
@@ -300,7 +297,9 @@ def build_materials(cfg) -> MaterialMap:
 
 
 def build_stabilization(cfg) -> hho.StabilizationConfig:
-    make = (hho.StabilizationConfig.explicit if cfg["order_mode"] == "equal"
+    """The stabilization of the scheme's path: equal order for an explicit
+    scheme, mixed order for an implicit one."""
+    make = (hho.StabilizationConfig.explicit if cfg["scheme"] in EXPLICIT_SCHEMES
             else hho.StabilizationConfig.implicit)
     return make(**cfg["stabilization"])
 
@@ -322,6 +321,13 @@ def build_scenario(cfg, system, materials):
     cfg_r = scenarios.RickerConfig(sc["amplitude"], sc["central_frequency"], sc["center"],
                                    sound_speed=fluid.c_p)
     return scenarios.ricker_initial_state(system, cfg_r), None, cfg_r
+
+
+def require_dt(cfg):
+    """CliConfigError unless `cfg` gives `dt` or a target `cfl`, which
+    `simulate` and `converge` read (`validate_config` refuses both)."""
+    if "dt" not in cfg and "cfl" not in cfg:
+        raise CliConfigError(DT_RULE)
 
 
 def resolve_dt(cfg, mesh, materials) -> float:
@@ -442,6 +448,7 @@ def write_vtu(path, system, u_t, mean_rows):
 # subcommands
 
 def cmd_simulate(cfg, out_dir) -> int:
+    require_dt(cfg)
     out_cfg = cfg["output"]
     trace_every, snap_every = out_cfg["trace_every"], out_cfg["snapshot_every"]
     os.makedirs(out_dir, exist_ok=True)
@@ -603,7 +610,7 @@ def manufactured_study(cfg, levels, schemes, step_dt):
         for scheme, scheme_rows in zip(schemes, rows):
             tab = timestep.tableau(scheme)
             mode = "equal" if tab.explicit else "mixed"
-            run_cfg = dict(cfg, scheme=scheme, order_mode=mode)
+            run_cfg = dict(cfg, scheme=scheme)
             if mode not in systems:
                 t0 = time.perf_counter()
                 system = hho.assemble(mesh, materials, build_stabilization(run_cfg), cfg["degree"])
@@ -627,6 +634,7 @@ def manufactured_study(cfg, levels, schemes, step_dt):
 def cmd_converge(cfg, out_dir, levels) -> int:
     if len(levels) < 2:
         raise CliConfigError("convergence study needs at least 2 levels")
+    require_dt(cfg)
     (runs,) = manufactured_study(cfg, levels, [cfg["scheme"]], lambda level, tab, system:
                                  resolve_dt(cfg, system.mesh, system.materials))
     errors = [None] + [run[4] for run in runs]
@@ -642,7 +650,7 @@ def cmd_cfl(cfg, out_dir) -> int:
     degrees, schemes, level = sweep["degrees"], sweep["schemes"], sweep["level"]
     bracket_cfg = scenarios.CflBracketConfig(eps=sweep["eps"], delta=sweep["delta"])
     materials = build_materials(cfg)
-    stab = build_stabilization(dict(cfg, order_mode="equal"))
+    stab = hho.StabilizationConfig.explicit(**cfg["stabilization"])    # the brackets' path
     results = {}
     for family, _, mesh in study_meshes(cfg, [level], sweep["families"]):
         for k in degrees:

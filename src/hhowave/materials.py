@@ -68,16 +68,6 @@ class SolidMaterial:
         lam = rho * c_p * c_p - 2 * mu
         return cls(rho=rho, lam=lam, mu=mu)
 
-    def hooke(self, sym_grad: np.ndarray) -> np.ndarray:
-        """Stress components (xx, yy, xy) from strain components (xx, yy, xy)."""
-        e = np.asarray(sym_grad, dtype=float)
-        tr = e[..., 0] + e[..., 1]
-        out = np.empty_like(e)
-        out[..., 0] = 2 * self.mu * e[..., 0] + self.lam * tr
-        out[..., 1] = 2 * self.mu * e[..., 1] + self.lam * tr
-        out[..., 2] = 2 * self.mu * e[..., 2]
-        return out
-
     def compliance_weight(self) -> np.ndarray:
         """3x3 matrix W with s : C^-1 b = sum_cc' W[c,c'] s_c b_c'.
 

@@ -209,13 +209,14 @@ class PolyMesh:
     def cells_of_subdomain(self, sub):
         return np.nonzero(self.subdomain == sub)[0]
 
-    def locate_cell(self, point, tol_rel=1e-12, subdomain=None):
-        """Id of the lowest-numbered cell containing `point` (boundary inclusive).
+    def locate_cell(self, point, subdomain=None):
+        """Id of the lowest-numbered cell containing `point` (boundary inclusive,
+        within COINCIDENCE_TOL times the length scale).
 
         With `subdomain` (FLUID or SOLID) only the cells of that subdomain count.
         """
         p = np.asarray(point, dtype=float)
-        tol = tol_rel * self.length_scale
+        tol = COINCIDENCE_TOL * self.length_scale
         cells = range(self.n_cells) if subdomain is None else self.cells_of_subdomain(subdomain)
         for ci in cells:
             if _point_in_polygon(p, self.vertices[self.cell_vertices[ci]], tol):

@@ -302,8 +302,7 @@ def l2_error_dual(u_t: np.ndarray, system: hho.BlockSystem, case: ManufacturedCa
     return math.sqrt(squares[msh.FLUID]) + math.sqrt(squares[msh.SOLID])
 
 
-def sensor_error(traces: np.ndarray, reference: np.ndarray, times=None,
-                 ref_times=None) -> float:
+def sensor_error(traces: np.ndarray, reference: np.ndarray) -> float:
     """Discrete-in-time relative l2 error of one channel group against a reference.
 
     `traces` and `reference` are (n_times, n_channels) arrays sampled at the
@@ -311,11 +310,6 @@ def sensor_error(traces: np.ndarray, reference: np.ndarray, times=None,
     """
     traces = np.atleast_2d(np.asarray(traces, dtype=float))
     reference = np.atleast_2d(np.asarray(reference, dtype=float))
-    if times is not None and ref_times is not None:
-        times = np.asarray(times, dtype=float)
-        ref_times = np.asarray(ref_times, dtype=float)
-        if times.shape != ref_times.shape or np.max(np.abs(times - ref_times)) > 1e-12:
-            raise ScenarioError("traces sampled on different time grids")
     if traces.shape != reference.shape:
         raise ScenarioError("trace and reference shapes differ")
     ref_norm = float(np.linalg.norm(reference))

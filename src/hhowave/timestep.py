@@ -377,10 +377,6 @@ class CondensedFactorization:
         self.build_s = time.perf_counter() - start
         self.schur_solver = FactorizedOperator(schur)
 
-    def matches(self, a_star: float, dt: float) -> bool:
-        return (abs(self.a_star - a_star) <= 1e-15 * max(1.0, abs(a_star))
-                and abs(self.dt - dt) <= 1e-15 * max(1.0, dt))
-
     def face_solve(self, z: np.ndarray) -> np.ndarray:
         """Face unknowns -a* dt S^-1 K_FT z of a stage, from its class-ordered
         z = A^-1 b_t."""
@@ -397,23 +393,19 @@ class ImplicitStepper(_Stepper):
     K_FT u_i + K_FF u_f = 0; its slope is
     k_i = (u_i - u~_i) / (a* dt) = (z_i - u~_i) / (a* dt) - G u_f with
     z_i = A^-1 (M u~_i + a* dt f_i), and the step is u_t + dt sum_j b_j k_j.
-    The only block-diagonal matrix inverted is M + a* dt K_TT. A step runs
-    in the class order of the system's `cell_classes`: the state is sorted
-    once on entry and the update unsorted once on exit.
+    The only block-diagonal matrix inverted is M + a* dt K_TT, condensed
+    once, for the stepper's dt (`fact`); a step of any other dt is refused.
+    A step runs in the class order of the system's `cell_classes`: the state
+    is sorted once on entry and the update unsorted once on exit.
     """
 
-    def __init__(self, system, tab: ButcherTableau, dt: float,
-                 factorization: CondensedFactorization | None = None):
+    def __init__(self, system, tab: ButcherTableau, dt: float):
         if tab.explicit:
             raise TimestepError(f"{tab.kind} is not a singly diagonal implicit tableau")
         self.system = system
         self.tableau = tab
         self.dt = float(dt)
-        if factorization is None:
-            factorization = CondensedFactorization(system, tab.a_star, dt)
-        if not factorization.matches(tab.a_star, dt):
-            raise TimestepError("stale condensed factorization: (a*, dt) mismatch")
-        self.fact = factorization
+        self.fact = CondensedFactorization(system, tab.a_star, dt)
 
     def step(self, u_t: np.ndarray, t: float, dt: float, forcing=None,
              step_index: int = 0) -> np.ndarray:

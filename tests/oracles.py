@@ -3,15 +3,18 @@
 The package integrates and projects through the stacked rules of
 `hhowave.basis` (`cell_groups`, `face_rule`); the one-polygon and one-segment
 quadrature and L2 projections below are the per-cell forms the tests check
-those against. The inverse Hooke law and the exact manufactured fields at a
-time t feed the finite-difference checks of the manufactured case.
+those against, and the gradients of one cell's monomials feed the checks of
+the gradient reconstruction. The Hooke law, its inverse and the exact
+manufactured fields at a time t feed the finite-difference checks of the
+manufactured case.
 """
 
 import math
 
 import numpy as np
 
-from hhowave.basis import face_quadrature, fan_quadrature, polygon_area, polygon_centroid
+from hhowave.basis import (cell_monomials, face_quadrature, fan_quadrature, polygon_area,
+                           polygon_centroid)
 
 
 def segment_quadrature(v0, v1, degree: int):
@@ -56,9 +59,27 @@ def project_cell(fn, cell_basis, vertices, center=None, degree_hint=None) -> np.
     return _project(fn, cell_basis, *polygon_quadrature(vertices, deg, center=center))
 
 
+def grad(cell_basis, points) -> np.ndarray:
+    """Gradients of the monomials of a `CellBasis` at `points`; returns (n, dim, 2)."""
+    return cell_monomials(np.atleast_2d(points), cell_basis.center, cell_basis.half,
+                          cell_basis.degree, grad=True)
+
+
+def hooke(solid, sym_grad) -> np.ndarray:
+    """Stress components (xx, yy, xy) of a `SolidMaterial` from strain
+    components (xx, yy, xy)."""
+    e = np.asarray(sym_grad, dtype=float)
+    tr = e[..., 0] + e[..., 1]
+    out = np.empty_like(e)
+    out[..., 0] = 2 * solid.mu * e[..., 0] + solid.lam * tr
+    out[..., 1] = 2 * solid.mu * e[..., 1] + solid.lam * tr
+    out[..., 2] = 2 * solid.mu * e[..., 2]
+    return out
+
+
 def hooke_inv(solid, stress) -> np.ndarray:
     """Strain components (xx, yy, xy) from stress components: the inverse of
-    `SolidMaterial.hooke`."""
+    `hooke`."""
     s = np.asarray(stress, dtype=float)
     beta = 1.0 / (2 * solid.mu)
     gamma = solid.lam / (2 * solid.mu * (2 * solid.lam + 2 * solid.mu))

@@ -63,13 +63,14 @@ def test_config_validation_errors(tmp_path):
     with pytest.raises(cli.CliConfigError):
         cli.load_config(write_cfg(tmp_path, bad, "b.json"))
     bad = json.loads(json.dumps(RICKER_CFG))
-    bad["order_mode"] = "equal"   # implicit scheme forbids the equal-order path
+    bad["order_mode"] = "equal"   # the scheme fixes the order mode: no config key
     with pytest.raises(cli.CliConfigError):
         cli.load_config(write_cfg(tmp_path, bad, "c.json"))
     bad = json.loads(json.dumps(RICKER_CFG))
-    bad.pop("dt")
+    bad.pop("dt")                 # loads, as cfl and efficiency read no dt; simulate does
     with pytest.raises(cli.CliConfigError):
-        cli.load_config(write_cfg(tmp_path, bad, "d.json"))
+        cli.cmd_simulate(cli.load_config(write_cfg(tmp_path, bad, "d.json")),
+                         str(tmp_path / "d"))
 
 
 def test_explicit_forbids_mixed(tmp_path):
@@ -78,6 +79,45 @@ def test_explicit_forbids_mixed(tmp_path):
     bad["order_mode"] = "mixed"
     with pytest.raises(cli.CliConfigError):
         cli.load_config(write_cfg(tmp_path, bad))
+
+
+@pytest.mark.parametrize("scheme,mode", [("ERK2", "equal"), ("SDIRK34", "mixed")])
+def test_order_mode_key_exit_code(tmp_path, capsys, scheme, mode):
+    """The scheme fixes the order mode; a config that names one, even the
+    scheme's own, exits 2 naming the key."""
+    cfg = dict(json.loads(json.dumps(RICKER_CFG)), scheme=scheme, order_mode=mode)
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "unknown config key order_mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", [*cli.EXPLICIT_SCHEMES, *cli.IMPLICIT_SCHEMES])
+def test_scheme_fixes_the_stabilization(scheme):
+    make = (StabilizationConfig.explicit if scheme in cli.EXPLICIT_SCHEMES
+            else StabilizationConfig.implicit)
+    assert cli.build_stabilization({"scheme": scheme, "stabilization": {}}) == make()
+    cfg = cli.load_config(None, {"mesh": {"fluid_rect": [0, 0, 1, 1]}, "scheme": scheme,
+                                 "stabilization": {"eta_solid": 2.5}})
+    assert cli.build_stabilization(cfg) == make(eta_solid=2.5)
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_run_without_a_step_exit_code(tmp_path, capsys, monkeypatch, command):
+    """simulate and converge read dt or a target cfl: without either they exit
+    2 before any mesh is built or any output is written."""
+    cfg = dict(json.loads(json.dumps(RICKER_CFG)),
+               scenario={"type": "manufactured", "omega": 1.0, "theta": 1.0})
+    cfg.pop("dt")
+    built = []
+    monkeypatch.setattr(cli, "build_mesh", lambda mesh_cfg: built.append(mesh_cfg))
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out),
+                     *(["--levels", "1,2"] if command == "converge" else [])])
+    assert code == cli.EXIT_CONFIG
+    assert cli.DT_RULE in capsys.readouterr().err
+    assert not built and not out.exists()
 
 
 def test_cfl_target_resolves_dt():
@@ -503,7 +543,7 @@ def test_resolved_config_holds_every_default():
     cfg = cli.load_config(None, {"mesh": {"fluid_rect": [0, 0, 1, 1]}, "dt": 0.1,
                                  "scheme": "sdirk34", "scenario": {"type": "ricker"},
                                  "sensors": [{"kind": "fluid", "position": [0.5, 0.5]}]})
-    assert cfg["scheme"] == "SDIRK34" and cfg["order_mode"] == "mixed"
+    assert cfg["scheme"] == "SDIRK34" and "order_mode" not in cfg
     assert cfg["mesh"] == {"family": "cartesian", "fluid_rect": (0.0, 0.0, 1.0, 1.0)}
     assert cfg["scenario"] == {"type": "ricker", "amplitude": 1.0, "central_frequency": 10.0,
                                "center": (0.0, 0.0)}
@@ -515,7 +555,7 @@ def test_resolved_config_holds_every_default():
     # the stabilization weights left out keep the order mode's own defaults
     assert cfg["stabilization"] == {}
     assert cli.build_stabilization(cfg) == StabilizationConfig.implicit()
-    assert cli.build_stabilization(dict(cfg, order_mode="equal")) == StabilizationConfig.explicit()
+    assert cli.build_stabilization(dict(cfg, scheme="ERK2")) == StabilizationConfig.explicit()
 
 
 def test_benchmark_and_shipped_configs_pass_the_schema():
@@ -735,6 +775,29 @@ def test_cfl_brackets_start_from_the_configured_scenario(tmp_path):
     assert cli.cmd_cfl(cfg, str(out)) == cli.EXIT_OK
     row = (out / "cfl.csv").read_text().strip().splitlines()[1].split(",")
     assert (int(row[7]), int(row[8])) == (est.n_stable, est.n_unstable)
+
+
+@pytest.mark.parametrize("command,table", [("cfl", "cfl.csv"),
+                                           ("efficiency", "efficiency.csv")])
+def test_study_runs_without_a_step(tmp_path, command, table):
+    """cfl brackets and efficiency takes efficiency.dt0: neither reads dt or
+    cfl, and each writes the same table with either or without both."""
+    tables = []
+    for step in ({"cfl": 0.1}, {"dt": 0.5}, {}):
+        cfg = {key: val for key, val in STUDY_CFG.items() if key not in ("dt", "cfl")}
+        cfg["efficiency"] = {"schemes": ["ERK2", "SDIRK34"], "levels": [0, 1]}
+        out = tmp_path / f"out{len(tables)}"
+        code = cli.main([command, "--config", write_cfg(tmp_path, dict(cfg, **step)),
+                         "--out", str(out)])
+        assert code == cli.EXIT_OK
+        rows = [row.split(",") for row in (out / table).read_text().splitlines()]
+        # efficiency's last column is its run's cpu_seconds
+        tables.append([row[:-1] if command == "efficiency" else row for row in rows])
+    assert len(tables[0]) > 1 and tables[0] == tables[1] == tables[2]
+    cfg = dict(STUDY_CFG, dt=0.1)           # both still exit 2
+    code = cli.main([command, "--config", write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "both")])
+    assert code == cli.EXIT_CONFIG and not (tmp_path / "both").exists()
 
 
 def test_cfl_with_a_zero_scenario_exit_code(tmp_path, capsys):

@@ -188,11 +188,9 @@ def test_sensor_error_identical_and_scaled():
 
 
 def test_sensor_error_mismatched_grid():
-    t1 = np.linspace(0, 1, 10)
-    t2 = np.linspace(0, 2, 10)
     ones = np.ones((10, 1))
-    with pytest.raises(ScenarioError):
-        sensor_error(ones, ones, times=t1, ref_times=t2)
+    with pytest.raises(ScenarioError, match="shapes differ"):
+        sensor_error(ones, np.ones((12, 1)))
     with pytest.raises(ScenarioError):
         sensor_error(ones, np.zeros((10, 1)))
 

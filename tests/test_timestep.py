@@ -477,12 +477,23 @@ def test_face_eliminated_operator_is_dissipative(family):
     # energy u.M u / 2 of the unforced explicit system never grows in time
     system = make_system(k=1, level=3, family=family)
     stepper = ExplicitStepper(system, tableau("ERK2"))
-    k_cond = (system.mass.tocsr() @ stepper.op).toarray()
-    ref = system.k_tt.tocsr().toarray() - system.k_tf.tocsr().toarray() @ np.linalg.solve(
-        system.k_ff.toarray(), system.k_ft.tocsr().toarray())
-    assert np.linalg.norm(k_cond - ref) < 1e-12 * np.linalg.norm(ref)
-    eig = np.linalg.eigvalsh(0.5 * (k_cond + k_cond.T))
-    assert eig.min() >= -1e-12 * np.abs(eig).max()
+    k_cond = system.mass.tocsr() @ stepper.op
+    ref = system.k_tt.tocsr() - system.k_tf.tocsr() @ (system.kff_inverse
+                                                       @ system.k_ft.tocsr())
+    assert spla.norm(k_cond - ref) < 1e-12 * spla.norm(ref)
+    # H = (M L + (M L)^T) / 2 through a pivoted Cholesky P^T H P = R^T R + S,
+    # R = [R11 R12] and S zero outside its trailing block S22 = H22 - R12^T R12:
+    # R^T R is PSD, so (Weyl) no eigenvalue of H lies below the smallest of S22
+    # by more than ||P^T H P - R^T R - S||, about 1e-16 on these meshes.
+    sym = 0.5 * (k_cond + k_cond.T)
+    radius = abs(spla.eigsh(sym, k=1, which="LM", return_eigenvectors=False)[0])
+    h = sym.toarray()
+    chol, piv, rank, info = sla.lapack.dpstrf(h)
+    assert info >= 0
+    h = h[np.ix_(piv - 1, piv - 1)]
+    r12 = sla.solve_triangular(np.triu(chol[:rank, :rank]), h[:rank, rank:], trans="T")
+    eig = np.linalg.eigvalsh(h[rank:, rank:] - r12.T @ r12)
+    assert rank == len(h) or eig.min() >= -1e-12 * radius
 
 
 def test_erk_cfl_brackets_golden():
@@ -731,7 +742,7 @@ def test_perturbed_mesh_runs_on_the_stacked_kernel():
                                     "stacked_cells": mesh.n_cells}
     # and a condensed step still agrees with the dense stage recursion
     case, u0, forcing = make_case_state(system)
-    stepper = ImplicitStepper(system, tableau("SDIRK34"), 0.01, factorization=fact)
+    stepper = ImplicitStepper(system, tableau("SDIRK34"), 0.01)
     u_cond = stepper.step(u0.copy(), 0.0, 0.01, forcing)
     u_dense = dense_sdirk_step(system, tableau("SDIRK34"), u0.copy(), 0.0, 0.01, forcing)
     assert np.linalg.norm(u_cond - u_dense) < 1e-10 * np.linalg.norm(u_dense)
@@ -802,10 +813,7 @@ def test_sdirk_dt_halving_first_order_change():
 def test_stale_factorization_rejected():
     system = make_system(mode="implicit")
     tab = tableau("SDIRK23")
-    fact = CondensedFactorization(system, tab.a_star, 0.01)
-    with pytest.raises(TimestepError, match="stale"):
-        ImplicitStepper(system, tab, dt=0.02, factorization=fact)
-    stepper = ImplicitStepper(system, tab, dt=0.01, factorization=fact)
+    stepper = ImplicitStepper(system, tab, dt=0.01)
     with pytest.raises(TimestepError, match="stale"):
         stepper.step(np.zeros(system.n_cell_dofs), 0.0, 0.02)
 
