@@ -11,8 +11,9 @@ Gauss-Legendre.
 This is the one module that integrates over cells and faces. The rules and
 the monomial evaluators work on stacked arrays with leading cell or face
 axes: `cell_groups` yields the fan rule of all mesh cells grouped by vertex
-count, `face_rule` the Gauss rule of any array of mesh faces, and
-`CellBasis`/`FaceBasis` evaluate the monomials of one cell or face.
+count, their loops gathered at once from the mesh's edge table, `face_rule`
+the Gauss rule of any array of mesh faces, and `CellBasis`/`FaceBasis`
+evaluate the monomials of one cell or face.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ GROUP_CHUNK = 1024   # cells per stacked group: bounds the temporaries' memory
 def cell_group(mesh, cells, degree: int) -> CellGroup:
     """Fan rule exact to `degree` on `cells` of `mesh`, all with the same vertex count."""
     cells = np.asarray(cells)
-    loops = np.array([mesh.cell_vertices[ci] for ci in cells])
+    loops = mesh.edge_start[mesh.cell_edges(cells)]
     pts, w = fan_quadrature(mesh.vertices[loops], mesh.cell_centroid[cells],
                             mesh.cell_area[cells], degree)
     return CellGroup(pts, w, cells, mesh.cell_centroid[cells], 0.5 * mesh.cell_diameter[cells])
@@ -256,7 +257,7 @@ def cell_groups(mesh, degree: int, split=None, cells=None):
     QuadratureError on a cell that is not star-shaped about its barycenter.
     """
     cells = np.arange(mesh.n_cells) if cells is None else np.asarray(cells)
-    n_verts = np.array([len(mesh.cell_vertices[ci]) for ci in cells], dtype=np.int64)
+    n_verts = np.diff(mesh.cell_offsets)[cells]
     key = n_verts if split is None else np.stack([n_verts, np.asarray(split)[cells]])
     _, group_of = np.unique(key, axis=-1, return_inverse=True)
     group_of = group_of.reshape(-1)    # its shape varies across numpy versions

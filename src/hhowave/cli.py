@@ -418,8 +418,6 @@ def write_vtu(path, system, u_t, mean_rows):
     v = u_t[layout.cell_dofs(solid, "primal")].reshape(mean_rows[solid].shape + (2,))
     v = np.einsum("ci,cia->ca", mean_rows[solid], v)
     vnorm[solid] = np.hypot(v[:, 0], v[:, 1])
-    conn = np.concatenate([loop for loop in mesh.cell_vertices])
-    offsets = np.cumsum([len(loop) for loop in mesh.cell_vertices])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('<?xml version="1.0"?>\n')
         fh.write('<VTKFile type="UnstructuredGrid" version="0.1" byte_order="LittleEndian">\n')
@@ -429,18 +427,19 @@ def write_vtu(path, system, u_t, mean_rows):
         for x, y in mesh.vertices:
             fh.write(f"{x} {y} 0\n")
         fh.write('</DataArray></Points>\n<Cells>\n')
-        fh.write('<DataArray type="Int64" Name="connectivity" format="ascii">\n')
-        fh.write(" ".join(str(int(v)) for v in conn) + "\n")
-        fh.write('</DataArray>\n<DataArray type="Int64" Name="offsets" format="ascii">\n')
-        fh.write(" ".join(str(int(v)) for v in offsets) + "\n")
-        fh.write('</DataArray>\n<DataArray type="UInt8" Name="types" format="ascii">\n')
-        fh.write(" ".join("7" for _ in range(mesh.n_cells)) + "\n")  # VTK_POLYGON
-        fh.write('</DataArray>\n</Cells>\n<CellData>\n')
+
+        def data_array(kind, name, values):
+            fh.write(f'<DataArray type="{kind}" Name="{name}" format="ascii">\n'
+                     + " ".join(map(repr, values.tolist())) + "\n</DataArray>\n")
+
+        # the cells are the mesh's edge table: its vertex column and offsets
+        data_array("Int64", "connectivity", mesh.edge_start)
+        data_array("Int64", "offsets", mesh.cell_offsets[1:])
+        data_array("UInt8", "types", np.full(mesh.n_cells, 7))    # VTK_POLYGON
+        fh.write('</Cells>\n<CellData>\n')
         for name, arr in (("pressure", pressure), ("velocity_norm", vnorm),
                           ("subdomain", mesh.subdomain.astype(float))):
-            fh.write(f'<DataArray type="Float64" Name="{name}" format="ascii">\n')
-            fh.write(" ".join(repr(float(v)) for v in arr) + "\n")
-            fh.write('</DataArray>\n')
+            data_array("Float64", name, arr)
         fh.write('</CellData>\n</Piece></UnstructuredGrid></VTKFile>\n')
 
 
@@ -451,7 +450,6 @@ def cmd_simulate(cfg, out_dir) -> int:
     require_dt(cfg)
     out_cfg = cfg["output"]
     trace_every, snap_every = out_cfg["trace_every"], out_cfg["snapshot_every"]
-    os.makedirs(out_dir, exist_ok=True)
     timings = {}            # seconds per phase
     peak_rss = {}           # MB, the process's peak RSS after each phase
     warnings = []
@@ -518,6 +516,7 @@ def cmd_simulate(cfg, out_dir) -> int:
         if snap_every and n % snap_every == 0:
             write_vtu(os.path.join(out_dir, f"snapshot_{n:04d}.vtu"), system, u, mean_rows)
 
+    os.makedirs(out_dir, exist_ok=True)    # nothing is written before the march
     status = "completed"
     failed_step = None
     march_start = time.perf_counter()

@@ -321,8 +321,9 @@ def _group_blocks(mesh: msh.PolyMesh, grp: CellGroup, layout: DofLayout,
                   material, config: StabilizationConfig) -> LocalBlocks:
     """Local blocks of a group of cells sharing vertex count and material.
 
-    `grp` carries the fan rule of degree 2(k'+1); faces use Gauss rules of
-    the same degree.
+    `grp` carries the fan rule of degree 2(k'+1); the cells' faces and their
+    orientations come from the mesh's edge table, with Gauss rules of the
+    same degree.
     """
     k, kp = layout.k, layout.k_prime
     phi_p = grp.basis(kp)
@@ -333,8 +334,8 @@ def _group_blocks(mesh: msh.PolyMesh, grp: CellGroup, layout: DofLayout,
     vol_x = grp.gram(phi_d, gphi_p[..., 0])              # (g, dual, primal)
     vol_y = grp.gram(phi_d, gphi_p[..., 1])
 
-    face_ids = np.array([mesh.cell_faces[ci] for ci in grp.cells])      # (g, n_v)
-    orient = np.array([mesh.cell_face_orient[ci] for ci in grp.cells])
+    edges = mesh.cell_edges(grp.cells)
+    face_ids, orient = mesh.edge_face[edges], mesh.edge_orient[edges]   # (g, n_v)
     rule = face_rule(mesh, face_ids, 2 * (kp + 1))                      # (g, n_v, n_qf)
     g, n_v, n_qf = rule.weights.shape
     psi = rule.basis(k)

@@ -7,10 +7,14 @@ as a polygon with extra (collinear) vertices: construction detects unpaired
 edges that pass through other mesh vertices and splits them, so nonconforming
 inputs (merged submeshes, locally refined MSH files) need no special casing.
 
-Construction works on one flat table of directed edges, built once from the
-cell loops: edge i belongs to cell `_edge_cell[i]` and runs from vertex
-`_edge_start[i]` to `_edge_end[i]`, with the edges of each cell contiguous and
-in traversal order. Every step is an array operation on that table:
+A mesh holds its cells once, as one flat table of directed edges: the edges
+of cell c are the rows `cell_offsets[c]:cell_offsets[c + 1]`, in
+counterclockwise traversal order, and edge i runs from vertex `edge_start[i]`
+along face `edge_face[i]`, in the face's stored direction if `edge_orient[i]`
+is 1 and against it if -1. Readers gather at the offsets (`cell_edges`) or
+take the cells of one vertex count as stacked arrays (`loops_by_size`).
+Construction builds the table once from the cell loops, and every step is
+an array operation on it:
 - vertex deduplication: vertices closer than COINCIDENCE_TOL times the
   bounding-box diagonal in the Chebyshev (max-coordinate) distance form
   clusters, taken transitively; each cluster becomes its lowest-index vertex,
@@ -83,13 +87,25 @@ class MeshGenSpec:
 
 
 class PolyMesh:
-    """Immutable 2D polygonal mesh with fluid/solid cell tags."""
+    """Immutable 2D polygonal mesh with fluid/solid cell tags.
 
-    def __init__(self, vertices, cell_vertices, subdomain, region=None, region_names=None):
+    `cell_vertices` is the vertex loop of every cell, a sequence of vertex
+    id sequences; with `cell_offsets` it is all loops in one flat array
+    instead, cell c's loop being cell_vertices[cell_offsets[c]:cell_offsets[c + 1]].
+    """
+
+    def __init__(self, vertices, cell_vertices, subdomain, region=None, region_names=None,
+                 cell_offsets=None):
         vertices = np.asarray(vertices, dtype=float)
-        cells = [np.asarray(c, dtype=np.int64) for c in cell_vertices]
+        if cell_offsets is None:
+            cell_offsets = np.cumsum([0, *map(len, cell_vertices)])
+            cell_vertices = np.concatenate(cell_vertices) if len(cell_vertices) else []
+        start = np.asarray(cell_vertices, dtype=np.int64)
+        n_cells = len(cell_offsets) - 1
         subdomain = np.asarray(subdomain, dtype=np.int8)
-        if len(cells) != len(subdomain):
+        if n_cells == 0:
+            raise MeshError("mesh has no cells")
+        if n_cells != len(subdomain):
             raise MeshError("one subdomain tag per cell required")
         if not np.all(np.isfinite(vertices)):
             raise MeshError("non-finite vertex coordinates")
@@ -99,22 +115,20 @@ class PolyMesh:
         region = np.asarray(region, dtype=np.int64)
         self.region_names = dict(region_names or {})
 
-        cell = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
-        start = np.concatenate(cells) if cells else np.empty(0, dtype=np.int64)
-        vertices, cell, start = _dedup_vertices(vertices, cell, start, len(cells))
+        cell = np.repeat(np.arange(n_cells), np.diff(cell_offsets))
+        vertices, cell, start = _dedup_vertices(vertices, cell, start, n_cells)
         start = _orient_ccw(vertices, cell, start)
         cell, start = _resolve_hanging_nodes(vertices, cell, start)
         self._edge_cell = cell
-        self._edge_start = start
         self._edge_end = start[_next_edge(cell)]
-        self._cell_size = np.bincount(cell, minlength=len(cells))
-        self._cell_bounds = np.cumsum(self._cell_size)[:-1]
+        self._cell_size = np.bincount(cell, minlength=n_cells)
+        self.edge_start = start
+        self.cell_offsets = np.concatenate([[0], np.cumsum(self._cell_size)])
 
         self.vertices = vertices
-        self.cell_vertices = np.split(start, self._cell_bounds)
         self.subdomain = subdomain
         self.region = region
-        self.n_cells = len(cells)
+        self.n_cells = n_cells
         self.n_vertices = len(vertices)
 
         bbox = vertices.max(axis=0) - vertices.min(axis=0)
@@ -127,7 +141,7 @@ class PolyMesh:
     # -- construction -----------------------------------------------------
 
     def _build_faces(self):
-        cell, start, end = self._edge_cell, self._edge_start, self._edge_end
+        cell, start, end = self._edge_cell, self.edge_start, self._edge_end
         face, first, count = _first_occurrence_ids(_edge_key(start, end, self.n_vertices))
         if np.any(count > 2):
             e = first[np.argmax(count > 2)]
@@ -155,10 +169,8 @@ class PolyMesh:
         self.face_owner = owner
         self.face_neighbor = neighbor
         self.face_class = fclass.astype(np.int8)
-        self._edge_face = face
-        self._edge_orient = np.where(owned, 1, -1).astype(np.int8)
-        self.cell_faces = np.split(face, self._cell_bounds)
-        self.cell_face_orient = np.split(self._edge_orient, self._cell_bounds)
+        self.edge_face = face
+        self.edge_orient = np.where(owned, 1, -1).astype(np.int8)
         self.n_faces = len(count)
 
     def _build_geometry(self):
@@ -182,19 +194,24 @@ class PolyMesh:
 
     # -- queries -----------------------------------------------------------
 
+    def cell_edges(self, cells):
+        """Edge-table rows (len(cells), n) of `cells`, all of vertex count n, in traversal order."""
+        n = np.unique(self._cell_size[cells])
+        if len(n) > 1:
+            raise ValueError("cells of different vertex counts")
+        return self.cell_offsets[cells][:, None] + np.arange(n.sum())
+
     def loops_by_size(self):
         """The cells grouped by vertex count n: yields (cells, loops, faces, orient).
 
         `cells` is ascending; the other three are (len(cells), n) arrays in
         each cell's traversal order: vertex ids, face ids (local face j runs
-        from loops[:, j] to the next vertex) and the signs of
-        `cell_face_orient`.
+        from loops[:, j] to the next vertex) and the signs of `edge_orient`.
         """
-        edge_size = self._cell_size[self._edge_cell]
         for n in np.unique(self._cell_size):
-            on = edge_size == n
-            yield (np.nonzero(self._cell_size == n)[0], self._edge_start[on].reshape(-1, n),
-                   self._edge_face[on].reshape(-1, n), self._edge_orient[on].reshape(-1, n))
+            cells = np.nonzero(self._cell_size == n)[0]
+            rows = self.cell_edges(cells)
+            yield cells, self.edge_start[rows], self.edge_face[rows], self.edge_orient[rows]
 
     def face_vertices(self, fi):
         return self.vertices[self.faces[fi, 0]], self.vertices[self.faces[fi, 1]]
@@ -210,41 +227,38 @@ class PolyMesh:
         return np.nonzero(self.subdomain == sub)[0]
 
     def locate_cell(self, point, subdomain=None):
-        """Id of the lowest-numbered cell containing `point` (boundary inclusive,
-        within COINCIDENCE_TOL times the length scale).
-
-        With `subdomain` (FLUID or SOLID) only the cells of that subdomain count.
-        """
+        """Id of the lowest-numbered cell, of `subdomain` (FLUID or SOLID) if given,
+        that holds `point`: none of its edges has the point to its right by more
+        than COINCIDENCE_TOL times the length scale times max(1, edge length)."""
         p = np.asarray(point, dtype=float)
         tol = COINCIDENCE_TOL * self.length_scale
-        cells = range(self.n_cells) if subdomain is None else self.cells_of_subdomain(subdomain)
-        for ci in cells:
-            if _point_in_polygon(p, self.vertices[self.cell_vertices[ci]], tol):
-                return int(ci)
+        holds = np.full(self.n_cells, True) if subdomain is None else self.subdomain == subdomain
+        on = holds[self._edge_cell]
+        a = self.vertices[self.edge_start[on]]
+        d = self.vertices[self._edge_end[on]] - a
+        cross = d[:, 0] * (p[1] - a[:, 1]) - d[:, 1] * (p[0] - a[:, 0])
+        holds[self._edge_cell[on][cross < -tol * np.maximum(1.0, np.hypot(*d.T))]] = False
+        if holds.any():
+            return int(np.argmax(holds))
         where = "the mesh" if subdomain is None else ("the fluid", "the solid")[subdomain]
         raise MeshError(f"point {point} lies outside {where}")
 
     def validate(self):
         tol = COINCIDENCE_TOL * self.length_scale
-        if not np.all(np.isfinite(self.vertices)):
-            raise MeshError("non-finite vertex coordinates")
         if np.any(self.face_measure <= tol):
             raise MeshError("degenerate face (zero length)")
         # every edge must see the cell barycenter strictly on its left
         cell = self._edge_cell
         c = self.cell_centroid[cell]
-        p1 = self.vertices[self._edge_start] - c
+        p1 = self.vertices[self.edge_start] - c
         p2 = self.vertices[self._edge_end] - c
         tri2 = p1[:, 0] * p2[:, 1] - p1[:, 1] * p2[:, 0]
-        few = self._cell_size < 3
         flat = self.cell_area <= 0
         star = np.bincount(cell[tri2 <= 1e-13 * self.cell_area[cell]],
                            minlength=self.n_cells) > 0
-        bad = few | flat | star
+        bad = flat | star    # vertex deduplication refuses cells of fewer than 3 faces
         if np.any(bad):
             ci = int(np.argmax(bad))
-            if few[ci]:
-                raise MeshError(f"cell {ci} has fewer than 3 faces")
             if flat[ci]:
                 raise MeshError(f"cell {ci} has non-positive area")
             raise MeshError(f"cell {ci} is not star-shaped w.r.t. its barycenter")
@@ -344,8 +358,6 @@ def _resolve_hanging_nodes(vertices, cell, start):
     end = start[_next_edge(cell)]
     face, _, count = _first_occurrence_ids(_edge_key(start, end, len(vertices)))
     unpaired = np.nonzero(count[face] == 1)[0]
-    if len(unpaired) == 0:
-        return cell, start
     scale = float(np.hypot(*np.ptp(vertices, axis=0))) or 1.0
     tol = 1e-9 * scale
     lo = np.minimum(start, end)[unpaired]
@@ -354,37 +366,20 @@ def _resolve_hanging_nodes(vertices, cell, start):
     length = np.hypot(*(pb - pa).T)
     tangent = (pb - pa) / length[:, None]
     near = cKDTree(vertices).query_ball_point(0.5 * (pa + pb), 0.5 * length + tol)
-    at, extra = [], []
-    for i, cand in enumerate(near):
-        cand = np.asarray(cand, dtype=np.int64)
-        cand = cand[(cand != lo[i]) & (cand != hi[i])]
-        rel = vertices[cand] - pa[i]
-        t = tangent[i]
-        s = rel[:, 0] * t[0] + rel[:, 1] * t[1]
-        off = np.abs(rel[:, 0] * t[1] - rel[:, 1] * t[0])
-        hit = (off <= tol) & (tol < s) & (s < length[i] - tol)
-        # ordered from the lower vertex id, then turned to the edge's direction
-        found = cand[hit][np.lexsort((cand[hit], s[hit]))]
-        e = unpaired[i]
-        at += [e + 1] * len(found)
-        extra += (found if start[e] == lo[i] else found[::-1]).tolist()
-    if not extra:
-        return cell, start
-    at = np.array(at, dtype=np.int64)
-    return np.insert(cell, at, cell[at - 1]), np.insert(start, at, extra)
-
-
-def _point_in_polygon(p, poly, tol):
-    """Boundary-inclusive point-in-polygon test (CCW polygon)."""
-    n = len(poly)
-    inside = True
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-        if cross < -tol * max(1.0, float(np.hypot(*(b - a)))):
-            inside = False
-            break
-    return inside
+    i = np.repeat(np.arange(len(near)), [len(ids) for ids in near])
+    cand = np.fromiter((v for ids in near for v in ids), dtype=np.int64, count=len(i))
+    rel = vertices[cand] - pa[i]
+    t = tangent[i]
+    s = rel[:, 0] * t[:, 0] + rel[:, 1] * t[:, 1]
+    off = np.abs(rel[:, 0] * t[:, 1] - rel[:, 1] * t[:, 0])
+    hit = (cand != lo[i]) & (cand != hi[i]) & (off <= tol) & (tol < s) & (s < length[i] - tol)
+    i, cand, s = i[hit], cand[hit], s[hit]
+    # per edge ordered from the lower vertex id (ties by id), then turned to the
+    # edge's direction
+    sign = np.where(start[unpaired[i]] == lo[i], 1, -1)
+    order = np.lexsort((sign * cand, sign * s, i))
+    at = unpaired[i[order]] + 1
+    return np.insert(cell, at, cell[at - 1]), np.insert(start, at, cand[order])
 
 
 # ---------------------------------------------------------------------------
@@ -423,24 +418,20 @@ def _grid_cells(rect, nx, ny):
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([xx.ravel(), yy.ravel()])
     vid = np.arange((nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)
-    cells = [[vid[i, j], vid[i + 1, j], vid[i + 1, j + 1], vid[i, j + 1]]
-             for i in range(nx) for j in range(ny)]
-    return verts, cells
+    cells = np.stack([vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]], axis=-1)
+    return verts, cells.reshape(-1, 4)
 
 
 def _stagger_phase(i, n, full=0.5):
-    """Stagger offset ramping from 0 at the walls to `full` in the interior.
+    """Stagger offset of the columns `i` (an array) of n + 1, ramping from 0
+    at the walls to `full` in the interior.
 
     Keeps the cells next to the vertical boundaries at full width; a plain
     half-offset stagger would pinch them to half width, and those small stiff
     cells would dominate explicit stability limits.
     """
-    edge = min(i, n - i)
-    if edge <= 0:
-        return 0.0
-    if edge == 1:
-        return 0.5 * full
-    return full
+    edge = np.minimum(i, n - i)
+    return np.where(edge <= 0, 0.0, np.where(edge == 1, 0.5 * full, full))
 
 
 def _staggered_rows(rect, h, counts):
@@ -457,32 +448,21 @@ def _staggered_rows(rect, h, counts):
     ny = max(1, round((y1 - y0) / row_h_ideal))
     b = (y1 - y0) / ny
     base_row = round(y0 / b)
-    points = []
-    for r in range(ny + 1):
-        y = y0 + r * b
-        if (base_row + r) % 2 == 0:
-            xs = [x0 + i * a for i in range(nx + 1)]
-        else:
-            xs = [x0 + (i + _stagger_phase(i, nx)) * a for i in range(nx + 1)]
-        points.extend((x, y) for x in xs)
-    return np.array(points)
+    i, r = np.arange(nx + 1), np.arange(ny + 1)[:, None]
+    xs = x0 + (i + ((base_row + r) % 2) * _stagger_phase(i, nx)) * a
+    return np.column_stack([xs.ravel(), np.repeat(y0 + r.ravel() * b, nx + 1)])
 
 
 def _triangulate_rect(rect, h, counts):
     from scipy.spatial import Delaunay
 
     points = _staggered_rows(rect, h, counts)
-    tri = Delaunay(points)
-    cells = [simplex for simplex in tri.simplices]
     # Delaunay of a point set in a rectangle covers it exactly (convex domain)
-    return points, cells
+    return points, Delaunay(points).simplices
 
 
 def _generate_grid(spec, h, split):
-    all_verts = []
-    all_cells = []
-    subdomain = []
-    offset = 0
+    all_verts, all_cells, subdomain, offset = [], [], [], 0
     for rect, counts, sub in ((spec.fluid_rect, spec.n_fluid, FLUID),
                               (spec.solid_rect, spec.n_solid, SOLID)):
         if rect is None:
@@ -493,10 +473,12 @@ def _generate_grid(spec, h, split):
             nx, ny = _rect_counts(rect, h, counts)
             verts, cells = _grid_cells(rect, nx, ny)
         all_verts.append(verts)
-        all_cells.extend([np.asarray(c) + offset for c in cells])
-        subdomain.extend([sub] * len(cells))
+        all_cells.append(cells + offset)
+        subdomain.append(np.full(len(cells), sub))
         offset += len(verts)
-    return PolyMesh(np.vstack(all_verts), all_cells, subdomain)
+    cells = np.vstack(all_cells)
+    return PolyMesh(np.vstack(all_verts), cells.ravel(), np.concatenate(subdomain),
+                    cell_offsets=np.arange(0, cells.size + 1, cells.shape[1]))
 
 
 # Hexagon lattice pitch relative to the level size h, chosen so that one
@@ -517,16 +499,9 @@ def _hex_seeds(rect, d):
     rh = height / ny
     nx = max(1, round(width / d))
     dx = width / nx
-    pts = []
-    for r in range(ny):
-        y = y0 + (r + 0.5) * rh
-        if r % 2 == 0:
-            xs = [x0 + (i + 0.5) * dx for i in range(nx)]
-        else:
-            xs = [x0 + (i + 0.5 + _stagger_phase(i, nx - 1, full=-0.4)) * dx
-                  for i in range(nx)]
-        pts.extend((x, y) for x in xs)
-    return np.array(pts), max(dx, rh)
+    i, r = np.arange(nx), np.arange(ny)[:, None]
+    xs = x0 + (i + 0.5 + (r % 2) * _stagger_phase(i, nx - 1, full=-0.4)) * dx
+    return np.column_stack([xs.ravel(), np.repeat(y0 + (r.ravel() + 0.5) * rh, nx)]), max(dx, rh)
 
 
 def _generate_hex_rect(rect, d):
@@ -542,21 +517,14 @@ def _generate_hex_rect(rect, d):
     x0, y0, x1, y1 = rect
     seeds, pitch = _hex_seeds(rect, d)
     margin = 3.0 * pitch
-    mirrored = [seeds]
-    near_l = seeds[seeds[:, 0] - x0 < margin]
-    near_r = seeds[x1 - seeds[:, 0] < margin]
-    near_b = seeds[seeds[:, 1] - y0 < margin]
-    near_t = seeds[y1 - seeds[:, 1] < margin]
-    mirrored.append(np.column_stack([2 * x0 - near_l[:, 0], near_l[:, 1]]))
-    mirrored.append(np.column_stack([2 * x1 - near_r[:, 0], near_r[:, 1]]))
-    mirrored.append(np.column_stack([near_b[:, 0], 2 * y0 - near_b[:, 1]]))
-    mirrored.append(np.column_stack([near_t[:, 0], 2 * y1 - near_t[:, 1]]))
-    for xs, ys in (((x0, near_l), (y0, near_b)), ((x0, near_l), (y1, near_t)),
-                   ((x1, near_r), (y0, near_b)), ((x1, near_r), (y1, near_t))):
-        corner = seeds[(np.abs(seeds[:, 0] - xs[0]) < margin)
-                       & (np.abs(seeds[:, 1] - ys[0]) < margin)]
-        mirrored.append(np.column_stack([2 * xs[0] - corner[:, 0],
-                                         2 * ys[0] - corner[:, 1]]))
+    mirrored = [seeds]     # the seeds lie strictly inside: |seed - wall| is its distance
+    for axis, wall in ((0, x0), (0, x1), (1, y0), (1, y1)):
+        near = seeds[np.abs(seeds[:, axis] - wall) < margin]
+        near[:, axis] = 2 * wall - near[:, axis]
+        mirrored.append(near)
+    for corner in ((x0, y0), (x0, y1), (x1, y0), (x1, y1)):
+        near = seeds[np.all(np.abs(seeds - corner) < margin, axis=1)]
+        mirrored.append(2 * np.array(corner) - near)
     vor = Voronoi(np.vstack(mirrored))
     regions = [vor.regions[r] for r in vor.point_region[:len(seeds)]]
     if any(-1 in region or len(region) < 3 for region in regions):
@@ -569,14 +537,11 @@ def _generate_hex_rect(rect, d):
     for n in np.unique(sizes):
         cells = np.nonzero(sizes == n)[0]
         poly = vor.vertices[np.array([regions[i] for i in cells])]
-        px, py = poly[..., 0], poly[..., 1]
-        np.clip(px, x0, x1, out=px)
-        np.clip(py, y0, y1, out=py)
-        px[np.abs(px - x0) < snap] = x0
-        px[np.abs(px - x1) < snap] = x1
-        py[np.abs(py - y0) < snap] = y0
-        py[np.abs(py - y1) < snap] = y1
-        ang = np.arctan2(py - seeds[cells, 1, None], px - seeds[cells, 0, None])
+        for coord, lo, hi in ((poly[..., 0], x0, x1), (poly[..., 1], y0, y1)):
+            np.clip(coord, lo, hi, out=coord)
+            coord[np.abs(coord - lo) < snap] = lo
+            coord[np.abs(coord - hi) < snap] = hi
+        ang = np.arctan2(poly[..., 1] - seeds[cells, 1, None], poly[..., 0] - seeds[cells, 0, None])
         poly = np.take_along_axis(poly, np.argsort(ang, axis=1)[..., None], axis=1)
         gap = poly - np.roll(poly, -1, axis=1)
         close = np.hypot(gap[..., 0], gap[..., 1]) < snap
@@ -603,19 +568,15 @@ def _generate_hex(spec, h):
     rects = [(r, sub) for r, sub in ((spec.fluid_rect, FLUID), (spec.solid_rect, SOLID))
              if r is not None]
     d = HEX_PITCH_FACTOR * h
-    all_verts = []
-    all_cells = []
-    subdomain = []
-    offset = 0
+    polys, subdomain = [], []
     for rect, sub in rects:
-        for poly in _generate_hex_rect(rect, d):
-            all_verts.append(poly)
-            all_cells.append(np.arange(len(poly)) + offset)
-            subdomain.append(sub)
-            offset += len(poly)
-    if not all_cells:
+        tiles = _generate_hex_rect(rect, d)
+        polys += tiles
+        subdomain += [sub] * len(tiles)
+    if not polys:
         raise MeshError("hexagonal tiling produced no cells (level too coarse)")
-    return PolyMesh(np.vstack(all_verts), all_cells, subdomain)
+    offsets = np.cumsum([0, *map(len, polys)])    # every cell brings its own vertices
+    return PolyMesh(np.vstack(polys), np.arange(offsets[-1]), subdomain, cell_offsets=offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -633,65 +594,84 @@ def read_msh(path, region_map=None) -> PolyMesh:
     containing 'fluid' (or 'acoustic', 'atmosphere', 'water', 'air') maps to
     the fluid subdomain and one containing 'solid' (or 'elastic', 'rock',
     'bedrock', 'sediment') to the solid one; `region_map` can override this
-    with an explicit {name_or_tag: 'fluid'|'solid'} mapping.
+    with an explicit {name_or_tag: 'fluid'|'solid'} mapping. A file that
+    cannot be read or parsed raises MeshError naming it and, where it is
+    known, the line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    sections = dict(re.findall(r"\$(\w+)\n(.*?)\$End\1", text, flags=re.S))
-    if "MeshFormat" not in sections:
-        raise MeshError("not an MSH file (missing $MeshFormat)")
-    version = sections["MeshFormat"].split()
-    if not version or not version[0].startswith("2.2"):
-        raise MeshError(f"unsupported MSH version {version[:1]}; expected 2.2")
+    text = _read_text(path)
+    # per section, its non-blank lines and their line numbers in the file
+    sections = {m[1]: [(text.count("\n", 0, m.start(2)) + i + 1, line)
+                       for i, line in enumerate(m[2].splitlines()) if line.strip()]
+                for m in re.finditer(r"\$(\w+)\n(.*?)\$End\1", text, flags=re.S)}
+    row = None
+    try:
+        if "MeshFormat" not in sections:
+            raise MeshError("not an MSH file (missing $MeshFormat)")
+        version = sections["MeshFormat"][0][1].split() if sections["MeshFormat"] else []
+        if not version or not version[0].startswith("2.2"):
+            raise MeshError(f"unsupported MSH version {version[:1]}; expected 2.2")
 
-    names = {}
-    if "PhysicalNames" in sections:
-        lines = sections["PhysicalNames"].strip().splitlines()
-        for line in lines[1:]:
+        names = {}
+        for row, line in sections.get("PhysicalNames", [])[1:]:
             parts = line.split(maxsplit=2)
             if len(parts) == 3:
                 names[int(parts[1])] = parts[2].strip().strip('"')
 
-    if "Nodes" not in sections or "Elements" not in sections:
-        raise MeshError("missing $Nodes or $Elements section")
-    node_lines = sections["Nodes"].strip().splitlines()
-    n_nodes = int(node_lines[0])
-    coords = np.empty((n_nodes, 2))
-    node_id = {}
-    for i, line in enumerate(node_lines[1:n_nodes + 1]):
-        parts = line.split()
-        node_id[int(parts[0])] = i
-        x, y, z = float(parts[1]), float(parts[2]), float(parts[3])
-        if abs(z) > 1e-12 * (1.0 + abs(x) + abs(y)):
-            raise MeshError("unsupported element dimension: nodes with z != 0")
-        coords[i] = (x, y)
+        if not sections.get("Nodes") or not sections.get("Elements"):
+            raise MeshError("missing or empty $Nodes or $Elements section")
+        counted = {}
+        for name in ("Nodes", "Elements"):
+            (row, count), *lines = sections[name]
+            if not 0 <= int(count) <= len(lines):
+                raise MeshError(f"${name} counts {count} entries and lists {len(lines)}")
+            counted[name] = lines[:int(count)]
+        coords = np.empty((len(counted["Nodes"]), 2))
+        node_id = {}
+        for i, (row, line) in enumerate(counted["Nodes"]):
+            parts = line.split()
+            node_id[int(parts[0])] = i
+            x, y, z = float(parts[1]), float(parts[2]), float(parts[3])
+            if abs(z) > 1e-12 * (1.0 + abs(x) + abs(y)):
+                raise MeshError("unsupported element dimension: nodes with z != 0")
+            coords[i] = (x, y)
 
-    elem_lines = sections["Elements"].strip().splitlines()
-    n_elems = int(elem_lines[0])
-    cells = []
-    cell_region = []
-    for line in elem_lines[1:n_elems + 1]:
-        parts = [int(p) for p in line.split()]
-        etype, ntags = parts[1], parts[2]
-        tags = parts[3:3 + ntags]
-        conn = parts[3 + ntags:]
-        if etype in _MSH_SKIP_TYPES:
-            continue
-        if etype in _MSH_3D_TYPES:
-            raise MeshError(f"unsupported element dimension (element type {etype})")
-        if etype not in _MSH_2D_TYPES:
-            raise MeshError(f"unsupported element type {etype}")
-        if len(conn) != _MSH_2D_TYPES[etype]:
-            raise MeshError("malformed element connectivity")
-        cells.append(np.array([node_id[v] for v in conn], dtype=np.int64))
-        cell_region.append(tags[0] if tags else 0)
-
-    if not cells:
-        raise MeshError("no 2D elements found")
+        cells, cell_region = [], []
+        for row, line in counted["Elements"]:
+            parts = [int(p) for p in line.split()]
+            etype, ntags = parts[1], parts[2]
+            tags = parts[3:3 + ntags]
+            conn = parts[3 + ntags:]
+            if etype in _MSH_SKIP_TYPES:
+                continue
+            if etype in _MSH_3D_TYPES:
+                raise MeshError(f"unsupported element dimension (element type {etype})")
+            if etype not in _MSH_2D_TYPES:
+                raise MeshError(f"unsupported element type {etype}")
+            if len(conn) != _MSH_2D_TYPES[etype]:
+                raise MeshError("malformed element connectivity")
+            cells.append([node_id[v] for v in conn])
+            cell_region.append(tags[0] if tags else 0)
+        row = None
+        if not cells:
+            raise MeshError("no 2D elements found")
+    except (MeshError, ValueError, IndexError, KeyError) as exc:
+        why = {IndexError: "too few fields",
+               KeyError: f"element names undefined node {exc}"}.get(type(exc), exc)
+        raise MeshError(f"{path}, line {row}: {why}" if row else f"{path}: {why}") from None
     region = np.asarray(cell_region, dtype=np.int64)
     subdomain = _regions_to_subdomains(region, names, region_map)
     region_names = {tag: names.get(tag, str(tag)) for tag in np.unique(region)}
     return PolyMesh(coords, cells, subdomain, region=region, region_names=region_names)
+
+
+def _read_text(path):
+    """The text of mesh file `path`, or MeshError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshError(f"cannot read mesh file {path}: {getattr(exc, 'strerror', 0) or exc}"
+                        ) from None
 
 
 _FLUID_WORDS = ("fluid", "acoustic", "atmosphere", "water", "air")
@@ -699,6 +679,8 @@ _SOLID_WORDS = ("solid", "elastic", "rock", "bedrock", "sediment", "granite")
 
 
 def _regions_to_subdomains(region, names, region_map):
+    """The subdomain of every cell from its region tag, each distinct tag
+    resolved once, in order of first occurrence (the first unknown is named)."""
     lookup = {}
     if region_map:
         for key, val in region_map.items():
@@ -706,10 +688,11 @@ def _regions_to_subdomains(region, names, region_map):
             if sub is None:
                 raise MeshError(f"region map value {val!r} is not 'fluid' or 'solid'")
             lookup[str(key)] = sub
-    out = np.empty(len(region), dtype=np.int8)
-    for i, tag in enumerate(region):
-        name = names.get(int(tag), "")
-        sub = lookup.get(name, lookup.get(str(int(tag))))
+    ids, first, _ = _first_occurrence_ids(region)
+    subs = np.empty(len(first), dtype=np.int8)
+    for i, tag in enumerate(region[first].tolist()):
+        name = names.get(tag, "")
+        sub = lookup.get(name, lookup.get(str(tag)))
         if sub is None:
             low = name.lower()
             if any(w in low for w in _FLUID_WORDS):
@@ -717,10 +700,10 @@ def _regions_to_subdomains(region, names, region_map):
             elif any(w in low for w in _SOLID_WORDS):
                 sub = SOLID
             else:
-                raise MeshError(f"unknown physical tag {int(tag)} ({name!r}); "
+                raise MeshError(f"unknown physical tag {tag} ({name!r}); "
                                 "provide a region map")
-        out[i] = sub
-    return out
+        subs[i] = sub
+    return subs[ids]
 
 
 # ---------------------------------------------------------------------------
@@ -741,8 +724,8 @@ def merge_nonconforming(fluid: PolyMesh, solid: PolyMesh) -> PolyMesh:
     _check_trace_consistency(fluid, solid)
 
     verts = np.vstack([fluid.vertices, solid.vertices])
-    cells = [loop.copy() for loop in fluid.cell_vertices]
-    cells += [loop + fluid.n_vertices for loop in solid.cell_vertices]
+    loops = np.concatenate([fluid.edge_start, solid.edge_start + fluid.n_vertices])
+    offsets = np.concatenate([fluid.cell_offsets, solid.cell_offsets[1:] + len(fluid.edge_start)])
     subdomain = np.concatenate([fluid.subdomain, solid.subdomain])
 
     # keep region tags from both sides, remapping collisions
@@ -753,7 +736,8 @@ def merge_nonconforming(fluid: PolyMesh, solid: PolyMesh) -> PolyMesh:
     region_names = dict(fluid.region_names)
     for tag, name in solid.region_names.items():
         region_names[tag + shift] = name
-    return PolyMesh(verts, cells, subdomain, region=region, region_names=region_names)
+    return PolyMesh(verts, loops, subdomain, region=region, region_names=region_names,
+                    cell_offsets=offsets)
 
 
 def _boundary_segments(mesh):
@@ -831,33 +815,45 @@ def dump_text(mesh: PolyMesh, path):
         for x, y in mesh.vertices:
             fh.write(f"{float(x)!r} {float(y)!r}\n")
         fh.write(f"cells {mesh.n_cells}\n")
-        for loop, tag in zip(mesh.cell_vertices, mesh.region):
-            fh.write(f"{int(tag)} " + " ".join(str(int(v)) for v in loop) + "\n")
+        offsets, loops = mesh.cell_offsets.tolist(), mesh.edge_start.tolist()
+        for c, tag in enumerate(mesh.region.tolist()):
+            fh.write(f"{tag} " + " ".join(map(str, loops[offsets[c]:offsets[c + 1]])) + "\n")
 
 
 def load_text(path) -> PolyMesh:
-    """Read a mesh written by `dump_text`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if header[:1] != ["polymesh"]:
+    """Read a mesh written by `dump_text`; a file that cannot be read or
+    parsed raises MeshError naming it and the line."""
+    lines = _read_text(path).splitlines()
+    row = 0
+
+    def fields():
+        nonlocal row
+        row += 1
+        return lines[row - 1].split()
+
+    try:
+        if fields()[:1] != ["polymesh"]:
             raise MeshError("not a polymesh fixture file")
-        n_regions = int(fh.readline().split()[1])
-        region_names = {}
-        region_sub = {}
-        for _ in range(n_regions):
-            parts = fh.readline().split()
-            tag = int(parts[0])
-            region_names[tag] = parts[1]
-            region_sub[tag] = FLUID if parts[2] == "fluid" else SOLID
-        n_verts = int(fh.readline().split()[1])
-        verts = np.array([[float(x) for x in fh.readline().split()] for _ in range(n_verts)])
-        n_cells = int(fh.readline().split()[1])
-        cells = []
-        region = []
-        for _ in range(n_cells):
-            parts = fh.readline().split()
-            region.append(int(parts[0]))
-            cells.append(np.array([int(v) for v in parts[1:]], dtype=np.int64))
-    subdomain = np.array([region_sub[t] for t in region], dtype=np.int8)
+        region_names, region_sub = {}, {}
+        for _ in range(int(fields()[1])):
+            tag, name, sub = fields()[:3]
+            region_names[int(tag)] = name
+            region_sub[int(tag)] = FLUID if sub == "fluid" else SOLID
+        verts = np.empty((int(fields()[1]), 2))
+        for i in range(len(verts)):
+            x, y = fields()[:2]
+            verts[i] = float(x), float(y)
+        cells, region, subdomain = [], [], []
+        for _ in range(int(fields()[1])):
+            tag, *loop = map(int, fields())
+            if not all(0 <= v < len(verts) for v in loop):
+                raise MeshError(f"cell names an undefined vertex; there are {len(verts)}")
+            subdomain.append(region_sub[tag])
+            cells.append(loop)
+            region.append(tag)
+    except (MeshError, ValueError, IndexError, KeyError) as exc:
+        why = {IndexError: "the file ends early" if row > len(lines) else "too few fields",
+               KeyError: f"cell of undefined region {exc}"}.get(type(exc), exc)
+        raise MeshError(f"{path}, line {row}: {why}") from None
     return PolyMesh(verts, cells, subdomain, region=np.array(region),
                     region_names=region_names)

@@ -531,7 +531,7 @@ def spectral_dt(stepper: timestep.ExplicitStepper, h: float) -> tuple[float, boo
 
 
 def cfl_bracket(system: hho.BlockSystem, tab: timestep.ButcherTableau, h: float,
-                u0: np.ndarray | None = None, final_time: float = 1.0,
+                u0: np.ndarray, final_time: float = 1.0,
                 config: CflBracketConfig | None = None) -> CflEstimate:
     """Bracket the explicit stability limit by bisection from a spectral seed.
 
@@ -549,9 +549,6 @@ def cfl_bracket(system: hho.BlockSystem, tab: timestep.ButcherTableau, h: float,
     config = config or CflBracketConfig()
     if not tab.explicit:
         raise ScenarioError("CFL bracketing applies to explicit schemes")
-    if u0 is None:
-        case = ManufacturedCase(MANUFACTURED_OMEGA, MANUFACTURED_THETA, system.materials)
-        u0 = manufactured_initial_state(system, case)
     c_sharp = system.materials.c_sharp(system.mesh)
     stepper = timestep.ExplicitStepper(system, tab)
     runs = 0

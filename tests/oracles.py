@@ -6,7 +6,9 @@ quadrature and L2 projections below are the per-cell forms the tests check
 those against, and the gradients of one cell's monomials feed the checks of
 the gradient reconstruction. The Hooke law, its inverse and the exact
 manufactured fields at a time t feed the finite-difference checks of the
-manufactured case.
+manufactured case. A mesh holds its cells as one edge table; `cell_rows`
+reads one cell's rows of it, and `point_in_polygon` is the one-cell test
+that `PolyMesh.locate_cell` applies to all cells at once.
 """
 
 import math
@@ -15,6 +17,32 @@ import numpy as np
 
 from hhowave.basis import (cell_monomials, face_quadrature, fan_quadrature, polygon_area,
                            polygon_centroid)
+from hhowave.scenarios import (MANUFACTURED_OMEGA, MANUFACTURED_THETA, ManufacturedCase,
+                               manufactured_initial_state)
+
+
+def cell_rows(mesh, ci):
+    """The rows of cell `ci` in the edge table of `mesh`, in traversal order."""
+    return slice(mesh.cell_offsets[ci], mesh.cell_offsets[ci + 1])
+
+
+def point_in_polygon(p, poly, tol):
+    """Boundary-inclusive point-in-polygon test (CCW polygon)."""
+    n = len(poly)
+    inside = True
+    for i in range(n):
+        a, b = poly[i], poly[(i + 1) % n]
+        cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+        if cross < -tol * max(1.0, float(np.hypot(*(b - a)))):
+            inside = False
+            break
+    return inside
+
+
+def manufactured_state(system):
+    """The manufactured case's initial state at its default frequency and angle."""
+    case = ManufacturedCase(MANUFACTURED_OMEGA, MANUFACTURED_THETA, system.materials)
+    return manufactured_initial_state(system, case)
 
 
 def segment_quadrature(v0, v1, degree: int):

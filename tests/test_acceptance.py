@@ -23,7 +23,7 @@ from hhowave.scenarios import (BoundSensor, CflBracketConfig, ManufacturedCase,
                                ricker_initial_state)
 from hhowave.timestep import run_time_loop
 
-from oracles import grad, polygon_quadrature
+from oracles import grad, manufactured_state, polygon_quadrature
 from test_basis import greens_monomial_integral, random_star_polygon
 from test_hho import hho_interpolate, reconstruct_fluid_gradient, stab_quadratic_form
 from test_timestep import dense_erk_step, dense_sdirk_step, stage_solve
@@ -109,7 +109,8 @@ def cartesian_cfl():
     for (k, scheme) in TABLE2:
         if k not in systems:
             systems[k] = assemble(mesh, ACADEMIC, StabilizationConfig.explicit(0.8, 1.5), k=k)
-        est = cfl_bracket(systems[k], tableau(scheme), h, final_time=1.0,
+        est = cfl_bracket(systems[k], tableau(scheme), h, manufactured_state(systems[k]),
+                          final_time=1.0,
                           config=CflBracketConfig(eps=0.05, delta=0.01))
         values[(k, scheme)] = est.cfl_stable
     return values
@@ -140,7 +141,8 @@ def test_criterion_3_cfl_mesh_geometry(cartesian_cfl):
         mesh = generate(MeshGenSpec(family, CFL_LEVEL, **SIDE_BY_SIDE))
         h = float(np.mean(mesh.cell_diameter))
         system = assemble(mesh, ACADEMIC, StabilizationConfig.explicit(0.8, 1.5), k=1)
-        est = cfl_bracket(system, tableau("ERK2"), h, final_time=1.0)
+        est = cfl_bracket(system, tableau("ERK2"), h, manufactured_state(system),
+                          final_time=1.0)
         values[family] = est.cfl_stable
     ordered = (values["polygonal-hexagonal"] > values["cartesian"] > values["simplicial"])
     within = all(abs(values[f] - TABLE3[f]) / TABLE3[f] <= 0.15 for f in values)

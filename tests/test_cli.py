@@ -12,6 +12,9 @@ import pytest
 from hhowave import StabilizationConfig, assemble, builtin_materials, cfl_bracket, cli, timestep
 from hhowave import hho, mesh as msh
 
+from oracles import manufactured_state
+from test_mesh import MSH_TWO_TRIANGLES
+
 RICKER_CFG = {
     "mesh": {"family": "cartesian", "level": 3,
              "fluid_rect": [-0.5, 0.0, 0.5, 0.5],
@@ -63,25 +66,14 @@ def test_config_validation_errors(tmp_path):
     with pytest.raises(cli.CliConfigError):
         cli.load_config(write_cfg(tmp_path, bad, "b.json"))
     bad = json.loads(json.dumps(RICKER_CFG))
-    bad["order_mode"] = "equal"   # the scheme fixes the order mode: no config key
-    with pytest.raises(cli.CliConfigError):
-        cli.load_config(write_cfg(tmp_path, bad, "c.json"))
-    bad = json.loads(json.dumps(RICKER_CFG))
     bad.pop("dt")                 # loads, as cfl and efficiency read no dt; simulate does
     with pytest.raises(cli.CliConfigError):
         cli.cmd_simulate(cli.load_config(write_cfg(tmp_path, bad, "d.json")),
                          str(tmp_path / "d"))
 
 
-def test_explicit_forbids_mixed(tmp_path):
-    bad = json.loads(json.dumps(RICKER_CFG))
-    bad["scheme"] = "ERK2"
-    bad["order_mode"] = "mixed"
-    with pytest.raises(cli.CliConfigError):
-        cli.load_config(write_cfg(tmp_path, bad))
-
-
-@pytest.mark.parametrize("scheme,mode", [("ERK2", "equal"), ("SDIRK34", "mixed")])
+@pytest.mark.parametrize("scheme,mode", [("ERK2", "equal"), ("SDIRK34", "mixed"),
+                                         ("ERK2", "mixed"), ("SDIRK34", "equal")])
 def test_order_mode_key_exit_code(tmp_path, capsys, scheme, mode):
     """The scheme fixes the order mode; a config that names one, even the
     scheme's own, exits 2 naming the key."""
@@ -655,6 +647,56 @@ def test_non_finite_msh_node_exit_code(tmp_path, capsys):
     assert "non-finite vertex coordinates" in capsys.readouterr().err
 
 
+# per case, the line the error names and its corrupted text in the MSH file
+# and in the fixture; None for a file that does not exist
+UNREADABLE_MESHES = {
+    "missing file": None,
+    "malformed count": {"msh": (10, "four"), "fixture": (5, "vertices many")},
+    "short line": {"msh": (13, "3 1 1"), "fixture": (6, "0.0")},
+    "undefined node": {"msh": (18, "1 2 2 1 0 1 3 9"), "fixture": (22, "0 0 3 99 1")},
+}
+
+
+def corrupt_mesh_file(tmp_path, kind, corruption):
+    """Path of a two-triangle MSH file or a cartesian L1 bilayer fixture with
+    line `corruption[0]` (from 1) replaced by `corruption[1]`; never written
+    without a corruption."""
+    path = tmp_path / f"mesh.{kind}"
+    if corruption is None:
+        return path
+    if kind == "msh":
+        path.write_text(MSH_TWO_TRIANGLES)
+    else:
+        msh.dump_text(cli.build_mesh({"family": "cartesian", "level": 1,
+                                      "fluid_rect": [0, 0, 1, 1], "solid_rect": [-1, 0, 0, 1]}),
+                      path)
+    lines = path.read_text().splitlines()
+    row, text = corruption
+    lines[row - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_MESHES))
+@pytest.mark.parametrize("kind", ["msh", "fixture"])
+def test_unreadable_mesh_file_exit_code(tmp_path, capsys, kind, case):
+    """A mesh file that cannot be read or parsed exits 2 naming the file and,
+    where it is known, the line; nothing is written."""
+    corruption = UNREADABLE_MESHES[case] and UNREADABLE_MESHES[case][kind]
+    path = corrupt_mesh_file(tmp_path, kind, corruption)
+    cfg = {"mesh": {"fixture": str(path)}, "degree": 1, "scheme": "SDIRK23", "dt": 0.05,
+           "final_time": 0.1, "scenario": {"type": "zero"}}
+    flags = ["--mesh", str(path)] if kind == "msh" else []
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error: ")
+    where = f"{path}, line {corruption[0]}: " if corruption else f"cannot read mesh file {path}: "
+    assert where in err, err
+    assert not out.exists()
+
+
 def test_simulate_nonconforming_mesh(tmp_path):
     cfg = json.loads(json.dumps(RICKER_CFG))
     cfg["mesh"] = {"nonconforming": {
@@ -936,7 +978,7 @@ def test_efficiency_caps_explicit_steps_below_the_stability_limit(tmp_path):
         tab = timestep.tableau(scheme)
         # the cap binds: dt0 2^(-level (k+1)/(s+1)) is ten times larger
         assert float(dt) < 0.1 * 2.0 ** (-2 * 2 / (tab.s + 1))
-        est = cfl_bracket(system, tab, h, final_time=1.0)
+        est = cfl_bracket(system, tab, h, manufactured_state(system), final_time=1.0)
         assert float(dt) <= 1.0 / est.n_stable, scheme
 
 

@@ -11,7 +11,8 @@ from hhowave import (DofLayout, FluidMaterial, MaterialMap, MeshGenSpec,
 from hhowave.basis import CellBasis, FaceBasis, scalar_cell_dim
 from hhowave.hho import ConfigError, build_cell_blocks, coupling_block
 
-from oracles import grad, hooke, hooke_inv, polygon_quadrature, project_cell, project_face
+from oracles import (cell_rows, grad, hooke, hooke_inv, polygon_quadrature, project_cell,
+                     project_face)
 from test_golden import MATRICES, MESHES, golden_mesh
 
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
@@ -33,10 +34,10 @@ def random_polygon_mesh(rng, sub=msh.FLUID):
 def hho_interpolate(mesh, ci, layout, fn):
     """Cell projection onto P^k' plus facewise projections onto P^k."""
     basis = CellBasis(mesh.cell_centroid[ci], mesh.cell_diameter[ci], layout.k_prime)
-    cell_coeff = project_cell(fn, basis, mesh.vertices[mesh.cell_vertices[ci]],
+    cell_coeff = project_cell(fn, basis, mesh.vertices[mesh.edge_start[cell_rows(mesh, ci)]],
                               center=mesh.cell_centroid[ci])
     face_coeff = []
-    for fi in mesh.cell_faces[ci]:
+    for fi in mesh.edge_face[cell_rows(mesh, ci)]:
         fb = FaceBasis(*mesh.face_vertices(int(fi)), layout.k)
         face_coeff.append(project_face(fn, fb, degree_hint=layout.k_prime + 2))
     return cell_coeff, face_coeff
@@ -105,7 +106,7 @@ def reconstruct_fluid_gradient(mesh, ci, layout, blocks, cell_coeff, face_coeff)
     for j, fc in enumerate(face_coeff):
         rhs = rhs + blocks.grad_face[j] @ np.repeat(fc, 1)  # scalar faces
     dual = CellBasis(mesh.cell_centroid[ci], mesh.cell_diameter[ci], layout.k)
-    pts, w = polygon_quadrature(mesh.vertices[mesh.cell_vertices[ci]],
+    pts, w = polygon_quadrature(mesh.vertices[mesh.edge_start[cell_rows(mesh, ci)]],
                                 2 * (layout.k_prime + 1), center=mesh.cell_centroid[ci])
     phi = dual.eval(pts)
     mass = phi.T @ (w[:, None] * phi)
@@ -159,7 +160,7 @@ def test_gradient_commutes_with_projection_fluid(mode, k):
                                                   cell_coeff, face_coeff)
         gradq = lambda p: grad(test_basis_poly, p)[:, :, 0] @ coeff
         gradq_y = lambda p: grad(test_basis_poly, p)[:, :, 1] @ coeff
-        verts = mesh.vertices[mesh.cell_vertices[0]]
+        verts = mesh.vertices[mesh.edge_start[cell_rows(mesh, 0)]]
         px = project_cell(gradq, dual, verts, center=mesh.cell_centroid[0],
                           degree_hint=k + 2)
         py = project_cell(gradq_y, dual, verts, center=mesh.cell_centroid[0],
@@ -196,7 +197,7 @@ def test_symmetric_gradient_commutes_with_projection(k):
             fc[1::2] = faces_y[j]
             rhs = rhs + blocks.grad_face[j] @ fc
         dual = CellBasis(mesh.cell_centroid[0], mesh.cell_diameter[0], k)
-        verts = mesh.vertices[mesh.cell_vertices[0]]
+        verts = mesh.vertices[mesh.edge_start[cell_rows(mesh, 0)]]
         pts, w = polygon_quadrature(verts, 2 * (layout.k_prime + 1),
                                     center=mesh.cell_centroid[0])
         phi = dual.eval(pts)
@@ -379,7 +380,7 @@ def perturbed_mesh():
     inner = np.all((verts > lo) & (verts < hi), axis=1) & (verts[:, 1] != 0.0)
     h = np.min(base.cell_diameter)
     verts[inner] += np.random.default_rng(2).uniform(-0.1, 0.1, (inner.sum(), 2)) * h
-    return msh.PolyMesh(verts, base.cell_vertices, base.subdomain)
+    return msh.PolyMesh(verts, base.edge_start, base.subdomain, cell_offsets=base.cell_offsets)
 
 
 @pytest.mark.parametrize("mode", ["equal", "mixed"])
@@ -473,7 +474,7 @@ def test_grouped_projections_match_per_cell_reference():
     got = hho.project_state(mesh, layout, fields)
     want = np.zeros_like(got)
     for ci in range(mesh.n_cells):
-        verts = mesh.vertices[mesh.cell_vertices[ci]]
+        verts = mesh.vertices[mesh.edge_start[cell_rows(mesh, ci)]]
         fluid = mesh.subdomain[ci] == msh.FLUID
         for fn, dofs, degree in (
                 (wave if fluid else vector, layout.cell_dofs([ci], "primal")[0], kp),
@@ -535,7 +536,7 @@ def test_face_dof_fraction_empirical_triangulation():
     # large pure-acoustic simplicial mesh: measured share within 2 percent
     mesh = generate(MeshGenSpec("simplicial", 6, fluid_rect=(0, 0, 1, 1)))
     assert mesh.n_cells > 8000
-    assert all(len(loop) == 3 for loop in mesh.cell_vertices)
+    assert np.all(np.diff(mesh.cell_offsets) == 3)
     for k in (1, 2):
         layout = DofLayout(mesh, k, "equal")
         measured = layout.n_face_dofs / (layout.n_face_dofs + layout.n_cell_dofs)

@@ -12,6 +12,9 @@ from hhowave.mesh import (FLUID, SOLID, MeshError, MeshGenSpec, PolyMesh,
                           dump_text, generate, load_text,
                           merge_nonconforming, read_msh)
 
+from oracles import cell_rows, point_in_polygon
+from test_golden import golden_mesh
+
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
 
 
@@ -59,7 +62,7 @@ def test_cartesian_level1_interface_count():
 def test_simplicial_counts():
     m = generate(MeshGenSpec("simplicial", 2, **BILAYER))
     # near-equilateral triangles with area close to the cartesian cell area
-    assert all(len(loop) == 3 for loop in m.cell_vertices)
+    assert np.all(np.diff(m.cell_offsets) == 3)
     assert abs(np.sum(m.cell_area) - 2.0) < 1e-12
     h2 = 0.25**2
     assert 0.3 * h2 < np.median(m.cell_area) < 0.7 * h2
@@ -72,7 +75,7 @@ def test_simplicial_counts():
 
 def test_hexagonal_family():
     m = generate(MeshGenSpec("polygonal-hexagonal", 2, **BILAYER))
-    sizes = np.array([len(loop) for loop in m.cell_vertices])
+    sizes = np.diff(m.cell_offsets)
     # hexagon-dominant interior with cut polygons at the boundary
     assert np.sum(sizes == 6) > 0.3 * m.n_cells
     assert sizes.min() >= 3
@@ -117,13 +120,13 @@ def test_geometric_invariants(family):
     # closed boundary: sum of measure-weighted outward normals vanishes per cell
     for ci in range(m.n_cells):
         total = np.zeros(2)
-        for j, fi in enumerate(m.cell_faces[ci]):
-            total += m.face_measure[fi] * m.face_normal[fi] * m.cell_face_orient[ci][j]
+        for fi, sign in zip(m.edge_face[cell_rows(m, ci)], m.edge_orient[cell_rows(m, ci)]):
+            total += m.face_measure[fi] * m.face_normal[fi] * sign
         assert np.max(np.abs(total)) < 1e-12
     # interior faces adjoin exactly two cells listing them once each
     for fi in range(m.n_faces):
         owner, nb = m.face_owner[fi], m.face_neighbor[fi]
-        count = sum(int(fi in m.cell_faces[ci]) for ci in (owner, nb) if ci >= 0)
+        count = sum(int(fi in m.edge_face[cell_rows(m, ci)]) for ci in (owner, nb) if ci >= 0)
         assert count == (1 if nb == -1 else 2)
     # unit normals
     assert np.max(np.abs(np.hypot(*m.face_normal.T) - 1.0)) < 1e-13
@@ -286,10 +289,10 @@ def test_merge_offset_quads_makes_hexagons():
     # solid unit squares; fluid cells of width 1/2 offset by 1/4: each solid
     # top edge gains two hanging nodes (6 faces), split fluid cells gain one
     merged = merge_offset_quads()
-    solid_sizes = sorted(len(merged.cell_vertices[ci])
+    solid_sizes = sorted(np.diff(merged.cell_offsets)[ci]
                          for ci in merged.cells_of_subdomain(SOLID))
     assert solid_sizes == [6, 6]
-    fluid_sizes = [len(merged.cell_vertices[ci])
+    fluid_sizes = [np.diff(merged.cell_offsets)[ci]
                    for ci in merged.cells_of_subdomain(FLUID)]
     assert sorted(set(fluid_sizes)) == [4, 5]
     # every interface face has one fluid and one solid neighbor
@@ -304,10 +307,10 @@ def test_merge_triangles_over_squares_fig2_pattern():
     # squares become hexagons; triangles whose base contains a square corner
     # become quadrilaterals, the others stay triangles
     merged = merge_triangles_over_squares()
-    solid_sizes = sorted(len(merged.cell_vertices[ci])
+    solid_sizes = sorted(np.diff(merged.cell_offsets)[ci]
                          for ci in merged.cells_of_subdomain(SOLID))
     assert solid_sizes == [6, 6]
-    tri_sizes = sorted(len(merged.cell_vertices[ci])
+    tri_sizes = sorted(np.diff(merged.cell_offsets)[ci]
                        for ci in merged.cells_of_subdomain(FLUID))
     # one up-triangle gains the corner hanging node at x=1
     assert tri_sizes.count(4) >= 2 and tri_sizes.count(3) >= 4
@@ -316,11 +319,11 @@ def test_merge_triangles_over_squares_fig2_pattern():
 def test_merge_conforming_is_identity_like():
     merged = merge_conforming()
     assert merged.n_cells == 4
-    assert all(len(loop) == 4 for loop in merged.cell_vertices)
+    assert np.all(np.diff(merged.cell_offsets) == 4)
     assert len(merged.interface_faces) == 2
     # idempotence: re-splitting the merged mesh changes nothing
     remerged = PolyMesh(merged.vertices,
-                        [loop.copy() for loop in merged.cell_vertices],
+                        [merged.edge_start[cell_rows(merged, ci)] for ci in range(merged.n_cells)],
                         merged.subdomain)
     assert remerged.n_faces == merged.n_faces
 
@@ -328,7 +331,7 @@ def test_merge_conforming_is_identity_like():
 def test_merge_thirds_adds_two_nodes():
     merged = merge_thirds()
     for ci in merged.cells_of_subdomain(SOLID):
-        assert len(merged.cell_vertices[ci]) == 6  # 4 + 2 hanging nodes
+        assert np.diff(merged.cell_offsets)[ci] == 6  # 4 + 2 hanging nodes
     for fi in merged.interface_faces:
         assert merged.subdomain[merged.face_owner[fi]] == SOLID
         assert merged.subdomain[merged.face_neighbor[fi]] == FLUID
@@ -428,10 +431,10 @@ def topology_hashes(m):
         "face_owner": m.face_owner,
         "face_neighbor": m.face_neighbor,
         "face_class": m.face_class,
-        "cell_sizes": np.array([len(loop) for loop in m.cell_vertices]),
-        "cell_vertices": np.concatenate(m.cell_vertices),
-        "cell_faces": np.concatenate(m.cell_faces),
-        "cell_face_orient": np.concatenate(m.cell_face_orient),
+        "cell_sizes": np.diff(m.cell_offsets),
+        "cell_vertices": m.edge_start,
+        "cell_faces": m.edge_face,
+        "cell_face_orient": m.edge_orient,
         "cell_area": m.cell_area,
     }
     out = {}
@@ -481,7 +484,7 @@ def test_close_vertices_merge_into_lower_index():
                      dtype=float)
     m = PolyMesh(verts, [[0, 1, 2, 3], [6, 4, 5, 2]], [FLUID, SOLID])
     assert np.array_equal(m.vertices, verts[:6])
-    assert m.cell_vertices[1].tolist() == [1, 4, 5, 2]
+    assert m.edge_start[cell_rows(m, 1)].tolist() == [1, 4, 5, 2]
     assert m.n_faces == 7
     assert len(m.interface_faces) == 1
 
@@ -505,6 +508,51 @@ def test_locate_cell_tie_breaks_low_id():
     # a shared-edge point: the lowest cell id containing it wins
     ci = m.locate_cell((0.5, 0.5))
     others = [c for c in range(m.n_cells)
-              if msh._point_in_polygon(np.array([0.5, 0.5]),
-                                       m.vertices[m.cell_vertices[c]], 1e-12)]
+              if point_in_polygon(np.array([0.5, 0.5]), m.vertices[m.edge_start[cell_rows(m, c)]],
+                                  1e-12)]
     assert ci == min(others)
+
+
+def oracle_locate(m, point, subdomain):
+    """The lowest-id cell holding `point`, by the one-polygon test cell by cell; None if none."""
+    tol = msh.COINCIDENCE_TOL * m.length_scale
+    cells = range(m.n_cells) if subdomain is None else m.cells_of_subdomain(subdomain)
+    for ci in cells:
+        if point_in_polygon(np.asarray(point, dtype=float),
+                            m.vertices[m.edge_start[cell_rows(m, ci)]], tol):
+            return int(ci)
+    return None
+
+
+def locate_points(m):
+    """Cell centroids, vertices shared by two or more cells, face midpoints,
+    and points just outside the boundary faces and far outside the mesh."""
+    shared = np.nonzero(np.bincount(m.edge_start, minlength=m.n_vertices) >= 2)[0]
+    bnd = m.face_neighbor < 0
+    h = m.face_measure[bnd][:, None]
+    out = m.face_midpoint[bnd] + 1e-3 * h * m.face_normal[bnd]   # normals point out of the owner
+    lo, hi = m.vertices.min(axis=0), m.vertices.max(axis=0)
+    far = np.array([lo - 1.0, hi + 1.0, [lo[0] - 1.0, hi[1] + 1.0]])
+    return np.vstack([m.cell_centroid, m.vertices[shared], m.face_midpoint, out, far])
+
+
+@pytest.mark.parametrize("name", [*TOPOLOGY_MESHES, "nonconforming"])
+def test_locate_cell_matches_the_cell_by_cell_scan(name):
+    """On every locked topology mesh and the nonconforming operator mesh (hanging
+    nodes), the vectorized search returns what the lowest-id scan by the
+    one-polygon test returns, with and without each subdomain filter, and
+    raises where the scan finds no cell."""
+    m = golden_mesh(name) if name == "nonconforming" else TOPOLOGY_MESHES[name]()
+    points = locate_points(m)
+    raised = 0
+    for sub in (None, FLUID, SOLID):
+        for point in points:
+            want = oracle_locate(m, point, sub)
+            if want is None:
+                raised += 1
+                with pytest.raises(MeshError, match="outside"):
+                    m.locate_cell(point, subdomain=sub)
+            else:
+                assert m.locate_cell(point, subdomain=sub) == want, (point, sub)
+    # the boundary and far points fall outside every filter
+    assert raised >= 3 * (np.sum(m.face_neighbor < 0) + 3)

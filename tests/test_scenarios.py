@@ -21,7 +21,8 @@ from hhowave.scenarios import (BoundSensor, CflBracketConfig, CflEstimate,
                                ricker_initial_state, sensor_error)
 from hhowave.timestep import run_time_loop
 
-from oracles import exact_pressure, exact_solid_velocity, hooke_inv
+from oracles import (cell_rows, exact_pressure, exact_solid_velocity, hooke_inv,
+                     manufactured_state, point_in_polygon)
 
 ACADEMIC = builtin_materials("academic")
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
@@ -266,8 +267,9 @@ def test_sensors_on_interface_bind_to_their_own_side():
     for sensor in (s_f, s_s):
         sub = mesh.subdomain[sensor.cell]
         holders = [ci for ci in mesh.cells_of_subdomain(sub)
-                   if msh._point_in_polygon(np.array(point), mesh.vertices[mesh.cell_vertices[ci]],
-                                            1e-12 * mesh.length_scale)]
+                   if point_in_polygon(np.array(point),
+                                       mesh.vertices[mesh.edge_start[cell_rows(mesh, ci)]],
+                                       1e-12 * mesh.length_scale)]
         assert sensor.cell == holders[0]
 
 
@@ -420,13 +422,13 @@ def test_cfl_bracket_contract():
     mesh = generate(MeshGenSpec("cartesian", 2, **BILAYER))
     system = assemble(mesh, ACADEMIC, StabilizationConfig.explicit(), k=1)
     est = cfl_bracket(system, tableau("ERK2"), h=mesh.cell_diameter.mean(),
-                      final_time=1.0)
+                      u0=manufactured_state(system), final_time=1.0)
     assert est.cfl_stable < est.cfl_unstable
     assert est.n_stable > est.n_unstable
     assert abs(est.c_sharp - math.sqrt(3.0)) < 1e-14
     # determinism: rerunning reproduces the bracket exactly
     est2 = cfl_bracket(system, tableau("ERK2"), h=mesh.cell_diameter.mean(),
-                       final_time=1.0)
+                       u0=manufactured_state(system), final_time=1.0)
     assert est2.n_stable == est.n_stable and est2.n_unstable == est.n_unstable
 
 
@@ -441,11 +443,11 @@ def cfl_system(level):
 def test_cfl_bracket_survives_a_bad_seed(monkeypatch, level, factor):
     # the spectral seed only chooses where the search starts
     system, h = cfl_system(level)
-    want = cfl_bracket(system, tableau("ERK2"), h)
+    want = cfl_bracket(system, tableau("ERK2"), h, manufactured_state(system))
     spectral_dt = scenarios.spectral_dt
     monkeypatch.setattr(scenarios, "spectral_dt",
                         lambda st, h: (factor * spectral_dt(st, h)[0], True))
-    got = cfl_bracket(system, tableau("ERK2"), h)
+    got = cfl_bracket(system, tableau("ERK2"), h, manufactured_state(system))
     assert (got.n_stable, got.n_unstable) == (want.n_stable, want.n_unstable)
     assert got.cfl_spectral == pytest.approx(factor * want.cfl_spectral, rel=1e-12)
     assert got.runs > want.runs
@@ -454,7 +456,7 @@ def test_cfl_bracket_survives_a_bad_seed(monkeypatch, level, factor):
 def test_cfl_bracket_pair_is_verified_and_within_delta():
     system, h = cfl_system(3)
     config = CflBracketConfig(eps=0.05, delta=0.1)
-    est = cfl_bracket(system, tableau("ERK4"), h, config=config)
+    est = cfl_bracket(system, tableau("ERK4"), h, manufactured_state(system), config=config)
     stepper = ExplicitStepper(system, tableau("ERK4"))
     u0 = manufactured_initial_state(system, ManufacturedCase(5.0, math.sqrt(2.0), ACADEMIC))
     for n, want in ((est.n_stable, True), (est.n_unstable, False)):
@@ -466,7 +468,7 @@ def test_cfl_bracket_pair_is_verified_and_within_delta():
 
 def test_cfl_bracket_falls_back_without_arpack(monkeypatch):
     system, h = cfl_system(2)
-    want = cfl_bracket(system, tableau("ERK2"), h)
+    want = cfl_bracket(system, tableau("ERK2"), h, manufactured_state(system))
 
     def no_convergence(*args, **kwargs):
         raise hho.spla.ArpackNoConvergence("no convergence", [], [])
@@ -474,7 +476,7 @@ def test_cfl_bracket_falls_back_without_arpack(monkeypatch):
     monkeypatch.setattr(hho.spla, "eigs", no_convergence)
     # a fresh system: the first one keeps the spectrum it already computed
     system, h = cfl_system(2)
-    got = cfl_bracket(system, tableau("ERK2"), h)
+    got = cfl_bracket(system, tableau("ERK2"), h, manufactured_state(system))
     assert system.explicit_spectrum is None
     assert (got.n_stable, got.n_unstable) == (want.n_stable, want.n_unstable)
     assert math.isnan(got.cfl_spectral) and not math.isnan(want.cfl_spectral)
@@ -484,7 +486,7 @@ def test_schemes_share_one_operator_and_one_spectrum(monkeypatch):
     fresh = {}
     for scheme in ("ERK2", "ERK4"):
         system, h = cfl_system(3)
-        est = cfl_bracket(system, tableau(scheme), h)
+        est = cfl_bracket(system, tableau(scheme), h, manufactured_state(system))
         fresh[scheme] = (est.n_stable, est.n_unstable, est.cfl_spectral)
     calls = []
     eigs = hho.spla.eigs
@@ -492,7 +494,7 @@ def test_schemes_share_one_operator_and_one_spectrum(monkeypatch):
                         lambda op, **kwargs: calls.append(op.shape[0]) or eigs(op, **kwargs))
     system, h = cfl_system(3)
     for scheme in ("ERK2", "ERK4"):
-        est = cfl_bracket(system, tableau(scheme), h)
+        est = cfl_bracket(system, tableau(scheme), h, manufactured_state(system))
         assert (est.n_stable, est.n_unstable, est.cfl_spectral) == fresh[scheme], scheme
     assert len(calls) == 1
     erk2 = ExplicitStepper(system, tableau("ERK2"))
@@ -528,7 +530,7 @@ def test_cfl_bracket_raises_when_every_doubling_is_unstable(monkeypatch):
     monkeypatch.setattr(scenarios, "_energy_stable_run",
                         lambda *args: steps.append(args[4]) or False)
     with pytest.raises(ScenarioError):
-        cfl_bracket(system, tableau("ERK2"), h)
+        cfl_bracket(system, tableau("ERK2"), h, manufactured_state(system))
     assert len(steps) == scenarios._MAX_DOUBLINGS + 1
     assert steps == sorted(set(steps))
 
@@ -537,14 +539,14 @@ def test_cfl_bracket_raises_when_no_step_count_is_unstable(monkeypatch):
     system, h = cfl_system(1)
     monkeypatch.setattr(scenarios, "_energy_stable_run", lambda *args: True)
     with pytest.raises(ScenarioError):
-        cfl_bracket(system, tableau("ERK2"), h)
+        cfl_bracket(system, tableau("ERK2"), h, manufactured_state(system))
 
 
 def test_cfl_bracket_rejects_implicit():
     mesh = generate(MeshGenSpec("cartesian", 1, **BILAYER))
     system = assemble(mesh, ACADEMIC, StabilizationConfig.implicit(), k=1)
     with pytest.raises(ScenarioError):
-        cfl_bracket(system, tableau("SDIRK23"), h=0.5)
+        cfl_bracket(system, tableau("SDIRK23"), h=0.5, u0=manufactured_state(system))
 
 
 def test_cfl_bracket_config_validation():

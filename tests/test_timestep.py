@@ -17,6 +17,7 @@ from hhowave import hho, timestep
 from hhowave.hho import BlockDiagonal
 from hhowave.timestep import FactorizedOperator, SolverError, TimestepError
 
+from oracles import manufactured_state
 from test_golden import MESHES, golden_mesh
 from test_hho import dense_from_blocks, perturbed_mesh
 
@@ -505,7 +506,7 @@ def test_erk_cfl_brackets_golden():
         system = make_system(k=1, level=3, family=family)
         h = float(np.mean(system.mesh.cell_diameter))
         for kind in ("ERK2", "ERK4"):
-            est = cfl_bracket(system, tableau(kind), h, final_time=1.0)
+            est = cfl_bracket(system, tableau(kind), h, manufactured_state(system), final_time=1.0)
             assert (est.n_stable, est.n_unstable) == golden[(family, kind)], (family, kind)
 
 
