@@ -19,7 +19,6 @@ import json
 import logging
 import math
 import os
-import resource
 import sys
 import time
 
@@ -345,11 +344,6 @@ def courant(mesh, materials, dt) -> float:
     return materials.c_sharp(mesh) * dt / mean_h(mesh)
 
 
-def peak_rss_mb() -> float:
-    """The peak resident set size of this process so far, in MB (`ru_maxrss` is in KB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
 def step_count(final_time: float, dt: float):
     """Steps of constant size that end exactly at `final_time`: (n_steps, dt).
 
@@ -456,7 +450,7 @@ def cmd_simulate(cfg, out_dir) -> int:
     t0 = time.perf_counter()
     mesh = build_mesh(cfg["mesh"])
     timings["mesh"] = time.perf_counter() - t0
-    peak_rss["mesh"] = peak_rss_mb()
+    peak_rss["mesh"] = timestep.peak_rss_mb()
     materials = build_materials(cfg)
     stab = build_stabilization(cfg)
     n_steps, dt = step_count(cfg["final_time"], resolve_dt(cfg, mesh, materials))
@@ -471,7 +465,7 @@ def cmd_simulate(cfg, out_dir) -> int:
     t_start = time.perf_counter()
     system = hho.assemble(mesh, materials, stab, k=cfg["degree"])
     timings["assemble"] = time.perf_counter() - t_start
-    peak_rss["assemble"] = peak_rss_mb()
+    peak_rss["assemble"] = timestep.peak_rss_mb()
     operator_nnz = {name: int(getattr(system, name).nnz) for name in OPERATORS}
     log.info("operators store %d entries: %s", sum(operator_nnz.values()),
              ", ".join(f"{name} {nnz}" for name, nnz in operator_nnz.items()))
@@ -482,9 +476,12 @@ def cmd_simulate(cfg, out_dir) -> int:
     t0 = time.perf_counter()
     stepper, tab = build_stepper(cfg, system, dt)
     timings["stepper"] = time.perf_counter() - t0
-    peak_rss["stepper"] = peak_rss_mb()
     condensation = None if tab.explicit else {"build_s": stepper.fact.build_s}
-    if condensation is not None:
+    if condensation is None:
+        peak_rss["stepper"] = timestep.peak_rss_mb()
+    else:       # the Schur matrix built, then its LU
+        peak_rss["condensation"] = stepper.fact.build_rss_mb
+        peak_rss["factor"] = timestep.peak_rss_mb()
         log.info("condensation built in %.3f s", condensation["build_s"])
     schur = None if tab.explicit or not system.n_face_dofs else stepper.fact.schur_solver
     if schur is not None:
@@ -527,7 +524,7 @@ def cmd_simulate(cfg, out_dir) -> int:
         failed_step = exc.step_index
     end = time.perf_counter()
     timings["march"] = end - march_start
-    peak_rss["march"] = peak_rss_mb()
+    peak_rss["march"] = timestep.peak_rss_mb()
     wall = end - t_start
 
     if sensors:

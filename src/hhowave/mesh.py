@@ -109,13 +109,22 @@ class PolyMesh:
             raise MeshError("one subdomain tag per cell required")
         if not np.all(np.isfinite(vertices)):
             raise MeshError("non-finite vertex coordinates")
+        size = np.diff(cell_offsets)
+        if np.any(size < 3):
+            ci = int(np.argmax(size < 3))
+            raise MeshError(f"cell {ci} has {size[ci]} vertices; a cell needs at least 3")
+        cell = np.repeat(np.arange(n_cells), size)
+        unknown = (start < 0) | (start >= len(vertices))
+        if np.any(unknown):
+            e = int(np.argmax(unknown))
+            raise MeshError(f"cell {cell[e]} names vertex {start[e]}; "
+                            f"vertex ids run from 0 to {len(vertices) - 1}")
         if region is None:
             region = subdomain.astype(np.int64)
             region_names = {FLUID: "fluid", SOLID: "solid"}
         region = np.asarray(region, dtype=np.int64)
         self.region_names = dict(region_names or {})
 
-        cell = np.repeat(np.arange(n_cells), np.diff(cell_offsets))
         vertices, cell, start = _dedup_vertices(vertices, cell, start, n_cells)
         start = _orient_ccw(vertices, cell, start)
         cell, start = _resolve_hanging_nodes(vertices, cell, start)
@@ -180,8 +189,10 @@ class PolyMesh:
         for cells, loops, _, _ in self.loops_by_size():
             pts = self.vertices[loops]
             self.cell_area[cells] = polygon_area(pts)
+            # centroids from the vertices relative to the first one: far from
+            # the origin (UTM-like coordinates) the absolute form loses its digits
             with np.errstate(invalid="ignore", divide="ignore"):  # validate rejects area 0
-                self.cell_centroid[cells] = polygon_centroid(pts)
+                self.cell_centroid[cells] = polygon_centroid(pts - pts[:, :1]) + pts[:, 0]
             self.cell_diameter[cells] = polygon_diameter(pts)
 
         d = self.vertices[self.faces[:, 1]] - self.vertices[self.faces[:, 0]]

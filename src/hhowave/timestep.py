@@ -43,12 +43,18 @@ solve is checked by its equilibrated residual (`FactorizedOperator`).
 from __future__ import annotations
 
 import math
+import resource
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+
+def peak_rss_mb() -> float:
+    """The peak resident set size of this process so far, in MB (`ru_maxrss` is in KB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 class TimestepError(Exception):
@@ -352,7 +358,8 @@ class CondensedFactorization:
     K_FF in one COO to CSR conversion, and converted to the CSC matrix that
     `schur_solver`, its direct LU (`FactorizedOperator`), equilibrates,
     factors and keeps as the one copy of S. `build_s` is the time spent
-    before the factorization.
+    before the factorization, and `build_rss_mb` the process's peak RSS once
+    S is built, before the LU (`peak_rss_mb`).
     """
 
     def __init__(self, system, a_star: float, dt: float):
@@ -375,6 +382,7 @@ class CondensedFactorization:
                                    for shape, blk in store.blocks.items()}, system.k_ff).tocsc()
         schur.data *= ad
         self.build_s = time.perf_counter() - start
+        self.build_rss_mb = peak_rss_mb()
         self.schur_solver = FactorizedOperator(schur)
 
     def face_solve(self, z: np.ndarray) -> np.ndarray:

@@ -229,8 +229,9 @@ def test_simulate_reports_schur_solver(tmp_path, caplog):
     assert set(summary["timings"]) == {"mesh", "assemble", "stepper", "march", "output"}
     assert all(sec >= 0.0 for sec in summary["timings"].values())
     assert "operators store" in caplog.text and "timings: mesh" in caplog.text
-    # and where its memory went: the peak RSS after each phase never falls
-    phases = ("mesh", "assemble", "stepper", "march")
+    # and where its memory went: the peak RSS after each phase never falls,
+    # the implicit stepper's split into the Schur build and its LU
+    phases = ("mesh", "assemble", "condensation", "factor", "march")
     assert set(summary["peak_rss_mb"]) == set(phases)
     peaks = [summary["peak_rss_mb"][phase] for phase in phases]
     assert 0.0 < peaks[0] and peaks == sorted(peaks)
@@ -358,6 +359,7 @@ def test_simulate_instability_exit_code(tmp_path):
     # has 6, squares differing only in which of their faces they own)
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert "solver" not in summary and "condensation" not in summary
+    assert set(summary["peak_rss_mb"]) == {"mesh", "assemble", "stepper", "march"}
     classes = summary["cell_classes"]
     assert classes["classes"] == 6
     assert classes["gemm_cells"] + classes["stacked_cells"] == summary["n_cells"]

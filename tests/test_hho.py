@@ -383,6 +383,71 @@ def perturbed_mesh():
     return msh.PolyMesh(verts, base.edge_start, base.subdomain, cell_offsets=base.cell_offsets)
 
 
+def moved_mesh(mesh, scale, shift):
+    """`mesh` scaled by `scale` about the origin, then translated by `shift`."""
+    return msh.PolyMesh(mesh.vertices * scale + np.asarray(shift), mesh.edge_start,
+                        mesh.subdomain, cell_offsets=mesh.cell_offsets)
+
+
+MOVES = [(1.0, (0.0, 0.0)), (7.3, (3750.3, -1234.7)), (1000.0, (5e5, 4.2e6))]
+
+
+@pytest.mark.parametrize("scale, shift", MOVES)
+@pytest.mark.parametrize("family, level, n_classes", [("cartesian", 4, 6),
+                                                      ("polygonal-hexagonal", 4, 48)])
+def test_congruence_classes_survive_scaling_and_translation(family, level, n_classes,
+                                                            scale, shift):
+    # round-off in the coordinates of a moved mesh splits no class
+    mesh = moved_mesh(generate(MeshGenSpec(family, level, **BILAYER)), scale, shift)
+    assert hho.congruence_classes(mesh).max() + 1 == n_classes
+
+
+def test_granite_mesh_has_six_classes():
+    # subdomain, owned faces and size: 6 cell shapes over 9,409 cells whose
+    # coordinates run to 3,750 m
+    mesh = generate(MeshGenSpec("cartesian", 5, fluid_rect=(-3750.0, 0.0, 3750.0, 1500.0),
+                                solid_rect=(-3750.0, -3750.0, 3750.0, 0.0),
+                                n_fluid=(97, 28), n_solid=(97, 69)))
+    assert mesh.n_cells == 9409
+    assert hho.congruence_classes(mesh).max() + 1 == 6
+
+
+def test_perturbed_mesh_has_one_class_per_cell():
+    mesh = perturbed_mesh()
+    assert np.array_equal(np.sort(hho.congruence_classes(mesh)), np.arange(mesh.n_cells))
+
+
+def test_class_members_match_their_representative_within_the_tolerance():
+    mesh = moved_mesh(generate(MeshGenSpec("polygonal-hexagonal", 4, **BILAYER)),
+                      1000.0, (5e5, 4.2e6))
+    tol = msh.COINCIDENCE_TOL * mesh.length_scale
+    class_of = hho.congruence_classes(mesh)
+    split = 2 * mesh.region + mesh.subdomain
+    for cls in range(class_of.max() + 1):
+        cells = np.nonzero(class_of == cls)[0]
+        rows = mesh.cell_edges(cells)       # refuses cells of different vertex counts
+        assert len(np.unique(split[cells])) == 1
+        assert np.all(mesh.edge_orient[rows] == mesh.edge_orient[rows[:1]])
+        # every vertex minus the first, against the representative's (the lowest id)
+        pts = mesh.vertices[mesh.edge_start[rows]]
+        d = pts[:, 1:] - pts[:, :1]
+        assert np.abs(d - d[:1]).max() <= 2 * tol, cls
+
+
+@pytest.mark.parametrize("move, same", [(0.1, True), (10.0, False)])
+def test_congruence_tolerance_is_the_coincidence_tolerance(move, same):
+    # a vertex moved by less than the tolerance keeps its cells' classes; moved
+    # by more, the four cells around it leave theirs
+    mesh = generate(MeshGenSpec("cartesian", 2, **BILAYER))
+    verts = mesh.vertices.copy()
+    inner = np.argmin(np.hypot(*(verts - (0.5, 0.5)).T))
+    verts[inner, 0] += move * msh.COINCIDENCE_TOL * mesh.length_scale
+    moved = msh.PolyMesh(verts, mesh.edge_start, mesh.subdomain, cell_offsets=mesh.cell_offsets)
+    base, got = hho.congruence_classes(mesh), hho.congruence_classes(moved)
+    assert got.max() + 1 == 6 + (0 if same else 4)
+    assert np.array_equal(got, base) == same
+
+
 @pytest.mark.parametrize("mode", ["equal", "mixed"])
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("mesh_name", MESHES + ("perturbed",))

@@ -155,6 +155,31 @@ def test_star_shape_violation_rejected():
         PolyMesh(hook, [np.arange(6)], [FLUID])
 
 
+UNIT_SQUARE = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+
+
+@pytest.mark.parametrize("vertex", [-1, 4])
+def test_unknown_vertex_id_rejected(vertex):
+    with pytest.raises(MeshError, match=f"cell 1 names vertex {vertex}; vertex ids run from 0 to 3"):
+        PolyMesh(UNIT_SQUARE, [[0, 1, 2, 3], [0, 1, 2, vertex]], [FLUID] * 2)
+
+
+def test_cell_of_two_vertices_rejected():
+    with pytest.raises(MeshError, match="cell 1 has 2 vertices; a cell needs at least 3"):
+        PolyMesh(UNIT_SQUARE, [[0, 1, 2, 3], [0, 1]], [FLUID] * 2)
+
+
+@pytest.mark.parametrize("level, scale", [(4, 10.0), (6, 1000.0)])
+def test_centroids_keep_their_digits_far_from_the_origin(level, scale):
+    # a hexagonal bilayer scaled and moved to UTM-like coordinates
+    base = generate(MeshGenSpec("polygonal-hexagonal", level, **BILAYER))
+    shift = np.array([5e5, 4.2e6])
+    m = PolyMesh(base.vertices * scale + shift, base.edge_start, base.subdomain,
+                 cell_offsets=base.cell_offsets)
+    err = np.abs(m.cell_centroid - (base.cell_centroid * scale + shift)).max(axis=1)
+    assert np.all(err <= 1e-8 * scale * base.cell_diameter)
+
+
 # ---------------------------------------------------------------------------
 # MSH reader
 
