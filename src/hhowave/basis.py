@@ -8,12 +8,13 @@ Cell quadrature triangulates the polygon as a fan around the barycenter
 Gauss-Legendre product rule on each triangle; face quadrature is plain
 Gauss-Legendre.
 
-This is the one module that integrates over cells and faces. The rules and
+This is the one module that builds rules on cells and faces. The rules and
 the monomial evaluators work on stacked arrays with leading cell or face
-axes: `cell_groups` yields the fan rule of all mesh cells grouped by vertex
-count, their loops gathered at once from the mesh's edge table, `face_rule`
-the Gauss rule of any array of mesh faces, and `CellBasis`/`FaceBasis`
-evaluate the monomials of one cell or face.
+axes: `cell_groups` yields the fan rule of mesh cells grouped by vertex
+count, their loops gathered at once from the mesh's edge table, and
+`face_rule` the Gauss rule of any array of mesh faces. Only the class store
+`hho.CellClasses` builds cell rules, one per congruence class; every other
+cell integral reads them (`hho.ClassRule`).
 """
 
 from __future__ import annotations
@@ -95,50 +96,6 @@ def face_monomials(points, midpoint, tangent, half, degree: int) -> np.ndarray:
     t = np.asarray(tangent, dtype=float)[..., None, :]
     s = (d[..., 0] * t[..., 0] + d[..., 1] * t[..., 1]) / np.asarray(half)[..., None]
     return _powers(s, degree)
-
-
-class CellBasis:
-    """Scaled monomial basis of P^k on a 2D cell.
-
-    Basis function i is ((x - xc)/r)^a ((y - yc)/r)^b with r = h_T/2 and
-    (a, b) running over `monomial_exponents(k)`.
-    """
-
-    def __init__(self, center, diameter: float, degree: int):
-        self.center = np.asarray(center, dtype=float)
-        self.half = 0.5 * float(diameter)
-        self.degree = int(degree)
-        self.exponents = monomial_exponents(self.degree)
-        self.dim = len(self.exponents)
-
-    def eval(self, points) -> np.ndarray:
-        """Values at `points` (n, 2); returns (n, dim)."""
-        return cell_monomials(np.atleast_2d(points), self.center, self.half, self.degree)
-
-
-class FaceBasis:
-    """Scaled monomial basis of P^k on a straight face (segment).
-
-    Basis function i is ((x - x_F) . t_F / (|F|/2))^i with t_F the unit
-    tangent and x_F the midpoint.
-    """
-
-    def __init__(self, v0, v1, degree: int):
-        self.v0 = np.asarray(v0, dtype=float)
-        self.v1 = np.asarray(v1, dtype=float)
-        delta = self.v1 - self.v0
-        self.length = float(np.hypot(*delta))
-        if self.length <= 0.0:
-            raise ValueError("degenerate face")
-        self.midpoint = 0.5 * (self.v0 + self.v1)
-        self.tangent = delta / self.length
-        self.half = 0.5 * self.length
-        self.degree = int(degree)
-        self.dim = degree + 1
-
-    def eval(self, points) -> np.ndarray:
-        return face_monomials(np.atleast_2d(points), self.midpoint, self.tangent,
-                              self.half, self.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +186,6 @@ class CellGroup(_Rule):
         """Cell monomials of `degree` at the quadrature points, or at `points` (g, n, 2)."""
         pts = self.points if points is None else points
         return cell_monomials(pts, self.centers, self.halves, degree, grad=grad)
-
-    def integrate(self, values) -> np.ndarray:
-        """Cellwise integrals of `values` (g, n_q, ...) sampled at the quadrature points."""
-        return np.einsum("gq,gq...->g...", self.weights, values)
 
 
 GROUP_CHUNK = 1024   # cells per stacked group: bounds the temporaries' memory

@@ -389,13 +389,14 @@ def write_csv(path, header, rows):
 
 
 def cell_average_rows(system) -> np.ndarray:
-    """Mean-value functionals of the primal polynomials: one row per cell."""
-    mesh = system.mesh
+    """Mean-value functionals of the primal polynomials: one row per cell,
+    formed once per congruence class (`hho.CellClasses.rules`) and divided by
+    the rule's own area, its integral of the constant monomial."""
     k_prime = system.layout.k_prime
-    rows = np.empty((mesh.n_cells, basis.scalar_cell_dim(k_prime)))
-    for grp in basis.cell_groups(mesh, k_prime + 1):
-        rows[grp.cells] = (grp.integrate(grp.basis(k_prime))
-                           / mesh.cell_area[grp.cells][:, None])
+    rows = np.empty((system.mesh.n_cells, basis.scalar_cell_dim(k_prime)))
+    for rule in system.cell_classes.rules():
+        integrals = np.einsum("uq,uqi->ui", rule.weights, rule.basis(k_prime))
+        rows[rule.cells] = (integrals / integrals[:, :1])[rule.member]
     return rows
 
 

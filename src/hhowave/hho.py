@@ -18,20 +18,18 @@ no unknowns; nonhomogeneous data enters through a separate lifting matrix
 applied to known face values.
 
 Local blocks are formed once per congruence class of cells
-(`congruence_classes`): `assemble` first builds the class store
-`CellClasses`, which keys the cells, forms one representative's blocks per
-class on `basis.cell_groups` (cells sharing a vertex count and a material,
-on stacked arrays) and keeps them; it then scatters the face-face blocks
-and the Dirichlet columns of K_TF to every member cell through the
-member's own face dofs and Dirichlet dofs, one block shape (subdomain,
-vertex count) at a time. No
-cell's blocks are formed twice: cartesian meshes have 6 classes (congruent
-squares differing only in which of their faces they own), hexagonal L6 has
-48 over 8,280 cells, and a mesh without congruent cells has one class per
-cell. Cells share a class when their vertices, taken relative to their
-first one, agree within the mesh's coincidence tolerance, so the counts
-hold at any scale and translation of the mesh (the granite-water mesh has
-6 classes from 1,024 to 103,684 cells).
+(`congruence_classes`) by the class store `CellClasses`, which forms one
+representative's blocks per class on `basis.cell_groups` and keeps them
+with its fan rule; `assemble` scatters the face-face blocks and the
+Dirichlet columns of K_TF to every member's own dofs, one block shape
+(subdomain, vertex count) at a time. Every other cell integral
+(`load_moments`, `project_state`, `scenarios.l2_error_dual` and
+`cli.cell_average_rows`) reads the class rules (`ClassRule`), so no cell
+gets a rule or a basis of its own. Cartesian meshes have 6 classes,
+hexagonal L6 48 over 8,280 cells, and a mesh without congruent cells one
+class per cell: cells share a class when their vertices, relative to their
+first one, agree within the mesh's `coincidence_tol`, at any scale and
+translation of the mesh (6 classes on granite-water up to 103,684 cells).
 
 The class store is the only store of the cell operators M, K_TT, K_TF
 and K_FT: the system's `mass`, `k_tt`, `k_tf` and `k_ft` are views over it
@@ -83,8 +81,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import mesh as msh
-from .basis import (CellGroup, cell_group, cell_groups, face_rule, scalar_cell_dim,
-                    scalar_face_dim)
+from .basis import (GROUP_CHUNK, CellGroup, cell_group, cell_groups, cell_monomials, face_rule,
+                    scalar_cell_dim, scalar_face_dim)
 from .materials import FluidMaterial, MaterialMap
 from .timestep import inverse_stack
 
@@ -521,8 +519,8 @@ def congruence_classes(mesh: msh.PolyMesh) -> np.ndarray:
     its faces and its shape, and on nothing else. The first three are
     compared exactly. The shape is the position of every vertex minus the
     cell's first vertex, in local order, and two cells share it when every
-    coordinate agrees within COINCIDENCE_TOL times the mesh's
-    `length_scale`, the distance below which the mesh merges two vertices.
+    coordinate agrees within the mesh's `coincidence_tol`, the distance
+    below which the mesh merges two vertices.
     Each coordinate is clustered on its own: over the cells of one vertex
     count, its values are sorted and a new cluster starts at every gap wider
     than that tolerance (1-D single linkage). Without bin edges, copies of
@@ -530,7 +528,7 @@ def congruence_classes(mesh: msh.PolyMesh) -> np.ndarray:
     the mesh, share a class.
     """
     split = 2 * mesh.region + mesh.subdomain
-    tol = msh.COINCIDENCE_TOL * mesh.length_scale
+    tol = mesh.coincidence_tol
     class_of = np.empty(mesh.n_cells, dtype=np.int64)
     n_classes = 0
     for cells, loops, _, orient in mesh.loops_by_size():
@@ -568,6 +566,35 @@ class ClassSegment:
     faces: slice             # the cells' entries of `CellClasses.face_index`
 
 
+@dataclass
+class ClassRule:
+    """The fan rules of a chunk of cells of one block shape, stacked per class
+    (`CellClasses.rules`): a member shares its class's weights and basis values,
+    and only `sample` sees its own points, its class's shifted to its centroid."""
+
+    subdomain: int
+    cells: np.ndarray        # (m,) cell ids, ascending
+    member: np.ndarray       # (m,) each cell's class, a row of the stacks below
+    reps: np.ndarray         # (u,) the classes' representative cells
+    points: np.ndarray       # (u, n_q, 2) relative to the representative's centroid
+    weights: np.ndarray      # (u, n_q)
+    halves: np.ndarray       # (u,) basis scales, half the representative's diameter
+    centers: np.ndarray      # (m, 2) the cells' centroids
+
+    def basis(self, degree: int) -> np.ndarray:
+        """Cell monomials of `degree` at each class's points: (u, n_q, dim)."""
+        return cell_monomials(self.points, np.zeros(2), self.halves, degree)
+
+    def sample(self, fn) -> np.ndarray:
+        """`fn` evaluated once on every cell's points: (m, n_q, n_components)."""
+        pts = self.centers[:, None, :] + self.points[self.member]
+        return np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(*pts.shape[:-1], -1)
+
+    def moments(self, test, values) -> np.ndarray:
+        """Integrals of class functions `test` (u, n_q, dim) against `values` (m, n_q, c)."""
+        return np.swapaxes(self.weights[..., None] * test, 1, 2)[self.member] @ values
+
+
 def _apply_blocks(blocks, x, out):
     """out[i] = B_i x[i] for the rows of x (m, c): one GEMM if `blocks` holds
     one block (1, r, c), else one stacked matmul with a block per row."""
@@ -595,23 +622,26 @@ class CellClasses:
     `blocks[shape]` stacks, for the classes of one block shape (subdomain,
     vertex count), one representative cell's local blocks from
     `_group_blocks`: its cell ("cells"), M ("mass"), K_TT ("k_tt"), K_TF
-    ("k_tf", n x n_v n_side) and K_FT ("k_ft") over all its faces, and the
+    ("k_tf", n x n_v n_side) and K_FT ("k_ft") over all its faces, the
     face-face stabilization of each of its faces ("k_ff", n_v x n_side x
-    n_side). `rows[c]` is the row of cell c's class in its shape's stacks.
-    These are the only copy of M, K_TT, K_TF and K_FT (the system's
-    `ClassOperator` views apply them, and `matrix` forms a CSR of one for
-    the explicit path); `assemble` scatters the face-face blocks and the
-    Dirichlet columns of K_TF to every member cell. Cell vectors are applied in class order (`sort`,
-    `unsort`), in which the dofs of every segment are one contiguous run, so
-    a segment's cell vector is a reshaped view. `face_index` lists, cell by
-    cell in class order, the face dof of every local face dof; those of a
-    Dirichlet face point to the zero pad slot n_face_dofs. `n_dofs` maps a
-    side of an operator, "cell" or "face", to its order.
+    n_side), and its fan rule of degree 2(k'+1): points relative to its
+    centroid ("points"), weights ("weights") and basis scale ("halves"),
+    which `rules` lends to every member. `rows[c]` is the row of cell c's
+    class in its shape's stacks. These are the only copy of M, K_TT, K_TF
+    and K_FT (the system's `ClassOperator` views apply them, and `matrix`
+    forms a CSR of one for the explicit path); `assemble` scatters the
+    face-face blocks and the Dirichlet columns of K_TF to every member cell.
+    Cell vectors are applied in class order (`sort`, `unsort`), in which the
+    dofs of every segment are one contiguous run, so a segment's cell vector
+    is a reshaped view. `face_index` lists, cell by cell in class order, the
+    face dof of every local face dof; those of a Dirichlet face point to the
+    zero pad slot n_face_dofs. `n_dofs` maps a side of an operator, "cell"
+    or "face", to its order.
     """
 
     def __init__(self, layout: DofLayout, materials: MaterialMap,
                  config: StabilizationConfig):
-        mesh = layout.mesh
+        self.mesh = mesh = layout.mesh
         self.n_cell_dofs, self.n_face_dofs = layout.n_cell_dofs, layout.n_face_dofs
         self.n_dofs = {"cell": self.n_cell_dofs, "face": self.n_face_dofs}
         class_of = congruence_classes(mesh)
@@ -627,8 +657,10 @@ class CellClasses:
             part = parts.setdefault((int(mesh.subdomain[cells[0]]), b.face_ids.shape[1]), [])
             row[class_of[cells]] = sum(len(p[0]) for p in part) + np.arange(g)
             part.append((cells, b.mass, b.k_tt, np.swapaxes(b.k_tf(), 1, 2).reshape(g, n, -1),
-                         b.k_ft().reshape(g, -1, n), b.stab_face_face))
-        self.blocks = {shape: dict(zip(("cells", "mass", "k_tt", "k_tf", "k_ft", "k_ff"),
+                         b.k_ft().reshape(g, -1, n), b.stab_face_face,
+                         grp.points - grp.centers[:, None], grp.weights, grp.halves))
+        self.blocks = {shape: dict(zip(("cells", "mass", "k_tt", "k_tf", "k_ft", "k_ff",
+                                        "points", "weights", "halves"),
                                        map(np.concatenate, zip(*part))))
                        for shape, part in parts.items()}
         self.rows = row[class_of]
@@ -664,6 +696,18 @@ class CellClasses:
         return {"classes": self.n_classes,
                 "gemm_cells": sum(len(seg.cells) for seg in self.segments) - stacked,
                 "stacked_cells": stacked}
+
+    def rules(self, subdomains=(msh.FLUID, msh.SOLID)):
+        """The class rules of the cells of `subdomains`, one block shape at a
+        time, in chunks of at most GROUP_CHUNK cells: yields `ClassRule`."""
+        for shape, cells, _ in _shape_groups(self.mesh):
+            blk = self.blocks[shape]
+            for lo in range(0, len(cells) if shape[0] in subdomains else 0, GROUP_CHUNK):
+                chunk = cells[lo:lo + GROUP_CHUNK]
+                used, member = np.unique(self.rows[chunk], return_inverse=True)
+                per_class = (blk[key][used] for key in ("cells", "points", "weights", "halves"))
+                yield ClassRule(shape[0], chunk, member.reshape(-1), *per_class,
+                                self.mesh.cell_centroid[chunk])
 
     def sort(self, v: np.ndarray) -> np.ndarray:
         """A cell vector in class order."""
@@ -1081,44 +1125,45 @@ def assemble(mesh: msh.PolyMesh, materials: MaterialMap,
 
 
 # ---------------------------------------------------------------------------
-# load vectors
+# load vectors and projections
 
-def load_moments(mesh: msh.PolyMesh, layout: DofLayout, fluid_fn=None,
-                 solid_fn=None) -> np.ndarray:
+def load_moments(system: BlockSystem, fluid_fn=None, solid_fn=None) -> np.ndarray:
     """Cell right-hand-side moments of source densities against primal test bases.
 
     fluid_fn(points) -> scalar values; solid_fn(points) -> (n, 2) values.
     Face entries are identically zero by construction and not represented.
-    Only the cells of a subdomain with a source get quadrature rules.
+    The class rules (`CellClasses.rules`) of a subdomain with a source serve.
     """
+    layout = system.layout
     out = np.zeros(layout.n_cell_dofs)
     fns = {sub: fn for sub, fn in ((msh.FLUID, fluid_fn), (msh.SOLID, solid_fn))
            if fn is not None}
-    cells = np.nonzero(np.isin(mesh.subdomain, list(fns)))[0]
-    for grp in cell_groups(mesh, 2 * (layout.k_prime + 1), split=mesh.subdomain, cells=cells):
-        fn = fns[mesh.subdomain[grp.cells[0]]]
-        moments = grp.gram(grp.basis(layout.k_prime), grp.sample(fn))
-        out[layout.cell_dofs(grp.cells, "primal")] = moments.reshape(len(grp.cells), -1)
+    for rule in system.cell_classes.rules(fns):
+        moments = rule.moments(rule.basis(layout.k_prime), rule.sample(fns[rule.subdomain]))
+        out[layout.cell_dofs(rule.cells, "primal")] = moments.reshape(len(rule.cells), -1)
     return out
 
 
-def project_state(mesh: msh.PolyMesh, layout: DofLayout, fields) -> np.ndarray:
-    """L2-project initial fields onto the cell unknowns.
-
+def project_state(system: BlockSystem, fields) -> np.ndarray:
+    """L2-project initial fields onto the cell unknowns, on the class rules
+    (`CellClasses.rules`): each class's Gram matrix is inverted once.
     `fields` provides callables over (n, 2) point arrays: pressure(pts),
     fluid_velocity(pts) -> (n, 2), solid_velocity(pts) -> (n, 2),
     stress(pts) -> (n, 3); any may be None for a zero field.
     """
+    layout = system.layout
     out = np.zeros(layout.n_cell_dofs)
-    for grp in cell_groups(mesh, 2 * (layout.k_prime + 1), split=mesh.subdomain):
-        if mesh.subdomain[grp.cells[0]] == msh.FLUID:
+    for rule in system.cell_classes.rules():
+        if rule.subdomain == msh.FLUID:
             primal, dual = fields.get("pressure"), fields.get("fluid_velocity")
         else:
             primal, dual = fields.get("solid_velocity"), fields.get("stress")
         for fn, part, degree in ((primal, "primal", layout.k_prime), (dual, "dual", layout.k)):
             if fn is None:
                 continue
-            phi = grp.basis(degree)
-            coeff = np.linalg.solve(grp.gram(phi, phi), grp.gram(phi, grp.sample(fn)))
-            out[layout.cell_dofs(grp.cells, part)] = coeff.reshape(len(grp.cells), -1)
+            phi = rule.basis(degree)
+            inverse = inverse_stack(np.swapaxes(phi, 1, 2) @ (rule.weights[..., None] * phi),
+                                    layout.cell_offset[rule.reps], "cell Gram")
+            coeff = inverse[rule.member] @ rule.moments(phi, rule.sample(fn))
+            out[layout.cell_dofs(rule.cells, part)] = coeff.reshape(len(rule.cells), -1)
     return out

@@ -15,8 +15,8 @@ is 1 and against it if -1. Readers gather at the offsets (`cell_edges`) or
 take the cells of one vertex count as stacked arrays (`loops_by_size`).
 Construction builds the table once from the cell loops, and every step is
 an array operation on it:
-- vertex deduplication: vertices closer than COINCIDENCE_TOL times the
-  bounding-box diagonal in the Chebyshev (max-coordinate) distance form
+- vertex deduplication: vertices closer than `coincidence_tol` (COINCIDENCE_TOL
+  times the bounding-box diagonal) in the Chebyshev (max-coordinate) distance form
   clusters, taken transitively; each cluster becomes its lowest-index vertex,
   merged vertices keep the order of those indices, and edges that collapse
   to one vertex leave the table;
@@ -57,6 +57,13 @@ F_BND_FLUID = 3
 F_BND_SOLID = 4
 
 COINCIDENCE_TOL = 1e-12  # relative to the global length scale
+
+
+def coincidence_tol(vertices) -> float:
+    """The distance below which two of `vertices` (n, 2) coincide: COINCIDENCE_TOL times
+    their bounding-box diagonal, at least 4 ulps of their largest absolute coordinate."""
+    scale = float(np.hypot(*np.ptp(vertices, axis=0))) or 1.0
+    return max(COINCIDENCE_TOL * scale, 4 * float(np.spacing(np.abs(vertices).max())))
 
 
 class MeshError(Exception):
@@ -142,6 +149,7 @@ class PolyMesh:
 
         bbox = vertices.max(axis=0) - vertices.min(axis=0)
         self.length_scale = float(np.hypot(*bbox))
+        self.coincidence_tol = coincidence_tol(vertices)
 
         self._build_faces()
         self._build_geometry()
@@ -223,9 +231,6 @@ class PolyMesh:
             cells = np.nonzero(self._cell_size == n)[0]
             rows = self.cell_edges(cells)
             yield cells, self.edge_start[rows], self.edge_face[rows], self.edge_orient[rows]
-
-    def face_vertices(self, fi):
-        return self.vertices[self.faces[fi, 0]], self.vertices[self.faces[fi, 1]]
 
     def faces_of_class(self, fclass):
         return np.nonzero(self.face_class == fclass)[0]
@@ -333,13 +338,12 @@ def _orient_ccw(vertices, cell, start):
 def _dedup_vertices(vertices, cell, start, n_cells):
     """Merge coincident vertices, drop the edges that collapse and unused vertices.
 
-    Vertices closer than COINCIDENCE_TOL times the bounding-box diagonal in
-    the Chebyshev distance join one cluster (transitively); a cluster becomes
-    its lowest-index vertex, and the merged vertices keep the order of those
-    lowest indices. Returns the merged vertices and the edge table.
+    Vertices closer than `coincidence_tol` in the Chebyshev distance join one
+    cluster (transitively); a cluster becomes its lowest-index vertex, and the
+    merged vertices keep the order of those lowest indices. Returns the merged
+    vertices and the edge table.
     """
-    scale = float(np.hypot(*np.ptp(vertices, axis=0))) or 1.0
-    pairs = cKDTree(vertices).query_pairs(COINCIDENCE_TOL * scale, p=np.inf,
+    pairs = cKDTree(vertices).query_pairs(coincidence_tol(vertices), p=np.inf,
                                           output_type="ndarray")
     n = len(vertices)
     links = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hho, mesh as msh, timestep
-from .basis import CellBasis, FaceBasis, cell_groups
+from .basis import cell_monomials, face_monomials, face_rule
 from .materials import FluidMaterial, MaterialMap, SolidMaterial
 
 
@@ -198,16 +198,12 @@ class Forcing:
 
 def manufactured_forcing(system: hho.BlockSystem, case: ManufacturedCase) -> Forcing:
     """Precompute the separable forcing terms of the manufactured case."""
-    layout = system.layout
-    mesh = system.mesh
     factors = case.time_factors()
     terms = [
-        (factors["fluid_source"],
-         hho.load_moments(mesh, layout, fluid_fn=case.fluid_source_profile)),
-        (factors["solid_source"],
-         hho.load_moments(mesh, layout, solid_fn=case.solid_source_profile)),
+        (factors["fluid_source"], hho.load_moments(system, fluid_fn=case.fluid_source_profile)),
+        (factors["solid_source"], hho.load_moments(system, solid_fn=case.solid_source_profile)),
     ]
-    if layout.n_dirichlet_dofs:
+    if system.layout.n_dirichlet_dofs:
         b_fluid = system.project_dirichlet(fluid_trace=case.pressure_profile)
         b_solid = system.project_dirichlet(solid_trace=case.solid_velocity_profile)
         terms.append((factors["fluid_boundary"], system.dirichlet_lift(b_fluid)))
@@ -216,7 +212,7 @@ def manufactured_forcing(system: hho.BlockSystem, case: ManufacturedCase) -> For
 
 
 def manufactured_initial_state(system: hho.BlockSystem, case: ManufacturedCase) -> np.ndarray:
-    return hho.project_state(system.mesh, system.layout, case.initial_fields())
+    return hho.project_state(system, case.initial_fields())
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +253,7 @@ class RickerConfig:
 
 
 def ricker_initial_state(system: hho.BlockSystem, config: RickerConfig) -> np.ndarray:
-    return hho.project_state(system.mesh, system.layout, config.initial_fields())
+    return hho.project_state(system, config.initial_fields())
 
 
 # ---------------------------------------------------------------------------
@@ -281,24 +277,23 @@ def energy(u_t: np.ndarray, system: hho.BlockSystem) -> float:
 
 def l2_error_dual(u_t: np.ndarray, system: hho.BlockSystem, case: ManufacturedCase,
                   t: float) -> float:
-    """L2 errors of the cellwise dual variables against the exact fields.
+    """L2 errors of the cellwise dual variables against the exact fields, on
+    the class rules (`hho.CellClasses.rules`).
 
     Returns the fluid-velocity error norm plus the stress error norm (the
     off-diagonal stress component counting twice in the Frobenius norm).
     """
-    mesh = system.mesh
     layout = system.layout
     squares = {msh.FLUID: 0.0, msh.SOLID: 0.0}
-    for grp in cell_groups(mesh, 2 * (layout.k_prime + 1), split=mesh.subdomain):
-        sub = mesh.subdomain[grp.cells[0]]
+    for rule in system.cell_classes.rules():
+        sub = rule.subdomain
         if sub == msh.FLUID:
             exact, weight = case.exact_fluid_velocity, np.ones(2)
         else:
             exact, weight = case.exact_stress, np.array([1.0, 1.0, 2.0])
-        coeff = u_t[layout.cell_dofs(grp.cells, "dual")]
-        coeff = coeff.reshape(len(grp.cells), -1, len(weight))
-        diff = grp.basis(layout.k) @ coeff - grp.sample(lambda pts: exact(t, pts))
-        squares[sub] += float(grp.integrate(diff ** 2 @ weight).sum())
+        coeff = u_t[layout.cell_dofs(rule.cells, "dual")].reshape(len(rule.cells), -1, len(weight))
+        diff = rule.basis(layout.k)[rule.member] @ coeff - rule.sample(lambda pts: exact(t, pts))
+        squares[sub] += float(np.sum(rule.weights[rule.member] * (diff ** 2 @ weight)))
     return math.sqrt(squares[msh.FLUID]) + math.sqrt(squares[msh.SOLID])
 
 
@@ -350,12 +345,14 @@ class BoundSensor:
         point = np.asarray(spec.position, dtype=float)
 
         def cell_row(ci, degree):
-            return CellBasis(mesh.cell_centroid[ci], mesh.cell_diameter[ci], degree).eval(point)[0]
+            return cell_monomials(point[None], mesh.cell_centroid[ci],
+                                  0.5 * mesh.cell_diameter[ci], degree)[0]
 
         if spec.kind == "interface":
             fi = _interface_face(mesh, point, spec)
             self.normal = mesh.face_normal[fi].copy()
-            face_row = FaceBasis(*mesh.face_vertices(fi), layout.k).eval(point)[0]
+            f = face_rule(mesh, fi, 0)      # its midpoint, tangent and half length
+            face_row = face_monomials(point[None], f.midpoints, f.tangents, f.halves, layout.k)[0]
             fluid = int(mesh.face_neighbor[fi])   # interface owner is solid
             solid = int(mesh.face_owner[fi])
             table = [

@@ -1,10 +1,14 @@
 """Reference code that only the tests use.
 
-The package integrates and projects through the stacked rules of
-`hhowave.basis` (`cell_groups`, `face_rule`); the one-polygon and one-segment
-quadrature and L2 projections below are the per-cell forms the tests check
-those against, and the gradients of one cell's monomials feed the checks of
-the gradient reconstruction. The Hooke law, its inverse and the exact
+The package integrates through the stacked rules of `hhowave.basis`, the
+cell rules built once per congruence class (`hhowave.hho.ClassRule`);
+`CellBasis` and `FaceBasis` evaluate the monomials of one cell or face, and
+the one-polygon and one-segment quadrature and L2 projections below are the
+per-cell forms the tests check those against. `load_moments`,
+`project_state`, `l2_error_dual` and `cell_average_rows` are the package's
+cell integrals on a fan rule built for every cell (`cell_groups`). The
+gradients of one cell's monomials feed the checks of the gradient
+reconstruction. The Hooke law, its inverse and the exact
 manufactured fields at a time t feed the finite-difference checks of the
 manufactured case. A mesh holds its cells as one edge table; `cell_rows`
 reads one cell's rows of it, and `point_in_polygon` is the one-cell test
@@ -15,10 +19,115 @@ import math
 
 import numpy as np
 
-from hhowave.basis import (cell_monomials, face_quadrature, fan_quadrature, polygon_area,
-                           polygon_centroid)
+import hhowave.mesh as msh
+from hhowave.basis import (cell_groups, cell_monomials, face_monomials, face_quadrature,
+                           fan_quadrature, monomial_exponents, polygon_area, polygon_centroid,
+                           scalar_cell_dim)
 from hhowave.scenarios import (MANUFACTURED_OMEGA, MANUFACTURED_THETA, ManufacturedCase,
                                manufactured_initial_state)
+
+
+class CellBasis:
+    """Scaled monomial basis of P^k on a 2D cell.
+
+    Basis function i is ((x - xc)/r)^a ((y - yc)/r)^b with r = h_T/2 and
+    (a, b) running over `monomial_exponents(k)`.
+    """
+
+    def __init__(self, center, diameter: float, degree: int):
+        self.center = np.asarray(center, dtype=float)
+        self.half = 0.5 * float(diameter)
+        self.degree = int(degree)
+        self.exponents = monomial_exponents(self.degree)
+        self.dim = len(self.exponents)
+
+    def eval(self, points) -> np.ndarray:
+        """Values at `points` (n, 2); returns (n, dim)."""
+        return cell_monomials(np.atleast_2d(points), self.center, self.half, self.degree)
+
+
+class FaceBasis:
+    """Scaled monomial basis of P^k on a straight face (segment).
+
+    Basis function i is ((x - x_F) . t_F / (|F|/2))^i with t_F the unit
+    tangent and x_F the midpoint.
+    """
+
+    def __init__(self, v0, v1, degree: int):
+        self.v0 = np.asarray(v0, dtype=float)
+        self.v1 = np.asarray(v1, dtype=float)
+        delta = self.v1 - self.v0
+        self.length = float(np.hypot(*delta))
+        if self.length <= 0.0:
+            raise ValueError("degenerate face")
+        self.midpoint = 0.5 * (self.v0 + self.v1)
+        self.tangent = delta / self.length
+        self.half = 0.5 * self.length
+        self.degree = int(degree)
+        self.dim = degree + 1
+
+    def eval(self, points) -> np.ndarray:
+        return face_monomials(np.atleast_2d(points), self.midpoint, self.tangent,
+                              self.half, self.degree)
+
+
+def load_moments(mesh, layout, fluid_fn=None, solid_fn=None):
+    """`hho.load_moments` on a fan rule of every cell."""
+    out = np.zeros(layout.n_cell_dofs)
+    fns = {sub: fn for sub, fn in ((msh.FLUID, fluid_fn), (msh.SOLID, solid_fn))
+           if fn is not None}
+    cells = np.nonzero(np.isin(mesh.subdomain, list(fns)))[0]
+    for grp in cell_groups(mesh, 2 * (layout.k_prime + 1), split=mesh.subdomain, cells=cells):
+        fn = fns[mesh.subdomain[grp.cells[0]]]
+        moments = grp.gram(grp.basis(layout.k_prime), grp.sample(fn))
+        out[layout.cell_dofs(grp.cells, "primal")] = moments.reshape(len(grp.cells), -1)
+    return out
+
+
+def project_state(mesh, layout, fields):
+    """`hho.project_state` on a fan rule of every cell, one Gram solve per cell."""
+    out = np.zeros(layout.n_cell_dofs)
+    for grp in cell_groups(mesh, 2 * (layout.k_prime + 1), split=mesh.subdomain):
+        if mesh.subdomain[grp.cells[0]] == msh.FLUID:
+            primal, dual = fields.get("pressure"), fields.get("fluid_velocity")
+        else:
+            primal, dual = fields.get("solid_velocity"), fields.get("stress")
+        for fn, part, degree in ((primal, "primal", layout.k_prime), (dual, "dual", layout.k)):
+            if fn is None:
+                continue
+            phi = grp.basis(degree)
+            coeff = np.linalg.solve(grp.gram(phi, phi), grp.gram(phi, grp.sample(fn)))
+            out[layout.cell_dofs(grp.cells, part)] = coeff.reshape(len(grp.cells), -1)
+    return out
+
+
+def l2_error_dual(u_t, system, case, t):
+    """`scenarios.l2_error_dual` on a fan rule of every cell."""
+    mesh = system.mesh
+    layout = system.layout
+    squares = {msh.FLUID: 0.0, msh.SOLID: 0.0}
+    for grp in cell_groups(mesh, 2 * (layout.k_prime + 1), split=mesh.subdomain):
+        sub = mesh.subdomain[grp.cells[0]]
+        if sub == msh.FLUID:
+            exact, weight = case.exact_fluid_velocity, np.ones(2)
+        else:
+            exact, weight = case.exact_stress, np.array([1.0, 1.0, 2.0])
+        coeff = u_t[layout.cell_dofs(grp.cells, "dual")]
+        coeff = coeff.reshape(len(grp.cells), -1, len(weight))
+        diff = grp.basis(layout.k) @ coeff - grp.sample(lambda pts: exact(t, pts))
+        squares[sub] += float(np.sum(grp.weights * (diff ** 2 @ weight)))
+    return math.sqrt(squares[msh.FLUID]) + math.sqrt(squares[msh.SOLID])
+
+
+def cell_average_rows(system):
+    """`cli.cell_average_rows` on a fan rule of every cell, over the mesh's cell areas."""
+    mesh = system.mesh
+    k_prime = system.layout.k_prime
+    rows = np.empty((mesh.n_cells, scalar_cell_dim(k_prime)))
+    for grp in cell_groups(mesh, k_prime + 1):
+        rows[grp.cells] = (np.einsum("gq,gqi->gi", grp.weights, grp.basis(k_prime))
+                           / mesh.cell_area[grp.cells][:, None])
+    return rows
 
 
 def cell_rows(mesh, ci):

@@ -14,7 +14,6 @@ import hhowave.mesh as msh
 from hhowave import (CondensedFactorization, DofLayout, ExplicitStepper,
                      ImplicitStepper, MeshGenSpec, StabilizationConfig,
                      assemble, builtin_materials, face_dof_fraction, generate, tableau)
-from hhowave.basis import CellBasis
 from hhowave.hho import build_cell_blocks
 from hhowave.scenarios import (BoundSensor, CflBracketConfig, ManufacturedCase,
                                RickerConfig, SensorSpec, cfl_bracket,
@@ -23,7 +22,7 @@ from hhowave.scenarios import (BoundSensor, CflBracketConfig, ManufacturedCase,
                                ricker_initial_state)
 from hhowave.timestep import run_time_loop
 
-from oracles import grad, manufactured_state, polygon_quadrature
+from oracles import CellBasis, grad, manufactured_state, polygon_quadrature
 from test_basis import greens_monomial_integral, random_star_polygon
 from test_hho import hho_interpolate, reconstruct_fluid_gradient, stab_quadratic_form
 from test_timestep import dense_erk_step, dense_sdirk_step, stage_solve

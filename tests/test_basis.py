@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from hhowave import MeshGenSpec, generate, merge_nonconforming
-from hhowave.basis import (CellBasis, FaceBasis, QuadratureError, cell_groups,
-                           monomial_exponents, polygon_area, polygon_centroid,
-                           polygon_diameter, scalar_cell_dim)
+from hhowave.basis import (QuadratureError, cell_groups, monomial_exponents, polygon_area,
+                           polygon_centroid, polygon_diameter, scalar_cell_dim)
 
-from oracles import (cell_rows, grad, polygon_quadrature, project_cell, project_face,
-                     segment_quadrature)
+from oracles import (CellBasis, FaceBasis, cell_rows, grad, polygon_quadrature, project_cell,
+                     project_face, segment_quadrature)
 
 
 def greens_monomial_integral(vertices, a, b):
@@ -157,7 +156,7 @@ def test_quadrature_exactness_random_polygons():
                 seen.extend(grp.cells)
                 x, y = grp.points[..., 0], grp.points[..., 1]
                 for a in range(deg + 1):
-                    got = grp.integrate(x ** a * y ** (deg - a))
+                    got = np.sum(grp.weights * x ** a * y ** (deg - a), axis=1)
                     for ci, val in zip(grp.cells, got):
                         poly = mesh.vertices[mesh.edge_start[cell_rows(mesh, ci)]]
                         ref = greens_monomial_integral(poly, a, deg - a)

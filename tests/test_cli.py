@@ -5,6 +5,8 @@ import json
 import logging
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -1004,3 +1006,12 @@ def test_efficiency_honours_stabilization_weights(tmp_path):
         errors.append({r.split(",")[0]: float(r.split(",")[4]) for r in rows})
     for scheme in ("ERK2", "SDIRK34"):
         assert errors[0][scheme] != errors[1][scheme], scheme
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark composes runs from the package's public names (builders,
+    # traced functions, BoundSensor.record); a renamed one fails here too
+    selftest = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "selftest.py")
+    proc = subprocess.run([sys.executable, selftest], capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]

@@ -77,15 +77,14 @@ def fingerprint(mesh_name, config_name):
     mesh = golden_mesh(mesh_name)
     materials = builtin_materials("academic")
     system = assemble(mesh, materials, make_config(), k)
-    layout = system.layout
     # omega = 1.3 keeps the boundary traces nonzero (omega = 5 zeroes them)
     case = ManufacturedCase(1.3, np.sqrt(2.0), materials)
     out = {}
     for seed, name in enumerate(MATRICES):
         out[name] = _matrix_pair(getattr(system, name), 10 * seed)
-    loads = load_moments(mesh, layout, fluid_fn=case.fluid_source_profile,
+    loads = load_moments(system, fluid_fn=case.fluid_source_profile,
                          solid_fn=case.solid_source_profile)
-    state = project_state(mesh, layout, {
+    state = project_state(system, {
         "pressure": case.pressure_profile,
         "fluid_velocity": case.fluid_velocity_profile,
         "solid_velocity": case.solid_velocity_profile,

@@ -8,11 +8,14 @@ import hhowave.mesh as msh
 from hhowave import (DofLayout, FluidMaterial, MaterialMap, MeshGenSpec,
                      SolidMaterial, StabilizationConfig, assemble,
                      builtin_materials, face_dof_fraction, generate)
-from hhowave.basis import CellBasis, FaceBasis, scalar_cell_dim
+from hhowave import cli
+from hhowave.basis import QuadratureError, scalar_cell_dim
 from hhowave.hho import ConfigError, build_cell_blocks, coupling_block
+from hhowave.scenarios import ManufacturedCase, l2_error_dual
 
-from oracles import (cell_rows, grad, hooke, hooke_inv, polygon_quadrature, project_cell,
-                     project_face)
+import oracles
+from oracles import (CellBasis, FaceBasis, cell_rows, grad, hooke, hooke_inv,
+                     polygon_quadrature, project_cell, project_face)
 from test_golden import MATRICES, MESHES, golden_mesh
 
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
@@ -38,7 +41,7 @@ def hho_interpolate(mesh, ci, layout, fn):
                               center=mesh.cell_centroid[ci])
     face_coeff = []
     for fi in mesh.edge_face[cell_rows(mesh, ci)]:
-        fb = FaceBasis(*mesh.face_vertices(int(fi)), layout.k)
+        fb = FaceBasis(*mesh.vertices[mesh.faces[fi]], layout.k)
         face_coeff.append(project_face(fn, fb, degree_hint=layout.k_prime + 2))
     return cell_coeff, face_coeff
 
@@ -389,7 +392,8 @@ def moved_mesh(mesh, scale, shift):
                         mesh.subdomain, cell_offsets=mesh.cell_offsets)
 
 
-MOVES = [(1.0, (0.0, 0.0)), (7.3, (3750.3, -1234.7)), (1000.0, (5e5, 4.2e6))]
+MOVES = [(1.0, (0.0, 0.0)), (7.3, (3750.3, -1234.7)), (1000.0, (5e5, 4.2e6)),
+         (10.0, (5e5, 4.2e6))]
 
 
 @pytest.mark.parametrize("scale, shift", MOVES)
@@ -536,7 +540,7 @@ def test_grouped_projections_match_per_cell_reference():
     tensor = lambda p: np.column_stack([wave(p), p[:, 1] ** 3, np.exp(p[:, 0])])
     fields = {"pressure": wave, "fluid_velocity": vector,
               "solid_velocity": vector, "stress": tensor}
-    got = hho.project_state(mesh, layout, fields)
+    got = hho.project_state(system, fields)
     want = np.zeros_like(got)
     for ci in range(mesh.n_cells):
         verts = mesh.vertices[mesh.edge_start[cell_rows(mesh, ci)]]
@@ -556,7 +560,7 @@ def test_grouped_projections_match_per_cell_reference():
     got = system.project_dirichlet(fluid_trace=wave, solid_trace=vector)
     want = np.zeros_like(got)
     for fi in layout.boundary_faces:
-        fb = FaceBasis(*mesh.face_vertices(int(fi)), k)
+        fb = FaceBasis(*mesh.vertices[mesh.faces[fi]], k)
         off, size = int(layout.dirichlet_offset[fi]), int(layout.dirichlet_size[fi])
         fn = wave if mesh.face_class[fi] == msh.F_BND_FLUID else vector
         n_comp = size // fb.dim
@@ -564,6 +568,51 @@ def test_grouped_projections_match_per_cell_reference():
             comp = (lambda p, c=c, fn=fn: np.atleast_2d(fn(p).T)[c])
             want[off + c:off + size:n_comp] = project_face(comp, fb, degree_hint=k + 4)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mode", ["equal", "mixed"])
+@pytest.mark.parametrize("mesh_name", MESHES + ("perturbed",))
+def test_class_rule_integrals_match_per_cell_rules(mesh_name, mode):
+    # load moments, projections, L2 errors and snapshot rows read each
+    # class's rule shifted to the member; the references build a fan rule
+    # for every cell (and divide the rows by the mesh's cell areas)
+    mesh = perturbed_mesh() if mesh_name == "perturbed" else golden_mesh(mesh_name)
+    config = (StabilizationConfig.explicit() if mode == "equal"
+              else StabilizationConfig.implicit())
+    system = assemble(mesh, ACADEMIC, config, k=1)
+    layout = system.layout
+    case = ManufacturedCase(1.3, np.sqrt(2.0), ACADEMIC)
+    sources = dict(fluid_fn=case.fluid_source_profile, solid_fn=case.solid_source_profile)
+    fields = {"pressure": case.pressure_profile, "fluid_velocity": case.fluid_velocity_profile,
+              "solid_velocity": case.solid_velocity_profile, "stress": case.stress_profile}
+    state = oracles.project_state(mesh, layout, fields)
+    pairs = {
+        "load_moments": (hho.load_moments(system, **sources),
+                         oracles.load_moments(mesh, layout, **sources)),
+        "project_state": (hho.project_state(system, fields), state),
+        "l2_error_dual": (l2_error_dual(state, system, case, 0.3),
+                          oracles.l2_error_dual(state, system, case, 0.3)),
+        "cell_average_rows": (cli.cell_average_rows(system), oracles.cell_average_rows(system)),
+    }
+    for name, (got, want) in pairs.items():
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+
+def test_cell_average_rows_constant_row_is_one_on_hexagonal_l6():
+    # the rows divide by the rule's own area; the mesh's shoelace areas of
+    # congruent cells differ by up to 5.9e-13 relative
+    mesh = generate(MeshGenSpec("polygonal-hexagonal", 6, **BILAYER))
+    system = assemble(mesh, ACADEMIC, StabilizationConfig.implicit(), k=1)
+    assert np.max(np.abs(cli.cell_average_rows(system)[:, 0] - 1.0)) <= 1e-15
+
+
+def test_non_star_shaped_cell_raises_quadrature_error(monkeypatch):
+    # mesh validation bypassed, the class store's fan rule refuses the cell
+    hook = [(0, 0), (4, 0), (4, 3), (3, 3), (3, 1), (0, 1)]
+    monkeypatch.setattr(msh.PolyMesh, "validate", lambda self: None)
+    mesh = msh.PolyMesh(hook, [np.arange(6)], [msh.FLUID])
+    with pytest.raises(QuadratureError, match="not star-shaped"):
+        assemble(mesh, ACADEMIC, StabilizationConfig.implicit(), k=1)
 
 
 def test_dof_counts_cartesian_l2_k1():

@@ -11,7 +11,6 @@ from hhowave import (ExplicitStepper, ImplicitStepper, MeshGenSpec,
                      merge_nonconforming, tableau)
 from hhowave import hho, mesh as msh
 from hhowave import scenarios
-from hhowave.basis import CellBasis, FaceBasis
 from hhowave.materials import FluidMaterial, SolidMaterial
 from hhowave.scenarios import (BoundSensor, CflBracketConfig, CflEstimate,
                                ManufacturedCase, RickerConfig, ScenarioError,
@@ -21,8 +20,8 @@ from hhowave.scenarios import (BoundSensor, CflBracketConfig, CflEstimate,
                                ricker_initial_state, sensor_error)
 from hhowave.timestep import run_time_loop
 
-from oracles import (cell_rows, exact_pressure, exact_solid_velocity, hooke_inv,
-                     manufactured_state, point_in_polygon)
+from oracles import (CellBasis, FaceBasis, cell_rows, exact_pressure, exact_solid_velocity,
+                     hooke_inv, manufactured_state, point_in_polygon)
 
 ACADEMIC = builtin_materials("academic")
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
@@ -158,7 +157,7 @@ def test_energy_constant_pressure():
     system = assemble(mesh, ACADEMIC, StabilizationConfig.explicit(), k=1)
     from hhowave.hho import project_state
 
-    u = project_state(mesh, system.layout, {"pressure": lambda p: np.ones(len(p))})
+    u = project_state(system, {"pressure": lambda p: np.ones(len(p))})
     assert abs(energy(u, system) - 0.5) < 1e-13
 
 
@@ -318,7 +317,7 @@ def _faces_through(mesh, point, faces):
     """The faces among `faces` whose segment contains `point`, in id order."""
     hits = []
     for fi in faces:
-        a, b = mesh.face_vertices(int(fi))
+        a, b = mesh.vertices[mesh.faces[fi]]
         ab, ap = b - a, point - a
         tol = 1e-12 * mesh.length_scale
         if (abs(ab[0] * ap[1] - ab[1] * ap[0]) <= tol * np.hypot(*ab)
@@ -353,7 +352,7 @@ def pointwise_channels(system, spec, u_t, u_f):
     def face(fi, side):
         off, fd = layout.face_offset[fi], layout.n_face_scalar
         coeff = u_f[off:off + fd] if side == "fluid" else u_f[off + fd:off + 3 * fd]
-        return split(coeff, FaceBasis(*mesh.face_vertices(fi), layout.k).eval(point)[0])
+        return split(coeff, FaceBasis(*mesh.vertices[mesh.faces[fi]], layout.k).eval(point)[0])
 
     if spec.kind == "interface":
         fi = _faces_through(mesh, point, mesh.interface_faces)[0]
@@ -402,7 +401,7 @@ def test_interface_sensor_on_shared_vertex_binds_to_lower_face():
                                rtol=1e-13, atol=1e-13)
     # the upper face's trace differs, so the binding is observable
     fd = system.layout.n_face_scalar
-    trace = FaceBasis(*mesh.face_vertices(upper), 1).eval(np.array(spec.position))[0]
+    trace = FaceBasis(*mesh.vertices[mesh.faces[upper]], 1).eval(np.array(spec.position))[0]
     off = system.layout.face_offset[upper]
     assert abs(float(trace @ u_f[off:off + fd]) - got[0]) > 1e-3
 
