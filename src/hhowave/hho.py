@@ -521,11 +521,12 @@ def congruence_classes(mesh: msh.PolyMesh) -> np.ndarray:
     cell's first vertex, in local order, and two cells share it when every
     coordinate agrees within the mesh's `coincidence_tol`, the distance
     below which the mesh merges two vertices.
-    Each coordinate is clustered on its own: over the cells of one vertex
-    count, its values are sorted and a new cluster starts at every gap wider
-    than that tolerance (1-D single linkage). Without bin edges, copies of
-    one shape that differ only in round-off, at any scale and translation of
-    the mesh, share a class.
+    Each coordinate is clustered on its own by `mesh.coordinate_clusters`,
+    the rule that also merges the mesh's vertices: over the cells of one
+    vertex count, its values are sorted and a new cluster starts at every
+    gap wider than that tolerance (1-D single linkage). Without bin edges,
+    copies of one shape that differ only in round-off, at any scale and
+    translation of the mesh, share a class.
     """
     split = 2 * mesh.region + mesh.subdomain
     tol = mesh.coincidence_tol
@@ -534,12 +535,7 @@ def congruence_classes(mesh: msh.PolyMesh) -> np.ndarray:
     for cells, loops, _, orient in mesh.loops_by_size():
         pts = mesh.vertices[loops]
         shape = (pts[:, 1:] - pts[:, :1]).reshape(len(cells), -1)
-        order = np.argsort(shape, axis=0, kind="stable")
-        gaps = np.diff(np.take_along_axis(shape, order, axis=0), axis=0) > tol
-        ranked = np.zeros(shape.shape, dtype=np.int64)     # cluster ids in sorted order
-        np.cumsum(gaps, axis=0, out=ranked[1:])
-        cluster = np.empty_like(ranked)
-        np.put_along_axis(cluster, order, ranked, axis=0)
+        cluster = msh.coordinate_clusters(shape, tol)
         key = np.column_stack([split[cells], orient, cluster])
         _, inverse = np.unique(key, axis=0, return_inverse=True)
         inverse = inverse.reshape(-1)      # its shape varies across numpy versions

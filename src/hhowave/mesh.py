@@ -19,7 +19,9 @@ an array operation on it:
   times the bounding-box diagonal) in the Chebyshev (max-coordinate) distance form
   clusters, taken transitively; each cluster becomes its lowest-index vertex,
   merged vertices keep the order of those indices, and edges that collapse
-  to one vertex leave the table;
+  to one vertex leave the table. The clusters are found by sorting each
+  coordinate (`coordinate_clusters`), the rule that also keys the congruence
+  classes of the cells;
 - orientation: one stacked signed area per vertex count, clockwise loops
   reversed;
 - hanging nodes: unpaired edges (undirected key seen once) are searched for
@@ -40,9 +42,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .basis import polygon_area, polygon_centroid, polygon_diameter
 
@@ -64,6 +63,25 @@ def coincidence_tol(vertices) -> float:
     their bounding-box diagonal, at least 4 ulps of their largest absolute coordinate."""
     scale = float(np.hypot(*np.ptp(vertices, axis=0))) or 1.0
     return max(COINCIDENCE_TOL * scale, 4 * float(np.spacing(np.abs(vertices).max())))
+
+
+def coordinate_clusters(values, tol) -> np.ndarray:
+    """1-D single linkage of every column of `values` (n, m): (n, m) int64.
+
+    A column's values are sorted, and a new cluster starts at every gap wider
+    than `tol`, so two values within `tol` of each other always share their
+    cluster, at any scale and translation. Clusters are numbered from 0 in
+    ascending order of value, per column. This is the one coincidence rule:
+    the vertex merge (`_vertex_clusters`) and the congruence classes of the
+    cells (`hho.congruence_classes`) both cluster coordinates with it.
+    """
+    order = np.argsort(values, axis=0, kind="stable")
+    gaps = np.diff(np.take_along_axis(values, order, axis=0), axis=0) > tol
+    ranked = np.zeros(values.shape, dtype=np.int64)     # cluster ids in sorted order
+    np.cumsum(gaps, axis=0, out=ranked[1:])
+    cluster = np.empty_like(ranked)
+    np.put_along_axis(cluster, order, ranked, axis=0)
+    return cluster
 
 
 class MeshError(Exception):
@@ -335,20 +353,56 @@ def _orient_ccw(vertices, cell, start):
     return start
 
 
+def _vertex_clusters(vertices, tol):
+    """The cluster of every vertex, named by its lowest vertex id: (n,) int64.
+
+    Two vertices link when they lie within `tol` of each other in both
+    coordinates (the Chebyshev distance), and a cluster is a connected
+    component of the links. Linked vertices share their cluster of each
+    coordinate (`coordinate_clusters`), so only the vertices of one pair of
+    x and y clusters, almost always a single vertex, are compared, and the
+    lowest id is propagated along their links.
+    """
+    n = len(vertices)
+    xy = coordinate_clusters(vertices, tol)
+    key = xy[:, 0] * (xy[:, 1].max() + 1) + xy[:, 1]
+    order = np.argsort(key, kind="stable")    # each group ascending by vertex id
+    key = key[order]
+    same = key[1:] == key[:-1]
+    grouped = np.r_[same, False] | np.r_[False, same]
+    order, key = order[grouped], key[grouped]
+    links = []
+    for d in range(1, len(key)):
+        pair = np.flatnonzero(key[d:] == key[:-d])
+        if not len(pair):
+            break
+        i, j = order[pair], order[pair + d]
+        near = np.all(np.abs(vertices[i] - vertices[j]) <= tol, axis=1)
+        links.append((i[near], j[near]))
+    label = np.arange(n)
+    if not links:
+        return label
+    a, b = (np.concatenate(ends) for ends in zip(*links))
+    while True:
+        low = np.minimum(label[a], label[b])
+        lower = label.copy()
+        np.minimum.at(lower, a, low)
+        np.minimum.at(lower, b, low)
+        lower = lower[lower]      # every label is a lower id of the same cluster
+        if np.array_equal(lower, label):
+            return label
+        label = lower
+
+
 def _dedup_vertices(vertices, cell, start, n_cells):
     """Merge coincident vertices, drop the edges that collapse and unused vertices.
 
     Vertices closer than `coincidence_tol` in the Chebyshev distance join one
-    cluster (transitively); a cluster becomes its lowest-index vertex, and the
-    merged vertices keep the order of those lowest indices. Returns the merged
-    vertices and the edge table.
+    cluster (transitively, `_vertex_clusters`); a cluster becomes its
+    lowest-index vertex, and the merged vertices keep the order of those
+    lowest indices. Returns the merged vertices and the edge table.
     """
-    pairs = cKDTree(vertices).query_pairs(coincidence_tol(vertices), p=np.inf,
-                                          output_type="ndarray")
-    n = len(vertices)
-    links = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    _, cluster = connected_components(links, directed=False)
-    remap, lowest, _ = _first_occurrence_ids(cluster)
+    remap, lowest, _ = _first_occurrence_ids(_vertex_clusters(vertices, coincidence_tol(vertices)))
     mapped = remap[start]
     # an edge whose two ends merge is dropped with its end, the start of the next edge
     nxt = _next_edge(cell)
@@ -361,6 +415,40 @@ def _dedup_vertices(vertices, cell, start, n_cells):
     used = np.zeros(len(lowest), dtype=bool)
     used[start] = True
     return vertices[lowest[used]], cell, (np.cumsum(used) - 1)[start]
+
+
+def _ball_pairs(centers, radius, points):
+    """Pairs (i, j) of every center i and every point j within `radius[i]` of it,
+    sorted by i, then j: two (pairs,) int64 arrays.
+
+    The points are sorted into square bins whose side is the largest radius,
+    so the points of a ball lie in the 3 x 3 bins around its center's bin;
+    those are tested one of the nine offsets at a time.
+    """
+    if not len(centers) or not len(points):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    side = float(radius.max())
+    origin = np.minimum(centers.min(axis=0), points.min(axis=0)) - side
+    cbin = np.floor((centers - origin) / side).astype(np.int64)
+    pbin = np.floor((points - origin) / side).astype(np.int64)
+    rows = int(max(cbin[:, 1].max(), pbin[:, 1].max())) + 2     # no bin wraps to the next column
+    pkey = pbin[:, 0] * rows + pbin[:, 1]
+    order = np.argsort(pkey, kind="stable")
+    pkey = pkey[order]
+    ckey = cbin[:, 0] * rows + cbin[:, 1]
+    found = []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            lo = np.searchsorted(pkey, ckey + dx * rows + dy, side="left")
+            count = np.searchsorted(pkey, ckey + dx * rows + dy, side="right") - lo
+            i = np.repeat(np.arange(len(centers)), count)
+            at = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+            j = order[np.repeat(lo, count) + at]
+            inside = np.sum((points[j] - centers[i]) ** 2, axis=1) <= radius[i] ** 2
+            found.append((i[inside], j[inside]))
+    i, j = (np.concatenate(ends) for ends in zip(*found))
+    by_center = np.lexsort((j, i))
+    return i[by_center], j[by_center]
 
 
 def _resolve_hanging_nodes(vertices, cell, start):
@@ -380,9 +468,7 @@ def _resolve_hanging_nodes(vertices, cell, start):
     pa, pb = vertices[lo], vertices[hi]
     length = np.hypot(*(pb - pa).T)
     tangent = (pb - pa) / length[:, None]
-    near = cKDTree(vertices).query_ball_point(0.5 * (pa + pb), 0.5 * length + tol)
-    i = np.repeat(np.arange(len(near)), [len(ids) for ids in near])
-    cand = np.fromiter((v for ids in near for v in ids), dtype=np.int64, count=len(i))
+    i, cand = _ball_pairs(0.5 * (pa + pb), 0.5 * length + tol, vertices)
     rel = vertices[cand] - pa[i]
     t = tangent[i]
     s = rel[:, 0] * t[:, 0] + rel[:, 1] * t[:, 1]
@@ -785,10 +871,8 @@ def _covered_length(segs_a, segs_b, tol):
     tangent = (segs_a[:, 1] - pa) / length[:, None]
     len_b = np.hypot(*(segs_b[:, 1] - segs_b[:, 0]).T)
     # only segments whose midpoints are within half their summed lengths overlap
-    near = cKDTree(segs_b.mean(axis=1)).query_ball_point(
-        segs_a.mean(axis=1), 0.5 * (length + len_b.max()) + 2.0 * tol)
-    ia = np.repeat(np.arange(len(segs_a)), [len(ids) for ids in near])
-    ib = np.fromiter((i for ids in near for i in ids), dtype=np.int64, count=len(ia))
+    ia, ib = _ball_pairs(segs_a.mean(axis=1), 0.5 * (length + len_b.max()) + 2.0 * tol,
+                         segs_b.mean(axis=1))
     rel = segs_b[ib] - pa[ia, None, :]                           # (pairs, 2 ends, 2)
     along = np.einsum("pej,pj->pe", rel, tangent[ia])
     across = np.einsum("pej,pj->pe", rel, tangent[ia][:, ::-1] * [1.0, -1.0])

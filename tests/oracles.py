@@ -12,7 +12,9 @@ reconstruction. The Hooke law, its inverse and the exact
 manufactured fields at a time t feed the finite-difference checks of the
 manufactured case. A mesh holds its cells as one edge table; `cell_rows`
 reads one cell's rows of it, and `point_in_polygon` is the one-cell test
-that `PolyMesh.locate_cell` applies to all cells at once.
+that `PolyMesh.locate_cell` applies to all cells at once;
+`chebyshev_clusters` compares every pair of vertices, where the vertex merge
+sorts coordinates.
 """
 
 import math
@@ -133,6 +135,25 @@ def cell_average_rows(system):
 def cell_rows(mesh, ci):
     """The rows of cell `ci` in the edge table of `mesh`, in traversal order."""
     return slice(mesh.cell_offsets[ci], mesh.cell_offsets[ci + 1])
+
+
+def chebyshev_clusters(vertices, tol):
+    """Reference for the vertex merge (`mesh._vertex_clusters`): every pair of
+    vertices within `tol` in both coordinates is linked, and each connected
+    component of the links is named by its lowest vertex id. O(n^2)."""
+    v = np.asarray(vertices, dtype=float)
+    linked = np.all(np.abs(v[:, None, :] - v[None, :, :]) <= tol, axis=2)
+    label = np.full(len(v), -1)
+    for root in range(len(v)):        # ascending, so a new root is its cluster's lowest id
+        if label[root] >= 0:
+            continue
+        label[root] = root
+        stack = [root]
+        while stack:
+            reached = np.flatnonzero(linked[stack.pop()] & (label < 0))
+            label[reached] = root
+            stack += reached.tolist()
+    return label
 
 
 def point_in_polygon(p, poly, tol):

@@ -1015,3 +1015,38 @@ def test_benchmark_selftest_passes():
     proc = subprocess.run([sys.executable, selftest], capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+
+
+LEAN_RUN = """
+import json, os, sys
+from hhowave import cli
+from hhowave.mesh import MeshGenSpec, dump_text, generate, load_text, merge_nonconforming
+
+cfg_path, out = sys.argv[1:]
+bilayer = generate(MeshGenSpec("cartesian", 2, fluid_rect=(0, 0, 1, 1), solid_rect=(-1, 0, 0, 1)))
+dump_text(bilayer, os.path.join(out, "bilayer.txt"))
+assert load_text(os.path.join(out, "bilayer.txt")).n_faces == bilayer.n_faces
+fine = generate(MeshGenSpec("cartesian", 3, fluid_rect=(0, 0, 1, 1)))
+coarse = generate(MeshGenSpec("cartesian", 1, solid_rect=(0, -1, 1, 0)))
+merged = merge_nonconforming(fine, coarse)
+assert max(merged.cell_offsets[1:] - merged.cell_offsets[:-1]) == 7   # 3 hanging nodes
+assert cli.main(["simulate", "--config", cfg_path, "--out", os.path.join(out, "run")]) == 0
+loaded = [m for m in ("scipy.spatial", "scipy.special", "scipy.sparse.csgraph") if m in sys.modules]
+hexagonal = generate(MeshGenSpec("polygonal-hexagonal", 2, fluid_rect=(0, 0, 1, 1)))
+print(json.dumps({"loaded": loaded, "hexagonal_cells": hexagonal.n_cells}))
+"""
+
+
+def test_cartesian_runs_load_no_scipy_spatial(tmp_path):
+    # vertex merging and the hanging-node search sort coordinates instead of
+    # querying a k-d tree, so building cartesian, loaded and merged meshes and
+    # a cartesian run map none of these modules; only the hexagonal and
+    # simplicial generators import scipy.spatial (Voronoi, Delaunay)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", LEAN_RUN, write_cfg(tmp_path, RICKER_CFG),
+                           str(tmp_path)], capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["loaded"] == []
+    assert result["hexagonal_cells"] > 0

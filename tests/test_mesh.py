@@ -12,7 +12,7 @@ from hhowave.mesh import (FLUID, SOLID, MeshError, MeshGenSpec, PolyMesh,
                           dump_text, generate, load_text,
                           merge_nonconforming, read_msh)
 
-from oracles import cell_rows, point_in_polygon
+from oracles import cell_rows, chebyshev_clusters, point_in_polygon
 from test_golden import golden_mesh
 
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
@@ -512,6 +512,92 @@ def test_close_vertices_merge_into_lower_index():
     assert m.edge_start[cell_rows(m, 1)].tolist() == [1, 4, 5, 2]
     assert m.n_faces == 7
     assert len(m.interface_faces) == 1
+
+
+def planted_cloud(rng, n, tol):
+    """Dyadic random vertices plus copies of some moved by 0, tol/2, tol or 3tol/2
+    per coordinate: pairs exactly at tol, just past it and chains of both."""
+    base = rng.integers(0, 64, size=(n, 2)) * 2.0 ** -6
+    copies = base[rng.integers(0, n, size=n)]
+    moved = copies + rng.integers(-3, 4, size=copies.shape) * (0.5 * tol)
+    return rng.permutation(np.vstack([base, copies, moved]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_vertex_clusters_match_the_pairwise_reference(seed):
+    rng = np.random.default_rng(seed)
+    tol = 2.0 ** -20        # a power of two: every planted offset is exact
+    cloud = planted_cloud(rng, 150, tol)
+    assert np.any(msh._vertex_clusters(cloud, tol) != np.arange(len(cloud)))
+    # exactly at tol links, and far from the origin the tolerance takes the ulps
+    shifted = cloud * 10.0 + np.array([5e5, 4.2e6])
+    for v, t in ((cloud, tol), (cloud, 0.999 * tol), (shifted, msh.coincidence_tol(shifted)),
+                 (cloud + rng.uniform(-tol, tol, cloud.shape), tol)):
+        assert np.array_equal(msh._vertex_clusters(v, t), chebyshev_clusters(v, t))
+
+
+def test_vertex_clusters_chain_and_split():
+    tol = 1e-3
+    # three-vertex chains: each link within tol, the ends 1.6 tol apart, along
+    # an axis and along the diagonal; the middle vertex comes last
+    for step in ((0.8 * tol, 0.0), (0.8 * tol, 0.8 * tol)):
+        v = np.array([(0.0, 0.0), (2 * step[0], 2 * step[1]), step])
+        assert msh._vertex_clusters(v, tol).tolist() == [0, 0, 0]
+        assert msh._vertex_clusters(v[:2], tol).tolist() == [0, 1]
+    # vertices 0 and 1 share their x cluster and, through vertex 2, their y
+    # cluster, yet lie 2 tol apart in y: their group splits
+    v = np.array([(0.0, 0.0), (0.9 * tol, 2 * tol), (5.0, tol)])
+    assert msh._vertex_clusters(v, tol).tolist() == [0, 1, 2]
+    assert chebyshev_clusters(v, tol).tolist() == [0, 1, 2]
+
+
+def test_ball_pairs_hold_every_hanging_node_and_overlap():
+    # fluid faces of length 1/32 over solid faces of length 1/4: edge lengths
+    # that differ 8x, so the bins are sized by the long edges
+    fluid = generate(MeshGenSpec("cartesian", 5, fluid_rect=(0.0, 0.0, 1.0, 1.0)))
+    solid = generate(MeshGenSpec("cartesian", 2, solid_rect=(0.0, -1.0, 1.0, 0.0)))
+    verts = np.vstack([fluid.vertices, solid.vertices])
+    segs = np.vstack([msh._boundary_segments(fluid), msh._boundary_segments(solid)])
+    tol = 1e-9 * max(fluid.length_scale, solid.length_scale)
+    pa, pb = segs[:, 0], segs[:, 1]
+    length = np.hypot(*(pb - pa).T)
+    t = (pb - pa) / length[:, None]
+    # brute force: every vertex strictly inside a segment (the hanging-node test)
+    rel = verts[None, :, :] - pa[:, None, :]
+    s = np.einsum("evj,ej->ev", rel, t)
+    off = np.abs(rel[..., 0] * t[:, None, 1] - rel[..., 1] * t[:, None, 0])
+    hits = np.argwhere((off <= tol) & (tol < s) & (s < length[:, None] - tol))
+    assert len(hits) == 4 * 7           # 7 fluid vertices inside each solid top face
+    pairs = set(zip(*msh._ball_pairs(0.5 * (pa + pb), 0.5 * length + tol, verts)))
+    assert set(map(tuple, hits.tolist())) <= pairs
+    # brute force: every segment pair that overlaps on a common line (the
+    # covered-length test), against the candidates `_covered_length` takes
+    f_segs, s_segs = msh._boundary_segments(fluid), msh._boundary_segments(solid)
+    for a, b in ((f_segs, s_segs), (s_segs, f_segs)):
+        len_a = np.hypot(*(a[:, 1] - a[:, 0]).T)
+        ta = (a[:, 1] - a[:, 0]) / len_a[:, None]
+        rel = b[None, :, :, :] - a[:, None, None, 0, :]               # (a, b, end, 2)
+        along = np.einsum("abej,aj->abe", rel, ta)
+        across = np.einsum("abej,aj->abe", rel, ta[:, ::-1] * [1.0, -1.0])
+        lo = np.maximum(along.min(axis=2), 0.0)
+        hi = np.minimum(along.max(axis=2), len_a[:, None])
+        overlap = np.argwhere(np.all(np.abs(across) <= tol, axis=2) & (hi - lo > tol))
+        assert len(overlap) > 0
+        len_b = np.hypot(*(b[:, 1] - b[:, 0]).T)
+        pairs = set(zip(*msh._ball_pairs(a.mean(axis=1), 0.5 * (len_a + len_b.max()) + 2.0 * tol,
+                                         b.mean(axis=1))))
+        assert set(map(tuple, overlap.tolist())) <= pairs
+
+
+def test_ball_pairs_match_the_brute_force_ball():
+    rng = np.random.default_rng(3)
+    centers = rng.uniform(-1.0, 3.0, size=(60, 2))
+    points = rng.uniform(0.0, 2.0, size=(300, 2))
+    radius = rng.uniform(0.01, 0.4, size=60)
+    i, j = msh._ball_pairs(centers, radius, points)
+    d2 = np.sum((points[None, :, :] - centers[:, None, :]) ** 2, axis=2)
+    ref = np.argwhere(d2 <= radius[:, None] ** 2)        # sorted by center, then point
+    assert np.array_equal(np.column_stack([i, j]), ref)
 
 
 # ---------------------------------------------------------------------------
