@@ -180,6 +180,18 @@ def test_centroids_keep_their_digits_far_from_the_origin(level, scale):
     assert np.all(err <= 1e-8 * scale * base.cell_diameter)
 
 
+@pytest.mark.parametrize("level, scale", [(4, 10.0), (6, 10.0), (6, 1000.0)])
+def test_areas_keep_their_digits_far_from_the_origin(level, scale):
+    # the same meshes and shift; the shoelace sum of absolute coordinates was
+    # off by up to 1.1% of (scale * diameter)^2 on hexagonal L6 x10, and the
+    # relative form is off by at most 3.8e-9 of it
+    base = generate(MeshGenSpec("polygonal-hexagonal", level, **BILAYER))
+    m = PolyMesh(base.vertices * scale + np.array([5e5, 4.2e6]), base.edge_start,
+                 base.subdomain, cell_offsets=base.cell_offsets)
+    err = np.abs(m.cell_area - base.cell_area * scale ** 2)
+    assert np.all(err <= 1e-8 * (scale * base.cell_diameter) ** 2)
+
+
 # ---------------------------------------------------------------------------
 # MSH reader
 
