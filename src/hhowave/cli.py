@@ -446,7 +446,9 @@ def cmd_simulate(cfg, out_dir) -> int:
     out_cfg = cfg["output"]
     trace_every, snap_every = out_cfg["trace_every"], out_cfg["snapshot_every"]
     timings = {}            # seconds per phase
-    peak_rss = {}           # MB, the process's peak RSS after each phase
+    # MB, the process's peak RSS when the command begins (interpreter, imports,
+    # config) and after each phase
+    peak_rss = {"start": timestep.peak_rss_mb()}
     warnings = []
     t0 = time.perf_counter()
     mesh = build_mesh(cfg["mesh"])
