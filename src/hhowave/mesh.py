@@ -214,13 +214,13 @@ class PolyMesh:
         self.cell_diameter = np.empty(self.n_cells)
         for cells, loops, _, _ in self.loops_by_size():
             pts = self.vertices[loops]
+            self.cell_diameter[cells] = polygon_diameter(pts)
             # areas and centroids from the vertices relative to the first one: far
             # from the origin (UTM-like coordinates) the absolute form loses its digits
             rel = pts - pts[:, :1]
             self.cell_area[cells] = polygon_area(rel)
             with np.errstate(invalid="ignore", divide="ignore"):  # validate rejects area 0
                 self.cell_centroid[cells] = polygon_centroid(rel) + pts[:, 0]
-            self.cell_diameter[cells] = polygon_diameter(pts)
 
         d = self.vertices[self.faces[:, 1]] - self.vertices[self.faces[:, 0]]
         self.face_measure = np.hypot(d[:, 0], d[:, 1])
