@@ -440,8 +440,9 @@ def _ball_pairs(centers, radius, points):
     found = []
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
-            lo = np.searchsorted(pkey, ckey + dx * rows + dy, side="left")
-            count = np.searchsorted(pkey, ckey + dx * rows + dy, side="right") - lo
+            near = ckey + dx * rows + dy
+            lo = np.searchsorted(pkey, near, side="left")
+            count = np.searchsorted(pkey, near, side="right") - lo
             i = np.repeat(np.arange(len(centers)), count)
             at = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
             j = order[np.repeat(lo, count) + at]
