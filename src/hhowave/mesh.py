@@ -399,9 +399,11 @@ def _dedup_vertices(vertices, cell, start, n_cells):
     """Merge coincident vertices, drop the edges that collapse and unused vertices.
 
     Vertices closer than `coincidence_tol` in the Chebyshev distance join one
-    cluster (transitively, `_vertex_clusters`); a cluster becomes its
-    lowest-index vertex, and the merged vertices keep the order of those
-    lowest indices. Returns the merged vertices and the edge table.
+    cluster (transitively, `_vertex_clusters`, which compares only vertices
+    that share their x and y clusters of `coordinate_clusters`, the rule that
+    also keys `hho.congruence_classes`); a cluster becomes its lowest-index
+    vertex, and the merged vertices keep the order of those lowest indices.
+    Returns the merged vertices and the edge table.
     """
     remap, lowest, _ = _first_occurrence_ids(_vertex_clusters(vertices, coincidence_tol(vertices)))
     mapped = remap[start]
