@@ -279,7 +279,17 @@ def polygon_centroid(vertices) -> np.ndarray:
 
 
 def polygon_diameter(vertices):
-    """Largest vertex distance of polygons with vertices (..., n, 2)."""
+    """Largest vertex distance of polygons with vertices (..., n, 2).
+
+    The offsets o = 1..n//2 pair every vertex with the one o places before
+    it, which reaches every pair of vertices, so the largest squared distance
+    per offset bounds the temporaries to (..., n, 2) instead of the
+    (..., n, n, 2) pair tensor. A pair's difference only changes sign with
+    its order, so the result is the all-pairs maximum bit for bit.
+    """
     v = np.asarray(vertices, dtype=float)
-    diff = v[..., :, None, :] - v[..., None, :, :]
-    return np.sqrt((diff ** 2).sum(-1)).max(axis=(-2, -1))
+    widest = np.zeros(v.shape[:-2])
+    for o in range(1, v.shape[-2] // 2 + 1):
+        diff = v - np.roll(v, o, axis=-2)
+        np.maximum(widest, (diff ** 2).sum(-1).max(axis=-1), out=widest)
+    return np.sqrt(widest)

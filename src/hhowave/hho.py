@@ -52,10 +52,11 @@ from a system (P, M^-1, L and its extreme eigenvalues) belongs to the
 system too: each is built once, on first use, and shared by every stepper
 and scheme on that system.
 
-The implicit stage applies its cell operators (M, A^-1, K_FT and
-G = A^-1 K_TF, with A = M + a* dt K_TT) from the same class store, and
-assembles its Schur matrix from per-class dense blocks, keeping every
-nonzero entry of those (`CellClasses.face_matrix`): a class-ordered cell
+The implicit stage applies stacked class blocks formed from the same
+class store (A = M + a* dt K_TT, A^-1 M and G = A^-1 K_TF stacked over
+their K_FT products, `CellClasses.stacked`), and assembles its Schur matrix
+from per-class dense blocks, keeping every nonzero entry of those
+(`CellClasses.face_matrix`): a class-ordered cell
 vector is applied by one GEMM per class of at least `gemm_min_members(n)`
 cells, a break-even that falls with the cell block size n (36 members for
 12 x 12 blocks, 21 for 21 x 21, 5 from 40 x 40 on), and one stacked
@@ -749,6 +750,44 @@ class CellClasses:
             m = len(seg.cells)
             _apply_blocks(b, local[seg.faces].reshape(m, -1), out[seg.dofs].reshape(m, -1))
         return out
+
+    def stacked_blocks(self, stacks: dict) -> list:
+        """A stacked operator's blocks for each segment, from its class stacks
+        {shape: (classes, n + L, c)}, as `stacked` applies them: a class
+        segment's one block transposed, (c, n + L) and contiguous, a stacked
+        segment's blocks as they are."""
+        return [np.ascontiguousarray(np.swapaxes(b, 1, 2)[0]) if not seg.stacked else b
+                for seg, b in zip(self.segments, self.segment_blocks(stacks))]
+
+    def stacked(self, blocks: list, x: np.ndarray, side: str = "cell") -> tuple:
+        """A stacked operator [C; F] of (n + L) x c blocks (`stacked_blocks`),
+        C onto a cell's n cell dofs and F onto its L local face dofs, in one
+        pass over the segments: on a class-ordered cell vector (`side`
+        "cell") or on face values ("face", gathered as in `from_faces`).
+        Returns the cell part in class order and the face part, added onto the
+        face dofs by one `bincount`.
+
+        A class segment's GEMM writes both parts in place, as two products
+        with the column ranges of its one transposed block; a stacked
+        segment's matmul writes one (m, n + L) array that is copied out.
+        """
+        if side == "face":
+            x = np.append(x, 0.0)[self.face_index]
+        cell = np.empty(self.n_cell_dofs)
+        local = np.empty(len(self.face_index))
+        for seg, b in zip(self.segments, blocks):
+            m = len(seg.cells)
+            xs = x[seg.dofs if side == "cell" else seg.faces].reshape(m, -1)
+            cell_part, face_part = cell[seg.dofs].reshape(m, -1), local[seg.faces].reshape(m, -1)
+            n = cell_part.shape[1]
+            if seg.stacked:
+                out = np.matmul(b, xs[:, :, None])[:, :, 0]
+                cell_part[...], face_part[...] = out[:, :n], out[:, n:]
+            else:
+                np.matmul(xs, b[:, :n], out=cell_part)
+                np.matmul(xs, b[:, n:], out=face_part)
+        return cell, np.bincount(self.face_index, weights=local,
+                                 minlength=self.n_face_dofs + 1)[:-1]
 
     def dofs(self, seg: ClassSegment, side: str) -> np.ndarray:
         """A segment's dofs (m, L) on one side of an operator: its cells'

@@ -16,28 +16,35 @@ Implicit (singly diagonal) schemes condense the cell unknowns instead: the
 block-diagonal M + a* dt K_TT is the only matrix they invert, and only once
 per congruence class of cells
 (the system's `hho.CellClasses` store, built by assembly), together with
-its product G = A^-1 K_TF. The face-coupled Schur complement is assembled
+its product G = A^-1 K_TF. The face-coupled Schur complement S is assembled
 from the same class blocks, each class's dense K_FT,c G_c scattered to its
-members' face dofs, and factored once; all of them are reused across
-stages and steps while (a*, dt) is unchanged. No per-cell inverse is
-formed. A stage applies M, A^-1, K_FT and G through the class store, never
-through a global sparse matrix: cell vectors are sorted by class once per
-step, so each class of many members is one GEMM on a reshaped view of its
-cells' dofs and the cells of the smaller classes of one block shape one
-stacked `matmul`; K_FT adds the local products onto the face dofs with one
-`bincount`, and G gathers every cell's face values with one take. Every
-block inverse, the explicit path's M^-1 and K_FF^-1 as well as the
-condensed class inverses, comes from `inverse_stack`: one batched
-inversion per stack.
+members' face dofs, factored once and released: only its LU is kept. No
+per-cell inverse is formed. A stage is two passes over stacked class
+blocks around its Schur solve, never a product with a global sparse matrix:
+the stage blocks [(A^-1 M - I) / (a* dt); -a* dt K_FT A^-1 M] on the
+stage's start state give the cell part of its slope and the Schur
+right-hand side (a forced stage adds one pass of [A^-1; -(a* dt)^2 K_FT A^-1]
+on its load), and the back blocks [G; K_FT G] on the face unknowns give
+G u_f for the slope and K_FT G u_f, from which S u_f checks the solve.
+Cell vectors are sorted by class once per step, so each class of many
+members is one GEMM on a reshaped view of its cells' dofs and the cells of
+the smaller classes of one block shape one stacked `matmul`; the face parts
+are added onto the face dofs with one `bincount`, and the back pass gathers
+every cell's face values with one take. All of it is reused across stages
+and steps while (a*, dt) is unchanged. Every block inverse, the explicit
+path's M^-1 and K_FF^-1 as well as the condensed class inverses, comes from
+`inverse_stack`: one batched inversion per stack.
 
-The Schur complement has one solver, a direct LU with no settings, and is
-held once, as the CSC matrix that LU reads. S is structurally symmetric,
-and once equilibrated by D = |diag S|^-1/2 the symmetric part of D S D is
-positive definite. The LU therefore factors D S D without pivoting, with a
-minimum-degree ordering on the pattern of A^T + A (SuperLU's MMD_AT_PLUS_A)
-applied to rows and columns alike, which leaves less fill than SuperLU's
-default COLAMD ordering (about half from 10^4 face unknowns on); every
-solve is checked by its equilibrated residual (`FactorizedOperator`).
+The Schur complement has one solver, a direct LU with no settings. S is
+structurally symmetric, and once equilibrated by D = |diag S|^-1/2 the
+symmetric part of D S D is positive definite. The LU therefore factors
+D S D without pivoting, with a minimum-degree ordering on the pattern of
+A^T + A (SuperLU's MMD_AT_PLUS_A) applied to rows and columns alike, which
+leaves less fill than SuperLU's default COLAMD ordering (about half from
+10^4 face unknowns on). Every solve is checked by its equilibrated residual
+||D (S u_f - b)|| / ||D b|| <= 1e-8, with S u_f = a* dt (K_FF u_f -
+a* dt K_FT G u_f) taken from the back pass (`FactorizedOperator.check`), so
+the check costs a product with the block-diagonal K_FF rather than with S.
 """
 
 from __future__ import annotations
@@ -178,15 +185,14 @@ def inverse_stack(blocks, starts, what: str) -> np.ndarray:
 class FactorizedOperator:
     """Reusable direct LU factorization of a face Schur complement S.
 
-    The operator holds one copy of S: `matrix`, the CSC matrix D S D,
-    equilibrated in place by D = |diag S|^-1/2 (`scale`; 1 where the
-    diagonal is zero). A CSC argument becomes that copy itself, any other
-    format is converted first. The LU factors `matrix` without pivoting and
-    with a minimum-degree ordering on A^T + A applied symmetrically, and
-    solves x = D (D S D)^-1 (D b). Every solve is checked by its
-    equilibrated relative residual ||D (S x - b)|| / ||D b|| =
-    ||(D S D) y - D b|| / ||D b|| with y = D^-1 x, a product with `matrix`,
-    which must stay below 1e-8.
+    The operator equilibrates S by D = |diag S|^-1/2 (`scale`; 1 where the
+    diagonal is zero), in place if S is given as CSC, and factors D S D
+    without pivoting and with a minimum-degree ordering on A^T + A applied
+    symmetrically. It keeps the LU and D, not S: `solve` is the plain solve
+    x = D (D S D)^-1 (D b). A solve is checked by its equilibrated relative
+    residual ||D (S x - b)|| / ||D b||, which must stay below 1e-8, from a
+    product S x formed by the caller (`check`): the implicit stepper forms
+    it from its stage's back pass (`CondensedFactorization.check_solve`).
 
     Equilibration and no pivoting are what make geophysical Schur
     complements solvable: their diagonal spans many orders of magnitude
@@ -200,13 +206,13 @@ class FactorizedOperator:
     The operator counts what it did: `factor_s` (seconds spent factoring),
     `lu_nnz` (entries SuperLU stores for the L and U factors, read without
     building their CSC copies, which would double the memory of the
-    factors), `matrix_nnz`, `solves` and `max_residual` (largest residual
-    the solve check saw); `stats()` returns them as a dict.
+    factors), `matrix_nnz` (entries of S), `solves` and `max_residual`
+    (largest residual the solve check saw); `stats()` returns them as a dict.
     """
 
     def __init__(self, matrix: sp.spmatrix):
         self.n = matrix.shape[0]
-        matrix = self.matrix = matrix.tocsc()
+        matrix = matrix.tocsc()
         self.matrix_nnz = int(matrix.nnz)
         self.solves = 0
         self.max_residual = 0.0
@@ -244,16 +250,21 @@ class FactorizedOperator:
         if self.n == 0:
             return np.zeros(0)
         self.solves += 1
-        scaled_rhs = self.scale * rhs
-        y = self._lu.solve(scaled_rhs)
-        nrm = np.linalg.norm(scaled_rhs)
+        return self.scale * self._lu.solve(self.scale * rhs)
+
+    def check(self, rhs: np.ndarray, product: np.ndarray) -> None:
+        """Check a solve of `rhs` from the product S x of its solution:
+        raises SolverError if ||D (S x - b)|| / ||D b|| is above 1e-8 or not
+        finite, and keeps the largest residual seen in `max_residual`."""
+        if self.n == 0:
+            return
+        nrm = np.linalg.norm(self.scale * rhs)
         if nrm > 0:
-            res = np.linalg.norm(self.matrix @ y - scaled_rhs) / nrm
+            res = np.linalg.norm(self.scale * (product - rhs)) / nrm
             if not np.isfinite(res) or res > 1e-8:
                 raise SolverError(f"direct solve residual {res:.2e}; "
                                   "operator singular or severely ill-conditioned")
             self.max_residual = max(self.max_residual, float(res))
-        return self.scale * y
 
 
 # ---------------------------------------------------------------------------
@@ -346,20 +357,26 @@ class ExplicitStepper(_Stepper):
 
 class CondensedFactorization:
     """Condensation of the cell unknowns for one (a*, dt) pair: per congruence
-    class, A_c^-1 of A_c = M_c + a* dt K_TT,c and G_c = A_c^-1 K_TF,c, and the
-    factored face Schur complement a* dt (K_FF - a* dt K_FT G).
+    class, A_c^-1 of A_c = M_c + a* dt K_TT,c and G_c = A_c^-1 K_TF,c, the
+    factored face Schur complement S = a* dt (K_FF - a* dt K_FT G), and the
+    stacked class blocks a stage applies.
 
-    Valid for one (a*, dt) pair; reused across stages and steps. The class
-    blocks `inverse_blocks` and `g_blocks` (one entry per segment of the
-    system's `cell_classes` store, over which the system's M and K_FT are
-    views) are applied by that store. The Schur matrix is assembled once
-    from the same class blocks: each class contributes the dense K_FT,c G_c
-    over its local face dofs, scattered to every member's face dofs next to
-    K_FF in one COO to CSR conversion, and converted to the CSC matrix that
-    `schur_solver`, its direct LU (`FactorizedOperator`), equilibrates,
-    factors and keeps as the one copy of S. `build_s` is the time spent
-    before the factorization, and `build_rss_mb` the process's peak RSS once
-    S is built, before the LU (`peak_rss_mb`).
+    Valid for one (a*, dt) pair; reused across stages and steps. The Schur
+    matrix is assembled once from the class blocks: each class contributes
+    the dense K_FT,c G_c over its local face dofs, scattered to every
+    member's face dofs next to K_FF in one COO to CSR conversion, and
+    converted to the CSC matrix that `schur_solver`, its direct LU
+    (`FactorizedOperator`), equilibrates and factors. S is dropped once
+    factored. `build_s` is the time spent before the factorization, and
+    `build_rss_mb` the process's peak RSS once S is built, before the LU
+    (`peak_rss_mb`).
+
+    A stage applies three stacked blocks per class, each an (n + L) x c block
+    over one segment of the system's `cell_classes` store, applied by that
+    store in one pass (`CellClasses.stacked`) and built after the LU:
+    `stage_blocks` [(A^-1 M - I) / (a* dt); -a* dt K_FT A^-1 M] on a stage's
+    start state, `forcing_blocks` [A^-1; -(a* dt)^2 K_FT A^-1] on its load
+    and `back_blocks` [G; K_FT G] on its face unknowns.
     """
 
     def __init__(self, system, a_star: float, dt: float):
@@ -374,23 +391,38 @@ class CondensedFactorization:
         inverse = {shape: inverse_stack(blk["mass"] + ad * blk["k_tt"],
                                         system.layout.cell_offset[blk["cells"]], "condensed cell")
                    for shape, blk in store.blocks.items()}
-        self.inverse_blocks = store.segment_blocks(inverse)
         g = {shape: inverse[shape] @ blk["k_tf"] for shape, blk in store.blocks.items()}
-        self.g_blocks = store.segment_blocks(g)
-        # S = a* dt (K_FF - a* dt sum_c K_FT,c G_c)
-        schur = store.face_matrix({shape: -ad * (blk["k_ft"] @ g[shape])
-                                   for shape, blk in store.blocks.items()}, system.k_ff).tocsc()
+        k_ft_g = {shape: blk["k_ft"] @ g[shape] for shape, blk in store.blocks.items()}
+        # S = a* dt (K_FF - a* dt sum_c K_FT,c G_c), released once factored
+        schur = store.face_matrix({shape: -ad * blk for shape, blk in k_ft_g.items()},
+                                  system.k_ff).tocsc()
         schur.data *= ad
         self.build_s = time.perf_counter() - start
         self.build_rss_mb = peak_rss_mb()
         self.schur_solver = FactorizedOperator(schur)
+        del schur
 
-    def face_solve(self, z: np.ndarray) -> np.ndarray:
-        """Face unknowns -a* dt S^-1 K_FT z of a stage, from its class-ordered
-        z = A^-1 b_t."""
-        rhs = self.store.to_faces(self.system.k_ft.blocks, z)
-        rhs *= -self.a_star * self.dt
-        return self.schur_solver.solve(rhs)
+        stage, forcing, back = {}, {}, {}
+        for shape, blk in store.blocks.items():
+            a_m = inverse[shape] @ blk["mass"]
+            n = a_m.shape[-1]
+            stage[shape] = np.concatenate(((a_m - np.eye(n)) / ad, -ad * (blk["k_ft"] @ a_m)), 1)
+            forcing[shape] = np.concatenate((inverse[shape],
+                                             -ad * ad * (blk["k_ft"] @ inverse[shape])), 1)
+            back[shape] = np.concatenate((g[shape], k_ft_g[shape]), 1)
+        self.stage_blocks = store.stacked_blocks(stage)
+        self.forcing_blocks = store.stacked_blocks(forcing)
+        self.back_blocks = store.stacked_blocks(back)
+
+    def check_solve(self, rhs: np.ndarray, u_f: np.ndarray, k_ft_g_u_f: np.ndarray) -> None:
+        """The solve check of face unknowns u_f = S^-1 rhs, with
+        S u_f = a* dt (K_FF u_f - a* dt K_FT G u_f) from the back pass's
+        K_FT G u_f (`FactorizedOperator.check`)."""
+        ad = self.a_star * self.dt
+        product = self.system.k_ff @ u_f
+        product -= ad * k_ft_g_u_f
+        product *= ad
+        self.schur_solver.check(rhs, product)
 
 
 class ImplicitStepper(_Stepper):
@@ -399,8 +431,13 @@ class ImplicitStepper(_Stepper):
     Stage i starts from u~_i = u_t + dt sum_{j<i} a_ij k_j and solves
     (M + a* dt K_TT) u_i + a* dt K_TF u_f = M u~_i + a* dt f_i together with
     K_FT u_i + K_FF u_f = 0; its slope is
-    k_i = (u_i - u~_i) / (a* dt) = (z_i - u~_i) / (a* dt) - G u_f with
-    z_i = A^-1 (M u~_i + a* dt f_i), and the step is u_t + dt sum_j b_j k_j.
+    k_i = (u_i - u~_i) / (a* dt) = (A^-1 M - I) u~_i / (a* dt) + A^-1 f_i - G u_f
+    with u_f = S^-1 (-a* dt K_FT A^-1 M u~_i - (a* dt)^2 K_FT A^-1 f_i), and
+    the step is u_t + dt sum_j b_j k_j. A stage is two passes over the class
+    blocks of `fact` around its Schur solve, three if it is forced: the stage
+    blocks on u~_i (and the forcing blocks on f_i) give the slope's cell
+    part and the Schur right-hand side, and the back blocks on u_f give G u_f
+    and the K_FT G u_f that checks the solve (`check_solve`).
     The only block-diagonal matrix inverted is M + a* dt K_TT, condensed
     once, for the stepper's dt (`fact`); a step of any other dt is refused.
     A step runs in the class order of the system's `cell_classes`: the state
@@ -420,23 +457,22 @@ class ImplicitStepper(_Stepper):
         if abs(dt - self.dt) > 1e-15 * max(1.0, self.dt):
             raise TimestepError("stale condensed factorization: dt changed; rebuild")
         tab = self.tableau
-        ad = tab.a_star * dt
         fact = self.fact
         store = fact.store
-        mass = self.system.mass.blocks
         u_c = store.sort(u_t)
         slopes = []
         for i in range(tab.s):
             u_start = _advance(u_c, dt, tab.a[i, :i], slopes)
-            b_t = store.cells(mass, u_start)
+            k, rhs = store.stacked(fact.stage_blocks, u_start)
             f_i = _forcing_at(forcing, t + tab.c[i] * dt)
             if f_i is not None:
-                b_t += ad * store.sort(f_i)
-            k = store.cells(fact.inverse_blocks, b_t)
-            u_f = fact.face_solve(k)
-            k -= u_start
-            k /= ad
-            k -= store.from_faces(fact.g_blocks, u_f)
+                k_f, rhs_f = store.stacked(fact.forcing_blocks, store.sort(f_i))
+                k += k_f
+                rhs += rhs_f
+            u_f = fact.schur_solver.solve(rhs)
+            g_u_f, k_ft_g_u_f = store.stacked(fact.back_blocks, u_f, "face")
+            fact.check_solve(rhs, u_f, k_ft_g_u_f)
+            k -= g_u_f
             slopes.append(k)
         u_new = store.unsort(_advance(u_c, dt, tab.b, slopes))
         _check_finite(u_new, step_index)

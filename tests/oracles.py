@@ -14,7 +14,10 @@ manufactured case. A mesh holds its cells as one edge table; `cell_rows`
 reads one cell's rows of it, and `point_in_polygon` is the one-cell test
 that `PolyMesh.locate_cell` applies to all cells at once;
 `chebyshev_clusters` compares every pair of vertices, where the vertex merge
-sorts coordinates.
+sorts coordinates. The implicit stepper holds fused class blocks and no
+Schur matrix; `condensed_stacks` and `schur_matrix` rebuild the class
+inverses and S from the class store for the tests to compose and multiply.
+`polygon_diameter_pairs` takes a cell's diameter over all vertex pairs.
 """
 
 import math
@@ -257,3 +260,32 @@ def exact_pressure(case, t, pts):
 def exact_solid_velocity(case, t, pts):
     """The manufactured solid velocity v(t) at `pts`."""
     return case.solid_velocity_profile(pts) * math.sin(case.theta * math.pi * t)
+
+
+def condensed_stacks(system, a_star, dt):
+    """The class stacks {shape: {"a_inv", "g"}} of the condensed system:
+    A^-1 of A = M + a* dt K_TT, inverted class by class, and G = A^-1 K_TF."""
+    ad = a_star * dt
+    out = {}
+    for shape, blk in system.cell_classes.blocks.items():
+        a_inv = np.linalg.inv(blk["mass"] + ad * blk["k_tt"])
+        out[shape] = {"a_inv": a_inv, "g": a_inv @ blk["k_tf"]}
+    return out
+
+
+def schur_matrix(system, a_star, dt):
+    """The face Schur complement S = a* dt (K_FF - a* dt K_FT G) as CSR,
+    rebuilt from the class store by `CellClasses.face_matrix`."""
+    ad = a_star * dt
+    store = system.cell_classes
+    stacks = condensed_stacks(system, a_star, dt)
+    blocks = {shape: -ad * (store.blocks[shape]["k_ft"] @ c["g"]) for shape, c in stacks.items()}
+    return (ad * store.face_matrix(blocks, system.k_ff)).tocsr()
+
+
+def polygon_diameter_pairs(vertices):
+    """The diameter of each polygon (m, n, 2): the largest distance over all
+    n^2 vertex pairs."""
+    v = np.asarray(vertices, dtype=float)
+    d = v[:, :, None, :] - v[:, None, :, :]
+    return np.sqrt((d ** 2).sum(axis=-1)).max(axis=(1, 2))

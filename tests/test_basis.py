@@ -7,8 +7,8 @@ from hhowave import MeshGenSpec, generate, merge_nonconforming
 from hhowave.basis import (QuadratureError, cell_groups, monomial_exponents, polygon_area,
                            polygon_centroid, polygon_diameter, scalar_cell_dim)
 
-from oracles import (CellBasis, FaceBasis, cell_rows, grad, polygon_quadrature, project_cell,
-                     project_face, segment_quadrature)
+from oracles import (CellBasis, FaceBasis, cell_rows, grad, polygon_diameter_pairs,
+                     polygon_quadrature, project_cell, project_face, segment_quadrature)
 
 
 def greens_monomial_integral(vertices, a, b):
@@ -114,6 +114,16 @@ def test_stacked_polygon_geometry_matches_single_calls():
     for fn in (polygon_area, polygon_centroid, polygon_diameter):
         assert np.array_equal(fn(stack), [fn(poly) for poly in stack])
     assert isinstance(polygon_area(stack[0]), float)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_polygon_diameter_equals_all_pairs_far_from_origin(n):
+    # the offset pass takes the same largest pair distance, bit for bit, as
+    # comparing every vertex pair, also where the coordinates dwarf the cells
+    rng = np.random.default_rng(n)
+    for shift, scale in (((0.0, 0.0), 1.0), ((5e5, 4.2e6), 10.0), ((-3e7, 2e6), 1e-3)):
+        stack = np.array([random_star_polygon(rng, n, n, scale) for _ in range(40)]) + shift
+        assert np.array_equal(polygon_diameter(stack), polygon_diameter_pairs(stack))
 
 
 def test_square_x2y2():

@@ -17,7 +17,8 @@ from hhowave import hho, timestep
 from hhowave.hho import BlockDiagonal
 from hhowave.timestep import FactorizedOperator, SolverError, TimestepError
 
-from oracles import manufactured_state
+import oracles
+from oracles import condensed_stacks, manufactured_state
 from test_golden import MESHES, golden_mesh
 from test_hho import dense_from_blocks, perturbed_mesh
 
@@ -185,22 +186,34 @@ def solve(matrix, rhs):
 
 
 def schur_matrix(fact):
-    """The Schur complement S of a factorization as CSR, unscaled from the
-    one copy its LU holds, the equilibrated D S D."""
-    solver = fact.schur_solver
-    unscale = sp.diags(1.0 / solver.scale)
-    return (unscale @ solver.matrix @ unscale).tocsr()
+    """The Schur complement S of a factorization as CSR, rebuilt from the
+    class store: the factorization holds its LU only."""
+    return oracles.schur_matrix(fact.system, fact.a_star, fact.dt)
+
+
+def composed_blocks(fact):
+    """The segment blocks of A^-1 and G (`oracles.condensed_stacks`), of M,
+    K_TT and K_FT, for the class products `CellClasses.cells`, `to_faces`
+    and `from_faces` to compose what a stage applies."""
+    store, system = fact.store, fact.system
+    stacks = condensed_stacks(system, fact.a_star, fact.dt)
+    blocks = {name: store.segment_blocks({shape: c[name] for shape, c in stacks.items()})
+              for name in ("a_inv", "g")}
+    blocks.update({name: getattr(system, name).blocks for name in ("mass", "k_tt", "k_ft")})
+    return blocks
 
 
 def stage_solve(fact, b_t, b_f):
     """One implicit stage of the condensed system, (M + a* dt K_TT) u +
-    a* dt K_TF u_f = b_t and a* dt (K_FT u + K_FF u_f) = b_f, solved through
-    the factorization: returns (cell unknowns, face unknowns)."""
+    a* dt K_TF u_f = b_t and a* dt (K_FT u + K_FF u_f) = b_f, composed from
+    class products around the factorization's Schur solve: returns (cell
+    unknowns, face unknowns)."""
     store = fact.store
+    blocks = composed_blocks(fact)
     ad = fact.a_star * fact.dt
-    z = store.cells(fact.inverse_blocks, store.sort(b_t))
-    u_f = fact.schur_solver.solve(b_f - ad * store.to_faces(fact.system.k_ft.blocks, z))
-    z -= ad * store.from_faces(fact.g_blocks, u_f)
+    z = store.cells(blocks["a_inv"], store.sort(b_t))
+    u_f = fact.schur_solver.solve(b_f - ad * store.to_faces(blocks["k_ft"], z))
+    z -= ad * store.from_faces(blocks["g"], u_f)
     return store.unsort(z), u_f
 
 
@@ -334,7 +347,7 @@ def test_sparse_operators_store_nonzeros_only(mesh_name, mode):
     else:
         system = assemble(mesh, ACADEMIC, StabilizationConfig.implicit(), k=1)
         fact = CondensedFactorization(system, tableau("SDIRK34").a_star, 0.01)
-        derived = {"schur": fact.schur_solver.matrix}
+        derived = {"schur": schur_matrix(fact)}
     assert system.k_td is not None
     for name in ("mass", "k_tt", "k_tf", "k_ft", "k_ff", "k_td"):
         derived[name] = getattr(system, name).tocsr()
@@ -383,8 +396,8 @@ def test_floor_keeps_schur_pattern_and_thins_explicit_operator(monkeypatch):
         ops.append(make_system(k=1, level=3).explicit_op)
     floored, exact = facts
     for attr in ("indptr", "indices"):
-        assert np.array_equal(getattr(floored.schur_solver.matrix, attr),
-                              getattr(exact.schur_solver.matrix, attr))
+        assert np.array_equal(getattr(schur_matrix(floored), attr),
+                              getattr(schur_matrix(exact), attr))
     assert floored.schur_solver.lu_nnz == exact.schur_solver.lu_nnz
 
     def smallest_relative_entry(op):
@@ -602,20 +615,27 @@ def test_condensed_stage_equals_monolithic():
         assert np.linalg.norm(got - ref) < 1e-9 * np.linalg.norm(ref)
 
 
-def _class_products(fact, x, x_f):
-    """M x, A^-1 x, K_FT x and G x_f applied through the class store."""
+def _class_products(fact, x, f, x_f):
+    """M x and K_FT x applied through the class store, and the cell and face
+    parts of the stage pass on x, the forcing pass on f and the back pass on
+    x_f (`CellClasses.stacked`). The stage pass's cell part k =
+    (A^-1 M - I) x / (a* dt) is given as the A^-1 M x = x + a* dt k it
+    recovers, the scale at which a step adds it to the state: k alone
+    carries the round-off of x / (a* dt)."""
     store = fact.store
-    xs = store.sort(x)
-    return {"mass": store.unsort(store.cells(fact.system.mass.blocks, xs)),
-            "a_inv": store.unsort(store.cells(fact.inverse_blocks, xs)),
-            "k_ft": store.to_faces(fact.system.k_ft.blocks, xs),
-            "g": store.unsort(store.from_faces(fact.g_blocks, x_f))}
+    out = {"mass": fact.system.mass @ x, "k_ft": fact.system.k_ft @ x}
+    for name, arg, side in (("stage", store.sort(x), "cell"), ("forcing", store.sort(f), "cell"),
+                            ("back", x_f, "face")):
+        cell, out[f"{name}_face"] = store.stacked(getattr(fact, f"{name}_blocks"), arg, side)
+        out[f"{name}_cell"] = store.unsort(cell)
+    out["stage_cell"] = x + fact.a_star * fact.dt * out["stage_cell"]
+    return out
 
 
 def _assert_class_products_match_csr(system, a_star, dt, rtol=1e-13):
-    """The class-applied products and the class-built Schur matrix against
-    dense products of operators assembled from every cell's own blocks
-    (`build_cell_blocks`), with A^-1 inverted cell by cell."""
+    """The class-applied products, the fused passes and the class-built Schur
+    matrix against dense products of operators assembled from every cell's
+    own blocks (`build_cell_blocks`), with A^-1 inverted cell by cell."""
     ad = a_star * dt
     fact = CondensedFactorization(system, a_star, dt)
     layout = system.layout
@@ -625,11 +645,15 @@ def _assert_class_products_match_csr(system, a_star, dt, rtol=1e-13):
         a_inv[lo:hi, lo:hi] = np.linalg.inv(ref["mass"][lo:hi, lo:hi]
                                             + ad * ref["k_tt"][lo:hi, lo:hi])
     rng = np.random.default_rng(11)
-    x = rng.standard_normal(system.n_cell_dofs)
+    x, f = rng.standard_normal((2, system.n_cell_dofs))
     x_f = rng.standard_normal(system.n_face_dofs)
-    want = {"mass": ref["mass"] @ x, "a_inv": a_inv @ x, "k_ft": ref["k_ft"] @ x,
-            "g": a_inv @ (ref["k_tf"] @ x_f)}
-    for name, got in _class_products(fact, x, x_f).items():
+    g_x_f = a_inv @ (ref["k_tf"] @ x_f)
+    want = {"mass": ref["mass"] @ x, "k_ft": ref["k_ft"] @ x,
+            "stage_cell": a_inv @ (ref["mass"] @ x),
+            "stage_face": -ad * ref["k_ft"] @ (a_inv @ (ref["mass"] @ x)),
+            "forcing_cell": a_inv @ f, "forcing_face": -ad * ad * ref["k_ft"] @ (a_inv @ f),
+            "back_cell": g_x_f, "back_face": ref["k_ft"] @ g_x_f}
+    for name, got in _class_products(fact, x, f, x_f).items():
         assert np.linalg.norm(got - want[name]) <= rtol * np.linalg.norm(want[name]), name
     schur = ad * (ref["k_ff"] - ad * (ref["k_ft"] @ (a_inv @ ref["k_tf"])))
     assert np.linalg.norm(schur_matrix(fact).toarray() - schur) <= rtol * np.linalg.norm(schur)
@@ -691,16 +715,25 @@ def test_cell_operator_views_match_their_csr(mesh_name, mode, k, materials, monk
 
 
 @pytest.mark.parametrize("mesh_name", MESHES)
-def test_factorization_holds_one_schur_matrix(mesh_name):
-    # the LU's equilibrated CSC copy is the only Schur matrix kept, and it
-    # is D S D of the assembled S
+def test_factorization_holds_one_schur_matrix(mesh_name, monkeypatch):
+    # S is assembled once, as the int32 CSC matrix the LU factors, and
+    # released once factored: no n x n matrix is held after the factor, and
+    # the LU is that of D S D of the assembled S
     system = assemble(golden_mesh(mesh_name), ACADEMIC, StabilizationConfig.implicit(), k=1)
+    splu, factored = spla.splu, []
+
+    def capture(matrix, *args, **kwargs):
+        factored.append((matrix.format, matrix.indices.dtype, matrix.shape))
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", capture)
     fact = CondensedFactorization(system, tableau("SDIRK34").a_star, 0.01)
     n = system.n_face_dofs
+    assert factored == [("csc", np.int32, (n, n))]
     held = [value for obj in (fact, fact.schur_solver) for value in vars(obj).values()
             if sp.issparse(value) and value.shape == (n, n)]
-    assert len(held) == 1 and held[0] is fact.schur_solver.matrix
-    assert held[0].format == "csc" and held[0].indices.dtype == np.int32
+    assert held == []
+    assert fact.schur_solver.matrix_nnz == schur_matrix(fact).nnz
     scale = fact.schur_solver.scale
     schur = schur_matrix(fact).toarray()
     assert np.allclose(np.abs(np.diag(schur)), 1.0 / scale**2, rtol=1e-14, atol=0.0)
@@ -747,6 +780,102 @@ def test_perturbed_mesh_runs_on_the_stacked_kernel():
     u_cond = stepper.step(u0.copy(), 0.0, 0.01, forcing)
     u_dense = dense_sdirk_step(system, tableau("SDIRK34"), u0.copy(), 0.0, 0.01, forcing)
     assert np.linalg.norm(u_cond - u_dense) < 1e-10 * np.linalg.norm(u_dense)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("mesh_name", MESHES)
+def test_fused_blocks_equal_composed_class_products(mesh_name, k):
+    # the two passes of a stage against the class products they replace: the
+    # stage pass on u, with the forcing pass on f (forced) or without it
+    # (unforced), recovers the cell solve z = A^-1 (M u + a* dt f) = u + a* dt k
+    # and the Schur right-hand side -a* dt K_FT z; the back pass gives G u_f
+    # and K_FT G u_f
+    system = assemble(golden_mesh(mesh_name), ACADEMIC, StabilizationConfig.implicit(), k=k)
+    fact = CondensedFactorization(system, tableau("SDIRK34").a_star, 0.01)
+    store, blocks = fact.store, composed_blocks(fact)
+    ad = fact.a_star * fact.dt
+    rng = np.random.default_rng(14)
+    u, f = (store.sort(v) for v in rng.standard_normal((2, system.n_cell_dofs)))
+    u_f = rng.standard_normal(system.n_face_dofs)
+
+    def assert_close(got, want, what):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), what
+
+    for forced in (False, True):
+        z = store.cells(blocks["a_inv"], store.cells(blocks["mass"], u) + (ad * f if forced else 0))
+        slope, rhs = store.stacked(fact.stage_blocks, u)
+        if forced:
+            slope_f, rhs_f = store.stacked(fact.forcing_blocks, f)
+            slope, rhs = slope + slope_f, rhs + rhs_f
+        assert_close(u + ad * slope, z, ("cell", forced))
+        assert_close(rhs, -ad * store.to_faces(blocks["k_ft"], z), ("face", forced))
+    g_u_f = store.from_faces(blocks["g"], u_f)
+    for got, want in zip(store.stacked(fact.back_blocks, u_f, "face"),
+                         (g_u_f, store.to_faces(blocks["k_ft"], g_u_f))):
+        assert_close(got, want, "back")
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("mesh_name", MESHES)
+def test_step_equals_stage_solve_composition(mesh_name, forced):
+    # a step of the stepper against its stage recursion, each stage solved by
+    # class products composed around the same Schur LU (`stage_solve`)
+    system = assemble(golden_mesh(mesh_name), ACADEMIC, StabilizationConfig.implicit(), k=2)
+    tab, dt = tableau("SDIRK34"), 0.01
+    ad = tab.a_star * dt
+    stepper = ImplicitStepper(system, tab, dt)
+    _, u0, forcing = make_case_state(system)
+    forcing = forcing if forced else None
+    slopes = []
+    for i in range(tab.s):
+        u_start = u0 + dt * sum(tab.a[i, j] * slopes[j] for j in range(i))
+        b_t = system.mass @ u_start
+        if forced:
+            b_t += ad * forcing(tab.c[i] * dt)
+        u_i, _ = stage_solve(stepper.fact, b_t, np.zeros(system.n_face_dofs))
+        slopes.append((u_i - u_start) / ad)
+    want = u0 + dt * sum(b * k for b, k in zip(tab.b, slopes))
+    got = stepper.step(u0, 0.0, dt, forcing)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("mesh_name", MESHES)
+def test_back_pass_residual_matches_rebuilt_schur(mesh_name):
+    # the solve check takes S u_f from the back pass; its residual is the one
+    # of the S that `CellClasses.face_matrix` rebuilds, for a solve and for
+    # face values 1e-10 off it
+    system = assemble(golden_mesh(mesh_name), ACADEMIC, StabilizationConfig.implicit(), k=1)
+    fact = CondensedFactorization(system, tableau("SDIRK34").a_star, 0.01)
+    solver, store = fact.schur_solver, fact.store
+    schur, scale = schur_matrix(fact), fact.schur_solver.scale
+    rng = np.random.default_rng(15)
+    rhs, direction = rng.standard_normal((2, system.n_face_dofs))
+    u_f = solver.solve(rhs)
+    off = 1e-10 * np.linalg.norm(scale * rhs) / np.linalg.norm(scale * (schur @ direction))
+    for x, bound in ((u_f, 1e-12), (u_f + off * direction, 2e-10)):
+        solver.max_residual = 0.0
+        fact.check_solve(rhs, x, store.stacked(fact.back_blocks, x, "face")[1])
+        want = np.linalg.norm(scale * (schur @ x - rhs)) / np.linalg.norm(scale * rhs)
+        assert solver.max_residual <= bound and want <= bound
+        if bound > 1e-12:
+            assert abs(solver.max_residual - want) <= 1e-4 * want
+
+
+def test_solve_check_refuses_a_perturbed_schur_lu():
+    # mutation: the LU of S with one diagonal entry 1% off solves the wrong
+    # system, which the back pass's residual against the true S must catch
+    system = make_system(k=1, level=2, mode="implicit")
+    stepper = ImplicitStepper(system, tableau("SDIRK34"), 0.01)
+    _, u0, forcing = make_case_state(system)
+    stepper.step(u0, 0.0, 0.01, forcing)
+    assert 0.0 < stepper.fact.schur_solver.max_residual <= 1e-12
+    schur = schur_matrix(stepper.fact)
+    diag = schur.diagonal()
+    diag[len(diag) // 2] *= 1.01
+    schur.setdiag(diag)
+    stepper.fact.schur_solver = FactorizedOperator(schur)
+    with pytest.raises(SolverError, match="direct solve residual"):
+        stepper.step(u0, 0.0, 0.01, forcing)
 
 
 def _fill_mesh(family):
@@ -830,7 +959,10 @@ def test_single_cell_mesh_reduces_to_cell_solve():
     stepper = ImplicitStepper(system, tab, dt=0.01)
     rng = np.random.default_rng(0)
     u0 = rng.standard_normal(system.n_cell_dofs)
-    u1 = stepper.step(u0, 0.0, 0.01)
-    ref = dense_sdirk_step(system, tab, u0, 0.0, 0.01)
-    assert np.linalg.norm(u1 - ref) < 1e-11 * np.linalg.norm(ref)
+    load = rng.standard_normal(system.n_cell_dofs)
+    for forcing in (None, lambda t: math.cos(t) * load):
+        u1 = stepper.step(u0, 0.0, 0.01, forcing)
+        ref = dense_sdirk_step(system, tab, u0, 0.0, 0.01, forcing)
+        assert np.linalg.norm(u1 - ref) < 1e-11 * np.linalg.norm(ref)
     assert stepper.face_values(u1).shape == (0,)
+    assert stepper.fact.schur_solver.stats()["solves"] == 0
