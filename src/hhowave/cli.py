@@ -488,9 +488,11 @@ def cmd_simulate(cfg, out_dir) -> int:
         log.info("condensation built in %.3f s", condensation["build_s"])
     schur = None if tab.explicit or not system.n_face_dofs else stepper.fact.schur_solver
     if schur is not None:
-        log.info("Schur LU: %d face dofs, %d nnz, %d nnz in the factors (fill %.1fx), "
-                 "factored in %.2f s", schur.n, schur.matrix_nnz,
-                 schur.lu_nnz, schur.lu_nnz / schur.matrix_nnz, schur.factor_s)
+        log.info("Schur LU: %d face dofs, %d nnz, %d nnz in the factors (fill %.1fx, "
+                 "%.0f per face dof), factored in %.2f s, solved %s", schur.n,
+                 schur.matrix_nnz, schur.lu_nnz, schur.lu_nnz / schur.matrix_nnz,
+                 schur.lu_nnz / schur.n, schur.factor_s,
+                 "transposed" if schur.transposed else "plain")
 
     sensors = [scenarios.BoundSensor(scenarios.SensorSpec(s["position"], s["kind"], s["name"]),
                                      system) for s in cfg["sensors"]]

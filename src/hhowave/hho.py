@@ -204,6 +204,18 @@ class DofLayout:
             return slice(off, off + fd) if side == "fluid" else slice(off + fd, off + 3 * fd)
         return slice(off, int(self.face_offset[fi + 1]))
 
+    @cached_property
+    def face_sign(self) -> np.ndarray:
+        """The sign J of every face dof: -1 on the solid side (the dofs of
+        solid faces and the solid trace of interface faces), +1 on the fluid
+        side. The face Schur complement is J-symmetric, S = J S^T J
+        (`timestep.FactorizedOperator`)."""
+        fclass = np.repeat(self.mesh.face_class, self.face_size)
+        local = np.arange(self.n_face_dofs) - np.repeat(self.face_offset[:-1], self.face_size)
+        solid = (fclass == msh.F_INT_SOLID) | ((fclass == msh.F_INTERFACE)
+                                              & (local >= self.n_face_scalar))
+        return np.where(solid, -1.0, 1.0)
+
     def summary(self) -> dict:
         """Dof statistics: per-variable dimensions and condensation counts."""
         mesh = self.mesh
@@ -593,10 +605,11 @@ class ClassRule:
 
 
 def _apply_blocks(blocks, x, out):
-    """out[i] = B_i x[i] for the rows of x (m, c): one GEMM if `blocks` holds
-    one block (1, r, c), else one stacked matmul with a block per row."""
-    if len(blocks) == 1:
-        np.matmul(x, blocks[0].T, out=out)
+    """out[i] = B_i x[i] for the rows of x (m, c): one GEMM if `blocks` is a
+    class segment's one block, transposed (c, r) and contiguous, else one
+    stacked matmul with a block (m, r, c) per row (`CellClasses.segment_blocks`)."""
+    if blocks.ndim == 2:
+        np.matmul(x, blocks, out=out)
     else:
         np.matmul(blocks, x[:, :, None], out=out[:, :, None])
 
@@ -720,8 +733,13 @@ class CellClasses:
 
     def segment_blocks(self, stacks: dict) -> list:
         """An operator's blocks for each segment, from its class stacks
-        {shape: (classes, r, c)}."""
-        return [stacks[seg.shape][seg.rows] for seg in self.segments]
+        {shape: (classes, r, c)}, as `_apply_blocks` and `stacked` apply
+        them: a class segment's one block transposed, (c, r) and contiguous,
+        so that its GEMM reads it row by row; a stacked segment's blocks
+        (m, r, c) as they are."""
+        return [stacks[seg.shape][seg.rows] if seg.stacked
+                else np.ascontiguousarray(stacks[seg.shape][seg.rows[0]].T)
+                for seg in self.segments]
 
     def cells(self, blocks: list, x: np.ndarray) -> np.ndarray:
         """A cell-to-cell operator (square blocks) on a class-ordered cell vector."""
@@ -751,19 +769,12 @@ class CellClasses:
             _apply_blocks(b, local[seg.faces].reshape(m, -1), out[seg.dofs].reshape(m, -1))
         return out
 
-    def stacked_blocks(self, stacks: dict) -> list:
-        """A stacked operator's blocks for each segment, from its class stacks
-        {shape: (classes, n + L, c)}, as `stacked` applies them: a class
-        segment's one block transposed, (c, n + L) and contiguous, a stacked
-        segment's blocks as they are."""
-        return [np.ascontiguousarray(np.swapaxes(b, 1, 2)[0]) if not seg.stacked else b
-                for seg, b in zip(self.segments, self.segment_blocks(stacks))]
-
     def stacked(self, blocks: list, x: np.ndarray, side: str = "cell") -> tuple:
-        """A stacked operator [C; F] of (n + L) x c blocks (`stacked_blocks`),
+        """A stacked operator [C; F] of (n + L) x c blocks (`segment_blocks`),
         C onto a cell's n cell dofs and F onto its L local face dofs, in one
         pass over the segments: on a class-ordered cell vector (`side`
-        "cell") or on face values ("face", gathered as in `from_faces`).
+        "cell") or on face values ("face"), padded with a zero at the pad
+        slot n_face_dofs and gathered through `face_index`.
         Returns the cell part in class order and the face part, added onto the
         face dofs by one `bincount`.
 
@@ -772,7 +783,7 @@ class CellClasses:
         segment's matmul writes one (m, n + L) array that is copied out.
         """
         if side == "face":
-            x = np.append(x, 0.0)[self.face_index]
+            x = x[self.face_index]
         cell = np.empty(self.n_cell_dofs)
         local = np.empty(len(self.face_index))
         for seg, b in zip(self.segments, blocks):

@@ -17,15 +17,17 @@ block-diagonal M + a* dt K_TT is the only matrix they invert, and only once
 per congruence class of cells
 (the system's `hho.CellClasses` store, built by assembly), together with
 its product G = A^-1 K_TF. The face-coupled Schur complement S is assembled
-from the same class blocks, each class's dense K_FT,c G_c scattered to its
-members' face dofs, factored once and released: only its LU is kept. No
+from the same class blocks, each class's dense K_FT,c G_c, symmetrized,
+scattered to its members' face dofs, factored once and released: only its
+LU is kept. No
 per-cell inverse is formed. A stage is two passes over stacked class
 blocks around its Schur solve, never a product with a global sparse matrix:
 the stage blocks [(A^-1 M - I) / (a* dt); -a* dt K_FT A^-1 M] on the
 stage's start state give the cell part of its slope and the Schur
 right-hand side (a forced stage adds one pass of [A^-1; -(a* dt)^2 K_FT A^-1]
-on its load), and the back blocks [G; K_FT G] on the face unknowns give
-G u_f for the slope and K_FT G u_f, from which S u_f checks the solve.
+on its load), and the back blocks [G; a* dt (K_FF,c - a* dt K_FT,c G_c)]
+on the face unknowns give G u_f for the slope and all of S u_f but its
+interface coupling, from which the solve is checked.
 Cell vectors are sorted by class once per step, so each class of many
 members is one GEMM on a reshaped view of its cells' dofs and the cells of
 the smaller classes of one block shape one stacked `matmul`; the face parts
@@ -41,10 +43,15 @@ symmetric part of D S D is positive definite. The LU therefore factors
 D S D without pivoting, with a minimum-degree ordering on the pattern of
 A^T + A (SuperLU's MMD_AT_PLUS_A) applied to rows and columns alike, which
 leaves less fill than SuperLU's default COLAMD ordering (about half from
-10^4 face unknowns on). Every solve is checked by its equilibrated residual
-||D (S u_f - b)|| / ||D b|| <= 1e-8, with S u_f = a* dt (K_FF u_f -
-a* dt K_FT G u_f) taken from the back pass (`FactorizedOperator.check`), so
-the check costs a product with the block-diagonal K_FF rather than with S.
+10^4 face unknowns on). S is J-symmetric, S = J S^T J for the sign J that
+is -1 on solid-side face dofs (`hho.DofLayout.face_sign`), so the same LU
+also solves S u_f = b as J u_f = S^-T J b, with SuperLU's transposed
+kernel; a small LU (at most TRANSPOSED_SOLVE_MAX_FILL entries per face dof)
+is solved that way, where that kernel is the faster. Every solve is checked
+by its equilibrated residual ||D (S u_f - b)|| / ||D b|| <= 1e-8, with
+S u_f taken from the back pass and a product with the interface coupling
+of K_FF (`CondensedFactorization.check_solve`), so the check costs no
+product with S.
 """
 
 from __future__ import annotations
@@ -182,17 +189,44 @@ def inverse_stack(blocks, starts, what: str) -> np.ndarray:
         raise
 
 
+TRANSPOSED_SOLVE_MAX_FILL = 150
+"""LU entries per face dof (`FactorizedOperator.lu_nnz` / n) up to which the
+Schur LU is solved by SuperLU's transposed kernel (`trans="T"`), and above
+which by its plain one.
+
+The break-even, measured as T/N, the median time of a transposed solve over
+a plain one on the same LU of D S D (one BLAS thread, 2-vCPU host, SciPy's
+SuperLU; cartesian L3-L6 at k=1-3, simplicial L4-L5 and hexagonal L4-L6):
+
+| LU entries per face dof | 55 | 73 | 85 | 94 | 113 | 129 | 149 | 154 | 172 | 224 | 311 |
+| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |
+| T/N | 0.78 | 0.83 | 0.88 | 0.89 | 0.87 | 0.87 | 0.88 | 0.98 | 1.00-1.02 | 1.02 | 1.20 |
+
+The `ricker` Schur LU (cartesian L5, k=1) holds 97 entries per face dof and
+takes the transposed kernel; hexagonal L6 (311) and granite-water at 1,024
+cells and k=3 (227) keep the plain one.
+"""
+
+
 class FactorizedOperator:
     """Reusable direct LU factorization of a face Schur complement S.
 
     The operator equilibrates S by D = |diag S|^-1/2 (`scale`; 1 where the
     diagonal is zero), in place if S is given as CSC, and factors D S D
     without pivoting and with a minimum-degree ordering on A^T + A applied
-    symmetrically. It keeps the LU and D, not S: `solve` is the plain solve
-    x = D (D S D)^-1 (D b). A solve is checked by its equilibrated relative
-    residual ||D (S x - b)|| / ||D b||, which must stay below 1e-8, from a
-    product S x formed by the caller (`check`): the implicit stepper forms
-    it from its stage's back pass (`CondensedFactorization.check_solve`).
+    symmetrically. It keeps the LU and D, not S.
+
+    S must be J-symmetric, S = J S^T J, for the face sign J (`sign`, +1 or -1
+    per dof; `hho.DofLayout.face_sign` for a face Schur complement, all ones
+    for a symmetric matrix). Then S x = b is J x = S^-T J b, and the one LU
+    solves either way: `solve` is the plain solve x = D (D S D)^-1 (D b) or
+    the transposed one x = D J (D S D)^-T (J D b), by a rule rather than a
+    setting: transposed when the LU holds at most TRANSPOSED_SOLVE_MAX_FILL
+    entries per face dof, where SuperLU's transposed kernel is the faster
+    (`transposed`). A solve is checked by its equilibrated relative residual
+    ||D (S x - b)|| / ||D b||, which must stay below 1e-8, from a product
+    S x formed by the caller (`check`): the implicit stepper forms it from
+    its stage's back pass (`CondensedFactorization.check_solve`).
 
     Equilibration and no pivoting are what make geophysical Schur
     complements solvable: their diagonal spans many orders of magnitude
@@ -207,10 +241,11 @@ class FactorizedOperator:
     `lu_nnz` (entries SuperLU stores for the L and U factors, read without
     building their CSC copies, which would double the memory of the
     factors), `matrix_nnz` (entries of S), `solves` and `max_residual`
-    (largest residual the solve check saw); `stats()` returns them as a dict.
+    (largest residual the solve check saw); `stats()` returns them as a
+    dict, with `transposed` and the LU entries per face dof.
     """
 
-    def __init__(self, matrix: sp.spmatrix):
+    def __init__(self, matrix: sp.spmatrix, sign: np.ndarray):
         self.n = matrix.shape[0]
         matrix = matrix.tocsc()
         self.matrix_nnz = int(matrix.nnz)
@@ -218,6 +253,7 @@ class FactorizedOperator:
         self.max_residual = 0.0
         self.factor_s = 0.0
         self.lu_nnz = 0
+        self.transposed = False
         if self.n == 0:
             self._lu = None
             return
@@ -240,27 +276,38 @@ class FactorizedOperator:
                               f"({type(exc).__name__}: {exc})") from exc
         self.factor_s = time.perf_counter() - start
         self.lu_nnz = int(self._lu.nnz)
+        self.transposed = self.lu_nnz <= TRANSPOSED_SOLVE_MAX_FILL * self.n
+        self._signed_scale = self.scale * sign
 
     def stats(self) -> dict:
         return {"n": self.n, "matrix_nnz": self.matrix_nnz, "lu_nnz": self.lu_nnz,
-                "factor_s": self.factor_s, "solves": self.solves,
-                "max_residual": self.max_residual}
+                "lu_nnz_per_dof": self.lu_nnz / self.n if self.n else 0.0,
+                "transposed": self.transposed, "factor_s": self.factor_s,
+                "solves": self.solves, "max_residual": self.max_residual}
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """x = S^-1 rhs, written to `out` if given. The scaled right-hand side
+        is kept for the check of this solve (`check`)."""
         if self.n == 0:
-            return np.zeros(0)
+            return np.zeros(0) if out is None else out
         self.solves += 1
-        return self.scale * self._lu.solve(self.scale * rhs)
+        # outer * LU^-1 (outer * b) with outer = D, or outer * LU^-T (outer * b) with D J
+        self._outer, trans = ((self._signed_scale, "T") if self.transposed
+                              else (self.scale, "N"))
+        self._rhs = self._outer * rhs
+        return np.multiply(self._outer, self._lu.solve(self._rhs, trans=trans), out=out)
 
-    def check(self, rhs: np.ndarray, product: np.ndarray) -> None:
-        """Check a solve of `rhs` from the product S x of its solution:
+    def check(self, product: np.ndarray) -> None:
+        """Check the last solve from the product S x of its solution x:
         raises SolverError if ||D (S x - b)|| / ||D b|| is above 1e-8 or not
-        finite, and keeps the largest residual seen in `max_residual`."""
+        finite, and keeps the largest residual seen in `max_residual`. Both
+        norms are taken in the solve's scaling (D, or D J), which leaves them
+        unchanged."""
         if self.n == 0:
             return
-        nrm = np.linalg.norm(self.scale * rhs)
+        nrm = np.linalg.norm(self._rhs)
         if nrm > 0:
-            res = np.linalg.norm(self.scale * (product - rhs)) / nrm
+            res = np.linalg.norm(self._outer * product - self._rhs) / nrm
             if not np.isfinite(res) or res > 1e-8:
                 raise SolverError(f"direct solve residual {res:.2e}; "
                                   "operator singular or severely ill-conditioned")
@@ -358,25 +405,38 @@ class ExplicitStepper(_Stepper):
 class CondensedFactorization:
     """Condensation of the cell unknowns for one (a*, dt) pair: per congruence
     class, A_c^-1 of A_c = M_c + a* dt K_TT,c and G_c = A_c^-1 K_TF,c, the
-    factored face Schur complement S = a* dt (K_FF - a* dt K_FT G), and the
-    stacked class blocks a stage applies.
+    factored face Schur complement S = a* dt (K_FF - a* dt sum_c B_c) with
+    B_c = K_FT,c G_c, and the stacked class blocks a stage applies.
 
     Valid for one (a*, dt) pair; reused across stages and steps. The Schur
     matrix is assembled once from the class blocks: each class contributes
-    the dense K_FT,c G_c over its local face dofs, scattered to every
-    member's face dofs next to K_FF in one COO to CSR conversion, and
-    converted to the CSC matrix that `schur_solver`, its direct LU
-    (`FactorizedOperator`), equilibrates and factors. S is dropped once
-    factored. `build_s` is the time spent before the factorization, and
-    `build_rss_mb` the process's peak RSS once S is built, before the LU
-    (`peak_rss_mb`).
+    its dense B_c over its local face dofs, scattered to every member's face
+    dofs next to K_FF in one COO to CSR conversion, and converted to the CSC
+    matrix that `schur_solver`, its direct LU (`FactorizedOperator`),
+    equilibrates and factors. S is dropped once factored. `build_s` is the
+    time spent before the factorization, and `build_rss_mb` the process's
+    peak RSS once S is built, before the LU (`peak_rss_mb`).
+
+    S is J-symmetric, S = J S^T J with the face sign J
+    (`hho.DofLayout.face_sign`: -1 on solid-side face dofs), by
+    construction: a cell's local face dofs all lie on one side of the
+    interface, so B_c is symmetric in exact arithmetic and is replaced by
+    (B_c + B_c^T) / 2, and the only fluid-solid coupling in S, the interface
+    blocks [c, -c^T] of K_FF, is skew. Unsymmetrized, B_c is off by round-off
+    that grows with the material contrast: 1.6e-9 of its norm on simplicial
+    granite-water at k=3, against 1.6e-16 on cartesian academic at k=1. This
+    is what lets the LU solve S in transposed mode.
 
     A stage applies three stacked blocks per class, each an (n + L) x c block
     over one segment of the system's `cell_classes` store, applied by that
     store in one pass (`CellClasses.stacked`) and built after the LU:
     `stage_blocks` [(A^-1 M - I) / (a* dt); -a* dt K_FT A^-1 M] on a stage's
     start state, `forcing_blocks` [A^-1; -(a* dt)^2 K_FT A^-1] on its load
-    and `back_blocks` [G; K_FT G] on its face unknowns.
+    and `back_blocks` [G; a* dt (K_FF,c - a* dt B_c)] on its face unknowns,
+    K_FF,c being the cell's own face-face blocks, block-diagonal over its
+    faces. What the back pass adds onto the face dofs is S u_f without the
+    interface coupling, which the solve check adds from `coupling`: the
+    rows `coupling_rows` of a* dt times the interface blocks of K_FF, as CSR.
     """
 
     def __init__(self, system, a_star: float, dt: float):
@@ -388,18 +448,21 @@ class CondensedFactorization:
         self.dt = float(dt)
         ad = self.a_star * self.dt
         store = self.store = system.cell_classes
+        sign = system.layout.face_sign
         inverse = {shape: inverse_stack(blk["mass"] + ad * blk["k_tt"],
                                         system.layout.cell_offset[blk["cells"]], "condensed cell")
                    for shape, blk in store.blocks.items()}
         g = {shape: inverse[shape] @ blk["k_tf"] for shape, blk in store.blocks.items()}
-        k_ft_g = {shape: blk["k_ft"] @ g[shape] for shape, blk in store.blocks.items()}
-        # S = a* dt (K_FF - a* dt sum_c K_FT,c G_c), released once factored
-        schur = store.face_matrix({shape: -ad * blk for shape, blk in k_ft_g.items()},
+        # B_c = K_FT,c G_c, symmetrized
+        b_c = {shape: blk["k_ft"] @ g[shape] for shape, blk in store.blocks.items()}
+        b_c = {shape: 0.5 * (b + np.swapaxes(b, 1, 2)) for shape, b in b_c.items()}
+        # S = a* dt (K_FF - a* dt sum_c B_c), released once factored
+        schur = store.face_matrix({shape: -ad * b for shape, b in b_c.items()},
                                   system.k_ff).tocsc()
         schur.data *= ad
         self.build_s = time.perf_counter() - start
         self.build_rss_mb = peak_rss_mb()
-        self.schur_solver = FactorizedOperator(schur)
+        self.schur_solver = FactorizedOperator(schur, sign)
         del schur
 
         stage, forcing, back = {}, {}, {}
@@ -409,20 +472,27 @@ class CondensedFactorization:
             stage[shape] = np.concatenate(((a_m - np.eye(n)) / ad, -ad * (blk["k_ft"] @ a_m)), 1)
             forcing[shape] = np.concatenate((inverse[shape],
                                              -ad * ad * (blk["k_ft"] @ inverse[shape])), 1)
-            back[shape] = np.concatenate((g[shape], k_ft_g[shape]), 1)
-        self.stage_blocks = store.stacked_blocks(stage)
-        self.forcing_blocks = store.stacked_blocks(forcing)
-        self.back_blocks = store.stacked_blocks(back)
+            # the cell's face-face blocks (classes, n_v, s, s), block-diagonal over its faces
+            k_ff = blk["k_ff"]
+            k_ff = np.einsum("cvab,vw->cvawb", k_ff, np.eye(k_ff.shape[1])).reshape(
+                b_c[shape].shape)
+            back[shape] = np.concatenate((g[shape], ad * (k_ff - ad * b_c[shape])), 1)
+        self.stage_blocks = store.segment_blocks(stage)
+        self.forcing_blocks = store.segment_blocks(forcing)
+        self.back_blocks = store.segment_blocks(back)
+        k_ff = system.k_ff.tocoo()
+        cross = sign[k_ff.row] != sign[k_ff.col]
+        self.coupling_rows, rows = np.unique(k_ff.row[cross], return_inverse=True)
+        self.coupling = sp.csr_matrix((ad * k_ff.data[cross], (rows, k_ff.col[cross])),
+                                      shape=(len(self.coupling_rows), k_ff.shape[1]))
 
-    def check_solve(self, rhs: np.ndarray, u_f: np.ndarray, k_ft_g_u_f: np.ndarray) -> None:
-        """The solve check of face unknowns u_f = S^-1 rhs, with
-        S u_f = a* dt (K_FF u_f - a* dt K_FT G u_f) from the back pass's
-        K_FT G u_f (`FactorizedOperator.check`)."""
-        ad = self.a_star * self.dt
-        product = self.system.k_ff @ u_f
-        product -= ad * k_ft_g_u_f
-        product *= ad
-        self.schur_solver.check(rhs, product)
+    def check_solve(self, u_f: np.ndarray, back_face: np.ndarray) -> None:
+        """The check of the last solve, of face unknowns u_f, from what the
+        back pass on u_f added onto the face dofs (`back_face`): adding the
+        interface coupling's rows completes it, in place, to S u_f
+        (`FactorizedOperator.check`)."""
+        back_face[self.coupling_rows] += self.coupling @ u_f
+        self.schur_solver.check(back_face)
 
 
 class ImplicitStepper(_Stepper):
@@ -437,7 +507,9 @@ class ImplicitStepper(_Stepper):
     blocks of `fact` around its Schur solve, three if it is forced: the stage
     blocks on u~_i (and the forcing blocks on f_i) give the slope's cell
     part and the Schur right-hand side, and the back blocks on u_f give G u_f
-    and the K_FT G u_f that checks the solve (`check_solve`).
+    and the part of S u_f that checks the solve (`check_solve`). The solve
+    writes u_f into a buffer padded with the zero the back pass gathers for
+    Dirichlet faces.
     The only block-diagonal matrix inverted is M + a* dt K_TT, condensed
     once, for the stepper's dt (`fact`); a step of any other dt is refused.
     A step runs in the class order of the system's `cell_classes`: the state
@@ -451,6 +523,7 @@ class ImplicitStepper(_Stepper):
         self.tableau = tab
         self.dt = float(dt)
         self.fact = CondensedFactorization(system, tab.a_star, dt)
+        self._u_f = np.zeros(system.n_face_dofs + 1)
 
     def step(self, u_t: np.ndarray, t: float, dt: float, forcing=None,
              step_index: int = 0) -> np.ndarray:
@@ -469,9 +542,9 @@ class ImplicitStepper(_Stepper):
                 k_f, rhs_f = store.stacked(fact.forcing_blocks, store.sort(f_i))
                 k += k_f
                 rhs += rhs_f
-            u_f = fact.schur_solver.solve(rhs)
-            g_u_f, k_ft_g_u_f = store.stacked(fact.back_blocks, u_f, "face")
-            fact.check_solve(rhs, u_f, k_ft_g_u_f)
+            u_f = fact.schur_solver.solve(rhs, out=self._u_f[:-1])
+            g_u_f, back_face = store.stacked(fact.back_blocks, self._u_f, "face")
+            fact.check_solve(u_f, back_face)
             k -= g_u_f
             slopes.append(k)
         u_new = store.unsort(_advance(u_c, dt, tab.b, slopes))

@@ -275,11 +275,15 @@ def condensed_stacks(system, a_star, dt):
 
 def schur_matrix(system, a_star, dt):
     """The face Schur complement S = a* dt (K_FF - a* dt K_FT G) as CSR,
-    rebuilt from the class store by `CellClasses.face_matrix`."""
+    rebuilt from the class store by `CellClasses.face_matrix`, each class's
+    K_FT,c G_c symmetrized as the factorization does."""
     ad = a_star * dt
     store = system.cell_classes
     stacks = condensed_stacks(system, a_star, dt)
-    blocks = {shape: -ad * (store.blocks[shape]["k_ft"] @ c["g"]) for shape, c in stacks.items()}
+    blocks = {}
+    for shape, c in stacks.items():
+        k_ft_g = store.blocks[shape]["k_ft"] @ c["g"]
+        blocks[shape] = -ad * (0.5 * (k_ft_g + np.swapaxes(k_ft_g, 1, 2)))
     return (ad * store.face_matrix(blocks, system.k_ff)).tocsr()
 
 

@@ -209,12 +209,19 @@ def test_simulate_reports_schur_solver(tmp_path, caplog):
                          "--out", str(out)]) == cli.EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     solver = summary["solver"]
-    assert set(solver) == {"n", "matrix_nnz", "lu_nnz", "factor_s", "solves", "max_residual"}
+    assert set(solver) == {"n", "matrix_nnz", "lu_nnz", "lu_nnz_per_dof", "transposed",
+                           "factor_s", "solves", "max_residual"}
     assert solver["n"] == summary["dofs"]["dofs_after_condensation"]
     assert solver["lu_nnz"] > 0 and solver["matrix_nnz"] > 0 and solver["factor_s"] > 0
     assert solver["solves"] == 3 * summary["steps"]      # one per SDIRK34 stage
     assert 0.0 < solver["max_residual"] <= 1e-8
     assert f"Schur LU: {solver['n']} face dofs" in caplog.text and "factored in" in caplog.text
+    # which kernel solves the LU: the transposed one, below the fill break-even
+    assert solver["lu_nnz_per_dof"] == solver["lu_nnz"] / solver["n"]
+    assert solver["lu_nnz_per_dof"] <= timestep.TRANSPOSED_SOLVE_MAX_FILL
+    assert solver["transposed"] is True
+    assert (f"{solver['lu_nnz_per_dof']:.0f} per face dof), factored in" in caplog.text
+            and "solved transposed" in caplog.text)
     # how the cells were condensed: classes and the cells each kernel applies
     classes = summary["cell_classes"]
     assert set(classes) == {"classes", "gemm_cells", "stacked_cells"}

@@ -1,6 +1,7 @@
 """Tableaux, linear solvers, and static-condensation equivalence tests."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hhowave import (CondensedFactorization, ExplicitStepper, ImplicitStepper,
                      assemble, builtin_materials, generate, merge_nonconforming, tableau)
 from hhowave.scenarios import (ManufacturedCase, cfl_bracket, energy, manufactured_forcing,
                                manufactured_initial_state)
-from hhowave import hho, timestep
+from hhowave import cli, hho, mesh as msh, timestep
 from hhowave.hho import BlockDiagonal
 from hhowave.timestep import FactorizedOperator, SolverError, TimestepError
 
@@ -25,6 +26,8 @@ from test_hho import dense_from_blocks, perturbed_mesh
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
 ACADEMIC = builtin_materials("academic")
 GRANITE_WATER = builtin_materials("granite-water")
+RICKER_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                             "academic_ricker.json")
 
 
 def make_system(k=1, level=1, mode="explicit", family="cartesian"):
@@ -182,7 +185,7 @@ def test_advance_matches_plain_expression_bitwise(kind):
 # linear solvers
 
 def solve(matrix, rhs):
-    return FactorizedOperator(sp.csc_matrix(matrix)).solve(rhs)
+    return FactorizedOperator(sp.csc_matrix(matrix), np.ones(matrix.shape[0])).solve(rhs)
 
 
 def schur_matrix(fact):
@@ -248,7 +251,7 @@ def test_lu_memory_failure_is_solver_error(error, monkeypatch):
 
     monkeypatch.setattr(timestep.spla, "splu", fail)
     with pytest.raises(SolverError, match="factorization of 6 face dofs ran out of memory"):
-        FactorizedOperator(sp.eye(6, format="csc"))
+        FactorizedOperator(sp.eye(6, format="csc"), np.ones(6))
 
 
 def _cell_blocks(system, name):
@@ -625,7 +628,7 @@ def _class_products(fact, x, f, x_f):
     store = fact.store
     out = {"mass": fact.system.mass @ x, "k_ft": fact.system.k_ft @ x}
     for name, arg, side in (("stage", store.sort(x), "cell"), ("forcing", store.sort(f), "cell"),
-                            ("back", x_f, "face")):
+                            ("back", np.append(x_f, 0.0), "face")):
         cell, out[f"{name}_face"] = store.stacked(getattr(fact, f"{name}_blocks"), arg, side)
         out[f"{name}_cell"] = store.unsort(cell)
     out["stage_cell"] = x + fact.a_star * fact.dt * out["stage_cell"]
@@ -648,15 +651,23 @@ def _assert_class_products_match_csr(system, a_star, dt, rtol=1e-13):
     x, f = rng.standard_normal((2, system.n_cell_dofs))
     x_f = rng.standard_normal(system.n_face_dofs)
     g_x_f = a_inv @ (ref["k_tf"] @ x_f)
+    # K_FF without its interface coupling, the only entries linking the two sides
+    sign = layout.face_sign
+    same_side = ref["k_ff"] * (sign[:, None] == sign)
     want = {"mass": ref["mass"] @ x, "k_ft": ref["k_ft"] @ x,
             "stage_cell": a_inv @ (ref["mass"] @ x),
             "stage_face": -ad * ref["k_ft"] @ (a_inv @ (ref["mass"] @ x)),
             "forcing_cell": a_inv @ f, "forcing_face": -ad * ad * ref["k_ft"] @ (a_inv @ f),
-            "back_cell": g_x_f, "back_face": ref["k_ft"] @ g_x_f}
+            "back_cell": g_x_f,
+            "back_face": ad * (same_side @ x_f - ad * (ref["k_ft"] @ g_x_f))}
     for name, got in _class_products(fact, x, f, x_f).items():
         assert np.linalg.norm(got - want[name]) <= rtol * np.linalg.norm(want[name]), name
     schur = ad * (ref["k_ff"] - ad * (ref["k_ft"] @ (a_inv @ ref["k_tf"])))
     assert np.linalg.norm(schur_matrix(fact).toarray() - schur) <= rtol * np.linalg.norm(schur)
+    coupling = np.zeros_like(ref["k_ff"])
+    coupling[fact.coupling_rows] = fact.coupling.toarray()
+    want = ad * (ref["k_ff"] - same_side)
+    assert np.linalg.norm(coupling - want) <= rtol * np.linalg.norm(want)
     return fact
 
 
@@ -789,7 +800,8 @@ def test_fused_blocks_equal_composed_class_products(mesh_name, k):
     # stage pass on u, with the forcing pass on f (forced) or without it
     # (unforced), recovers the cell solve z = A^-1 (M u + a* dt f) = u + a* dt k
     # and the Schur right-hand side -a* dt K_FT z; the back pass gives G u_f
-    # and K_FT G u_f
+    # and S u_f but for the interface coupling of K_FF, the entries that link
+    # the fluid and solid sides
     system = assemble(golden_mesh(mesh_name), ACADEMIC, StabilizationConfig.implicit(), k=k)
     fact = CondensedFactorization(system, tableau("SDIRK34").a_star, 0.01)
     store, blocks = fact.store, composed_blocks(fact)
@@ -810,8 +822,10 @@ def test_fused_blocks_equal_composed_class_products(mesh_name, k):
         assert_close(u + ad * slope, z, ("cell", forced))
         assert_close(rhs, -ad * store.to_faces(blocks["k_ft"], z), ("face", forced))
     g_u_f = store.from_faces(blocks["g"], u_f)
-    for got, want in zip(store.stacked(fact.back_blocks, u_f, "face"),
-                         (g_u_f, store.to_faces(blocks["k_ft"], g_u_f))):
+    sign = system.layout.face_sign
+    coupling = ad * system.k_ff.toarray() * (sign[:, None] != sign)
+    for got, want in zip(store.stacked(fact.back_blocks, np.append(u_f, 0.0), "face"),
+                         (g_u_f, schur_matrix(fact) @ u_f - coupling @ u_f)):
         assert_close(got, want, "back")
 
 
@@ -854,7 +868,7 @@ def test_back_pass_residual_matches_rebuilt_schur(mesh_name):
     off = 1e-10 * np.linalg.norm(scale * rhs) / np.linalg.norm(scale * (schur @ direction))
     for x, bound in ((u_f, 1e-12), (u_f + off * direction, 2e-10)):
         solver.max_residual = 0.0
-        fact.check_solve(rhs, x, store.stacked(fact.back_blocks, x, "face")[1])
+        fact.check_solve(x, store.stacked(fact.back_blocks, np.append(x, 0.0), "face")[1])
         want = np.linalg.norm(scale * (schur @ x - rhs)) / np.linalg.norm(scale * rhs)
         assert solver.max_residual <= bound and want <= bound
         if bound > 1e-12:
@@ -873,9 +887,90 @@ def test_solve_check_refuses_a_perturbed_schur_lu():
     diag = schur.diagonal()
     diag[len(diag) // 2] *= 1.01
     schur.setdiag(diag)
-    stepper.fact.schur_solver = FactorizedOperator(schur)
+    stepper.fact.schur_solver = FactorizedOperator(schur, system.layout.face_sign)
     with pytest.raises(SolverError, match="direct solve residual"):
         stepper.step(u0, 0.0, 0.01, forcing)
+
+
+def test_solve_check_refuses_a_transposed_lu_of_a_perturbed_coupling():
+    # mutation: S with one fluid-solid entry 1% off is no longer J-symmetric,
+    # so the transposed kernel on its LU solves J S'^T J x = b, neither the
+    # perturbed system nor the true one; the back pass's residual against the
+    # true S must catch it
+    system = make_system(k=1, level=2, mode="implicit")
+    stepper = ImplicitStepper(system, tableau("SDIRK34"), 0.01)
+    _, u0, forcing = make_case_state(system)
+    stepper.step(u0, 0.0, 0.01, forcing)
+    sign = system.layout.face_sign
+    schur = schur_matrix(stepper.fact).tocoo()
+    (cross,) = np.nonzero(sign[schur.row] != sign[schur.col])
+    schur.data[cross[len(cross) // 2]] *= 1.01
+    stepper.fact.schur_solver = FactorizedOperator(schur, sign)
+    assert stepper.fact.schur_solver.transposed
+    with pytest.raises(SolverError, match="direct solve residual"):
+        stepper.step(u0, 0.0, 0.01, forcing)
+
+
+@pytest.mark.parametrize("mesh_name", MESHES)
+def test_face_sign_is_negative_on_the_solid_side(mesh_name):
+    system = assemble(golden_mesh(mesh_name), ACADEMIC, StabilizationConfig.implicit(), k=2)
+    layout, mesh = system.layout, system.mesh
+    want = np.ones(layout.n_face_dofs)
+    for fi in np.nonzero((mesh.face_class == msh.F_INT_SOLID)
+                         | (mesh.face_class == msh.F_INTERFACE))[0]:
+        want[layout.face_side_slice(fi, "solid")] = -1.0
+    assert np.array_equal(layout.face_sign, want)
+    assert (want == 1.0).any() and (want == -1.0).any()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("materials", [ACADEMIC, GRANITE_WATER], ids=["academic", "granite-water"])
+@pytest.mark.parametrize("mesh_name", MESHES)
+def test_schur_complement_is_j_symmetric(mesh_name, materials, k, monkeypatch):
+    # S = J S^T J, symmetric within each side of the interface and skew
+    # between them, for S and for the D S D the LU factors; the transposed
+    # solve J (D S D)^-T J and the plain one of that LU then agree
+    system = assemble(golden_mesh(mesh_name), materials, StabilizationConfig.implicit(), k=k)
+    splu, factored = spla.splu, []
+
+    def capture(matrix, *args, **kwargs):
+        factored.append(matrix.copy())
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", capture)
+    fact = CondensedFactorization(system, tableau("SDIRK34").a_star, 0.01)
+    sign = sp.diags(system.layout.face_sign)
+    for name, mat in (("S", schur_matrix(fact)), ("D S D", factored[0])):
+        assert spla.norm(mat - sign @ mat.T @ sign) <= 1e-14 * spla.norm(mat), name
+    solver = fact.schur_solver
+    rhs = np.random.default_rng(16).standard_normal(system.n_face_dofs)
+    x = {}
+    for transposed in (False, True):
+        solver.transposed = transposed
+        x[transposed] = solver.solve(rhs)
+    assert np.linalg.norm(x[True] - x[False]) <= 1e-12 * np.linalg.norm(x[False])
+
+
+def test_transposed_kernel_below_the_fill_break_even():
+    # the shipped ricker system (cartesian L5, k=1) factors to about 97 LU
+    # entries per face dof and is solved transposed; hexagonal L5 at k=1, about
+    # 224, keeps the plain kernel; a step on either passes the solve check
+    cfg = cli.load_config(RICKER_CONFIG)
+    mesh, materials = cli.build_mesh(cfg["mesh"]), cli.build_materials(cfg)
+    ricker = assemble(mesh, materials, cli.build_stabilization(cfg), k=cfg["degree"])
+    hexagonal = assemble(generate(MeshGenSpec("polygonal-hexagonal", 5, **BILAYER)), ACADEMIC,
+                         StabilizationConfig.implicit(), k=1)
+    tab = tableau(cfg["scheme"])
+    stats = []
+    for system, dt in ((ricker, cli.resolve_dt(cfg, mesh, materials)), (hexagonal, 0.01)):
+        stepper = ImplicitStepper(system, tab, dt)
+        u0 = np.random.default_rng(17).standard_normal(system.n_cell_dofs)
+        stepper.step(u0, 0.0, dt)
+        stats.append(stepper.fact.schur_solver.stats())
+        assert 0.0 < stats[-1]["max_residual"] <= 1e-12
+    limit = timestep.TRANSPOSED_SOLVE_MAX_FILL
+    assert stats[0]["lu_nnz_per_dof"] <= limit < stats[1]["lu_nnz_per_dof"]
+    assert [s["transposed"] for s in stats] == [True, False]
 
 
 def _fill_mesh(family):
@@ -949,8 +1044,6 @@ def test_stale_factorization_rejected():
 
 
 def test_single_cell_mesh_reduces_to_cell_solve():
-    import hhowave.mesh as msh
-
     verts = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
     mesh = msh.PolyMesh(verts, [np.arange(4)], [msh.FLUID])
     system = assemble(mesh, ACADEMIC, StabilizationConfig.implicit(), k=1)
