@@ -195,13 +195,26 @@ Schur LU is solved by SuperLU's transposed kernel (`trans="T"`), and above
 which by its plain one.
 
 The break-even, measured as T/N, the median time of a transposed solve over
-a plain one on the same LU of D S D (one BLAS thread, 2-vCPU host, SciPy's
-SuperLU; cartesian L3-L6 at k=1-3, simplicial L4-L5 and hexagonal L4-L6):
+a plain one on the same LU of D S D (alternating, one BLAS thread, 2-vCPU
+host, SciPy 1.17's SuperLU; academic materials, fluid and solid side by
+side, ranges over repeated runs; `BENCH_25.json` holds every case):
 
-| LU entries per face dof | 55 | 73 | 85 | 94 | 113 | 129 | 149 | 154 | 172 | 224 | 311 |
-| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |
-| T/N | 0.78 | 0.83 | 0.88 | 0.89 | 0.87 | 0.87 | 0.88 | 0.98 | 1.00-1.02 | 1.02 | 1.20 |
+| LU entries per face dof | LU entries | Mesh, k | T/N |
+| --- | --- | --- | --- |
+| 58-99 | 42k-2.1M | cartesian L3-L5, simplicial L4-L5, k=1-2 | 0.75-0.85 |
+| 107-121 | 0.15M-1.4M | cartesian L3-L5, k=1-3 | 0.85-0.86 |
+| 123-134 | 1.4M-10.5M | simplicial L4-L6, k=1-3 | 0.93-0.99 |
+| 142 | 6.9M | cartesian L6, k=1 | 1.00-1.05 |
+| 149 | 0.64M | hexagonal L4, k=1 | 0.88 |
+| 169-184 | 0.37M-3.1M | cartesian L4-L5, hexagonal L3, k=2-3 | 0.91-0.98 |
+| 213-230 | 1.4M-15.6M | cartesian L5-L6, hexagonal L4-L5, k=1-3 | 0.96-1.14 |
+| 284-311 | 2.6M-27.7M | cartesian L6, hexagonal L4 and L6, k=1-3 | 1.02-1.10 |
 
+Up to 121 entries per face dof the transposed kernel saves 14-25% at
+every size measured; past that the ratio also rises with the LU's size, so
+near 150 the rule can pick the slower kernel: up to 5% slower on the
+large LU of cartesian L6 (142 per face dof), and up to 9% of a gain left
+on small LUs at 169-224.
 The `ricker` Schur LU (cartesian L5, k=1) holds 97 entries per face dof and
 takes the transposed kernel; hexagonal L6 (311) and granite-water at 1,024
 cells and k=3 (227) keep the plain one.
@@ -423,9 +436,10 @@ class CondensedFactorization:
     interface, so B_c is symmetric in exact arithmetic and is replaced by
     (B_c + B_c^T) / 2, and the only fluid-solid coupling in S, the interface
     blocks [c, -c^T] of K_FF, is skew. Unsymmetrized, B_c is off by round-off
-    that grows with the material contrast: 1.6e-9 of its norm on simplicial
-    granite-water at k=3, against 1.6e-16 on cartesian academic at k=1. This
-    is what lets the LU solve S in transposed mode.
+    that grows with the degree and the material contrast: up to 1.4e-8 of
+    its norm on the simplicial L2 golden mesh under granite-water at k=3
+    (dt = 0.01), against 1.2e-15 on the cartesian one under academic
+    materials at k=1. This is what lets the LU solve S in transposed mode.
 
     A stage applies three stacked blocks per class, each an (n + L) x c block
     over one segment of the system's `cell_classes` store, applied by that
