@@ -542,6 +542,9 @@ def cmd_simulate(cfg, out_dir) -> int:
     timings["output"] = time.perf_counter() - end
     log.info("timings: %s", ", ".join(f"{name} {sec:.3f} s" for name, sec in timings.items()))
     log.info("peak RSS: %s", ", ".join(f"{name} {mb:.1f} MB" for name, mb in peak_rss.items()))
+    if schur is not None:
+        log.info("Schur LU: %d solves in %.3f s, largest residual %.2e", schur.solves,
+                 schur.solve_s, schur.max_residual)
     drift = energy_max_drift(energies)
     if drift is not None:
         log.info("energy: largest relative drift %.3e over %d records", drift, len(energies))

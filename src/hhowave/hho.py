@@ -46,26 +46,29 @@ row or column of its block (`_kept`). Which entries pass is decided once
 per class block, or once per block of a `BlockDiagonal`, and gathered to
 the members (`_block_entries`). Moments that vanish exactly on symmetric
 cells come out of the quadrature as round-off, so the floor halves what the
-cartesian operators store; the face map P and the explicit operator L
-inherit it through their sparse products. What the explicit path derives
-from a system (P, M^-1, L and its extreme eigenvalues) belongs to the
-system too: each is built once, on first use, and shared by every stepper
-and scheme on that system.
+cartesian operators store; the explicit operator L inherits it through
+the sparse products that form it, the face map P among them. What the
+explicit path derives from a system (M^-1, L and its extreme eigenvalues)
+belongs to the system too: each is built once, on first use, and shared
+by every stepper and scheme on that system.
 
-The implicit stage applies stacked class blocks formed from the same
-class store (A = M + a* dt K_TT, A^-1 M and G = A^-1 K_TF stacked over
-their K_FT products, `CellClasses.stacked`), and assembles its Schur matrix
-from per-class dense blocks, keeping every nonzero entry of those
-(`CellClasses.face_matrix`): a class-ordered cell
-vector is applied by one GEMM per class of at least `gemm_min_members(n)`
-cells, a break-even that falls with the cell block size n (36 members for
-12 x 12 blocks, 21 for 21 x 21, 5 from 40 x 40 on), and one stacked
-`matmul` per block shape for the cells of smaller classes. On cartesian
-meshes the stages therefore run almost entirely on GEMMs; meshes without
-congruent cells run on the stacked products alone. The face unknowns of
-the interface sensors come from the same products and K_FF^-1, inverted
-from its face blocks, and so does an implicit run's energy
-(`scenarios.energy`): an implicit run forms no CSR of a cell operator.
+Every cell-local operator is applied by one pass over the segments of the
+class store (`CellClasses.apply`): the views M, K_TT, K_TF and K_FT, and
+the implicit stage's stacked class blocks formed from the same store
+(A = M + a* dt K_TT, A^-1 M and G = A^-1 K_TF stacked over their K_FT
+products). The implicit stage assembles its Schur matrix from per-class
+dense blocks, keeping every nonzero entry of those
+(`CellClasses.face_matrix`). The pass applies a class-ordered cell
+vector, or gathered face values, by one GEMM per class of at least
+`gemm_min_members(n)` cells, a break-even that falls with the cell block
+size n (36 members for 12 x 12 blocks, 21 for 21 x 21, 5 from 40 x 40
+on), and one stacked `matmul` per block shape for the cells of smaller
+classes. On cartesian meshes the stages therefore run almost entirely on
+GEMMs; meshes without congruent cells run on the stacked products alone.
+The face unknowns of the interface sensors come from the same pass and
+K_FF^-1, inverted from its face blocks, and so does an implicit run's
+energy (`scenarios.energy`): an implicit run forms no CSR of a cell
+operator.
 """
 
 from __future__ import annotations
@@ -505,13 +508,15 @@ GEMM_BREAK_EVEN = ((12, 36), (21, 21), (40, 5))
 GEMM applies, at the measured block sizes; the cells of smaller classes go
 through one stacked `matmul` per block shape.
 
-Measured with `_apply_blocks` on one BLAS thread (2-vCPU host, numpy 2.4,
-OpenBLAS 0.3.31; median of 5 x 2,000 calls): one GEMM costs about 3.7 us
-plus 0.023 us per member with the 12 x 12 fluid blocks of k=1 mixed order
-and 0.040 us with the 21 x 21 solid ones, while a stacked `matmul` costs
-0.13 and 0.21 us per cell. A class therefore pays for its own GEMM from
-about 36 (fluid) and 21 (solid) members; with 40 x 40 blocks (GEMM 3 us +
-0.07 us per member, stacked 0.74 us per cell) from about 5.
+Measured with the two kernels of `CellClasses.apply`, when a class GEMM
+still read a non-contiguous view of its block, on one BLAS thread (2-vCPU
+host, numpy 2.4, OpenBLAS 0.3.31; median of 5 x 2,000 calls): one GEMM
+costs about 3.7 us plus 0.023 us per member with the 12 x 12 fluid blocks
+of k=1 mixed order and 0.040 us with the 21 x 21 solid ones, while a
+stacked `matmul` costs 0.13 and 0.21 us per cell. A class therefore pays
+for its own GEMM from about 36 (fluid) and 21 (solid) members; with
+40 x 40 blocks (GEMM 3 us + 0.07 us per member, stacked 0.74 us per cell)
+from about 5.
 """
 
 
@@ -604,16 +609,6 @@ class ClassRule:
         return np.swapaxes(self.weights[..., None] * test, 1, 2)[self.member] @ values
 
 
-def _apply_blocks(blocks, x, out):
-    """out[i] = B_i x[i] for the rows of x (m, c): one GEMM if `blocks` is a
-    class segment's one block, transposed (c, r) and contiguous, else one
-    stacked matmul with a block (m, r, c) per row (`CellClasses.segment_blocks`)."""
-    if blocks.ndim == 2:
-        np.matmul(x, blocks, out=out)
-    else:
-        np.matmul(blocks, x[:, :, None], out=out[:, :, None])
-
-
 def _shape_groups(mesh: msh.PolyMesh):
     """The cells of each block shape (subdomain, vertex count): yields
     (shape, cells, faces), `cells` ascending and `faces` (m, n_v) their face
@@ -641,12 +636,14 @@ class CellClasses:
     and K_FT (the system's `ClassOperator` views apply them, and `matrix`
     forms a CSR of one for the explicit path); `assemble` scatters the
     face-face blocks and the Dirichlet columns of K_TF to every member cell.
-    Cell vectors are applied in class order (`sort`, `unsort`), in which the
-    dofs of every segment are one contiguous run, so a segment's cell vector
-    is a reshaped view. `face_index` lists, cell by cell in class order, the
-    face dof of every local face dof; those of a Dirichlet face point to the
-    zero pad slot n_face_dofs. `n_dofs` maps a side of an operator, "cell"
-    or "face", to its order.
+    `apply` is the one pass over the segments that applies blocks, those
+    of the views and the implicit stage's alike. Cell vectors are applied
+    in class order (`sort`, `unsort`), in which the dofs of every segment
+    are one contiguous run, so a segment's cell vector is a reshaped view.
+    `face_index` lists, cell by cell in class order, the face dof of every
+    local face dof; those of a Dirichlet face point to the zero pad slot
+    n_face_dofs. `n_dofs` maps a side of an operator, "cell" or "face", to
+    its order.
     """
 
     def __init__(self, layout: DofLayout, materials: MaterialMap,
@@ -733,72 +730,55 @@ class CellClasses:
 
     def segment_blocks(self, stacks: dict) -> list:
         """An operator's blocks for each segment, from its class stacks
-        {shape: (classes, r, c)}, as `_apply_blocks` and `stacked` apply
-        them: a class segment's one block transposed, (c, r) and contiguous,
-        so that its GEMM reads it row by row; a stacked segment's blocks
-        (m, r, c) as they are."""
+        {shape: (classes, r, c)}, as `apply` applies them: a class
+        segment's one block transposed, (c, r) and contiguous, so that its
+        GEMM reads it row by row; a stacked segment's blocks (m, r, c) as
+        they are. The rows r are a cell part, a face part, or a cell part
+        stacked over a face part."""
         return [stacks[seg.shape][seg.rows] if seg.stacked
                 else np.ascontiguousarray(stacks[seg.shape][seg.rows[0]].T)
                 for seg in self.segments]
 
-    def cells(self, blocks: list, x: np.ndarray) -> np.ndarray:
-        """A cell-to-cell operator (square blocks) on a class-ordered cell vector."""
-        out = np.empty(self.n_cell_dofs)
-        for seg, b in zip(self.segments, blocks):
-            m = len(seg.cells)
-            _apply_blocks(b, x[seg.dofs].reshape(m, -1), out[seg.dofs].reshape(m, -1))
-        return out
+    def apply(self, blocks: list, x: np.ndarray, source: str = "cell",
+              parts: tuple = ("cell", "face")) -> tuple:
+        """An operator given by segment blocks (`segment_blocks`) whose rows
+        are `parts`: the cell part C onto a cell's n cell dofs, the face part
+        F onto its L local face dofs, or both stacked [C; F]. The source is a
+        class-ordered cell vector (`source` "cell") or face values ("face"),
+        padded with a zero at the pad slot n_face_dofs and gathered through
+        `face_index`. This is the one pass over the segments that applies
+        class blocks.
+        Returns one vector per part: the cell part in class order, and the
+        face part added onto the face dofs by one `bincount`.
 
-    def to_faces(self, blocks: list, x: np.ndarray) -> np.ndarray:
-        """A cell-to-face operator (such as K_FT) on a class-ordered cell vector:
-        the local products, then one scatter-add onto the face dofs."""
-        local = np.empty(len(self.face_index))
-        for seg, b in zip(self.segments, blocks):
-            m = len(seg.cells)
-            _apply_blocks(b, x[seg.dofs].reshape(m, -1), local[seg.faces].reshape(m, -1))
-        return np.bincount(self.face_index, weights=local,
-                           minlength=self.n_face_dofs + 1)[:-1]
-
-    def from_faces(self, blocks: list, u_f: np.ndarray) -> np.ndarray:
-        """A face-to-cell operator (such as G) on face values: one gather of
-        every cell's local face values, then the local products (class order)."""
-        local = np.append(u_f, 0.0)[self.face_index]
-        out = np.empty(self.n_cell_dofs)
-        for seg, b in zip(self.segments, blocks):
-            m = len(seg.cells)
-            _apply_blocks(b, local[seg.faces].reshape(m, -1), out[seg.dofs].reshape(m, -1))
-        return out
-
-    def stacked(self, blocks: list, x: np.ndarray, side: str = "cell") -> tuple:
-        """A stacked operator [C; F] of (n + L) x c blocks (`segment_blocks`),
-        C onto a cell's n cell dofs and F onto its L local face dofs, in one
-        pass over the segments: on a class-ordered cell vector (`side`
-        "cell") or on face values ("face"), padded with a zero at the pad
-        slot n_face_dofs and gathered through `face_index`.
-        Returns the cell part in class order and the face part, added onto the
-        face dofs by one `bincount`.
-
-        A class segment's GEMM writes both parts in place, as two products
-        with the column ranges of its one transposed block; a stacked
-        segment's matmul writes one (m, n + L) array that is copied out.
+        A class segment's GEMM writes each part in place, one product per
+        part with the column range of its one transposed block; a stacked
+        segment's matmul writes one part in place, or both into one
+        (m, n + L) array that is copied out.
         """
-        if side == "face":
+        if source == "face":
             x = x[self.face_index]
-        cell = np.empty(self.n_cell_dofs)
-        local = np.empty(len(self.face_index))
+        out = {part: np.empty(self.n_cell_dofs if part == "cell" else len(self.face_index))
+               for part in parts}
         for seg, b in zip(self.segments, blocks):
-            m = len(seg.cells)
-            xs = x[seg.dofs if side == "cell" else seg.faces].reshape(m, -1)
-            cell_part, face_part = cell[seg.dofs].reshape(m, -1), local[seg.faces].reshape(m, -1)
-            n = cell_part.shape[1]
-            if seg.stacked:
-                out = np.matmul(b, xs[:, :, None])[:, :, 0]
-                cell_part[...], face_part[...] = out[:, :n], out[:, n:]
+            m, span = len(seg.cells), {"cell": seg.dofs, "face": seg.faces}
+            xs = x[span[source]].reshape(m, -1)
+            views = [out[part][span[part]].reshape(m, -1) for part in parts]
+            if seg.stacked and len(views) == 1:
+                np.matmul(b, xs[:, :, None], out=views[0][:, :, None])
+            elif seg.stacked:
+                prod = np.matmul(b, xs[:, :, None])[:, :, 0]
+                n = views[0].shape[1]
+                views[0][...], views[1][...] = prod[:, :n], prod[:, n:]
             else:
-                np.matmul(xs, b[:, :n], out=cell_part)
-                np.matmul(xs, b[:, n:], out=face_part)
-        return cell, np.bincount(self.face_index, weights=local,
-                                 minlength=self.n_face_dofs + 1)[:-1]
+                lo = 0
+                for view in views:
+                    np.matmul(xs, b[:, lo:lo + view.shape[1]], out=view)
+                    lo += view.shape[1]
+        if "face" in parts:
+            out["face"] = np.bincount(self.face_index, weights=out["face"],
+                                      minlength=self.n_face_dofs + 1)[:-1]
+        return tuple(out[part] for part in parts)
 
     def dofs(self, seg: ClassSegment, side: str) -> np.ndarray:
         """A segment's dofs (m, L) on one side of an operator: its cells'
@@ -892,14 +872,15 @@ class ClassOperator:
 
     `name` picks the operator's class stacks; M and K_TT map cell vectors to
     cell vectors, K_FT cell vectors to face vectors and K_TF face vectors to
-    cell vectors. `@` applies the class blocks to a vector in the layout's
-    order, each segment's blocks (`blocks`) gathered on first use. `nnz` is
+    cell vectors (`SIDES`: rows, then columns). `@` applies the class blocks
+    to a vector in the layout's order by the store's one pass
+    (`CellClasses.apply`), with the row side as the one part, each
+    segment's blocks (`blocks`) gathered on first use. `nnz` is
     the count of entries the operator's CSR stores, taken from the class
     blocks' kept entries and the members' non-Dirichlet face dofs without
     forming it. `tocsr()` forms that CSR, floored (`_block_entries`), on its
     first call and keeps it; only the explicit path (`BlockSystem.minv`,
-    `face_op`, `explicit_op`, and the energy of an equal-order system)
-    calls it.
+    `explicit_op`, and the energy of an equal-order system) calls it.
     """
 
     SIDES = {"mass": ("cell", "cell"), "k_tt": ("cell", "cell"),
@@ -922,13 +903,10 @@ class ClassOperator:
         return self.store.count_entries(self.store.stack(self.name), self.sides)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        store = self.store
-        if self.sides[1] == "face":
-            return store.unsort(store.from_faces(self.blocks, x))
-        x = store.sort(x)
-        if self.sides[0] == "face":
-            return store.to_faces(self.blocks, x)
-        return store.unsort(store.cells(self.blocks, x))
+        store, (row, col) = self.store, self.sides
+        x = np.append(x, 0.0) if col == "face" else store.sort(x)
+        y, = store.apply(self.blocks, x, col, (row,))
+        return y if row == "face" else store.unsort(y)
 
     def tocsr(self) -> sp.csr_matrix:
         if self._csr is None:
@@ -949,10 +927,10 @@ class BlockSystem:
     equations (lifting of nonhomogeneous boundary data).
 
     `kff_inverse` (the CSR of K_FF^-1, a face operator) serves `face_values`,
-    the face unknowns a cell state induces. The CSR face map `face_op`, the
-    CSR `minv`, the explicit operator `explicit_op` and its
-    `explicit_spectrum` serve the explicit path alone. Each of these is
-    built on first use and kept.
+    the face unknowns a cell state induces. The CSR `minv`, the explicit
+    operator `explicit_op` and its `explicit_spectrum` serve the explicit
+    path alone. Each of these is built on first use and kept; the face map
+    P that L is formed from is not.
     """
 
     def __init__(self, layout, kff_blocks, k_td, materials, config, cell_classes):
@@ -987,11 +965,6 @@ class BlockSystem:
         return -(self.kff_inverse @ (self.k_ft @ u_t))
 
     @cached_property
-    def face_op(self) -> sp.csr_matrix:
-        """P = -K_FF^-1 K_FT as CSR, mapping cell unknowns to the face unknowns they induce."""
-        return -(self.kff_inverse @ self.k_ft.tocsr())
-
-    @cached_property
     def minv(self) -> sp.csr_matrix:
         """M^-1, inverted once per congruence class (`inverse_stack`) and
         scattered to the members."""
@@ -1002,8 +975,10 @@ class BlockSystem:
 
     @cached_property
     def explicit_op(self) -> sp.csr_matrix:
-        """L = M^-1 (K_TT + K_TF P): the unforced explicit system is u' = -L u."""
-        return (self.minv @ (self.k_tt.tocsr() + self.k_tf.tocsr() @ self.face_op)).tocsr()
+        """L = M^-1 (K_TT + K_TF P): the unforced explicit system is u' = -L u,
+        with the face map P = -K_FF^-1 K_FT formed as CSR for L and not kept."""
+        face_op = -(self.kff_inverse @ self.k_ft.tocsr())
+        return (self.minv @ (self.k_tt.tocsr() + self.k_tf.tocsr() @ face_op)).tocsr()
 
     @cached_property
     def explicit_spectrum(self) -> np.ndarray | None:

@@ -272,7 +272,7 @@ def energy(u_t: np.ndarray, system: hho.BlockSystem) -> float:
         return 0.5 * float(u_t @ (system.mass.tocsr() @ u_t))
     store = system.cell_classes
     u_c = store.sort(u_t)
-    return 0.5 * float(u_c @ store.cells(system.mass.blocks, u_c))
+    return 0.5 * float(u_c @ store.apply(system.mass.blocks, u_c, parts=("cell",))[0])
 
 
 def l2_error_dual(u_t: np.ndarray, system: hho.BlockSystem, case: ManufacturedCase,

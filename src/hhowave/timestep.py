@@ -21,7 +21,8 @@ from the same class blocks, each class's dense K_FT,c G_c, symmetrized,
 scattered to its members' face dofs, factored once and released: only its
 LU is kept. No
 per-cell inverse is formed. A stage is two passes over stacked class
-blocks around its Schur solve, never a product with a global sparse matrix:
+blocks (`hho.CellClasses.apply`) around its Schur solve, never a product
+with a global sparse matrix:
 the stage blocks [(A^-1 M - I) / (a* dt); -a* dt K_FT A^-1 M] on the
 stage's start state give the cell part of its slope and the Schur
 right-hand side (a forced stage adds one pass of [A^-1; -(a* dt)^2 K_FT A^-1]
@@ -253,9 +254,10 @@ class FactorizedOperator:
     The operator counts what it did: `factor_s` (seconds spent factoring),
     `lu_nnz` (entries SuperLU stores for the L and U factors, read without
     building their CSC copies, which would double the memory of the
-    factors), `matrix_nnz` (entries of S), `solves` and `max_residual`
-    (largest residual the solve check saw); `stats()` returns them as a
-    dict, with `transposed` and the LU entries per face dof.
+    factors), `matrix_nnz` (entries of S), `solves`, `solve_s` (seconds
+    spent inside SuperLU's solve, one timer pair per solve) and
+    `max_residual` (largest residual the solve check saw); `stats()` returns
+    them as a dict, with `transposed` and the LU entries per face dof.
     """
 
     def __init__(self, matrix: sp.spmatrix, sign: np.ndarray):
@@ -263,6 +265,7 @@ class FactorizedOperator:
         matrix = matrix.tocsc()
         self.matrix_nnz = int(matrix.nnz)
         self.solves = 0
+        self.solve_s = 0.0
         self.max_residual = 0.0
         self.factor_s = 0.0
         self.lu_nnz = 0
@@ -296,7 +299,8 @@ class FactorizedOperator:
         return {"n": self.n, "matrix_nnz": self.matrix_nnz, "lu_nnz": self.lu_nnz,
                 "lu_nnz_per_dof": self.lu_nnz / self.n if self.n else 0.0,
                 "transposed": self.transposed, "factor_s": self.factor_s,
-                "solves": self.solves, "max_residual": self.max_residual}
+                "solves": self.solves, "solve_s": self.solve_s,
+                "max_residual": self.max_residual}
 
     def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """x = S^-1 rhs, written to `out` if given. The scaled right-hand side
@@ -308,7 +312,10 @@ class FactorizedOperator:
         self._outer, trans = ((self._signed_scale, "T") if self.transposed
                               else (self.scale, "N"))
         self._rhs = self._outer * rhs
-        return np.multiply(self._outer, self._lu.solve(self._rhs, trans=trans), out=out)
+        start = time.perf_counter()
+        x = self._lu.solve(self._rhs, trans=trans)
+        self.solve_s += time.perf_counter() - start
+        return np.multiply(self._outer, x, out=out)
 
     def check(self, product: np.ndarray) -> None:
         """Check the last solve from the product S x of its solution x:
@@ -443,7 +450,7 @@ class CondensedFactorization:
 
     A stage applies three stacked blocks per class, each an (n + L) x c block
     over one segment of the system's `cell_classes` store, applied by that
-    store in one pass (`CellClasses.stacked`) and built after the LU:
+    store in one pass (`CellClasses.apply`) and built after the LU:
     `stage_blocks` [(A^-1 M - I) / (a* dt); -a* dt K_FT A^-1 M] on a stage's
     start state, `forcing_blocks` [A^-1; -(a* dt)^2 K_FT A^-1] on its load
     and `back_blocks` [G; a* dt (K_FF,c - a* dt B_c)] on its face unknowns,
@@ -550,14 +557,14 @@ class ImplicitStepper(_Stepper):
         slopes = []
         for i in range(tab.s):
             u_start = _advance(u_c, dt, tab.a[i, :i], slopes)
-            k, rhs = store.stacked(fact.stage_blocks, u_start)
+            k, rhs = store.apply(fact.stage_blocks, u_start)
             f_i = _forcing_at(forcing, t + tab.c[i] * dt)
             if f_i is not None:
-                k_f, rhs_f = store.stacked(fact.forcing_blocks, store.sort(f_i))
+                k_f, rhs_f = store.apply(fact.forcing_blocks, store.sort(f_i))
                 k += k_f
                 rhs += rhs_f
             u_f = fact.schur_solver.solve(rhs, out=self._u_f[:-1])
-            g_u_f, back_face = store.stacked(fact.back_blocks, self._u_f, "face")
+            g_u_f, back_face = store.apply(fact.back_blocks, self._u_f, "face")
             fact.check_solve(u_f, back_face)
             k -= g_u_f
             slopes.append(k)

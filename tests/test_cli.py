@@ -210,11 +210,15 @@ def test_simulate_reports_schur_solver(tmp_path, caplog):
     summary = json.loads((out / "summary.json").read_text())
     solver = summary["solver"]
     assert set(solver) == {"n", "matrix_nnz", "lu_nnz", "lu_nnz_per_dof", "transposed",
-                           "factor_s", "solves", "max_residual"}
+                           "factor_s", "solves", "solve_s", "max_residual"}
     assert solver["n"] == summary["dofs"]["dofs_after_condensation"]
     assert solver["lu_nnz"] > 0 and solver["matrix_nnz"] > 0 and solver["factor_s"] > 0
     assert solver["solves"] == 3 * summary["steps"]      # one per SDIRK34 stage
     assert 0.0 < solver["max_residual"] <= 1e-8
+    # the time inside the LU solves, part of the march
+    assert 0.0 < solver["solve_s"] <= summary["timings"]["march"]
+    assert (f"Schur LU: {solver['solves']} solves in {solver['solve_s']:.3f} s, "
+            f"largest residual {solver['max_residual']:.2e}") in caplog.text
     assert f"Schur LU: {solver['n']} face dofs" in caplog.text and "factored in" in caplog.text
     # which kernel solves the LU: the transposed one, below the fill break-even
     assert solver["lu_nnz_per_dof"] == solver["lu_nnz"] / solver["n"]

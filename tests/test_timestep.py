@@ -196,8 +196,8 @@ def schur_matrix(fact):
 
 def composed_blocks(fact):
     """The segment blocks of A^-1 and G (`oracles.condensed_stacks`), of M,
-    K_TT and K_FT, for the class products `CellClasses.cells`, `to_faces`
-    and `from_faces` to compose what a stage applies."""
+    K_TT and K_FT, for one-part class passes (`CellClasses.apply`) to
+    compose what a stage applies."""
     store, system = fact.store, fact.system
     stacks = condensed_stacks(system, fact.a_star, fact.dt)
     blocks = {name: store.segment_blocks({shape: c[name] for shape, c in stacks.items()})
@@ -214,9 +214,9 @@ def stage_solve(fact, b_t, b_f):
     store = fact.store
     blocks = composed_blocks(fact)
     ad = fact.a_star * fact.dt
-    z = store.cells(blocks["a_inv"], store.sort(b_t))
-    u_f = fact.schur_solver.solve(b_f - ad * store.to_faces(blocks["k_ft"], z))
-    z -= ad * store.from_faces(blocks["g"], u_f)
+    z, = store.apply(blocks["a_inv"], store.sort(b_t), parts=("cell",))
+    u_f = fact.schur_solver.solve(b_f - ad * store.apply(blocks["k_ft"], z, parts=("face",))[0])
+    z -= ad * store.apply(blocks["g"], np.append(u_f, 0.0), "face", ("cell",))[0]
     return store.unsort(z), u_f
 
 
@@ -346,7 +346,9 @@ def test_sparse_operators_store_nonzeros_only(mesh_name, mode):
     if mode == "explicit":
         system = assemble(mesh, ACADEMIC, StabilizationConfig.explicit(), k=1)
         stepper = ExplicitStepper(system, tableau("ERK2"))
-        derived = {"minv": stepper.minv, "op": stepper.op, "face_op": system.face_op}
+        # P = -K_FF^-1 K_FT as `explicit_op` forms it, not kept by the system
+        derived = {"minv": stepper.minv, "op": stepper.op,
+                   "face_op": -(system.kff_inverse @ system.k_ft.tocsr())}
     else:
         system = assemble(mesh, ACADEMIC, StabilizationConfig.implicit(), k=1)
         fact = CondensedFactorization(system, tableau("SDIRK34").a_star, 0.01)
@@ -619,17 +621,20 @@ def test_condensed_stage_equals_monolithic():
 
 
 def _class_products(fact, x, f, x_f):
-    """M x and K_FT x applied through the class store, and the cell and face
-    parts of the stage pass on x, the forcing pass on f and the back pass on
-    x_f (`CellClasses.stacked`). The stage pass's cell part k =
+    """The class pass (`CellClasses.apply`) for each part combination and
+    source: M x and K_TT x (cell part, from cells), K_FT x (face part, from
+    cells), K_TF x_f (cell part, from faces), and the cell and face parts of
+    the stage pass on x, the forcing pass on f (both from cells) and the back
+    pass on x_f (both from faces). The stage pass's cell part k =
     (A^-1 M - I) x / (a* dt) is given as the A^-1 M x = x + a* dt k it
     recovers, the scale at which a step adds it to the state: k alone
     carries the round-off of x / (a* dt)."""
-    store = fact.store
-    out = {"mass": fact.system.mass @ x, "k_ft": fact.system.k_ft @ x}
+    store, system = fact.store, fact.system
+    out = {"mass": system.mass @ x, "k_tt": system.k_tt @ x, "k_ft": system.k_ft @ x,
+           "k_tf": system.k_tf @ x_f}
     for name, arg, side in (("stage", store.sort(x), "cell"), ("forcing", store.sort(f), "cell"),
                             ("back", np.append(x_f, 0.0), "face")):
-        cell, out[f"{name}_face"] = store.stacked(getattr(fact, f"{name}_blocks"), arg, side)
+        cell, out[f"{name}_face"] = store.apply(getattr(fact, f"{name}_blocks"), arg, side)
         out[f"{name}_cell"] = store.unsort(cell)
     out["stage_cell"] = x + fact.a_star * fact.dt * out["stage_cell"]
     return out
@@ -654,7 +659,8 @@ def _assert_class_products_match_csr(system, a_star, dt, rtol=1e-13):
     # K_FF without its interface coupling, the only entries linking the two sides
     sign = layout.face_sign
     same_side = ref["k_ff"] * (sign[:, None] == sign)
-    want = {"mass": ref["mass"] @ x, "k_ft": ref["k_ft"] @ x,
+    want = {"mass": ref["mass"] @ x, "k_tt": ref["k_tt"] @ x, "k_ft": ref["k_ft"] @ x,
+            "k_tf": ref["k_tf"] @ x_f,
             "stage_cell": a_inv @ (ref["mass"] @ x),
             "stage_face": -ad * ref["k_ft"] @ (a_inv @ (ref["mass"] @ x)),
             "forcing_cell": a_inv @ f, "forcing_face": -ad * ad * ref["k_ft"] @ (a_inv @ f),
@@ -717,7 +723,7 @@ def test_cell_operator_views_match_their_csr(mesh_name, mode, k, materials, monk
     want = 0.5 * u @ (system.mass.tocsr() @ u)
     assert abs(energy(u, system) - want) <= 1e-13 * want
     layout = system.layout
-    u_f, want = system.face_values(u), system.face_op @ u
+    u_f, want = system.face_values(u), -(system.kff_inverse @ (system.k_ft.tocsr() @ u))
     for side in ("fluid", "solid"):
         dofs = np.concatenate([np.arange(layout.n_face_dofs)[layout.face_side_slice(fi, side)]
                                for fi in system.mesh.interface_faces])
@@ -813,18 +819,22 @@ def test_fused_blocks_equal_composed_class_products(mesh_name, k):
     def assert_close(got, want, what):
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), what
 
+    def cells(name, x, source="cell"):
+        return store.apply(blocks[name], x, source, ("cell",))[0]
+
     for forced in (False, True):
-        z = store.cells(blocks["a_inv"], store.cells(blocks["mass"], u) + (ad * f if forced else 0))
-        slope, rhs = store.stacked(fact.stage_blocks, u)
+        z = cells("a_inv", cells("mass", u) + (ad * f if forced else 0))
+        slope, rhs = store.apply(fact.stage_blocks, u)
         if forced:
-            slope_f, rhs_f = store.stacked(fact.forcing_blocks, f)
+            slope_f, rhs_f = store.apply(fact.forcing_blocks, f)
             slope, rhs = slope + slope_f, rhs + rhs_f
         assert_close(u + ad * slope, z, ("cell", forced))
-        assert_close(rhs, -ad * store.to_faces(blocks["k_ft"], z), ("face", forced))
-    g_u_f = store.from_faces(blocks["g"], u_f)
+        assert_close(rhs, -ad * store.apply(blocks["k_ft"], z, parts=("face",))[0],
+                     ("face", forced))
+    g_u_f = cells("g", np.append(u_f, 0.0), "face")
     sign = system.layout.face_sign
     coupling = ad * system.k_ff.toarray() * (sign[:, None] != sign)
-    for got, want in zip(store.stacked(fact.back_blocks, np.append(u_f, 0.0), "face"),
+    for got, want in zip(store.apply(fact.back_blocks, np.append(u_f, 0.0), "face"),
                          (g_u_f, schur_matrix(fact) @ u_f - coupling @ u_f)):
         assert_close(got, want, "back")
 
@@ -868,7 +878,7 @@ def test_back_pass_residual_matches_rebuilt_schur(mesh_name):
     off = 1e-10 * np.linalg.norm(scale * rhs) / np.linalg.norm(scale * (schur @ direction))
     for x, bound in ((u_f, 1e-12), (u_f + off * direction, 2e-10)):
         solver.max_residual = 0.0
-        fact.check_solve(x, store.stacked(fact.back_blocks, np.append(x, 0.0), "face")[1])
+        fact.check_solve(x, store.apply(fact.back_blocks, np.append(x, 0.0), "face")[1])
         want = np.linalg.norm(scale * (schur @ x - rhs)) / np.linalg.norm(scale * rhs)
         assert solver.max_residual <= bound and want <= bound
         if bound > 1e-12:
