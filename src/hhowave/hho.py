@@ -742,43 +742,48 @@ class CellClasses:
     def apply(self, blocks: list, x: np.ndarray, source: str = "cell",
               parts: tuple = ("cell", "face")) -> tuple:
         """An operator given by segment blocks (`segment_blocks`) whose rows
-        are `parts`: the cell part C onto a cell's n cell dofs, the face part
-        F onto its L local face dofs, or both stacked [C; F]. The source is a
-        class-ordered cell vector (`source` "cell") or face values ("face"),
-        padded with a zero at the pad slot n_face_dofs and gathered through
-        `face_index`. This is the one pass over the segments that applies
-        class blocks.
+        are `parts`: the cell part C onto a cell's n cell dofs ("cell",), the
+        face part F onto its L local face dofs ("face",), or both stacked,
+        [C; F] ("cell", "face"). The source is a class-ordered cell vector
+        (`source` "cell") or face values ("face"), padded with a zero at the
+        pad slot n_face_dofs and gathered through `face_index`. This is the
+        one pass over the segments that applies class blocks.
         Returns one vector per part: the cell part in class order, and the
         face part added onto the face dofs by one `bincount`.
 
         A class segment's GEMM writes each part in place, one product per
-        part with the column range of its one transposed block; a stacked
+        part on the column range of its one transposed block; a stacked
         segment's matmul writes one part in place, or both into one
-        (m, n + L) array that is copied out.
+        (m, n + L) array that is copied out. The one-part case is a branch of
+        its own, which keeps the per-segment Python work of these small
+        products (about 35 us for M on `ricker`) at that of a dedicated loop.
         """
         if source == "face":
             x = x[self.face_index]
-        out = {part: np.empty(self.n_cell_dofs if part == "cell" else len(self.face_index))
-               for part in parts}
+        out = [np.empty(self.n_cell_dofs if part == "cell" else len(self.face_index))
+               for part in parts]
         for seg, b in zip(self.segments, blocks):
-            m, span = len(seg.cells), {"cell": seg.dofs, "face": seg.faces}
-            xs = x[span[source]].reshape(m, -1)
-            views = [out[part][span[part]].reshape(m, -1) for part in parts]
-            if seg.stacked and len(views) == 1:
-                np.matmul(b, xs[:, :, None], out=views[0][:, :, None])
-            elif seg.stacked:
+            m = len(seg.cells)
+            xs = x[seg.dofs if source == "cell" else seg.faces].reshape(m, -1)
+            if len(out) == 1:
+                view = out[0][seg.dofs if parts[0] == "cell" else seg.faces].reshape(m, -1)
+                if seg.stacked:
+                    np.matmul(b, xs[:, :, None], out=view[:, :, None])
+                else:
+                    np.matmul(xs, b, out=view)
+                continue
+            cell_part, face_part = out[0][seg.dofs].reshape(m, -1), out[1][seg.faces].reshape(m, -1)
+            n = cell_part.shape[1]
+            if seg.stacked:
                 prod = np.matmul(b, xs[:, :, None])[:, :, 0]
-                n = views[0].shape[1]
-                views[0][...], views[1][...] = prod[:, :n], prod[:, n:]
+                cell_part[...], face_part[...] = prod[:, :n], prod[:, n:]
             else:
-                lo = 0
-                for view in views:
-                    np.matmul(xs, b[:, lo:lo + view.shape[1]], out=view)
-                    lo += view.shape[1]
-        if "face" in parts:
-            out["face"] = np.bincount(self.face_index, weights=out["face"],
-                                      minlength=self.n_face_dofs + 1)[:-1]
-        return tuple(out[part] for part in parts)
+                np.matmul(xs, b[:, :n], out=cell_part)
+                np.matmul(xs, b[:, n:], out=face_part)
+        if parts[-1] == "face":
+            out[-1] = np.bincount(self.face_index, weights=out[-1],
+                                  minlength=self.n_face_dofs + 1)[:-1]
+        return tuple(out)
 
     def dofs(self, seg: ClassSegment, side: str) -> np.ndarray:
         """A segment's dofs (m, L) on one side of an operator: its cells'
