@@ -446,14 +446,24 @@ def cmd_simulate(cfg, out_dir) -> int:
     out_cfg = cfg["output"]
     trace_every, snap_every = out_cfg["trace_every"], out_cfg["snapshot_every"]
     timings = {}            # seconds per phase
-    # MB, the process's peak RSS when the command begins (interpreter, imports,
-    # config) and after each phase
-    peak_rss = {"start": timestep.peak_rss_mb()}
+    # MB, the process's peak and current RSS when the command begins
+    # (interpreter, imports, config) and after each phase; the current one
+    # only where /proc/self/statm exists
+    peak_rss, rss = {}, {}
+
+    def record_rss(phase, peak=None, current=None):
+        if peak is None:
+            current, peak = timestep.current_rss_mb(), timestep.peak_rss_mb()
+        peak_rss[phase] = peak
+        if current is not None:
+            rss[phase] = current
+
+    record_rss("start")
     warnings = []
     t0 = time.perf_counter()
     mesh = build_mesh(cfg["mesh"])
     timings["mesh"] = time.perf_counter() - t0
-    peak_rss["mesh"] = timestep.peak_rss_mb()
+    record_rss("mesh")
     materials = build_materials(cfg)
     stab = build_stabilization(cfg)
     n_steps, dt = step_count(cfg["final_time"], resolve_dt(cfg, mesh, materials))
@@ -468,7 +478,7 @@ def cmd_simulate(cfg, out_dir) -> int:
     t_start = time.perf_counter()
     system = hho.assemble(mesh, materials, stab, k=cfg["degree"])
     timings["assemble"] = time.perf_counter() - t_start
-    peak_rss["assemble"] = timestep.peak_rss_mb()
+    record_rss("assemble")
     operator_nnz = {name: int(getattr(system, name).nnz) for name in OPERATORS}
     log.info("operators store %d entries: %s", sum(operator_nnz.values()),
              ", ".join(f"{name} {nnz}" for name, nnz in operator_nnz.items()))
@@ -481,18 +491,17 @@ def cmd_simulate(cfg, out_dir) -> int:
     timings["stepper"] = time.perf_counter() - t0
     condensation = None if tab.explicit else {"build_s": stepper.fact.build_s}
     if condensation is None:
-        peak_rss["stepper"] = timestep.peak_rss_mb()
+        record_rss("stepper")
     else:       # the Schur matrix built, then its LU
-        peak_rss["condensation"] = stepper.fact.build_rss_mb
-        peak_rss["factor"] = timestep.peak_rss_mb()
+        record_rss("condensation", stepper.fact.build_rss_mb, stepper.fact.build_current_rss_mb)
+        record_rss("factor")
         log.info("condensation built in %.3f s", condensation["build_s"])
     schur = None if tab.explicit or not system.n_face_dofs else stepper.fact.schur_solver
     if schur is not None:
         log.info("Schur LU: %d face dofs, %d nnz, %d nnz in the factors (fill %.1fx, "
-                 "%.0f per face dof), factored in %.2f s, solved %s", schur.n,
-                 schur.matrix_nnz, schur.lu_nnz, schur.lu_nnz / schur.matrix_nnz,
-                 schur.lu_nnz / schur.n, schur.factor_s,
-                 "transposed" if schur.transposed else "plain")
+                 "%.0f per face dof), factored in %.2f s", schur.n, schur.matrix_nnz,
+                 schur.lu_nnz, schur.lu_nnz / schur.matrix_nnz, schur.lu_nnz / schur.n,
+                 schur.factor_s)
 
     sensors = [scenarios.BoundSensor(scenarios.SensorSpec(s["position"], s["kind"], s["name"]),
                                      system) for s in cfg["sensors"]]
@@ -504,8 +513,11 @@ def cmd_simulate(cfg, out_dir) -> int:
     def observe(n, t, u):
         if n and n % progress_every == 0:
             elapsed = time.perf_counter() - march_start
-            log.info("step %d/%d (%.0f%%), elapsed %.1f s, ETA %.1f s", n, n_steps,
-                     100.0 * n / n_steps, elapsed, elapsed * (n_steps - n) / n)
+            current = timestep.current_rss_mb()
+            log.info("step %d/%d (%.0f%%), elapsed %.1f s, %sETA %.1f s", n, n_steps,
+                     100.0 * n / n_steps, elapsed,
+                     "" if current is None else f"RSS {current:.1f} MB, ",
+                     elapsed * (n_steps - n) / n)
         if n % trace_every == 0:
             u_f = stepper.face_values(u) if has_interface else None
             times.append(t)
@@ -529,7 +541,7 @@ def cmd_simulate(cfg, out_dir) -> int:
         failed_step = exc.step_index
     end = time.perf_counter()
     timings["march"] = end - march_start
-    peak_rss["march"] = timestep.peak_rss_mb()
+    record_rss("march")
     wall = end - t_start
 
     if sensors:
@@ -541,7 +553,7 @@ def cmd_simulate(cfg, out_dir) -> int:
               list(zip(times, energies)))
     timings["output"] = time.perf_counter() - end
     log.info("timings: %s", ", ".join(f"{name} {sec:.3f} s" for name, sec in timings.items()))
-    log.info("peak RSS: %s", ", ".join(f"{name} {mb:.1f} MB" for name, mb in peak_rss.items()))
+    log.info("peak RSS: %s%s", mb_list(peak_rss), f"; current RSS: {mb_list(rss)}" if rss else "")
     if schur is not None:
         log.info("Schur LU: %d solves in %.3f s, largest residual %.2e", schur.solves,
                  schur.solve_s, schur.max_residual)
@@ -569,6 +581,8 @@ def cmd_simulate(cfg, out_dir) -> int:
         "energy_max_drift": drift,
         "dofs": dof_summary(system, tab.explicit),
     }
+    if rss:
+        summary["rss_mb"] = rss
     if condensation is not None:
         summary["condensation"] = condensation
     if schur is not None:
@@ -579,6 +593,11 @@ def cmd_simulate(cfg, out_dir) -> int:
         log.error("instability detected at step %s", failed_step)
         return EXIT_INSTABILITY
     return EXIT_OK
+
+
+def mb_list(megabytes):
+    """'phase 1.0 MB, ...' for a ledger of MB per phase."""
+    return ", ".join(f"{name} {mb:.1f} MB" for name, mb in megabytes.items())
 
 
 def energy_max_drift(energies):

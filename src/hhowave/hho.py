@@ -503,20 +503,17 @@ class BlockDiagonal:
 # ---------------------------------------------------------------------------
 # congruence classes
 
-GEMM_BREAK_EVEN = ((12, 36), (21, 21), (40, 5))
+GEMM_BREAK_EVEN = ((12, 36), (21, 21), (40, 16), (60, 5))
 """(cell block size n, members) pairs: the smallest class whose members one
 GEMM applies, at the measured block sizes; the cells of smaller classes go
 through one stacked `matmul` per block shape.
 
-Measured with the two kernels of `CellClasses.apply`, when a class GEMM
-still read a non-contiguous view of its block, on one BLAS thread (2-vCPU
-host, numpy 2.4, OpenBLAS 0.3.31; median of 5 x 2,000 calls): one GEMM
-costs about 3.7 us plus 0.023 us per member with the 12 x 12 fluid blocks
-of k=1 mixed order and 0.040 us with the 21 x 21 solid ones, while a
-stacked `matmul` costs 0.13 and 0.21 us per cell. A class therefore pays
-for its own GEMM from about 36 (fluid) and 21 (solid) members; with
-40 x 40 blocks (GEMM 3 us + 0.07 us per member, stacked 0.74 us per cell)
-from about 5.
+Measured inside `CellClasses.apply`, with its per-segment work and
+contiguous blocks: a class as its own segment beside a stacked segment of
+20 cells, against all its cells in that stacked segment, for the n x n mass
+pass and the stage pass, on one BLAS thread (`BENCH_28.json`,
+`gemm_break_even`). At n = 60 the stage pass sets the value; the mass pass
+differs by about 1 us there either way.
 """
 
 

@@ -45,10 +45,9 @@ D S D without pivoting, with a minimum-degree ordering on the pattern of
 A^T + A (SuperLU's MMD_AT_PLUS_A) applied to rows and columns alike, which
 leaves less fill than SuperLU's default COLAMD ordering (about half from
 10^4 face unknowns on). S is J-symmetric, S = J S^T J for the sign J that
-is -1 on solid-side face dofs (`hho.DofLayout.face_sign`), so the same LU
-also solves S u_f = b as J u_f = S^-T J b, with SuperLU's transposed
-kernel; a small LU (at most TRANSPOSED_SOLVE_MAX_FILL entries per face dof)
-is solved that way, where that kernel is the faster. Every solve is checked
+is -1 on solid-side face dofs (`hho.DofLayout.face_sign`), so the LU
+solves S u_f = b as J u_f = S^-T J b, with SuperLU's transposed kernel
+(`FactorizedOperator`). Every solve is checked
 by its equilibrated residual ||D (S u_f - b)|| / ||D b|| <= 1e-8, with
 S u_f taken from the back pass and a product with the interface coupling
 of K_FF (`CondensedFactorization.check_solve`), so the check costs no
@@ -70,6 +69,17 @@ import scipy.sparse.linalg as spla
 def peak_rss_mb() -> float:
     """The peak resident set size of this process so far, in MB (`ru_maxrss` is in KB)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def current_rss_mb() -> float | None:
+    """The current resident set size of this process in MB, from /proc/self/statm
+    (in pages); None where that file does not exist."""
+    try:
+        with open("/proc/self/statm", encoding="ascii") as statm:
+            pages = int(statm.read().split()[1])
+    except OSError:
+        return None
+    return pages * resource.getpagesize() / 2**20
 
 
 class TimestepError(Exception):
@@ -190,38 +200,6 @@ def inverse_stack(blocks, starts, what: str) -> np.ndarray:
         raise
 
 
-TRANSPOSED_SOLVE_MAX_FILL = 150
-"""LU entries per face dof (`FactorizedOperator.lu_nnz` / n) up to which the
-Schur LU is solved by SuperLU's transposed kernel (`trans="T"`), and above
-which by its plain one.
-
-The break-even, measured as T/N, the median time of a transposed solve over
-a plain one on the same LU of D S D (alternating, one BLAS thread, 2-vCPU
-host, SciPy 1.17's SuperLU; academic materials, fluid and solid side by
-side, ranges over repeated runs; `BENCH_25.json` holds every case):
-
-| LU entries per face dof | LU entries | Mesh, k | T/N |
-| --- | --- | --- | --- |
-| 58-99 | 42k-2.1M | cartesian L3-L5, simplicial L4-L5, k=1-2 | 0.75-0.85 |
-| 107-121 | 0.15M-1.4M | cartesian L3-L5, k=1-3 | 0.85-0.86 |
-| 123-134 | 1.4M-10.5M | simplicial L4-L6, k=1-3 | 0.93-0.99 |
-| 142 | 6.9M | cartesian L6, k=1 | 1.00-1.05 |
-| 149 | 0.64M | hexagonal L4, k=1 | 0.88 |
-| 169-184 | 0.37M-3.1M | cartesian L4-L5, hexagonal L3, k=2-3 | 0.91-0.98 |
-| 213-230 | 1.4M-15.6M | cartesian L5-L6, hexagonal L4-L5, k=1-3 | 0.96-1.14 |
-| 284-311 | 2.6M-27.7M | cartesian L6, hexagonal L4 and L6, k=1-3 | 1.02-1.10 |
-
-Up to 121 entries per face dof the transposed kernel saves 14-25% at
-every size measured; past that the ratio also rises with the LU's size, so
-near 150 the rule can pick the slower kernel: up to 5% slower on the
-large LU of cartesian L6 (142 per face dof), and up to 9% of a gain left
-on small LUs at 169-224.
-The `ricker` Schur LU (cartesian L5, k=1) holds 97 entries per face dof and
-takes the transposed kernel; hexagonal L6 (311) and granite-water at 1,024
-cells and k=3 (227) keep the plain one.
-"""
-
-
 class FactorizedOperator:
     """Reusable direct LU factorization of a face Schur complement S.
 
@@ -232,12 +210,12 @@ class FactorizedOperator:
 
     S must be J-symmetric, S = J S^T J, for the face sign J (`sign`, +1 or -1
     per dof; `hho.DofLayout.face_sign` for a face Schur complement, all ones
-    for a symmetric matrix). Then S x = b is J x = S^-T J b, and the one LU
-    solves either way: `solve` is the plain solve x = D (D S D)^-1 (D b) or
-    the transposed one x = D J (D S D)^-T (J D b), by a rule rather than a
-    setting: transposed when the LU holds at most TRANSPOSED_SOLVE_MAX_FILL
-    entries per face dof, where SuperLU's transposed kernel is the faster
-    (`transposed`). A solve is checked by its equilibrated relative residual
+    for a symmetric matrix). Then S x = b is J x = S^-T J b, and `solve` is
+    the transposed solve x = D J (D S D)^-T (J D b) on the one LU. SuperLU's
+    transposed kernel is no slower than its plain one on any benchmark
+    workload, and faster on small LUs (12% on `ricker`) and on the largest
+    (13% at 29,929 granite-water cells); `BENCH_28.json` holds the series.
+    A solve is checked by its equilibrated relative residual
     ||D (S x - b)|| / ||D b||, which must stay below 1e-8, from a product
     S x formed by the caller (`check`): the implicit stepper forms it from
     its stage's back pass (`CondensedFactorization.check_solve`).
@@ -257,7 +235,7 @@ class FactorizedOperator:
     factors), `matrix_nnz` (entries of S), `solves`, `solve_s` (seconds
     spent inside SuperLU's solve, one timer pair per solve) and
     `max_residual` (largest residual the solve check saw); `stats()` returns
-    them as a dict, with `transposed` and the LU entries per face dof.
+    them as a dict, with the LU entries per face dof.
     """
 
     def __init__(self, matrix: sp.spmatrix, sign: np.ndarray):
@@ -269,7 +247,6 @@ class FactorizedOperator:
         self.max_residual = 0.0
         self.factor_s = 0.0
         self.lu_nnz = 0
-        self.transposed = False
         if self.n == 0:
             self._lu = None
             return
@@ -292,14 +269,12 @@ class FactorizedOperator:
                               f"({type(exc).__name__}: {exc})") from exc
         self.factor_s = time.perf_counter() - start
         self.lu_nnz = int(self._lu.nnz)
-        self.transposed = self.lu_nnz <= TRANSPOSED_SOLVE_MAX_FILL * self.n
-        self._signed_scale = self.scale * sign
+        self._outer = self.scale * sign     # D J
 
     def stats(self) -> dict:
         return {"n": self.n, "matrix_nnz": self.matrix_nnz, "lu_nnz": self.lu_nnz,
                 "lu_nnz_per_dof": self.lu_nnz / self.n if self.n else 0.0,
-                "transposed": self.transposed, "factor_s": self.factor_s,
-                "solves": self.solves, "solve_s": self.solve_s,
+                "factor_s": self.factor_s, "solves": self.solves, "solve_s": self.solve_s,
                 "max_residual": self.max_residual}
 
     def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -308,12 +283,10 @@ class FactorizedOperator:
         if self.n == 0:
             return np.zeros(0) if out is None else out
         self.solves += 1
-        # outer * LU^-1 (outer * b) with outer = D, or outer * LU^-T (outer * b) with D J
-        self._outer, trans = ((self._signed_scale, "T") if self.transposed
-                              else (self.scale, "N"))
+        # D J LU^-T (J D b)
         self._rhs = self._outer * rhs
         start = time.perf_counter()
-        x = self._lu.solve(self._rhs, trans=trans)
+        x = self._lu.solve(self._rhs, trans="T")
         self.solve_s += time.perf_counter() - start
         return np.multiply(self._outer, x, out=out)
 
@@ -321,7 +294,7 @@ class FactorizedOperator:
         """Check the last solve from the product S x of its solution x:
         raises SolverError if ||D (S x - b)|| / ||D b|| is above 1e-8 or not
         finite, and keeps the largest residual seen in `max_residual`. Both
-        norms are taken in the solve's scaling (D, or D J), which leaves them
+        norms are taken in the solve's scaling D J, which leaves them
         unchanged."""
         if self.n == 0:
             return
@@ -434,8 +407,9 @@ class CondensedFactorization:
     dofs next to K_FF in one COO to CSR conversion, and converted to the CSC
     matrix that `schur_solver`, its direct LU (`FactorizedOperator`),
     equilibrates and factors. S is dropped once factored. `build_s` is the
-    time spent before the factorization, and `build_rss_mb` the process's
-    peak RSS once S is built, before the LU (`peak_rss_mb`).
+    time spent before the factorization, and `build_rss_mb` and
+    `build_current_rss_mb` the process's peak and current RSS once S is
+    built, before the LU (`peak_rss_mb`, `current_rss_mb`).
 
     S is J-symmetric, S = J S^T J with the face sign J
     (`hho.DofLayout.face_sign`: -1 on solid-side face dofs), by
@@ -446,7 +420,8 @@ class CondensedFactorization:
     that grows with the degree and the material contrast: up to 1.4e-8 of
     its norm on the simplicial L2 golden mesh under granite-water at k=3
     (dt = 0.01), against 1.2e-15 on the cartesian one under academic
-    materials at k=1. This is what lets the LU solve S in transposed mode.
+    materials at k=1. This is what lets the LU solve S with SuperLU's
+    transposed kernel.
 
     A stage applies three stacked blocks per class, each an (n + L) x c block
     over one segment of the system's `cell_classes` store, applied by that
@@ -482,7 +457,7 @@ class CondensedFactorization:
                                   system.k_ff).tocsc()
         schur.data *= ad
         self.build_s = time.perf_counter() - start
-        self.build_rss_mb = peak_rss_mb()
+        self.build_current_rss_mb, self.build_rss_mb = current_rss_mb(), peak_rss_mb()
         self.schur_solver = FactorizedOperator(schur, sign)
         del schur
 

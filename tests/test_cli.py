@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -209,8 +210,8 @@ def test_simulate_reports_schur_solver(tmp_path, caplog):
                          "--out", str(out)]) == cli.EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     solver = summary["solver"]
-    assert set(solver) == {"n", "matrix_nnz", "lu_nnz", "lu_nnz_per_dof", "transposed",
-                           "factor_s", "solves", "solve_s", "max_residual"}
+    assert set(solver) == {"n", "matrix_nnz", "lu_nnz", "lu_nnz_per_dof", "factor_s",
+                           "solves", "solve_s", "max_residual"}
     assert solver["n"] == summary["dofs"]["dofs_after_condensation"]
     assert solver["lu_nnz"] > 0 and solver["matrix_nnz"] > 0 and solver["factor_s"] > 0
     assert solver["solves"] == 3 * summary["steps"]      # one per SDIRK34 stage
@@ -220,12 +221,8 @@ def test_simulate_reports_schur_solver(tmp_path, caplog):
     assert (f"Schur LU: {solver['solves']} solves in {solver['solve_s']:.3f} s, "
             f"largest residual {solver['max_residual']:.2e}") in caplog.text
     assert f"Schur LU: {solver['n']} face dofs" in caplog.text and "factored in" in caplog.text
-    # which kernel solves the LU: the transposed one, below the fill break-even
     assert solver["lu_nnz_per_dof"] == solver["lu_nnz"] / solver["n"]
-    assert solver["lu_nnz_per_dof"] <= timestep.TRANSPOSED_SOLVE_MAX_FILL
-    assert solver["transposed"] is True
-    assert (f"{solver['lu_nnz_per_dof']:.0f} per face dof), factored in" in caplog.text
-            and "solved transposed" in caplog.text)
+    assert f"{solver['lu_nnz_per_dof']:.0f} per face dof), factored in" in caplog.text
     # how the cells were condensed: classes and the cells each kernel applies
     classes = summary["cell_classes"]
     assert set(classes) == {"classes", "gemm_cells", "stacked_cells"}
@@ -250,6 +247,12 @@ def test_simulate_reports_schur_solver(tmp_path, caplog):
     peaks = [summary["peak_rss_mb"][phase] for phase in phases]
     assert 0.0 < peaks[0] and peaks == sorted(peaks)
     assert f"peak RSS: start {peaks[0]:.1f} MB, mesh {peaks[1]:.1f} MB" in caplog.text
+    # the current RSS after the same phases, read from /proc/self/statm
+    assert set(summary["rss_mb"]) == set(phases)
+    current = [summary["rss_mb"][phase] for phase in phases]
+    assert all(mb > 0.0 for mb in current)
+    assert (f"; current RSS: start {current[0]:.1f} MB, mesh {current[1]:.1f} MB"
+            in caplog.text)
     assert summary["warnings"] == []
     # how the physics behaved, and progress with an ETA about every 10% of the steps
     energies = np.loadtxt(out / "energy.csv", delimiter=",", skiprows=1)[:, 1]
@@ -258,6 +261,7 @@ def test_simulate_reports_schur_solver(tmp_path, caplog):
     assert f"largest relative drift {drift:.3e}" in caplog.text
     progress = [r.getMessage() for r in caplog.records if "ETA" in r.getMessage()]
     assert len(progress) == summary["steps"] == 10
+    assert all(re.search(r"s, RSS [0-9.]+ MB, ETA [0-9.]+ s$", line) for line in progress)
     assert progress[0].startswith("step 1/10 (10%), elapsed ")
     assert progress[-1].endswith("ETA 0.0 s")
 
@@ -374,6 +378,7 @@ def test_simulate_instability_exit_code(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert "solver" not in summary and "condensation" not in summary
     assert set(summary["peak_rss_mb"]) == {"start", "mesh", "assemble", "stepper", "march"}
+    assert set(summary["rss_mb"]) == set(summary["peak_rss_mb"])
     classes = summary["cell_classes"]
     assert classes["classes"] == 6
     assert classes["gemm_cells"] + classes["stacked_cells"] == summary["n_cells"]
