@@ -513,7 +513,7 @@ contiguous blocks: a class as its own segment beside a stacked segment of
 20 cells, against all its cells in that stacked segment, for the n x n mass
 pass and the stage pass, on one BLAS thread (`BENCH_28.json`,
 `gemm_break_even`). At n = 60 the stage pass sets the value; the mass pass
-differs by about 1 us there either way.
+is within a few us either way there.
 """
 
 

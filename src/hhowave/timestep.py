@@ -76,10 +76,9 @@ def current_rss_mb() -> float | None:
     (in pages); None where that file does not exist."""
     try:
         with open("/proc/self/statm", encoding="ascii") as statm:
-            pages = int(statm.read().split()[1])
+            return int(statm.read().split()[1]) * resource.getpagesize() / 2**20
     except OSError:
         return None
-    return pages * resource.getpagesize() / 2**20
 
 
 class TimestepError(Exception):
@@ -212,9 +211,10 @@ class FactorizedOperator:
     per dof; `hho.DofLayout.face_sign` for a face Schur complement, all ones
     for a symmetric matrix). Then S x = b is J x = S^-T J b, and `solve` is
     the transposed solve x = D J (D S D)^-T (J D b) on the one LU. SuperLU's
-    transposed kernel is no slower than its plain one on any benchmark
-    workload, and faster on small LUs (12% on `ricker`) and on the largest
-    (13% at 29,929 granite-water cells); `BENCH_28.json` holds the series.
+    transposed kernel is faster than its plain one on small LUs (12% on
+    `ricker`) and on the largest (5-7% at 29,929 granite-water cells), and
+    4-7% slower only on mid-size LUs of 3-6M entries; `BENCH_28.json` holds
+    the series.
     A solve is checked by its equilibrated relative residual
     ||D (S x - b)|| / ||D b||, which must stay below 1e-8, from a product
     S x formed by the caller (`check`): the implicit stepper forms it from

@@ -359,6 +359,28 @@ def test_implicit_courant_warning(tmp_path, caplog):
     assert warning in caplog.text
 
 
+def test_simulate_without_statm_leaves_out_the_current_rss(tmp_path, caplog, monkeypatch):
+    # where /proc/self/statm cannot be opened, the current RSS is left out of
+    # summary.json and the log, and the peak RSS is still reported
+    def no_statm(*args, **kwargs):
+        raise FileNotFoundError("/proc/self/statm")
+
+    monkeypatch.setattr(timestep, "open", no_statm, raising=False)
+    assert timestep.current_rss_mb() is None
+    cfg = json.loads(json.dumps(RICKER_CFG))
+    cfg["mesh"]["level"] = 2
+    cfg["output"] = {}
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="hhowave"):
+        assert cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(out)]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert "rss_mb" not in summary and len(summary["peak_rss_mb"]) == 6
+    assert "peak RSS: start" in caplog.text and "current RSS" not in caplog.text
+    progress = [r.getMessage() for r in caplog.records if "ETA" in r.getMessage()]
+    assert len(progress) == 10 and not any("RSS" in line for line in progress)
+
+
 def test_simulate_instability_exit_code(tmp_path):
     cfg = json.loads(json.dumps(RICKER_CFG))
     cfg["scheme"] = "ERK2"
