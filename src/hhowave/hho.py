@@ -512,8 +512,8 @@ Measured inside `CellClasses.apply`, with its per-segment work and
 contiguous blocks: a class as its own segment beside a stacked segment of
 20 cells, against all its cells in that stacked segment, for the n x n mass
 pass and the stage pass, on one BLAS thread (`BENCH_28.json`,
-`gemm_break_even`). At n = 60 the stage pass sets the value; the mass pass
-is within a few us either way there.
+`gemm_break_even`). A pair is where both passes put it within their spread
+over repeated series; near it the two kernels differ by a few us.
 """
 
 
