@@ -169,7 +169,8 @@ _COUNTS = _list(_integer(1), 2, "integers")
 _SCHEME = _choice(*EXPLICIT_SCHEMES, *IMPLICIT_SCHEMES, upper=True)
 DT_RULE = "exactly one of 'dt' or a target 'cfl' is required"
 LU_NOTE = ("the Schur complement is always factored by the direct LU (direct-lu), "
-           "which has no settings")
+           "which has no settings: a float64 LU, or from 1M entries of S a dropped "
+           "float32 LU refined in float64")
 
 # per form, picked by _form: (what it builds, its table)
 MESH_FORMS = {
@@ -498,10 +499,10 @@ def cmd_simulate(cfg, out_dir) -> int:
         log.info("condensation built in %.3f s", condensation["build_s"])
     schur = None if tab.explicit or not system.n_face_dofs else stepper.fact.schur_solver
     if schur is not None:
-        log.info("Schur LU: %d face dofs, %d nnz, %d nnz in the factors (fill %.1fx, "
+        log.info("Schur LU: %d face dofs, %d nnz, %d nnz in the %s factors (fill %.1fx, "
                  "%.0f per face dof), factored in %.2f s", schur.n, schur.matrix_nnz,
-                 schur.lu_nnz, schur.lu_nnz / schur.matrix_nnz, schur.lu_nnz / schur.n,
-                 schur.factor_s)
+                 schur.lu_nnz, schur.precision, schur.lu_nnz / schur.matrix_nnz,
+                 schur.lu_nnz / schur.n, schur.factor_s)
 
     sensors = [scenarios.BoundSensor(scenarios.SensorSpec(s["position"], s["kind"], s["name"]),
                                      system) for s in cfg["sensors"]]
@@ -555,8 +556,9 @@ def cmd_simulate(cfg, out_dir) -> int:
     log.info("timings: %s", ", ".join(f"{name} {sec:.3f} s" for name, sec in timings.items()))
     log.info("peak RSS: %s%s", mb_list(peak_rss), f"; current RSS: {mb_list(rss)}" if rss else "")
     if schur is not None:
-        log.info("Schur LU: %d solves in %.3f s, largest residual %.2e", schur.solves,
-                 schur.solve_s, schur.max_residual)
+        log.info("Schur LU: %d solves in %.3f s, %d %s LU solves (at most %d in one), "
+                 "largest residual %.2e", schur.solves, schur.solve_s, schur.corrections,
+                 schur.precision, schur.max_corrections, schur.max_residual)
     drift = energy_max_drift(energies)
     if drift is not None:
         log.info("energy: largest relative drift %.3e over %d records", drift, len(energies))

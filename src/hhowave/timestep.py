@@ -38,7 +38,10 @@ and steps while (a*, dt) is unchanged. Every block inverse, the explicit
 path's M^-1 and K_FF^-1 as well as the condensed class inverses, comes from
 `inverse_stack`: one batched inversion per stack.
 
-The Schur complement has one solver, a direct LU with no settings. S is
+The Schur complement has one solver, a direct LU with no settings: in
+float64, or, for an S of at least `SINGLE_MIN_ENTRIES` entries, in float32
+with small entries dropped and every solve refined in float64 to the same
+check (`FactorizedOperator`). S is
 structurally symmetric, and once equilibrated by D = |diag S|^-1/2 the
 symmetric part of D S D is positive definite. The LU therefore factors
 D S D without pivoting, with a minimum-degree ordering on the pattern of
@@ -51,7 +54,8 @@ solves S u_f = b as J u_f = S^-T J b, with SuperLU's transposed kernel
 by its equilibrated residual ||D (S u_f - b)|| / ||D b|| <= 1e-8, with
 S u_f taken from the back pass and a product with the interface coupling
 of K_FF (`CondensedFactorization.check_solve`), so the check costs no
-product with S.
+product with S. A float32 solve that fails the check is corrected from the
+residual the check formed, and each correction adds one back pass.
 """
 
 from __future__ import annotations
@@ -199,8 +203,21 @@ def inverse_stack(blocks, starts, what: str) -> np.ndarray:
         raise
 
 
+# A Schur complement of at least this many entries is factored in float32 with
+# small entries dropped, and its solves refined in float64 (`FactorizedOperator`);
+# `BENCH_29.json` holds the measured series
+SINGLE_MIN_ENTRIES = 1_000_000
+# accepted solves a float32 solve starts from
+HISTORY = 4
+# float32 LU solves one solve may apply before it is refused
+MAX_CORRECTIONS = 4
+# largest entry of a float32 LU solve's right-hand side, as a power of two; a
+# floor of 1 is added to every entry (`FactorizedOperator`)
+SINGLE_RHS_EXPONENT = 64
+
+
 class FactorizedOperator:
-    """Reusable direct LU factorization of a face Schur complement S.
+    """Reusable LU factorization of a face Schur complement S.
 
     The operator equilibrates S by D = |diag S|^-1/2 (`scale`; 1 where the
     diagonal is zero), in place if S is given as CSC, and factors D S D
@@ -209,16 +226,47 @@ class FactorizedOperator:
 
     S must be J-symmetric, S = J S^T J, for the face sign J (`sign`, +1 or -1
     per dof; `hho.DofLayout.face_sign` for a face Schur complement, all ones
-    for a symmetric matrix). Then S x = b is J x = S^-T J b, and `solve` is
-    the transposed solve x = D J (D S D)^-T (J D b) on the one LU. SuperLU's
+    for a symmetric matrix). Then S x = b is J x = S^-T J b, and an LU solve
+    is the transposed solve D J (D S D)^-T (J D b) on the one LU. SuperLU's
     transposed kernel is faster than its plain one on small LUs (12% on
     `ricker`) and on the largest (5-7% at 29,929 granite-water cells), and
     4-7% slower only on mid-size LUs of 3-6M entries; `BENCH_28.json` holds
     the series.
+
+    The precision follows from the size of S, known before the factor
+    (`precision`). Below `SINGLE_MIN_ENTRIES` entries the LU is a float64
+    `splu`, and `solve` is one LU solve. From that size on it is a float32
+    `spilu` that drops entries below 1e-8 of their column: it stores
+    15-36% fewer entries in half the value bytes (22.8M -> 19.5M on
+    hexagonal L6, 177.4M -> 113.7M at 29,929 granite-water cells). A full
+    float32 factor is no alternative: its fill decays into subnormals, whose
+    arithmetic is many times slower. At 9,409 granite-water cells it took
+    9.9 s to factor against 3.3 s in float64, and 79 ms per LU solve
+    against 35 ms for the dropped factor and 60 ms in float64.
+
+    A float32 LU solve keeps its values out of the subnormals as well: it
+    scales its right-hand side by the power of two that brings its largest
+    entry to 2^64 (`SINGLE_RHS_EXPONENT`), adds a floor of 1 to every
+    entry, and subtracts from the result the LU's solve of the floor
+    alone, formed with the factor, before unscaling it. The scaling is
+    exact, and the floor loses only what lies below 2^-88 of the largest
+    entry. A localized right-hand side otherwise decays inside the solve:
+    at 29,929 granite-water cells the scaling alone left 694 ms per LU
+    solve, against 161 ms with the floor and 250 ms in float64.
+
+    A float32 `solve` starts from the combination of the last `HISTORY`
+    accepted solutions whose products S x come closest to b in the norm
+    of D, then applies one correction x += LU^-1 (b - S x); `correct`
+    applies each further one. Successive right-hand sides of an implicit
+    march are close, so the start leaves a residual near 1e-5 and one
+    correction meets the check.
+
     A solve is checked by its equilibrated relative residual
     ||D (S x - b)|| / ||D b||, which must stay below 1e-8, from a product
     S x formed by the caller (`check`): the implicit stepper forms it from
-    its stage's back pass (`CondensedFactorization.check_solve`).
+    its stage's back pass (`CondensedFactorization.check_solve`). A solve
+    that fails the check after its last LU solve, one in float64 and
+    `MAX_CORRECTIONS` in float32, is refused; so is a non-finite residual.
 
     Equilibration and no pivoting are what make geophysical Schur
     complements solvable: their diagonal spans many orders of magnitude
@@ -232,17 +280,20 @@ class FactorizedOperator:
     The operator counts what it did: `factor_s` (seconds spent factoring),
     `lu_nnz` (entries SuperLU stores for the L and U factors, read without
     building their CSC copies, which would double the memory of the
-    factors), `matrix_nnz` (entries of S), `solves`, `solve_s` (seconds
-    spent inside SuperLU's solve, one timer pair per solve) and
-    `max_residual` (largest residual the solve check saw); `stats()` returns
-    them as a dict, with the LU entries per face dof.
+    factors), `matrix_nnz` (entries of S), `solves`, `corrections` (LU
+    solves, one per float64 solve), `max_corrections` (the most LU solves
+    in one solve), `solve_s` (seconds spent inside SuperLU's solve, one
+    timer pair per LU solve) and `max_residual` (largest residual the solve
+    check accepted); `stats()` returns them as a dict, with the precision
+    and the LU entries per face dof.
     """
 
     def __init__(self, matrix: sp.spmatrix, sign: np.ndarray):
         self.n = matrix.shape[0]
         matrix = matrix.tocsc()
         self.matrix_nnz = int(matrix.nnz)
-        self.solves = 0
+        self.single = self.matrix_nnz >= SINGLE_MIN_ENTRIES
+        self.solves = self.corrections = self.max_corrections = 0
         self.solve_s = 0.0
         self.max_residual = 0.0
         self.factor_s = 0.0
@@ -257,8 +308,13 @@ class FactorizedOperator:
             self.scale = 1.0 / np.sqrt(diag)
             matrix.data *= self.scale[matrix.indices]
             matrix.data *= np.repeat(self.scale, np.diff(matrix.indptr))
-            self._lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                 options=dict(SymmetricMode=True))
+            ordering = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options=dict(SymmetricMode=True))
+            if self.single:
+                self._lu = spla.spilu(matrix.astype(np.float32), drop_tol=1e-8,
+                                      drop_rule="basic", fill_factor=30, **ordering)
+            else:
+                self._lu = spla.splu(matrix, **ordering)
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}") from exc
         except (SystemError, MemoryError) as exc:
@@ -270,41 +326,104 @@ class FactorizedOperator:
         self.factor_s = time.perf_counter() - start
         self.lu_nnz = int(self._lu.nnz)
         self._outer = self.scale * sign     # D J
+        if self.single:
+            self._floor = self._lu.solve(np.ones(self.n, dtype=np.float32), trans="T")
+            # accepted solutions and their products D J S x, filled in turn
+            self._history = np.empty((2, HISTORY, self.n))
+            self._accepted = 0
+
+    @property
+    def precision(self) -> str:
+        return "float32" if self.single else "float64"
 
     def stats(self) -> dict:
-        return {"n": self.n, "matrix_nnz": self.matrix_nnz, "lu_nnz": self.lu_nnz,
+        return {"n": self.n, "precision": self.precision, "matrix_nnz": self.matrix_nnz,
+                "lu_nnz": self.lu_nnz,
                 "lu_nnz_per_dof": self.lu_nnz / self.n if self.n else 0.0,
-                "factor_s": self.factor_s, "solves": self.solves, "solve_s": self.solve_s,
-                "max_residual": self.max_residual}
+                "factor_s": self.factor_s, "solves": self.solves,
+                "corrections": self.corrections, "max_corrections": self.max_corrections,
+                "solve_s": self.solve_s, "max_residual": self.max_residual}
+
+    def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """LU^-T of a right-hand side in the scaling D J, counted and timed."""
+        self._solve_corrections += 1
+        self.corrections += 1
+        self.max_corrections = max(self.max_corrections, self._solve_corrections)
+        start = time.perf_counter()
+        if not self.single:
+            x = self._lu.solve(rhs, trans="T")
+        else:
+            top = np.max(np.abs(rhs))
+            if top == 0:
+                x = np.zeros(self.n)
+            else:
+                shift = SINGLE_RHS_EXPONENT - math.frexp(top)[1]
+                scaled = np.ldexp(rhs, shift).astype(np.float32)
+                scaled += 1.0
+                x = self._lu.solve(scaled, trans="T")
+                x -= self._floor
+                x = np.ldexp(x.astype(np.float64), -shift)
+        self.solve_s += time.perf_counter() - start
+        return x
 
     def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """x = S^-1 rhs, written to `out` if given. The scaled right-hand side
-        is kept for the check of this solve (`check`)."""
+        """x = S^-1 rhs, written to `out` if given: one LU solve in float64; in
+        float32 the start from the last accepted solves and one correction.
+        The scaled right-hand side is kept for the check of this solve
+        (`check`)."""
         if self.n == 0:
             return np.zeros(0) if out is None else out
         self.solves += 1
+        self._solve_corrections = 0
         # D J LU^-T (J D b)
         self._rhs = self._outer * rhs
-        start = time.perf_counter()
-        x = self._lu.solve(self._rhs, trans="T")
-        self.solve_s += time.perf_counter() - start
-        return np.multiply(self._outer, x, out=out)
+        self._norm = np.linalg.norm(self._rhs)
+        if not self.single:
+            return np.multiply(self._outer, self._lu_solve(self._rhs), out=out)
+        out = np.empty(self.n) if out is None else out
+        residual = self._rhs
+        if self._accepted and np.isfinite(self._norm):
+            solutions, products = self._history[:, :min(self._accepted, HISTORY)]
+            alpha = np.linalg.lstsq(products.T, self._rhs, rcond=None)[0]
+            np.matmul(alpha, solutions, out=out)
+            residual = self._rhs - alpha @ products
+        else:
+            out.fill(0.0)
+        out += self._outer * self._lu_solve(residual)
+        return out
 
-    def check(self, product: np.ndarray) -> None:
-        """Check the last solve from the product S x of its solution x:
-        raises SolverError if ||D (S x - b)|| / ||D b|| is above 1e-8 or not
-        finite, and keeps the largest residual seen in `max_residual`. Both
-        norms are taken in the solve's scaling D J, which leaves them
-        unchanged."""
-        if self.n == 0:
-            return
-        nrm = np.linalg.norm(self._rhs)
-        if nrm > 0:
-            res = np.linalg.norm(self._outer * product - self._rhs) / nrm
-            if not np.isfinite(res) or res > 1e-8:
-                raise SolverError(f"direct solve residual {res:.2e}; "
-                                  "operator singular or severely ill-conditioned")
+    def correct(self, x: np.ndarray) -> None:
+        """One more correction of x, the solution of the last solve, in place:
+        x += LU^-1 (b - S x), from the residual its failed check kept."""
+        x += self._outer * self._lu_solve(self._residual)
+
+    def check(self, x: np.ndarray, product: np.ndarray) -> bool:
+        """Check the last solve from its solution x and the product S x: True
+        if ||D (S x - b)|| / ||D b|| is at most 1e-8, and the largest
+        residual seen is kept in `max_residual`; False if it is not, while
+        a float32 solve has corrections left (`correct`). Raises
+        SolverError on a residual that is not finite or fails the check
+        after the last correction. Both norms are taken in the solve's
+        scaling D J, which leaves them unchanged. A float32 solve that
+        passes joins the history the next solves start from."""
+        if self.n == 0 or not self._norm > 0:
+            return True
+        product = self._outer * product
+        self._residual = self._rhs - product
+        res = np.linalg.norm(self._residual) / self._norm
+        if np.isfinite(res) and res <= 1e-8:
             self.max_residual = max(self.max_residual, float(res))
+            if self.single:
+                slot = self._accepted % HISTORY
+                self._history[:, slot] = x, product
+                self._accepted += 1
+            return True
+        done = self._solve_corrections
+        if np.isfinite(res) and self.single and done < MAX_CORRECTIONS:
+            return False
+        raise SolverError(f"direct solve residual {res:.2e} after {done} {self.precision} "
+                          f"LU solve{'s' if done > 1 else ''}; operator singular or "
+                          "severely ill-conditioned")
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +601,14 @@ class CondensedFactorization:
         self.coupling = sp.csr_matrix((ad * k_ff.data[cross], (rows, k_ff.col[cross])),
                                       shape=(len(self.coupling_rows), k_ff.shape[1]))
 
-    def check_solve(self, u_f: np.ndarray, back_face: np.ndarray) -> None:
+    def check_solve(self, u_f: np.ndarray, back_face: np.ndarray) -> bool:
         """The check of the last solve, of face unknowns u_f, from what the
         back pass on u_f added onto the face dofs (`back_face`): adding the
         interface coupling's rows completes it, in place, to S u_f
-        (`FactorizedOperator.check`)."""
+        (`FactorizedOperator.check`). False if a float32 solve needs another
+        correction."""
         back_face[self.coupling_rows] += self.coupling @ u_f
-        self.schur_solver.check(back_face)
+        return self.schur_solver.check(u_f, back_face)
 
 
 class ImplicitStepper(_Stepper):
@@ -503,7 +623,9 @@ class ImplicitStepper(_Stepper):
     blocks of `fact` around its Schur solve, three if it is forced: the stage
     blocks on u~_i (and the forcing blocks on f_i) give the slope's cell
     part and the Schur right-hand side, and the back blocks on u_f give G u_f
-    and the part of S u_f that checks the solve (`check_solve`). The solve
+    and the part of S u_f that checks the solve (`check_solve`); a float32
+    solve that fails the check is corrected and checked again from one more
+    back pass, until it passes. The solve
     writes u_f into a buffer padded with the zero the back pass gathers for
     Dirichlet faces.
     The only block-diagonal matrix inverted is M + a* dt K_TT, condensed
@@ -539,8 +661,11 @@ class ImplicitStepper(_Stepper):
                 k += k_f
                 rhs += rhs_f
             u_f = fact.schur_solver.solve(rhs, out=self._u_f[:-1])
-            g_u_f, back_face = store.apply(fact.back_blocks, self._u_f, "face")
-            fact.check_solve(u_f, back_face)
+            while True:
+                g_u_f, back_face = store.apply(fact.back_blocks, self._u_f, "face")
+                if fact.check_solve(u_f, back_face):
+                    break
+                fact.schur_solver.correct(u_f)
             k -= g_u_f
             slopes.append(k)
         u_new = store.unsort(_advance(u_c, dt, tab.b, slopes))

@@ -210,17 +210,24 @@ def test_simulate_reports_schur_solver(tmp_path, caplog):
                          "--out", str(out)]) == cli.EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     solver = summary["solver"]
-    assert set(solver) == {"n", "matrix_nnz", "lu_nnz", "lu_nnz_per_dof", "factor_s",
-                           "solves", "solve_s", "max_residual"}
+    assert set(solver) == {"n", "precision", "matrix_nnz", "lu_nnz", "lu_nnz_per_dof",
+                           "factor_s", "solves", "corrections", "max_corrections",
+                           "solve_s", "max_residual"}
     assert solver["n"] == summary["dofs"]["dofs_after_condensation"]
     assert solver["lu_nnz"] > 0 and solver["matrix_nnz"] > 0 and solver["factor_s"] > 0
     assert solver["solves"] == 3 * summary["steps"]      # one per SDIRK34 stage
+    # below the float32 threshold, one float64 LU solve per solve
+    assert solver["precision"] == "float64"
+    assert solver["corrections"] == solver["solves"] and solver["max_corrections"] == 1
     assert 0.0 < solver["max_residual"] <= 1e-8
     # the time inside the LU solves, part of the march
     assert 0.0 < solver["solve_s"] <= summary["timings"]["march"]
     assert (f"Schur LU: {solver['solves']} solves in {solver['solve_s']:.3f} s, "
+            f"{solver['corrections']} float64 LU solves (at most 1 in one), "
             f"largest residual {solver['max_residual']:.2e}") in caplog.text
-    assert f"Schur LU: {solver['n']} face dofs" in caplog.text and "factored in" in caplog.text
+    assert (f"Schur LU: {solver['n']} face dofs, {solver['matrix_nnz']} nnz, "
+            f"{solver['lu_nnz']} nnz in the float64 factors") in caplog.text
+    assert "factored in" in caplog.text
     assert solver["lu_nnz_per_dof"] == solver["lu_nnz"] / solver["n"]
     assert f"{solver['lu_nnz_per_dof']:.0f} per face dof), factored in" in caplog.text
     # how the cells were condensed: classes and the cells each kernel applies
@@ -266,6 +273,27 @@ def test_simulate_reports_schur_solver(tmp_path, caplog):
     assert progress[-1].endswith("ETA 0.0 s")
 
 
+def test_simulate_reports_float32_refinement(tmp_path, caplog, monkeypatch):
+    # with the threshold at 0 the same run factors S in float32: every solve
+    # takes at least one float32 LU solve and passes the unchanged 1e-8 check
+    monkeypatch.setattr(timestep, "SINGLE_MIN_ENTRIES", 0)
+    cfg = json.loads(json.dumps(RICKER_CFG))
+    cfg["mesh"]["level"] = 2
+    cfg["output"] = {}
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="hhowave"):
+        assert cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(out)]) == cli.EXIT_OK
+    solver = json.loads((out / "summary.json").read_text())["solver"]
+    assert solver["precision"] == "float32"
+    assert solver["corrections"] >= solver["solves"] > 0
+    assert 1 <= solver["max_corrections"] <= timestep.MAX_CORRECTIONS
+    assert 0.0 < solver["max_residual"] <= 1e-8
+    assert f"{solver['lu_nnz']} nnz in the float32 factors" in caplog.text
+    assert (f"{solver['corrections']} float32 LU solves (at most "
+            f"{solver['max_corrections']} in one)") in caplog.text
+
+
 @pytest.mark.parametrize("given", ["cfl", "dt"])
 def test_simulate_reports_courant_number(tmp_path, caplog, given):
     cfg = json.loads(json.dumps(RICKER_CFG))
@@ -297,11 +325,14 @@ def test_simulate_deterministic_traces(tmp_path):
     assert (out1 / "traces.csv").read_text() == (out2 / "traces.csv").read_text()
 
 
-def test_lu_memory_failure_exit_code(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("threshold,factor", [(10**12, "splu"), (0, "spilu")],
+                         ids=["float64", "float32"])
+def test_lu_memory_failure_exit_code(tmp_path, monkeypatch, capsys, threshold, factor):
     def fail(*args, **kwargs):
         raise SystemError("gstrf was called with invalid arguments")
 
-    monkeypatch.setattr(timestep.spla, "splu", fail)
+    monkeypatch.setattr(timestep, "SINGLE_MIN_ENTRIES", threshold)
+    monkeypatch.setattr(timestep.spla, factor, fail)
     cfg = json.loads(json.dumps(RICKER_CFG))
     cfg["mesh"]["level"] = 1
     cfg["output"] = {}

@@ -240,13 +240,16 @@ def test_singular_operator_rejected():
         solve(singular, np.ones(4))
 
 
+@pytest.mark.parametrize("threshold,factor", [(10**12, "splu"), (0, "spilu")],
+                         ids=["float64", "float32"])
 @pytest.mark.parametrize("error", [SystemError("gstrf was called with invalid arguments"),
                                    MemoryError("Unable to allocate 4.00 GiB")])
-def test_lu_memory_failure_is_solver_error(error, monkeypatch):
+def test_lu_memory_failure_is_solver_error(error, monkeypatch, threshold, factor):
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(timestep.spla, "splu", fail)
+    monkeypatch.setattr(timestep, "SINGLE_MIN_ENTRIES", threshold)
+    monkeypatch.setattr(timestep.spla, factor, fail)
     with pytest.raises(SolverError, match="factorization of 6 face dofs ran out of memory"):
         FactorizedOperator(sp.eye(6, format="csc"), np.ones(6))
 
@@ -915,6 +918,87 @@ def test_solve_check_refuses_a_transposed_lu_of_a_perturbed_coupling():
     stepper.fact.schur_solver = FactorizedOperator(schur, sign)
     with pytest.raises(SolverError, match="direct solve residual"):
         stepper.step(u0, 0.0, 0.01, forcing)
+
+
+def _forced_march(system, materials, n_steps=20):
+    """The final state of an SDIRK34 march with a load: the manufactured
+    case under academic materials, a seeded state under a seeded cosine
+    load otherwise (the manufactured case needs unit fluid density).
+    Returns (state, Schur solver)."""
+    if materials is ACADEMIC:
+        _, u0, forcing = make_case_state(system)
+        dt = 1.0 / 640.0
+    else:
+        u0, load = np.random.default_rng(18).standard_normal((2, system.n_cell_dofs))
+        dt = 1e-5       # a Courant number near 0.2 in metres against the SI materials
+
+        def forcing(t):
+            return math.cos(t / (7.0 * dt)) * load
+    stepper = ImplicitStepper(system, tableau("SDIRK34"), dt)
+    u = timestep.run_time_loop(stepper, u0, dt, n_steps, forcing)
+    return u, stepper.fact.schur_solver
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("materials", [ACADEMIC, GRANITE_WATER], ids=["academic", "granite-water"])
+@pytest.mark.parametrize("mesh_name", MESHES)
+def test_float32_factor_holds_to_float64(mesh_name, materials, k, monkeypatch):
+    # the same march on the float64 LU and, with the threshold at 0, on the
+    # dropped float32 LU refined in float64: every float32 solve starts from
+    # the last solves, takes at least one correction and passes the 1e-8
+    # check; the final states agree to 1e-7 (2.7e-9 measured)
+    system = assemble(golden_mesh(mesh_name), materials, StabilizationConfig.implicit(), k=k)
+    want, exact = _forced_march(system, materials)
+    monkeypatch.setattr(timestep, "SINGLE_MIN_ENTRIES", 0)
+    got, single = _forced_march(system, materials)
+    assert (exact.precision, single.precision) == ("float64", "float32")
+    assert exact.corrections == exact.solves == single.solves == 60
+    assert single.corrections >= single.solves
+    assert 1 <= single.max_corrections <= timestep.MAX_CORRECTIONS
+    assert 0.0 < single.max_residual <= 1e-8
+    assert single.lu_nnz <= exact.lu_nnz
+    assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
+
+
+def test_float32_solve_scales_its_right_hand_side(monkeypatch):
+    # b, 2^-140 b and 2^100 b: each float32 LU solve brings its right-hand
+    # side to a largest entry of 2^64, so the solutions are the same up to the
+    # same exact power of two; a zero right-hand side solves to zeros
+    monkeypatch.setattr(timestep, "SINGLE_MIN_ENTRIES", 0)
+    system = assemble(golden_mesh("simplicial"), GRANITE_WATER,
+                      StabilizationConfig.implicit(), k=3)
+    schur = oracles.schur_matrix(system, tableau("SDIRK34").a_star, 1e-5)
+    solver = FactorizedOperator(schur, system.layout.face_sign)
+    assert solver.precision == "float32"
+    b = np.random.default_rng(19).standard_normal(system.n_face_dofs)
+    x = solver.solve(b)
+    assert np.all(np.isfinite(x)) and np.any(x)
+    for power in (-140, 100):
+        assert np.array_equal(solver.solve(np.ldexp(b, power)), np.ldexp(x, power)), power
+    assert np.array_equal(solver.solve(np.zeros_like(b)), np.zeros_like(b))
+
+
+def test_refinement_refuses_a_float32_lu_it_cannot_repair(monkeypatch):
+    # mutation: the float32 LU of S with one diagonal entry at a tenth of its
+    # value; refinement against the true S diverges (residuals 1.5, 70,
+    # 3.4e3, 1.6e5), so the check still fails after MAX_CORRECTIONS of them.
+    # The 1% perturbation of the float64 mutation test would be repaired:
+    # its first solve passed after 4 corrections, 1.0e-4 -> 1.3e-10
+    monkeypatch.setattr(timestep, "SINGLE_MIN_ENTRIES", 0)
+    system = make_system(k=1, level=2, mode="implicit")
+    stepper = ImplicitStepper(system, tableau("SDIRK34"), 0.01)
+    _, u0, forcing = make_case_state(system)
+    stepper.step(u0, 0.0, 0.01, forcing)
+    assert stepper.fact.schur_solver.precision == "float32"
+    assert 0.0 < stepper.fact.schur_solver.max_residual <= 1e-8
+    schur = schur_matrix(stepper.fact)
+    diag = schur.diagonal()
+    diag[len(diag) // 2] *= 0.1
+    schur.setdiag(diag)
+    stepper.fact.schur_solver = FactorizedOperator(schur, system.layout.face_sign)
+    with pytest.raises(SolverError, match="direct solve residual .* after 4 float32 LU solves"):
+        stepper.step(u0, 0.0, 0.01, forcing)
+    assert stepper.fact.schur_solver.corrections == timestep.MAX_CORRECTIONS
 
 
 @pytest.mark.parametrize("mesh_name", MESHES)
