@@ -61,9 +61,9 @@ dense blocks, keeping every nonzero entry of those
 (`CellClasses.face_matrix`). The pass applies a class-ordered cell
 vector, or gathered face values, by one GEMM per class of at least
 `gemm_min_members(n)` cells, a break-even that falls with the cell block
-size n (36 members for 12 x 12 blocks, 21 for 21 x 21, 5 from 40 x 40
-on), and one stacked `matmul` per block shape for the cells of smaller
-classes. On cartesian meshes the stages therefore run almost entirely on
+size n (36 members for 12 x 12 blocks, 21 for 21 x 21, 16 for 40 x 40
+and 5 from 60 x 60 on), and one stacked `matmul` per block shape for the
+cells of smaller classes. On cartesian meshes the stages therefore run almost entirely on
 GEMMs; meshes without congruent cells run on the stacked products alone.
 The face unknowns of the interface sensors come from the same pass and
 K_FF^-1, inverted from its face blocks, and so does an implicit run's
@@ -472,15 +472,6 @@ class BlockDiagonal:
         self.n = n
         self.stacks = stacks
 
-    @classmethod
-    def gather(cls, n, starts, blocks):
-        """Collect the stacks `blocks[i]` (m_i, s_i, s_i) with first rows `starts[i]` (m_i,)."""
-        stacks = {}
-        for size in sorted({b.shape[-1] for b in blocks}):
-            parts = [(st, b) for st, b in zip(starts, blocks) if b.shape[-1] == size]
-            stacks[size] = tuple(np.concatenate(part) for part in zip(*parts))
-        return cls(n, stacks)
-
     def tocsr(self) -> sp.csr_matrix:
         """CSR of the blocks, each entry floored against the largest one of
         its row or column in its block (`_block_entries`)."""
@@ -881,8 +872,10 @@ class ClassOperator:
     the count of entries the operator's CSR stores, taken from the class
     blocks' kept entries and the members' non-Dirichlet face dofs without
     forming it. `tocsr()` forms that CSR, floored (`_block_entries`), on its
-    first call and keeps it; only the explicit path (`BlockSystem.minv`,
-    `explicit_op`, and the energy of an equal-order system) calls it.
+    first call and keeps it; only the explicit operator
+    (`BlockSystem.explicit_op`) and the energy of an equal-order system call
+    it. `BlockSystem.minv` forms its CSR from the inverted class blocks
+    (`CellClasses.matrix`), not through a view.
     """
 
     SIDES = {"mass": ("cell", "cell"), "k_tt": ("cell", "cell"),
@@ -1133,13 +1126,12 @@ def assemble(mesh: msh.PolyMesh, materials: MaterialMap,
     kff = np.bincount(np.concatenate([i.ravel() for i in kff_index]),
                       weights=np.concatenate([v.ravel() for v in kff_values]),
                       minlength=kff_start[-1])
-    face_sets = {s: np.nonzero(sizes == s)[0] for s in np.unique(sizes[sizes > 0])}
-    kff_stacks = [kff[kff_start[f][:, None] + np.arange(s * s)].reshape(-1, s, s)
-                  for s, f in face_sets.items()]
+    face_sets = {int(s): np.nonzero(sizes == s)[0] for s in np.unique(sizes[sizes > 0])}
+    kff_stacks = {s: (layout.face_offset[f], kff[kff_start[f][:, None] + np.arange(s * s)]
+                      .reshape(-1, s, s)) for s, f in face_sets.items()}
     return BlockSystem(
         layout=layout,
-        kff_blocks=BlockDiagonal.gather(
-            n_f, [layout.face_offset[f] for f in face_sets.values()], kff_stacks),
+        kff_blocks=BlockDiagonal(n_f, kff_stacks),
         k_td=_csr(k_td, (n_t, n_d)) if n_d else None,
         materials=materials,
         config=config,

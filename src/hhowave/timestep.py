@@ -1,7 +1,10 @@
 """Runge-Kutta time integration of the semi-discrete block system.
 
-Both steppers work in stage slopes k_i (du/dt at stage i): every stage state
-and the update is u_t + dt sum_j w_j k_j over one tableau row.
+Both steppers run one stage recursion (`_Stepper.step`) in stage slopes k_i
+(du/dt at stage i): every stage state and the update is
+u_t + dt sum_j w_j k_j over one tableau row, and the load is evaluated once
+per stage. They differ only in how a stage's slope is obtained from its
+state and load (`_slope`), by face elimination or by cell condensation.
 
 Explicit schemes eliminate the face unknowns: the face-face stiffness is
 block-diagonal per face and the mass is block-diagonal per cell, so
@@ -53,9 +56,10 @@ solves S u_f = b as J u_f = S^-T J b, with SuperLU's transposed kernel
 (`FactorizedOperator`). Every solve is checked
 by its equilibrated residual ||D (S u_f - b)|| / ||D b|| <= 1e-8, with
 S u_f taken from the back pass and a product with the interface coupling
-of K_FF (`CondensedFactorization.check_solve`), so the check costs no
+of K_FF (`CondensedFactorization.back_pass`), so the check costs no
 product with S. A float32 solve that fails the check is corrected from the
-residual the check formed, and each correction adds one back pass.
+residual the check formed, and each correction adds one back pass; one
+method runs that loop for a stage (`CondensedFactorization.face_solve`).
 """
 
 from __future__ import annotations
@@ -235,7 +239,7 @@ class FactorizedOperator:
 
     The precision follows from the size of S, known before the factor
     (`precision`). Below `SINGLE_MIN_ENTRIES` entries the LU is a float64
-    `splu`, and `solve` is one LU solve. From that size on it is a float32
+    `splu`. From that size on it is a float32
     `spilu` that drops entries below 1e-8 of their column: it stores
     15-36% fewer entries in half the value bytes (22.8M -> 19.5M on
     hexagonal L6, 177.4M -> 113.7M at 29,929 granite-water cells). A full
@@ -254,17 +258,19 @@ class FactorizedOperator:
     at 29,929 granite-water cells the scaling alone left 694 ms per LU
     solve, against 161 ms with the floor and 250 ms in float64.
 
-    A float32 `solve` starts from the combination of the last `HISTORY`
-    accepted solutions whose products S x come closest to b in the norm
-    of D, then applies one correction x += LU^-1 (b - S x); `correct`
-    applies each further one. Successive right-hand sides of an implicit
-    march are close, so the start leaves a residual near 1e-5 and one
-    correction meets the check.
+    Both precisions run one `solve`: a start, then one correction
+    x += LU^-1 (b - S x); `correct` applies each further one. A float32
+    solve starts from the combination of the last `HISTORY` accepted
+    solutions whose products S x come closest to b in the norm of D.
+    Successive right-hand sides of an implicit march are close, so the start
+    leaves a residual near 1e-5 and one correction meets the check. A
+    float64 factor keeps no history, so its solve starts from zero and is
+    one LU solve.
 
     A solve is checked by its equilibrated relative residual
     ||D (S x - b)|| / ||D b||, which must stay below 1e-8, from a product
     S x formed by the caller (`check`): the implicit stepper forms it from
-    its stage's back pass (`CondensedFactorization.check_solve`). A solve
+    its stage's back pass (`CondensedFactorization.face_solve`). A solve
     that fails the check after its last LU solve, one in float64 and
     `MAX_CORRECTIONS` in float32, is refused; so is a non-finite residual.
 
@@ -326,11 +332,11 @@ class FactorizedOperator:
         self.factor_s = time.perf_counter() - start
         self.lu_nnz = int(self._lu.nnz)
         self._outer = self.scale * sign     # D J
+        self._accepted = 0
         if self.single:
             self._floor = self._lu.solve(np.ones(self.n, dtype=np.float32), trans="T")
             # accepted solutions and their products D J S x, filled in turn
             self._history = np.empty((2, HISTORY, self.n))
-            self._accepted = 0
 
     @property
     def precision(self) -> str:
@@ -367,10 +373,10 @@ class FactorizedOperator:
         return x
 
     def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """x = S^-1 rhs, written to `out` if given: one LU solve in float64; in
-        float32 the start from the last accepted solves and one correction.
-        The scaled right-hand side is kept for the check of this solve
-        (`check`)."""
+        """x = S^-1 rhs, written to `out` if given: the start from the last
+        accepted solves (zero without any, and always in float64) and one
+        correction. The scaled right-hand side is kept for the check of this
+        solve (`check`)."""
         if self.n == 0:
             return np.zeros(0) if out is None else out
         self.solves += 1
@@ -378,8 +384,6 @@ class FactorizedOperator:
         # D J LU^-T (J D b)
         self._rhs = self._outer * rhs
         self._norm = np.linalg.norm(self._rhs)
-        if not self.single:
-            return np.multiply(self._outer, self._lu_solve(self._rhs), out=out)
         out = np.empty(self.n) if out is None else out
         residual = self._rhs
         if self._accepted and np.isfinite(self._norm):
@@ -434,10 +438,6 @@ def _check_finite(u, step_index):
         raise InstabilityError(step_index)
 
 
-def _forcing_at(forcing, t):
-    return None if forcing is None else forcing(t)
-
-
 def _advance(u_t, dt, weights, slopes):
     """u_t + dt sum_j w_j k_j over the nonzero weights (u_t itself if none).
 
@@ -462,11 +462,31 @@ def _advance(u_t, dt, weights, slopes):
 
 
 class _Stepper:
-    """What both steppers share: the face unknowns for the interface sensors.
+    """The stage recursion both steppers share, and the face unknowns for the
+    interface sensors.
 
-    Both steppers evaluate stage slopes k_i (du/dt at stage i) and form every
-    stage state and the update from a tableau row with `_advance`.
+    `step` is the one loop over the stages of a tableau: it forms every stage
+    state and the update from a tableau row with `_advance`, evaluates the
+    load once per stage, gets the stage's slope from the stepper
+    (`_slope(u_i, f_i)`, f_i None for an unforced stage) and checks the new
+    state. A stepper whose `_slope` returns minus the slope advances by
+    `DT_SIGN` dt = -dt.
     """
+
+    DT_SIGN = 1.0
+
+    def step(self, u_t: np.ndarray, t: float, dt: float, forcing=None,
+             step_index: int = 0) -> np.ndarray:
+        tab = self.tableau
+        h = self.DT_SIGN * dt
+        slopes = []
+        for i in range(tab.s):
+            u_i = _advance(u_t, h, tab.a[i, :i], slopes)
+            f_i = None if forcing is None else forcing(t + tab.c[i] * dt)
+            slopes.append(self._slope(u_i, f_i))
+        u_new = _advance(u_t, h, tab.b, slopes)
+        _check_finite(u_new, step_index)
+        return u_new
 
     def face_values(self, u_t: np.ndarray) -> np.ndarray:
         """Face unknowns -K_FF^-1 K_FT u_t induced by the cell unknowns
@@ -484,8 +504,10 @@ class ExplicitStepper(_Stepper):
     L = M^-1 (K_TT + K_TF P) with P = -K_FF^-1 K_FT (`op`, built by the first
     stepper on the system); each stage then evaluates L u_i - M^-1 f_i, which
     is minus its slope, with one sparse product, so stage states and the
-    update advance by -dt.
+    update advance by -dt (`DT_SIGN`).
     """
+
+    DT_SIGN = -1.0
 
     def __init__(self, system, tab: ButcherTableau):
         if not tab.explicit:
@@ -495,20 +517,12 @@ class ExplicitStepper(_Stepper):
         self.minv = system.minv
         self.op = system.explicit_op
 
-    def step(self, u_t: np.ndarray, t: float, dt: float, forcing=None,
-             step_index: int = 0) -> np.ndarray:
-        tab = self.tableau
-        neg_slopes = []
-        for i in range(tab.s):
-            u_i = _advance(u_t, -dt, tab.a[i, :i], neg_slopes)
-            k = self.op @ u_i
-            f = _forcing_at(forcing, t + tab.c[i] * dt)
-            if f is not None:
-                k -= self.minv @ f
-            neg_slopes.append(k)
-        u_new = _advance(u_t, -dt, tab.b, neg_slopes)
-        _check_finite(u_new, step_index)
-        return u_new
+    def _slope(self, u_i: np.ndarray, f_i: np.ndarray | None) -> np.ndarray:
+        """Minus the slope of a stage: L u_i - M^-1 f_i."""
+        k = self.op @ u_i
+        if f_i is not None:
+            k -= self.minv @ f_i
+        return k
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +564,13 @@ class CondensedFactorization:
     and `back_blocks` [G; a* dt (K_FF,c - a* dt B_c)] on its face unknowns,
     K_FF,c being the cell's own face-face blocks, block-diagonal over its
     faces. What the back pass adds onto the face dofs is S u_f without the
-    interface coupling, which the solve check adds from `coupling`: the
-    rows `coupling_rows` of a* dt times the interface blocks of K_FF, as CSR.
+    interface coupling, which `back_pass` adds from `coupling`: the rows
+    `coupling_rows` of a* dt times the interface blocks of K_FF, as CSR.
+
+    `face_solve` is a stage's whole face solve, from the Schur right-hand
+    side to G u_f: the LU solve, the back pass, its check and the
+    corrections a float32 solve may need. The face unknowns live in a buffer
+    padded with the zero the back pass gathers for Dirichlet faces.
     """
 
     def __init__(self, system, a_star: float, dt: float):
@@ -600,15 +619,29 @@ class CondensedFactorization:
         self.coupling_rows, rows = np.unique(k_ff.row[cross], return_inverse=True)
         self.coupling = sp.csr_matrix((ad * k_ff.data[cross], (rows, k_ff.col[cross])),
                                       shape=(len(self.coupling_rows), k_ff.shape[1]))
+        self._u_f = np.zeros(system.n_face_dofs + 1)
 
-    def check_solve(self, u_f: np.ndarray, back_face: np.ndarray) -> bool:
-        """The check of the last solve, of face unknowns u_f, from what the
-        back pass on u_f added onto the face dofs (`back_face`): adding the
-        interface coupling's rows completes it, in place, to S u_f
-        (`FactorizedOperator.check`). False if a float32 solve needs another
-        correction."""
-        back_face[self.coupling_rows] += self.coupling @ u_f
-        return self.schur_solver.check(u_f, back_face)
+    def back_pass(self, u_f: np.ndarray) -> tuple:
+        """(G u_f, S u_f) for face values u_f padded with a trailing zero: the
+        back pass, whose face part is S u_f without the interface coupling,
+        completed in place by the coupling's rows."""
+        g_u_f, s_u_f = self.store.apply(self.back_blocks, u_f, "face")
+        s_u_f[self.coupling_rows] += self.coupling @ u_f[:-1]
+        return g_u_f, s_u_f
+
+    def face_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """G u_f for the face unknowns u_f = S^-1 rhs of a stage: the LU solve
+        (`FactorizedOperator.solve`), then the back pass and the check of
+        S u_f (`FactorizedOperator.check`), and a correction
+        (`FactorizedOperator.correct`) before each further back pass until
+        the check accepts."""
+        solver = self.schur_solver
+        u_f = solver.solve(rhs, out=self._u_f[:-1])
+        while True:
+            g_u_f, s_u_f = self.back_pass(self._u_f)
+            if solver.check(u_f, s_u_f):
+                return g_u_f
+            solver.correct(u_f)
 
 
 class ImplicitStepper(_Stepper):
@@ -619,15 +652,11 @@ class ImplicitStepper(_Stepper):
     K_FT u_i + K_FF u_f = 0; its slope is
     k_i = (u_i - u~_i) / (a* dt) = (A^-1 M - I) u~_i / (a* dt) + A^-1 f_i - G u_f
     with u_f = S^-1 (-a* dt K_FT A^-1 M u~_i - (a* dt)^2 K_FT A^-1 f_i), and
-    the step is u_t + dt sum_j b_j k_j. A stage is two passes over the class
-    blocks of `fact` around its Schur solve, three if it is forced: the stage
-    blocks on u~_i (and the forcing blocks on f_i) give the slope's cell
-    part and the Schur right-hand side, and the back blocks on u_f give G u_f
-    and the part of S u_f that checks the solve (`check_solve`); a float32
-    solve that fails the check is corrected and checked again from one more
-    back pass, until it passes. The solve
-    writes u_f into a buffer padded with the zero the back pass gathers for
-    Dirichlet faces.
+    the step is u_t + dt sum_j b_j k_j (`_Stepper.step`). A stage's slope
+    (`_slope`) is the stage blocks of `fact` on u~_i, and the forcing blocks
+    on f_i if the stage is forced, which give the slope's cell part and the
+    Schur right-hand side, less the G u_f of its face solve
+    (`CondensedFactorization.face_solve`).
     The only block-diagonal matrix inverted is M + a* dt K_TT, condensed
     once, for the stepper's dt (`fact`); a step of any other dt is refused.
     A step runs in the class order of the system's `cell_classes`: the state
@@ -641,36 +670,24 @@ class ImplicitStepper(_Stepper):
         self.tableau = tab
         self.dt = float(dt)
         self.fact = CondensedFactorization(system, tab.a_star, dt)
-        self._u_f = np.zeros(system.n_face_dofs + 1)
 
     def step(self, u_t: np.ndarray, t: float, dt: float, forcing=None,
              step_index: int = 0) -> np.ndarray:
         if abs(dt - self.dt) > 1e-15 * max(1.0, self.dt):
             raise TimestepError("stale condensed factorization: dt changed; rebuild")
-        tab = self.tableau
+        store = self.fact.store
+        return store.unsort(super().step(store.sort(u_t), t, dt, forcing, step_index))
+
+    def _slope(self, u_i: np.ndarray, f_i: np.ndarray | None) -> np.ndarray:
+        """The slope of a stage from its class-ordered start state and load."""
         fact = self.fact
-        store = fact.store
-        u_c = store.sort(u_t)
-        slopes = []
-        for i in range(tab.s):
-            u_start = _advance(u_c, dt, tab.a[i, :i], slopes)
-            k, rhs = store.apply(fact.stage_blocks, u_start)
-            f_i = _forcing_at(forcing, t + tab.c[i] * dt)
-            if f_i is not None:
-                k_f, rhs_f = store.apply(fact.forcing_blocks, store.sort(f_i))
-                k += k_f
-                rhs += rhs_f
-            u_f = fact.schur_solver.solve(rhs, out=self._u_f[:-1])
-            while True:
-                g_u_f, back_face = store.apply(fact.back_blocks, self._u_f, "face")
-                if fact.check_solve(u_f, back_face):
-                    break
-                fact.schur_solver.correct(u_f)
-            k -= g_u_f
-            slopes.append(k)
-        u_new = store.unsort(_advance(u_c, dt, tab.b, slopes))
-        _check_finite(u_new, step_index)
-        return u_new
+        k, rhs = fact.store.apply(fact.stage_blocks, u_i)
+        if f_i is not None:
+            k_f, rhs_f = fact.store.apply(fact.forcing_blocks, fact.store.sort(f_i))
+            k += k_f
+            rhs += rhs_f
+        k -= fact.face_solve(rhs)
+        return k
 
 
 # ---------------------------------------------------------------------------
