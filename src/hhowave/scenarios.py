@@ -3,7 +3,8 @@
 The sinusoidal manufactured case derives all exact fields, volume sources and
 boundary data in closed form from an acoustic potential and an elastic
 displacement; the time dependence is separable, so forcing vectors are
-assembled once per run and rescaled per stage. The Ricker case is an initial
+assembled once per run (`timestep.Forcing`), mapped once by each stepper
+and rescaled per stage. The Ricker case is an initial
 radial velocity pulse in the fluid with homogeneous boundary data and no
 sources. Stability of explicit runs is assessed by monitoring the discrete
 energy and bracketing the step count at which the relative energy increase
@@ -177,26 +178,8 @@ class ManufacturedCase:
         }
 
 
-class Forcing:
-    """Sum of precomputed cell vectors scaled by time factors."""
-
-    def __init__(self, terms):
-        self.terms = [(g, vec) for g, vec in terms if vec is not None]
-
-    def __call__(self, t):
-        if not self.terms:
-            return None
-        out = None
-        for g, vec in self.terms:
-            scale = g(t)
-            if scale == 0.0 and out is not None:
-                continue
-            term = scale * vec
-            out = term if out is None else out + term
-        return out
-
-
-def manufactured_forcing(system: hho.BlockSystem, case: ManufacturedCase) -> Forcing:
+def manufactured_forcing(system: hho.BlockSystem,
+                         case: ManufacturedCase) -> timestep.Forcing:
     """Precompute the separable forcing terms of the manufactured case."""
     factors = case.time_factors()
     terms = [
@@ -208,7 +191,7 @@ def manufactured_forcing(system: hho.BlockSystem, case: ManufacturedCase) -> For
         b_solid = system.project_dirichlet(solid_trace=case.solid_velocity_profile)
         terms.append((factors["fluid_boundary"], system.dirichlet_lift(b_fluid)))
         terms.append((factors["solid_boundary"], system.dirichlet_lift(b_solid)))
-    return Forcing(terms)
+    return timestep.Forcing(terms)
 
 
 def manufactured_initial_state(system: hho.BlockSystem, case: ManufacturedCase) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 Both steppers run one stage recursion (`_Stepper.step`) in stage slopes k_i
 (du/dt at stage i): every stage state and the update is
-u_t + dt sum_j w_j k_j over one tableau row, and the load is evaluated once
-per stage. They differ only in how a stage's slope is obtained from its
-state and load (`_slope`), by face elimination or by cell condensation.
+u_t + dt sum_j w_j k_j over one tableau row. They differ only in how a
+stage's slope is obtained from its state and load (`_slope`), by face
+elimination or by cell condensation. A load is separable (`Forcing`,
+sum_j g_j(t) v_j over cell vectors fixed at set-up): each stepper maps its
+term vectors once, on its first step with that load (`_map_load`), and a
+forced stage adds its time factors' combination of the mapped parts.
 
 Explicit schemes eliminate the face unknowns: the face-face stiffness is
 block-diagonal per face and the mass is block-diagonal per cell, so
@@ -28,8 +31,9 @@ blocks (`hho.CellClasses.apply`) around its Schur solve, never a product
 with a global sparse matrix:
 the stage blocks [(A^-1 M - I) / (a* dt); -a* dt K_FT A^-1 M] on the
 stage's start state give the cell part of its slope and the Schur
-right-hand side (a forced stage adds one pass of [A^-1; -(a* dt)^2 K_FT A^-1]
-on its load), and the back blocks [G; a* dt (K_FF,c - a* dt K_FT,c G_c)]
+right-hand side (a forced stage adds the pass of [A^-1; -(a* dt)^2 K_FT A^-1]
+on its load, combined from the passes on the load's term vectors, made once
+per load), and the back blocks [G; a* dt (K_FF,c - a* dt K_FT,c G_c)]
 on the face unknowns give G u_f for the slope and all of S u_f but its
 interface coupling, from which the solve is checked.
 Cell vectors are sorted by class once per step, so each class of many
@@ -263,9 +267,18 @@ class FactorizedOperator:
     solve starts from the combination of the last `HISTORY` accepted
     solutions whose products S x come closest to b in the norm of D.
     Successive right-hand sides of an implicit march are close, so the start
-    leaves a residual near 1e-5 and one correction meets the check. A
-    float64 factor keeps no history, so its solve starts from zero and is
-    one LU solve.
+    leaves a residual near 1e-5 and one correction meets the check. The
+    weights come from the m x m Gram matrix of the stored products (m at
+    most `HISTORY`), which `check` updates by one row and its mirror column
+    per accepted solve, from the product it has formed: the start solves
+    that matrix against the m products' dot products with b, by least
+    squares, which also serves a rank-deficient history. On a history
+    conditioned near 1e6 the weights differ from those of the (n, m)
+    least-squares problem by up to 3e-3, and the start's residual exceeds
+    the least-squares residual by under 1e-6 of it (`tests/test_timestep.py`).
+    In a `hex_l6_implicit` march the (n, m) problem took 3.2 ms per start,
+    the Gram matrix 0.2 ms. A float64 factor keeps no history, so its solve
+    starts from zero and is one LU solve.
 
     A solve is checked by its equilibrated relative residual
     ||D (S x - b)|| / ||D b||, which must stay below 1e-8, from a product
@@ -335,8 +348,10 @@ class FactorizedOperator:
         self._accepted = 0
         if self.single:
             self._floor = self._lu.solve(np.ones(self.n, dtype=np.float32), trans="T")
-            # accepted solutions and their products D J S x, filled in turn
+            # accepted solutions and their products D J S x, filled in turn,
+            # and the Gram matrix of the products
             self._history = np.empty((2, HISTORY, self.n))
+            self._gram = np.empty((HISTORY, HISTORY))
 
     @property
     def precision(self) -> str:
@@ -387,8 +402,9 @@ class FactorizedOperator:
         out = np.empty(self.n) if out is None else out
         residual = self._rhs
         if self._accepted and np.isfinite(self._norm):
-            solutions, products = self._history[:, :min(self._accepted, HISTORY)]
-            alpha = np.linalg.lstsq(products.T, self._rhs, rcond=None)[0]
+            m = min(self._accepted, HISTORY)
+            solutions, products = self._history[:, :m]
+            alpha = np.linalg.lstsq(self._gram[:m, :m], products @ self._rhs, rcond=None)[0]
             np.matmul(alpha, solutions, out=out)
             residual = self._rhs - alpha @ products
         else:
@@ -421,6 +437,8 @@ class FactorizedOperator:
                 slot = self._accepted % HISTORY
                 self._history[:, slot] = x, product
                 self._accepted += 1
+                m = min(self._accepted, HISTORY)
+                self._gram[slot, :m] = self._gram[:m, slot] = self._history[1, :m] @ product
             return True
         done = self._solve_corrections
         if np.isfinite(res) and self.single and done < MAX_CORRECTIONS:
@@ -461,28 +479,53 @@ def _advance(u_t, dt, weights, slopes):
     return acc
 
 
+class Forcing:
+    """A separable load sum_j g_j(t) v_j: time factors g_j and cell vectors
+    v_j (`vectors`, (J, n_cell_dofs)) fixed at set-up, from one or more terms
+    (g_j, v_j). A stepper maps the vectors once and a stage scales what they
+    map to (`_Stepper.step`)."""
+
+    def __init__(self, terms):
+        self.factors = tuple(g for g, _ in terms)
+        self.vectors = np.stack([vec for _, vec in terms])
+
+    def factors_at(self, t: float) -> np.ndarray:
+        """The time factors g_j(t), (J,)."""
+        return np.array([g(t) for g in self.factors])
+
+
 class _Stepper:
     """The stage recursion both steppers share, and the face unknowns for the
     interface sensors.
 
     `step` is the one loop over the stages of a tableau: it forms every stage
-    state and the update from a tableau row with `_advance`, evaluates the
-    load once per stage, gets the stage's slope from the stepper
-    (`_slope(u_i, f_i)`, f_i None for an unforced stage) and checks the new
-    state. A stepper whose `_slope` returns minus the slope advances by
-    `DT_SIGN` dt = -dt.
+    state and the update from a tableau row with `_advance`, gets the stage's
+    slope from the stepper (`_slope(u_i, f_i)`) and checks the new state. A
+    stepper whose `_slope` returns minus the slope advances by `DT_SIGN`
+    dt = -dt.
+
+    A stage's load reaches `_slope` already mapped, as f_i = sum_j g_j(t_i)
+    p_j, None for an unforced stage: each term vector v_j of a `Forcing` is
+    mapped once to its part p_j by the stepper (`_map_load`), on the first
+    step with that load, and the parts (J, n) are kept for it until a step
+    brings another load object. A stage then evaluates the J time factors
+    and adds one product of them with the parts.
     """
 
     DT_SIGN = 1.0
+    _load = _parts = None
 
-    def step(self, u_t: np.ndarray, t: float, dt: float, forcing=None,
+    def step(self, u_t: np.ndarray, t: float, dt: float, forcing: Forcing | None = None,
              step_index: int = 0) -> np.ndarray:
         tab = self.tableau
         h = self.DT_SIGN * dt
+        if forcing is not None and forcing is not self._load:
+            self._load = forcing
+            self._parts = np.stack([self._map_load(v) for v in forcing.vectors])
         slopes = []
         for i in range(tab.s):
             u_i = _advance(u_t, h, tab.a[i, :i], slopes)
-            f_i = None if forcing is None else forcing(t + tab.c[i] * dt)
+            f_i = None if forcing is None else forcing.factors_at(t + tab.c[i] * dt) @ self._parts
             slopes.append(self._slope(u_i, f_i))
         u_new = _advance(u_t, h, tab.b, slopes)
         _check_finite(u_new, step_index)
@@ -504,7 +547,8 @@ class ExplicitStepper(_Stepper):
     L = M^-1 (K_TT + K_TF P) with P = -K_FF^-1 K_FT (`op`, built by the first
     stepper on the system); each stage then evaluates L u_i - M^-1 f_i, which
     is minus its slope, with one sparse product, so stage states and the
-    update advance by -dt (`DT_SIGN`).
+    update advance by -dt (`DT_SIGN`). A load's parts are M^-1 v_j, so a
+    forced stage subtracts sum_j g_j(t_i) M^-1 v_j.
     """
 
     DT_SIGN = -1.0
@@ -517,11 +561,15 @@ class ExplicitStepper(_Stepper):
         self.minv = system.minv
         self.op = system.explicit_op
 
+    def _map_load(self, v: np.ndarray) -> np.ndarray:
+        """The part of a load vector: M^-1 v."""
+        return self.minv @ v
+
     def _slope(self, u_i: np.ndarray, f_i: np.ndarray | None) -> np.ndarray:
-        """Minus the slope of a stage: L u_i - M^-1 f_i."""
+        """Minus the slope of a stage: L u_i - M^-1 f_i, given M^-1 f_i."""
         k = self.op @ u_i
         if f_i is not None:
-            k -= self.minv @ f_i
+            k -= f_i
         return k
 
 
@@ -556,13 +604,15 @@ class CondensedFactorization:
     materials at k=1. This is what lets the LU solve S with SuperLU's
     transposed kernel.
 
-    A stage applies three stacked blocks per class, each an (n + L) x c block
+    A stage applies two stacked blocks per class, each an (n + L) x c block
     over one segment of the system's `cell_classes` store, applied by that
     store in one pass (`CellClasses.apply`) and built after the LU:
     `stage_blocks` [(A^-1 M - I) / (a* dt); -a* dt K_FT A^-1 M] on a stage's
-    start state, `forcing_blocks` [A^-1; -(a* dt)^2 K_FT A^-1] on its load
-    and `back_blocks` [G; a* dt (K_FF,c - a* dt B_c)] on its face unknowns,
-    K_FF,c being the cell's own face-face blocks, block-diagonal over its
+    start state and `back_blocks` [G; a* dt (K_FF,c - a* dt B_c)] on its face
+    unknowns. A third, `forcing_blocks` [A^-1; -(a* dt)^2 K_FT A^-1], maps each
+    term vector of a load once (`ImplicitStepper`), and a forced stage adds
+    the stored parts scaled by its time factors. In the back blocks
+    K_FF,c are the cell's own face-face blocks, block-diagonal over its
     faces. What the back pass adds onto the face dofs is S u_f without the
     interface coupling, which `back_pass` adds from `coupling`: the rows
     `coupling_rows` of a* dt times the interface blocks of K_FF, as CSR.
@@ -653,10 +703,12 @@ class ImplicitStepper(_Stepper):
     k_i = (u_i - u~_i) / (a* dt) = (A^-1 M - I) u~_i / (a* dt) + A^-1 f_i - G u_f
     with u_f = S^-1 (-a* dt K_FT A^-1 M u~_i - (a* dt)^2 K_FT A^-1 f_i), and
     the step is u_t + dt sum_j b_j k_j (`_Stepper.step`). A stage's slope
-    (`_slope`) is the stage blocks of `fact` on u~_i, and the forcing blocks
-    on f_i if the stage is forced, which give the slope's cell part and the
-    Schur right-hand side, less the G u_f of its face solve
-    (`CondensedFactorization.face_solve`).
+    (`_slope`) is the stage blocks of `fact` on u~_i, which give the slope's
+    cell part and the Schur right-hand side, less the G u_f of its face solve
+    (`CondensedFactorization.face_solve`). A forced stage adds the forcing
+    blocks' pass on f_i to both: sum_j g_j(t_i) times the pass on each term
+    vector v_j of its load, stored once per load (`_map_load`), in place of a
+    sum, a sort and a class pass per stage.
     The only block-diagonal matrix inverted is M + a* dt K_TT, condensed
     once, for the stepper's dt (`fact`); a step of any other dt is refused.
     A step runs in the class order of the system's `cell_classes`: the state
@@ -678,14 +730,20 @@ class ImplicitStepper(_Stepper):
         store = self.fact.store
         return store.unsort(super().step(store.sort(u_t), t, dt, forcing, step_index))
 
+    def _map_load(self, v: np.ndarray) -> np.ndarray:
+        """The part of a load vector: the forcing pass on it, class-ordered,
+        its cell part followed by its face part."""
+        store = self.fact.store
+        return np.concatenate(store.apply(self.fact.forcing_blocks, store.sort(v)))
+
     def _slope(self, u_i: np.ndarray, f_i: np.ndarray | None) -> np.ndarray:
-        """The slope of a stage from its class-ordered start state and load."""
+        """The slope of a stage from its class-ordered start state and the
+        forcing pass on its load."""
         fact = self.fact
         k, rhs = fact.store.apply(fact.stage_blocks, u_i)
         if f_i is not None:
-            k_f, rhs_f = fact.store.apply(fact.forcing_blocks, fact.store.sort(f_i))
-            k += k_f
-            rhs += rhs_f
+            k += f_i[:len(k)]
+            rhs += f_i[len(k):]
         k -= fact.face_solve(rhs)
         return k
 

@@ -17,7 +17,9 @@ that `PolyMesh.locate_cell` applies to all cells at once;
 sorts coordinates. The implicit stepper holds fused class blocks and no
 Schur matrix; `condensed_stacks` and `schur_matrix` rebuild the class
 inverses and S from the class store for the tests to compose and multiply.
-`polygon_diameter_pairs` takes a cell's diameter over all vertex pairs.
+The steppers scale a load's mapped term vectors; `load_at` sums the load
+itself for the dense reference steppers. `polygon_diameter_pairs` takes a
+cell's diameter over all vertex pairs.
 """
 
 import math
@@ -285,6 +287,14 @@ def schur_matrix(system, a_star, dt):
         k_ft_g = store.blocks[shape]["k_ft"] @ c["g"]
         blocks[shape] = -ad * (0.5 * (k_ft_g + np.swapaxes(k_ft_g, 1, 2)))
     return (ad * store.face_matrix(blocks, system.k_ff)).tocsr()
+
+
+def load_at(forcing, t):
+    """The load sum_j g_j(t) v_j of a `timestep.Forcing` at time t, term by
+    term; None without a forcing."""
+    if forcing is None:
+        return None
+    return sum(g(t) * v for g, v in zip(forcing.factors, forcing.vectors))
 
 
 def polygon_diameter_pairs(vertices):

@@ -15,7 +15,7 @@ from hhowave.scenarios import (ManufacturedCase, cfl_bracket, energy, manufactur
                                manufactured_initial_state)
 from hhowave import hho, mesh as msh, timestep
 from hhowave.hho import BlockDiagonal
-from hhowave.timestep import FactorizedOperator, SolverError, TimestepError
+from hhowave.timestep import FactorizedOperator, Forcing, SolverError, TimestepError
 
 import oracles
 from oracles import condensed_stacks, manufactured_state
@@ -62,7 +62,7 @@ def dense_erk_step(system, tab, u_t, t, dt, forcing=None):
             break
         u_f = np.linalg.solve(k_ff, -(k_ft @ u)) if n_f else np.zeros(0)
         r = -(k_tt @ u) - (k_tf @ u_f if n_f else 0.0)
-        f = forcing(t + tab.c[i] * dt) if forcing is not None else None
+        f = oracles.load_at(forcing, t + tab.c[i] * dt)
         if f is not None:
             r = r + f
         stage_r.append(r)
@@ -82,7 +82,7 @@ def dense_sdirk_step(system, tab, u_t, t, dt, forcing=None):
     stage_r, stage_w = [], []
     m_u = mass @ u_t
     for i in range(tab.s):
-        f_i = forcing(t + tab.c[i] * dt) if forcing is not None else None
+        f_i = oracles.load_at(forcing, t + tab.c[i] * dt)
         b_t = m_u + (ad * f_i if f_i is not None else 0.0)
         b_f = np.zeros(n_f)
         for j in range(i):
@@ -495,6 +495,28 @@ def test_erk_matches_dense_oracle(kind):
         assert np.linalg.norm(u_block - u_dense) < 1e-12 * scale, family
 
 
+def _loads_in_turn(system):
+    """Three steps' loads: the manufactured load A, none, then a load B
+    with A's time factors and other vectors, which a stepper still holding
+    A's mapped parts would get wrong."""
+    _, u0, load_a = make_case_state(system)
+    vectors = np.random.default_rng(20).standard_normal(load_a.vectors.shape)
+    return u0, (load_a, None, Forcing(list(zip(load_a.factors, vectors))))
+
+
+def test_erk_maps_each_load_it_is_given():
+    # one stepper, three steps against the dense stage recursion at the
+    # bound of test_erk_matches_dense_oracle
+    system = make_system(k=1, level=1, family="polygonal-hexagonal")
+    tab, dt = tableau("ERK4"), 0.01
+    stepper = ExplicitStepper(system, tab)
+    u, loads = _loads_in_turn(system)
+    for n, forcing in enumerate(loads):
+        want = dense_erk_step(system, tab, u, n * dt, dt, forcing)
+        u = stepper.step(u, n * dt, dt, forcing)
+        assert np.linalg.norm(u - want) < 1e-12 * np.linalg.norm(want), n
+
+
 @pytest.mark.parametrize("family", ["cartesian", "polygonal-hexagonal", "simplicial"])
 def test_face_eliminated_operator_is_dissipative(family):
     # M L = K_TT - K_TF K_FF^-1 K_FT, whose symmetric part must be PSD: the
@@ -584,6 +606,19 @@ def test_sdirk_matches_dense_oracle(kind):
             u_cond = stepper.step(u_cond, n * dt, dt, forcing)
             u_dense = dense_sdirk_step(system, tab, u_dense, n * dt, dt, forcing)
         assert np.linalg.norm(u_cond - u_dense) < 1e-10 * np.linalg.norm(u_dense), family
+
+
+def test_sdirk_maps_each_load_it_is_given():
+    # one stepper, three steps against the dense stage recursion at the
+    # bound of test_sdirk_matches_dense_oracle
+    system = make_system(k=1, level=1, mode="implicit", family="polygonal-hexagonal")
+    tab, dt = tableau("SDIRK34"), 0.02
+    stepper = ImplicitStepper(system, tab, dt=dt)
+    u, loads = _loads_in_turn(system)
+    for n, forcing in enumerate(loads):
+        want = dense_sdirk_step(system, tab, u, n * dt, dt, forcing)
+        u = stepper.step(u, n * dt, dt, forcing)
+        assert np.linalg.norm(u - want) < 1e-10 * np.linalg.norm(want), n
 
 
 def test_stage_solve_with_zero_face_rhs():
@@ -860,7 +895,7 @@ def test_step_equals_stage_solve_composition(mesh_name, forced):
         u_start = u0 + dt * sum(tab.a[i, j] * slopes[j] for j in range(i))
         b_t = system.mass @ u_start
         if forced:
-            b_t += ad * forcing(tab.c[i] * dt)
+            b_t += ad * oracles.load_at(forcing, tab.c[i] * dt)
         u_i, _ = stage_solve(stepper.fact, b_t, np.zeros(system.n_face_dofs))
         slopes.append((u_i - u_start) / ad)
     want = u0 + dt * sum(b * k for b, k in zip(tab.b, slopes))
@@ -936,9 +971,7 @@ def _forced_march(system, materials, n_steps=20):
     else:
         u0, load = np.random.default_rng(18).standard_normal((2, system.n_cell_dofs))
         dt = 1e-5       # a Courant number near 0.2 in metres against the SI materials
-
-        def forcing(t):
-            return math.cos(t / (7.0 * dt)) * load
+        forcing = Forcing([(lambda t: math.cos(t / (7.0 * dt)), load)])
     stepper = ImplicitStepper(system, tableau("SDIRK34"), dt)
     u = timestep.run_time_loop(stepper, u0, dt, n_steps, forcing)
     return u, stepper.fact.schur_solver
@@ -963,6 +996,49 @@ def test_float32_factor_holds_to_float64(mesh_name, materials, k, monkeypatch):
     assert 0.0 < single.max_residual <= 1e-8
     assert single.lu_nnz <= exact.lu_nnz
     assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("materials", [ACADEMIC, GRANITE_WATER], ids=["academic", "granite-water"])
+def test_float32_start_from_the_gram_matrix(materials, monkeypatch):
+    # every start of a float32 march against the least-squares combination of
+    # the history's (n, m) products: under granite-water, whose histories
+    # are conditioned near 1e3, the weights agree to 1e-8 (7e-10 measured);
+    # under academic materials at dt = 1/640 the history is conditioned
+    # near 1e6, its Gram matrix near 1e12, so the weights differ by up to
+    # 2.6e-3 and the start's residual exceeds the least-squares one by at
+    # most 1e-6 (8e-7 measured). The march takes as many LU solves as the
+    # (n, m) start took: 61 and 63 for its 60 solves
+    system = assemble(golden_mesh("polygonal-hexagonal"), materials,
+                      StabilizationConfig.implicit(), k=1)
+    monkeypatch.setattr(timestep, "SINGLE_MIN_ENTRIES", 0)
+    lstsq, weights, starts = np.linalg.lstsq, [], []
+
+    def spy(a, b, rcond):
+        weights.append(lstsq(a, b, rcond=rcond)[0])
+        return weights[-1], None, None, None
+
+    def checked_solve(solver, rhs, out=None):
+        m = min(solver._accepted, timestep.HISTORY)
+        products, b = solver._history[1, :m], solver._outer * rhs
+        want = lstsq(products.T, b, rcond=None)[0] if m else None
+        x = solve(solver, rhs, out)
+        if m:
+            got = weights.pop()
+            starts.append((np.linalg.norm(got - want) / np.linalg.norm(want),
+                           np.linalg.norm(b - got @ products) / np.linalg.norm(b - want @ products)))
+        return x
+
+    solve = FactorizedOperator.solve
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    monkeypatch.setattr(FactorizedOperator, "solve", checked_solve)
+    _, single = _forced_march(system, materials)
+    assert single.precision == "float32" and not weights
+    assert len(starts) == single.solves - 1 == 59
+    assert single.corrections == (61 if materials is ACADEMIC else 63)
+    alpha_error, residual_ratio = np.max(starts, axis=0)
+    assert residual_ratio <= 1.0 + 1e-6
+    if materials is GRANITE_WATER:
+        assert alpha_error <= 1e-8
 
 
 def test_float32_solve_scales_its_right_hand_side(monkeypatch):
@@ -1136,7 +1212,7 @@ def test_single_cell_mesh_reduces_to_cell_solve():
     rng = np.random.default_rng(0)
     u0 = rng.standard_normal(system.n_cell_dofs)
     load = rng.standard_normal(system.n_cell_dofs)
-    for forcing in (None, lambda t: math.cos(t) * load):
+    for forcing in (None, Forcing([(math.cos, load)])):
         u1 = stepper.step(u0, 0.0, 0.01, forcing)
         ref = dense_sdirk_step(system, tab, u0, 0.0, 0.01, forcing)
         assert np.linalg.norm(u1 - ref) < 1e-11 * np.linalg.norm(ref)
