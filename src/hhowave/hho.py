@@ -209,10 +209,10 @@ class DofLayout:
 
     @cached_property
     def face_sign(self) -> np.ndarray:
-        """The sign J of every face dof: -1 on the solid side (the dofs of
+        """The side of every face dof: -1 on the solid side (the dofs of
         solid faces and the solid trace of interface faces), +1 on the fluid
-        side. The face Schur complement is J-symmetric, S = J S^T J
-        (`timestep.FactorizedOperator`)."""
+        side. The interface coupling of K_FF is its entries between dofs of
+        opposite sides (`timestep.CondensedFactorization`)."""
         fclass = np.repeat(self.mesh.face_class, self.face_size)
         local = np.arange(self.n_face_dofs) - np.repeat(self.face_offset[:-1], self.face_size)
         solid = (fclass == msh.F_INT_SOLID) | ((fclass == msh.F_INTERFACE)
@@ -295,15 +295,13 @@ class LocalBlocks:
     tau: np.ndarray                  # (g,) stabilization weights
     face_ids: np.ndarray             # (g, n_v)
 
-    def k_tf(self, j=slice(None)):
-        """Cell-to-face stiffness blocklets of local face(s) j (rows dual|primal)."""
-        return np.concatenate([-self.grad_face[..., j, :, :], self.stab_face[..., j, :, :]],
-                              axis=-2)
+    def k_tf(self):
+        """Cell-to-face stiffness blocklets of every local face (rows dual|primal)."""
+        return np.concatenate([-self.grad_face, self.stab_face], axis=-2)
 
-    def k_ft(self, j=slice(None)):
-        """Face-to-cell stiffness blocklets of local face(s) j."""
-        return np.swapaxes(np.concatenate([self.grad_face[..., j, :, :],
-                                           self.stab_face[..., j, :, :]], axis=-2), -1, -2)
+    def k_ft(self):
+        """Face-to-cell stiffness blocklets of every local face."""
+        return np.swapaxes(np.concatenate([self.grad_face, self.stab_face], axis=-2), -1, -2)
 
 
 def _interleave_vector(mat_x, mat_y):
@@ -414,8 +412,8 @@ def coupling_block(mesh: msh.PolyMesh, fi, k: int) -> np.ndarray:
 
     Entry (i, 2j+a) is the face mass of modes (i, j) times component a of the
     interface normal, realizing the pairing of the solid normal velocity with
-    the fluid pressure test trace. A face id gives one (fd, 2 fd) block, an
-    array of face ids the stacked blocks.
+    the fluid pressure test trace. Returns the (fd, 2 fd) blocks of the face
+    ids `fi`, stacked.
     """
     ids = np.atleast_1d(fi)
     wrong = ids[mesh.face_class[ids] != msh.F_INTERFACE]
@@ -424,9 +422,8 @@ def coupling_block(mesh: msh.PolyMesh, fi, k: int) -> np.ndarray:
     rule = face_rule(mesh, ids, 2 * k)
     psi = rule.basis(k)
     mass_f = rule.gram(psi, psi)
-    out = (mass_f[..., None] * mesh.face_normal[ids][:, None, None, :]).reshape(
+    return (mass_f[..., None] * mesh.face_normal[ids][:, None, None, :]).reshape(
         len(ids), mass_f.shape[1], -1)
-    return out if np.ndim(fi) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -809,13 +806,15 @@ class CellClasses:
                                           & rows[:, :, None] & cols[:, None, :]))
         return count
 
-    def face_matrix(self, stacks: dict, base: sp.csr_matrix) -> sp.csr_matrix:
+    def face_matrix(self, stacks: dict, base: sp.spmatrix) -> sp.csr_matrix:
         """`base` plus a face-to-face operator given per class by dense local
         blocks {shape: (classes, L, L)} over the cell's local face dofs: every
         cell's block is placed at its face dofs, Dirichlet pad slots and exact
         zeros dropped, in one COO to CSR conversion. The triplets of a
         segment are its int32 face dofs broadcast against each other and its
-        blocks, picked by one mask.
+        blocks, picked by one mask. The implicit stage's S is the face parts
+        of its back blocks over the interface coupling of K_FF as `base`
+        (`timestep.CondensedFactorization`).
 
         These blocks keep every nonzero entry (not floored), round-off ones
         included, because the floor costs the factorization more than it

@@ -23,19 +23,19 @@ block-diagonal M + a* dt K_TT is the only matrix they invert, and only once
 per congruence class of cells
 (the system's `hho.CellClasses` store, built by assembly), together with
 its product G = A^-1 K_TF. The face-coupled Schur complement S is assembled
-from the same class blocks, each class's dense K_FT,c G_c, symmetrized,
-scattered to its members' face dofs, factored once and released: only its
-LU is kept. No
-per-cell inverse is formed. A stage is two passes over stacked class
-blocks (`hho.CellClasses.apply`) around its Schur solve, never a product
-with a global sparse matrix:
+once, from the face parts of the back blocks below scattered to every
+member's face dofs and the interface coupling of K_FF, factored and
+released: only its LU is kept. No per-cell inverse is formed. A stage is
+two passes over stacked class blocks (`hho.CellClasses.apply`) around its
+Schur solve, never a product with a global sparse matrix:
 the stage blocks [(A^-1 M - I) / (a* dt); -a* dt K_FT A^-1 M] on the
 stage's start state give the cell part of its slope and the Schur
 right-hand side (a forced stage adds the pass of [A^-1; -(a* dt)^2 K_FT A^-1]
 on its load, combined from the passes on the load's term vectors, made once
 per load), and the back blocks [G; a* dt (K_FF,c - a* dt K_FT,c G_c)]
 on the face unknowns give G u_f for the slope and all of S u_f but its
-interface coupling, from which the solve is checked.
+interface coupling, from which the solve is checked. B_c = K_FT,c G_c is
+symmetric in exact arithmetic and is symmetrized.
 Cell vectors are sorted by class once per step, so each class of many
 members is one GEMM on a reshaped view of its cells' dofs and the cells of
 the smaller classes of one block shape one stacked `matmul`; the face parts
@@ -51,13 +51,12 @@ with small entries dropped and every solve refined in float64 to the same
 check (`FactorizedOperator`). S is
 structurally symmetric, and once equilibrated by D = |diag S|^-1/2 the
 symmetric part of D S D is positive definite. The LU therefore factors
-D S D without pivoting, with a minimum-degree ordering on the pattern of
+without pivoting, with a minimum-degree ordering on the pattern of
 A^T + A (SuperLU's MMD_AT_PLUS_A) applied to rows and columns alike, which
 leaves less fill than SuperLU's default COLAMD ordering (about half from
-10^4 face unknowns on). S is J-symmetric, S = J S^T J for the sign J that
-is -1 on solid-side face dofs (`hho.DofLayout.face_sign`), so the LU
-solves S u_f = b as J u_f = S^-T J b, with SuperLU's transposed kernel
-(`FactorizedOperator`). Every solve is checked
+10^4 face unknowns on). It factors D S^T D, whose CSC arrays are the CSR
+arrays of S, and solves S u_f = b with SuperLU's transposed kernel on that
+LU. Every solve is checked
 by its equilibrated residual ||D (S u_f - b)|| / ||D b|| <= 1e-8, with
 S u_f taken from the back pass and a product with the interface coupling
 of K_FF (`CondensedFactorization.back_pass`), so the check costs no
@@ -227,15 +226,14 @@ SINGLE_RHS_EXPONENT = 64
 class FactorizedOperator:
     """Reusable LU factorization of a face Schur complement S.
 
-    The operator equilibrates S by D = |diag S|^-1/2 (`scale`; 1 where the
-    diagonal is zero), in place if S is given as CSC, and factors D S D
-    without pivoting and with a minimum-degree ordering on A^T + A applied
-    symmetrically. It keeps the LU and D, not S.
-
-    S must be J-symmetric, S = J S^T J, for the face sign J (`sign`, +1 or -1
-    per dof; `hho.DofLayout.face_sign` for a face Schur complement, all ones
-    for a symmetric matrix). Then S x = b is J x = S^-T J b, and an LU solve
-    is the transposed solve D J (D S D)^-T (J D b) on the one LU. SuperLU's
+    The operator reads S, given as CSR, as the CSC matrix S^T on the same
+    arrays, with no copy and no transposition (Davis, Direct Methods for
+    Sparse Linear Systems, SIAM 2006, ch. 2). It equilibrates S^T by
+    D = |diag S|^-1/2 (`scale`; 1 where the diagonal is zero), in place in
+    the arrays of a CSR S, and factors D S^T D without pivoting and with a
+    minimum-degree ordering on A^T + A applied symmetrically. It keeps the
+    LU and D, not S. An LU solve is the transposed solve
+    x = D (D S^T D)^-T D b = S^-1 b on that LU, for any S. SuperLU's
     transposed kernel is faster than its plain one on small LUs (12% on
     `ricker`) and on the largest (5-7% at 29,929 granite-water cells), and
     4-7% slower only on mid-size LUs of 3-6M entries; `BENCH_28.json` holds
@@ -244,7 +242,8 @@ class FactorizedOperator:
     The precision follows from the size of S, known before the factor
     (`precision`). Below `SINGLE_MIN_ENTRIES` entries the LU is a float64
     `splu`. From that size on it is a float32
-    `spilu` that drops entries below 1e-8 of their column: it stores
+    `spilu`, on float32 values of S and its index arrays, that drops
+    entries below 1e-8 of their column: it stores
     15-36% fewer entries in half the value bytes (22.8M -> 19.5M on
     hexagonal L6, 177.4M -> 113.7M at 29,929 granite-water cells). A full
     float32 factor is no alternative: its fill decays into subnormals, whose
@@ -307,9 +306,10 @@ class FactorizedOperator:
     and the LU entries per face dof.
     """
 
-    def __init__(self, matrix: sp.spmatrix, sign: np.ndarray):
+    def __init__(self, matrix: sp.spmatrix):
         self.n = matrix.shape[0]
-        matrix = matrix.tocsc()
+        # S^T as CSC: the arrays of a CSR S, not copied
+        matrix = matrix.T.tocsc()
         self.matrix_nnz = int(matrix.nnz)
         self.single = self.matrix_nnz >= SINGLE_MIN_ENTRIES
         self.solves = self.corrections = self.max_corrections = 0
@@ -330,7 +330,10 @@ class FactorizedOperator:
             ordering = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                             options=dict(SymmetricMode=True))
             if self.single:
-                self._lu = spla.spilu(matrix.astype(np.float32), drop_tol=1e-8,
+                # float32 values on the index arrays of S
+                matrix = sp.csc_matrix((matrix.data.astype(np.float32), matrix.indices,
+                                        matrix.indptr), shape=matrix.shape)
+                self._lu = spla.spilu(matrix, drop_tol=1e-8,
                                       drop_rule="basic", fill_factor=30, **ordering)
             else:
                 self._lu = spla.splu(matrix, **ordering)
@@ -344,11 +347,10 @@ class FactorizedOperator:
                               f"({type(exc).__name__}: {exc})") from exc
         self.factor_s = time.perf_counter() - start
         self.lu_nnz = int(self._lu.nnz)
-        self._outer = self.scale * sign     # D J
         self._accepted = 0
         if self.single:
             self._floor = self._lu.solve(np.ones(self.n, dtype=np.float32), trans="T")
-            # accepted solutions and their products D J S x, filled in turn,
+            # accepted solutions and their products D S x, filled in turn,
             # and the Gram matrix of the products
             self._history = np.empty((2, HISTORY, self.n))
             self._gram = np.empty((HISTORY, HISTORY))
@@ -366,7 +368,7 @@ class FactorizedOperator:
                 "solve_s": self.solve_s, "max_residual": self.max_residual}
 
     def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """LU^-T of a right-hand side in the scaling D J, counted and timed."""
+        """LU^-T of a right-hand side in the scaling D, counted and timed."""
         self._solve_corrections += 1
         self.corrections += 1
         self.max_corrections = max(self.max_corrections, self._solve_corrections)
@@ -396,8 +398,8 @@ class FactorizedOperator:
             return np.zeros(0) if out is None else out
         self.solves += 1
         self._solve_corrections = 0
-        # D J LU^-T (J D b)
-        self._rhs = self._outer * rhs
+        # D LU^-T (D b)
+        self._rhs = self.scale * rhs
         self._norm = np.linalg.norm(self._rhs)
         out = np.empty(self.n) if out is None else out
         residual = self._rhs
@@ -409,13 +411,13 @@ class FactorizedOperator:
             residual = self._rhs - alpha @ products
         else:
             out.fill(0.0)
-        out += self._outer * self._lu_solve(residual)
+        out += self.scale * self._lu_solve(residual)
         return out
 
     def correct(self, x: np.ndarray) -> None:
         """One more correction of x, the solution of the last solve, in place:
         x += LU^-1 (b - S x), from the residual its failed check kept."""
-        x += self._outer * self._lu_solve(self._residual)
+        x += self.scale * self._lu_solve(self._residual)
 
     def check(self, x: np.ndarray, product: np.ndarray) -> bool:
         """Check the last solve from its solution x and the product S x: True
@@ -424,11 +426,11 @@ class FactorizedOperator:
         a float32 solve has corrections left (`correct`). Raises
         SolverError on a residual that is not finite or fails the check
         after the last correction. Both norms are taken in the solve's
-        scaling D J, which leaves them unchanged. A float32 solve that
-        passes joins the history the next solves start from."""
+        scaling D. A float32 solve that passes joins the history the next
+        solves start from."""
         if self.n == 0 or not self._norm > 0:
             return True
-        product = self._outer * product
+        product = self.scale * product
         self._residual = self._rhs - product
         res = np.linalg.norm(self._residual) / self._norm
         if np.isfinite(res) and res <= 1e-8:
@@ -582,40 +584,35 @@ class CondensedFactorization:
     factored face Schur complement S = a* dt (K_FF - a* dt sum_c B_c) with
     B_c = K_FT,c G_c, and the stacked class blocks a stage applies.
 
-    Valid for one (a*, dt) pair; reused across stages and steps. The Schur
-    matrix is assembled once from the class blocks: each class contributes
-    its dense B_c over its local face dofs, scattered to every member's face
-    dofs next to K_FF in one COO to CSR conversion, and converted to the CSC
-    matrix that `schur_solver`, its direct LU (`FactorizedOperator`),
-    equilibrates and factors. S is dropped once factored. `build_s` is the
-    time spent before the factorization, and `build_rss_mb` and
-    `build_current_rss_mb` the process's peak and current RSS once S is
-    built, before the LU (`peak_rss_mb`, `current_rss_mb`).
-
-    S is J-symmetric, S = J S^T J with the face sign J
-    (`hho.DofLayout.face_sign`: -1 on solid-side face dofs), by
-    construction: a cell's local face dofs all lie on one side of the
-    interface, so B_c is symmetric in exact arithmetic and is replaced by
-    (B_c + B_c^T) / 2, and the only fluid-solid coupling in S, the interface
-    blocks [c, -c^T] of K_FF, is skew. Unsymmetrized, B_c is off by round-off
-    that grows with the degree and the material contrast: up to 1.4e-8 of
-    its norm on the simplicial L2 golden mesh under granite-water at k=3
-    (dt = 0.01), against 1.2e-15 on the cartesian one under academic
-    materials at k=1. This is what lets the LU solve S with SuperLU's
-    transposed kernel.
-
-    A stage applies two stacked blocks per class, each an (n + L) x c block
-    over one segment of the system's `cell_classes` store, applied by that
-    store in one pass (`CellClasses.apply`) and built after the LU:
-    `stage_blocks` [(A^-1 M - I) / (a* dt); -a* dt K_FT A^-1 M] on a stage's
-    start state and `back_blocks` [G; a* dt (K_FF,c - a* dt B_c)] on its face
-    unknowns. A third, `forcing_blocks` [A^-1; -(a* dt)^2 K_FT A^-1], maps each
-    term vector of a load once (`ImplicitStepper`), and a forced stage adds
-    the stored parts scaled by its time factors. In the back blocks
-    K_FF,c are the cell's own face-face blocks, block-diagonal over its
-    faces. What the back pass adds onto the face dofs is S u_f without the
-    interface coupling, which `back_pass` adds from `coupling`: the rows
+    Valid for one (a*, dt) pair; reused across stages and steps. A stage
+    applies two stacked blocks per class, each an (n + L) x c block over one
+    segment of the system's `cell_classes` store, applied by that store in
+    one pass (`CellClasses.apply`): `stage_blocks`
+    [(A^-1 M - I) / (a* dt); -a* dt K_FT A^-1 M] on a stage's start state
+    and `back_blocks` [G; a* dt (K_FF,c - a* dt B_c)] on its face unknowns.
+    A third, `forcing_blocks` [A^-1; -(a* dt)^2 K_FT A^-1], maps each term
+    vector of a load once (`ImplicitStepper`), and a forced stage adds the
+    stored parts scaled by its time factors. In the back blocks K_FF,c are
+    the cell's own face-face blocks, block-diagonal over its faces. What the
+    back pass adds onto the face dofs is S u_f without the interface
+    coupling, which `back_pass` adds from `coupling`: the rows
     `coupling_rows` of a* dt times the interface blocks of K_FF, as CSR.
+
+    S is assembled once, before the stage and forcing blocks: the face parts
+    a* dt (K_FF,c - a* dt B_c) of the back blocks, scattered to every
+    member's face dofs over the interface coupling in one COO to CSR
+    conversion (`CellClasses.face_matrix`), are the only copy of S, which
+    `schur_solver`, its direct LU (`FactorizedOperator`), equilibrates and
+    factors as S^T from its own arrays. S is dropped once factored.
+    `build_s` is the time spent before the factorization, and
+    `build_rss_mb` and `build_current_rss_mb` the process's peak and current
+    RSS once S is built, before the LU (`peak_rss_mb`, `current_rss_mb`).
+    B_c is symmetric in exact arithmetic and is replaced by (B_c + B_c^T) / 2,
+    the form the goldens were locked on. Unsymmetrized, B_c is off by
+    round-off that grows with the degree and the material contrast: up to
+    1.4e-8 of its norm on the simplicial L2 golden mesh under granite-water
+    at k=3 (dt = 0.01), against 1.2e-15 on the cartesian one under academic
+    materials at k=1.
 
     `face_solve` is a stage's whole face solve, from the Schur right-hand
     side to G u_f: the LU solve, the back pass, its check and the
@@ -632,43 +629,51 @@ class CondensedFactorization:
         self.dt = float(dt)
         ad = self.a_star * self.dt
         store = self.store = system.cell_classes
-        sign = system.layout.face_sign
         inverse = {shape: inverse_stack(blk["mass"] + ad * blk["k_tt"],
                                         system.layout.cell_offset[blk["cells"]], "condensed cell")
                    for shape, blk in store.blocks.items()}
-        g = {shape: inverse[shape] @ blk["k_tf"] for shape, blk in store.blocks.items()}
-        # B_c = K_FT,c G_c, symmetrized
-        b_c = {shape: blk["k_ft"] @ g[shape] for shape, blk in store.blocks.items()}
-        b_c = {shape: 0.5 * (b + np.swapaxes(b, 1, 2)) for shape, b in b_c.items()}
-        # S = a* dt (K_FF - a* dt sum_c B_c), released once factored
-        schur = store.face_matrix({shape: -ad * b for shape, b in b_c.items()},
-                                  system.k_ff).tocsc()
-        schur.data *= ad
+        # a* dt times the interface blocks of K_FF, the only entries of S
+        # linking the two sides of the interface
+        sign = system.layout.face_sign
+        kff = system.k_ff.tocoo()
+        cross = sign[kff.row] != sign[kff.col]
+        coupling = sp.coo_matrix((ad * kff.data[cross], (kff.row[cross], kff.col[cross])),
+                                 shape=kff.shape)
+        self.coupling_rows = np.unique(coupling.row)
+        self.coupling = coupling.tocsr()[self.coupling_rows]
+        back, faces = {}, {}
+        for shape, blk in store.blocks.items():
+            g = inverse[shape] @ blk["k_tf"]
+            # B_c = K_FT,c G_c, symmetrized
+            b_c = blk["k_ft"] @ g
+            b_c = 0.5 * (b_c + np.swapaxes(b_c, 1, 2))
+            # the cell's face-face blocks (classes, n_v, s, s), block-diagonal over its faces
+            k_ff = blk["k_ff"]
+            k_ff = np.einsum("cvab,vw->cvawb", k_ff, np.eye(k_ff.shape[1])).reshape(b_c.shape)
+            back[shape] = np.concatenate((g, ad * (k_ff - ad * b_c)), 1)
+            faces[shape] = back[shape][:, g.shape[1]:]
+        # S: the back blocks' face parts over the coupling, released once
+        # factored. The COO to CSR conversion leaves its arrays as views into
+        # buffers of one slot per triplet (2,893,696 for 2,650,436 entries on
+        # hexagonal L6), and the copy compacts them: without it, a second
+        # set-up in one process peaked at 336 MB there instead of 286 MB, the
+        # first at 286 MB instead of 283 MB (allocator placement)
+        schur = store.face_matrix(faces, coupling).copy()
         self.build_s = time.perf_counter() - start
         self.build_current_rss_mb, self.build_rss_mb = current_rss_mb(), peak_rss_mb()
-        self.schur_solver = FactorizedOperator(schur, sign)
+        self.schur_solver = FactorizedOperator(schur)
         del schur
 
-        stage, forcing, back = {}, {}, {}
+        stage, forcing = {}, {}
         for shape, blk in store.blocks.items():
             a_m = inverse[shape] @ blk["mass"]
             n = a_m.shape[-1]
             stage[shape] = np.concatenate(((a_m - np.eye(n)) / ad, -ad * (blk["k_ft"] @ a_m)), 1)
             forcing[shape] = np.concatenate((inverse[shape],
                                              -ad * ad * (blk["k_ft"] @ inverse[shape])), 1)
-            # the cell's face-face blocks (classes, n_v, s, s), block-diagonal over its faces
-            k_ff = blk["k_ff"]
-            k_ff = np.einsum("cvab,vw->cvawb", k_ff, np.eye(k_ff.shape[1])).reshape(
-                b_c[shape].shape)
-            back[shape] = np.concatenate((g[shape], ad * (k_ff - ad * b_c[shape])), 1)
         self.stage_blocks = store.segment_blocks(stage)
         self.forcing_blocks = store.segment_blocks(forcing)
         self.back_blocks = store.segment_blocks(back)
-        k_ff = system.k_ff.tocoo()
-        cross = sign[k_ff.row] != sign[k_ff.col]
-        self.coupling_rows, rows = np.unique(k_ff.row[cross], return_inverse=True)
-        self.coupling = sp.csr_matrix((ad * k_ff.data[cross], (rows, k_ff.col[cross])),
-                                      shape=(len(self.coupling_rows), k_ff.shape[1]))
         self._u_f = np.zeros(system.n_face_dofs + 1)
 
     def back_pass(self, u_f: np.ndarray) -> tuple:

@@ -304,7 +304,7 @@ def test_coupling_block_horizontal_face():
     mesh = msh.PolyMesh(verts, cells, [msh.FLUID, msh.SOLID])
     fi = int(mesh.interface_faces[0])
     assert np.allclose(mesh.face_normal[fi], (0.0, 1.0))
-    c0 = coupling_block(mesh, fi, k=0)
+    c0 = coupling_block(mesh, fi, k=0)[0]
     assert c0.shape == (1, 2)
     assert abs(c0[0, 1] - 1.0) < 1e-14   # |F| on the y-velocity column
     assert abs(c0[0, 0]) < 1e-14         # x-velocity column vanishes
@@ -313,7 +313,7 @@ def test_coupling_block_horizontal_face():
 def test_coupling_block_vertical_face():
     mesh = generate(MeshGenSpec("cartesian", 0, **BILAYER))
     fi = int(mesh.interface_faces[0])
-    c1 = coupling_block(mesh, fi, k=1)
+    c1 = coupling_block(mesh, fi, k=1)[0]
     assert np.max(np.abs(c1[:, 1::2])) < 1e-14  # n = (1, 0): y columns vanish
     assert np.max(np.abs(c1[:, 0::2])) > 0
 
@@ -345,14 +345,14 @@ def dense_from_blocks(mesh, layout, materials, config):
             fi = int(fi)
             if layout.face_size[fi] == 0:
                 dirichlet = slice(layout.dirichlet_offset[fi], layout.dirichlet_offset[fi + 1])
-                ops["k_td"][sl, dirichlet] += blocks.k_tf(j)
+                ops["k_td"][sl, dirichlet] += blocks.k_tf()[j]
                 continue
             face = layout.face_side_slice(fi, "fluid" if blocks.is_fluid else "solid")
-            ops["k_tf"][sl, face] += blocks.k_tf(j)
-            ops["k_ft"][face, sl] += blocks.k_ft(j)
+            ops["k_tf"][sl, face] += blocks.k_tf()[j]
+            ops["k_ft"][face, sl] += blocks.k_ft()[j]
             ops["k_ff"][face, face] += blocks.stab_face_face[j]
     for fi in mesh.interface_faces:
-        c = coupling_block(mesh, int(fi), layout.k)
+        c = coupling_block(mesh, int(fi), layout.k)[0]
         off = int(layout.face_offset[fi])
         ops["k_ff"][off:off + fd, off + fd:off + 3 * fd] += c
         ops["k_ff"][off + fd:off + 3 * fd, off:off + fd] -= c.T
