@@ -20,9 +20,9 @@ applied to known face values.
 Local blocks are formed once per congruence class of cells
 (`congruence_classes`) by the class store `CellClasses`, which forms one
 representative's blocks per class on `basis.cell_groups` and keeps them
-with its fan rule; `assemble` scatters the face-face blocks and the
-Dirichlet columns of K_TF to every member's own dofs, one block shape
-(subdomain, vertex count) at a time. Every other cell integral
+with its fan rule; `assemble` sums every member's face-face blocks into
+its faces' blocks and its Dirichlet columns of K_TF into K_TD, one block
+shape (subdomain, vertex count) at a time. Every other cell integral
 (`load_moments`, `project_state`, `scenarios.l2_error_dual` and
 `cli.cell_average_rows`) reads the class rules (`ClassRule`), so no cell
 gets a rule or a basis of its own. Cartesian meshes have 6 classes,
@@ -36,7 +36,9 @@ and K_FT: the system's `mass`, `k_tt`, `k_tf` and `k_ft` are views over it
 (`ClassOperator`) that apply the class blocks, count the entries their CSR
 would store, and form that CSR only when the explicit path asks for it.
 K_FF, block-diagonal per face, is held as a `BlockDiagonal` grouped by
-block size and as CSR. The block inverses are derived from these stacks,
+block size and as CSR, and its interface coupling (the entries between the
+fluid and solid traces of an interface face) as a CSR of its own
+(`BlockSystem.coupling`). The block inverses are derived from these stacks,
 one batched inversion per stack (`inverse_stack`): M^-1 once per class,
 K_FF^-1 once per face block. Every CSR matrix built from dense blocks (M,
 K_TT, K_TF, K_FT, K_TD, K_FF, M^-1 and K_FF^-1) stores, with int32 indices,
@@ -206,18 +208,6 @@ class DofLayout:
         if cls == msh.F_INTERFACE:
             return slice(off, off + fd) if side == "fluid" else slice(off + fd, off + 3 * fd)
         return slice(off, int(self.face_offset[fi + 1]))
-
-    @cached_property
-    def face_sign(self) -> np.ndarray:
-        """The side of every face dof: -1 on the solid side (the dofs of
-        solid faces and the solid trace of interface faces), +1 on the fluid
-        side. The interface coupling of K_FF is its entries between dofs of
-        opposite sides (`timestep.CondensedFactorization`)."""
-        fclass = np.repeat(self.mesh.face_class, self.face_size)
-        local = np.arange(self.n_face_dofs) - np.repeat(self.face_offset[:-1], self.face_size)
-        solid = (fclass == msh.F_INT_SOLID) | ((fclass == msh.F_INTERFACE)
-                                              & (local >= self.n_face_scalar))
-        return np.where(solid, -1.0, 1.0)
 
     def summary(self) -> dict:
         """Dof statistics: per-variable dimensions and condensation counts."""
@@ -619,8 +609,8 @@ class CellClasses:
     which `rules` lends to every member. `rows[c]` is the row of cell c's
     class in its shape's stacks. These are the only copy of M, K_TT, K_TF
     and K_FT (the system's `ClassOperator` views apply them, and `matrix`
-    forms a CSR of one for the explicit path); `assemble` scatters the
-    face-face blocks and the Dirichlet columns of K_TF to every member cell.
+    forms a CSR of one for the explicit path); `assemble` sums the face-face
+    blocks and the Dirichlet columns of K_TF of every member cell.
     `apply` is the one pass over the segments that applies blocks, those
     of the views and the implicit stage's alike. Cell vectors are applied
     in class order (`sort`, `unsort`), in which the dofs of every segment
@@ -813,8 +803,8 @@ class CellClasses:
         zeros dropped, in one COO to CSR conversion. The triplets of a
         segment are its int32 face dofs broadcast against each other and its
         blocks, picked by one mask. The implicit stage's S is the face parts
-        of its back blocks over the interface coupling of K_FF as `base`
-        (`timestep.CondensedFactorization`).
+        of its back blocks over the interface coupling (`BlockSystem.coupling`)
+        as `base` (`timestep.CondensedFactorization`).
 
         These blocks keep every nonzero entry (not floored), round-off ones
         included, because the floor costs the factorization more than it
@@ -916,12 +906,15 @@ class BlockSystem:
     `cell_classes` every cell's blocks come from: `mass`, `k_tt`, `k_tf` and
     `k_ft` are views over it (`ClassOperator`), which apply the class blocks
     and form no CSR unless asked for one. K_FF is block-diagonal per
-    dof-carrying face: `kff_blocks` holds it as a BlockDiagonal stack and
+    dof-carrying face: `kff_blocks` holds it as a BlockDiagonal stack, one
+    stack per face size (fd fluid, 2 fd solid, 3 fd interface faces), and
     `k_ff` as CSR. `k_td` (CSR) maps known Dirichlet face values to cell
     equations (lifting of nonhomogeneous boundary data).
 
     `kff_inverse` (the CSR of K_FF^-1, a face operator) serves `face_values`,
-    the face unknowns a cell state induces. The CSR `minv`, the explicit
+    the face unknowns a cell state induces, and `coupling` (CSR, the
+    interface coupling of K_FF) the implicit stage's Schur complement
+    (`timestep.CondensedFactorization`). The CSR `minv`, the explicit
     operator `explicit_op` and its `explicit_spectrum` serve the explicit
     path alone. Each of these is built on first use and kept; the face map
     P that L is formed from is not.
@@ -952,6 +945,20 @@ class BlockSystem:
         """K_FF^-1 as CSR, from one batched inversion of its face blocks per
         block size; raises SolverError if a face block is singular."""
         return self.kff_blocks.inverse("face stiffness").tocsr()
+
+    @cached_property
+    def coupling(self) -> sp.csr_matrix:
+        """The interface coupling as CSR: the entries of the interface face
+        blocks between the fluid trace (fd) and the solid trace (2 fd) that
+        `k_ff` stores, floored over the whole block (`_kept`)."""
+        fd, n = self.layout.n_face_scalar, self.n_face_dofs
+        if 3 * fd not in self.kff_blocks.stacks:
+            return sp.csr_matrix((n, n))
+        starts, blocks = self.kff_blocks.stacks[3 * fd]
+        fluid = np.arange(3 * fd) < fd
+        block, i, j = np.nonzero(_kept(blocks) & (fluid[:, None] != fluid))
+        rows, cols = ((starts[block] + ij).astype(np.int32) for ij in (i, j))
+        return _csr([(rows, cols, blocks[block, i, j])], (n, n))
 
     def face_values(self, u_t: np.ndarray) -> np.ndarray:
         """Face unknowns -K_FF^-1 K_FT u_t induced by the cell unknowns: the
@@ -1081,9 +1088,12 @@ def assemble(mesh: msh.PolyMesh, materials: MaterialMap,
     """Assemble the global block system for degree k under `config`.
 
     Local blocks are formed once per congruence class (`CellClasses`), which
-    holds the cell operators; the face-face blocks and the Dirichlet columns
-    of K_TF are scattered to every member cell through its own dofs, one
-    block shape (subdomain, vertex count) at a time.
+    holds the cell operators. One block shape (subdomain, vertex count) at a
+    time, the Dirichlet columns of K_TF are scattered to every member's own
+    dofs, and the members' face-face blocks summed into K_FF's stack of their
+    face size: one `np.add.at` for faces of one subdomain, one for the cells'
+    side of interface faces (the fluid trace fd, then the solid trace 2 fd),
+    whose blocks then get c and -c^T (`coupling_block`) between the traces.
     """
     layout = DofLayout(mesh, k, config.order_mode)
     store = CellClasses(layout, materials, config)
@@ -1091,46 +1101,37 @@ def assemble(mesh: msh.PolyMesh, materials: MaterialMap,
     fd = layout.n_face_scalar
     k_td = []
 
-    # face-face blocks, each stored row-major in one flat buffer; interface
-    # blocks hold the fluid trace (fd) before the solid trace (2 fd)
-    sizes = layout.face_size
-    kff_start = np.concatenate([[0], np.cumsum(sizes ** 2)])
-    kff_index, kff_values = [], []
+    # one stack of face blocks per face size, and every face's place in its stack
+    sizes, place = layout.face_size, np.zeros(mesh.n_faces, dtype=np.int64)
+    faces_of = {s: np.nonzero(sizes == s)[0] for s in (fd, 2 * fd, 3 * fd)}
+    kff_stacks = {s: np.zeros((len(f), s, s)) for s, f in faces_of.items()}
+    for f in faces_of.values():
+        place[f] = np.arange(len(f))
 
     for shape, cells, faces in _shape_groups(mesh):
         blk, rows = store.blocks[shape], store.rows[cells]
         cell_dofs = layout.cell_offset[cells][:, None] + np.arange(blk["mass"].shape[-1])
-        face_dofs, dirichlet_dofs = _local_face_dofs(layout, faces, shape[0])
+        _, dirichlet_dofs = _local_face_dofs(layout, faces, shape[0])
         bnd = np.any(dirichlet_dofs < n_d, axis=1)
         k_td.append(_block_entries(blk["k_tf"], cell_dofs[bnd], dirichlet_dofs[bnd],
                                    (n_t, n_d), rows[bnd]))
-        # each local face's block sits at that face's rows and columns of the
-        # cell's side within its face block
-        m, n_v = faces.shape
-        side = face_dofs.reshape(m, n_v, -1) - layout.face_offset[faces][..., None]
-        index = (kff_start[faces][..., None, None] + side[..., :, None]
-                 * sizes[faces][..., None, None] + side[..., None, :])
-        inner = face_dofs.reshape(m, n_v, -1)[..., 0] < n_f
-        kff_index.append(index[inner])
-        kff_values.append(blk["k_ff"][rows][inner])
+        # faces of the cells' own subdomain, then their side of interface faces
+        fluid = shape[0] == msh.FLUID
+        s, lo = blk["k_ff"].shape[-1], 0 if fluid else fd
+        for fclass, stack in ((msh.F_INT_FLUID if fluid else msh.F_INT_SOLID, kff_stacks[s]),
+                              (msh.F_INTERFACE, kff_stacks[3 * fd][:, lo:lo + s, lo:lo + s])):
+            cell, j = np.nonzero(mesh.face_class[faces] == fclass)
+            np.add.at(stack, place[faces[cell, j]], blk["k_ff"][rows[cell], j])
 
-    gamma = mesh.interface_faces
+    gamma = mesh.interface_faces           # the faces of the 3 fd stack
     if len(gamma):
         c = coupling_block(mesh, gamma, k)
-        fluid, solid = np.arange(fd), fd + np.arange(2 * fd)
-        start = kff_start[gamma][:, None, None]
-        kff_index += [start + fluid[:, None] * 3 * fd + solid,
-                      start + solid[:, None] * 3 * fd + fluid]
-        kff_values += [c, -np.swapaxes(c, -1, -2)]
-    kff = np.bincount(np.concatenate([i.ravel() for i in kff_index]),
-                      weights=np.concatenate([v.ravel() for v in kff_values]),
-                      minlength=kff_start[-1])
-    face_sets = {int(s): np.nonzero(sizes == s)[0] for s in np.unique(sizes[sizes > 0])}
-    kff_stacks = {s: (layout.face_offset[f], kff[kff_start[f][:, None] + np.arange(s * s)]
-                      .reshape(-1, s, s)) for s, f in face_sets.items()}
+        kff_stacks[3 * fd][:, :fd, fd:] += c
+        kff_stacks[3 * fd][:, fd:, :fd] -= np.swapaxes(c, -1, -2)
     return BlockSystem(
         layout=layout,
-        kff_blocks=BlockDiagonal(n_f, kff_stacks),
+        kff_blocks=BlockDiagonal(n_f, {s: (layout.face_offset[f], kff_stacks[s])
+                                       for s, f in faces_of.items() if len(f)}),
         k_td=_csr(k_td, (n_t, n_d)) if n_d else None,
         materials=materials,
         config=config,

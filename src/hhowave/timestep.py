@@ -596,7 +596,7 @@ class CondensedFactorization:
     the cell's own face-face blocks, block-diagonal over its faces. What the
     back pass adds onto the face dofs is S u_f without the interface
     coupling, which `back_pass` adds from `coupling`: the rows
-    `coupling_rows` of a* dt times the interface blocks of K_FF, as CSR.
+    `coupling_rows` of a* dt times the system's `coupling` (CSR).
 
     S is assembled once, before the stage and forcing blocks: the face parts
     a* dt (K_FF,c - a* dt B_c) of the back blocks, scattered to every
@@ -632,15 +632,11 @@ class CondensedFactorization:
         inverse = {shape: inverse_stack(blk["mass"] + ad * blk["k_tt"],
                                         system.layout.cell_offset[blk["cells"]], "condensed cell")
                    for shape, blk in store.blocks.items()}
-        # a* dt times the interface blocks of K_FF, the only entries of S
-        # linking the two sides of the interface
-        sign = system.layout.face_sign
-        kff = system.k_ff.tocoo()
-        cross = sign[kff.row] != sign[kff.col]
-        coupling = sp.coo_matrix((ad * kff.data[cross], (kff.row[cross], kff.col[cross])),
-                                 shape=kff.shape)
-        self.coupling_rows = np.unique(coupling.row)
-        self.coupling = coupling.tocsr()[self.coupling_rows]
+        # a* dt times the interface coupling, the only entries of S linking
+        # the two sides of the interface
+        coupling = ad * system.coupling
+        self.coupling_rows = np.flatnonzero(np.diff(coupling.indptr))
+        self.coupling = coupling[self.coupling_rows]
         back, faces = {}, {}
         for shape, blk in store.blocks.items():
             g = inverse[shape] @ blk["k_tf"]

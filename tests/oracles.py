@@ -18,7 +18,10 @@ sorts coordinates. The implicit stepper holds fused class blocks and no
 Schur matrix; `condensed_stacks` and `schur_matrix` rebuild the class
 inverses and S from the class store for the tests to compose and multiply.
 The steppers scale a load's mapped term vectors; `load_at` sums the load
-itself for the dense reference steppers. `polygon_diameter_pairs` takes a
+itself for the dense reference steppers. Assembly sums K_FF's face blocks
+per face; `flat_kff_stacks` sums them through one flat index per entry, and
+`face_sign` (J) marks the side of every face dof, from which the tests pick
+the interface coupling out of K_FF and S. `polygon_diameter_pairs` takes a
 cell's diameter over all vertex pairs.
 """
 
@@ -27,6 +30,7 @@ import math
 import numpy as np
 
 import hhowave.mesh as msh
+from hhowave import hho
 from hhowave.basis import (cell_groups, cell_monomials, face_monomials, face_quadrature,
                            fan_quadrature, monomial_exponents, polygon_area, polygon_centroid,
                            scalar_cell_dim)
@@ -303,3 +307,47 @@ def polygon_diameter_pairs(vertices):
     v = np.asarray(vertices, dtype=float)
     d = v[:, :, None, :] - v[:, None, :, :]
     return np.sqrt((d ** 2).sum(axis=-1)).max(axis=(1, 2))
+
+
+def face_sign(layout):
+    """J, the side of every face dof: -1 on the solid side (the dofs of solid
+    faces and the solid trace of interface faces), +1 on the fluid side."""
+    fclass = np.repeat(layout.mesh.face_class, layout.face_size)
+    local = np.arange(layout.n_face_dofs) - np.repeat(layout.face_offset[:-1], layout.face_size)
+    solid = (fclass == msh.F_INT_SOLID) | ((fclass == msh.F_INTERFACE)
+                                          & (local >= layout.n_face_scalar))
+    return np.where(solid, -1.0, 1.0)
+
+
+def flat_kff_stacks(system):
+    """K_FF's face-block stacks {size: (starts, blocks)}, summed through one
+    flat index per entry: every block stored row-major in one buffer, the
+    class `k_ff` blocks of every cell and the interface coupling blocks
+    c and -c^T added by one `bincount`, then gathered back into stacks."""
+    layout, mesh, store = system.layout, system.mesh, system.cell_classes
+    fd, n_f, sizes = layout.n_face_scalar, layout.n_face_dofs, layout.face_size
+    start = np.concatenate([[0], np.cumsum(sizes ** 2)])
+    index, values = [], []
+    for shape, cells, faces in hho._shape_groups(mesh):
+        face_dofs, _ = hho._local_face_dofs(layout, faces, shape[0])
+        m, n_v = faces.shape
+        face_dofs = face_dofs.reshape(m, n_v, -1)
+        side = face_dofs - layout.face_offset[faces][..., None]
+        at = (start[faces][..., None, None] + side[..., :, None]
+              * sizes[faces][..., None, None] + side[..., None, :])
+        inner = face_dofs[..., 0] < n_f
+        index.append(at[inner])
+        values.append(store.blocks[shape]["k_ff"][store.rows[cells]][inner])
+    gamma = mesh.interface_faces
+    if len(gamma):
+        c = hho.coupling_block(mesh, gamma, layout.k)
+        fluid, solid = np.arange(fd), fd + np.arange(2 * fd)
+        first = start[gamma][:, None, None]
+        index += [first + fluid[:, None] * 3 * fd + solid, first + solid[:, None] * 3 * fd + fluid]
+        values += [c, -np.swapaxes(c, -1, -2)]
+    flat = np.bincount(np.concatenate([i.ravel() for i in index]),
+                       weights=np.concatenate([v.ravel() for v in values]),
+                       minlength=start[-1])
+    return {int(s): (layout.face_offset[f], flat[start[f][:, None] + np.arange(s * s)]
+                     .reshape(-1, s, s))
+            for s in np.unique(sizes[sizes > 0]) for f in [np.nonzero(sizes == s)[0]]}

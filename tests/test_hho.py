@@ -1,7 +1,10 @@
 """Local operator blocks, global assembly structure and dof accounting."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hhowave.hho as hho
 import hhowave.mesh as msh
@@ -467,6 +470,75 @@ def test_class_built_operators_match_per_cell_assembly(mesh_name, k, mode):
     for name in MATRICES:
         got = getattr(system, name).tocsr().toarray()
         assert np.max(np.abs(got - ref[name])) <= 1e-13 * np.max(np.abs(ref[name])), name
+
+
+SCATTER_MESHES = MESHES + ("perturbed", "turned", "nonconforming-hexagonal", "fluid-only")
+
+
+def scatter_mesh(name):
+    """The golden L2 meshes, `perturbed_mesh()`, the cartesian one turned by
+    1e-9 rad, a hexagonal fluid mesh on a finer cartesian solid one, and a
+    single-subdomain fluid mesh.
+
+    On the turned mesh an interface normal has a component of 1e-9: under
+    granite-water the coupling entries it scales lie below the floor of
+    their solid-trace column, whose stabilization is 8.1e6 times the face
+    mass, but far above that of the coupling block alone."""
+    if name == "perturbed":
+        return perturbed_mesh()
+    if name == "turned":
+        base, (cos, sin) = golden_mesh("cartesian"), (math.cos(1e-9), math.sin(1e-9))
+        return msh.PolyMesh(base.vertices @ np.array([[cos, sin], [-sin, cos]]),
+                            base.edge_start, base.subdomain, cell_offsets=base.cell_offsets)
+    if name == "nonconforming-hexagonal":
+        return msh.merge_nonconforming(
+            generate(MeshGenSpec("polygonal-hexagonal", 2, fluid_rect=(0.0, 0.0, 1.0, 1.0))),
+            generate(MeshGenSpec("cartesian", 3, solid_rect=(0.0, -1.0, 1.0, 0.0))))
+    if name == "fluid-only":
+        return generate(MeshGenSpec("simplicial", 2, fluid_rect=(0.0, 0.0, 1.0, 1.0)))
+    return golden_mesh(name)
+
+
+def assert_same_csr(got, want, what):
+    assert got.shape == want.shape, what
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), (what, part)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("materials", ["academic", "granite-water"])
+@pytest.mark.parametrize("mesh_name", SCATTER_MESHES)
+def test_per_face_kff_equals_flat_index_scatter(mesh_name, materials, k):
+    # assembly sums each face's blocks into its face-block stack; the
+    # reference sums every entry through one flat index (`flat_kff_stacks`)
+    mesh = scatter_mesh(mesh_name)
+    for config in (StabilizationConfig.explicit(), StabilizationConfig.implicit()):
+        system = assemble(mesh, builtin_materials(materials), config, k=k)
+        ref = hho.BlockDiagonal(system.n_face_dofs, oracles.flat_kff_stacks(system))
+        assert list(system.kff_blocks.stacks) == list(ref.stacks)
+        for size, (starts, blocks) in ref.stacks.items():
+            got_starts, got_blocks = system.kff_blocks.stacks[size]
+            assert np.array_equal(got_starts, starts) and np.array_equal(got_blocks, blocks)
+        assert_same_csr(system.k_ff, ref.tocsr(), "k_ff")
+        assert_same_csr(system.kff_inverse, ref.inverse("face stiffness").tocsr(),
+                        "kff_inverse")
+
+
+@pytest.mark.parametrize("materials", ["academic", "granite-water"])
+@pytest.mark.parametrize("mesh_name", SCATTER_MESHES)
+def test_coupling_is_the_cross_side_entries_of_kff(mesh_name, materials):
+    # the interface coupling holds exactly the entries of K_FF between a
+    # fluid-side and a solid-side face dof, in pattern and values
+    mesh = scatter_mesh(mesh_name)
+    for k in (1, 2, 3):
+        system = assemble(mesh, builtin_materials(materials), StabilizationConfig.implicit(), k=k)
+        sign = oracles.face_sign(system.layout)
+        kff = system.k_ff.tocoo()
+        cross = sign[kff.row] != sign[kff.col]
+        want = sp.csr_matrix((kff.data[cross], (kff.row[cross], kff.col[cross])),
+                             shape=kff.shape)
+        assert_same_csr(system.coupling, want, "coupling")
+        assert (system.coupling.nnz > 0) == (len(mesh.interface_faces) > 0)
 
 
 def test_unstabilized_part_is_skew():

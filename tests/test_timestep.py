@@ -697,7 +697,7 @@ def _assert_class_products_match_csr(system, a_star, dt, rtol=1e-13):
     x_f = rng.standard_normal(system.n_face_dofs)
     g_x_f = a_inv @ (ref["k_tf"] @ x_f)
     # K_FF without its interface coupling, the only entries linking the two sides
-    sign = layout.face_sign
+    sign = oracles.face_sign(layout)
     same_side = ref["k_ff"] * (sign[:, None] == sign)
     want = {"mass": ref["mass"] @ x, "k_tt": ref["k_tt"] @ x, "k_ft": ref["k_ft"] @ x,
             "k_tf": ref["k_tf"] @ x_f,
@@ -892,7 +892,7 @@ def test_fused_blocks_equal_composed_class_products(mesh_name, k):
         assert_close(rhs, -ad * store.apply(blocks["k_ft"], z, parts=("face",))[0],
                      ("face", forced))
     g_u_f = cells("g", np.append(u_f, 0.0), "face")
-    sign = system.layout.face_sign
+    sign = oracles.face_sign(system.layout)
     coupling = ad * system.k_ff.toarray() * (sign[:, None] != sign)
     for got, want in zip(store.apply(fact.back_blocks, np.append(u_f, 0.0), "face"),
                          (g_u_f, schur_matrix(fact) @ u_f - coupling @ u_f)):
@@ -970,7 +970,7 @@ def test_solve_check_refuses_a_transposed_lu_of_a_perturbed_coupling():
     stepper = ImplicitStepper(system, tableau("SDIRK34"), 0.01)
     _, u0, forcing = make_case_state(system)
     stepper.step(u0, 0.0, 0.01, forcing)
-    sign = system.layout.face_sign
+    sign = oracles.face_sign(system.layout)
     schur = schur_matrix(stepper.fact).tocoo()
     (cross,) = np.nonzero(sign[schur.row] != sign[schur.col])
     schur.data[cross[len(cross) // 2]] *= 1.01
@@ -989,7 +989,7 @@ def test_factorization_solves_a_matrix_that_is_not_j_symmetric(mesh_name, thresh
     # corrections in float32
     monkeypatch.setattr(timestep, "SINGLE_MIN_ENTRIES", threshold)
     system = assemble(golden_mesh(mesh_name), ACADEMIC, StabilizationConfig.implicit(), k=1)
-    sign = system.layout.face_sign
+    sign = oracles.face_sign(system.layout)
     schur = oracles.schur_matrix(system, tableau("SDIRK34").a_star, 0.01).tocoo()
     (cross,) = np.nonzero(sign[schur.row] != sign[schur.col])
     schur.data[cross[len(cross) // 2]] *= 1.01
@@ -1131,18 +1131,6 @@ def test_refinement_refuses_a_float32_lu_it_cannot_repair(monkeypatch):
     assert stepper.fact.schur_solver.corrections == timestep.MAX_CORRECTIONS
 
 
-@pytest.mark.parametrize("mesh_name", MESHES)
-def test_face_sign_is_negative_on_the_solid_side(mesh_name):
-    system = assemble(golden_mesh(mesh_name), ACADEMIC, StabilizationConfig.implicit(), k=2)
-    layout, mesh = system.layout, system.mesh
-    want = np.ones(layout.n_face_dofs)
-    for fi in np.nonzero((mesh.face_class == msh.F_INT_SOLID)
-                         | (mesh.face_class == msh.F_INTERFACE))[0]:
-        want[layout.face_side_slice(fi, "solid")] = -1.0
-    assert np.array_equal(layout.face_sign, want)
-    assert (want == 1.0).any() and (want == -1.0).any()
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("materials", [ACADEMIC, GRANITE_WATER], ids=["academic", "granite-water"])
 @pytest.mark.parametrize("mesh_name", MESHES)
@@ -1167,7 +1155,7 @@ def test_schur_complement_is_j_symmetric(mesh_name, materials, k, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", capture)
     fact = CondensedFactorization(system, tableau("SDIRK34").a_star, 0.01)
-    sign = sp.diags(system.layout.face_sign)
+    sign = sp.diags(oracles.face_sign(system.layout))
     schur = schur_matrix(fact)
     assert abs(unscaled(fact, factored[0]) - schur.T).max() <= 1e-14 * abs(schur).max()
     for name, mat in (("S", schur), ("D S^T D", factored[0])):
