@@ -36,9 +36,9 @@ and K_FT: the system's `mass`, `k_tt`, `k_tf` and `k_ft` are views over it
 (`ClassOperator`) that apply the class blocks, count the entries their CSR
 would store, and form that CSR only when the explicit path asks for it.
 K_FF, block-diagonal per face, is held as a `BlockDiagonal` grouped by
-block size and as CSR, and its interface coupling (the entries between the
-fluid and solid traces of an interface face) as a CSR of its own
-(`BlockSystem.coupling`). The block inverses are derived from these stacks,
+block size, as CSR once something asks for it, and its interface coupling
+(the entries between the fluid and solid traces of an interface face) as a
+CSR of its own (`BlockSystem.coupling`). The block inverses are derived from these stacks,
 one batched inversion per stack (`inverse_stack`): M^-1 once per class,
 K_FF^-1 once per face block. Every CSR matrix built from dense blocks (M,
 K_TT, K_TF, K_FT, K_TD, K_FF, M^-1 and K_FF^-1) stores, with int32 indices,
@@ -59,8 +59,9 @@ class store (`CellClasses.apply`): the views M, K_TT, K_TF and K_FT, and
 the implicit stage's stacked class blocks formed from the same store
 (A = M + a* dt K_TT, A^-1 M and G = A^-1 K_TF stacked over their K_FT
 products). The implicit stage assembles its Schur matrix from per-class
-dense blocks, keeping every nonzero entry of those
-(`CellClasses.face_matrix`). The pass applies a class-ordered cell
+dense blocks, keeping every nonzero entry of those, straight into the
+arrays of a pattern laid out once per system (`FaceGraph`,
+`CellClasses.face_matrix`). The pass applies a class-ordered cell
 vector, or gathered face values, by one GEMM per class of at least
 `gemm_min_members(n)` cells, a break-even that falls with the cell block
 size n (36 members for 12 x 12 blocks, 21 for 21 x 21, 16 for 40 x 40
@@ -469,6 +470,11 @@ class BlockDiagonal:
             entries.append(_block_entries(blocks, dofs, dofs, shape))
         return _csr(entries, shape)
 
+    @property
+    def nnz(self) -> int:
+        """The entries `tocsr()` stores, counted without forming it."""
+        return sum(int(np.count_nonzero(_kept(blocks))) for _, blocks in self.stacks.values())
+
     def inverse(self, what: str) -> BlockDiagonal:
         """Block-by-block inverse, one batched inversion per block size.
 
@@ -582,6 +588,69 @@ class ClassRule:
     def moments(self, test, values) -> np.ndarray:
         """Integrals of class functions `test` (u, n_q, dim) against `values` (m, n_q, c)."""
         return np.swapaxes(self.weights[..., None] * test, 1, 2)[self.member] @ values
+
+
+FACE_CHUNK = 1 << 18
+"""Entries of the cell blocks whose positions `CellClasses.face_matrix` maps
+at a time: bounds each int64 position map to 2 MB."""
+
+
+@dataclass
+class FaceGraph:
+    """The pattern of a face matrix over the cells' face blocks and the
+    interface coupling, block by block (`CellClasses.face_graph`).
+
+    A node is the run of face dofs a cell sees on one of its faces: those of
+    a fluid or solid face, or one trace of an interface face, named by its
+    first dof. Two nodes are linked when one cell sees both, or when they
+    are the two traces of one interface face. Every row of a node holds the
+    same columns: the dofs of its linked nodes in ascending order, each
+    node's dofs as one run, so a row's entries are sorted. `edges` lists
+    the links u (n + 1) + v in ascending order, which is the order of the
+    rows and, within a row, of the columns; `before` counts the entries of
+    a row of u before the run of v. `starts` is the position map of the
+    class store's segments: for each cell and each pair (j, l) of its faces,
+    the position of the first entry of block (u_j, u_l) in the CSR arrays,
+    -1 where a face is a Dirichlet one.
+    """
+
+    n: int                   # face dofs
+    head: np.ndarray         # (n,) the node of every face dof
+    size: np.ndarray         # (n + 1,) a node's dofs at its first dof, 0 elsewhere
+    width: np.ndarray        # (n + 1,) the entries of each row of a node, at its first dof
+    edges: np.ndarray        # (E,) links u (n + 1) + v, ascending
+    before: np.ndarray       # (E,) entries of a row of u before the run of v
+    indptr: np.ndarray       # (n + 1,) the CSR row pointer, int64
+    starts: list             # per segment, (m, n_v, n_v) int32 block starts
+
+    def block_start(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The position, in the CSR arrays, of the first entry of block (u, v)
+        of two linked nodes: row u, column v."""
+        return self.indptr[u] + self.before[np.searchsorted(self.edges, u * (self.n + 1) + v)]
+
+    def positions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The positions of entries (rows, cols) of linked nodes."""
+        u, v = self.head[rows], self.head[cols]
+        return self.block_start(u, v) + (rows - u) * self.width[u] + (cols - v)
+
+    def indices(self) -> np.ndarray:
+        """The CSR column indices, int32. The rows of a node hold its row of
+        columns, one run per linked node; the nodes' rows, in node order,
+        make `columns`, which every row reads from its node's first entry
+        on: one cumulative sum of steps of 1, with a jump at each row's
+        first entry, gives every entry its place in `columns`."""
+        n = self.n
+        runs = self.size[self.edges % (n + 1)]
+        at = np.cumsum(runs) - runs
+        columns = np.repeat(self.edges % (n + 1) - at, runs) + np.arange(at[-1] + runs[-1])
+        first = (np.cumsum(self.width) - self.width)[self.head]
+        last = first + self.width[self.head] - 1
+        out = np.ones(self.indptr[-1], dtype=np.int32)
+        out[self.indptr[:-1]] = first - np.concatenate(([0], last[:-1]))
+        np.cumsum(out, out=out)
+        for lo in range(0, len(out), FACE_CHUNK):
+            out[lo:lo + FACE_CHUNK] = columns[out[lo:lo + FACE_CHUNK]]
+        return out
 
 
 def _shape_groups(mesh: msh.PolyMesh):
@@ -796,15 +865,59 @@ class CellClasses:
                                           & rows[:, :, None] & cols[:, None, :]))
         return count
 
-    def face_matrix(self, stacks: dict, base: sp.spmatrix) -> sp.csr_matrix:
+    def face_graph(self, coupling: sp.csr_matrix) -> FaceGraph:
+        """The block pattern (`FaceGraph`) of a face matrix over every cell's
+        local face dofs and the entries of `coupling`, with the position map
+        of every segment: its nodes are the cells' runs of face dofs, one per
+        face, linked by the cells that see them and by the coupling's
+        entries."""
+        n = self.n_face_dofs
+        head = np.empty(n, dtype=np.int64)
+        size = np.zeros(n + 1, dtype=np.int64)
+        pairs = []
+        for seg in self.segments:
+            dofs = self.dofs(seg, "face")
+            s = dofs.shape[1] // seg.shape[1]
+            heads = dofs[:, ::s]
+            inner = dofs < n
+            head[dofs[inner]] = np.repeat(heads, s, axis=1)[inner]
+            inner = heads < n
+            size[heads[inner]] = s
+            pair = heads[:, :, None] * (n + 1) + heads[:, None, :]
+            pair[~(inner[:, :, None] & inner[:, None, :])] = -1
+            pairs.append(pair)
+        rows = np.repeat(np.arange(n), np.diff(coupling.indptr))
+        edges = np.sort(np.concatenate([p[p >= 0] for p in pairs]
+                                       + [head[rows] * (n + 1) + head[coupling.indices]]))
+        edges = edges[np.diff(edges, prepend=-1) != 0]
+        u, runs = edges // (n + 1), size[edges % (n + 1)]
+        width = np.bincount(u, weights=runs, minlength=n + 1).astype(np.int64)
+        before = np.cumsum(runs) - runs - (np.cumsum(width) - width)[u]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(width[head], out=indptr[1:])
+        graph = FaceGraph(n, head, size, width, edges, before, indptr, [])
+        for pair in pairs:
+            keep = pair >= 0
+            pair[keep] = graph.block_start(pair[keep] // (n + 1), pair[keep] % (n + 1))
+            graph.starts.append(pair.astype(np.int32))
+        return graph
+
+    def face_matrix(self, stacks: dict, base: sp.csr_matrix, graph: FaceGraph) -> sp.csr_matrix:
         """`base` plus a face-to-face operator given per class by dense local
-        blocks {shape: (classes, L, L)} over the cell's local face dofs: every
-        cell's block is placed at its face dofs, Dirichlet pad slots and exact
-        zeros dropped, in one COO to CSR conversion. The triplets of a
-        segment are its int32 face dofs broadcast against each other and its
-        blocks, picked by one mask. The implicit stage's S is the face parts
-        of its back blocks over the interface coupling (`BlockSystem.coupling`)
-        as `base` (`timestep.CondensedFactorization`).
+        blocks {shape: (classes, L, L)} over the cell's local face dofs, as
+        CSR with int32 indices on the pattern `graph`, which `base`'s entries
+        and the cells' face blocks lie in (`face_graph`). The column indices
+        come from the pattern; `base` is written into a zero `data`, and every
+        cell's block is added at its face dofs, Dirichlet pad slots left out,
+        through a position map of at most FACE_CHUNK entries at a time, per
+        segment. Exact zeros are then dropped in place, so the matrix holds
+        what a COO to CSR conversion of the blocks' nonzero entries would,
+        bit for bit: a position sums the blocks of the cells that see both
+        its nodes, at most two wherever two cells share at most one face,
+        and a sum of two terms does not depend on their order. The implicit
+        stage's S is the face parts of its back blocks over the interface
+        coupling (`BlockSystem.coupling`) as `base`, on the system's
+        `face_graph` (`timestep.CondensedFactorization`).
 
         These blocks keep every nonzero entry (not floored), round-off ones
         included, because the floor costs the factorization more than it
@@ -815,16 +928,34 @@ class CellClasses:
         22,937,226 -> 31,063,927).
         """
         n = self.n_face_dofs
-        base = base.tocoo()
-        entries = [(base.row, base.col, base.data)]
-        for seg in self.segments:
-            dofs = self.dofs(seg, "face").astype(np.int32)
-            rows, cols = dofs[:, :, None], dofs[:, None, :]
-            blocks = stacks[seg.shape][seg.rows]
-            keep = (blocks != 0) & (rows < n) & (cols < n)
-            entries.append(tuple(np.broadcast_to(a, keep.shape)[keep]
-                                 for a in (rows, cols, blocks)))
-        return _csr(entries, (n, n))
+        if not len(graph.edges):
+            return sp.csr_matrix((n, n))
+        indices = graph.indices()
+        data = np.zeros(len(indices))
+        rows = np.repeat(np.arange(n), np.diff(base.indptr))
+        data[graph.positions(rows, base.indices)] = base.data
+        for seg, starts in zip(self.segments, graph.starts):
+            dofs = self.dofs(seg, "face")
+            m, n_local = dofs.shape
+            s = n_local // seg.shape[1]
+            local = np.arange(s)
+            step = max(1, FACE_CHUNK // n_local**2)
+            for lo in range(0, m, step):
+                start, width = starts[lo:lo + step], graph.width[dofs[lo:lo + step, ::s]]
+                # entry (a, b) of block (u, v): row a of u, column b of v
+                pos = (start[:, :, None, :, None]
+                       + local[:, None, None] * width[:, :, None, None, None]
+                       + local).reshape(-1)
+                blocks = np.broadcast_to(
+                    stacks[seg.shape][seg.rows[lo:lo + step] if seg.stacked else seg.rows],
+                    (len(start), n_local, n_local)).reshape(-1)
+                if start.min() < 0:
+                    keep = np.repeat(np.repeat(start >= 0, s, axis=1), s, axis=2).reshape(-1)
+                    pos, blocks = pos[keep], blocks[keep]
+                np.add.at(data, pos, blocks)
+        out = sp.csr_matrix((data, indices, graph.indptr.astype(np.int32)), shape=(n, n))
+        out.eliminate_zeros()
+        return out
 
 
 def _local_face_dofs(layout: DofLayout, faces, sub):
@@ -908,12 +1039,13 @@ class BlockSystem:
     and form no CSR unless asked for one. K_FF is block-diagonal per
     dof-carrying face: `kff_blocks` holds it as a BlockDiagonal stack, one
     stack per face size (fd fluid, 2 fd solid, 3 fd interface faces), and
-    `k_ff` as CSR. `k_td` (CSR) maps known Dirichlet face values to cell
-    equations (lifting of nonhomogeneous boundary data).
+    `k_ff` as CSR, formed on first use. `k_td` (CSR) maps known Dirichlet
+    face values to cell equations (lifting of nonhomogeneous boundary data).
 
     `kff_inverse` (the CSR of K_FF^-1, a face operator) serves `face_values`,
     the face unknowns a cell state induces, and `coupling` (CSR, the
-    interface coupling of K_FF) the implicit stage's Schur complement
+    interface coupling of K_FF) and `face_graph` (the pattern it is built
+    on) the implicit stage's Schur complement
     (`timestep.CondensedFactorization`). The CSR `minv`, the explicit
     operator `explicit_op` and its `explicit_spectrum` serve the explicit
     path alone. Each of these is built on first use and kept; the face map
@@ -927,7 +1059,6 @@ class BlockSystem:
         self.kff_blocks = kff_blocks
         self.mass, self.k_tt, self.k_tf, self.k_ft = (
             ClassOperator(cell_classes, name) for name in ("mass", "k_tt", "k_tf", "k_ft"))
-        self.k_ff = kff_blocks.tocsr()
         self.k_td = k_td
         self.materials = materials
         self.config = config
@@ -939,6 +1070,12 @@ class BlockSystem:
     @property
     def n_face_dofs(self):
         return self.layout.n_face_dofs
+
+    @cached_property
+    def k_ff(self) -> sp.csr_matrix:
+        """K_FF as CSR, floored (`BlockDiagonal.tocsr`); `kff_blocks.nnz`
+        counts its entries without forming it."""
+        return self.kff_blocks.tocsr()
 
     @cached_property
     def kff_inverse(self) -> sp.csr_matrix:
@@ -959,6 +1096,13 @@ class BlockSystem:
         block, i, j = np.nonzero(_kept(blocks) & (fluid[:, None] != fluid))
         rows, cols = ((starts[block] + ij).astype(np.int32) for ij in (i, j))
         return _csr([(rows, cols, blocks[block, i, j])], (n, n))
+
+    @cached_property
+    def face_graph(self) -> FaceGraph:
+        """The block pattern of the face Schur complement: the cells' face
+        blocks and the interface coupling (`CellClasses.face_graph`), laid
+        out once and shared by the condensation of every (a*, dt)."""
+        return self.cell_classes.face_graph(self.coupling)
 
     def face_values(self, u_t: np.ndarray) -> np.ndarray:
         """Face unknowns -K_FF^-1 K_FT u_t induced by the cell unknowns: the

@@ -23,9 +23,10 @@ block-diagonal M + a* dt K_TT is the only matrix they invert, and only once
 per congruence class of cells
 (the system's `hho.CellClasses` store, built by assembly), together with
 its product G = A^-1 K_TF. The face-coupled Schur complement S is assembled
-once, from the face parts of the back blocks below scattered to every
-member's face dofs and the interface coupling of K_FF, factored and
-released: only its LU is kept. No per-cell inverse is formed. A stage is
+once, from the face parts of the back blocks below added at every
+member's face dofs and the interface coupling of K_FF, straight into the
+arrays of a pattern the system lays out once (`hho.FaceGraph`), factored
+and released: only its LU is kept. No per-cell inverse is formed. A stage is
 two passes over stacked class blocks (`hho.CellClasses.apply`) around its
 Schur solve, never a product with a global sparse matrix:
 the stage blocks [(A^-1 M - I) / (a* dt); -a* dt K_FT A^-1 M] on the
@@ -47,8 +48,9 @@ path's M^-1 and K_FF^-1 as well as the condensed class inverses, comes from
 
 The Schur complement has one solver, a direct LU with no settings: in
 float64, or, for an S of at least `SINGLE_MIN_ENTRIES` entries, in float32
-with small entries dropped and every solve refined in float64 to the same
-check (`FactorizedOperator`). S is
+with entries below `SINGLE_DROP_TOL` of their column dropped and every
+solve refined in float64 to the same check (`FactorizedOperator`), which
+takes S's arrays over and frees its float64 values first. S is
 structurally symmetric, and once equilibrated by D = |diag S|^-1/2 the
 symmetric part of D S D is positive definite. The LU therefore factors
 without pivoting, with a minimum-degree ordering on the pattern of
@@ -214,6 +216,9 @@ def inverse_stack(blocks, starts, what: str) -> np.ndarray:
 # small entries dropped, and its solves refined in float64 (`FactorizedOperator`);
 # `BENCH_29.json` holds the measured series
 SINGLE_MIN_ENTRIES = 1_000_000
+# relative size below which the float32 LU drops an entry of its column
+# (`FactorizedOperator`); `BENCH_34.json` holds the measured sweep
+SINGLE_DROP_TOL = 1e-6
 # accepted solves a float32 solve starts from
 HISTORY = 4
 # float32 LU solves one solve may apply before it is refused
@@ -239,13 +244,28 @@ class FactorizedOperator:
     4-7% slower only on mid-size LUs of 3-6M entries; `BENCH_28.json` holds
     the series.
 
+    The operator takes the arrays of a CSR S over: it equilibrates them in
+    place, and on the float32 path it puts the float32 values of D S D in
+    S's place, so that S's float64 values are freed before the factor runs
+    (52 MB at 9,409 granite-water cells); the float64 path factors them as
+    they are.
+
     The precision follows from the size of S, known before the factor
     (`precision`). Below `SINGLE_MIN_ENTRIES` entries the LU is a float64
     `splu`. From that size on it is a float32
     `spilu`, on float32 values of S and its index arrays, that drops
-    entries below 1e-8 of their column: it stores
-    15-36% fewer entries in half the value bytes (22.8M -> 19.5M on
-    hexagonal L6, 177.4M -> 113.7M at 29,929 granite-water cells). A full
+    entries below `SINGLE_DROP_TOL` of their column: at 1e-8 it stored
+    15-36% fewer entries than the float64 LU in half the value bytes
+    (22.8M -> 19.5M on hexagonal L6, 177.4M -> 113.7M at 29,929
+    granite-water cells). The tolerance is 1e-6, from paired sweeps of 1e-8,
+    1e-6, 1e-5 and 1e-4 over 20 steps at 9,409 and 29,929 granite-water
+    cells (`BENCH_34.json`): against 1e-8, 1e-6 stores 13-14% fewer
+    entries (32.3M -> 28.1M, 113.7M -> 98.0M), factors in 0.8x and 0.7x
+    the time and peaks 26 and 96 MB lower, and its 2-5 more LU solves per
+    60 stage solves, each on a smaller LU, cost no time per step: the
+    paired gap to 1e-8 has a median of -0.5 and -32 ms per step (of 177
+    and 662 ms). From 1e-5 on the LU solves rise to 103-127 per 60 and a
+    step takes 1.3-1.6 times as long. A full
     float32 factor is no alternative: its fill decays into subnormals, whose
     arithmetic is many times slower. At 9,409 granite-water cells it took
     9.9 s to factor against 3.3 s in float64, and 79 ms per LU solve
@@ -306,10 +326,10 @@ class FactorizedOperator:
     and the LU entries per face dof.
     """
 
-    def __init__(self, matrix: sp.spmatrix):
+    def __init__(self, matrix: sp.csr_matrix):
         self.n = matrix.shape[0]
         # S^T as CSC: the arrays of a CSR S, not copied
-        matrix = matrix.T.tocsc()
+        transposed = matrix.T.tocsc()
         self.matrix_nnz = int(matrix.nnz)
         self.single = self.matrix_nnz >= SINGLE_MIN_ENTRIES
         self.solves = self.corrections = self.max_corrections = 0
@@ -322,21 +342,21 @@ class FactorizedOperator:
             return
         start = time.perf_counter()
         try:
-            diag = np.abs(matrix.diagonal())
+            diag = np.abs(transposed.diagonal())
             diag[diag == 0] = 1.0
             self.scale = 1.0 / np.sqrt(diag)
-            matrix.data *= self.scale[matrix.indices]
-            matrix.data *= np.repeat(self.scale, np.diff(matrix.indptr))
+            transposed.data *= self.scale[transposed.indices]
+            transposed.data *= np.repeat(self.scale, np.diff(transposed.indptr))
             ordering = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                             options=dict(SymmetricMode=True))
             if self.single:
-                # float32 values on the index arrays of S
-                matrix = sp.csc_matrix((matrix.data.astype(np.float32), matrix.indices,
-                                        matrix.indptr), shape=matrix.shape)
-                self._lu = spla.spilu(matrix, drop_tol=1e-8,
+                # float32 values on the index arrays of S, in place of the
+                # float64 ones in S as well, so these are freed before the factor
+                matrix.data = transposed.data = transposed.data.astype(np.float32)
+                self._lu = spla.spilu(transposed, drop_tol=SINGLE_DROP_TOL,
                                       drop_rule="basic", fill_factor=30, **ordering)
             else:
-                self._lu = spla.splu(matrix, **ordering)
+                self._lu = spla.splu(transposed, **ordering)
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}") from exc
         except (SystemError, MemoryError) as exc:
@@ -599,11 +619,13 @@ class CondensedFactorization:
     `coupling_rows` of a* dt times the system's `coupling` (CSR).
 
     S is assembled once, before the stage and forcing blocks: the face parts
-    a* dt (K_FF,c - a* dt B_c) of the back blocks, scattered to every
-    member's face dofs over the interface coupling in one COO to CSR
-    conversion (`CellClasses.face_matrix`), are the only copy of S, which
-    `schur_solver`, its direct LU (`FactorizedOperator`), equilibrates and
-    factors as S^T from its own arrays. S is dropped once factored.
+    a* dt (K_FF,c - a* dt B_c) of the back blocks and the interface
+    coupling are written into the arrays of S's pattern, which the system
+    lays out once (`BlockSystem.face_graph`, `CellClasses.face_matrix`).
+    These arrays are the only copy of S: `schur_solver`, its direct LU
+    (`FactorizedOperator`), takes them over, equilibrates them and factors
+    S^T from them, in float32 after freeing the float64 values. S is
+    dropped once factored.
     `build_s` is the time spent before the factorization, and
     `build_rss_mb` and `build_current_rss_mb` the process's peak and current
     RSS once S is built, before the LU (`peak_rss_mb`, `current_rss_mb`).
@@ -648,13 +670,9 @@ class CondensedFactorization:
             k_ff = np.einsum("cvab,vw->cvawb", k_ff, np.eye(k_ff.shape[1])).reshape(b_c.shape)
             back[shape] = np.concatenate((g, ad * (k_ff - ad * b_c)), 1)
             faces[shape] = back[shape][:, g.shape[1]:]
-        # S: the back blocks' face parts over the coupling, released once
-        # factored. The COO to CSR conversion leaves its arrays as views into
-        # buffers of one slot per triplet (2,893,696 for 2,650,436 entries on
-        # hexagonal L6), and the copy compacts them: without it, a second
-        # set-up in one process peaked at 336 MB there instead of 286 MB, the
-        # first at 286 MB instead of 283 MB (allocator placement)
-        schur = store.face_matrix(faces, coupling).copy()
+        # S: the back blocks' face parts over the coupling, handed to its LU,
+        # which takes its arrays over
+        schur = store.face_matrix(faces, coupling, system.face_graph)
         self.build_s = time.perf_counter() - start
         self.build_current_rss_mb, self.build_rss_mb = current_rss_mb(), peak_rss_mb()
         self.schur_solver = FactorizedOperator(schur)

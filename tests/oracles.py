@@ -16,7 +16,9 @@ that `PolyMesh.locate_cell` applies to all cells at once;
 `chebyshev_clusters` compares every pair of vertices, where the vertex merge
 sorts coordinates. The implicit stepper holds fused class blocks and no
 Schur matrix; `condensed_stacks` and `schur_matrix` rebuild the class
-inverses and S from the class store for the tests to compose and multiply.
+inverses and S from the class store for the tests to compose and multiply,
+S by the COO build (`coo_face_matrix`) that the pattern-first
+`CellClasses.face_matrix` replaced.
 The steppers scale a load's mapped term vectors; `load_at` sums the load
 itself for the dense reference steppers. Assembly sums K_FF's face blocks
 per face; `flat_kff_stacks` sums them through one flat index per entry, and
@@ -279,10 +281,30 @@ def condensed_stacks(system, a_star, dt):
     return out
 
 
+def coo_face_matrix(store, stacks, base):
+    """`base` plus the face-to-face operator of the class blocks {shape:
+    (classes, L, L)} over every cell's local face dofs, as CSR: the blocks'
+    nonzero entries off the Dirichlet pad slots as int32 COO triplets, one
+    mask per segment, in one COO to CSR conversion that sums duplicates and
+    drops exact zeros. `CellClasses.face_matrix` writes the same matrix
+    into the arrays of its pattern."""
+    n = store.n_face_dofs
+    base = base.tocoo()
+    entries = [(base.row, base.col, base.data)]
+    for seg in store.segments:
+        dofs = store.dofs(seg, "face").astype(np.int32)
+        rows, cols = dofs[:, :, None], dofs[:, None, :]
+        blocks = stacks[seg.shape][seg.rows]
+        keep = (blocks != 0) & (rows < n) & (cols < n)
+        entries.append(tuple(np.broadcast_to(a, keep.shape)[keep]
+                             for a in (rows, cols, blocks)))
+    return hho._csr(entries, (n, n))
+
+
 def schur_matrix(system, a_star, dt):
     """The face Schur complement S = a* dt (K_FF - a* dt K_FT G) as CSR,
-    rebuilt from the class store by `CellClasses.face_matrix`, each class's
-    K_FT,c G_c symmetrized as the factorization does."""
+    rebuilt from the class store by the COO build (`coo_face_matrix`), each
+    class's K_FT,c G_c symmetrized as the factorization does."""
     ad = a_star * dt
     store = system.cell_classes
     stacks = condensed_stacks(system, a_star, dt)
@@ -290,7 +312,7 @@ def schur_matrix(system, a_star, dt):
     for shape, c in stacks.items():
         k_ft_g = store.blocks[shape]["k_ft"] @ c["g"]
         blocks[shape] = -ad * (0.5 * (k_ft_g + np.swapaxes(k_ft_g, 1, 2)))
-    return (ad * store.face_matrix(blocks, system.k_ff)).tocsr()
+    return (ad * coo_face_matrix(store, blocks, system.k_ff)).tocsr()
 
 
 def load_at(forcing, t):

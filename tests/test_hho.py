@@ -8,8 +8,8 @@ import scipy.sparse as sp
 
 import hhowave.hho as hho
 import hhowave.mesh as msh
-from hhowave import (DofLayout, FluidMaterial, MaterialMap, MeshGenSpec,
-                     SolidMaterial, StabilizationConfig, assemble,
+from hhowave import (CondensedFactorization, DofLayout, FluidMaterial, MaterialMap,
+                     MeshGenSpec, SolidMaterial, StabilizationConfig, assemble,
                      builtin_materials, face_dof_fraction, generate)
 from hhowave import cli
 from hhowave.basis import QuadratureError, scalar_cell_dim
@@ -522,6 +522,21 @@ def test_per_face_kff_equals_flat_index_scatter(mesh_name, materials, k):
         assert_same_csr(system.k_ff, ref.tocsr(), "k_ff")
         assert_same_csr(system.kff_inverse, ref.inverse("face stiffness").tocsr(),
                         "kff_inverse")
+
+
+@pytest.mark.parametrize("mesh_name", SCATTER_MESHES)
+def test_kff_csr_is_formed_on_first_use(mesh_name):
+    # neither assembly nor the condensation forms K_FF's CSR; its face blocks
+    # count the entries that CSR stores, which `simulate` reports
+    mesh = scatter_mesh(mesh_name)
+    for config in (StabilizationConfig.explicit(), StabilizationConfig.implicit()):
+        for k in (1, 2, 3):
+            for materials in ("academic", "granite-water"):
+                system = assemble(mesh, builtin_materials(materials), config, k=k)
+                CondensedFactorization(system, 0.4, 0.01)
+                nnz = system.kff_blocks.nnz
+                assert "k_ff" not in vars(system)
+                assert nnz == system.k_ff.nnz > 0
 
 
 @pytest.mark.parametrize("materials", ["academic", "granite-water"])

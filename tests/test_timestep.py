@@ -1,6 +1,7 @@
 """Tableaux, linear solvers, and static-condensation equivalence tests."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hhowave.timestep import FactorizedOperator, Forcing, SolverError, TimestepE
 import oracles
 from oracles import condensed_stacks, manufactured_state
 from test_golden import MESHES, golden_mesh
-from test_hho import dense_from_blocks, perturbed_mesh
+from test_hho import SCATTER_MESHES, dense_from_blocks, perturbed_mesh, scatter_mesh
 
 BILAYER = dict(fluid_rect=(0.0, 0.0, 1.0, 1.0), solid_rect=(-1.0, 0.0, 0.0, 1.0))
 ACADEMIC = builtin_materials("academic")
@@ -817,6 +818,66 @@ def test_factorization_holds_one_schur_matrix(mesh_name, monkeypatch):
     b = np.random.default_rng(13).standard_normal(n)
     x = fact.schur_solver.solve(b)
     assert np.linalg.norm(scale * (schur @ x - b)) <= 1e-8 * np.linalg.norm(scale * b)
+
+
+@pytest.mark.parametrize("mesh_name", SCATTER_MESHES)
+def test_schur_matrix_equals_the_coo_build(mesh_name, monkeypatch):
+    # S written into the arrays of its pattern (`CellClasses.face_matrix` on
+    # the system's `face_graph`) is the COO to CSR conversion of the same
+    # blocks (`oracles.coo_face_matrix`) bit for bit, in its index arrays and
+    # its values, in both order modes, at k = 1-3, under academic and
+    # granite-water materials
+    mesh = scatter_mesh(mesh_name)
+    face_matrix, built = hho.CellClasses.face_matrix, []
+
+    def capture(store, stacks, base, graph):
+        out = face_matrix(store, stacks, base, graph)
+        built.append((oracles.coo_face_matrix(store, stacks, base), out.copy()))
+        return out
+
+    monkeypatch.setattr(hho.CellClasses, "face_matrix", capture)
+    for config in (StabilizationConfig.explicit(), StabilizationConfig.implicit()):
+        for k in (1, 2, 3):
+            for materials, dt in ((ACADEMIC, 0.01), (GRANITE_WATER, 1e-5)):
+                CondensedFactorization(assemble(mesh, materials, config, k=k),
+                                       tableau("SDIRK34").a_star, dt)
+    assert len(built) == 12
+    for want, got in built:
+        assert got.nnz > 0 and got.indices.dtype == got.indptr.dtype == np.int32
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+@pytest.mark.parametrize("threshold,factor", [(10**12, "splu"), (0, "spilu")],
+                         ids=["float64", "float32"])
+def test_factor_takes_over_the_arrays_of_s(threshold, factor, monkeypatch):
+    # the LU reads the int32 index arrays of S as those of S^T; the float32
+    # factor receives float32 values, and the float64 values of S are gone
+    # by then, while the float64 factor receives the float64 values of S
+    system = assemble(golden_mesh("polygonal-hexagonal"), GRANITE_WATER,
+                      StabilizationConfig.implicit(), k=2)
+    face_matrix, lu, built, seen = hho.CellClasses.face_matrix, getattr(spla, factor), [], []
+
+    def capture(*args):
+        out = face_matrix(*args)
+        built.append((out.indices, out.indptr, weakref.ref(out.data)))
+        return out
+
+    def spy(matrix, *args, **kwargs):
+        (indices, indptr, values), = built
+        seen.append((matrix.data.dtype, values() is None,
+                     np.shares_memory(matrix.indices, indices) and matrix.indices.dtype == np.int32,
+                     np.shares_memory(matrix.indptr, indptr) and matrix.indptr.dtype == np.int32,
+                     values() is not None and np.shares_memory(matrix.data, values())))
+        return lu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(timestep, "SINGLE_MIN_ENTRIES", threshold)
+    monkeypatch.setattr(hho.CellClasses, "face_matrix", capture)
+    monkeypatch.setattr(spla, factor, spy)
+    fact = CondensedFactorization(system, tableau("SDIRK34").a_star, 1e-5)
+    single = fact.schur_solver.single
+    assert built[0][0].dtype == built[0][1].dtype == np.int32
+    assert seen == [(np.float32 if single else np.float64, single, True, True, not single)]
 
 
 def test_gemm_break_even_falls_with_block_size():
